@@ -1,72 +1,62 @@
 // Run the distributed dynamical core: the full dynamics step executed
 // over MPI-style ranks with the redesigned bndry_exchangev, exactly the
-// configuration the paper scales to 10 million cores — here on the
-// in-process mini-MPI, verified against the sequential driver.
+// configuration the paper scales to 10 million cores — here a
+// model::Session on the in-process mini-MPI, verified against the
+// sequential (one-rank) driver.
 //
 //   ./parallel_run [ne] [nranks] [steps]
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 
-#include "homme/driver.hpp"
-#include "homme/init.hpp"
-#include "homme/parallel_driver.hpp"
+#include "homme/bndry.hpp"
+#include "model/session.hpp"
 
 int main(int argc, char** argv) {
   const int ne = argc > 1 ? std::atoi(argv[1]) : 4;
   const int nranks = argc > 2 ? std::atoi(argv[2]) : 6;
   const int steps = argc > 3 ? std::atoi(argv[3]) : 5;
 
-  auto mesh = mesh::CubedSphere::build(ne, mesh::kEarthRadius);
-  homme::Dims dims;
-  dims.nlev = 6;
-  dims.qsize = 1;
-  auto initial = homme::baroclinic(mesh, dims, 25.0, 292.0, 4.0);
-  homme::init_tracers(mesh, dims, initial);
-
-  auto part = mesh::Partition::build(mesh, nranks);
-  auto plan = mesh::CommPlan::build(mesh, part);
-  std::printf("ne%d: %d elements over %d ranks (SFC partition, "
-              "%zu-%zu elements each)\n",
-              ne, mesh.nelem(), nranks,
-              part.rank_elems.back().size(), part.rank_elems.front().size());
+  const auto base = model::SessionConfig{}
+                        .with_ne(ne)
+                        .with_levels(6, 1)
+                        .with_init(scenario::InitSpec::baroclinic(
+                            /*with_tracers=*/true, 25.0, 292.0, 4.0));
 
   // Distributed run with the redesigned (overlapped) boundary exchange.
-  homme::State par_result = initial;
-  net::Cluster cluster(nranks);
-  std::mutex mu;
-  cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(mesh, part, plan, dims, homme::DycoreConfig{},
-                             r.rank(), homme::BndryExchange::Mode::kOverlap);
-    auto local = pd.gather_local(initial);
-    const auto d0 = pd.diagnose(r, local);
-    for (int s = 0; s < steps; ++s) pd.step(r, local);
-    const auto d1 = pd.diagnose(r, local);
-    if (r.rank() == 0) {
-      std::printf("rank 0 of %d: %d local elements (%zu interior, %zu "
-                  "boundary)\n",
-                  nranks, pd.nlocal(), pd.interior_count(),
-                  pd.boundary_count());
-      std::printf("dry mass drift over %d steps: %.2e (relative)\n", steps,
-                  (d1.dry_mass - d0.dry_mass) / d0.dry_mass);
-      std::printf("max wind: %.2f -> %.2f m/s\n", d0.max_wind, d1.max_wind);
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    pd.scatter_local(local, par_result);
-  });
+  model::Session par(model::SessionConfig{base}
+                         .with_ranks(nranks)
+                         .with_exchange(homme::BndryExchange::Mode::kOverlap));
+  const auto& part = par.bundle().partition;
+  std::printf("ne%d: %d elements over %d ranks (SFC partition, "
+              "%zu-%zu elements each)\n",
+              ne, par.mesh().nelem(), nranks, part.rank_elems.back().size(),
+              part.rank_elems.front().size());
+  const homme::BndryExchange rank0(par.mesh(), part, par.bundle().plan, 0);
+  std::printf("rank 0 of %d: %d local elements (%zu interior, %zu "
+              "boundary)\n",
+              nranks, rank0.nlocal(), rank0.interior_elements().size(),
+              rank0.boundary_elements().size());
 
-  // Sequential reference for comparison.
-  homme::State seq = initial;
-  homme::Dycore dycore(mesh, dims, homme::DycoreConfig{});
-  dycore.run(seq, steps);
+  const auto d0 = par.diagnose();
+  par.run(steps);
+  const auto d1 = par.diagnose();
+  std::printf("dry mass drift over %d steps: %.2e (relative)\n", steps,
+              (d1.dry_mass - d0.dry_mass) / d0.dry_mass);
+  std::printf("max wind: %.2f -> %.2f m/s\n", d0.max_wind, d1.max_wind);
 
+  // Sequential (one-rank) reference for comparison.
+  model::Session seq(base);
+  seq.run(steps);
+
+  const homme::State a = seq.state(), b = par.state();
   double worst = 0.0;
-  for (std::size_t e = 0; e < seq.size(); ++e) {
-    for (std::size_t f = 0; f < dims.field_size(); ++f) {
-      worst = std::max(worst, std::abs(seq[e].T[f] - par_result[e].T[f]) /
-                                  std::max(1.0, std::abs(seq[e].T[f])));
+  for (std::size_t e = 0; e < a.size(); ++e) {
+    for (std::size_t f = 0; f < par.dims().field_size(); ++f) {
+      worst = std::max(worst, std::abs(a[e].T[f] - b[e].T[f]) /
+                                  std::max(1.0, std::abs(a[e].T[f])));
     }
   }
   std::printf("max relative T difference vs the sequential driver: %.2e\n",

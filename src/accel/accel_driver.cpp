@@ -45,14 +45,6 @@ PipelineAccelerator::PipelineAccelerator(const mesh::CubedSphere& m,
       pool_(std::make_shared<sw::CgPool>(1)),
       cgs_{0} {}
 
-void PipelineAccelerator::use_core_groups(int n) {
-  pool_ = std::make_shared<sw::CgPool>(n);
-  cgs_.resize(static_cast<std::size_t>(n));
-  std::iota(cgs_.begin(), cgs_.end(), 0);
-  owns_pool_ = true;
-  forward_tracer();
-}
-
 void PipelineAccelerator::set_cg_pool(std::shared_ptr<sw::CgPool> pool,
                                       std::vector<int> cgs) {
   if (pool == nullptr) {

@@ -20,19 +20,18 @@
 namespace accel {
 
 /// Runs the vertical remap of a dynamics step through the athread
-/// kernel pipeline. Attach to a (Parallel)Dycore with
-/// attach_accelerator(&pa).
+/// kernel pipeline. Attach to a Dycore with attach_accelerator(&pa).
 ///
-/// For the sequential Dycore the state indexes mesh elements directly —
-/// default-construct with the mesh and dims. For a ParallelDycore the
+/// For a whole-mesh Dycore the state indexes mesh elements directly —
+/// default-construct with the mesh and dims. For a rank's Dycore the
 /// local state is a permutation of a subset of mesh elements; pass the
-/// local->global map (ParallelDycore::global_elem) as \p geom_map.
+/// local->global map (Dycore::elements) as \p geom_map.
 ///
 /// By default the accelerator owns a private 1-CG pool, exactly the
-/// historical single-core-group behavior. use_core_groups(n) widens the
-/// private pool; set_cg_pool() instead binds to an externally owned
-/// sw::CgPool (svc::Engine placement, one processor shared by several
-/// members) with an explicit CG-affinity list. Either way every remap
+/// historical single-core-group behavior. set_cg_pool() instead binds to
+/// an externally owned sw::CgPool (a model::Session's pool, or
+/// svc::Engine placement: one processor shared by several members) with
+/// an explicit CG-affinity list. Either way every remap
 /// shards its elements contiguously across the assigned groups — the
 /// remap arithmetic is per-element independent, so the sharded result is
 /// bit-identical to the 1-CG result.
@@ -50,9 +49,6 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   /// stats (CpeCounters::host_fallbacks) and in fallbacks()/last_fault().
   void vertical_remap(homme::State& s) override;
 
-  /// Shard subsequent remaps across \p n core groups of a fresh private
-  /// pool (affinity 0..n-1). Replaces any previously bound pool.
-  void use_core_groups(int n);
   /// Bind to an externally owned pool, running shards on the groups in
   /// \p cgs (in order). The pool's per-group locks serialize against
   /// other accelerators sharing the processor; DMA streams of all

@@ -14,7 +14,7 @@ using mesh::kNpp;
 BndryExchange::BndryExchange(const mesh::CubedSphere& mesh,
                              const mesh::Partition& part,
                              const mesh::CommPlan& plan, int rank)
-    : mesh_(mesh), rank_(rank),
+    : mesh_(mesh),
       local_elems_(part.rank_elems[static_cast<std::size_t>(rank)]) {
   // Dense local node numbering over every node touched by local elements.
   for (int ge : local_elems_) {

@@ -42,14 +42,12 @@ class BndryExchange {
   BndryExchange(const mesh::CubedSphere& mesh, const mesh::Partition& part,
                 const mesh::CommPlan& plan, int rank);
 
-  int rank() const { return rank_; }
+  const mesh::CubedSphere& mesh() const { return mesh_; }
   int nlocal() const { return static_cast<int>(local_elems_.size()); }
   /// Global element id of local element \p le.
   int global_elem(int le) const {
     return local_elems_[static_cast<std::size_t>(le)];
   }
-  /// All owned global element ids, local order (= Partition::rank_elems).
-  std::span<const int> local_elements() const { return local_elems_; }
   /// Local elements whose nodes are all rank-interior.
   const std::vector<int>& interior_elements() const { return interior_; }
   /// Local elements touching at least one shared node.
@@ -93,7 +91,6 @@ class BndryExchange {
   void scatter(std::span<double* const> fields, int nlev);
 
   const mesh::CubedSphere& mesh_;
-  int rank_;
   std::vector<int> local_elems_;
   std::vector<int> interior_;
   std::vector<int> boundary_;

@@ -632,54 +632,4 @@ std::optional<std::string> StateMonitor::check(const State& s) const {
   return std::nullopt;
 }
 
-// ---------------------------------------------------------------------------
-// ResilientRunner
-// ---------------------------------------------------------------------------
-
-void ResilientRunner::run(net::Rank& r, State& local, int nsteps) {
-  const int target_total = dycore_.step_count() + nsteps;
-
-  dycore_.save(r, local, base_);
-  ++stats_.checkpoints;
-  int ckpt_step = dycore_.step_count();
-
-  while (dycore_.step_count() < target_total) {
-    dycore_.step(r, local);
-
-    const auto violation = monitor_.check(local);
-    if (r.allreduce_max(violation ? 1.0 : 0.0) > 0.0) {
-      ++stats_.rollbacks;
-      const int redo_target = dycore_.step_count();
-      dycore_.restore(r, local, base_);
-
-      // Re-run the lost steps on the host reference path: the most likely
-      // cause of a bad state mid-run is the accelerated path (the same
-      // reasoning behind accel::PipelineAccelerator's per-launch
-      // fallback), so rollback degrades the whole re-run.
-      StepAccelerator* accel = dycore_.accelerator();
-      dycore_.attach_accelerator(nullptr);
-      while (dycore_.step_count() < redo_target) {
-        dycore_.step(r, local);
-        ++stats_.host_redo_steps;
-      }
-      dycore_.attach_accelerator(accel);
-
-      const auto still = monitor_.check(local);
-      if (r.allreduce_max(still ? 1.0 : 0.0) > 0.0) {
-        throw CheckpointError(
-            "resilience: violation persists after host-path redo at step " +
-            std::to_string(redo_target) + ": " +
-            (still ? *still : std::string("(flagged on a peer rank)")));
-      }
-    }
-
-    if (dycore_.step_count() < target_total &&
-        dycore_.step_count() - ckpt_step >= freq_) {
-      dycore_.save(r, local, base_);
-      ++stats_.checkpoints;
-      ckpt_step = dycore_.step_count();
-    }
-  }
-}
-
 }  // namespace homme

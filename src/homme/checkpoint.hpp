@@ -13,22 +13,22 @@
 #include <thread>
 #include <vector>
 
-#include "homme/parallel_driver.hpp"
+#include "homme/driver.hpp"
 #include "homme/state.hpp"
 
 /// \file checkpoint.hpp
-/// Versioned binary checkpoints of the dycore state, an invariant monitor
-/// over that state, and a rollback runner that ties the two together.
+/// Versioned binary checkpoints of the dycore state and an invariant
+/// monitor over that state.
 ///
 /// Multi-day runs across tens of thousands of nodes (the paper's 3-km
 /// production configuration) cannot restart from step 0 after a node
 /// failure. The resilience layer here gives the mini dycore the same
-/// machinery: periodic checkpoints with per-field CRCs, a StateMonitor
-/// that catches physically impossible states (NaN, non-positive layer
-/// mass, runaway surface pressure) before they propagate, and a
-/// ResilientRunner that rolls back to the last checkpoint and re-runs the
-/// faulty steps on the host reference path when a violation appears.
-/// Restart from a checkpoint is bit-identical to never having stopped.
+/// machinery: periodic checkpoints with per-field CRCs, and a
+/// StateMonitor that catches physically impossible states (NaN,
+/// non-positive layer mass, runaway surface pressure) before they
+/// propagate — model::Session turns a violation into ModelBlowup, and
+/// svc::Server retries the member from its last checkpoint. Restart from
+/// a checkpoint is bit-identical to never having stopped.
 ///
 /// Checkpoint format (native-endian, in-process):
 ///   header  : magic "SWCK" (0x5357434B), version, nelem, nlev, qsize,
@@ -251,44 +251,6 @@ class StateMonitor {
 
  private:
   Dims dims_;
-};
-
-/// What the resilience layer did during a run.
-struct ResilienceStats {
-  int checkpoints = 0;      ///< collective checkpoints written
-  int rollbacks = 0;        ///< restores triggered by the monitor
-  int host_redo_steps = 0;  ///< steps re-run on the host path after rollback
-};
-
-/// Drives a ParallelDycore through n steps with periodic checkpoints and
-/// monitor-triggered rollback. When any rank's StateMonitor flags the
-/// state after a step (agreement reached by allreduce), every rank
-/// restores the last checkpoint and re-runs the lost steps with the
-/// accelerator detached — the host reference path — then reattaches it.
-/// A violation that survives the host re-run is a genuine model blow-up
-/// and is rethrown as CheckpointError.
-class ResilientRunner {
- public:
-  /// \p checkpoint_base names the collective checkpoint files
-  /// (one "<base>.r<rank>" per rank); \p checkpoint_freq is in steps.
-  ResilientRunner(ParallelDycore& dycore, std::string checkpoint_base,
-                  int checkpoint_freq = 1)
-      : dycore_(dycore), base_(std::move(checkpoint_base)),
-        freq_(checkpoint_freq > 0 ? checkpoint_freq : 1),
-        monitor_(dycore.dims()) {}
-
-  /// Collective: call from every rank with its local state.
-  void run(net::Rank& r, State& local, int nsteps);
-
-  const ResilienceStats& stats() const { return stats_; }
-  StateMonitor& monitor() { return monitor_; }
-
- private:
-  ParallelDycore& dycore_;
-  std::string base_;
-  int freq_;
-  StateMonitor monitor_;
-  ResilienceStats stats_;
 };
 
 }  // namespace homme

@@ -1,10 +1,13 @@
 #include "homme/driver.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "homme/euler.hpp"
+#include "homme/exchange.hpp"
 #include "homme/hypervis.hpp"
 #include "homme/remap.hpp"
 #include "homme/rhs.hpp"
@@ -52,8 +55,23 @@ void blend(const Dims& d, double a, const State& x, double b, const State& y,
 
 }  // namespace
 
-Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg)
-    : mesh_(m), dims_(d), cfg_(cfg), min_dx_(smallest_gll_spacing(m)) {
+void Diagnostics::merge(const Diagnostics& o) {
+  dry_mass += o.dry_mass;
+  total_energy += o.total_energy;
+  max_wind = std::max(max_wind, o.max_wind);
+  min_dp = std::min(min_dp, o.min_dp);
+  max_t = std::max(max_t, o.max_t);
+  min_t = std::min(min_t, o.min_t);
+}
+
+Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg,
+               std::vector<int> elems)
+    : mesh_(m), dims_(d), cfg_(cfg), elems_(std::move(elems)),
+      min_dx_(smallest_gll_spacing(m)) {
+  if (elems_.empty()) {
+    elems_.resize(static_cast<std::size_t>(m.nelem()));
+    std::iota(elems_.begin(), elems_.end(), 0);
+  }
   if (cfg_.dt <= 0.0) cfg_.dt = stable_dt(m);
   if (cfg_.nu < 0.0) {
     // Damp the 2-dx wave by ~1% of its amplitude per step:
@@ -61,19 +79,19 @@ Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg)
     const double dx4 = std::pow(min_dx_, 4);
     cfg_.nu = 0.01 * dx4 / (97.4 * cfg_.dt);
   }
-  stage1_.assign(static_cast<std::size_t>(m.nelem()), ElementState(d));
-  stage2_.assign(static_cast<std::size_t>(m.nelem()), ElementState(d));
+  stage1_.assign(elems_.size(), ElementState(d));
+  stage2_.assign(elems_.size(), ElementState(d));
 }
 
 double Dycore::stable_dt(const mesh::CubedSphere& m, double cmax) {
   return 0.25 * smallest_gll_spacing(m) / cmax;
 }
 
-void Dycore::set_tracer(obs::Tracer* t) {
-  trk_ = (t != nullptr) ? &t->track("dycore", 0, 0) : nullptr;
-}
+void Dycore::step(State& s) { step(s, Exchange(mesh_)); }
 
-void Dycore::step(State& s) {
+void Dycore::step(State& s, const Exchange& x) {
+  assert(x.nelem() == static_cast<int>(elems_.size()));
+  assert(s.size() == elems_.size());
   const double dt = cfg_.dt;
   obs::ScopedSpan step_span(trk_, "dyn:step");
 
@@ -81,19 +99,18 @@ void Dycore::step(State& s) {
   // the separate euler_step below, as in CAM-SE's subcycling.
   {
     obs::ScopedSpan span(trk_, "dyn:rhs_stage");
-    compute_and_apply_rhs(mesh_, dims_, s, s, dt, stage1_);
+    compute_and_apply_rhs(x, dims_, s, s, dt, stage1_);
   }
-  for (std::size_t e = 0; e < s.size(); ++e) stage1_[e].phis = s[e].phis;
 
   {
     obs::ScopedSpan span(trk_, "dyn:rhs_stage");
-    compute_and_apply_rhs(mesh_, dims_, stage1_, stage1_, dt, stage2_);
+    compute_and_apply_rhs(x, dims_, stage1_, stage1_, dt, stage2_);
   }
   blend(dims_, 0.75, s, 0.25, stage2_, stage1_);
 
   {
     obs::ScopedSpan span(trk_, "dyn:rhs_stage");
-    compute_and_apply_rhs(mesh_, dims_, stage1_, stage1_, dt, stage2_);
+    compute_and_apply_rhs(x, dims_, stage1_, stage1_, dt, stage2_);
   }
   blend(dims_, 1.0 / 3.0, s, 2.0 / 3.0, stage2_, stage1_);
 
@@ -106,22 +123,23 @@ void Dycore::step(State& s) {
 
   if (dims_.qsize > 0) {
     obs::ScopedSpan span(trk_, "dyn:euler");
-    euler_step(mesh_, dims_, s, dt, cfg_.limit_tracers);
+    euler_step(x, dims_, s, dt, cfg_.limit_tracers);
   }
 
   if (cfg_.hypervis_on) {
     obs::ScopedSpan span(trk_, "dyn:hypervis");
-    hypervis_dp2(mesh_, dims_, s, cfg_.nu, dt);
-    biharmonic_dp3d(mesh_, dims_, s, cfg_.nu, dt);
+    hypervis_dp2(x, dims_, s, cfg_.nu, dt);
+    biharmonic_dp3d(x, dims_, s, cfg_.nu, dt);
   }
 
   ++step_count_;
   if (cfg_.remap_freq > 0 && step_count_ % cfg_.remap_freq == 0) {
+    // Column-local: no exchange either way.
     obs::ScopedSpan span(trk_, "dyn:remap");
     if (accel_ != nullptr) {
       accel_->vertical_remap(s);
     } else {
-      vertical_remap(mesh_, dims_, s);
+      vertical_remap_local(dims_, s);
     }
   }
 }
@@ -135,9 +153,8 @@ Diagnostics Dycore::diagnose(const State& s) const {
   out.min_dp = std::numeric_limits<double>::max();
   out.max_t = -std::numeric_limits<double>::max();
   out.min_t = std::numeric_limits<double>::max();
-  for (int e = 0; e < mesh_.nelem(); ++e) {
-    const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = mesh_.geom(e);
+  for (std::size_t se = 0; se < elems_.size(); ++se) {
+    const auto& g = mesh_.geom(elems_[se]);
     for (int lev = 0; lev < dims_.nlev; ++lev) {
       for (int k = 0; k < kNpp; ++k) {
         const std::size_t f = fidx(lev, k);

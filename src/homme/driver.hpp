@@ -1,5 +1,8 @@
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "homme/state.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "obs/trace.hpp"
@@ -12,7 +15,9 @@
 ///   3. nabla^4 hyperviscosity (hypervis_dp2 + biharmonic_dp3d),
 ///   4. every remap_freq steps, vertical_remap back to reference levels.
 /// This is the structure the paper's timers break into the six Table 1
-/// kernels.
+/// kernels. The step is written once: it runs against a homme::Exchange
+/// (exchange.hpp), the whole-mesh DSS in one address space or one rank's
+/// bndry_exchangev over the mini-MPI.
 
 namespace homme {
 
@@ -31,29 +36,49 @@ struct DycoreConfig {
 class StepAccelerator {
  public:
   virtual ~StepAccelerator() = default;
-  /// Replace homme::vertical_remap for the whole state.
+  /// Replace homme::vertical_remap for the dycore's whole (local) state.
   virtual void vertical_remap(State& s) = 0;
 };
 
-/// Conservation / sanity diagnostics of a state.
+/// Conservation / sanity diagnostics of a state, or of one element set's
+/// share of it (partial sums, minima and maxima).
 struct Diagnostics {
   double dry_mass = 0.0;      ///< integral of dp dA (total air mass * g)
   double total_energy = 0.0;  ///< integral of (cp T + KE) dp dA / g
   double max_wind = 0.0;      ///< max |u| (m/s)
   double min_dp = 0.0;        ///< min layer thickness (sanity: > 0)
   double max_t = 0.0, min_t = 0.0;
+
+  /// Fold another element set's partials into these. Merging ranks in
+  /// rank order gives the same bits on every call.
+  void merge(const Diagnostics& o);
 };
+
+class Exchange;
 
 class Dycore {
  public:
-  Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg);
+  /// A dycore over the elements it owns: \p elems — rank r's
+  /// Partition::rank_elems[r], whose order is the local state's order —
+  /// or, when empty, the whole mesh in mesh order.
+  Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg,
+         std::vector<int> elems = {});
 
-  /// Advance one dynamics step.
+  /// Advance one dynamics step of \p s (this dycore's elements, local
+  /// order), every DSS assembled through \p x, which must cover the same
+  /// elements.
+  void step(State& s, const Exchange& x);
+  /// One step of a whole-mesh dycore (whole-mesh DSS).
   void step(State& s);
-  /// Advance \p n steps.
+  /// Advance \p n whole-mesh steps.
   void run(State& s, int n);
 
+  /// Diagnostics over this dycore's elements; Diagnostics::merge
+  /// combines the partials of several ranks.
   Diagnostics diagnose(const State& s) const;
+
+  /// Owned global element ids, local order.
+  std::span<const int> elements() const { return elems_; }
 
   double dt() const { return cfg_.dt; }
   double nu() const { return cfg_.nu; }
@@ -69,9 +94,10 @@ class Dycore {
   void attach_accelerator(StepAccelerator* accel) { accel_ = accel; }
 
   /// Report step phases (dyn:step > dyn:rhs_stage x3 / dyn:euler /
-  /// dyn:hypervis / dyn:remap) on \p t's "dycore" track, pid 0. nullptr
-  /// detaches.
-  void set_tracer(obs::Tracer* t);
+  /// dyn:hypervis / dyn:remap) on \p trk: a whole-mesh dycore's own
+  /// "dycore" track, or a rank's "rank<r>" track shared with its
+  /// bndry:*/net:* events. nullptr detaches.
+  void set_track(obs::Track* trk) { trk_ = trk; }
 
   /// Steps taken so far (drives the vertical-remap cadence).
   int step_count() const { return step_count_; }
@@ -83,6 +109,7 @@ class Dycore {
   const mesh::CubedSphere& mesh_;
   Dims dims_;
   DycoreConfig cfg_;
+  std::vector<int> elems_;
   double min_dx_;
   int step_count_ = 0;
   StepAccelerator* accel_ = nullptr;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "homme/dss.hpp"
+#include "homme/exchange.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
@@ -60,21 +60,20 @@ void positivity_limiter(const mesh::ElementGeom& g, int nlev,
   }
 }
 
-void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
-                double dt, bool limit) {
-  const int nelem = m.nelem();
+void euler_step(const Exchange& x, const Dims& d, State& s, double dt,
+                bool limit) {
+  const int nelem = x.nelem();
   const std::size_t ne = static_cast<std::size_t>(nelem);
   const std::size_t fs = d.field_size();
 
   // Per-tracer stage buffers (q0 = start of step, qs = working stage),
   // carved from the scratch arena instead of per-call heap vectors. The
-  // reservation also covers the nested dss_levels node accumulator, which
-  // allocates while all three buffers are live.
-  const std::size_t acc_n =
-      static_cast<std::size_t>(m.nnodes()) * static_cast<std::size_t>(d.nlev);
+  // reservation also covers whatever the exchange's DSS allocates while
+  // all three buffers are live.
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < 3 * ne * fs + acc_n || arena.ptr_capacity() < ne) {
-    arena.require(3 * ne * fs + acc_n, ne);
+  const std::size_t need = 3 * ne * fs + x.dss_scratch(d.nlev);
+  if (arena.capacity() < need || arena.ptr_capacity() < ne) {
+    arena.require(need, ne);
   }
   ScratchArena::Frame frame(arena);
   std::span<double> q0 = arena.alloc(ne * fs), qs = arena.alloc(ne * fs),
@@ -98,7 +97,7 @@ void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
     for (int stage = 0; stage < 3; ++stage) {
       for (int e = 0; e < nelem; ++e) {
         const std::size_t se = static_cast<std::size_t>(e);
-        element_tracer_rhs(m.geom(e), d, s[se], qs.subspan(se * fs, fs),
+        element_tracer_rhs(x.geom(e), d, s[se], qs.subspan(se * fs, fs),
                            rhs.subspan(se * fs, fs));
         const double a = stage_w[stage][0];
         const double b = stage_w[stage][1];
@@ -111,10 +110,10 @@ void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
               .store(qe + f);
         }
       }
-      dss_levels(m, qs_ptrs, d.nlev);
+      x.dss(qs_ptrs, d.nlev);
       if (limit) {
         for (std::size_t e = 0; e < ne; ++e) {
-          positivity_limiter(m.geom(static_cast<int>(e)), d.nlev,
+          positivity_limiter(x.geom(static_cast<int>(e)), d.nlev,
                              qs.subspan(e * fs, fs));
         }
       }
@@ -125,6 +124,11 @@ void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
       std::copy(qs.begin() + e * fs, qs.begin() + (e + 1) * fs, dst.begin());
     }
   }
+}
+
+void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
+                double dt, bool limit) {
+  euler_step(Exchange(m), d, s, dt, limit);
 }
 
 double tracer_mass(const mesh::CubedSphere& m, const Dims& d, const State& s,

@@ -15,9 +15,15 @@
 
 namespace homme {
 
-/// Advance all tracers of \p s by \p dt with SSP-RK3. If \p limit is
-/// true, apply a positivity limiter after each stage (clip negatives and
-/// rescale within the element to conserve tracer mass).
+class Exchange;
+
+/// Advance all tracers of \p s (\p x's elements) by \p dt with SSP-RK3,
+/// every stage DSSed through \p x. If \p limit is true, apply a
+/// positivity limiter after each stage (clip negatives and rescale within
+/// the element to conserve tracer mass).
+void euler_step(const Exchange& x, const Dims& d, State& s, double dt,
+                bool limit = true);
+/// The same over the whole mesh (mesh order, whole-mesh DSS).
 void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
                 double dt, bool limit = true);
 

@@ -1,6 +1,6 @@
 #include "homme/hypervis.hpp"
 
-#include "homme/dss.hpp"
+#include "homme/exchange.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
@@ -12,11 +12,11 @@ using mesh::kNpp;
 namespace {
 
 /// Laplacian of a multi-level scalar field into out (no DSS).
-void laplacian_field(const mesh::CubedSphere& m, int nlev,
+void laplacian_field(const Exchange& x, int nlev,
                      std::span<double* const> field,
                      std::span<double* const> out) {
-  for (int e = 0; e < m.nelem(); ++e) {
-    const auto& g = m.geom(e);
+  for (int e = 0; e < x.nelem(); ++e) {
+    const auto& g = x.geom(e);
     for (int lev = 0; lev < nlev; ++lev) {
       laplace_sphere_wk(g, field[static_cast<std::size_t>(e)] + fidx(lev, 0),
                         out[static_cast<std::size_t>(e)] + fidx(lev, 0));
@@ -52,12 +52,12 @@ void axpy_fields(int nelem, std::size_t fs, double coef,
 }
 
 /// Rotate the wind of every element to Cartesian components.
-void wind_to_cart(const mesh::CubedSphere& m, const Dims& d, const State& s,
+void wind_to_cart(const Exchange& ex, const Dims& d, const State& s,
                   std::span<double* const> x, std::span<double* const> y,
                   std::span<double* const> z) {
-  for (int e = 0; e < m.nelem(); ++e) {
+  for (int e = 0; e < ex.nelem(); ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = m.geom(e);
+    const auto& g = ex.geom(e);
     for (int lev = 0; lev < d.nlev; ++lev) {
       contra_to_cart(g, s[se].u1.data() + fidx(lev, 0),
                      s[se].u2.data() + fidx(lev, 0), x[se] + fidx(lev, 0),
@@ -66,12 +66,12 @@ void wind_to_cart(const mesh::CubedSphere& m, const Dims& d, const State& s,
   }
 }
 
-void cart_to_wind(const mesh::CubedSphere& m, const Dims& d,
+void cart_to_wind(const Exchange& ex, const Dims& d,
                   std::span<double* const> x, std::span<double* const> y,
                   std::span<double* const> z, State& s) {
-  for (int e = 0; e < m.nelem(); ++e) {
+  for (int e = 0; e < ex.nelem(); ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = m.geom(e);
+    const auto& g = ex.geom(e);
     std::span<double> u1 = s[se].u1.mutable_span();
     std::span<double> u2 = s[se].u2.mutable_span();
     for (int lev = 0; lev < d.nlev; ++lev) {
@@ -87,16 +87,16 @@ void cart_to_wind(const mesh::CubedSphere& m, const Dims& d,
 // taking a frame; when a public function is re-entered with allocations
 // live (laplacian_update / biharmonic_scalar inside hypervis_*), the
 // outer reservation already covers it and no growth is attempted. The
-// deepest callee is always dss_levels, whose node accumulator rides on
-// top of every live field set.
-void reserve(ScratchArena& a, const mesh::CubedSphere& m, std::size_t fs,
+// deepest callee is always the exchange's DSS, whose scratch (the
+// whole-mesh node accumulator) rides on top of every live field set.
+void reserve(ScratchArena& a, const Exchange& x, std::size_t fs,
              int nfields) {
   const std::size_t need =
-      static_cast<std::size_t>(nfields) * static_cast<std::size_t>(m.nelem()) *
+      static_cast<std::size_t>(nfields) * static_cast<std::size_t>(x.nelem()) *
           fs +
-      static_cast<std::size_t>(m.nnodes()) * (fs / kNpp);
+      x.dss_scratch(static_cast<int>(fs / kNpp));
   const std::size_t pneed =
-      static_cast<std::size_t>(nfields) * static_cast<std::size_t>(m.nelem());
+      static_cast<std::size_t>(nfields) * static_cast<std::size_t>(x.nelem());
   if (a.capacity() < need || a.ptr_capacity() < pneed) {
     a.require(need, pneed);
   }
@@ -104,82 +104,93 @@ void reserve(ScratchArena& a, const mesh::CubedSphere& m, std::size_t fs,
 
 }  // namespace
 
-void laplacian_update(const mesh::CubedSphere& m, int nlev,
+void laplacian_update(const Exchange& x, int nlev,
                       std::span<double* const> field, double coef) {
   const std::size_t fs = static_cast<std::size_t>(nlev) * kNpp;
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, m, fs, 1);
+  reserve(arena, x, fs, 1);
   ScratchArena::Frame frame(arena);
-  ArenaFields lap(arena, m.nelem(), fs);
-  laplacian_field(m, nlev, field, lap.ptrs);
-  axpy_fields(m.nelem(), fs, coef, lap.ptrs, field);
-  dss_levels(m, field, nlev);
+  ArenaFields lap(arena, x.nelem(), fs);
+  laplacian_field(x, nlev, field, lap.ptrs);
+  axpy_fields(x.nelem(), fs, coef, lap.ptrs, field);
+  x.dss(field, nlev);
 }
 
-void biharmonic_scalar(const mesh::CubedSphere& m, int nlev,
+void biharmonic_scalar(const Exchange& x, int nlev,
                        std::span<double* const> field,
                        std::span<double* const> out) {
   const std::size_t fs = static_cast<std::size_t>(nlev) * kNpp;
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, m, fs, 1);
+  reserve(arena, x, fs, 1);
   ScratchArena::Frame frame(arena);
-  ArenaFields lap1(arena, m.nelem(), fs);
-  laplacian_field(m, nlev, field, lap1.ptrs);
-  dss_levels(m, lap1.ptrs, nlev);
-  laplacian_field(m, nlev, lap1.ptrs, out);
-  dss_levels(m, out, nlev);
+  ArenaFields lap1(arena, x.nelem(), fs);
+  laplacian_field(x, nlev, field, lap1.ptrs);
+  x.dss(lap1.ptrs, nlev);
+  laplacian_field(x, nlev, lap1.ptrs, out);
+  x.dss(out, nlev);
 }
 
 void hypervis_dp1(const mesh::CubedSphere& m, const Dims& d, State& s,
                   double nu, double dt) {
+  const Exchange x(m);
   const std::size_t fs = d.field_size();
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, m, fs, 4);  // ux/uy/uz + nested laplacian_update
+  reserve(arena, x, fs, 4);  // ux/uy/uz + nested laplacian_update
   ScratchArena::Frame frame(arena);
-  ArenaFields ux(arena, m.nelem(), fs), uy(arena, m.nelem(), fs),
-      uz(arena, m.nelem(), fs);
-  wind_to_cart(m, d, s, ux.ptrs, uy.ptrs, uz.ptrs);
-  laplacian_update(m, d.nlev, ux.ptrs, nu * dt);
-  laplacian_update(m, d.nlev, uy.ptrs, nu * dt);
-  laplacian_update(m, d.nlev, uz.ptrs, nu * dt);
-  cart_to_wind(m, d, ux.ptrs, uy.ptrs, uz.ptrs, s);
+  ArenaFields ux(arena, x.nelem(), fs), uy(arena, x.nelem(), fs),
+      uz(arena, x.nelem(), fs);
+  wind_to_cart(x, d, s, ux.ptrs, uy.ptrs, uz.ptrs);
+  laplacian_update(x, d.nlev, ux.ptrs, nu * dt);
+  laplacian_update(x, d.nlev, uy.ptrs, nu * dt);
+  laplacian_update(x, d.nlev, uz.ptrs, nu * dt);
+  cart_to_wind(x, d, ux.ptrs, uy.ptrs, uz.ptrs, s);
   auto Tp = field_ptrs(s, &ElementState::T);
-  laplacian_update(m, d.nlev, Tp, nu * dt);
+  laplacian_update(x, d.nlev, Tp, nu * dt);
+}
+
+void hypervis_dp2(const Exchange& x, const Dims& d, State& s, double nu,
+                  double dt) {
+  const std::size_t fs = d.field_size();
+  ScratchArena& arena = ScratchArena::thread_local_arena();
+  reserve(arena, x, fs, 5);  // ux/uy/uz/bi + nested biharmonic
+  ScratchArena::Frame frame(arena);
+  ArenaFields ux(arena, x.nelem(), fs), uy(arena, x.nelem(), fs),
+      uz(arena, x.nelem(), fs);
+  wind_to_cart(x, d, s, ux.ptrs, uy.ptrs, uz.ptrs);
+  ArenaFields bi(arena, x.nelem(), fs);
+  for (std::span<double* const> comp : {ux.ptrs, uy.ptrs, uz.ptrs}) {
+    biharmonic_scalar(x, d.nlev, comp, bi.ptrs);
+    axpy_fields(x.nelem(), fs, -nu * dt, bi.ptrs, comp);
+  }
+  cart_to_wind(x, d, ux.ptrs, uy.ptrs, uz.ptrs, s);
+
+  auto Tp = field_ptrs(s, &ElementState::T);
+  biharmonic_scalar(x, d.nlev, Tp, bi.ptrs);
+  axpy_fields(x.nelem(), fs, -nu * dt, bi.ptrs, Tp);
+  x.dss(Tp, d.nlev);
 }
 
 void hypervis_dp2(const mesh::CubedSphere& m, const Dims& d, State& s,
                   double nu, double dt) {
+  hypervis_dp2(Exchange(m), d, s, nu, dt);
+}
+
+void biharmonic_dp3d(const Exchange& x, const Dims& d, State& s, double nu,
+                     double dt) {
   const std::size_t fs = d.field_size();
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, m, fs, 5);  // ux/uy/uz/bi + nested biharmonic
+  reserve(arena, x, fs, 2);  // bi + nested biharmonic
   ScratchArena::Frame frame(arena);
-  ArenaFields ux(arena, m.nelem(), fs), uy(arena, m.nelem(), fs),
-      uz(arena, m.nelem(), fs);
-  wind_to_cart(m, d, s, ux.ptrs, uy.ptrs, uz.ptrs);
-  ArenaFields bi(arena, m.nelem(), fs);
-  for (std::span<double* const> comp : {ux.ptrs, uy.ptrs, uz.ptrs}) {
-    biharmonic_scalar(m, d.nlev, comp, bi.ptrs);
-    axpy_fields(m.nelem(), fs, -nu * dt, bi.ptrs, comp);
-  }
-  cart_to_wind(m, d, ux.ptrs, uy.ptrs, uz.ptrs, s);
-
-  auto Tp = field_ptrs(s, &ElementState::T);
-  biharmonic_scalar(m, d.nlev, Tp, bi.ptrs);
-  axpy_fields(m.nelem(), fs, -nu * dt, bi.ptrs, Tp);
-  dss_levels(m, Tp, d.nlev);
+  ArenaFields bi(arena, x.nelem(), fs);
+  auto dpp = field_ptrs(s, &ElementState::dp);
+  biharmonic_scalar(x, d.nlev, dpp, bi.ptrs);
+  axpy_fields(x.nelem(), fs, -nu * dt, bi.ptrs, dpp);
+  x.dss(dpp, d.nlev);
 }
 
 void biharmonic_dp3d(const mesh::CubedSphere& m, const Dims& d, State& s,
                      double nu, double dt) {
-  const std::size_t fs = d.field_size();
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, m, fs, 2);  // bi + nested biharmonic
-  ScratchArena::Frame frame(arena);
-  ArenaFields bi(arena, m.nelem(), fs);
-  auto dpp = field_ptrs(s, &ElementState::dp);
-  biharmonic_scalar(m, d.nlev, dpp, bi.ptrs);
-  axpy_fields(m.nelem(), fs, -nu * dt, bi.ptrs, dpp);
-  dss_levels(m, dpp, d.nlev);
+  biharmonic_dp3d(Exchange(m), d, s, nu, dt);
 }
 
 }  // namespace homme

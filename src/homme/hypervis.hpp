@@ -16,14 +16,17 @@
 
 namespace homme {
 
+class Exchange;
+
 /// Apply s <- s + dt * nu * Laplacian(s) to a multi-level scalar field
-/// given by per-element pointers. One DSS at the end.
-void laplacian_update(const mesh::CubedSphere& m, int nlev,
+/// given by per-element pointers over \p x's elements. One DSS at the
+/// end.
+void laplacian_update(const Exchange& x, int nlev,
                       std::span<double* const> field, double coef);
 
 /// Compute the biharmonic nabla^4 of a scalar field into \p out (per-
 /// element pointers); DSS applied between and after the two Laplacians.
-void biharmonic_scalar(const mesh::CubedSphere& m, int nlev,
+void biharmonic_scalar(const Exchange& x, int nlev,
                        std::span<double* const> field,
                        std::span<double* const> out);
 
@@ -31,11 +34,16 @@ void biharmonic_scalar(const mesh::CubedSphere& m, int nlev,
 void hypervis_dp1(const mesh::CubedSphere& m, const Dims& d, State& s,
                   double nu, double dt);
 
-/// Table 1 "hypervis dp2": u, T <- u, T - dt*nu*Lap(Lap(u, T)).
+/// Table 1 "hypervis dp2": u, T <- u, T - dt*nu*Lap(Lap(u, T)), over
+/// \p x's elements with every DSS through \p x.
+void hypervis_dp2(const Exchange& x, const Dims& d, State& s, double nu,
+                  double dt);
 void hypervis_dp2(const mesh::CubedSphere& m, const Dims& d, State& s,
                   double nu, double dt);
 
 /// Table 1 "biharmonic dp3d": dp <- dp - dt*nu*Lap(Lap(dp)).
+void biharmonic_dp3d(const Exchange& x, const Dims& d, State& s, double nu,
+                     double dt);
 void biharmonic_dp3d(const mesh::CubedSphere& m, const Dims& d, State& s,
                      double nu, double dt);
 

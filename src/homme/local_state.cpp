@@ -18,16 +18,4 @@ void scatter_local(std::span<const int> elems, const State& local,
   }
 }
 
-State gather_local(const mesh::Partition& part, int rank,
-                   const State& global) {
-  return gather_local(part.rank_elems[static_cast<std::size_t>(rank)],
-                      global);
-}
-
-void scatter_local(const mesh::Partition& part, int rank, const State& local,
-                   State& global) {
-  scatter_local(part.rank_elems[static_cast<std::size_t>(rank)], local,
-                global);
-}
-
 }  // namespace homme

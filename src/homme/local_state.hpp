@@ -3,17 +3,15 @@
 #include <span>
 
 #include "homme/state.hpp"
-#include "mesh/partition.hpp"
 
 /// \file local_state.hpp
-/// Rank-local views of a global dycore state, keyed by the SFC partition.
+/// Rank-local views of a global dycore state, keyed by an owned-element
+/// list (a Dycore's elements(): Partition::rank_elems order for a rank,
+/// mesh order for the whole mesh).
 ///
-/// Every distributed consumer — ParallelDycore, the svc:: ensemble
-/// engine's result collection, tests assembling a global state out of
-/// rank pieces — needs the same two primitives: extract the elements a
-/// rank owns (in Partition::rank_elems order) and write them back. They
-/// live here as free functions so the element-order convention exists in
-/// exactly one place.
+/// model::Session's per-rank states need the same two primitives: extract
+/// the elements a rank owns and write them back. They live here as free
+/// functions so the element-order convention exists in exactly one place.
 
 namespace homme {
 
@@ -22,12 +20,6 @@ State gather_local(std::span<const int> elems, const State& global);
 
 /// Inverse of gather_local: write \p local back into \p global.
 void scatter_local(std::span<const int> elems, const State& local,
-                   State& global);
-
-/// Partition-keyed forms: rank \p rank's elements in SFC order.
-State gather_local(const mesh::Partition& part, int rank,
-                   const State& global);
-void scatter_local(const mesh::Partition& part, int rank, const State& local,
                    State& global);
 
 }  // namespace homme

@@ -26,9 +26,8 @@ namespace homme {
 /// in every build mode — in Release such a column used to be silently
 /// remapped into NaN that propagated through qdp; now the failure
 /// surfaces with the element / column / level named, in the same typed
-/// spirit as sw::KernelFault, so the resilience layer (StateMonitor /
-/// ResilientRunner rollback) can react instead of inheriting poisoned
-/// state.
+/// spirit as sw::KernelFault, so the resilience layer (StateMonitor,
+/// checkpoint retry) can react instead of inheriting poisoned state.
 class RemapError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -47,9 +46,8 @@ void vertical_remap(const mesh::CubedSphere& m, const Dims& d, State& s);
 
 /// The same remap over every element of \p s regardless of mesh extent:
 /// the remap is purely column-local, so this single implementation serves
-/// the sequential driver (s = whole mesh), the distributed driver (s = a
-/// rank's local subset) and the accelerator's host-fallback path — all
-/// bit-identical.
+/// the Dycore (s = the whole mesh or a rank's local subset) and the
+/// accelerator's host-fallback path — all bit-identical.
 void vertical_remap_local(const Dims& d, State& s);
 
 }  // namespace homme

@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "homme/dss.hpp"
+#include "homme/exchange.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
@@ -174,16 +174,16 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
   }
 }
 
-void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
+void compute_and_apply_rhs(const Exchange& x, const Dims& d,
                            const State& base, const State& eval, double dt,
                            State& out) {
-  assert(base.size() == static_cast<std::size_t>(m.nelem()));
+  assert(base.size() == static_cast<std::size_t>(x.nelem()));
   assert(eval.size() == base.size() && out.size() == base.size());
 
   ElementTend tend(d);
-  for (int e = 0; e < m.nelem(); ++e) {
+  for (int e = 0; e < x.nelem(); ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
-    element_rhs(m.geom(e), d, eval[se], tend);
+    element_rhs(x.geom(e), d, eval[se], tend);
     ElementState& o = out[se];
     const ElementState& b = base[se];
     std::span<double> ou1 = o.u1.mutable_span(), ou2 = o.u2.mutable_span(),
@@ -205,9 +205,15 @@ void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
   auto u2p = field_ptrs(out, &ElementState::u2);
   auto Tp = field_ptrs(out, &ElementState::T);
   auto dpp = field_ptrs(out, &ElementState::dp);
-  dss_vector_levels(m, u1p, u2p, d.nlev);
-  dss_levels(m, Tp, d.nlev);
-  dss_levels(m, dpp, d.nlev);
+  x.dss_vector(u1p, u2p, d.nlev);
+  x.dss(Tp, d.nlev);
+  x.dss(dpp, d.nlev);
+}
+
+void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
+                           const State& base, const State& eval, double dt,
+                           State& out) {
+  compute_and_apply_rhs(Exchange(m), d, base, eval, dt, out);
 }
 
 }  // namespace homme

@@ -18,6 +18,8 @@
 
 namespace homme {
 
+class Exchange;
+
 /// Mid-level pressure from layer thickness: one 16-wide exclusive scan
 /// down the column plus dp/2. Tiles in fidx layout.
 void column_pressure(int nlev, const double* dp, double* p_mid);
@@ -36,8 +38,12 @@ void column_omega(int nlev, const double* divdp, double* omega);
 void element_rhs(const mesh::ElementGeom& g, const Dims& d,
                  const ElementState& eval, ElementTend& tend);
 
-/// out = base + dt * RHS(eval), then DSS on u (as a vector field), T and
-/// dp — the full Table 1 kernel over the whole mesh.
+/// out = base + dt * RHS(eval) over \p x's elements, then DSS through \p x
+/// on u (as a vector field), T and dp — the full Table 1 kernel.
+void compute_and_apply_rhs(const Exchange& x, const Dims& d,
+                           const State& base, const State& eval, double dt,
+                           State& out);
+/// The same over the whole mesh (mesh order, whole-mesh DSS).
 void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
                            const State& base, const State& eval, double dt,
                            State& out);

@@ -1,12 +1,14 @@
 #include "model/session.hpp"
 
+#include <algorithm>
 #include <cstdio>
-#include <mutex>
+#include <numeric>
 #include <span>
 #include <utility>
 
 #include "accel/accel_driver.hpp"
 #include "homme/checkpoint.hpp"
+#include "homme/exchange.hpp"
 #include "homme/init.hpp"
 #include "homme/local_state.hpp"
 #include "sw/cg_pool.hpp"
@@ -63,9 +65,10 @@ void SessionConfig::validate() const {
   if (physics_dt < 0.0) {
     throw ConfigError("SessionConfig: physics_dt must be >= 0");
   }
-  if (!init_spec.name.empty() && !init_spec.engaged()) {
+  if (!init_spec.engaged()) {
     throw ConfigError("SessionConfig: init_spec \"" + init_spec.name +
-                      "\" names an IC but has no generator");
+                      "\" has no generator; use a scenario::InitSpec "
+                      "builtin such as InitSpec::baroclinic()");
   }
   if (init_spec.member < 0) {
     throw ConfigError("SessionConfig: init_spec.member must be >= 0");
@@ -183,125 +186,121 @@ Session::Session(SessionConfig cfg, std::shared_ptr<const MeshBundle> bundle)
                       " ranks, config wants ne" + std::to_string(cfg_.ne) +
                       "/" + std::to_string(cfg_.nranks));
   }
-  build();
+  build(nullptr);
 }
 
 Session::~Session() = default;
 
-void Session::build() {
+void Session::build(const Session* parent) {
   dims_ = cfg_.dims();
   tracer_ = std::make_unique<obs::Tracer>(cfg_.trace_domain);
   tracer_->enable(cfg_.trace);
+  const mesh::CubedSphere& m = bundle_->mesh;
+  const auto nranks = static_cast<std::size_t>(cfg_.nranks);
 
-  // Initial condition on the global mesh. An engaged InitSpec (the
-  // scenario:: path — vortex seeds, perturbed ensemble members) replaces
-  // the builtin enum wholesale, tracer fill included.
+  // The initial condition is generated before the per-rank stage
+  // buffers: in the other order, freeing its temporaries trims the heap
+  // and every construction re-faults about a thousand pages.
   homme::State global;
-  if (cfg_.init_spec.engaged()) {
-    global = cfg_.init_spec.generate(bundle_->mesh, dims_, cfg_.init_spec);
+  if (parent == nullptr) {
+    global = cfg_.init_spec.generate(m, dims_, cfg_.init_spec);
     if (cfg_.init_spec.tracers && cfg_.qsize > 0) {
-      homme::init_tracers(bundle_->mesh, dims_, global);
-    }
-  } else {
-    switch (cfg_.init) {
-      case SessionConfig::Init::kBaroclinic:
-        global = homme::baroclinic(bundle_->mesh, dims_);
-        break;
-      case SessionConfig::Init::kSolidBody:
-        global = homme::solid_body_rotation(bundle_->mesh, dims_);
-        break;
-      case SessionConfig::Init::kIsothermalRest:
-        global = homme::isothermal_rest(bundle_->mesh, dims_);
-        break;
-    }
-    if (cfg_.init_tracers && cfg_.qsize > 0) {
-      homme::init_tracers(bundle_->mesh, dims_, global);
+      homme::init_tracers(m, dims_, global);
     }
   }
 
-  const homme::DycoreConfig dcfg = cfg_.dycore_config();
-  if (cfg_.nranks == 1) {
-    dycore_ = std::make_unique<homme::Dycore>(bundle_->mesh, dims_, dcfg);
-    dycore_->set_tracer(tracer_.get());
-    state_ = std::move(global);
-  } else {
+  // Where each rank's work lives. The rank count decides two things:
+  // here, whether a cluster and per-rank halo exchanges are built — N
+  // ranks own their SFC partition slices and report on the "rank<r>"
+  // tracks that net:* and bndry:* share, one rank owns the whole mesh in
+  // mesh order and reports on "dycore" — and in step(), whether the step
+  // runs inline or on the cluster.
+  struct Placement {
+    std::vector<int> elems;  ///< empty: the whole mesh, mesh order
+    obs::Track* track;
+    std::string accel_track;
+    int accel_pid;
+  };
+  std::vector<Placement> places;
+  ranks_.resize(nranks);
+  if (cfg_.nranks > 1) {
     cluster_ = std::make_unique<net::Cluster>(cfg_.nranks);
     cluster_->set_fault_plan(cfg_.faults);
     cluster_->set_watchdog(cfg_.watchdog_s);
     cluster_->set_tracer(tracer_.get());
-    pds_.reserve(static_cast<std::size_t>(cfg_.nranks));
-    locals_.reserve(static_cast<std::size_t>(cfg_.nranks));
     for (int r = 0; r < cfg_.nranks; ++r) {
-      pds_.push_back(std::make_unique<homme::ParallelDycore>(
-          bundle_->mesh, bundle_->partition, bundle_->plan, dims_, dcfg, r,
-          cfg_.exchange));
-      pds_.back()->set_tracer(tracer_.get());
-      locals_.push_back(
-          homme::gather_local(bundle_->partition, r, global));
+      obs::Track* trk = cluster_->rank_track(r);
+      auto& bx = ranks_[static_cast<std::size_t>(r)].bndry;
+      bx = std::make_unique<homme::BndryExchange>(m, bundle_->partition,
+                                                  bundle_->plan, r);
+      bx->set_track(trk);
+      places.push_back(
+          {bundle_->partition.rank_elems[static_cast<std::size_t>(r)], trk,
+           "accel.r" + std::to_string(r), r});
     }
+  } else {
+    places.push_back({{}, &tracer_->track("dycore", 0, 0), "accel",
+                      sw::CoreGroup::kDefaultTracePid});
   }
 
-  if (cfg_.backend == SessionConfig::Backend::kPipeline) {
-    if (cfg_.nranks == 1) {
-      accels_.push_back(std::make_unique<accel::PipelineAccelerator>(
-          bundle_->mesh, dims_));
-      accels_[0]->set_tracer(tracer_.get(), "accel");
-      if (cfg_.cg_pool != nullptr) {
-        accels_[0]->set_cg_pool(cfg_.cg_pool, cfg_.cg_affinity);
-      } else if (cfg_.core_groups > 1) {
-        accels_[0]->use_core_groups(cfg_.core_groups);
+  // The pipeline's core groups: an engine-provided pool, or one this
+  // session builds when it wants more than each accelerator's private
+  // single group. Rank r shards its remaps across the groups at
+  // positions i with i % nranks == r.
+  std::shared_ptr<sw::CgPool> pool = cfg_.cg_pool;
+  std::vector<int> affinity = cfg_.cg_affinity;
+  if (pool == nullptr && cfg_.core_groups > 1 &&
+      cfg_.backend == SessionConfig::Backend::kPipeline) {
+    pool = std::make_shared<sw::CgPool>(cfg_.core_groups);
+    affinity.resize(static_cast<std::size_t>(cfg_.core_groups));
+    std::iota(affinity.begin(), affinity.end(), 0);
+    pool->set_tracer(tracer_.get(), sw::CoreGroup::kDefaultTracePid,
+                     "accel");
+  }
+
+  for (std::size_t r = 0; r < nranks; ++r) {
+    RankSlot& rk = ranks_[r];
+    Placement& p = places[r];
+    rk.dycore = std::make_unique<homme::Dycore>(m, dims_, cfg_.dycore_config(),
+                                                std::move(p.elems));
+    rk.dycore->set_track(p.track);
+    if (cfg_.backend != SessionConfig::Backend::kPipeline) continue;
+    const std::span<const int> owned = rk.dycore->elements();
+    rk.accel = std::make_unique<accel::PipelineAccelerator>(
+        m, dims_, std::vector<int>(owned.begin(), owned.end()));
+    rk.accel->set_tracer(tracer_.get(), p.accel_track, p.accel_pid);
+    if (pool != nullptr) {
+      const std::size_t n = affinity.size();
+      std::vector<int> groups;
+      for (std::size_t i = r; i < std::max(n, nranks); i += nranks) {
+        groups.push_back(affinity[i % n]);
       }
-      accels_[0]->set_fault_plan(cfg_.faults);
-      dycore_->attach_accelerator(accels_[0].get());
-    } else {
-      // Parallel ranks are the MPE-level decomposition: with N > 1 core
-      // groups (or an engine-provided pool) all ranks share one pool and
-      // rank r's elements feed the pipeline on group affinity[r % N],
-      // contending on the shared memory controller. Ranks step on
-      // cluster threads, so sampled stream counts (and modeled cycles)
-      // follow real concurrency; results stay bit-identical.
-      std::shared_ptr<sw::CgPool> pool = cfg_.cg_pool;
-      std::vector<int> affinity = cfg_.cg_affinity;
-      if (pool == nullptr && cfg_.core_groups > 1) {
-        pool = std::make_shared<sw::CgPool>(cfg_.core_groups);
-        affinity.resize(static_cast<std::size_t>(cfg_.core_groups));
-        for (int i = 0; i < cfg_.core_groups; ++i) {
-          affinity[static_cast<std::size_t>(i)] = i;
-        }
-        pool->set_tracer(tracer_.get(), sw::CoreGroup::kDefaultTracePid,
-                         "accel");
-      }
-      for (int r = 0; r < cfg_.nranks; ++r) {
-        const auto& elems =
-            bundle_->partition.rank_elems[static_cast<std::size_t>(r)];
-        accels_.push_back(std::make_unique<accel::PipelineAccelerator>(
-            bundle_->mesh, dims_, elems));
-        accels_.back()->set_tracer(tracer_.get(),
-                                   "accel.r" + std::to_string(r), r);
-        if (pool != nullptr) {
-          accels_.back()->set_cg_pool(
-              pool, {affinity[static_cast<std::size_t>(r) % affinity.size()]});
-        }
-        accels_.back()->set_fault_plan(cfg_.faults);
-        pds_[static_cast<std::size_t>(r)]->attach_accelerator(
-            accels_.back().get());
-      }
+      rk.accel->set_cg_pool(pool, std::move(groups));
     }
+    rk.accel->set_fault_plan(cfg_.faults);
+    rk.dycore->attach_accelerator(rk.accel.get());
+  }
+
+  if (parent != nullptr) {
+    // The fork itself: alias every chunk of the parent's states. The
+    // child's (or parent's) first write to a field un-shares just that
+    // chunk.
+    for (std::size_t r = 0; r < nranks; ++r) {
+      ranks_[r].state = parent->ranks_[r].state;
+    }
+    resume_at(parent->step_count_);
+  } else {
+    set_state(global);
   }
 
   if (cfg_.physics) {
-    physics_ = std::make_unique<phys::PhysicsDriver>(bundle_->mesh, dims_,
+    physics_ = std::make_unique<phys::PhysicsDriver>(m, dims_,
                                                      cfg_.physics_cfg);
   }
   if (cfg_.monitor) {
     monitor_ = std::make_unique<homme::StateMonitor>(dims_);
   }
-  init_ckpt_writer();
-}
-
-void Session::init_ckpt_writer() {
-  if (cfg_.nranks == 1 && cfg_.ckpt_full_interval > 0 &&
-      !cfg_.checkpoint_base.empty()) {
+  if (cfg_.ckpt_full_interval > 0 && !cfg_.checkpoint_base.empty()) {
     ckpt_writer_ = std::make_unique<homme::AsyncCheckpointWriter>(
         cfg_.checkpoint_base, cfg_.ckpt_full_interval);
   }
@@ -309,13 +308,9 @@ void Session::init_ckpt_writer() {
 
 Session::Session(const Session& parent, const std::string& checkpoint_base,
                  ForkTag)
-    : cfg_(parent.cfg_),
-      bundle_(parent.bundle_),
-      dims_(parent.dims_),
-      step_count_(parent.step_count_) {
-  // fork() has already rejected parallel parents. A child never inherits
-  // the parent's checkpoint chain — same base would mean both sessions
-  // overwrite one file set.
+    : cfg_(parent.cfg_), bundle_(parent.bundle_) {
+  // A child never inherits the parent's checkpoint chain — same base
+  // would mean both sessions overwrite one file set.
   if (checkpoint_base.empty()) {
     cfg_.checkpoint_freq = 0;
     cfg_.checkpoint_base.clear();
@@ -323,86 +318,41 @@ Session::Session(const Session& parent, const std::string& checkpoint_base,
   } else {
     cfg_.checkpoint_base = checkpoint_base;
   }
-  tracer_ = std::make_unique<obs::Tracer>(cfg_.trace_domain);
-  tracer_->enable(cfg_.trace);
-
-  homme::DycoreConfig dcfg = cfg_.dycore_config();
-  dcfg.dt = parent.dycore_->dt();  // resolved values, not the auto markers
-  dcfg.nu = parent.dycore_->nu();
-  dycore_ = std::make_unique<homme::Dycore>(bundle_->mesh, dims_, dcfg);
-  dycore_->set_tracer(tracer_.get());
-  dycore_->set_step_count(step_count_);
-  // The fork itself: alias every chunk of the parent's state. The child's
-  // (or parent's) first write to a field un-shares just that chunk.
-  state_ = parent.state_;
-
-  if (cfg_.backend == SessionConfig::Backend::kPipeline) {
-    accels_.push_back(std::make_unique<accel::PipelineAccelerator>(
-        bundle_->mesh, dims_));
-    accels_[0]->set_tracer(tracer_.get(), "accel");
-    // The child shares the parent's pool handle (per-group locks make
-    // that safe) or builds its own private pool, exactly like build().
-    if (cfg_.cg_pool != nullptr) {
-      accels_[0]->set_cg_pool(cfg_.cg_pool, cfg_.cg_affinity);
-    } else if (cfg_.core_groups > 1) {
-      accels_[0]->use_core_groups(cfg_.core_groups);
-    }
-    accels_[0]->set_fault_plan(cfg_.faults);
-    dycore_->attach_accelerator(accels_[0].get());
-  }
-  if (cfg_.physics) {
-    physics_ = std::make_unique<phys::PhysicsDriver>(bundle_->mesh, dims_,
-                                                     cfg_.physics_cfg);
-  }
-  if (cfg_.monitor) {
-    monitor_ = std::make_unique<homme::StateMonitor>(dims_);
-  }
-  init_ckpt_writer();
+  build(&parent);
 }
 
 std::unique_ptr<Session> Session::fork(
     const std::string& checkpoint_base) const {
-  if (cfg_.nranks != 1) {
-    throw ConfigError("Session::fork: only sequential sessions "
-                      "(nranks == 1) can fork");
-  }
   return std::unique_ptr<Session>(
       new Session(*this, checkpoint_base, ForkTag{}));
 }
 
-double Session::dt() const {
-  return cfg_.nranks == 1 ? dycore_->dt() : pds_[0]->dt();
-}
-
-void Session::step_dynamics() {
-  if (cfg_.nranks == 1) {
-    dycore_->step(state_);
-    return;
-  }
-  cluster_->run([&](net::Rank& r) {
-    const auto i = static_cast<std::size_t>(r.rank());
-    pds_[i]->step(r, locals_[i]);
-    if (monitor_ != nullptr) {
-      if (auto why = monitor_->check(locals_[i])) {
-        throw ModelBlowup("rank " + std::to_string(r.rank()) + ": " + *why);
-      }
-    }
-  });
-}
-
-void Session::check_monitor() {
-  if (monitor_ == nullptr || cfg_.nranks > 1) return;  // parallel: per rank
-  if (auto why = monitor_->check(state_)) throw ModelBlowup(*why);
-}
+double Session::dt() const { return ranks_.front().dycore->dt(); }
 
 void Session::step() {
-  step_dynamics();
+  // The second rank-count decision (see build()): one rank steps inline
+  // on the calling thread against the whole-mesh DSS; N ranks step on the
+  // cluster's threads, each against its bndry_exchangev.
+  if (cluster_ == nullptr) {
+    ranks_.front().dycore->step(ranks_.front().state);
+  } else {
+    cluster_->run([&](net::Rank& r) {
+      RankSlot& rk = ranks_[static_cast<std::size_t>(r.rank())];
+      rk.dycore->step(rk.state, homme::Exchange(*rk.bndry, r, cfg_.exchange));
+    });
+  }
   if (physics_ != nullptr) {
+    // validate() keeps physics to one rank: it indexes global elements.
     const double pdt = cfg_.physics_dt > 0.0 ? cfg_.physics_dt : dt();
-    phys_stats_ = physics_->step(state_, pdt);
+    phys_stats_ = physics_->step(ranks_.front().state, pdt);
   }
   ++step_count_;
-  check_monitor();
+  if (monitor_ == nullptr) return;
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    if (auto why = monitor_->check(ranks_[r].state)) {
+      throw ModelBlowup("rank " + std::to_string(r) + ": " + *why);
+    }
+  }
 }
 
 void Session::run(int n) {
@@ -452,32 +402,20 @@ bool Session::try_resume() {
 }
 
 homme::Diagnostics Session::diagnose() {
-  if (cfg_.nranks == 1) return dycore_->diagnose(state_);
-  homme::Diagnostics out;
-  std::mutex mu;
-  cluster_->run([&](net::Rank& r) {
-    const auto i = static_cast<std::size_t>(r.rank());
-    auto d = pds_[i]->diagnose(r, locals_[i]);
-    if (r.rank() == 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      out = d;
-    }
-  });
+  const RankSlot& first = ranks_.front();
+  homme::Diagnostics out = first.dycore->diagnose(first.state);
+  for (std::size_t r = 1; r < ranks_.size(); ++r) {
+    out.merge(ranks_[r].dycore->diagnose(ranks_[r].state));
+  }
   return out;
 }
 
-homme::State Session::assemble() const {
-  homme::State global(static_cast<std::size_t>(bundle_->mesh.nelem()),
-                      homme::ElementState(dims_));
-  for (int r = 0; r < cfg_.nranks; ++r) {
-    homme::scatter_local(bundle_->partition, r,
-                         locals_[static_cast<std::size_t>(r)], global);
+homme::State Session::state() const {
+  homme::State global(static_cast<std::size_t>(bundle_->mesh.nelem()));
+  for (const RankSlot& rk : ranks_) {
+    homme::scatter_local(rk.dycore->elements(), rk.state, global);
   }
   return global;
-}
-
-homme::State Session::state() const {
-  return cfg_.nranks == 1 ? state_ : assemble();
 }
 
 void Session::set_state(const homme::State& global) {
@@ -486,99 +424,111 @@ void Session::set_state(const homme::State& global) {
                       std::to_string(global.size()) + " elements, mesh has " +
                       std::to_string(bundle_->mesh.nelem()));
   }
-  if (cfg_.nranks == 1) {
-    state_ = global;
-    return;
-  }
-  for (int r = 0; r < cfg_.nranks; ++r) {
-    locals_[static_cast<std::size_t>(r)] =
-        homme::gather_local(bundle_->partition, r, global);
+  for (RankSlot& rk : ranks_) {
+    rk.state = homme::gather_local(rk.dycore->elements(), global);
   }
 }
 
-homme::CheckpointInfo Session::checkpoint_info() const {
+homme::CheckpointInfo Session::checkpoint_info(const RankSlot& rk) const {
   homme::CheckpointInfo info;
-  info.nelem = state_.size();
+  info.nelem = rk.state.size();
   info.dims = dims_;
   info.config = cfg_.dycore_config();
-  info.config.dt = dycore_->dt();  // the resolved (auto-picked) values
-  info.config.nu = dycore_->nu();
+  info.config.dt = rk.dycore->dt();  // the resolved (auto-picked) values
+  info.config.nu = rk.dycore->nu();
   info.step_count = step_count_;
   info.rng_seed = cfg_.faults != nullptr ? cfg_.faults->seed() : 0;
   return info;
 }
 
-void Session::save(const std::string& base) {
-  if (cfg_.nranks == 1) {
-    homme::save_checkpoint(homme::checkpoint_rank_path(base, 0),
-                           checkpoint_info(), state_);
-    return;
+void Session::check_restored(const homme::CheckpointInfo& info,
+                             const RankSlot& rk,
+                             const std::string& path) const {
+  const homme::CheckpointInfo want = checkpoint_info(rk);
+  if (info.dims.nlev != want.dims.nlev || info.dims.qsize != want.dims.qsize ||
+      info.dims.moist != want.dims.moist) {
+    throw homme::CheckpointError(
+        path + ": dims mismatch (file nlev=" + std::to_string(info.dims.nlev) +
+        " qsize=" + std::to_string(info.dims.qsize) +
+        " moist=" + std::to_string(info.dims.moist) + ", session nlev=" +
+        std::to_string(want.dims.nlev) + " qsize=" +
+        std::to_string(want.dims.qsize) +
+        " moist=" + std::to_string(want.dims.moist) + ")");
   }
-  cluster_->run([&](net::Rank& r) {
-    const auto i = static_cast<std::size_t>(r.rank());
-    pds_[i]->save(r, locals_[i], base,
-                  cfg_.faults != nullptr ? cfg_.faults->seed() : 0);
-  });
+  if (info.nelem != want.nelem) {
+    throw homme::CheckpointError(
+        path + ": element count mismatch (file has " +
+        std::to_string(info.nelem) + ", session rank owns " +
+        std::to_string(want.nelem) + ")");
+  }
+  const homme::DycoreConfig& f = info.config;
+  const homme::DycoreConfig& w = want.config;
+  if (f.dt != w.dt || f.nu != w.nu || f.remap_freq != w.remap_freq ||
+      f.limit_tracers != w.limit_tracers || f.hypervis_on != w.hypervis_on) {
+    throw homme::CheckpointError(
+        path + ": config mismatch (file dt=" + std::to_string(f.dt) +
+        " nu=" + std::to_string(f.nu) +
+        " remap_freq=" + std::to_string(f.remap_freq) +
+        " limit_tracers=" + std::to_string(f.limit_tracers) +
+        " hypervis_on=" + std::to_string(f.hypervis_on) + ", session dt=" +
+        std::to_string(w.dt) + " nu=" + std::to_string(w.nu) +
+        " remap_freq=" + std::to_string(w.remap_freq) +
+        " limit_tracers=" + std::to_string(w.limit_tracers) +
+        " hypervis_on=" + std::to_string(w.hypervis_on) + ")");
+  }
 }
 
-void Session::adopt_restored(const homme::CheckpointInfo& info,
-                             homme::State&& s, const std::string& what) {
-  if (info.dims.nlev != dims_.nlev || info.dims.qsize != dims_.qsize ||
-      info.dims.moist != dims_.moist) {
-    throw homme::CheckpointError(
-        what + ": dims mismatch (file nlev=" +
-        std::to_string(info.dims.nlev) + " qsize=" +
-        std::to_string(info.dims.qsize) + ", session nlev=" +
-        std::to_string(dims_.nlev) + " qsize=" +
-        std::to_string(dims_.qsize) + ")");
+void Session::resume_at(std::int64_t step) {
+  step_count_ = static_cast<int>(step);
+  for (RankSlot& rk : ranks_) rk.dycore->set_step_count(step_count_);
+}
+
+void Session::save(const std::string& base) {
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    homme::save_checkpoint(
+        homme::checkpoint_rank_path(base, static_cast<int>(r)),
+        checkpoint_info(ranks_[r]), ranks_[r].state);
   }
-  if (info.nelem != state_.size()) {
-    throw homme::CheckpointError(
-        what + ": element count mismatch (file has " +
-        std::to_string(info.nelem) + ", session owns " +
-        std::to_string(state_.size()) + ")");
-  }
-  if (info.config.dt != dycore_->dt() || info.config.nu != dycore_->nu() ||
-      info.config.remap_freq != cfg_.remap_freq) {
-    throw homme::CheckpointError(
-        what + ": config mismatch (file dt=" +
-        std::to_string(info.config.dt) + " nu=" +
-        std::to_string(info.config.nu) + " remap_freq=" +
-        std::to_string(info.config.remap_freq) + ")");
-  }
-  state_ = std::move(s);
-  step_count_ = static_cast<int>(info.step_count);
-  dycore_->set_step_count(step_count_);
 }
 
 void Session::restore(const std::string& base) {
-  if (cfg_.nranks == 1) {
-    homme::State loaded;
-    const homme::CheckpointInfo info = homme::load_checkpoint(
-        homme::checkpoint_rank_path(base, 0), loaded);
-    adopt_restored(info, std::move(loaded), "Session::restore");
-    return;
+  // Validate every rank file before adopting any: a mismatched set leaves
+  // the session as it was.
+  std::vector<homme::State> loaded(ranks_.size());
+  std::int64_t step = 0;
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const std::string path =
+        homme::checkpoint_rank_path(base, static_cast<int>(r));
+    const homme::CheckpointInfo info = homme::load_checkpoint(path, loaded[r]);
+    check_restored(info, ranks_[r], path);
+    if (r == 0) {
+      step = info.step_count;
+    } else if (info.step_count != step) {
+      throw homme::CheckpointError(
+          path + ": written at step " + std::to_string(info.step_count) +
+          ", but rank 0's file is from step " + std::to_string(step) +
+          " (mixed checkpoint set)");
+    }
   }
-  cluster_->run([&](net::Rank& r) {
-    const auto i = static_cast<std::size_t>(r.rank());
-    pds_[i]->restore(r, locals_[i], base);
-  });
-  step_count_ = pds_[0]->step_count();
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    ranks_[r].state = std::move(loaded[r]);
+  }
+  resume_at(step);
 }
 
 void Session::save() {
   if (ckpt_writer_ == nullptr) {
     throw ConfigError("Session::save(): no delta-checkpoint writer — "
-                      "configure with_delta_checkpoints() on a sequential "
+                      "configure with_delta_checkpoints() on a one-rank "
                       "session");
   }
-  ckpt_writer_->save(checkpoint_info(), state_);
+  ckpt_writer_->save(checkpoint_info(ranks_.front()), ranks_.front().state);
 }
 
 void Session::restore() {
   if (ckpt_writer_ == nullptr) {
     throw ConfigError("Session::restore(): no delta-checkpoint writer — "
-                      "configure with_delta_checkpoints() on a sequential "
+                      "configure with_delta_checkpoints() on a one-rank "
                       "session");
   }
   ckpt_writer_->drain();  // the chain on disk must include every save()
@@ -586,13 +536,14 @@ void Session::restore() {
   const homme::CheckpointInfo info =
       homme::DeltaCheckpointWriter::restore_chain(ckpt_writer_->base(),
                                                   loaded);
-  adopt_restored(info, std::move(loaded), "Session::restore");
+  check_restored(info, ranks_.front(), ckpt_writer_->base());
+  ranks_.front().state = std::move(loaded);
+  resume_at(info.step_count);
 }
 
 homme::StoreStats Session::store_stats() const {
-  if (cfg_.nranks == 1) return state_.stats();
   homme::StoreStats total;
-  for (const auto& local : locals_) total += local.stats();
+  for (const RankSlot& rk : ranks_) total += rk.state.stats();
   return total;
 }
 
@@ -603,13 +554,15 @@ homme::AsyncCheckpointWriter::Stats Session::checkpoint_stats() const {
 
 int Session::fallbacks() const {
   int n = 0;
-  for (const auto& a : accels_) n += a->fallbacks();
+  for (const RankSlot& rk : ranks_) {
+    if (rk.accel != nullptr) n += rk.accel->fallbacks();
+  }
   return n;
 }
 
 homme::StepAccelerator* Session::accelerator(int rank) const {
   const auto i = static_cast<std::size_t>(rank);
-  return i < accels_.size() ? accels_[i].get() : nullptr;
+  return i < ranks_.size() ? ranks_[i].accel.get() : nullptr;
 }
 
 }  // namespace model

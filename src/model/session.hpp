@@ -6,9 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "homme/bndry.hpp"
 #include "homme/checkpoint.hpp"
 #include "homme/driver.hpp"
-#include "homme/parallel_driver.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "mesh/partition.hpp"
 #include "obs/trace.hpp"
@@ -21,9 +21,9 @@
 ///
 /// Before this facade every driver (13 benches, the examples, any new
 /// workload) re-assembled the same parts by hand: build a mesh, build a
-/// partition and comm plan, pick Dycore vs ParallelDycore, construct a
-/// PipelineAccelerator with the right geom_map, wire the tracer into
-/// every layer, remember the checkpoint collective protocol. A Session
+/// partition and comm plan, a cluster and per-rank halo exchanges,
+/// construct a PipelineAccelerator with the right geom_map, wire the
+/// tracer into every layer, write one checkpoint file per rank. A Session
 /// subsumes that construction soup behind one SessionConfig: resolution,
 /// decomposition, exchange mode, accelerator backend, physics, fault
 /// plan and checkpoint cadence are *config values*, not different call
@@ -63,7 +63,6 @@ struct SessionConfig {
     kHost,      ///< reference host implementation of every phase
     kPipeline   ///< vertical remap offloaded to the accel:: CPE pipeline
   };
-  enum class Init { kBaroclinic, kSolidBody, kIsothermalRest };
 
   // -- resolution / dimensions ---------------------------------------------
   int ne = 4;                      ///< cubed-sphere elements per face edge
@@ -80,16 +79,18 @@ struct SessionConfig {
   bool hypervis_on = true;
 
   // -- initial condition ----------------------------------------------------
-  Init init = Init::kBaroclinic;
-  bool init_tracers = true;        ///< fill tracers with the cosine bells
-  /// Typed IC: when engaged, its generator replaces the enum above and
-  /// its `tracers` flag replaces init_tracers — the path every
-  /// scenario:: workload (vortex seeds, perturbed ensembles) flows
-  /// through. Disengaged (default) keeps the enum behavior bit-exactly.
-  scenario::InitSpec init_spec;
+  /// Typed IC: its generator builds the global state and its `tracers`
+  /// flag fills the cosine-bell tracers — the path every scenario::
+  /// workload (vortex seeds, perturbed ensembles) flows through. Must be
+  /// engaged (validate()); the default is the baroclinic wave with
+  /// tracers.
+  scenario::InitSpec init_spec = scenario::InitSpec::baroclinic();
 
   // -- decomposition / exchange --------------------------------------------
-  int nranks = 1;                  ///< 1: sequential Dycore; >1: mini-MPI
+  /// 1: the whole mesh steps on the calling thread with the whole-mesh
+  /// DSS; >1: SFC-partitioned ranks step on the threaded mini-MPI, each
+  /// DSS a bndry_exchangev in `exchange` mode.
+  int nranks = 1;
   homme::BndryExchange::Mode exchange = homme::BndryExchange::Mode::kOverlap;
   double watchdog_s = 0.0;         ///< net watchdog bound (parallel only)
 
@@ -102,12 +103,13 @@ struct SessionConfig {
   phys::PhysicsConfig physics_cfg{};
 
   // -- accelerator core groups ----------------------------------------------
-  /// Core groups the pipeline backend runs on. Sequential sessions shard
-  /// each remap's elements across a private pool of this many groups
-  /// (deterministic modeled contention, bit-identical results); parallel
-  /// sessions build one shared pool and pin rank r to group r % N — the
-  /// MPE-level decomposition feeding per-CG pipelines. Ignored on the
-  /// host backend (analytic benches accept --core-groups uniformly).
+  /// Core groups the pipeline backend runs on. The session builds one
+  /// pool of this many groups (deterministic modeled contention,
+  /// bit-identical results) and rank r shards its remaps across the
+  /// groups i with i % nranks == r: every group for one rank, group
+  /// r % N when ranks outnumber groups — the MPE-level decomposition
+  /// feeding per-CG pipelines. Ignored on the host backend (analytic
+  /// benches accept --core-groups uniformly).
   int core_groups = 1;
   /// Externally owned pool (svc::Engine placement): the session's
   /// accelerators run on groups \ref cg_affinity of this pool instead of
@@ -121,7 +123,7 @@ struct SessionConfig {
   int checkpoint_freq = 0;          ///< steps; 0 disables the cadence
   std::string checkpoint_base;      ///< required when checkpoint_freq > 0
   /// 0: the cadence writes legacy full "<base>.r<rank>" images in the step
-  /// loop. K >= 1: sequential sessions checkpoint through the async delta
+  /// loop. K >= 1: one-rank sessions checkpoint through the async delta
   /// writer instead — a full "<base>.full" image every K saves, dirty-chunk
   /// "<base>.dN" records between, serialized off the stepping thread.
   int ckpt_full_interval = 0;
@@ -143,9 +145,6 @@ struct SessionConfig {
   SessionConfig& with_nu(double v) { nu = v; return *this; }
   SessionConfig& with_limiter(bool v) { limit_tracers = v; return *this; }
   SessionConfig& with_hypervis(bool v) { hypervis_on = v; return *this; }
-  SessionConfig& with_init(Init v, bool tracers = true) {
-    init = v; init_tracers = tracers; return *this;
-  }
   SessionConfig& with_init(scenario::InitSpec spec) {
     init_spec = std::move(spec); return *this;
   }
@@ -226,8 +225,9 @@ struct MeshBundle {
   }
 };
 
-/// One running simulation. Owns everything below the config line —
-/// dycore(s), cluster, accelerator(s), physics, tracer — and shares the
+/// One running simulation. Owns everything below the config line — one
+/// dycore, local state and accelerator per rank, the cluster and halo
+/// exchanges of a multi-rank session, physics, tracer — and shares the
 /// immutable MeshBundle.
 class Session {
  public:
@@ -240,10 +240,10 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Copy-on-write clone (sequential sessions only — throws ConfigError
-  /// when nranks > 1). The child shares the MeshBundle and aliases every
-  /// state chunk of the parent; the first write to a field un-shares just
-  /// that chunk, so forking N members costs refcount bumps, not N state
+  /// Copy-on-write clone, built like any session of the same config. The
+  /// child shares the MeshBundle and aliases every state chunk of the
+  /// parent's ranks; the first write to a field un-shares just that
+  /// chunk, so forking N members costs refcount bumps, not N state
   /// copies. The child continues from the parent's step_count (remap
   /// cadence included). Its checkpoint cadence is disabled unless a new
   /// \p checkpoint_base is given (children must not write over the
@@ -258,21 +258,26 @@ class Session {
   /// \p n steps, honoring the checkpoint cadence.
   void run(int n);
 
-  /// Conservation / sanity diagnostics (collective in parallel mode).
+  /// Conservation / sanity diagnostics: every rank's partials, merged in
+  /// rank order on the calling thread, so repeated calls agree bitwise.
   homme::Diagnostics diagnose();
 
   // -- state ----------------------------------------------------------------
 
-  /// Assembled global state (mesh element order), by value.
+  /// Assembled global state (mesh element order), by value. Aliases the
+  /// ranks' chunks (COW): no field is copied.
   homme::State state() const;
-  /// Replace the model state (re-gathers rank-local views).
+  /// Replace the model state (re-gathers rank-local views, aliasing).
   void set_state(const homme::State& global);
 
   // -- resilience -----------------------------------------------------------
 
-  /// Checkpoint to "<base>.r<rank>" (every rank in parallel mode).
+  /// Checkpoint every rank's state to "<base>.r<rank>".
   void save(const std::string& base);
-  /// Bit-identical inverse of save(); realigns the remap cadence.
+  /// Bit-identical inverse of save(); realigns the remap cadence. Every
+  /// rank file must match this session's dims, element count and
+  /// dynamics config and carry the same step count, or CheckpointError
+  /// is thrown and the session is left untouched.
   void restore(const std::string& base);
 
   /// Delta-checkpoint save through the async writer (requires
@@ -324,9 +329,9 @@ class Session {
   const phys::PhysicsStats& physics_stats() const { return phys_stats_; }
 
   /// COW memory accounting of this session's state (summed over rank
-  /// locals in parallel mode). resident_bytes is this member's amortized
-  /// share of the payloads it references — summing it over an ensemble's
-  /// sessions reproduces the true allocation.
+  /// locals). resident_bytes is this member's amortized share of the
+  /// payloads it references — summing it over an ensemble's sessions
+  /// reproduces the true allocation.
   homme::StoreStats store_stats() const;
   /// Async delta-writer counters (all zero when the session checkpoints
   /// through the legacy synchronous path or not at all).
@@ -343,14 +348,23 @@ class Session {
   Session(const Session& parent, const std::string& checkpoint_base,
           ForkTag);
 
-  void build();
-  void init_ckpt_writer();
-  void step_dynamics();
-  void check_monitor();
-  homme::State assemble() const;
-  homme::CheckpointInfo checkpoint_info() const;
-  void adopt_restored(const homme::CheckpointInfo& info, homme::State&& s,
-                      const std::string& what);
+  /// One rank's slice of the model. One rank owns the whole mesh in mesh
+  /// order and has no exchange.
+  struct RankSlot {
+    std::unique_ptr<homme::BndryExchange> bndry;  ///< N ranks only
+    std::unique_ptr<homme::Dycore> dycore;
+    homme::State state;  ///< the dycore's elements, local order
+    std::unique_ptr<accel::PipelineAccelerator> accel;  ///< kPipeline only
+  };
+
+  /// Per-rank construction shared by the constructor and fork(): the IC
+  /// (or \p parent's aliased states), dycores, accelerators, physics,
+  /// monitor and delta writer.
+  void build(const Session* parent);
+  homme::CheckpointInfo checkpoint_info(const RankSlot& rk) const;
+  void check_restored(const homme::CheckpointInfo& info, const RankSlot& rk,
+                      const std::string& path) const;
+  void resume_at(std::int64_t step);
 
   SessionConfig cfg_;
   std::shared_ptr<const MeshBundle> bundle_;
@@ -359,22 +373,13 @@ class Session {
 
   std::unique_ptr<obs::Tracer> tracer_;
 
-  // Sequential mode (nranks == 1).
-  std::unique_ptr<homme::Dycore> dycore_;
-  homme::State state_;
-
-  // Parallel mode (nranks > 1): one dycore + local state per rank.
-  std::unique_ptr<net::Cluster> cluster_;
-  std::vector<std::unique_ptr<homme::ParallelDycore>> pds_;
-  std::vector<homme::State> locals_;
-
-  // Backend / physics (accels_ is one per rank; empty on kHost).
-  std::vector<std::unique_ptr<accel::PipelineAccelerator>> accels_;
+  std::unique_ptr<net::Cluster> cluster_;  ///< N ranks only
+  std::vector<RankSlot> ranks_;
   std::unique_ptr<phys::PhysicsDriver> physics_;
   phys::PhysicsStats phys_stats_;
   std::unique_ptr<homme::StateMonitor> monitor_;
 
-  // Async delta-checkpoint writer (sequential + ckpt_full_interval > 0).
+  // Async delta-checkpoint writer (one rank + ckpt_full_interval > 0).
   std::unique_ptr<homme::AsyncCheckpointWriter> ckpt_writer_;
 };
 

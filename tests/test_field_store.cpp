@@ -261,10 +261,27 @@ TEST(SessionFork, ChildContinuesBitIdenticallyAndSharesAtBirth) {
   child->run(3);
   parent.run(3);
   EXPECT_TRUE(states_bitwise_equal(child->state(), parent.state()));
+}
 
-  // Forks of parallel sessions are refused, not silently deep-copied.
-  model::Session par(model::SessionConfig{cfg}.with_ranks(2));
-  EXPECT_THROW(par.fork(), model::ConfigError);
+TEST(SessionFork, MultiRankChildContinuesBitIdentically) {
+  // fork() builds its child through the same per-rank construction as
+  // the constructor, so a 2-rank parent forks like a 1-rank one: every
+  // rank's chunks aliased at birth, the same future bit for bit.
+  model::Session parent(model::SessionConfig{}
+                            .with_ne(2)
+                            .with_levels(4, 2)
+                            .with_remap_freq(3)
+                            .with_ranks(2));
+  parent.run(2);
+
+  auto child = parent.fork();
+  EXPECT_EQ(child->step_count(), parent.step_count());
+  EXPECT_EQ(child->config().nranks, 2);
+  EXPECT_DOUBLE_EQ(child->store_stats().shared_fraction(), 1.0);
+
+  child->run(3);
+  parent.run(3);
+  EXPECT_TRUE(states_bitwise_equal(child->state(), parent.state()));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 // Resilience layer, recovery side: versioned checkpoints with per-field
 // CRCs must round-trip bit-identically (in memory and on disk), reject
 // corruption / version skew / config mismatch with typed errors, let a
-// killed multi-rank run restart bit-identically, and — through the
-// StateMonitor + ResilientRunner — roll a poisoned run back to the last
-// checkpoint and redo the faulty steps on the host path.
+// killed multi-rank Session restart bit-identically, and the StateMonitor
+// must flag physically impossible states.
 
 #include "homme/checkpoint.hpp"
 
@@ -19,14 +18,13 @@
 #include <iterator>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "homme/driver.hpp"
 #include "homme/init.hpp"
-#include "homme/parallel_driver.hpp"
+#include "model/session.hpp"
 
 namespace {
 
@@ -487,181 +485,96 @@ TEST(StateMonitor, FlagsNegativeLayerMassAndPressureBounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Collective save/restore and restart
+// Restart through model::Session: one file per rank, validated as a set
 // ---------------------------------------------------------------------------
 
-struct ParallelFixture {
-  mesh::CubedSphere mesh = mesh::CubedSphere::build(3, mesh::kEarthRadius);
-  Dims d = small_dims();
-  mesh::Partition part;
-  mesh::CommPlan plan;
-  State initial;
+model::SessionConfig restart_config(int nranks) {
+  return model::SessionConfig{}
+      .with_ne(3)
+      .with_levels(4, 2)
+      .with_ranks(nranks)
+      .with_init(scenario::InitSpec::baroclinic(/*with_tracers=*/true, 25.0,
+                                                295.0, 4.0));
+}
 
-  explicit ParallelFixture(int nranks)
-      : part(mesh::Partition::build(mesh, nranks)),
-        plan(mesh::CommPlan::build(mesh, part)) {
-    initial = homme::baroclinic(mesh, d, 25.0, 295.0, 4.0);
-    homme::init_tracers(mesh, d, initial);
+void remove_rank_files(const std::string& base, int nranks) {
+  for (int r = 0; r < nranks; ++r) {
+    std::remove(homme::checkpoint_rank_path(base, r).c_str());
   }
-};
+}
 
 TEST(CheckpointRestart, KillAtStepKThenRestartIsBitIdentical) {
   const int nranks = 4;
-  ParallelFixture fx(nranks);
   const std::string base = ::testing::TempDir() + "swck_restart.ck";
-  std::mutex mu;
 
   // Reference: 6 uninterrupted steps.
-  State straight = fx.initial;
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local = pd.gather_local(fx.initial);
-      for (int s = 0; s < 6; ++s) pd.step(r, local);
-      std::lock_guard<std::mutex> lock(mu);
-      pd.scatter_local(local, straight);
-    });
-  }
+  model::Session straight(restart_config(nranks));
+  straight.run(6);
 
-  // Run 3 steps, checkpoint, and "die" (the process state is discarded).
+  // Run 3 steps, checkpoint, and "die" (the session is discarded).
   {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local = pd.gather_local(fx.initial);
-      for (int s = 0; s < 3; ++s) pd.step(r, local);
-      pd.save(r, local, base, /*rng_seed=*/99);
-    });
+    model::Session doomed(restart_config(nranks));
+    doomed.run(3);
+    doomed.save(base);
   }
 
   // Restart from the files alone and finish the remaining 3 steps.
-  State restarted = fx.initial;
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local;
-      pd.restore(r, local, base);
-      EXPECT_EQ(pd.step_count(), 3);
-      for (int s = 0; s < 3; ++s) pd.step(r, local);
-      std::lock_guard<std::mutex> lock(mu);
-      pd.scatter_local(local, restarted);
-    });
-  }
+  model::Session restarted(restart_config(nranks));
+  restarted.restore(base);
+  EXPECT_EQ(restarted.step_count(), 3);
+  restarted.run(3);
 
-  EXPECT_TRUE(states_bitwise_equal(straight, restarted));
+  EXPECT_TRUE(states_bitwise_equal(straight.state(), restarted.state()));
+  remove_rank_files(base, nranks);
 }
 
 TEST(CheckpointRestart, ConfigMismatchOnRestoreIsATypedError) {
   const int nranks = 2;
-  ParallelFixture fx(nranks);
   const std::string base = ::testing::TempDir() + "swck_cfg_mismatch.ck";
+  model::Session(restart_config(nranks)).save(base);
 
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local = pd.gather_local(fx.initial);
-      pd.save(r, local, base);
-    });
-  }
-
-  net::Cluster cluster(nranks);
-  homme::DycoreConfig other;
-  other.remap_freq = 5;
-  EXPECT_THROW(cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d, other,
-                             r.rank());
-    State local;
-    pd.restore(r, local, base);
-  }),
-               CheckpointError);
+  model::Session other(restart_config(nranks).with_remap_freq(5));
+  EXPECT_THROW(other.restore(base), CheckpointError);
+  remove_rank_files(base, nranks);
 }
 
-// ---------------------------------------------------------------------------
-// Rollback
-// ---------------------------------------------------------------------------
+TEST(CheckpointRestart, FlippedDynamicsSwitchIsATypedError) {
+  // One rank validates the same header fields as N: a file written with
+  // hyperviscosity or the tracer limiter switched the other way cannot
+  // resume this run.
+  const std::string base = ::testing::TempDir() + "swck_switches.ck";
+  model::Session s(restart_config(1));
+  s.run(1);
+  s.save(base);
 
-/// An accelerator gone bad: every offloaded remap poisons the state. The
-/// monitor must catch it and the runner must redo the step on the host.
-struct PoisoningAccel final : homme::StepAccelerator {
-  void vertical_remap(State& s) override {
-    if (!s.empty()) {
-      s[0].T.mutable_span()[0] = std::numeric_limits<double>::quiet_NaN();
-    }
-  }
-};
-
-TEST(ResilientRunner, RollsBackPoisonedStepsAndMatchesHostRun) {
-  const int nranks = 4;
-  ParallelFixture fx(nranks);
-  const std::string base = ::testing::TempDir() + "swck_rollback.ck";
-  std::mutex mu;
-
-  // Reference: 6 steps, never accelerated.
-  State host_run = fx.initial;
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      State local = pd.gather_local(fx.initial);
-      for (int s = 0; s < 6; ++s) pd.step(r, local);
-      std::lock_guard<std::mutex> lock(mu);
-      pd.scatter_local(local, host_run);
-    });
-  }
-
-  // Resilient run with the poisoning accelerator attached. remap_freq is
-  // 3, so steps 3 and 6 offload (and get poisoned): two rollbacks, each
-  // redoing exactly one step on the host path.
-  State guarded = fx.initial;
-  homme::ResilienceStats stats;
-  {
-    net::Cluster cluster(nranks);
-    cluster.run([&](net::Rank& r) {
-      homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                               homme::DycoreConfig{}, r.rank());
-      PoisoningAccel bad;
-      pd.attach_accelerator(&bad);
-      homme::ResilientRunner runner(pd, base, /*checkpoint_freq=*/1);
-      State local = pd.gather_local(fx.initial);
-      runner.run(r, local, 6);
-      EXPECT_EQ(pd.accelerator(), &bad) << "accelerator must be reattached";
-      std::lock_guard<std::mutex> lock(mu);
-      pd.scatter_local(local, guarded);
-      if (r.rank() == 0) stats = runner.stats();
-    });
-  }
-
-  EXPECT_EQ(stats.rollbacks, 2);
-  EXPECT_EQ(stats.host_redo_steps, 2);
-  EXPECT_GE(stats.checkpoints, 5);
-  EXPECT_TRUE(states_bitwise_equal(host_run, guarded));
+  model::Session no_hypervis(restart_config(1).with_hypervis(false));
+  EXPECT_THROW(no_hypervis.restore(base), CheckpointError);
+  model::Session no_limiter(restart_config(1).with_limiter(false));
+  EXPECT_THROW(no_limiter.restore(base), CheckpointError);
+  EXPECT_EQ(no_limiter.step_count(), 0);  // a rejected restore changes nothing
+  remove_rank_files(base, 1);
 }
 
-TEST(ResilientRunner, PersistentViolationIsRethrownNotLooped) {
+TEST(CheckpointRestart, MixedStepRankSetIsATypedError) {
+  // A ".r1" from a later save than ".r0" is a checkpoint of no single
+  // step; resuming it would silently splice two model times.
   const int nranks = 2;
-  ParallelFixture fx(nranks);
-  const std::string base = ::testing::TempDir() + "swck_persistent.ck";
+  const std::string early = ::testing::TempDir() + "swck_mixed_early.ck";
+  const std::string late = ::testing::TempDir() + "swck_mixed_late.ck";
+  model::Session s(restart_config(nranks));
+  s.run(3);
+  s.save(early);
+  s.run(2);
+  s.save(late);
+  ASSERT_EQ(std::rename(homme::checkpoint_rank_path(late, 1).c_str(),
+                        homme::checkpoint_rank_path(early, 1).c_str()),
+            0);
 
-  net::Cluster cluster(nranks);
-  EXPECT_THROW(cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(fx.mesh, fx.part, fx.plan, fx.d,
-                             homme::DycoreConfig{}, r.rank());
-    homme::ResilientRunner runner(pd, base, /*checkpoint_freq=*/1);
-    // Bounds no real atmosphere can satisfy: the violation survives the
-    // host-path redo, so the runner must give up rather than loop.
-    runner.monitor().ps_max = 1.0;
-    State local = pd.gather_local(fx.initial);
-    runner.run(r, local, 2);
-  }),
-               CheckpointError);
+  model::Session t(restart_config(nranks));
+  EXPECT_THROW(t.restore(early), CheckpointError);
+  EXPECT_EQ(t.step_count(), 0);
+  remove_rank_files(early, nranks);
+  remove_rank_files(late, nranks);
 }
 
 }  // namespace

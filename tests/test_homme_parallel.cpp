@@ -1,42 +1,35 @@
-#include "homme/parallel_driver.hpp"
+// The distributed dynamics step: a multi-rank model::Session runs the one
+// Dycore step per rank against its bndry_exchangev, and must agree with
+// the one-rank run to the DSS reassociation bound, conserve mass across
+// ranks, and report diagnostics that match the sequential sum and are
+// bitwise reproducible call to call.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-#include <mutex>
+#include <cstdint>
+#include <set>
 
-#include "homme/driver.hpp"
 #include "homme/euler.hpp"
-#include "homme/init.hpp"
+#include "model/session.hpp"
 
 namespace {
 
 using homme::BndryExchange;
-using homme::Dims;
 using homme::State;
+using model::Session;
+using model::SessionConfig;
 
-/// Run the distributed dycore for `steps` over `nranks` ranks and return
-/// the assembled global state.
-State run_parallel(const mesh::CubedSphere& m, const Dims& d,
-                   const State& initial, int nranks, int steps,
-                   BndryExchange::Mode mode) {
-  auto part = mesh::Partition::build(m, nranks);
-  auto plan = mesh::CommPlan::build(m, part);
-  State global = initial;
-  net::Cluster cluster(nranks);
-  std::mutex mu;
-  cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(m, part, plan, d, homme::DycoreConfig{},
-                             r.rank(), mode);
-    State local = pd.gather_local(initial);
-    for (int s = 0; s < steps; ++s) pd.step(r, local);
-    std::lock_guard<std::mutex> lock(mu);
-    pd.scatter_local(local, global);
-  });
-  return global;
+/// ne3, 4 levels, 1 tracer: the baroclinic wave with a strong bump.
+SessionConfig small_config() {
+  return SessionConfig{}.with_ne(3).with_levels(4, 1).with_init(
+      scenario::InitSpec::baroclinic(/*with_tracers=*/true, 25.0, 295.0,
+                                     4.0));
 }
 
-double max_rel_state_diff(const Dims& d, const State& a, const State& b) {
+double max_rel_state_diff(const homme::Dims& d, const State& a,
+                          const State& b) {
   double worst = 0.0;
   for (std::size_t e = 0; e < a.size(); ++e) {
     for (std::size_t f = 0; f < d.field_size(); ++f) {
@@ -57,98 +50,78 @@ struct ParCase {
   BndryExchange::Mode mode;
 };
 
-class ParallelDycoreEquivalence : public ::testing::TestWithParam<ParCase> {};
+class ParallelSessionEquivalence : public ::testing::TestWithParam<ParCase> {
+};
 
-TEST_P(ParallelDycoreEquivalence, MatchesSequentialDycore) {
+TEST_P(ParallelSessionEquivalence, MatchesOneRank) {
   const auto p = GetParam();
-  auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
-  Dims d;
-  d.nlev = 4;
-  d.qsize = 1;
-  auto initial = homme::baroclinic(m, d, 25.0, 295.0, 4.0);
-  homme::init_tracers(m, d, initial);
-
-  // Sequential reference.
-  State seq = initial;
-  homme::Dycore dycore(m, d, homme::DycoreConfig{});
   const int steps = 4;
-  dycore.run(seq, steps);
+  Session one(small_config());
+  one.run(steps);
 
-  State par = run_parallel(m, d, initial, p.nranks, steps, p.mode);
+  Session par(small_config().with_ranks(p.nranks).with_exchange(p.mode));
+  par.run(steps);
 
   // Distributed DSS reassociates node sums across ranks: tolerance covers
   // the accumulated drift over 4 steps, nothing more.
-  EXPECT_LT(max_rel_state_diff(d, seq, par), 1e-9);
+  EXPECT_EQ(par.step_count(), steps);
+  EXPECT_LT(max_rel_state_diff(one.dims(), one.state(), par.state()), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RanksAndModes, ParallelDycoreEquivalence,
-    ::testing::Values(ParCase{1, BndryExchange::Mode::kOverlap},
+    RanksAndModes, ParallelSessionEquivalence,
+    ::testing::Values(ParCase{1, BndryExchange::Mode::kOriginal},
+                      ParCase{1, BndryExchange::Mode::kOverlap},
                       ParCase{4, BndryExchange::Mode::kOriginal},
                       ParCase{4, BndryExchange::Mode::kOverlap},
+                      ParCase{7, BndryExchange::Mode::kOriginal},
                       ParCase{7, BndryExchange::Mode::kOverlap}));
 
-TEST(ParallelDycore, ConservesMassAcrossRanks) {
-  auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
-  Dims d;
-  d.nlev = 4;
-  d.qsize = 1;
-  auto initial = homme::solid_body_rotation(m, d, 20.0);
-  homme::init_tracers(m, d, initial);
-
-  auto part = mesh::Partition::build(m, 4);
-  auto plan = mesh::CommPlan::build(m, part);
-  net::Cluster cluster(4);
-  double mass0 = 0.0, mass1 = 0.0, tracer0 = 0.0, tracer1 = 0.0;
-  std::mutex mu;
-  State global = initial;
-  cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(m, part, plan, d, homme::DycoreConfig{},
-                             r.rank());
-    State local = pd.gather_local(initial);
-    const auto d0 = pd.diagnose(r, local);
-    for (int s = 0; s < 5; ++s) pd.step(r, local);
-    const auto d1 = pd.diagnose(r, local);
-    std::lock_guard<std::mutex> lock(mu);
-    mass0 = d0.dry_mass;
-    mass1 = d1.dry_mass;
-    pd.scatter_local(local, global);
-  });
+TEST(ParallelSession, ConservesMassAcrossRanks) {
+  Session s(SessionConfig{}
+                .with_ne(3)
+                .with_levels(4, 1)
+                .with_ranks(4)
+                .with_init(scenario::InitSpec::solid_body(
+                    /*with_tracers=*/true, 20.0)));
+  const State initial = s.state();
+  const double mass0 = s.diagnose().dry_mass;
+  s.run(5);
+  const double mass1 = s.diagnose().dry_mass;
   EXPECT_NEAR(mass1, mass0, 1e-9 * mass0);
 
-  tracer0 = homme::tracer_mass(m, d, initial, 0);
-  tracer1 = homme::tracer_mass(m, d, global, 0);
+  const double tracer0 = homme::tracer_mass(s.mesh(), s.dims(), initial, 0);
+  const double tracer1 = homme::tracer_mass(s.mesh(), s.dims(), s.state(), 0);
   EXPECT_NEAR(tracer1, tracer0, 1e-9 * tracer0);
 }
 
-TEST(ParallelDycore, DiagnosticsMatchSequential) {
-  auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-  Dims d;
-  d.nlev = 3;
-  d.qsize = 0;
-  auto s = homme::baroclinic(m, d);
-  homme::Dycore dycore(m, d, homme::DycoreConfig{});
-  const auto ref = dycore.diagnose(s);
+TEST(ParallelSession, DiagnosticsMatchSequential) {
+  const SessionConfig base = SessionConfig{}.with_ne(2).with_levels(3, 0);
+  Session one(base);
+  Session par(SessionConfig{base}.with_ranks(3));
+  const homme::Diagnostics ref = one.diagnose();
+  const homme::Diagnostics d = par.diagnose();
+  EXPECT_NEAR(d.dry_mass, ref.dry_mass, 1e-9 * ref.dry_mass);
+  EXPECT_NEAR(d.total_energy, ref.total_energy, 1e-9 * ref.total_energy);
+  EXPECT_EQ(d.max_wind, ref.max_wind);
+  EXPECT_EQ(d.min_dp, ref.min_dp);
+  EXPECT_EQ(d.max_t, ref.max_t);
+  EXPECT_EQ(d.min_t, ref.min_t);
+}
 
-  auto part = mesh::Partition::build(m, 3);
-  auto plan = mesh::CommPlan::build(m, part);
-  net::Cluster cluster(3);
-  homme::Diagnostics par;
-  std::mutex mu;
-  cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(m, part, plan, d, homme::DycoreConfig{},
-                             r.rank());
-    State local = pd.gather_local(s);
-    auto diag = pd.diagnose(r, local);
-    if (r.rank() == 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      par = diag;
-    }
-  });
-  EXPECT_NEAR(par.dry_mass, ref.dry_mass, 1e-9 * ref.dry_mass);
-  EXPECT_NEAR(par.total_energy, ref.total_energy, 1e-9 * ref.total_energy);
-  EXPECT_NEAR(par.max_wind, ref.max_wind, 1e-9);
-  EXPECT_NEAR(par.min_dp, ref.min_dp, 1e-9 * ref.min_dp);
+TEST(ParallelSession, DiagnosticsAreBitwiseReproducible) {
+  // The ranks' partial sums merge in rank order on the calling thread, so
+  // an unchanged state yields one bit pattern however often it is asked
+  // (an allreduce adding in thread-arrival order did not).
+  Session s(SessionConfig{}.with_ranks(4));
+  std::set<std::uint64_t> mass, energy;
+  for (int i = 0; i < 200; ++i) {
+    const homme::Diagnostics d = s.diagnose();
+    mass.insert(std::bit_cast<std::uint64_t>(d.dry_mass));
+    energy.insert(std::bit_cast<std::uint64_t>(d.total_energy));
+  }
+  EXPECT_EQ(mass.size(), 1u);
+  EXPECT_EQ(energy.size(), 1u);
 }
 
 }  // namespace

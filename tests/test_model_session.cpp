@@ -95,6 +95,9 @@ TEST(SessionConfig, RejectsUnrealizableSettings) {
   ck.checkpoint_freq = 5;
   EXPECT_THROW(ck.validate(), ConfigError);
   EXPECT_NO_THROW(SessionConfig{}.with_checkpoints("/tmp/ck", 5).validate());
+  // Every session needs an IC generator.
+  EXPECT_THROW(SessionConfig{}.with_init(scenario::InitSpec{}).validate(),
+               ConfigError);
   // The Session constructor runs the same validation.
   EXPECT_THROW(Session(SessionConfig{}.with_ne(0)), ConfigError);
 }
@@ -195,7 +198,7 @@ TEST(Session, SaveRestoreRoundTripsBitIdentically) {
   t.run(3);
   expect_states_equal(t.state(), gold);
 
-  // Parallel restore is collective: every rank reloads its shard.
+  // A multi-rank restore reloads every rank's shard from its own file.
   const std::string pbase = "test_model_session_par.ck";
   Session p(SessionConfig{cfg}.with_ranks(2));
   p.run(4);

@@ -9,8 +9,7 @@
 #include <new>
 #include <string>
 
-#include "homme/init.hpp"
-#include "homme/parallel_driver.hpp"
+#include "model/session.hpp"
 #include "obs/trace.hpp"
 
 // -- allocation counting (for DisabledTracingAllocatesNothing) --------------
@@ -182,29 +181,15 @@ TEST(Tracer, InternDeduplicates) {
 // -- deterministic golden ---------------------------------------------------
 
 std::string traced_step(homme::BndryExchange::Mode mode) {
-  obs::Tracer tracer(obs::ClockDomain::kVirtual);
-  tracer.enable();
-
-  auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-  auto part = mesh::Partition::build(m, 2);
-  auto plan = mesh::CommPlan::build(m, part);
-  homme::Dims d;
-  d.nlev = 4;
-  d.qsize = 1;
-  homme::DycoreConfig cfg;
-  cfg.remap_freq = 1;
-  homme::State global = homme::baroclinic(m, d);
-  homme::init_tracers(m, d, global);
-
-  net::Cluster cluster(2);
-  cluster.set_tracer(&tracer);
-  cluster.run([&](net::Rank& r) {
-    homme::ParallelDycore pd(m, part, plan, d, cfg, r.rank(), mode);
-    pd.set_tracer(&tracer);
-    homme::State local = pd.gather_local(global);
-    pd.step(r, local);
-  });
-  return tracer.chrome_trace();
+  model::Session s(model::SessionConfig{}
+                       .with_ne(2)
+                       .with_levels(4, 1)
+                       .with_remap_freq(1)
+                       .with_ranks(2)
+                       .with_exchange(mode)
+                       .with_trace(true, obs::ClockDomain::kVirtual));
+  s.step();
+  return s.tracer().chrome_trace();
 }
 
 std::size_t count_of(const std::string& doc, const std::string& needle) {

@@ -1,6 +1,6 @@
 // scenario:: registry: typed lookup, registration rules, every builtin
 // workload runnable and self-consistent, InitSpec bit-equivalence with
-// the legacy enum ICs, member-seeded perturbation determinism, the
+// the raw homme:: IC generators, member-seeded perturbation determinism, the
 // strict bench CLI, and mixed-scenario ensembles through svc::Engine.
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "bench_common.hpp"
 #include "homme/driver.hpp"
+#include "homme/init.hpp"
 #include "physics/driver.hpp"
 #include "scenario/experiments.hpp"
 #include "scenario/registry.hpp"
@@ -87,6 +88,7 @@ TEST(ScenarioRegistry, RegistrationRulesAreEnforced) {
   // No engaged InitSpec: a scenario must be launchable as data.
   scenario::Scenario no_ic;
   no_ic.name = "test-no-ic";
+  no_ic.defaults.init_spec = scenario::InitSpec{};
   EXPECT_THROW(scenario::register_scenario(no_ic), std::invalid_argument);
 }
 
@@ -103,28 +105,29 @@ TEST(ScenarioRegistry, EveryBuiltinConstructsStepsAndHoldsInvariants) {
   }
 }
 
-TEST(ScenarioRegistry, InitSpecMatchesLegacyEnumBitExactly) {
-  // The typed InitSpec path must reproduce the enum ICs bit-for-bit —
-  // the guarantee that let the benches migrate without digest churn.
+TEST(ScenarioRegistry, InitSpecMatchesRawGeneratorsBitExactly) {
+  // The typed InitSpec path must reproduce the raw homme:: IC generators
+  // (plus the cosine-bell tracers) bit for bit, at birth and after a
+  // remap cycle — the guarantee that let the benches migrate without
+  // digest churn.
   const auto base = model::SessionConfig{}.with_ne(2).with_levels(4, 1);
+  auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  const homme::Dims d = base.dims();
+  const std::pair<scenario::InitSpec, homme::State> cases[] = {
+      {scenario::InitSpec::baroclinic(), homme::baroclinic(m, d)},
+      {scenario::InitSpec::solid_body(), homme::solid_body_rotation(m, d)}};
+  for (const auto& [spec, generated] : cases) {
+    SCOPED_TRACE(spec.name);
+    homme::State raw = generated;
+    homme::init_tracers(m, d, raw);
+    model::Session typed(model::SessionConfig(base).with_init(spec));
+    EXPECT_EQ(digest_of(typed), model::state_digest(raw, 0));
 
-  auto legacy = model::SessionConfig(base).with_init(
-      model::SessionConfig::Init::kBaroclinic);
-  auto typed =
-      model::SessionConfig(base).with_init(scenario::InitSpec::baroclinic());
-  model::Session a(legacy), b(typed);
-  a.run(3);
-  b.run(3);
-  EXPECT_EQ(digest_of(a), digest_of(b));
-
-  auto legacy_sb = model::SessionConfig(base).with_init(
-      model::SessionConfig::Init::kSolidBody);
-  auto typed_sb =
-      model::SessionConfig(base).with_init(scenario::InitSpec::solid_body());
-  model::Session c(legacy_sb), d(typed_sb);
-  c.run(3);
-  d.run(3);
-  EXPECT_EQ(digest_of(c), digest_of(d));
+    homme::Dycore dycore(m, d, base.dycore_config());
+    dycore.run(raw, 3);
+    typed.run(3);
+    EXPECT_EQ(digest_of(typed), model::state_digest(raw, 3));
+  }
 }
 
 TEST(ScenarioRegistry, MemberPerturbationIsDeterministicAndDistinct) {

@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 
+#include "homme/checkpoint.hpp"
 #include "sw/fault.hpp"
 
 namespace {
@@ -124,6 +126,13 @@ TEST(ServerRetry, FaultedParallelMemberRetriesToFaultFreeDigest) {
   cfg.faults = &plan;
 
   ServerConfig scfg = fast_retry_config();
+  // The retry resumes from the member's checkpoint set on disk: clear any
+  // an earlier run of this binary left behind, so it restarts from step 0.
+  for (int r = 0; r < 2; ++r) {
+    std::remove(
+        homme::checkpoint_rank_path(scfg.checkpoint_dir + "/par.ck", r)
+            .c_str());
+  }
   Server server(scfg);
   server.add_tenant("ops", TenantQuota{});
   const auto out = server.submit("ops", "par", make_request(steps, cfg));
