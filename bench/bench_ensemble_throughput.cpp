@@ -213,7 +213,7 @@ struct CkptResult {
   std::uint64_t saves = 0, fulls = 0, deltas = 0;
   std::uint64_t bytes_written = 0;
   double bytes_per_step = 0.0;
-  std::size_t full_image_bytes = 0;  ///< on-disk size of "<base>.full"
+  std::size_t full_image_bytes = 0;  ///< on-disk size of "<base>.r0.full"
   double avg_delta_bytes = 0.0;
   double dirty_chunk_fraction = 0.0;  ///< chunks written / chunk slots
   std::uint64_t blocked_saves = 0;
@@ -232,9 +232,8 @@ CkptResult run_checkpoint_phase(const EnsembleSpec& spec, int full_interval,
   r.full_interval = full_interval;
   r.steps = steps;
   {
-    model::Session session(
-        member_config(spec, 0)
-            .with_delta_checkpoints(base, /*freq=*/1, full_interval));
+    model::Session session(member_config(spec, 0).with_checkpoints(
+        base, /*freq=*/1, full_interval));
     session.run(steps);  // one async delta-chain save per step
 
     // Digest of the live state, then restore the chain over it: the last
@@ -244,8 +243,8 @@ CkptResult run_checkpoint_phase(const EnsembleSpec& spec, int full_interval,
       return homme::crc32(crcs.data(), crcs.size() * sizeof(std::uint32_t));
     };
     const std::uint32_t live = digest(session.state());
-    session.restore();  // drains the writer first
-    r.restore_ok = digest(session.state()) == live;
+    r.restore_ok =
+        session.try_resume() && digest(session.state()) == live;
 
     const auto st = session.checkpoint_stats();
     r.saves = st.saves;
@@ -262,17 +261,18 @@ CkptResult run_checkpoint_phase(const EnsembleSpec& spec, int full_interval,
                   static_cast<double>(st.chunk_slots)
             : 0.0;
   }
+  const std::string chain = homme::checkpoint_rank_path(base, 0);
   std::error_code ec;
   r.full_image_bytes =
-      static_cast<std::size_t>(fs::file_size(base + ".full", ec));
+      static_cast<std::size_t>(fs::file_size(chain + ".full", ec));
   if (r.deltas > 0 && r.bytes_written > r.fulls * r.full_image_bytes) {
     r.avg_delta_bytes =
         static_cast<double>(r.bytes_written -
                             r.fulls * r.full_image_bytes) /
         static_cast<double>(r.deltas);
   }
-  fs::remove(base + ".full", ec);
-  for (int k = 1; fs::remove(base + ".d" + std::to_string(k), ec); ++k) {
+  fs::remove(chain + ".full", ec);
+  for (int k = 1; fs::remove(chain + ".d" + std::to_string(k), ec); ++k) {
   }
   return r;
 }

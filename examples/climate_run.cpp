@@ -1,11 +1,11 @@
 // A small end-to-end "production" run: dynamics + physics integrated for
 // a few simulated days on an aquaplanet, with periodic history output in
-// the model's self-describing binary format and a restart file at the
-// end — the whole-application-with-I/O configuration the paper times.
+// the model's self-describing binary format and a restart checkpoint at
+// the end — the whole-application-with-I/O configuration the paper times.
 //
 // The workload is the "aquaplanet" entry of the scenario:: registry; this
-// example only overrides the resolution and drives the history/restart
-// I/O around the returned model::Session.
+// example only overrides the resolution and checkpoint base and drives
+// the history I/O around the returned model::Session.
 //
 //   ./climate_run [ne] [nlev] [days] [output_dir]
 
@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "homme/checkpoint.hpp"
 #include "io/model_io.hpp"
 #include "scenario/registry.hpp"
 
@@ -22,9 +23,11 @@ int main(int argc, char** argv) {
   const double days = argc > 3 ? std::atof(argv[3]) : 0.5;
   const std::string outdir = argc > 4 ? argv[4] : "/tmp";
 
+  const std::string restart = outdir + "/swcam_restart";
   scenario::Overrides ov;
   ov.ne = ne;
   ov.nlev = nlev;
+  ov.checkpoint_base = restart;
   auto session = scenario::get("aquaplanet").session(ov);
   const homme::Dims& dims = session->dims();
 
@@ -60,12 +63,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string restart = outdir + "/swcam_restart.bin";
-  if (!io::write_restart(restart, dims, session->state())) {
-    std::fprintf(stderr, "failed to write restart\n");
+  try {
+    session->checkpoint_now();
+    session->checkpoint_stats();  // waits for the write, rethrows a failure
+  } catch (const homme::CheckpointError& e) {
+    std::fprintf(stderr, "failed to write restart: %s\n", e.what());
     return 1;
   }
-  std::printf("restart written to %s\n", restart.c_str());
+  std::printf("restart written to %s.full\n",
+              homme::checkpoint_rank_path(restart, 0).c_str());
 
   // Prove the history is readable.
   io::HistoryReader reader(outdir + "/swcam_history_0.bin");

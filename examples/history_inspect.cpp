@@ -1,4 +1,4 @@
-// Inspect a SW-CAM history or restart file: header dimensions, the field
+// Inspect a SW-CAM history file: header dimensions, the field
 // directory with shapes, and per-field summary statistics — the small
 // utility a downstream user reaches for first.
 //

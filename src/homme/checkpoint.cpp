@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <utility>
 
 namespace homme {
@@ -93,6 +94,66 @@ struct Reader {
   }
 };
 
+/// The nelem..nu header block SWCK and SWDK share, flags packed.
+void put_info(std::vector<std::uint8_t>& out, const CheckpointInfo& info) {
+  std::uint32_t flags = 0;
+  if (info.config.limit_tracers) flags |= kFlagLimitTracers;
+  if (info.config.hypervis_on) flags |= kFlagHypervisOn;
+  if (info.dims.moist) flags |= kFlagMoist;
+  put<std::uint64_t>(out, info.nelem);
+  put<std::int32_t>(out, info.dims.nlev);
+  put<std::int32_t>(out, info.dims.qsize);
+  put<std::uint32_t>(out, flags);
+  put<std::int32_t>(out, info.config.remap_freq);
+  put<std::int64_t>(out, info.step_count);
+  put<std::uint64_t>(out, info.rng_seed);
+  put<double>(out, info.config.dt);
+  put<double>(out, info.config.nu);
+}
+
+CheckpointInfo get_info(Reader& r) {
+  CheckpointInfo info;
+  info.nelem = r.get<std::uint64_t>();
+  info.dims.nlev = r.get<std::int32_t>();
+  info.dims.qsize = r.get<std::int32_t>();
+  const auto flags = r.get<std::uint32_t>();
+  info.config.remap_freq = r.get<std::int32_t>();
+  info.step_count = r.get<std::int64_t>();
+  info.rng_seed = r.get<std::uint64_t>();
+  info.config.dt = r.get<double>();
+  info.config.nu = r.get<double>();
+  info.config.limit_tracers = (flags & kFlagLimitTracers) != 0;
+  info.config.hypervis_on = (flags & kFlagHypervisOn) != 0;
+  info.dims.moist = (flags & kFlagMoist) != 0;
+  return info;
+}
+
+/// Magic, then version (checked before any CRC, so a future format fails
+/// by name rather than by checksum).
+void get_magic_version(Reader& r, std::uint32_t magic, std::uint32_t version,
+                       const std::string& what, const char* format) {
+  if (r.get<std::uint32_t>() != magic) {
+    throw CheckpointError(what + ": bad magic (not " + format + ")");
+  }
+  const auto v = r.get<std::uint32_t>();
+  if (v != version) {
+    throw CheckpointError(what + ": unsupported version " +
+                          std::to_string(v) + " (this build reads " +
+                          std::to_string(version) + ")");
+  }
+}
+
+/// The header CRC32 at the read position, over every byte before it.
+void check_header_crc(Reader& r, const std::string& what) {
+  const std::uint32_t actual = crc32(r.buf.data(), r.pos);
+  const auto stored = r.get<std::uint32_t>();
+  if (stored != actual) {
+    throw CheckpointError(what + ": header CRC mismatch (stored " +
+                          std::to_string(stored) + ", computed " +
+                          std::to_string(actual) + ")");
+  }
+}
+
 void get_payload(Reader& r, Chunk& field, std::size_t expected,
                  const char* name, std::size_t elem) {
   const auto count = r.get<std::uint64_t>();
@@ -126,6 +187,18 @@ void write_file(const std::string& path,
   if (!f) throw CheckpointError("checkpoint: short write to " + path);
 }
 
+/// Whole-file read; nullopt when \p path cannot be opened.
+std::optional<std::vector<std::uint8_t>> read_file(const std::string& path) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  if (!f) return std::nullopt;
+  const std::streamsize n = f.tellg();
+  f.seekg(0);
+  std::vector<std::uint8_t> image(static_cast<std::size_t>(n));
+  f.read(reinterpret_cast<char*>(image.data()), n);
+  if (!f) throw CheckpointError("checkpoint: short read from " + path);
+  return image;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> serialize_checkpoint(const CheckpointInfo& info,
@@ -135,23 +208,10 @@ std::vector<std::uint8_t> serialize_checkpoint(const CheckpointInfo& info,
                           std::to_string(info.nelem) + ") != state size (" +
                           std::to_string(s.size()) + ")");
   }
-  std::uint32_t flags = 0;
-  if (info.config.limit_tracers) flags |= kFlagLimitTracers;
-  if (info.config.hypervis_on) flags |= kFlagHypervisOn;
-  if (info.dims.moist) flags |= kFlagMoist;
-
   std::vector<std::uint8_t> out;
   put<std::uint32_t>(out, kCheckpointMagic);
   put<std::uint32_t>(out, kCheckpointVersion);
-  put<std::uint64_t>(out, info.nelem);
-  put<std::int32_t>(out, info.dims.nlev);
-  put<std::int32_t>(out, info.dims.qsize);
-  put<std::uint32_t>(out, flags);
-  put<std::int32_t>(out, info.config.remap_freq);
-  put<std::int64_t>(out, info.step_count);
-  put<std::uint64_t>(out, info.rng_seed);
-  put<double>(out, info.config.dt);
-  put<double>(out, info.config.nu);
+  put_info(out, info);
   put<std::uint32_t>(out, crc32(out.data(), out.size()));
 
   for (const ElementState& es : s) {
@@ -168,39 +228,10 @@ std::vector<std::uint8_t> serialize_checkpoint(const CheckpointInfo& info,
 CheckpointInfo deserialize_checkpoint(std::span<const std::uint8_t> image,
                                       State& s) {
   Reader r{image};
-  const auto magic = r.get<std::uint32_t>();
-  if (magic != kCheckpointMagic) {
-    throw CheckpointError("checkpoint: bad magic (not a SWCK checkpoint)");
-  }
-  const auto version = r.get<std::uint32_t>();
-  if (version != kCheckpointVersion) {
-    throw CheckpointError("checkpoint: unsupported version " +
-                          std::to_string(version) + " (this build reads " +
-                          std::to_string(kCheckpointVersion) + ")");
-  }
-
-  CheckpointInfo info;
-  info.nelem = r.get<std::uint64_t>();
-  info.dims.nlev = r.get<std::int32_t>();
-  info.dims.qsize = r.get<std::int32_t>();
-  const auto flags = r.get<std::uint32_t>();
-  info.config.remap_freq = r.get<std::int32_t>();
-  info.step_count = r.get<std::int64_t>();
-  info.rng_seed = r.get<std::uint64_t>();
-  info.config.dt = r.get<double>();
-  info.config.nu = r.get<double>();
-  info.config.limit_tracers = (flags & kFlagLimitTracers) != 0;
-  info.config.hypervis_on = (flags & kFlagHypervisOn) != 0;
-  info.dims.moist = (flags & kFlagMoist) != 0;
-
-  const std::uint32_t stored_crc = r.get<std::uint32_t>();
-  const std::uint32_t actual_crc =
-      crc32(image.data(), r.pos - sizeof(std::uint32_t));
-  if (stored_crc != actual_crc) {
-    throw CheckpointError("checkpoint: header CRC mismatch (stored " +
-                          std::to_string(stored_crc) + ", computed " +
-                          std::to_string(actual_crc) + ")");
-  }
+  get_magic_version(r, kCheckpointMagic, kCheckpointVersion, "checkpoint",
+                    "SWCK");
+  const CheckpointInfo info = get_info(r);
+  check_header_crc(r, "checkpoint");
   if (info.dims.nlev <= 0 || info.dims.qsize < 0) {
     throw CheckpointError("checkpoint: implausible dims (nlev=" +
                           std::to_string(info.dims.nlev) + ", qsize=" +
@@ -233,14 +264,9 @@ void save_checkpoint(const std::string& path, const CheckpointInfo& info,
 }
 
 CheckpointInfo load_checkpoint(const std::string& path, State& s) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) throw CheckpointError("checkpoint: cannot open " + path);
-  const std::streamsize n = f.tellg();
-  f.seekg(0);
-  std::vector<std::uint8_t> image(static_cast<std::size_t>(n));
-  f.read(reinterpret_cast<char*>(image.data()), n);
-  if (!f) throw CheckpointError("checkpoint: short read from " + path);
-  return deserialize_checkpoint(image, s);
+  const auto image = read_file(path);
+  if (!image) throw CheckpointError("checkpoint: cannot open " + path);
+  return deserialize_checkpoint(*image, s);
 }
 
 std::string checkpoint_rank_path(const std::string& base, int rank) {
@@ -310,25 +336,12 @@ std::vector<std::uint8_t> serialize_delta_checkpoint(
     }
   }
 
-  std::uint32_t flags = 0;
-  if (info.config.limit_tracers) flags |= kFlagLimitTracers;
-  if (info.config.hypervis_on) flags |= kFlagHypervisOn;
-  if (info.dims.moist) flags |= kFlagMoist;
-
   std::vector<std::uint8_t> out;
   put<std::uint32_t>(out, kDeltaMagic);
   put<std::uint32_t>(out, kDeltaVersion);
   put<std::uint64_t>(out, base_seq);
   put<std::uint64_t>(out, seq);
-  put<std::uint64_t>(out, info.nelem);
-  put<std::int32_t>(out, info.dims.nlev);
-  put<std::int32_t>(out, info.dims.qsize);
-  put<std::uint32_t>(out, flags);
-  put<std::int32_t>(out, info.config.remap_freq);
-  put<std::int64_t>(out, info.step_count);
-  put<std::uint64_t>(out, info.rng_seed);
-  put<double>(out, info.config.dt);
-  put<double>(out, info.config.nu);
+  put_info(out, info);
   put<std::uint64_t>(out, dirty.size());
   put<std::uint32_t>(out, crc32(out.data(), out.size()));
 
@@ -343,43 +356,14 @@ std::vector<std::uint8_t> serialize_delta_checkpoint(
 DeltaInfo apply_delta_checkpoint(std::span<const std::uint8_t> image,
                                  State& s) {
   Reader r{image};
-  const auto magic = r.get<std::uint32_t>();
-  if (magic != kDeltaMagic) {
-    throw CheckpointError("delta checkpoint: bad magic (not SWDK)");
-  }
-  const auto version = r.get<std::uint32_t>();
-  if (version != kDeltaVersion) {
-    throw CheckpointError("delta checkpoint: unsupported version " +
-                          std::to_string(version) + " (this build reads " +
-                          std::to_string(kDeltaVersion) + ")");
-  }
-
+  get_magic_version(r, kDeltaMagic, kDeltaVersion, "delta checkpoint", "SWDK");
   DeltaInfo di;
   di.base_seq = r.get<std::uint64_t>();
   di.seq = r.get<std::uint64_t>();
-  CheckpointInfo& info = di.info;
-  info.nelem = r.get<std::uint64_t>();
-  info.dims.nlev = r.get<std::int32_t>();
-  info.dims.qsize = r.get<std::int32_t>();
-  const auto flags = r.get<std::uint32_t>();
-  info.config.remap_freq = r.get<std::int32_t>();
-  info.step_count = r.get<std::int64_t>();
-  info.rng_seed = r.get<std::uint64_t>();
-  info.config.dt = r.get<double>();
-  info.config.nu = r.get<double>();
+  di.info = get_info(r);
+  const CheckpointInfo& info = di.info;
   const auto nrecords = r.get<std::uint64_t>();
-  info.config.limit_tracers = (flags & kFlagLimitTracers) != 0;
-  info.config.hypervis_on = (flags & kFlagHypervisOn) != 0;
-  info.dims.moist = (flags & kFlagMoist) != 0;
-
-  const std::uint32_t stored_crc = r.get<std::uint32_t>();
-  const std::uint32_t actual_crc =
-      crc32(image.data(), r.pos - sizeof(std::uint32_t));
-  if (stored_crc != actual_crc) {
-    throw CheckpointError("delta checkpoint: header CRC mismatch (stored " +
-                          std::to_string(stored_crc) + ", computed " +
-                          std::to_string(actual_crc) + ")");
-  }
+  check_header_crc(r, "delta checkpoint");
   if (info.nelem != s.size()) {
     throw CheckpointError(
         "delta checkpoint: record is for " + std::to_string(info.nelem) +
@@ -449,6 +433,21 @@ DeltaCheckpointWriter::SaveRecord DeltaCheckpointWriter::save(
   return rec;
 }
 
+DeltaCheckpointWriter::Totals& DeltaCheckpointWriter::Totals::operator+=(
+    const Totals& o) {
+  saves += o.saves;
+  fulls += o.fulls;
+  deltas += o.deltas;
+  bytes_written += o.bytes_written;
+  chunks_written += o.chunks_written;
+  chunk_slots += o.chunk_slots;
+  return *this;
+}
+
+bool DeltaCheckpointWriter::has_chain(const std::string& base) {
+  return std::ifstream(full_path(base)).is_open();
+}
+
 CheckpointInfo DeltaCheckpointWriter::restore_chain(const std::string& base,
                                                     State& s) {
   CheckpointInfo info = load_checkpoint(full_path(base), s);
@@ -456,15 +455,9 @@ CheckpointInfo DeltaCheckpointWriter::restore_chain(const std::string& base,
   std::uint64_t prev_seq = 0;
   for (int k = 1;; ++k) {
     const std::string path = delta_path(base, k);
-    std::ifstream f(path, std::ios::binary | std::ios::ate);
-    if (!f) break;
-    const std::streamsize n = f.tellg();
-    f.seekg(0);
-    std::vector<std::uint8_t> image(static_cast<std::size_t>(n));
-    f.read(reinterpret_cast<char*>(image.data()), n);
-    if (!f) throw CheckpointError("checkpoint: short read from " + path);
-
-    const DeltaInfo di = apply_delta_checkpoint(image, s);
+    const auto image = read_file(path);
+    if (!image) break;
+    const DeltaInfo di = apply_delta_checkpoint(*image, s);
     if (k == 1) {
       chain_base = di.base_seq;
     } else if (di.base_seq != chain_base || di.seq != prev_seq + 1) {
@@ -558,11 +551,10 @@ void AsyncCheckpointWriter::writer_loop() {
     const std::function<void()> hook = write_hook_;
     lk.unlock();
 
-    DeltaCheckpointWriter::SaveRecord rec{};
     std::exception_ptr err;
     try {
       if (hook) hook();
-      rec = writer_.save(job.info, job.snapshot);
+      writer_.save(job.info, job.snapshot);
     } catch (...) {
       err = std::current_exception();
     }
@@ -571,19 +563,10 @@ void AsyncCheckpointWriter::writer_loop() {
 
     lk.lock();
     busy_ = false;
-    if (err != nullptr) {
-      if (error_ == nullptr) error_ = err;
-    } else {
-      ++stats_.saves;
-      if (rec.full) {
-        ++stats_.fulls;
-      } else {
-        ++stats_.deltas;
-      }
-      stats_.bytes_written += rec.bytes;
-      stats_.chunks_written += rec.chunks_written;
-      stats_.chunk_slots += rec.chunks_total;
-    }
+    if (err != nullptr && error_ == nullptr) error_ = err;
+    // writer_ is only touched on this thread; a failed save left its
+    // totals as they were.
+    static_cast<DeltaCheckpointWriter::Totals&>(stats_) = writer_.totals();
     cv_done_.notify_all();
   }
 }

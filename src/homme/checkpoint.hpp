@@ -95,7 +95,9 @@ void save_checkpoint(const std::string& path, const CheckpointInfo& info,
                      const State& s);
 CheckpointInfo load_checkpoint(const std::string& path, State& s);
 
-/// Per-rank file name of a collective checkpoint: "<base>.r<rank>".
+/// Chain base of rank \p rank's checkpoints: "<base>.r<rank>". Every
+/// model::Session rank writes its own delta chain under it
+/// ("<base>.r<rank>.full" plus "<base>.r<rank>.dN"), one rank included.
 std::string checkpoint_rank_path(const std::string& base, int rank);
 
 // ---------------------------------------------------------------------------
@@ -151,12 +153,15 @@ class DeltaCheckpointWriter {
   /// chain continuity (consecutive seqs, one base). Returns the newest
   /// header (whose step_count reflects the last applied record).
   static CheckpointInfo restore_chain(const std::string& base, State& s);
+  /// True when "<base>.full" exists, i.e. there is a chain to restore.
+  static bool has_chain(const std::string& base);
 
   struct Totals {
     std::uint64_t saves = 0, fulls = 0, deltas = 0;
     std::uint64_t bytes_written = 0;
     std::uint64_t chunks_written = 0;  ///< records actually serialized
     std::uint64_t chunk_slots = 0;     ///< chunk slots across all saves
+    Totals& operator+=(const Totals& o);
   };
   const Totals& totals() const { return totals_; }
   const std::string& base() const { return base_; }
@@ -205,11 +210,15 @@ class AsyncCheckpointWriter {
   /// background error.
   void drain();
 
-  struct Stats {
-    std::uint64_t saves = 0, fulls = 0, deltas = 0;
-    std::uint64_t bytes_written = 0;
-    std::uint64_t chunks_written = 0, chunk_slots = 0;
+  /// The synchronous writer's totals as of the last finished save, plus
+  /// the queue's own count.
+  struct Stats : DeltaCheckpointWriter::Totals {
     std::uint64_t blocked_saves = 0;  ///< save() calls that had to wait
+    Stats& operator+=(const Stats& o) {
+      Totals::operator+=(o);
+      blocked_saves += o.blocked_saves;
+      return *this;
+    }
   };
   Stats stats() const;
   const std::string& base() const { return writer_.base(); }

@@ -125,52 +125,4 @@ std::vector<std::string> HistoryReader::names() const {
   return out;
 }
 
-bool write_restart(const std::string& path, const homme::Dims& d,
-                   const homme::State& s) {
-  HistoryWriter w(0, d.nlev, d.qsize);
-  const std::int64_t nelem = static_cast<std::int64_t>(s.size());
-  const std::int64_t fs = static_cast<std::int64_t>(d.field_size());
-  auto pack = [&](const char* name, auto member,
-                  std::int64_t per_elem) {
-    Field f{name, {nelem, per_elem}, {}};
-    f.data.reserve(static_cast<std::size_t>(nelem * per_elem));
-    for (const auto& es : s) {
-      const auto& v = es.*member;
-      f.data.insert(f.data.end(), v.begin(), v.end());
-    }
-    w.add(std::move(f));
-  };
-  pack("u1", &homme::ElementState::u1, fs);
-  pack("u2", &homme::ElementState::u2, fs);
-  pack("T", &homme::ElementState::T, fs);
-  pack("dp", &homme::ElementState::dp, fs);
-  pack("qdp", &homme::ElementState::qdp, fs * d.qsize);
-  pack("phis", &homme::ElementState::phis, mesh::kNpp);
-  return w.write(path);
-}
-
-homme::State read_restart(const std::string& path, const homme::Dims& d) {
-  HistoryReader r(path);
-  if (r.nlev() != d.nlev || r.qsize() != d.qsize) return {};
-  const auto& u1 = r.get("u1");
-  const std::int64_t nelem = u1.shape.at(0);
-  homme::State s(static_cast<std::size_t>(nelem), homme::ElementState(d));
-  auto unpack = [&](const char* name, auto member) {
-    const auto& f = r.get(name);
-    std::size_t pos = 0;
-    for (auto& es : s) {
-      const std::size_t n = (es.*member).size();
-      (es.*member).assign(f.data.data() + pos, n);
-      pos += n;
-    }
-  };
-  unpack("u1", &homme::ElementState::u1);
-  unpack("u2", &homme::ElementState::u2);
-  unpack("T", &homme::ElementState::T);
-  unpack("dp", &homme::ElementState::dp);
-  unpack("qdp", &homme::ElementState::qdp);
-  unpack("phis", &homme::ElementState::phis);
-  return s;
-}
-
 }  // namespace io

@@ -8,11 +8,11 @@
 #include "homme/state.hpp"
 
 /// \file model_io.hpp
-/// Model I/O: a self-describing binary history format plus exact-restart
-/// serialization. The paper reports its results "on basis of whole
-/// application with I/O"; this is the corresponding subsystem — a small
-/// netCDF-like container (named, dimensioned, versioned records) without
-/// the external dependency.
+/// Model I/O: a self-describing binary history format. The paper reports
+/// its results "on basis of whole application with I/O"; this is the
+/// history half of that subsystem — a small netCDF-like container (named,
+/// dimensioned, versioned records) without the external dependency.
+/// Restart state is a model::Session checkpoint chain (homme/checkpoint.hpp).
 ///
 /// Format (little-endian, doubles):
 ///   header:  magic "SWCAMIO1", int64 ne, nlev, qsize, nelem
@@ -63,13 +63,5 @@ class HistoryReader {
   int ne_ = 0, nlev_ = 0, qsize_ = 0;
   std::map<std::string, Field> fields_;
 };
-
-/// Exact restart: serialize the full prognostic state. A run continued
-/// from a restart file is bitwise identical to an uninterrupted run
-/// (tested in test_io).
-bool write_restart(const std::string& path, const homme::Dims& d,
-                   const homme::State& s);
-/// Returns an empty State on failure; the dims must match the file.
-homme::State read_restart(const std::string& path, const homme::Dims& d);
 
 }  // namespace io

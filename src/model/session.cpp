@@ -1,7 +1,6 @@
 #include "model/session.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -83,16 +82,8 @@ void SessionConfig::validate() const {
     throw ConfigError("SessionConfig: checkpoint cadence needs a "
                       "checkpoint_base path");
   }
-  if (ckpt_full_interval < 0) {
-    throw ConfigError("SessionConfig: ckpt_full_interval must be >= 0");
-  }
-  if (ckpt_full_interval > 0 && checkpoint_base.empty()) {
-    throw ConfigError("SessionConfig: delta checkpoints need a "
-                      "checkpoint_base path");
-  }
-  if (ckpt_full_interval > 0 && nranks > 1) {
-    throw ConfigError("SessionConfig: delta checkpoints are only supported "
-                      "on sequential sessions (nranks == 1)");
+  if (ckpt_full_interval < 1) {
+    throw ConfigError("SessionConfig: ckpt_full_interval must be >= 1");
   }
   if (watchdog_s < 0.0) {
     throw ConfigError("SessionConfig: watchdog_s must be >= 0");
@@ -264,6 +255,12 @@ void Session::build(const Session* parent) {
     rk.dycore = std::make_unique<homme::Dycore>(m, dims_, cfg_.dycore_config(),
                                                 std::move(p.elems));
     rk.dycore->set_track(p.track);
+    if (!cfg_.checkpoint_base.empty()) {
+      rk.ckpt = std::make_unique<homme::AsyncCheckpointWriter>(
+          homme::checkpoint_rank_path(cfg_.checkpoint_base,
+                                      static_cast<int>(r)),
+          cfg_.ckpt_full_interval);
+    }
     if (cfg_.backend != SessionConfig::Backend::kPipeline) continue;
     const std::span<const int> owned = rk.dycore->elements();
     rk.accel = std::make_unique<accel::PipelineAccelerator>(
@@ -300,10 +297,6 @@ void Session::build(const Session* parent) {
   if (cfg_.monitor) {
     monitor_ = std::make_unique<homme::StateMonitor>(dims_);
   }
-  if (cfg_.ckpt_full_interval > 0 && !cfg_.checkpoint_base.empty()) {
-    ckpt_writer_ = std::make_unique<homme::AsyncCheckpointWriter>(
-        cfg_.checkpoint_base, cfg_.ckpt_full_interval);
-  }
 }
 
 Session::Session(const Session& parent, const std::string& checkpoint_base,
@@ -314,7 +307,6 @@ Session::Session(const Session& parent, const std::string& checkpoint_base,
   if (checkpoint_base.empty()) {
     cfg_.checkpoint_freq = 0;
     cfg_.checkpoint_base.clear();
-    cfg_.ckpt_full_interval = 0;
   } else {
     cfg_.checkpoint_base = checkpoint_base;
   }
@@ -364,11 +356,7 @@ void Session::run(int n) {
 
 bool Session::checkpoint_now() {
   if (cfg_.checkpoint_base.empty()) return false;
-  if (ckpt_writer_ != nullptr) {
-    save();  // async delta chain; serialization off this thread
-  } else {
-    save(cfg_.checkpoint_base);
-  }
+  for (RankSlot& rk : ranks_) rk.ckpt->save(checkpoint_info(rk), rk.state);
   return true;
 }
 
@@ -379,25 +367,34 @@ bool Session::maybe_checkpoint() {
   return checkpoint_now();
 }
 
-bool Session::can_resume() const {
-  if (cfg_.checkpoint_base.empty()) return false;
-  const std::string path =
-      ckpt_writer_ != nullptr
-          ? cfg_.checkpoint_base + ".full"
-          : homme::checkpoint_rank_path(cfg_.checkpoint_base, 0);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
-}
-
 bool Session::try_resume() {
-  if (!can_resume()) return false;
-  if (ckpt_writer_ != nullptr) {
-    restore();
-  } else {
-    restore(cfg_.checkpoint_base);
+  if (cfg_.checkpoint_base.empty()) return false;
+  for (RankSlot& rk : ranks_) rk.ckpt->drain();  // every save is on disk
+  if (!homme::DeltaCheckpointWriter::has_chain(ranks_.front().ckpt->base())) {
+    return false;
   }
+  // Validate every rank's chain before adopting any: a mismatched set
+  // leaves the session as it was.
+  std::vector<homme::State> loaded(ranks_.size());
+  std::int64_t step = 0;
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    const std::string& base = ranks_[r].ckpt->base();
+    const homme::CheckpointInfo info =
+        homme::DeltaCheckpointWriter::restore_chain(base, loaded[r]);
+    check_restored(info, ranks_[r], base);
+    if (r == 0) {
+      step = info.step_count;
+    } else if (info.step_count != step) {
+      throw homme::CheckpointError(
+          base + ": written at step " + std::to_string(info.step_count) +
+          ", but rank 0's chain is at step " + std::to_string(step) +
+          " (mixed checkpoint set)");
+    }
+  }
+  for (std::size_t r = 0; r < ranks_.size(); ++r) {
+    ranks_[r].state = std::move(loaded[r]);
+  }
+  resume_at(step);
   return true;
 }
 
@@ -483,73 +480,20 @@ void Session::resume_at(std::int64_t step) {
   for (RankSlot& rk : ranks_) rk.dycore->set_step_count(step_count_);
 }
 
-void Session::save(const std::string& base) {
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    homme::save_checkpoint(
-        homme::checkpoint_rank_path(base, static_cast<int>(r)),
-        checkpoint_info(ranks_[r]), ranks_[r].state);
-  }
-}
-
-void Session::restore(const std::string& base) {
-  // Validate every rank file before adopting any: a mismatched set leaves
-  // the session as it was.
-  std::vector<homme::State> loaded(ranks_.size());
-  std::int64_t step = 0;
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    const std::string path =
-        homme::checkpoint_rank_path(base, static_cast<int>(r));
-    const homme::CheckpointInfo info = homme::load_checkpoint(path, loaded[r]);
-    check_restored(info, ranks_[r], path);
-    if (r == 0) {
-      step = info.step_count;
-    } else if (info.step_count != step) {
-      throw homme::CheckpointError(
-          path + ": written at step " + std::to_string(info.step_count) +
-          ", but rank 0's file is from step " + std::to_string(step) +
-          " (mixed checkpoint set)");
-    }
-  }
-  for (std::size_t r = 0; r < ranks_.size(); ++r) {
-    ranks_[r].state = std::move(loaded[r]);
-  }
-  resume_at(step);
-}
-
-void Session::save() {
-  if (ckpt_writer_ == nullptr) {
-    throw ConfigError("Session::save(): no delta-checkpoint writer — "
-                      "configure with_delta_checkpoints() on a one-rank "
-                      "session");
-  }
-  ckpt_writer_->save(checkpoint_info(ranks_.front()), ranks_.front().state);
-}
-
-void Session::restore() {
-  if (ckpt_writer_ == nullptr) {
-    throw ConfigError("Session::restore(): no delta-checkpoint writer — "
-                      "configure with_delta_checkpoints() on a one-rank "
-                      "session");
-  }
-  ckpt_writer_->drain();  // the chain on disk must include every save()
-  homme::State loaded;
-  const homme::CheckpointInfo info =
-      homme::DeltaCheckpointWriter::restore_chain(ckpt_writer_->base(),
-                                                  loaded);
-  check_restored(info, ranks_.front(), ckpt_writer_->base());
-  ranks_.front().state = std::move(loaded);
-  resume_at(info.step_count);
-}
-
 homme::StoreStats Session::store_stats() const {
   homme::StoreStats total;
   for (const RankSlot& rk : ranks_) total += rk.state.stats();
   return total;
 }
 
-homme::AsyncCheckpointWriter::Stats Session::checkpoint_stats() const {
-  return ckpt_writer_ != nullptr ? ckpt_writer_->stats()
-                                 : homme::AsyncCheckpointWriter::Stats{};
+homme::AsyncCheckpointWriter::Stats Session::checkpoint_stats() {
+  homme::AsyncCheckpointWriter::Stats total;
+  for (RankSlot& rk : ranks_) {
+    if (rk.ckpt == nullptr) continue;
+    rk.ckpt->drain();
+    total += rk.ckpt->stats();
+  }
+  return total;
 }
 
 int Session::fallbacks() const {

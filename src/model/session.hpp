@@ -23,7 +23,7 @@
 /// workload) re-assembled the same parts by hand: build a mesh, build a
 /// partition and comm plan, a cluster and per-rank halo exchanges,
 /// construct a PipelineAccelerator with the right geom_map, wire the
-/// tracer into every layer, write one checkpoint file per rank. A Session
+/// tracer into every layer, write one checkpoint chain per rank. A Session
 /// subsumes that construction soup behind one SessionConfig: resolution,
 /// decomposition, exchange mode, accelerator backend, physics, fault
 /// plan and checkpoint cadence are *config values*, not different call
@@ -122,11 +122,11 @@ struct SessionConfig {
   sw::FaultPlan* faults = nullptr;  ///< injected kernel/message faults
   int checkpoint_freq = 0;          ///< steps; 0 disables the cadence
   std::string checkpoint_base;      ///< required when checkpoint_freq > 0
-  /// 0: the cadence writes legacy full "<base>.r<rank>" images in the step
-  /// loop. K >= 1: one-rank sessions checkpoint through the async delta
-  /// writer instead — a full "<base>.full" image every K saves, dirty-chunk
-  /// "<base>.dN" records between, serialized off the stepping thread.
-  int ckpt_full_interval = 0;
+  /// K >= 1: every rank r writes its own async delta chain — a full
+  /// "<base>.r<r>.full" image every K saves, dirty-chunk "<base>.r<r>.dN"
+  /// records between, serialized off the stepping thread. K = 1 makes
+  /// every save a full image.
+  int ckpt_full_interval = 1;
   bool monitor = false;             ///< StateMonitor after every step
 
   // -- observability --------------------------------------------------------
@@ -171,11 +171,8 @@ struct SessionConfig {
   SessionConfig& with_faults(sw::FaultPlan* plan) {
     faults = plan; return *this;
   }
-  SessionConfig& with_checkpoints(std::string base, int freq) {
-    checkpoint_base = std::move(base); checkpoint_freq = freq; return *this;
-  }
-  SessionConfig& with_delta_checkpoints(std::string base, int freq,
-                                        int full_interval) {
+  SessionConfig& with_checkpoints(std::string base, int freq,
+                                  int full_interval = 1) {
     checkpoint_base = std::move(base); checkpoint_freq = freq;
     ckpt_full_interval = full_interval; return *this;
   }
@@ -272,38 +269,20 @@ class Session {
 
   // -- resilience -----------------------------------------------------------
 
-  /// Checkpoint every rank's state to "<base>.r<rank>".
-  void save(const std::string& base);
-  /// Bit-identical inverse of save(); realigns the remap cadence. Every
-  /// rank file must match this session's dims, element count and
-  /// dynamics config and carry the same step count, or CheckpointError
-  /// is thrown and the session is left untouched.
-  void restore(const std::string& base);
-
-  /// Delta-checkpoint save through the async writer (requires
-  /// ckpt_full_interval > 0 in the config): takes a COW snapshot and
-  /// returns; serialization and I/O happen off the stepping thread.
-  void save();
-  /// Drain the async writer, then restore from the full+delta chain at
-  /// the configured base. Bit-identical to the last save().
-  void restore();
-
-  /// True when a restartable checkpoint for this config exists on disk:
-  /// the delta chain's "<base>.full" when delta checkpoints are enabled,
-  /// the legacy "<base>.r0" image otherwise. Always false without a
-  /// configured checkpoint_base.
-  bool can_resume() const;
-  /// Restore from the configured checkpoint base when one exists on
-  /// disk; returns false (leaving the fresh initial state untouched)
-  /// when none does. Throws CheckpointError on a corrupt or mismatched
-  /// file. Resuming realigns step_count and the remap cadence, and the
-  /// next delta save restarts the chain with a fresh full image.
-  bool try_resume();
-  /// Unconditional checkpoint to the configured base (async delta chain
-  /// when enabled, legacy "<base>.r<rank>" images otherwise). Returns
-  /// false when the config names no checkpoint_base. Used by the service
-  /// layer to park in-flight members at drain time.
+  /// Unconditional checkpoint: every rank hands a COW snapshot of its
+  /// state to its chain's async writer and returns; serialization and
+  /// I/O happen off the stepping thread. Returns false when the config
+  /// names no checkpoint_base. Rethrows an earlier background write
+  /// error.
   bool checkpoint_now();
+  /// Drain every rank's writer, then restore from the rank chains on
+  /// disk — bit-identical to the last checkpoint, remap cadence
+  /// realigned. Returns false, leaving the session untouched, when
+  /// there is no checkpoint_base or rank 0 has no chain. Every rank's
+  /// chain must match this session's dims, element count and dynamics
+  /// config and carry one shared step count, or CheckpointError is
+  /// thrown and the session is left untouched.
+  bool try_resume();
   /// Apply the checkpoint cadence after a step: checkpoints when
   /// checkpoint_freq > 0 divides step_count(). Returns whether it did.
   bool maybe_checkpoint();
@@ -333,9 +312,10 @@ class Session {
   /// payloads it references — summing it over an ensemble's sessions
   /// reproduces the true allocation.
   homme::StoreStats store_stats() const;
-  /// Async delta-writer counters (all zero when the session checkpoints
-  /// through the legacy synchronous path or not at all).
-  homme::AsyncCheckpointWriter::Stats checkpoint_stats() const;
+  /// Checkpoint counters summed over the ranks' writers, after draining
+  /// them, so every checkpoint so far is counted; rethrows a background
+  /// write error. All zero without a checkpoint_base.
+  homme::AsyncCheckpointWriter::Stats checkpoint_stats();
 
   /// The session's own tracer: every layer (dycore, exchange, net,
   /// accelerator, core group) reports into it when cfg.trace is set.
@@ -355,11 +335,13 @@ class Session {
     std::unique_ptr<homme::Dycore> dycore;
     homme::State state;  ///< the dycore's elements, local order
     std::unique_ptr<accel::PipelineAccelerator> accel;  ///< kPipeline only
+    /// This rank's chain writer; checkpoint_base only.
+    std::unique_ptr<homme::AsyncCheckpointWriter> ckpt;
   };
 
   /// Per-rank construction shared by the constructor and fork(): the IC
-  /// (or \p parent's aliased states), dycores, accelerators, physics,
-  /// monitor and delta writer.
+  /// (or \p parent's aliased states), dycores, accelerators, checkpoint
+  /// writers, physics and monitor.
   void build(const Session* parent);
   homme::CheckpointInfo checkpoint_info(const RankSlot& rk) const;
   void check_restored(const homme::CheckpointInfo& info, const RankSlot& rk,
@@ -378,9 +360,6 @@ class Session {
   std::unique_ptr<phys::PhysicsDriver> physics_;
   phys::PhysicsStats phys_stats_;
   std::unique_ptr<homme::StateMonitor> monitor_;
-
-  // Async delta-checkpoint writer (one rank + ckpt_full_interval > 0).
-  std::unique_ptr<homme::AsyncCheckpointWriter> ckpt_writer_;
 };
 
 }  // namespace model

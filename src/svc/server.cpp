@@ -107,8 +107,6 @@ void Server::apply_server_fields(const std::string& member,
   if (req.config.checkpoint_base.empty()) return;  // nowhere to checkpoint
   if (req.config.checkpoint_freq <= 0) {
     req.config.checkpoint_freq = cfg_.checkpoint_freq;
-  }
-  if (req.config.nranks == 1 && req.config.ckpt_full_interval <= 0) {
     req.config.ckpt_full_interval = cfg_.ckpt_full_interval;
   }
 }

@@ -109,7 +109,7 @@ struct ServerConfig {
   /// Cadence (steps) applied to member configs that have none; gives
   /// faulted members something to resume from mid-run.
   int checkpoint_freq = 8;
-  /// Delta-chain full-image interval for sequential members.
+  /// Delta-chain full-image interval applied together with the cadence.
   int ckpt_full_interval = 4;
 };
 

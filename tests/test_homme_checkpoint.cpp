@@ -1,8 +1,9 @@
 // Resilience layer, recovery side: versioned checkpoints with per-field
-// CRCs must round-trip bit-identically (in memory and on disk), reject
-// corruption / version skew / config mismatch with typed errors, let a
-// killed multi-rank Session restart bit-identically, and the StateMonitor
-// must flag physically impossible states.
+// CRCs must round-trip bit-identically (in memory and on disk) in a pinned
+// byte format, reject corruption / version skew / config mismatch with
+// typed errors, let a killed Session restart bit-identically from its
+// per-rank chains at any rank count, and the StateMonitor must flag
+// physically impossible states.
 
 #include "homme/checkpoint.hpp"
 
@@ -152,6 +153,52 @@ TEST(Checkpoint, FileRoundTrip) {
   EXPECT_EQ(info.step_count, 17);
 
   EXPECT_THROW(load_checkpoint(path + ".missing", restored), CheckpointError);
+}
+
+/// FNV-1a (64-bit) of \p bytes. The byte-format pin cannot use CRC32:
+/// every block of an image ends with its own CRC32, and a running CRC32
+/// over block || crc32(block) forgets the block's contents (the CRC
+/// linearity that state_digest() documents), so a whole-image CRC32
+/// only sees lengths.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xCBF29CE484222325ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ull;
+  }
+  return h;
+}
+
+// The round trips above cannot see a change made alike to writer and
+// reader; these constants hash SWCK and SWDK images of one fixed state,
+// recorded before the two formats shared a header codec. A changed value
+// means a changed on-disk format.
+TEST(Checkpoint, ByteFormatIsPinned) {
+  Dims d = small_dims();
+  d.moist = true;
+  State s(3, homme::ElementState(d));
+  for (std::size_t id = 0; id < s.size() * homme::kChunksPerElement; ++id) {
+    auto v = homme::state_chunk(s, id).mutable_span();
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = static_cast<double>(id) * 1000.0 + static_cast<double>(i) * 0.25;
+    }
+  }
+  CheckpointInfo info = make_info(d, s);
+  info.config.limit_tracers = true;
+  info.config.hypervis_on = false;
+
+  const auto full = serialize_checkpoint(info, s);
+  EXPECT_EQ(full.size(), 9884u);
+  EXPECT_EQ(fnv1a(full), 0xBB36A9E9F5A81543ull);
+
+  std::vector<std::uint32_t> crcs = homme::chunk_crcs(s);
+  s[1].T.mutable_span()[0] += 0.5;
+  s[2].qdp.mutable_span()[5] = -1.25;
+  info.step_count = 18;
+  const auto delta = homme::serialize_delta_checkpoint(
+      info, s, /*base_seq=*/4, /*seq=*/5, crcs);
+  EXPECT_EQ(delta.size(), 1668u);
+  EXPECT_EQ(fnv1a(delta), 0x195E63F574969D24ull);
 }
 
 // ---------------------------------------------------------------------------
@@ -306,8 +353,11 @@ TEST(AsyncCheckpoint, BlockedFinalSaveSurvivesTeardownRace) {
     return s;
   }();
   info.step_count = dycore.step_count();
+  // The second save may itself have waited for the first to be popped,
+  // so wait for the count to move past where it stands now.
+  const std::uint64_t blocked_before = writer->stats().blocked_saves;
   std::thread blocked([&] { writer->save(info, final_state); });
-  while (writer->stats().blocked_saves == 0) {
+  while (writer->stats().blocked_saves == blocked_before) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
@@ -485,96 +535,148 @@ TEST(StateMonitor, FlagsNegativeLayerMassAndPressureBounds) {
 }
 
 // ---------------------------------------------------------------------------
-// Restart through model::Session: one file per rank, validated as a set
+// Restart through model::Session: one chain per rank, validated as a set
 // ---------------------------------------------------------------------------
 
-model::SessionConfig restart_config(int nranks) {
+model::SessionConfig restart_config(int nranks, const std::string& base,
+                                    int full_interval = 1) {
   return model::SessionConfig{}
       .with_ne(3)
       .with_levels(4, 2)
       .with_ranks(nranks)
       .with_init(scenario::InitSpec::baroclinic(/*with_tracers=*/true, 25.0,
-                                                295.0, 4.0));
+                                                295.0, 4.0))
+      .with_checkpoints(base, /*freq=*/0, full_interval);
 }
 
-void remove_rank_files(const std::string& base, int nranks) {
+/// Deletes every rank's chain ("<base>.r<r>.full", ".dN") under \p base.
+void remove_chains(const std::string& base, int nranks) {
   for (int r = 0; r < nranks; ++r) {
-    std::remove(homme::checkpoint_rank_path(base, r).c_str());
+    const std::string rb = homme::checkpoint_rank_path(base, r);
+    std::remove((rb + ".full").c_str());
+    for (int k = 1; std::remove((rb + ".d" + std::to_string(k)).c_str()) == 0;
+         ++k) {
+    }
+  }
+}
+
+/// Runs \p steps steps, checkpointing after each, then destroys the
+/// session: the chains on disk end at step \p steps.
+void write_chain(const model::SessionConfig& cfg, int steps) {
+  model::Session s(cfg);
+  for (int i = 0; i < steps; ++i) {
+    s.step();
+    s.checkpoint_now();
   }
 }
 
 TEST(CheckpointRestart, KillAtStepKThenRestartIsBitIdentical) {
-  const int nranks = 4;
-  const std::string base = ::testing::TempDir() + "swck_restart.ck";
+  // Every rank count and both chain shapes: all-full (K = 1) and a full
+  // image plus a delta (K = 3: saves 1-3 are one chain, 4-5 the next).
+  // Step 5 sits mid remap cycle (remap_freq 3).
+  for (const int nranks : {1, 2, 4}) {
+    for (const int k : {1, 3}) {
+      SCOPED_TRACE("nranks=" + std::to_string(nranks) +
+                   " K=" + std::to_string(k));
+      const std::string base = ::testing::TempDir() + "swck_restart.ck";
+      const model::SessionConfig cfg = restart_config(nranks, base, k);
 
-  // Reference: 6 uninterrupted steps.
-  model::Session straight(restart_config(nranks));
-  straight.run(6);
+      // Reference: 7 uninterrupted steps.
+      model::Session straight(cfg);
+      straight.run(7);
 
-  // Run 3 steps, checkpoint, and "die" (the session is discarded).
+      // Run 5 steps, checkpointing each, and "die".
+      write_chain(cfg, 5);
+
+      // Restart from the files alone and finish the remaining steps.
+      model::Session restarted(cfg);
+      ASSERT_TRUE(restarted.try_resume());
+      EXPECT_EQ(restarted.step_count(), 5);
+      restarted.run(2);
+      EXPECT_TRUE(states_bitwise_equal(straight.state(), restarted.state()));
+      remove_chains(base, nranks);
+    }
+  }
+}
+
+TEST(CheckpointRestart, TwoRankDeltaChainRestoresMidRemapCycle) {
+  // Saves at steps 2, 4 and 5 of a K = 3 chain: ".full" (step 2), ".d1",
+  // ".d2" per rank; step 5 sits mid remap cycle (remap_freq 3).
+  const std::string base = ::testing::TempDir() + "swdk_two_rank.ck";
+  const model::SessionConfig cfg =
+      restart_config(2, base, /*full_interval=*/3);
+  model::Session straight(cfg);
+  straight.run(8);
+
   {
-    model::Session doomed(restart_config(nranks));
-    doomed.run(3);
-    doomed.save(base);
+    model::Session s(cfg);
+    for (int step = 1; step <= 5; ++step) {
+      s.step();
+      if (step != 1 && step != 3) s.checkpoint_now();
+    }
+    const auto st = s.checkpoint_stats();
+    EXPECT_EQ(st.fulls, 2u);
+    EXPECT_EQ(st.deltas, 4u);
+  }
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_TRUE(std::ifstream(homme::checkpoint_rank_path(base, r) + ".d2")
+                    .is_open());
   }
 
-  // Restart from the files alone and finish the remaining 3 steps.
-  model::Session restarted(restart_config(nranks));
-  restarted.restore(base);
-  EXPECT_EQ(restarted.step_count(), 3);
-  restarted.run(3);
-
-  EXPECT_TRUE(states_bitwise_equal(straight.state(), restarted.state()));
-  remove_rank_files(base, nranks);
+  model::Session resumed(cfg);
+  ASSERT_TRUE(resumed.try_resume());
+  EXPECT_EQ(resumed.step_count(), 5);
+  resumed.run(3);
+  EXPECT_TRUE(states_bitwise_equal(straight.state(), resumed.state()));
+  remove_chains(base, 2);
 }
 
 TEST(CheckpointRestart, ConfigMismatchOnRestoreIsATypedError) {
   const int nranks = 2;
   const std::string base = ::testing::TempDir() + "swck_cfg_mismatch.ck";
-  model::Session(restart_config(nranks)).save(base);
+  write_chain(restart_config(nranks, base), 1);
 
-  model::Session other(restart_config(nranks).with_remap_freq(5));
-  EXPECT_THROW(other.restore(base), CheckpointError);
-  remove_rank_files(base, nranks);
+  model::Session other(restart_config(nranks, base).with_remap_freq(5));
+  EXPECT_THROW(other.try_resume(), CheckpointError);
+  // Different dims: another vertical resolution cannot adopt the state.
+  model::Session taller(restart_config(nranks, base).with_levels(8, 2));
+  EXPECT_THROW(taller.try_resume(), CheckpointError);
+  EXPECT_EQ(taller.step_count(), 0);
+  remove_chains(base, nranks);
 }
 
 TEST(CheckpointRestart, FlippedDynamicsSwitchIsATypedError) {
-  // One rank validates the same header fields as N: a file written with
+  // One rank validates the same header fields as N: a chain written with
   // hyperviscosity or the tracer limiter switched the other way cannot
   // resume this run.
   const std::string base = ::testing::TempDir() + "swck_switches.ck";
-  model::Session s(restart_config(1));
-  s.run(1);
-  s.save(base);
+  write_chain(restart_config(1, base), 1);
 
-  model::Session no_hypervis(restart_config(1).with_hypervis(false));
-  EXPECT_THROW(no_hypervis.restore(base), CheckpointError);
-  model::Session no_limiter(restart_config(1).with_limiter(false));
-  EXPECT_THROW(no_limiter.restore(base), CheckpointError);
+  model::Session no_hypervis(restart_config(1, base).with_hypervis(false));
+  EXPECT_THROW(no_hypervis.try_resume(), CheckpointError);
+  model::Session no_limiter(restart_config(1, base).with_limiter(false));
+  EXPECT_THROW(no_limiter.try_resume(), CheckpointError);
   EXPECT_EQ(no_limiter.step_count(), 0);  // a rejected restore changes nothing
-  remove_rank_files(base, 1);
+  remove_chains(base, 1);
 }
 
 TEST(CheckpointRestart, MixedStepRankSetIsATypedError) {
-  // A ".r1" from a later save than ".r0" is a checkpoint of no single
-  // step; resuming it would silently splice two model times.
+  // A rank-1 chain from a later save than rank 0's is a checkpoint of no
+  // single step; resuming it would silently splice two model times.
   const int nranks = 2;
   const std::string early = ::testing::TempDir() + "swck_mixed_early.ck";
   const std::string late = ::testing::TempDir() + "swck_mixed_late.ck";
-  model::Session s(restart_config(nranks));
-  s.run(3);
-  s.save(early);
-  s.run(2);
-  s.save(late);
-  ASSERT_EQ(std::rename(homme::checkpoint_rank_path(late, 1).c_str(),
-                        homme::checkpoint_rank_path(early, 1).c_str()),
-            0);
+  write_chain(restart_config(nranks, early), 3);
+  write_chain(restart_config(nranks, late), 5);
+  const std::string late_r1 = homme::checkpoint_rank_path(late, 1) + ".full";
+  const std::string early_r1 = homme::checkpoint_rank_path(early, 1) + ".full";
+  ASSERT_EQ(std::rename(late_r1.c_str(), early_r1.c_str()), 0);
 
-  model::Session t(restart_config(nranks));
-  EXPECT_THROW(t.restore(early), CheckpointError);
+  model::Session t(restart_config(nranks, early));
+  EXPECT_THROW(t.try_resume(), CheckpointError);
   EXPECT_EQ(t.step_count(), 0);
-  remove_rank_files(early, nranks);
-  remove_rank_files(late, nranks);
+  remove_chains(early, nranks);
+  remove_chains(late, nranks);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "homme/driver.hpp"
 #include "homme/init.hpp"
 
 namespace {
@@ -65,88 +64,6 @@ TEST(HistoryIo, RejectsCorruptFiles) {
   std::remove(path.c_str());
   EXPECT_THROW(io::HistoryReader r2("/nonexistent/path/x.bin"),
                std::runtime_error);
-}
-
-TEST(Restart, RoundTripIsExact) {
-  auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-  homme::Dims d;
-  d.nlev = 5;
-  d.qsize = 2;
-  auto s = homme::baroclinic(m, d);
-  homme::init_tracers(m, d, s);
-  const auto path = temp_path("swcam_restart_test.bin");
-  ASSERT_TRUE(io::write_restart(path, d, s));
-  auto s2 = io::read_restart(path, d);
-  ASSERT_EQ(s2.size(), s.size());
-  for (std::size_t e = 0; e < s.size(); ++e) {
-    EXPECT_EQ(s2[e].u1, s[e].u1);
-    EXPECT_EQ(s2[e].u2, s[e].u2);
-    EXPECT_EQ(s2[e].T, s[e].T);
-    EXPECT_EQ(s2[e].dp, s[e].dp);
-    EXPECT_EQ(s2[e].qdp, s[e].qdp);
-    EXPECT_EQ(s2[e].phis, s[e].phis);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Restart, ContinuedRunIsBitwiseIdenticalToUninterrupted) {
-  auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-  homme::Dims d;
-  d.nlev = 4;
-  d.qsize = 1;
-  auto s = homme::baroclinic(m, d);
-  homme::init_tracers(m, d, s);
-
-  // Uninterrupted: 6 steps.
-  auto full = s;
-  {
-    homme::Dycore dy(m, d, homme::DycoreConfig{});
-    dy.run(full, 6);
-  }
-
-  // Interrupted: 3 steps, restart round trip, 3 more. The dycore holds
-  // no hidden state besides the step counter, which the remap cadence
-  // depends on — run 3+3 with remap_freq dividing 3 to stay aligned.
-  homme::DycoreConfig cfg;
-  cfg.remap_freq = 3;
-  auto full2 = s;
-  {
-    homme::Dycore dy(m, d, cfg);
-    dy.run(full2, 6);
-  }
-  auto part = s;
-  const auto path = temp_path("swcam_restart_run_test.bin");
-  {
-    homme::Dycore dy(m, d, cfg);
-    dy.run(part, 3);
-    ASSERT_TRUE(io::write_restart(path, d, part));
-  }
-  auto resumed = io::read_restart(path, d);
-  {
-    homme::Dycore dy(m, d, cfg);
-    dy.run(resumed, 3);
-  }
-  for (std::size_t e = 0; e < full2.size(); ++e) {
-    ASSERT_EQ(resumed[e].T, full2[e].T) << "element " << e;
-    ASSERT_EQ(resumed[e].u1, full2[e].u1);
-    ASSERT_EQ(resumed[e].dp, full2[e].dp);
-    ASSERT_EQ(resumed[e].qdp, full2[e].qdp);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Restart, DimensionMismatchReturnsEmpty) {
-  auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-  homme::Dims d;
-  d.nlev = 4;
-  d.qsize = 1;
-  auto s = homme::isothermal_rest(m, d);
-  const auto path = temp_path("swcam_restart_dims_test.bin");
-  ASSERT_TRUE(io::write_restart(path, d, s));
-  homme::Dims other = d;
-  other.nlev = 8;
-  EXPECT_TRUE(io::read_restart(path, other).empty());
-  std::remove(path.c_str());
 }
 
 }  // namespace

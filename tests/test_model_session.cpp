@@ -1,12 +1,16 @@
 // model::Session facade: config builder validation, bit-identity of a
 // Session against the raw homme::Dycore it subsumes, shared-bundle
-// construction, save/restore round trips, and the accelerator backend.
+// construction, checkpoint-chain round trips, and the accelerator backend.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "homme/checkpoint.hpp"
 #include "homme/driver.hpp"
@@ -53,6 +57,23 @@ void expect_states_near(const homme::State& a, const homme::State& b) {
   }
 }
 
+/// Deletes every rank's chain ("<base>.r<r>.full", ".dN") under \p base.
+void remove_chains(const std::string& base, int nranks) {
+  for (int r = 0; r < nranks; ++r) {
+    const std::string rb = homme::checkpoint_rank_path(base, r);
+    std::remove((rb + ".full").c_str());
+    for (int k = 1; std::remove((rb + ".d" + std::to_string(k)).c_str()) == 0;
+         ++k) {
+    }
+  }
+}
+
+std::vector<char> slurp(const std::string& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(f),
+                           std::istreambuf_iterator<char>());
+}
+
 TEST(SessionConfig, BuilderComposes) {
   const SessionConfig cfg = SessionConfig{}
                                 .with_ne(6)
@@ -95,6 +116,11 @@ TEST(SessionConfig, RejectsUnrealizableSettings) {
   ck.checkpoint_freq = 5;
   EXPECT_THROW(ck.validate(), ConfigError);
   EXPECT_NO_THROW(SessionConfig{}.with_checkpoints("/tmp/ck", 5).validate());
+  // Every save is a full image at K = 1; there is no K = 0 mode.
+  EXPECT_THROW(SessionConfig{}.with_checkpoints("/tmp/ck", 5, 0).validate(),
+               ConfigError);
+  EXPECT_NO_THROW(
+      SessionConfig{}.with_ranks(2).with_checkpoints("/tmp/ck", 5, 4).validate());
   // Every session needs an IC generator.
   EXPECT_THROW(SessionConfig{}.with_init(scenario::InitSpec{}).validate(),
                ConfigError);
@@ -182,56 +208,110 @@ TEST(Session, SharedBundleIsSharedAndCheaper) {
 }
 
 TEST(Session, SaveRestoreRoundTripsBitIdentically) {
-  const std::string base = "test_model_session.ck";
-  const SessionConfig cfg =
-      SessionConfig{}.with_ne(2).with_levels(8, 2).with_remap_freq(3);
+  // One rank and two: every rank restores its shard from its own chain.
+  for (const int nranks : {1, 2}) {
+    const std::string base = ::testing::TempDir() + "test_model_session_r" +
+                             std::to_string(nranks) + ".ck";
+    const SessionConfig cfg = SessionConfig{}
+                                  .with_ne(2)
+                                  .with_levels(8, 2)
+                                  .with_remap_freq(3)
+                                  .with_ranks(nranks)
+                                  .with_checkpoints(base, /*freq=*/0);
+    homme::State gold;
+    {
+      Session s(cfg);
+      s.run(4);  // step 4: mid remap cycle, the cadence must survive restore
+      s.checkpoint_now();
+      s.run(3);
+      gold = s.state();
+    }  // destruction flushes the chain
 
-  Session s(cfg);
-  s.run(4);  // step 4: mid remap cycle, the cadence must survive restore
-  s.save(base);
-  s.run(3);
-  const homme::State gold = s.state();
-
-  Session t(cfg);
-  t.restore(base);
-  EXPECT_EQ(t.step_count(), 4);
-  t.run(3);
-  expect_states_equal(t.state(), gold);
-
-  // A multi-rank restore reloads every rank's shard from its own file.
-  const std::string pbase = "test_model_session_par.ck";
-  Session p(SessionConfig{cfg}.with_ranks(2));
-  p.run(4);
-  p.save(pbase);
-  p.run(3);
-  const homme::State pgold = p.state();
-
-  Session q(SessionConfig{cfg}.with_ranks(2));
-  q.restore(pbase);
-  q.run(3);
-  expect_states_equal(q.state(), pgold);
-
-  for (int r = 0; r < 2; ++r) {
-    std::remove(homme::checkpoint_rank_path(base, r).c_str());
-    std::remove(homme::checkpoint_rank_path(pbase, r).c_str());
+    Session t(cfg);
+    ASSERT_TRUE(t.try_resume());
+    EXPECT_EQ(t.step_count(), 4);
+    t.run(3);
+    expect_states_equal(t.state(), gold);
+    remove_chains(base, nranks);
   }
 }
 
 TEST(Session, CheckpointCadenceWritesDuringRun) {
-  const std::string base = "test_model_session_cadence.ck";
-  Session s(SessionConfig{}
-                .with_ne(2)
-                .with_levels(4, 1)
-                .with_checkpoints(base, 2));
-  s.run(4);
-  const homme::State gold = s.state();
+  const std::string base =
+      ::testing::TempDir() + "test_model_session_cadence.ck";
+  const SessionConfig cfg =
+      SessionConfig{}.with_ne(2).with_levels(4, 1).with_checkpoints(base, 2);
+  homme::State gold;
+  {
+    Session s(cfg);
+    s.run(4);
+    gold = s.state();
+    EXPECT_EQ(s.checkpoint_stats().saves, 2u);  // steps 2 and 4
+  }
 
   // The step-4 checkpoint is on disk; a fresh session resumes from it.
-  Session t(SessionConfig{}.with_ne(2).with_levels(4, 1));
-  t.restore(base);
+  Session t(cfg);
+  ASSERT_TRUE(t.try_resume());
   EXPECT_EQ(t.step_count(), 4);
   expect_states_equal(t.state(), gold);
-  std::remove(homme::checkpoint_rank_path(base, 0).c_str());
+  remove_chains(base, 1);
+}
+
+TEST(Session, TryResumeWithoutAChainLeavesTheSessionUntouched) {
+  const std::string base = ::testing::TempDir() + "test_model_session_none.ck";
+  remove_chains(base, 2);
+  Session s(SessionConfig{}.with_ne(2).with_levels(4, 1).with_ranks(2)
+                .with_checkpoints(base, 2));
+  const homme::State fresh = s.state();
+  EXPECT_FALSE(s.try_resume());
+  EXPECT_EQ(s.step_count(), 0);
+  expect_states_equal(s.state(), fresh);
+
+  // Without a checkpoint base there is nothing to resume from either.
+  Session plain(SessionConfig{}.with_ne(2).with_levels(4, 1));
+  EXPECT_FALSE(plain.try_resume());
+  EXPECT_FALSE(plain.checkpoint_now());
+  EXPECT_EQ(plain.checkpoint_stats().saves, 0u);
+}
+
+TEST(Session, ForkWritesItsOwnChainsAndLeavesTheParentsFiles) {
+  const std::string pbase = ::testing::TempDir() + "test_model_session_fp.ck";
+  const std::string cbase = ::testing::TempDir() + "test_model_session_fc.ck";
+  const SessionConfig cfg = SessionConfig{}
+                                .with_ne(2)
+                                .with_levels(4, 1)
+                                .with_ranks(2)
+                                .with_checkpoints(pbase, 2, /*K=*/3);
+  Session parent(cfg);
+  parent.run(4);  // saves at steps 2 and 4: ".full" + ".d1" per rank
+  EXPECT_EQ(parent.checkpoint_stats().saves, 4u);
+  std::map<std::string, std::vector<char>> before;
+  for (int r = 0; r < 2; ++r) {
+    const std::string rb = homme::checkpoint_rank_path(pbase, r);
+    for (const char* ext : {".full", ".d1"}) {
+      before[rb + ext] = slurp(rb + ext);
+      ASSERT_FALSE(before[rb + ext].empty()) << rb + ext;
+    }
+  }
+
+  auto child = parent.fork(cbase);
+  child->run(4);  // steps 5..8: saves at 6 and 8 on the child's chains
+  EXPECT_EQ(child->checkpoint_stats().saves, 4u);
+  for (const auto& [path, bytes] : before) {
+    EXPECT_EQ(slurp(path), bytes) << path << " changed under the fork";
+  }
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_FALSE(
+        std::ifstream(homme::checkpoint_rank_path(pbase, r) + ".d2").is_open());
+  }
+
+  // The child's chains hold the child's state.
+  Session t(SessionConfig{cfg}.with_checkpoints(cbase, 2, 3));
+  ASSERT_TRUE(t.try_resume());
+  EXPECT_EQ(t.step_count(), 8);
+  expect_states_equal(t.state(), child->state());
+  remove_chains(pbase, 2);
+  remove_chains(cbase, 2);
 }
 
 TEST(Session, MonitorThrowsModelBlowup) {

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "homme/checkpoint.hpp"
 #include "svc/engine.hpp"
 #include "svc/queue.hpp"
 #include "svc/server.hpp"
@@ -28,6 +29,17 @@ using svc::RunTicket;
 model::SessionConfig tiny_config(int remap_freq = 3) {
   return model::SessionConfig{}.with_ne(2).with_levels(4, 1).with_remap_freq(
       remap_freq);
+}
+
+/// Deletes every rank's chain ("<base>.r<r>.full", ".dN") under \p base.
+void remove_chains(const std::string& base, int nranks) {
+  for (int r = 0; r < nranks; ++r) {
+    const std::string rb = homme::checkpoint_rank_path(base, r);
+    std::remove((rb + ".full").c_str());
+    for (int k = 1; std::remove((rb + ".d" + std::to_string(k)).c_str()) == 0;
+         ++k) {
+    }
+  }
 }
 
 TEST(BoundedQueue, PriorityAndFifoWithinPriority) {
@@ -297,8 +309,7 @@ TEST(SvcEngine, SummaryReportCarriesThroughput) {
 TEST(SvcEngine, ResumeContinuesFromCheckpointDigestIdentical) {
   const std::string base = ::testing::TempDir() + "svc_resume.ck";
   model::SessionConfig cfg =
-      tiny_config().with_delta_checkpoints(base, /*freq=*/2,
-                                           /*full_interval=*/2);
+      tiny_config().with_checkpoints(base, /*freq=*/2, /*full_interval=*/2);
 
   // Uninterrupted 10-step reference (checkpointing does not perturb the
   // trajectory, so the plain config gives the same digest).
@@ -331,10 +342,44 @@ TEST(SvcEngine, ResumeContinuesFromCheckpointDigestIdentical) {
   EXPECT_EQ(res.state_crc, want);
   EXPECT_EQ(engine.stats().resumed, 1u);
   engine.shutdown();
+  remove_chains(base, 1);
+}
 
-  std::remove((base + ".full").c_str());
-  for (int k = 1; k < 8; ++k) {
-    std::remove((base + ".d" + std::to_string(k)).c_str());
+TEST(SvcEngine, CheckpointCountersAreExactAtEveryRankCount) {
+  // A 12-step, cadence-4 member saves at steps 4, 8 and 12 on each rank;
+  // the engine samples its counters after every write has landed.
+  for (const int nranks : {1, 2}) {
+    const std::string base = ::testing::TempDir() + "svc_counters.ck";
+    Engine engine({.workers = 1, .queue_capacity = 4});
+    RunRequest req;
+    req.config = tiny_config().with_ranks(nranks).with_checkpoints(
+        base, /*freq=*/4, /*full_interval=*/2);
+    req.steps = 12;
+    EXPECT_EQ(engine.submit(req)->wait().state, RunState::kCompleted);
+    const svc::EngineStats st = engine.stats();
+    EXPECT_EQ(st.checkpoint_saves, 3u * static_cast<unsigned>(nranks))
+        << nranks << " ranks";
+    EXPECT_GT(st.checkpoint_bytes, 0u);
+    engine.shutdown();
+    remove_chains(base, nranks);
+  }
+}
+
+TEST(SvcEngine, FailedCheckpointWriteFaultsTheMember) {
+  // The member's one save is at its last step, so the write fails on the
+  // writer thread after stepping is done; the engine must still see it.
+  for (const int nranks : {1, 2}) {
+    Engine engine({.workers = 1, .queue_capacity = 4});
+    RunRequest req;
+    req.config = tiny_config().with_ranks(nranks).with_checkpoints(
+        ::testing::TempDir() + "no_such_dir/member.ck", /*freq=*/4);
+    req.steps = 4;
+    const svc::RunTicket ticket = engine.submit(req);
+    const svc::RunResult& res = ticket->wait();
+    EXPECT_EQ(res.state, RunState::kFaulted) << nranks << " ranks";
+    EXPECT_NE(res.error.find("checkpoint: cannot open"), std::string::npos)
+        << res.error;
+    engine.shutdown();
   }
 }
 

@@ -126,12 +126,15 @@ TEST(ServerRetry, FaultedParallelMemberRetriesToFaultFreeDigest) {
   cfg.faults = &plan;
 
   ServerConfig scfg = fast_retry_config();
-  // The retry resumes from the member's checkpoint set on disk: clear any
-  // an earlier run of this binary left behind, so it restarts from step 0.
+  // The retry resumes from the member's rank chains on disk: clear any an
+  // earlier run of this binary left behind, so it restarts from step 0.
   for (int r = 0; r < 2; ++r) {
-    std::remove(
-        homme::checkpoint_rank_path(scfg.checkpoint_dir + "/par.ck", r)
-            .c_str());
+    const std::string rb =
+        homme::checkpoint_rank_path(scfg.checkpoint_dir + "/par.ck", r);
+    std::remove((rb + ".full").c_str());
+    for (int k = 1; std::remove((rb + ".d" + std::to_string(k)).c_str()) == 0;
+         ++k) {
+    }
   }
   Server server(scfg);
   server.add_tenant("ops", TenantQuota{});
