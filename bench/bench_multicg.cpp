@@ -22,13 +22,11 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "accel/accel_driver.hpp"
 #include "bench_common.hpp"
-#include "homme/checkpoint.hpp"
 #include "model/session.hpp"
 #include "obs/report.hpp"
 #include "svc/engine.hpp"
@@ -36,29 +34,6 @@
 #include "sw/contention.hpp"
 
 namespace {
-
-/// CRC32 of the raw field arrays (the svc::Engine digest recipe): the
-/// serialized checkpoint image self-cancels under CRC linearity, so hash
-/// the numbers, not the stream.
-std::uint32_t state_digest(const model::Session& session) {
-  const homme::State state = session.state();
-  std::vector<std::uint32_t> crcs;
-  crcs.reserve(state.size() * 6 + 2);
-  auto add = [&crcs](std::span<const double> v) {
-    crcs.push_back(homme::crc32(v.data(), v.size() * sizeof(double)));
-  };
-  for (const auto& e : state) {
-    add(e.u1.span());
-    add(e.u2.span());
-    add(e.T.span());
-    add(e.dp.span());
-    add(e.qdp.span());
-    add(e.phis.span());
-  }
-  crcs.push_back(static_cast<std::uint32_t>(state.size()));
-  crcs.push_back(static_cast<std::uint32_t>(session.step_count()));
-  return homme::crc32(crcs.data(), crcs.size() * sizeof(std::uint32_t));
-}
 
 struct SweepPoint {
   int core_groups = 0;
@@ -102,7 +77,7 @@ SweepPoint run_sweep_point(int ne, int steps, int cgs,
       seen = pa->launches();
     }
   }
-  pt.digest = state_digest(session);
+  pt.digest = model::state_digest(session.state(), session.step_count());
   if (pa != nullptr) {
     pt.launches = pa->launches();
     pt.fallbacks = pa->fallbacks();

@@ -1,7 +1,6 @@
 #include "accel/accel_driver.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 #include "accel/pipeline.hpp"
@@ -36,14 +35,8 @@ struct PlanGuard {
 
 }  // namespace
 
-PipelineAccelerator::PipelineAccelerator(const mesh::CubedSphere& m,
-                                         const homme::Dims& d,
-                                         std::vector<int> geom_map)
-    : mesh_(m),
-      dims_(d),
-      geom_map_(std::move(geom_map)),
-      pool_(std::make_shared<sw::CgPool>(1)),
-      cgs_{0} {}
+PipelineAccelerator::PipelineAccelerator(const homme::Dims& d)
+    : dims_(d), pool_(std::make_shared<sw::CgPool>(1)), cgs_{0} {}
 
 void PipelineAccelerator::set_cg_pool(std::shared_ptr<sw::CgPool> pool,
                                       std::vector<int> cgs) {
@@ -80,10 +73,6 @@ void PipelineAccelerator::set_tracer(obs::Tracer* t,
 }
 
 void PipelineAccelerator::vertical_remap(homme::State& s) {
-  std::vector<int> state_elems(s.size());
-  std::iota(state_elems.begin(), state_elems.end(), 0);
-  const std::vector<int>& geom_elems =
-      geom_map_.empty() ? state_elems : geom_map_;
   ++launches_;
   obs::ScopedSpan remap_span(trk_, "accel:vertical_remap");
   const int nshards =
@@ -94,18 +83,12 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
     // untouched until the successful write-back below, so a faulted
     // launch — even after sibling shards already ran — can be discarded
     // wholesale.
-    std::vector<std::vector<int>> shard_state(
-        static_cast<std::size_t>(nshards));
     std::vector<PackedElems> packs;
     packs.reserve(static_cast<std::size_t>(nshards));
     {
       obs::ScopedSpan span(trk_, "accel:pack");
-      for (int si = 0; si < nshards; ++si) {
-        const auto [b, e] = ranges[static_cast<std::size_t>(si)];
-        auto& se = shard_state[static_cast<std::size_t>(si)];
-        se.assign(state_elems.begin() + b, state_elems.begin() + e);
-        std::vector<int> ge(geom_elems.begin() + b, geom_elems.begin() + e);
-        packs.push_back(PackedElems::from_state(mesh_, dims_, s, se, ge));
+      for (const auto& [b, e] : ranges) {
+        packs.push_back(PackedElems::from_state(dims_, s, b, e));
       }
     }
 
@@ -153,7 +136,7 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
       obs::ScopedSpan span(trk_, "accel:unpack");
       for (int si = 0; si < nshards; ++si) {
         packs[static_cast<std::size_t>(si)].to_state(
-            s, shard_state[static_cast<std::size_t>(si)]);
+            s, ranges[static_cast<std::size_t>(si)].first);
       }
     }
   } catch (const sw::KernelFault& e) {

@@ -21,11 +21,8 @@ namespace accel {
 
 /// Runs the vertical remap of a dynamics step through the athread
 /// kernel pipeline. Attach to a Dycore with attach_accelerator(&pa).
-///
-/// For a whole-mesh Dycore the state indexes mesh elements directly —
-/// default-construct with the mesh and dims. For a rank's Dycore the
-/// local state is a permutation of a subset of mesh elements; pass the
-/// local->global map (Dycore::elements) as \p geom_map.
+/// The remap reads and writes only the state's own prognostics, so one
+/// accelerator serves a whole-mesh Dycore and a rank's Dycore alike.
 ///
 /// By default the accelerator owns a private 1-CG pool, exactly the
 /// historical single-core-group behavior. set_cg_pool() instead binds to
@@ -37,8 +34,7 @@ namespace accel {
 /// bit-identical to the 1-CG result.
 class PipelineAccelerator final : public homme::StepAccelerator {
  public:
-  PipelineAccelerator(const mesh::CubedSphere& m, const homme::Dims& d,
-                      std::vector<int> geom_map = {});
+  explicit PipelineAccelerator(const homme::Dims& d);
 
   /// Offload to the CPE pipeline; on a kernel fault (injected DMA/reg
   /// failure, CPE death, LDM overflow, scheduler deadlock) the poisoned
@@ -89,9 +85,7 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   void degrade(homme::State& s, const std::string& why);
   void forward_tracer();
 
-  const mesh::CubedSphere& mesh_;
   homme::Dims dims_;
-  std::vector<int> geom_map_;
   std::shared_ptr<sw::CgPool> pool_;
   std::vector<int> cgs_;
   bool owns_pool_ = true;

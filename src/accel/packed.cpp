@@ -34,7 +34,51 @@ void pack_geometry(const mesh::ElementGeom& g, double* out) {
   }
 }
 
-void init_common(PackedElems& p, int nelem, const homme::Dims& d) {
+}  // namespace
+
+PackedElems PackedElems::from_state(const homme::Dims& d,
+                                    const homme::State& s, int begin,
+                                    int end) {
+  PackedElems p;
+  p.nelem = end - begin;
+  p.nlev = d.nlev;
+  p.qsize = d.qsize;
+  const std::size_t n = static_cast<std::size_t>(p.nelem) * p.field_size();
+  for (auto* f : {&p.u1, &p.u2, &p.T, &p.dp}) f->reserve(n);
+  p.qdp.reserve(static_cast<std::size_t>(d.qsize) * n);
+  for (int e = begin; e < end; ++e) {
+    const auto& es = s[static_cast<std::size_t>(e)];
+    p.u1.insert(p.u1.end(), es.u1.begin(), es.u1.end());
+    p.u2.insert(p.u2.end(), es.u2.begin(), es.u2.end());
+    p.T.insert(p.T.end(), es.T.begin(), es.T.end());
+    p.dp.insert(p.dp.end(), es.dp.begin(), es.dp.end());
+    p.qdp.insert(p.qdp.end(), es.qdp.begin(), es.qdp.end());
+  }
+  return p;
+}
+
+void PackedElems::to_state(homme::State& s, int begin) const {
+  const std::size_t fs = field_size();
+  const std::size_t qfs = static_cast<std::size_t>(qsize) * fs;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(nelem); ++i) {
+    auto& es = s[static_cast<std::size_t>(begin) + i];
+    // COW write-back: mutable_span() un-shares each field before the copy.
+    std::copy(u1.begin() + i * fs, u1.begin() + (i + 1) * fs,
+              es.u1.mutable_span().begin());
+    std::copy(u2.begin() + i * fs, u2.begin() + (i + 1) * fs,
+              es.u2.mutable_span().begin());
+    std::copy(T.begin() + i * fs, T.begin() + (i + 1) * fs,
+              es.T.mutable_span().begin());
+    std::copy(dp.begin() + i * fs, dp.begin() + (i + 1) * fs,
+              es.dp.mutable_span().begin());
+    std::copy(qdp.begin() + i * qfs, qdp.begin() + (i + 1) * qfs,
+              es.qdp.mutable_span().begin());
+  }
+}
+
+PackedElems PackedElems::synthetic(const mesh::CubedSphere& m,
+                                   const homme::Dims& d, int nelem) {
+  PackedElems p;
   p.nelem = nelem;
   p.nlev = d.nlev;
   p.qsize = d.qsize;
@@ -47,72 +91,14 @@ void init_common(PackedElems& p, int nelem, const homme::Dims& d) {
     }
   }
   p.gweights.assign(b.weights.begin(), b.weights.end());
-  const std::size_t fs = p.field_size();
+  const std::size_t n = static_cast<std::size_t>(nelem) * p.field_size();
   p.geom.resize(static_cast<std::size_t>(nelem) * kGeomDoubles);
-  p.u1.resize(static_cast<std::size_t>(nelem) * fs);
-  p.u2.resize(static_cast<std::size_t>(nelem) * fs);
-  p.T.resize(static_cast<std::size_t>(nelem) * fs);
-  p.dp.resize(static_cast<std::size_t>(nelem) * fs);
-  p.qdp.resize(static_cast<std::size_t>(nelem) * d.qsize * fs);
+  p.u1.resize(n);
+  p.u2.resize(n);
+  p.T.resize(n);
+  p.dp.resize(n);
+  p.qdp.resize(static_cast<std::size_t>(d.qsize) * n);
   p.phis.resize(static_cast<std::size_t>(nelem) * kNpp);
-}
-
-}  // namespace
-
-PackedElems PackedElems::from_state(const mesh::CubedSphere& m,
-                                    const homme::Dims& d,
-                                    const homme::State& s,
-                                    const std::vector<int>& elems) {
-  return from_state(m, d, s, elems, elems);
-}
-
-PackedElems PackedElems::from_state(const mesh::CubedSphere& m,
-                                    const homme::Dims& d,
-                                    const homme::State& s,
-                                    const std::vector<int>& state_elems,
-                                    const std::vector<int>& geom_elems) {
-  PackedElems p;
-  init_common(p, static_cast<int>(state_elems.size()), d);
-  const std::size_t fs = p.field_size();
-  for (std::size_t i = 0; i < state_elems.size(); ++i) {
-    pack_geometry(m.geom(geom_elems[i]), p.geom.data() + i * kGeomDoubles);
-    const auto& es = s[static_cast<std::size_t>(state_elems[i])];
-    std::copy(es.u1.begin(), es.u1.end(), p.u1.begin() + i * fs);
-    std::copy(es.u2.begin(), es.u2.end(), p.u2.begin() + i * fs);
-    std::copy(es.T.begin(), es.T.end(), p.T.begin() + i * fs);
-    std::copy(es.dp.begin(), es.dp.end(), p.dp.begin() + i * fs);
-    std::copy(es.qdp.begin(), es.qdp.end(),
-              p.qdp.begin() + i * static_cast<std::size_t>(d.qsize) * fs);
-    std::copy(es.phis.begin(), es.phis.end(),
-              p.phis.begin() + i * static_cast<std::size_t>(kNpp));
-  }
-  return p;
-}
-
-void PackedElems::to_state(homme::State& s,
-                           const std::vector<int>& state_elems) const {
-  const std::size_t fs = field_size();
-  for (std::size_t i = 0; i < state_elems.size(); ++i) {
-    auto& es = s[static_cast<std::size_t>(state_elems[i])];
-    // COW write-back: mutable_span() un-shares each field before the copy.
-    std::copy(u1.begin() + i * fs, u1.begin() + (i + 1) * fs,
-              es.u1.mutable_span().begin());
-    std::copy(u2.begin() + i * fs, u2.begin() + (i + 1) * fs,
-              es.u2.mutable_span().begin());
-    std::copy(T.begin() + i * fs, T.begin() + (i + 1) * fs,
-              es.T.mutable_span().begin());
-    std::copy(dp.begin() + i * fs, dp.begin() + (i + 1) * fs,
-              es.dp.mutable_span().begin());
-    const std::size_t qfs = static_cast<std::size_t>(qsize) * fs;
-    std::copy(qdp.begin() + i * qfs, qdp.begin() + (i + 1) * qfs,
-              es.qdp.mutable_span().begin());
-  }
-}
-
-PackedElems PackedElems::synthetic(const mesh::CubedSphere& m,
-                                   const homme::Dims& d, int nelem) {
-  PackedElems p;
-  init_common(p, nelem, d);
   for (int e = 0; e < nelem; ++e) {
     const int ge = e % m.nelem();
     pack_geometry(m.geom(ge), p.geom.data() +

@@ -12,8 +12,9 @@
 /// The CPE cluster reaches main memory only through DMA, so the ported
 /// kernels need the element state laid out in plain contiguous arrays the
 /// simulator can transfer block-wise — this mirrors the data-layout work
-/// that dominated the paper's refactoring. Geometry is packed per element
-/// as 7 tiles (jac, ginv11/12/22, g11/g12/g22).
+/// that dominated the paper's refactoring. Synthetic worksets pack
+/// geometry per element as kGeomTiles tiles (see GeomTile); a state pack
+/// carries only the prognostics the remap offload reads and writes.
 
 namespace accel {
 
@@ -47,20 +48,14 @@ struct PackedElems {
     return geom.data() + static_cast<std::size_t>(e) * kGeomDoubles;
   }
 
-  /// Pack elements \p elems of a dycore state.
-  static PackedElems from_state(const mesh::CubedSphere& m,
-                                const homme::Dims& d, const homme::State& s,
-                                const std::vector<int>& elems);
-  /// Pack state entries \p state_elems with geometry of mesh elements
-  /// \p geom_elems (same length) — for parallel dycores whose local
-  /// states index elements locally while geometry is global.
-  static PackedElems from_state(const mesh::CubedSphere& m,
-                                const homme::Dims& d, const homme::State& s,
-                                const std::vector<int>& state_elems,
-                                const std::vector<int>& geom_elems);
-  /// Write the prognostics (u1, u2, T, dp, qdp) back into \p s at
-  /// \p state_elems — the inverse of from_state's state copy.
-  void to_state(homme::State& s, const std::vector<int>& state_elems) const;
+  /// Pack the prognostics the remap reads and writes (u1, u2, T, dp,
+  /// qdp) of state entries [begin, end). Geometry, phis and the GLL
+  /// tables stay empty: no kernel run on a state pack reads them.
+  static PackedElems from_state(const homme::Dims& d, const homme::State& s,
+                                int begin, int end);
+  /// Write those prognostics back into entries [begin, begin + nelem) of
+  /// \p s — the inverse of from_state.
+  void to_state(homme::State& s, int begin) const;
   /// Pack a synthetic smooth but non-trivial workset (for benches that do
   /// not want to build a big mesh state first).
   static PackedElems synthetic(const mesh::CubedSphere& m,

@@ -51,9 +51,7 @@ struct Table1Row {
   /// host path (0 in a healthy run; nonzero only under fault injection).
   std::uint64_t athread_fallbacks = 0;
 
-  double acc_speedup_vs_mpe() const { return mpe_s / acc_s; }
   double athread_speedup_vs_acc() const { return acc_s / athread_s; }
-  double athread_speedup_vs_intel() const { return intel_s / athread_s; }
 };
 
 /// Run all six kernels on every platform; also verifies that the OpenACC

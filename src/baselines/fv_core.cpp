@@ -119,8 +119,4 @@ double FvCore::min_value() const {
   return *std::min_element(q_.begin(), q_.end());
 }
 
-double FvCore::max_value() const {
-  return *std::max_element(q_.begin(), q_.end());
-}
-
 }  // namespace baselines

@@ -34,7 +34,6 @@ class FvCore {
 
   double total_mass() const;
   double min_value() const;
-  double max_value() const;
 
  private:
   std::size_t idx(int i, int j) const {

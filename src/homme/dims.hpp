@@ -41,8 +41,6 @@ struct Dims {
   /// default so the dry dynamical-core benchmarks stay self-contained.
   bool moist = false;
 
-  int npts() const { return mesh::kNpp; }               ///< GLL pts / element
-  int lev_stride() const { return mesh::kNpp; }         ///< [lev][gidx] layout
   std::size_t field_size() const {
     return static_cast<std::size_t>(nlev) * mesh::kNpp;
   }

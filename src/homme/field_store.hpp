@@ -89,7 +89,9 @@ class Chunk {
   /// checkpoint image, whose payloads are not 8-byte aligned).
   void assign_bytes(const void* src, std::size_t n) {
     Buf* b = new Buf(n, 0.0);
-    std::memcpy(b->data.data(), src, n * sizeof(double));
+    // An empty payload (no tracers) has a null data(); memcpy must not
+    // see it even for zero bytes.
+    if (n > 0) std::memcpy(b->data.data(), src, n * sizeof(double));
     release(std::exchange(buf_, b));
   }
 

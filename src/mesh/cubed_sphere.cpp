@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <set>
 #include <unordered_map>
 
 namespace mesh {
@@ -128,18 +127,6 @@ std::vector<int> CubedSphere::edge_neighbors(int elem) const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::vector<int> CubedSphere::all_neighbors(int elem) const {
-  std::set<int> out;
-  for (int k = 0; k < kNpp; ++k) {
-    const int node =
-        nodes_[static_cast<std::size_t>(elem)][static_cast<std::size_t>(k)];
-    for (const auto& [e, idx] : node_elems_[static_cast<std::size_t>(node)]) {
-      if (e != elem) out.insert(e);
-    }
-  }
-  return {out.begin(), out.end()};
 }
 
 void CubedSphere::dss_scalar(std::span<double> field) const {

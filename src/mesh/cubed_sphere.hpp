@@ -52,8 +52,6 @@ class CubedSphere {
 
   /// Elements sharing at least one edge (>= 2 nodes) with \p elem.
   std::vector<int> edge_neighbors(int elem) const;
-  /// Elements sharing at least one node with \p elem (edge + corner).
-  std::vector<int> all_neighbors(int elem) const;
 
   /// Reference (sequential, global) DSS of one scalar per GLL point:
   /// field[elem * kNpp + gidx] <- weighted average over sharing elements.

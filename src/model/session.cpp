@@ -8,7 +8,6 @@
 #include "accel/accel_driver.hpp"
 #include "homme/checkpoint.hpp"
 #include "homme/exchange.hpp"
-#include "homme/init.hpp"
 #include "homme/local_state.hpp"
 #include "sw/cg_pool.hpp"
 
@@ -20,7 +19,6 @@ homme::DycoreConfig SessionConfig::dycore_config() const {
   homme::DycoreConfig c;
   c.dt = dt;
   c.remap_freq = remap_freq;
-  c.nu = nu;
   c.limit_tracers = limit_tracers;
   c.hypervis_on = hypervis_on;
   return c;
@@ -60,9 +58,6 @@ void SessionConfig::validate() const {
   if (physics && nranks > 1) {
     throw ConfigError("SessionConfig: physics is only supported on "
                       "sequential sessions (nranks == 1)");
-  }
-  if (physics_dt < 0.0) {
-    throw ConfigError("SessionConfig: physics_dt must be >= 0");
   }
   if (!init_spec.engaged()) {
     throw ConfigError("SessionConfig: init_spec \"" + init_spec.name +
@@ -193,12 +188,7 @@ void Session::build(const Session* parent) {
   // buffers: in the other order, freeing its temporaries trims the heap
   // and every construction re-faults about a thousand pages.
   homme::State global;
-  if (parent == nullptr) {
-    global = cfg_.init_spec.generate(m, dims_, cfg_.init_spec);
-    if (cfg_.init_spec.tracers && cfg_.qsize > 0) {
-      homme::init_tracers(m, dims_, global);
-    }
-  }
+  if (parent == nullptr) global = cfg_.init_spec.build(m, dims_);
 
   // Where each rank's work lives. The rank count decides two things:
   // here, whether a cluster and per-rank halo exchanges are built — N
@@ -262,9 +252,7 @@ void Session::build(const Session* parent) {
           cfg_.ckpt_full_interval);
     }
     if (cfg_.backend != SessionConfig::Backend::kPipeline) continue;
-    const std::span<const int> owned = rk.dycore->elements();
-    rk.accel = std::make_unique<accel::PipelineAccelerator>(
-        m, dims_, std::vector<int>(owned.begin(), owned.end()));
+    rk.accel = std::make_unique<accel::PipelineAccelerator>(dims_);
     rk.accel->set_tracer(tracer_.get(), p.accel_track, p.accel_pid);
     if (pool != nullptr) {
       const std::size_t n = affinity.size();
@@ -335,8 +323,7 @@ void Session::step() {
   }
   if (physics_ != nullptr) {
     // validate() keeps physics to one rank: it indexes global elements.
-    const double pdt = cfg_.physics_dt > 0.0 ? cfg_.physics_dt : dt();
-    phys_stats_ = physics_->step(ranks_.front().state, pdt);
+    phys_stats_ = physics_->step(ranks_.front().state, dt());
   }
   ++step_count_;
   if (monitor_ == nullptr) return;

@@ -21,9 +21,9 @@
 ///
 /// Before this facade every driver (13 benches, the examples, any new
 /// workload) re-assembled the same parts by hand: build a mesh, build a
-/// partition and comm plan, a cluster and per-rank halo exchanges,
-/// construct a PipelineAccelerator with the right geom_map, wire the
-/// tracer into every layer, write one checkpoint chain per rank. A Session
+/// partition and comm plan, a cluster and per-rank halo exchanges, attach
+/// a PipelineAccelerator to every rank's dycore, wire the tracer into
+/// every layer, write one checkpoint chain per rank. A Session
 /// subsumes that construction soup behind one SessionConfig: resolution,
 /// decomposition, exchange mode, accelerator backend, physics, fault
 /// plan and checkpoint cadence are *config values*, not different call
@@ -74,7 +74,6 @@ struct SessionConfig {
   // -- dynamics (the former DycoreConfig fields) ---------------------------
   double dt = 0.0;                 ///< s; 0 picks the stable dt for the mesh
   int remap_freq = 3;
-  double nu = -1.0;                ///< <0: auto
   bool limit_tracers = true;
   bool hypervis_on = true;
 
@@ -96,8 +95,7 @@ struct SessionConfig {
 
   // -- backend / physics ----------------------------------------------------
   Backend backend = Backend::kHost;
-  bool physics = false;            ///< run the column physics each step
-  double physics_dt = 0.0;         ///< s; 0: same as the dynamics dt
+  bool physics = false;            ///< run the column physics each step, at dt
   /// Parameterization suite configuration (module toggles, SST closure).
   /// The default-constructed value is the historical full suite.
   phys::PhysicsConfig physics_cfg{};
@@ -142,7 +140,6 @@ struct SessionConfig {
   SessionConfig& with_moist(bool v = true) { moist = v; return *this; }
   SessionConfig& with_dt(double v) { dt = v; return *this; }
   SessionConfig& with_remap_freq(int v) { remap_freq = v; return *this; }
-  SessionConfig& with_nu(double v) { nu = v; return *this; }
   SessionConfig& with_limiter(bool v) { limit_tracers = v; return *this; }
   SessionConfig& with_hypervis(bool v) { hypervis_on = v; return *this; }
   SessionConfig& with_init(scenario::InitSpec spec) {
@@ -157,14 +154,7 @@ struct SessionConfig {
   }
   SessionConfig& with_backend(Backend v) { backend = v; return *this; }
   SessionConfig& with_core_groups(int v) { core_groups = v; return *this; }
-  SessionConfig& with_cg_pool(std::shared_ptr<sw::CgPool> pool,
-                              std::vector<int> affinity) {
-    cg_pool = std::move(pool); cg_affinity = std::move(affinity);
-    return *this;
-  }
-  SessionConfig& with_physics(bool v = true, double dt_s = 0.0) {
-    physics = v; physics_dt = dt_s; return *this;
-  }
+  SessionConfig& with_physics(bool v = true) { physics = v; return *this; }
   SessionConfig& with_physics_config(phys::PhysicsConfig c) {
     physics_cfg = std::move(c); return *this;
   }

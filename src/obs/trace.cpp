@@ -353,18 +353,6 @@ bool write_chrome_trace(const std::string& path,
   return std::fclose(f) == 0 && ok;
 }
 
-std::string Tracer::summary_table() const {
-  const Summary s = summary();
-  std::string out;
-  append_f(out, "%-36s %8s %14s %14s %14s\n", "phase", "count", "total(us)",
-           "max(us)", "self(us)");
-  for (const auto& [name, p] : s) {
-    append_f(out, "%-36s %8" PRIu64 " %14.3f %14.3f %14.3f\n", name.c_str(),
-             p.count, p.total_us, p.max_us, p.self_us);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Summary helpers
 

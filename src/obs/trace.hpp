@@ -30,10 +30,10 @@
 /// path for exactly that kind of attribution.
 ///
 /// Design notes (DESIGN.md section 9):
-///  - A Track is one timeline row (a rank, the modeled core group, one
-///    CPE). Each track is owned by exactly one thread at a time; the
-///    Tracer's track registry is the only synchronized structure, so the
-///    hot recording path is lock-free.
+///  - A Track is one timeline row (a rank, the modeled core group, the
+///    sequential dycore). Each track is owned by exactly one thread at a
+///    time; the Tracer's track registry is the only synchronized
+///    structure, so the hot recording path is lock-free.
 ///  - Clock domains: kWall stamps events with host wall time (for real
 ///    measured phases like the threaded mini-MPI); kVirtual stamps them
 ///    with a deterministic per-track step counter (one tick per event), so
@@ -64,11 +64,6 @@ enum class ClockDomain : std::uint8_t {
   kWall,    ///< host wall clock (microseconds since tracer construction)
   kVirtual  ///< deterministic per-track step counter (one tick per event)
 };
-
-/// How much to record. kPhases keeps per-phase spans and typed events;
-/// kFine additionally records per-CPE DMA descriptors and register-
-/// communication operations (high volume; bounded by the ring).
-enum class Detail : std::uint8_t { kPhases, kFine };
 
 /// Chrome trace-event phase of one recorded event.
 enum class EventPhase : char {
@@ -117,8 +112,6 @@ class Track {
 
   /// Current time in this track's clock domain, microseconds.
   double now() const;
-  /// Advance the virtual clock (no-op in the wall domain).
-  void advance(double us) { vclock_ += us; }
 
   // -- recording (no-ops while the tracer is disabled) ---------------------
 
@@ -182,7 +175,7 @@ class Track {
 };
 
 /// The per-process trace collector: a registry of tracks plus the enable
-/// switch, detail level and clock domain shared by all of them.
+/// switch and clock domain shared by all of them.
 class Tracer {
  public:
   explicit Tracer(ClockDomain domain = ClockDomain::kWall);
@@ -194,11 +187,6 @@ class Tracer {
     enabled_.store(on, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-
-  void set_detail(Detail d) {
-    fine_.store(d == Detail::kFine, std::memory_order_relaxed);
-  }
-  bool fine() const { return fine_.load(std::memory_order_relaxed); }
 
   ClockDomain domain() const { return domain_; }
 
@@ -236,9 +224,6 @@ class Tracer {
   std::string chrome_trace() const;
   bool write_chrome_trace(const std::string& path) const;
 
-  /// Human-readable per-phase summary table.
-  std::string summary_table() const;
-
   /// Wall-clock microseconds since construction (the kWall time base).
   double wall_now_us() const;
 
@@ -253,7 +238,6 @@ class Tracer {
   std::deque<std::string> interned_;
   std::map<std::string, const char*, std::less<>> intern_index_;
   std::atomic<bool> enabled_{false};
-  std::atomic<bool> fine_{false};
   std::size_t ring_capacity_ = 65536;
   ClockDomain domain_;
   std::chrono::steady_clock::time_point epoch_;

@@ -50,7 +50,6 @@ struct ContentionPoint {
 
 struct MachineModel {
   ElementCost cost[3];           ///< indexed by Version
-  double physics_fraction = 0.9; ///< physics+rest cost relative to dynamics
   double pflops_scale = 1.0;     ///< anchor normalization (see calibrate())
   int nlev = 128;
   int qsize = 25;
@@ -92,8 +91,9 @@ struct MachineModel {
   StepCost dycore_step(int ne, long long nprocs, Version v,
                        bool overlap = true) const;
 
-  /// Whole-CAM simulation speed in simulated years per day, including the
-  /// physics fraction.
+  /// Whole-CAM simulation speed in simulated years per day. The share of
+  /// runtime no port accelerates (physics, scheme glue, I/O) is the fixed
+  /// kSerialFraction of machine_model.cpp.
   double sypd(int ne, long long nprocs, Version v, bool overlap = true) const;
 
   /// Strong-scaling parallel efficiency relative to \p base_procs.

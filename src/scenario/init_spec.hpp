@@ -11,14 +11,12 @@
 /// \file init_spec.hpp
 /// scenario::InitSpec — an initial condition as a value.
 ///
-/// model::SessionConfig historically named its IC with an enum; every
-/// non-builtin workload (the Katrina vortex, the perturbed aquaplanet)
-/// had to build its state by hand and bypass the Session facade. An
-/// InitSpec closes that gap: it bundles a generator function with the
-/// two knobs ensembles parameterize on — the member index and a
-/// scenario-interpreted perturbation magnitude — so a custom IC travels
-/// through the same validated SessionConfig path as the builtin enums.
-/// Header-only by design: model:: consumes it without linking scenario::.
+/// An InitSpec bundles a generator function with the two knobs
+/// ensembles parameterize on — the member index and a
+/// scenario-interpreted perturbation magnitude — so every IC, builtin or
+/// custom (the Katrina vortex, the perturbed aquaplanet), travels through
+/// one validated SessionConfig path. Header-only by design: model::
+/// consumes it without linking scenario::.
 
 namespace scenario {
 
@@ -29,16 +27,22 @@ struct InitSpec {
       const mesh::CubedSphere&, const homme::Dims&, const InitSpec&)>;
 
   std::string name;      ///< label, e.g. "baroclinic", "tc-vortex"
-  Generator generate;    ///< unset: Session falls back to the enum IC
+  Generator generate;    ///< must be set (SessionConfig::validate)
   bool tracers = false;  ///< fill tracers with the cosine bells afterwards
   int member = 0;        ///< ensemble member index (perturbation seed)
   double perturb = 0.0;  ///< perturbation magnitude; meaning is per-spec
 
   bool engaged() const { return static_cast<bool>(generate); }
 
+  /// The initial global state: the generator's fields, then the cosine
+  /// bells when `tracers` is set and \p d carries tracers.
+  homme::State build(const mesh::CubedSphere& m, const homme::Dims& d) const {
+    homme::State s = generate(m, d, *this);
+    if (tracers && d.qsize > 0) homme::init_tracers(m, d, s);
+    return s;
+  }
+
   // -- builtin ICs, wrapping homme::init -------------------------------------
-  // The enum path of SessionConfig resolves to exactly these specs, so
-  // scenario ICs and raw enum ICs share one code path in Session::build.
 
   static InitSpec baroclinic(bool with_tracers = true, double u0 = 20.0,
                              double t0 = 300.0, double amp = 2.0,

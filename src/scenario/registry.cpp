@@ -144,8 +144,8 @@ void run(const Scenario& sc, model::Session& s, int steps) {
   if (s.step_count() == 0) fire_forcing(sc, s, 0);
   for (int i = 0; i < steps; ++i) {
     s.step();
-    s.maybe_checkpoint();
     fire_forcing(sc, s, s.step_count());
+    s.maybe_checkpoint();
   }
 }
 
@@ -153,9 +153,7 @@ homme::State initial_state(const Scenario& sc, const mesh::CubedSphere& m,
                            const homme::Dims& d, int member) {
   InitSpec spec = sc.defaults.init_spec;
   spec.member = member;
-  homme::State s = spec.generate(m, d, spec);
-  if (spec.tracers && d.qsize > 0) homme::init_tracers(m, d, s);
-  return s;
+  return spec.build(m, d);
 }
 
 }  // namespace scenario

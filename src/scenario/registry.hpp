@@ -123,7 +123,10 @@ void fire_forcing(const Scenario& sc, model::Session& s, int n);
 std::optional<std::string> check_invariants(const Scenario& sc,
                                             model::Session& s);
 /// Drive \p steps steps with the scenario's forcing schedule applied
-/// (including seeding events due before the first step).
+/// (including seeding events due before the first step). Each step runs
+/// in svc::Engine's order — step, forcing, cadence checkpoint — so a
+/// checkpoint holds the forced state and a resumed run stays on the
+/// straight run's trajectory.
 void run(const Scenario& sc, model::Session& s, int steps);
 
 /// Generate the scenario's initial condition on a caller-provided mesh

@@ -349,7 +349,6 @@ void Engine::execute(Job& job, int worker) {
     if (res.state == RunState::kCompleted) {
       res.diagnostics = session.diagnose();
     }
-    if (req.keep_state) res.final_state = session.state();
     if (req.config.trace) res.report.add_summary(session.summary());
     // Sampled last: the drain waits out the final checkpoint write, which
     // overlaps the digest and diagnostics above; a failed write faults.
@@ -404,9 +403,9 @@ void Engine::execute(Job& job, int worker) {
       default: break;
     }
   }
-  const RunState final_state = res.state;
+  const RunState terminal = res.state;
   h.finish(std::move(res));
-  notify_terminal(h.id(), final_state);
+  notify_terminal(h.id(), terminal);
 }
 
 EngineStats Engine::stats() const {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -77,7 +78,6 @@ struct RunRequest {
   /// ensemble members block on I/O and coupler exchanges between steps;
   /// the worker pool exists to overlap exactly that latency. 0 disables.
   double step_stall_s = 0.0;
-  bool keep_state = false; ///< retain the final global state in the result
   /// Resume from the config's checkpoint chain when one exists on disk
   /// (model::Session::try_resume). \p steps then names the TOTAL step
   /// target — a member parked at step M runs only the remaining N - M
@@ -92,8 +92,7 @@ struct RunRequest {
   bool checkpoint_on_exit = false;
 };
 
-/// Terminal outcome of one request. Move-only (owns the report and,
-/// optionally, the final state).
+/// Terminal outcome of one request. Move-only (owns the report).
 struct RunResult {
   RunState state = RunState::kQueued;
   std::string error;           ///< what() of the fault (kFaulted only)
@@ -107,7 +106,6 @@ struct RunResult {
   /// handle: equal configs must yield equal digests at any worker count.
   std::uint32_t state_crc = 0;
   homme::Diagnostics diagnostics{};
-  homme::State final_state;    ///< filled when RunRequest::keep_state
   obs::Report report{"svc_member"};  ///< per-request machine-readable record
 };
 
@@ -239,6 +237,46 @@ struct EngineStats {
                ? static_cast<double>(checkpoint_bytes) /
                      static_cast<double>(member_steps)
                : 0.0;
+  }
+
+  /// Fold a later engine's snapshot \p s into these totals (svc::Server
+  /// across drain/restart cycles): counters sum, high-waters take the
+  /// max, and gauges of the live engine (queue depth, workers, bundles,
+  /// pools) take \p s's value.
+  EngineStats& operator+=(const EngineStats& s) {
+    submitted += s.submitted;
+    completed += s.completed;
+    faulted += s.faulted;
+    cancelled += s.cancelled;
+    deadline += s.deadline;
+    rejected_full += s.rejected_full;
+    cancelled_queued += s.cancelled_queued;
+    resumed += s.resumed;
+    member_steps += s.member_steps;
+    wall_s += s.wall_s;
+    busy_s += s.busy_s;
+    queue_depth = s.queue_depth;
+    queue_high_water = std::max(queue_high_water, s.queue_high_water);
+    workers = s.workers;
+    mesh_bundles = s.mesh_bundles;
+    mesh_bundle_bytes = s.mesh_bundle_bytes;
+    mesh_bytes_unshared = s.mesh_bytes_unshared;
+    state_samples += s.state_samples;
+    state_logical_bytes += s.state_logical_bytes;
+    state_resident_bytes += s.state_resident_bytes;
+    state_chunks += s.state_chunks;
+    state_shared_chunks += s.state_shared_chunks;
+    checkpoint_saves += s.checkpoint_saves;
+    checkpoint_bytes += s.checkpoint_bytes;
+    placed_members += s.placed_members;
+    cg_pools = s.cg_pools;
+    cg_groups_busy_high_water =
+        std::max(cg_groups_busy_high_water, s.cg_groups_busy_high_water);
+    cg_stream_high_water =
+        std::max(cg_stream_high_water, s.cg_stream_high_water);
+    cg_contended_ops += s.cg_contended_ops;
+    cg_contended_bytes += s.cg_contended_bytes;
+    return *this;
   }
 };
 

@@ -188,7 +188,7 @@ void Server::drain() {
       m.phase = MemberPhase::kParked;  // resumes on restart, not a timer
     }
   }
-  fold(retired_, engine_->stats());
+  retired_ += engine_->stats();
   engine_.reset();
   state_ = ServerState::kStopped;
   cv_.notify_all();

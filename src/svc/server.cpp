@@ -211,38 +211,10 @@ std::vector<MemberStatus> Server::members() const {
   return out;
 }
 
-void Server::fold(EngineStats& into, const EngineStats& s) {
-  into.submitted += s.submitted;
-  into.completed += s.completed;
-  into.faulted += s.faulted;
-  into.cancelled += s.cancelled;
-  into.deadline += s.deadline;
-  into.rejected_full += s.rejected_full;
-  into.cancelled_queued += s.cancelled_queued;
-  into.resumed += s.resumed;
-  into.member_steps += s.member_steps;
-  into.wall_s += s.wall_s;
-  into.busy_s += s.busy_s;
-  into.queue_depth = s.queue_depth;  // the live engine's, not a sum
-  into.queue_high_water = std::max(into.queue_high_water,
-                                   s.queue_high_water);
-  into.workers = s.workers;
-  into.mesh_bundles = s.mesh_bundles;
-  into.mesh_bundle_bytes = s.mesh_bundle_bytes;
-  into.mesh_bytes_unshared = s.mesh_bytes_unshared;
-  into.state_samples += s.state_samples;
-  into.state_logical_bytes += s.state_logical_bytes;
-  into.state_resident_bytes += s.state_resident_bytes;
-  into.state_chunks += s.state_chunks;
-  into.state_shared_chunks += s.state_shared_chunks;
-  into.checkpoint_saves += s.checkpoint_saves;
-  into.checkpoint_bytes += s.checkpoint_bytes;
-}
-
 EngineStats Server::engine_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   EngineStats out = retired_;
-  if (engine_ != nullptr) fold(out, engine_->stats());
+  if (engine_ != nullptr) out += engine_->stats();
   return out;
 }
 

@@ -209,7 +209,6 @@ class Server {
   void resubmit(const std::string& name);
   void apply_server_fields(const std::string& member, RunRequest& req) const;
   MemberStatus status_of(const Member& m) const;
-  static void fold(EngineStats& into, const EngineStats& s);
 
   ServerConfig cfg_;
 

@@ -23,9 +23,6 @@ inline constexpr int kCpeCols = 8;
 inline constexpr int kCpesPerGroup = kCpeRows * kCpeCols;
 /// Core groups per SW26010 processor.
 inline constexpr int kGroupsPerProcessor = 4;
-/// Total cores per processor (4 x (1 MPE + 64 CPE)).
-inline constexpr int kCoresPerProcessor =
-    kGroupsPerProcessor * (kCpesPerGroup + 1);
 
 /// Size of the user-managed local data memory (scratchpad) per CPE.
 inline constexpr std::size_t kLdmBytes = 64 * 1024;

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
@@ -91,14 +90,6 @@ class MemoryContention {
     s.solo_bytes = solo_bytes_.load(std::memory_order_relaxed);
     s.stream_high_water = high_water();
     return s;
-  }
-  void reset_stats() {
-    contended_ops_.store(0, std::memory_order_relaxed);
-    contended_bytes_.store(0, std::memory_order_relaxed);
-    solo_ops_.store(0, std::memory_order_relaxed);
-    solo_bytes_.store(0, std::memory_order_relaxed);
-    high_water_.store(std::min(1, active_streams()),
-                      std::memory_order_relaxed);
   }
 
   /// RAII stream handle (open on construction, close on destruction).

@@ -12,25 +12,7 @@ namespace sw {
 namespace {
 /// Extra DMA cost per strided block after the first (row activation).
 constexpr double kDmaBlockCycles = 8.0;
-/// Modeled CPE cycles to exported-trace microseconds.
-constexpr double kUsPerCycle = 1e6 / kCpeClockHz;
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Cpe: fine-detail trace events (modeled timestamps)
-// ---------------------------------------------------------------------------
-
-void Cpe::trace_dma(const char* name, double issue_cycle,
-                    double complete_cycle, std::size_t bytes) {
-  const obs::Counter args[1] = {
-      {"bytes", static_cast<std::uint64_t>(bytes)}};
-  trace_->complete_at(name, trace_epoch_us_ + issue_cycle * kUsPerCycle,
-                      (complete_cycle - issue_cycle) * kUsPerCycle, args);
-}
-
-void Cpe::trace_reg(const char* name) {
-  trace_->instant_at(name, trace_epoch_us_ + clock_ * kUsPerCycle);
-}
 
 // ---------------------------------------------------------------------------
 // Cpe: fault hooks
@@ -101,10 +83,7 @@ DmaHandle Cpe::dma_get(void* ldm_dst, const void* mem_src,
   ctr_.dma_get_bytes += bytes;
   ctr_.dma_ops += 1;
   note_ldm_peak();
-  const double issue_cycle = clock_;
-  DmaHandle h{cg_->dma_cost(*this, bytes, 1)};
-  if (trace_ != nullptr) trace_dma("dma:get", issue_cycle, h.complete_cycle, bytes);
-  return h;
+  return DmaHandle{cg_->dma_cost(*this, bytes, 1)};
 }
 
 DmaHandle Cpe::dma_put(void* mem_dst, const void* ldm_src,
@@ -114,10 +93,7 @@ DmaHandle Cpe::dma_put(void* mem_dst, const void* ldm_src,
   if (corrupt) apply_corruption(mem_dst, bytes);
   ctr_.dma_put_bytes += bytes;
   ctr_.dma_ops += 1;
-  const double issue_cycle = clock_;
-  DmaHandle h{cg_->dma_cost(*this, bytes, 1)};
-  if (trace_ != nullptr) trace_dma("dma:put", issue_cycle, h.complete_cycle, bytes);
-  return h;
+  return DmaHandle{cg_->dma_cost(*this, bytes, 1)};
 }
 
 DmaHandle Cpe::dma_get_strided(void* ldm_dst, const void* mem_src,
@@ -135,12 +111,7 @@ DmaHandle Cpe::dma_get_strided(void* ldm_dst, const void* mem_src,
   ctr_.dma_get_bytes += bytes;
   ctr_.dma_ops += 1;
   note_ldm_peak();
-  const double issue_cycle = clock_;
-  DmaHandle h{cg_->dma_cost(*this, bytes, count)};
-  if (trace_ != nullptr) {
-    trace_dma("dma:get_strided", issue_cycle, h.complete_cycle, bytes);
-  }
-  return h;
+  return DmaHandle{cg_->dma_cost(*this, bytes, count)};
 }
 
 DmaHandle Cpe::dma_put_strided(void* mem_dst, const void* ldm_src,
@@ -159,12 +130,7 @@ DmaHandle Cpe::dma_put_strided(void* mem_dst, const void* ldm_src,
   if (corrupt) apply_corruption(dst, block_bytes);
   ctr_.dma_put_bytes += bytes;
   ctr_.dma_ops += 1;
-  const double issue_cycle = clock_;
-  DmaHandle h{cg_->dma_cost(*this, bytes, count)};
-  if (trace_ != nullptr) {
-    trace_dma("dma:put_strided", issue_cycle, h.complete_cycle, bytes);
-  }
-  return h;
+  return DmaHandle{cg_->dma_cost(*this, bytes, count)};
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +163,6 @@ void Cpe::SendAwaiter::await_resume() {
   // guarantees) is preserved because each source is sequential.
   self.clock_ += kRegCommSendCycles;
   self.ctr_.reg_sends += 1;
-  if (self.trace_ != nullptr) self.trace_reg("reg:send");
   if (FaultPlan* fp = self.cg_->active_faults_) {
     if (const auto f = fp->on_reg_send(self.id_)) {
       fp->note_fired(*f, kVectorBytes);
@@ -225,7 +190,6 @@ v4d Cpe::RecvAwaiter::await_resume() {
   self.clock_ = std::max(self.clock_ + kRegCommRecvCycles,
                          msg.sent_cycle + kRegCommLatencyCycles);
   self.ctr_.reg_recvs += 1;
-  if (self.trace_ != nullptr) self.trace_reg("reg:recv");
   if (!fifo.send_waiters.empty()) {
     auto h = fifo.send_waiters.back();
     fifo.send_waiters.pop_back();
@@ -280,28 +244,9 @@ void CoreGroup::set_tracer(obs::Tracer* t, int pid,
   trace_pid_ = pid;
   trace_prefix_ = std::move(track_prefix);
   cg_track_ = nullptr;
-  cpe_tracks_.clear();
   trace_epoch_us_ = 0.0;
   trace_launch_t0_us_ = 0.0;
   trace_span_open_ = false;
-  for (Cpe& c : cpes_) c.trace_ = nullptr;
-}
-
-void CoreGroup::ensure_trace_tracks(int ncpes) {
-  if (cg_track_ == nullptr) {
-    cg_track_ = &tracer_->track(trace_prefix_, trace_pid_, 0);
-  }
-  if (!tracer_->fine()) return;
-  if (cpe_tracks_.empty()) {
-    cpe_tracks_.resize(static_cast<std::size_t>(kCpesPerGroup), nullptr);
-  }
-  for (int id = 0; id < ncpes; ++id) {
-    auto& slot = cpe_tracks_[static_cast<std::size_t>(id)];
-    if (slot == nullptr) {
-      slot = &tracer_->track(trace_prefix_ + "/cpe" + std::to_string(id),
-                             trace_pid_, 1 + id);
-    }
-  }
 }
 
 void CoreGroup::trace_end_launch(obs::CounterList args) {
@@ -372,36 +317,26 @@ KernelStats CoreGroup::run(const std::function<Task(Cpe&)>& make_kernel,
 
   // Open the launch span on the modeled timeline. A scope guard keeps the
   // trace well-formed on the fault paths below (typed KernelFault,
-  // SchedulerDeadlock): the span is closed at the launch start time and
-  // the per-CPE fine-track pointers never outlive the launch.
+  // SchedulerDeadlock): the span is closed at the launch start time.
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
   if (tracing) {
-    ensure_trace_tracks(ncpes);
+    if (cg_track_ == nullptr) {
+      cg_track_ = &tracer_->track(trace_prefix_, trace_pid_, 0);
+    }
     trace_launch_t0_us_ = trace_epoch_us_;
     cg_track_->begin_at(opts.trace_name, trace_epoch_us_);
     trace_span_open_ = true;
-    const bool fine = tracer_->fine();
-    for (int id = 0; id < ncpes; ++id) {
-      Cpe& c = cpes_[static_cast<std::size_t>(id)];
-      c.trace_ = fine ? cpe_tracks_[static_cast<std::size_t>(id)] : nullptr;
-      c.trace_epoch_us_ = trace_epoch_us_;
-    }
   }
   struct TraceGuard {
     CoreGroup* cg;
-    int ncpes;
     bool active;
     ~TraceGuard() {
-      if (!active) return;
-      for (int id = 0; id < ncpes; ++id) {
-        cg->cpes_[static_cast<std::size_t>(id)].trace_ = nullptr;
-      }
-      if (std::uncaught_exceptions() > 0 && cg->trace_span_open_) {
+      if (active && std::uncaught_exceptions() > 0 && cg->trace_span_open_) {
         cg->cg_track_->end_at(cg->trace_epoch_us_);
         cg->trace_span_open_ = false;
       }
     }
-  } trace_guard{this, ncpes, tracing};
+  } trace_guard{this, tracing};
 
   std::vector<Task> tasks;
   tasks.reserve(static_cast<std::size_t>(ncpes));

@@ -181,13 +181,6 @@ class Cpe {
                                                   ldm_.peak());
   }
 
-  /// Record one DMA descriptor as a complete event on this CPE's fine
-  /// trace track (modeled issue -> completion window).
-  void trace_dma(const char* name, double issue_cycle, double complete_cycle,
-                 std::size_t bytes);
-  /// Record a register-communication operation as an instant.
-  void trace_reg(const char* name);
-
   CoreGroup* cg_ = nullptr;
   int id_ = 0;
   int row_ = 0;
@@ -196,10 +189,6 @@ class Cpe {
   Ldm ldm_;
   CpeCounters ctr_;
   ResidencyLedger ledger_;
-  /// Fine-detail trace track; non-null only during a traced launch at
-  /// Detail::kFine (the hot-path check is one pointer test).
-  obs::Track* trace_ = nullptr;
-  double trace_epoch_us_ = 0.0;
 };
 
 /// The 8x8 CPE cluster plus scheduler and memory controller of one core
@@ -270,9 +259,7 @@ class CoreGroup {
   // -- observability --------------------------------------------------------
   // The core group reports on its own *modeled* timeline: launches appear
   // as spans on track "<prefix>" whose timestamps derive from simulated
-  // cycles (trace_epoch_us advances by each launch's modeled seconds). At
-  // Detail::kFine every CPE additionally gets a "<prefix>/cpe<i>" track
-  // with per-descriptor DMA complete events and reg-comm instants.
+  // cycles (the cursor advances by each launch's modeled seconds).
 
   /// Attach (or detach with nullptr) a tracer. \p pid is the exported
   /// process id of this core group's tracks; \p track_prefix keeps two
@@ -282,8 +269,6 @@ class CoreGroup {
   obs::Tracer* tracer() const { return tracer_; }
   /// The launch track, or nullptr when no tracer is attached.
   obs::Track* trace_track() const { return cg_track_; }
-  /// Modeled-time cursor: where the next launch starts, microseconds.
-  double trace_epoch_us() const { return trace_epoch_us_; }
   /// Where the most recent launch's span opened, microseconds.
   double trace_launch_t0_us() const { return trace_launch_t0_us_; }
   bool trace_span_open() const { return trace_span_open_; }
@@ -295,8 +280,6 @@ class CoreGroup {
 
  private:
   friend class Cpe;
-
-  void ensure_trace_tracks(int ncpes);
 
   void ready(std::coroutine_handle<> h) { ready_.push_back(h); }
 
@@ -346,8 +329,7 @@ class CoreGroup {
   int trace_pid_ = kDefaultTracePid;
   std::string trace_prefix_ = "cg";
   obs::Track* cg_track_ = nullptr;
-  std::vector<obs::Track*> cpe_tracks_;
-  double trace_epoch_us_ = 0.0;
+  double trace_epoch_us_ = 0.0;  ///< modeled-time cursor: next launch start
   double trace_launch_t0_us_ = 0.0;
   bool trace_span_open_ = false;
 

@@ -145,11 +145,6 @@ struct KernelStats {
     return seconds > 0 ? static_cast<double>(totals.total_flops()) / seconds / 1e9
                        : 0.0;
   }
-  double dma_gbytes_per_s() const {
-    return seconds > 0
-               ? static_cast<double>(totals.total_dma_bytes()) / seconds / 1e9
-               : 0.0;
-  }
   /// Fraction of requested staging bytes the residency ledger served from
   /// LDM instead of the bus: reused / (reused + moved).
   double reuse_fraction() const {

@@ -30,7 +30,7 @@ class LdmOverflow : public std::runtime_error {
 
 class Ldm {
  public:
-  Ldm() : storage_(std::make_unique<std::byte[]>(kLdmBytes)) {}
+  Ldm() : storage_(std::make_unique<Storage>()) {}
 
   Ldm(const Ldm&) = delete;
   Ldm& operator=(const Ldm&) = delete;
@@ -48,7 +48,7 @@ class Ldm {
                         " bytes with " + std::to_string(kLdmBytes - aligned_top) +
                         " free of " + std::to_string(kLdmBytes));
     }
-    T* p = reinterpret_cast<T*>(storage_.get() + aligned_top);
+    T* p = reinterpret_cast<T*>(storage_->bytes + aligned_top);
     top_ = aligned_top + bytes;
     if (top_ > peak_) peak_ = top_;
     return {p, count};
@@ -66,7 +66,12 @@ class Ldm {
   void reset_peak() { peak_ = top_; }
 
  private:
-  std::unique_ptr<std::byte[]> storage_;
+  /// Aligned like alloc()'s offsets, so its pointers are 32-byte aligned
+  /// whatever the heap returns.
+  struct alignas(32) Storage {
+    std::byte bytes[kLdmBytes];
+  };
+  std::unique_ptr<Storage> storage_;
   std::size_t top_ = 0;
   std::size_t peak_ = 0;
 };

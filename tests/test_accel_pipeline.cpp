@@ -165,7 +165,7 @@ TEST(PipelineAccelerator, RemapMatchesHostRemap) {
   homme::State offload = host;
 
   homme::vertical_remap(mesh, d, host);
-  accel::PipelineAccelerator pa(mesh, d);
+  accel::PipelineAccelerator pa(d);
   pa.vertical_remap(offload);
 
   // The CPE port reassociates the column pressure scan, so agreement is
@@ -188,7 +188,7 @@ TEST(PipelineAccelerator, AttachedDycoreTracksHostDycore) {
 
   homme::Dycore host_dc(mesh, d, cfg);
   homme::Dycore accel_dc(mesh, d, cfg);
-  accel::PipelineAccelerator pa(mesh, d);
+  accel::PipelineAccelerator pa(d);
   accel_dc.attach_accelerator(&pa);
 
   host_dc.run(host_s, 3);

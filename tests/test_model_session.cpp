@@ -174,22 +174,32 @@ TEST(Session, ParallelMatchesSequential) {
 
 // The pipeline backend's remap reassociates the column pressure scan on
 // the simulated CPEs, so backends agree to rounding (the same bound the
-// accel pipeline tests use), and no fault means no host fallback.
+// accel pipeline tests use), and no fault means no host fallback. At two
+// ranks every rank remaps its own local state; at three core groups the
+// ranks' shares of the pool differ in width.
 TEST(Session, PipelineBackendMatchesHost) {
   const int kSteps = 4;  // remap_freq 3: crosses a remap step
-  const SessionConfig base = SessionConfig{}.with_ne(2).with_levels(8, 2);
+  for (const int nranks : {1, 2}) {
+    const SessionConfig base =
+        SessionConfig{}.with_ne(2).with_levels(8, 2).with_ranks(nranks);
+    Session host(base);
+    host.run(kSteps);
+    EXPECT_EQ(host.accelerator(), nullptr);
+    for (const int cgs : {1, 3}) {
+      SCOPED_TRACE("ranks " + std::to_string(nranks) + ", core groups " +
+                   std::to_string(cgs));
+      Session pipe(SessionConfig{base}
+                       .with_backend(SessionConfig::Backend::kPipeline)
+                       .with_core_groups(cgs));
+      pipe.run(kSteps);
 
-  Session host(base);
-  host.run(kSteps);
-
-  Session pipe(
-      SessionConfig{base}.with_backend(SessionConfig::Backend::kPipeline));
-  pipe.run(kSteps);
-
-  EXPECT_EQ(pipe.fallbacks(), 0);
-  ASSERT_NE(pipe.accelerator(), nullptr);
-  EXPECT_EQ(host.accelerator(), nullptr);
-  expect_states_near(pipe.state(), host.state());
+      EXPECT_EQ(pipe.fallbacks(), 0);
+      for (int r = 0; r < nranks; ++r) {
+        ASSERT_NE(pipe.accelerator(r), nullptr);
+      }
+      expect_states_near(pipe.state(), host.state());
+    }
+  }
 }
 
 TEST(Session, SharedBundleIsSharedAndCheaper) {

@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "homme/checkpoint.hpp"
 #include "homme/driver.hpp"
 #include "homme/init.hpp"
 #include "physics/driver.hpp"
@@ -162,6 +164,26 @@ TEST(ScenarioRegistry, ForcingScheduleSemantics) {
   scenario::run(sc, s, 6);
   EXPECT_EQ(one_shot, 1);  // step 0 only
   EXPECT_EQ(cadence, 3);   // steps 2, 4, 6
+}
+
+TEST(ScenarioRegistry, RunResumesOnTrajectory) {
+  // Held-Suarez forces every step, so a checkpoint written before the
+  // step's forcing would resume one relaxation short of the straight run.
+  const scenario::Scenario& sc = scenario::get("held-suarez");
+  scenario::Overrides ov = tiny_overrides();
+  auto straight = sc.session(ov);
+  scenario::run(sc, *straight, 8);
+
+  const std::string base = ::testing::TempDir() + "scenario_resume.ck";
+  ov.checkpoint_base = base;
+  ov.checkpoint_freq = 2;
+  scenario::run(sc, *sc.session(ov), 4);
+  auto resumed = sc.session(ov);
+  ASSERT_TRUE(resumed->try_resume());
+  EXPECT_EQ(resumed->step_count(), 4);
+  scenario::run(sc, *resumed, 4);
+  EXPECT_EQ(digest_of(*resumed), digest_of(*straight));
+  std::remove((homme::checkpoint_rank_path(base, 0) + ".full").c_str());
 }
 
 TEST(ScenarioRegistry, InitialStateHelperFillsTracers) {

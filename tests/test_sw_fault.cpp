@@ -306,7 +306,7 @@ TEST(GracefulDegradation, FaultedLaunchFallsBackToHostBitIdentically) {
 
   homme::Dycore host_dc(mesh, d, cfg);
   homme::Dycore accel_dc(mesh, d, cfg);
-  accel::PipelineAccelerator pa(mesh, d);
+  accel::PipelineAccelerator pa(d);
   sw::FaultPlan plan;
   plan.inject({FaultKind::kDmaFail, /*target=*/-1, /*op_index=*/0});
   pa.set_fault_plan(&plan);
@@ -332,7 +332,7 @@ TEST(GracefulDegradation, RecoveredAcceleratorKeepsWorkingAfterTheFault) {
   auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
   homme::State s = homme::baroclinic(mesh, d);
 
-  accel::PipelineAccelerator pa(mesh, d);
+  accel::PipelineAccelerator pa(d);
   sw::FaultPlan plan;
   plan.inject({FaultKind::kCpeDeath, /*target=*/7, /*op_index=*/0});
   pa.set_fault_plan(&plan);

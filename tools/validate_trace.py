@@ -11,7 +11,7 @@ Checks, beyond plain JSON validity:
   - counter args, when present, are an object of numbers
   - process_name/thread_name metadata labels are non-empty and drawn from
     the exporter's charset; pooled core-group tracks ("accel/cg:0",
-    "cg:3/cpe17", ...) are valid track labels
+    "accel.r1/cg:3", ...) are valid track labels
 
 With --report, the arguments that follow are validated as obs::Report
 documents instead: a JSON object with a "bench" string and a "config"
@@ -35,9 +35,10 @@ ALLOWED_PH = {"B", "E", "X", "i", "C", "M"}
 TIMED_PH = {"B", "E", "X", "i"}
 
 # Track labels the obs:: exporter emits: span names plus the structured
-# per-core-group forms "cg", "cg:<i>", "<prefix>/cg:<i>" and the fine
-# per-CPE "<track>/cpe<i>". The colon is load-bearing — sw::CgPool labels
-# pooled groups "cg:0".."cg:3" under one prefix.
+# per-core-group forms "cg", "cg:<i>" and "<prefix>/cg:<i>" (the core
+# group is the finest traced unit; no per-CPE track exists). The colon is
+# load-bearing — sw::CgPool labels pooled groups "cg:0".."cg:3" under one
+# prefix.
 TRACK_LABEL = re.compile(r"^[A-Za-z0-9_.:/\- ]+$")
 
 
