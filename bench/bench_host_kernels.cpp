@@ -2,11 +2,14 @@
 // the frozen scalar reference path (homme::ref::*, per-call heap
 // temporaries and all) on identical states.
 //
-// Three rows, matching the shapes the rewrite targets:
+// Four rows, matching the shapes the rewrite targets:
 //   column_scans          pressure / geopotential / omega vertical scans
 //   compute_and_apply_rhs element_rhs + state update + DSS (Table 1's
 //                         biggest host kernel)
 //   vertical_remap        cumulative-mass remap of the full state
+//   tile_operators        deriv_ref, divergence_sphere, vorticity_sphere
+//                         and laplace_sphere_wk on every level tile (the
+//                         operators rhs, euler and hypervis call)
 //
 // Each row reports both wall times, the speedup, achieved GFLOP/s of the
 // vectorized path (analytic flop counts of the scalar op sequence) and
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "homme/driver.hpp"
+#include "homme/ops.hpp"
 #include "homme/ref_kernels.hpp"
 #include "homme/remap.hpp"
 #include "homme/rhs.hpp"
@@ -202,6 +206,56 @@ std::vector<Row> run_rows() {
         time_loop(g_steps, [&] { homme::ref::vertical_remap_local(d, a); });
     r.vector_s =
         time_loop(g_steps, [&] { homme::vertical_remap_local(d, b); });
+    rows.push_back(r);
+  }
+
+  {
+    // -- spherical tile operators on every level tile ---------------------
+    Row r;
+    r.name = "tile_operators";
+    r.points = points;
+    // The vectorized op sequence per point: deriv_ref 16, divergence 20,
+    // vorticity 24, laplace_sphere_wk 43 (its w products are tabled).
+    r.flops_per_point = 103.0;
+    // deriv_ref reads 1 and writes 2 doubles, divergence 3 + 1, vorticity
+    // 6 + 1 (metric), laplace_sphere_wk 5 + 1: 20 doubles/point.
+    r.bytes_per_point = 160.0;
+    struct Ops {
+      void (*deriv)(const double*, double*, double*);
+      void (*div)(const mesh::ElementGeom&, const double*, const double*,
+                  double*);
+      void (*vort)(const mesh::ElementGeom&, const double*, const double*,
+                   double*);
+      void (*lap)(const mesh::ElementGeom&, const double*, double*);
+    };
+    const Ops ref_ops{homme::ref::deriv_ref, homme::ref::divergence_sphere,
+                      homme::ref::vorticity_sphere,
+                      homme::ref::laplace_sphere_wk};
+    const Ops new_ops{homme::deriv_ref, homme::divergence_sphere,
+                      homme::vorticity_sphere, homme::laplace_sphere_wk};
+    // Five output tiles per input tile: d1, d2, div, vort, lap.
+    std::vector<double> out_ref(5 * points), out_new(5 * points);
+    auto apply = [&](const Ops& ops, std::vector<double>& out) {
+      double* o = out.data();
+      for (int e = 0; e < m.nelem(); ++e) {
+        const auto& g = m.geom(e);
+        const auto& el = s[static_cast<std::size_t>(e)];
+        for (int lev = 0; lev < d.nlev; ++lev, o += 5 * kNpp) {
+          const double* u1 = el.u1.data() + fidx(lev, 0);
+          const double* u2 = el.u2.data() + fidx(lev, 0);
+          const double* T = el.T.data() + fidx(lev, 0);
+          ops.deriv(T, o, o + kNpp);
+          ops.div(g, u1, u2, o + 2 * kNpp);
+          ops.vort(g, u1, u2, o + 3 * kNpp);
+          ops.lap(g, T, o + 4 * kNpp);
+        }
+      }
+    };
+    apply(ref_ops, out_ref);
+    apply(new_ops, out_new);
+    r.max_rel_err = max_rel_diff(out_ref, out_new);
+    r.scalar_s = time_loop(g_steps, [&] { apply(ref_ops, out_ref); });
+    r.vector_s = time_loop(g_steps, [&] { apply(new_ops, out_new); });
     rows.push_back(r);
   }
 

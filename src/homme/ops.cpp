@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "homme/vpack.hpp"
 #include "mesh/gll.hpp"
 
 namespace homme {
@@ -10,21 +11,75 @@ using mesh::gidx;
 using mesh::kNp;
 using mesh::kNpp;
 
-void deriv_ref(const double* s, double* d1, double* d2) {
+// The four GLL operators below walk a tile row by row: for each row j,
+// vpack lanes run over i. They are the vectorized forms of the scalar
+// loops frozen in ref_kernels.cpp. Each lane performs exactly the scalar
+// op sequence (every constant below is the left-to-right product the
+// scalar loop evaluates, and every sum starts from 0.0 and runs in the
+// same m order), so the rewrite changes data movement, not arithmetic.
+
+namespace {
+
+static_assert(kNp % vpack::width == 0, "vpack width must divide kNp");
+/// Packs per tile row.
+constexpr int kRowPacks = kNp / vpack::width;
+
+/// Operator constants, built once from mesh::gll(). The last index of
+/// DT, WK1, WK2 and WW runs over i, so their rows load as packs; D's
+/// entries are broadcast.
+struct OpTables {
+  double D[kNp][kNp];         ///< the collocation derivative matrix
+  double DT[kNp][kNp];        ///< DT[m][i] = D[i][m] (column m of D)
+  double WK1[kNp][kNp][kNp];  ///< WK1[j][m][i] = (D[m][i] * w[m]) * w[j]
+  double WK2[kNp][kNp][kNp];  ///< WK2[j][m][i] = (D[m][j] * w[i]) * w[m]
+  double WW[kNp][kNp];        ///< WW[j][i] = w[i] * w[j]
+};
+
+OpTables build_tables() {
   const auto& D = mesh::gll().deriv;
+  const auto& w = mesh::gll().weights;
+  OpTables t;
   for (int j = 0; j < kNp; ++j) {
     for (int i = 0; i < kNp; ++i) {
-      double dx = 0.0, dy = 0.0;
+      t.D[j][i] = D[j][i];
+      t.DT[j][i] = D[i][j];
+      t.WW[j][i] = w[i] * w[j];
       for (int m = 0; m < kNp; ++m) {
-        dx += D[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] *
-              s[gidx(m, j)];
-        dy += D[static_cast<std::size_t>(j)][static_cast<std::size_t>(m)] *
-              s[gidx(i, m)];
+        t.WK1[j][m][i] = D[m][i] * w[m] * w[j];
+        t.WK2[j][m][i] = D[m][j] * w[i] * w[m];
       }
-      d1[gidx(i, j)] = dx;
-      d2[gidx(i, j)] = dy;
     }
   }
+  return t;
+}
+
+const OpTables& tables() {
+  static const OpTables t = build_tables();
+  return t;
+}
+
+/// The two reference derivatives dx(i,j) = sum_m D[i][m] a(m,j) and
+/// dy(i,j) = sum_m D[j][m] b(i,m) of a tile pair, row by row.
+void tile_derivs(const double* a, const double* b, double* dx, double* dy) {
+  const OpTables& t = tables();
+  for (int j = 0; j < kNp; ++j) {
+    for (int p = 0; p < kRowPacks; ++p) {
+      const int i0 = p * vpack::width;
+      vpack x = vpack::zero(), y = vpack::zero();
+      for (int m = 0; m < kNp; ++m) {
+        x += vpack::load(&t.DT[m][i0]) * a[gidx(m, j)];
+        y += t.D[j][m] * vpack::load(b + gidx(i0, m));
+      }
+      x.store(dx + gidx(i0, j));
+      y.store(dy + gidx(i0, j));
+    }
+  }
+}
+
+}  // namespace
+
+void deriv_ref(const double* s, double* d1, double* d2) {
+  tile_derivs(s, s, d1, d2);
 }
 
 void gradient_covariant(const double* s, double* d1, double* d2) {
@@ -45,50 +100,39 @@ void gradient_sphere(const mesh::ElementGeom& g, const double* s, double* g1,
 
 void divergence_sphere(const mesh::ElementGeom& g, const double* u1,
                        const double* u2, double* div) {
-  const auto& D = mesh::gll().deriv;
-  double ju1[kNpp], ju2[kNpp];
-  for (int k = 0; k < kNpp; ++k) {
-    ju1[k] = g.jac[static_cast<std::size_t>(k)] * u1[k];
-    ju2[k] = g.jac[static_cast<std::size_t>(k)] * u2[k];
+  double ju1[kNpp], ju2[kNpp], dx[kNpp], dy[kNpp];
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    const vpack jac = vpack::load(g.jac.data() + k);
+    (jac * vpack::load(u1 + k)).store(ju1 + k);
+    (jac * vpack::load(u2 + k)).store(ju2 + k);
   }
-  for (int j = 0; j < kNp; ++j) {
-    for (int i = 0; i < kNp; ++i) {
-      double dx = 0.0, dy = 0.0;
-      for (int m = 0; m < kNp; ++m) {
-        dx += D[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] *
-              ju1[gidx(m, j)];
-        dy += D[static_cast<std::size_t>(j)][static_cast<std::size_t>(m)] *
-              ju2[gidx(i, m)];
-      }
-      const int k = gidx(i, j);
-      div[k] = (dx + dy) / g.jac[static_cast<std::size_t>(k)];
-    }
+  tile_derivs(ju1, ju2, dx, dy);
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    ((vpack::load(dx + k) + vpack::load(dy + k)) /
+     vpack::load(g.jac.data() + k))
+        .store(div + k);
   }
 }
 
 void vorticity_sphere(const mesh::ElementGeom& g, const double* u1,
                       const double* u2, double* vort) {
-  const auto& D = mesh::gll().deriv;
   // Covariant components: cov_i = g_ij u^j.
-  double cov1[kNpp], cov2[kNpp];
-  for (int k = 0; k < kNpp; ++k) {
-    cov1[k] = g.g11[static_cast<std::size_t>(k)] * u1[k] +
-              g.g12[static_cast<std::size_t>(k)] * u2[k];
-    cov2[k] = g.g12[static_cast<std::size_t>(k)] * u1[k] +
-              g.g22[static_cast<std::size_t>(k)] * u2[k];
+  double cov1[kNpp], cov2[kNpp], dx[kNpp], dy[kNpp];
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    const vpack vu1 = vpack::load(u1 + k), vu2 = vpack::load(u2 + k);
+    const vpack g12 = vpack::load(g.g12.data() + k);
+    (vpack::load(g.g11.data() + k) * vu1 + g12 * vu2).store(cov1 + k);
+    (g12 * vu1 + vpack::load(g.g22.data() + k) * vu2).store(cov2 + k);
   }
-  for (int j = 0; j < kNp; ++j) {
-    for (int i = 0; i < kNp; ++i) {
-      double dx = 0.0, dy = 0.0;
-      for (int m = 0; m < kNp; ++m) {
-        dx += D[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] *
-              cov2[gidx(m, j)];
-        dy += D[static_cast<std::size_t>(j)][static_cast<std::size_t>(m)] *
-              cov1[gidx(i, m)];
-      }
-      const int k = gidx(i, j);
-      vort[k] = (dx - dy) / g.jac[static_cast<std::size_t>(k)];
-    }
+  tile_derivs(cov2, cov1, dx, dy);
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    ((vpack::load(dx + k) - vpack::load(dy + k)) /
+     vpack::load(g.jac.data() + k))
+        .store(vort + k);
   }
 }
 
@@ -101,33 +145,33 @@ void laplace_sphere(const mesh::ElementGeom& g, const double* s,
 
 void laplace_sphere_wk(const mesh::ElementGeom& g, const double* s,
                        double* lap) {
-  const auto& D = mesh::gll().deriv;
-  const auto& w = mesh::gll().weights;
+  const OpTables& t = tables();
   // Contravariant flux F^a = J g^{ab} ds/dxi_b.
   double d1[kNpp], d2[kNpp], f1[kNpp], f2[kNpp];
   deriv_ref(s, d1, d2);
-  for (int k = 0; k < kNpp; ++k) {
-    const std::size_t sk = static_cast<std::size_t>(k);
-    f1[k] = g.jac[sk] * (g.ginv11[sk] * d1[k] + g.ginv12[sk] * d2[k]);
-    f2[k] = g.jac[sk] * (g.ginv12[sk] * d1[k] + g.ginv22[sk] * d2[k]);
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    const vpack jac = vpack::load(g.jac.data() + k);
+    const vpack vd1 = vpack::load(d1 + k), vd2 = vpack::load(d2 + k);
+    const vpack gi12 = vpack::load(g.ginv12.data() + k);
+    (jac * (vpack::load(g.ginv11.data() + k) * vd1 + gi12 * vd2))
+        .store(f1 + k);
+    (jac * (gi12 * vd1 + vpack::load(g.ginv22.data() + k) * vd2))
+        .store(f2 + k);
   }
   // Weak divergence: lap(i,j) = -(1/(w_i w_j J)) *
   //   [ sum_m D[m][i] w_m w_j F1(m,j) + sum_m D[m][j] w_i w_m F2(i,m) ].
   for (int j = 0; j < kNp; ++j) {
-    for (int i = 0; i < kNp; ++i) {
-      double acc = 0.0;
+    for (int p = 0; p < kRowPacks; ++p) {
+      const int i0 = p * vpack::width;
+      vpack acc = vpack::zero();
       for (int m = 0; m < kNp; ++m) {
-        acc += D[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)] *
-               w[static_cast<std::size_t>(m)] *
-               w[static_cast<std::size_t>(j)] * f1[gidx(m, j)];
-        acc += D[static_cast<std::size_t>(m)][static_cast<std::size_t>(j)] *
-               w[static_cast<std::size_t>(i)] *
-               w[static_cast<std::size_t>(m)] * f2[gidx(i, m)];
+        acc += vpack::load(&t.WK1[j][m][i0]) * f1[gidx(m, j)];
+        acc += vpack::load(&t.WK2[j][m][i0]) * vpack::load(f2 + gidx(i0, m));
       }
-      const int k = gidx(i, j);
-      lap[k] = -acc / (w[static_cast<std::size_t>(i)] *
-                       w[static_cast<std::size_t>(j)] *
-                       g.jac[static_cast<std::size_t>(k)]);
+      const int k = gidx(i0, j);
+      (-acc / (vpack::load(&t.WW[j][i0]) * vpack::load(g.jac.data() + k)))
+          .store(lap + k);
     }
   }
 }

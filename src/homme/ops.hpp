@@ -11,6 +11,10 @@
 /// carried in contravariant components; conversions to Cartesian 3-space
 /// (for DSS across faces and for Coriolis cross products) use the
 /// covariant/dual bases stored in ElementGeom.
+///
+/// deriv_ref, divergence_sphere, vorticity_sphere and laplace_sphere_wk
+/// are vectorized (vpack lanes over a tile row) and bit-identical to
+/// their scalar bodies, which are frozen in homme::ref.
 
 namespace homme {
 

@@ -7,14 +7,138 @@
 
 #include "homme/dss.hpp"
 #include "homme/ops.hpp"
+#include "mesh/gll.hpp"
 
-// The bodies below are the pre-rewrite rhs.cpp / remap.cpp hot paths,
-// verbatim: they are the baseline the vectorized kernels are tested and
-// benchmarked against, so they must stay untouched by future tuning.
+// The bodies below are the pre-rewrite ops.cpp / rhs.cpp / remap.cpp hot
+// paths, verbatim: they are the baseline the vectorized kernels are
+// tested and benchmarked against, so they must stay untouched by future
+// tuning. Inside this namespace the operator names resolve to the scalar
+// twins, so element_rhs stays frozen with them.
 
 namespace homme::ref {
 
+using mesh::gidx;
+using mesh::kNp;
 using mesh::kNpp;
+
+void deriv_ref(const double* s, double* d1, double* d2) {
+  const auto& D = mesh::gll().deriv;
+  for (int j = 0; j < kNp; ++j) {
+    for (int i = 0; i < kNp; ++i) {
+      double dx = 0.0, dy = 0.0;
+      for (int m = 0; m < kNp; ++m) {
+        dx += D[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] *
+              s[gidx(m, j)];
+        dy += D[static_cast<std::size_t>(j)][static_cast<std::size_t>(m)] *
+              s[gidx(i, m)];
+      }
+      d1[gidx(i, j)] = dx;
+      d2[gidx(i, j)] = dy;
+    }
+  }
+}
+
+namespace {
+
+void gradient_covariant(const double* s, double* d1, double* d2) {
+  deriv_ref(s, d1, d2);
+}
+
+void gradient_sphere(const mesh::ElementGeom& g, const double* s, double* g1,
+                     double* g2) {
+  double d1[kNpp], d2[kNpp];
+  deriv_ref(s, d1, d2);
+  for (int k = 0; k < kNpp; ++k) {
+    g1[k] = g.ginv11[static_cast<std::size_t>(k)] * d1[k] +
+            g.ginv12[static_cast<std::size_t>(k)] * d2[k];
+    g2[k] = g.ginv12[static_cast<std::size_t>(k)] * d1[k] +
+            g.ginv22[static_cast<std::size_t>(k)] * d2[k];
+  }
+}
+
+}  // namespace
+
+void divergence_sphere(const mesh::ElementGeom& g, const double* u1,
+                       const double* u2, double* div) {
+  const auto& D = mesh::gll().deriv;
+  double ju1[kNpp], ju2[kNpp];
+  for (int k = 0; k < kNpp; ++k) {
+    ju1[k] = g.jac[static_cast<std::size_t>(k)] * u1[k];
+    ju2[k] = g.jac[static_cast<std::size_t>(k)] * u2[k];
+  }
+  for (int j = 0; j < kNp; ++j) {
+    for (int i = 0; i < kNp; ++i) {
+      double dx = 0.0, dy = 0.0;
+      for (int m = 0; m < kNp; ++m) {
+        dx += D[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] *
+              ju1[gidx(m, j)];
+        dy += D[static_cast<std::size_t>(j)][static_cast<std::size_t>(m)] *
+              ju2[gidx(i, m)];
+      }
+      const int k = gidx(i, j);
+      div[k] = (dx + dy) / g.jac[static_cast<std::size_t>(k)];
+    }
+  }
+}
+
+void vorticity_sphere(const mesh::ElementGeom& g, const double* u1,
+                      const double* u2, double* vort) {
+  const auto& D = mesh::gll().deriv;
+  // Covariant components: cov_i = g_ij u^j.
+  double cov1[kNpp], cov2[kNpp];
+  for (int k = 0; k < kNpp; ++k) {
+    cov1[k] = g.g11[static_cast<std::size_t>(k)] * u1[k] +
+              g.g12[static_cast<std::size_t>(k)] * u2[k];
+    cov2[k] = g.g12[static_cast<std::size_t>(k)] * u1[k] +
+              g.g22[static_cast<std::size_t>(k)] * u2[k];
+  }
+  for (int j = 0; j < kNp; ++j) {
+    for (int i = 0; i < kNp; ++i) {
+      double dx = 0.0, dy = 0.0;
+      for (int m = 0; m < kNp; ++m) {
+        dx += D[static_cast<std::size_t>(i)][static_cast<std::size_t>(m)] *
+              cov2[gidx(m, j)];
+        dy += D[static_cast<std::size_t>(j)][static_cast<std::size_t>(m)] *
+              cov1[gidx(i, m)];
+      }
+      const int k = gidx(i, j);
+      vort[k] = (dx - dy) / g.jac[static_cast<std::size_t>(k)];
+    }
+  }
+}
+
+void laplace_sphere_wk(const mesh::ElementGeom& g, const double* s,
+                       double* lap) {
+  const auto& D = mesh::gll().deriv;
+  const auto& w = mesh::gll().weights;
+  // Contravariant flux F^a = J g^{ab} ds/dxi_b.
+  double d1[kNpp], d2[kNpp], f1[kNpp], f2[kNpp];
+  deriv_ref(s, d1, d2);
+  for (int k = 0; k < kNpp; ++k) {
+    const std::size_t sk = static_cast<std::size_t>(k);
+    f1[k] = g.jac[sk] * (g.ginv11[sk] * d1[k] + g.ginv12[sk] * d2[k]);
+    f2[k] = g.jac[sk] * (g.ginv12[sk] * d1[k] + g.ginv22[sk] * d2[k]);
+  }
+  // Weak divergence: lap(i,j) = -(1/(w_i w_j J)) *
+  //   [ sum_m D[m][i] w_m w_j F1(m,j) + sum_m D[m][j] w_i w_m F2(i,m) ].
+  for (int j = 0; j < kNp; ++j) {
+    for (int i = 0; i < kNp; ++i) {
+      double acc = 0.0;
+      for (int m = 0; m < kNp; ++m) {
+        acc += D[static_cast<std::size_t>(m)][static_cast<std::size_t>(i)] *
+               w[static_cast<std::size_t>(m)] *
+               w[static_cast<std::size_t>(j)] * f1[gidx(m, j)];
+        acc += D[static_cast<std::size_t>(m)][static_cast<std::size_t>(j)] *
+               w[static_cast<std::size_t>(i)] *
+               w[static_cast<std::size_t>(m)] * f2[gidx(i, m)];
+      }
+      const int k = gidx(i, j);
+      lap[k] = -acc / (w[static_cast<std::size_t>(i)] *
+                       w[static_cast<std::size_t>(j)] *
+                       g.jac[static_cast<std::size_t>(k)]);
+    }
+  }
+}
 
 void column_pressure(int nlev, const double* dp, double* p_mid) {
   double run[kNpp];

@@ -20,6 +20,16 @@
 
 namespace homme::ref {
 
+/// Scalar spherical tile operators (the originals of ops.cpp's
+/// deriv_ref, divergence_sphere, vorticity_sphere and laplace_sphere_wk).
+void deriv_ref(const double* s, double* d1, double* d2);
+void divergence_sphere(const mesh::ElementGeom& g, const double* u1,
+                       const double* u2, double* div);
+void vorticity_sphere(const mesh::ElementGeom& g, const double* u1,
+                      const double* u2, double* vort);
+void laplace_sphere_wk(const mesh::ElementGeom& g, const double* s,
+                       double* lap);
+
 /// Scalar column scans (the originals of rhs.cpp's scans).
 void column_pressure(int nlev, const double* dp, double* p_mid);
 void column_geopotential(int nlev, const double* T, const double* dp,
@@ -27,7 +37,8 @@ void column_geopotential(int nlev, const double* T, const double* dp,
                          double* phi_mid);
 void column_omega(int nlev, const double* divdp, double* omega);
 
-/// Scalar element_rhs with per-call vector temporaries (no DSS).
+/// Scalar element_rhs with per-call vector temporaries (no DSS); its
+/// operators are the scalar ones above.
 void element_rhs(const mesh::ElementGeom& g, const Dims& d,
                  const ElementState& eval, ElementTend& tend);
 

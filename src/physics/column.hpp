@@ -29,6 +29,10 @@ struct Column {
   std::vector<double> v;  ///< northward wind, m/s
   std::vector<double> dp; ///< layer pressure thickness, Pa
   std::vector<double> p;  ///< mid-level pressure, Pa
+  /// Scheme scratch of 5 * nlev + 2 doubles (radiation needs the most):
+  /// the schemes carve their temporaries from it, so a Column reused
+  /// across columns makes no heap allocation per column.
+  std::vector<double> work;
 
   explicit Column(int levels)
       : nlev(levels),
@@ -37,7 +41,8 @@ struct Column {
         u(static_cast<std::size_t>(levels), 0.0),
         v(static_cast<std::size_t>(levels), 0.0),
         dp(static_cast<std::size_t>(levels), 0.0),
-        p(static_cast<std::size_t>(levels), 0.0) {}
+        p(static_cast<std::size_t>(levels), 0.0),
+        work(static_cast<std::size_t>(5 * levels + 2), 0.0) {}
 };
 
 /// Per-column tendencies / diagnostics returned by the suite.

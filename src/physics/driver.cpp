@@ -1,10 +1,7 @@
 #include "physics/driver.hpp"
 
+#include <algorithm>
 #include <cmath>
-
-#include "homme/init.hpp"
-#include "homme/ops.hpp"
-#include "homme/rhs.hpp"
 
 namespace phys {
 
@@ -13,71 +10,17 @@ using mesh::kNpp;
 
 PhysicsDriver::PhysicsDriver(const mesh::CubedSphere& m,
                              const homme::Dims& d, PhysicsConfig cfg)
-    : mesh_(m), dims_(d), cfg_(std::move(cfg)) {}
-
-Column PhysicsDriver::extract_column(const homme::State& s, int e,
-                                     int k) const {
-  const std::size_t se = static_cast<std::size_t>(e);
-  const std::size_t sk = static_cast<std::size_t>(k);
-  const auto& g = mesh_.geom(e);
-  Column c(dims_.nlev);
-  c.lat = g.lat[sk];
-  c.lon = g.lon[sk];
-  c.sst = cfg_.sst(c.lat, c.lon);
-
-  // Physical east/north wind from contravariant components.
-  const double ex = -std::sin(c.lon), ey = std::cos(c.lon);
-  const double nx = -std::sin(c.lat) * std::cos(c.lon);
-  const double ny = -std::sin(c.lat) * std::sin(c.lon);
-  const double nz = std::cos(c.lat);
-
-  c.ps = homme::kPtop;
-  const bool has_q = dims_.qsize > 0;
-  auto qf = has_q ? s[se].q(0, dims_)
-                  : std::span<const double>{};
-  for (int lev = 0; lev < dims_.nlev; ++lev) {
-    const std::size_t f = fidx(lev, k);
-    c.t[static_cast<std::size_t>(lev)] = s[se].T[f];
-    c.dp[static_cast<std::size_t>(lev)] = s[se].dp[f];
-    c.q[static_cast<std::size_t>(lev)] =
-        has_q ? qf[f] / s[se].dp[f] : 0.0;
-    const double u1 = s[se].u1[f], u2 = s[se].u2[f];
-    const double ux = u1 * g.a1[sk][0] + u2 * g.a2[sk][0];
-    const double uy = u1 * g.a1[sk][1] + u2 * g.a2[sk][1];
-    const double uz = u1 * g.a1[sk][2] + u2 * g.a2[sk][2];
-    c.u[static_cast<std::size_t>(lev)] = ux * ex + uy * ey;
-    c.v[static_cast<std::size_t>(lev)] = ux * nx + uy * ny + uz * nz;
-    c.ps += s[se].dp[f];
-  }
-  // Mid-level pressures.
-  double run = homme::kPtop;
-  for (int lev = 0; lev < dims_.nlev; ++lev) {
-    c.p[static_cast<std::size_t>(lev)] =
-        run + 0.5 * c.dp[static_cast<std::size_t>(lev)];
-    run += c.dp[static_cast<std::size_t>(lev)];
-  }
-  return c;
-}
-
-void PhysicsDriver::restore_column(const Column& c, homme::State& s, int e,
-                                   int k) const {
-  const std::size_t se = static_cast<std::size_t>(e);
-  const auto& g = mesh_.geom(e);
-  const bool has_q = dims_.qsize > 0;
-  // COW: un-share the written fields up front, once per column.
-  auto qf = has_q ? s[se].q_mut(0, dims_) : std::span<double>{};
-  std::span<double> T = s[se].T.mutable_span();
-  std::span<double> su1 = s[se].u1.mutable_span();
-  std::span<double> su2 = s[se].u2.mutable_span();
-  for (int lev = 0; lev < dims_.nlev; ++lev) {
-    const std::size_t f = fidx(lev, k);
-    T[f] = c.t[static_cast<std::size_t>(lev)];
-    if (has_q) qf[f] = c.q[static_cast<std::size_t>(lev)] * s[se].dp[f];
-    double u1, u2;
-    homme::wind_to_contra(g, k, c.u[static_cast<std::size_t>(lev)],
-                          c.v[static_cast<std::size_t>(lev)], u1, u2);
-    su1[f] = u1;
-    su2[f] = u2;
+    : mesh_(m), dims_(d), cfg_(std::move(cfg)) {
+  consts_.reserve(static_cast<std::size_t>(m.nelem()) * kNpp);
+  for (int e = 0; e < m.nelem(); ++e) {
+    const auto& g = m.geom(e);
+    for (int k = 0; k < kNpp; ++k) {
+      const double lat = g.lat[static_cast<std::size_t>(k)];
+      const double lon = g.lon[static_cast<std::size_t>(k)];
+      consts_.push_back({cfg_.sst(lat, lon), -std::sin(lon), std::cos(lon),
+                         -std::sin(lat) * std::cos(lon),
+                         -std::sin(lat) * std::sin(lon), std::cos(lat)});
+    }
   }
 }
 
@@ -85,26 +28,85 @@ PhysicsStats PhysicsDriver::step(homme::State& s, double dt) {
   PhysicsStats out;
   out.olr_field.assign(
       static_cast<std::size_t>(mesh_.nelem()) * kNpp, 0.0);
+  const int nlev = dims_.nlev;
+  const bool has_q = dims_.qsize > 0;
+  Column c(nlev);  // reused by every column; each gather overwrites it
   double area = 0.0;
   for (int e = 0; e < mesh_.nelem(); ++e) {
+    const std::size_t se = static_cast<std::size_t>(e);
     const auto& g = mesh_.geom(e);
+    homme::ElementState& es = s[se];
+    // COW: un-share the written fields once per element.
+    const std::span<const double> dp = es.dp.span();
+    const std::span<double> qf =
+        has_q ? es.q_mut(0, dims_) : std::span<double>{};
+    const std::span<double> T = es.T.mutable_span();
+    const std::span<double> u1 = es.u1.mutable_span();
+    const std::span<double> u2 = es.u2.mutable_span();
     for (int k = 0; k < kNpp; ++k) {
-      Column c = extract_column(s, e, k);
+      const std::size_t sk = static_cast<std::size_t>(k);
+      const ColumnConstants& cc = consts_[se * kNpp + sk];
+      const auto& a1 = g.a1[sk];
+      const auto& a2 = g.a2[sk];
+
+      // Gather: physical east/north wind from contravariant components.
+      c.lat = g.lat[sk];
+      c.lon = g.lon[sk];
+      c.sst = cc.sst;
+      c.ps = homme::kPtop;
+      for (int lev = 0; lev < nlev; ++lev) {
+        const std::size_t l = static_cast<std::size_t>(lev);
+        const std::size_t f = fidx(lev, k);
+        c.t[l] = T[f];
+        c.dp[l] = dp[f];
+        c.q[l] = has_q ? qf[f] / dp[f] : 0.0;
+        const double x1 = u1[f], x2 = u2[f];
+        const double ux = x1 * a1[0] + x2 * a2[0];
+        const double uy = x1 * a1[1] + x2 * a2[1];
+        const double uz = x1 * a1[2] + x2 * a2[2];
+        c.u[l] = ux * cc.ex + uy * cc.ey;
+        c.v[l] = ux * cc.nx + uy * cc.ny + uz * cc.nz;
+        c.ps += dp[f];
+      }
+      // Mid-level pressures.
+      double run = homme::kPtop;
+      for (std::size_t l = 0; l < static_cast<std::size_t>(nlev); ++l) {
+        c.p[l] = run + 0.5 * c.dp[l];
+        run += c.dp[l];
+      }
+
       ColumnDiag diag;
       if (cfg_.radiation) gray_radiation(cfg_.rad, c, dt, diag);
       if (cfg_.convection) dry_adjustment(c);
       if (cfg_.condensation) large_scale_condensation(c, dt, diag);
       if (cfg_.surface_pbl) surface_and_pbl(cfg_.sfc, c, dt, diag);
-      restore_column(c, s, e, k);
 
-      const double w = g.mass[static_cast<std::size_t>(k)];
+      // Scatter: east/north wind back to contravariant components through
+      // the dual basis (homme::wind_to_contra's arithmetic, ez = 0).
+      constexpr double ez = 0.0;
+      const auto& b1 = g.b1[sk];
+      const auto& b2 = g.b2[sk];
+      for (int lev = 0; lev < nlev; ++lev) {
+        const std::size_t l = static_cast<std::size_t>(lev);
+        const std::size_t f = fidx(lev, k);
+        T[f] = c.t[l];
+        if (has_q) qf[f] = c.q[l] * dp[f];
+        const double ue = c.u[l], vn = c.v[l];
+        const double ux = ue * cc.ex + vn * cc.nx;
+        const double uy = ue * cc.ey + vn * cc.ny;
+        const double uz = ue * ez + vn * cc.nz;
+        u1[f] = ux * b1[0] + uy * b1[1] + uz * b1[2];
+        u2[f] = ux * b2[0] + uy * b2[1] + uz * b2[2];
+      }
+
+      const double w = g.mass[sk];
       area += w;
       out.mean_precip += w * diag.precip;
       out.mean_olr += w * diag.olr;
       out.mean_shf += w * diag.shf;
       out.mean_lhf += w * diag.lhf;
       out.max_precip = std::max(out.max_precip, diag.precip);
-      out.olr_field[static_cast<std::size_t>(e * kNpp + k)] = diag.olr;
+      out.olr_field[se * kNpp + sk] = diag.olr;
     }
   }
   out.mean_precip /= area;

@@ -9,9 +9,9 @@
 #include "physics/modules.hpp"
 
 /// \file driver.hpp
-/// The physics driver: extracts every GLL column from the dycore state,
-/// runs the parameterization suite, and writes the result back. Tracer 0
-/// of the dycore is specific humidity. Columns are independent — the
+/// The physics driver: gathers every GLL column from the dycore state,
+/// runs the parameterization suite, and scatters the result back. Tracer
+/// 0 of the dycore is specific humidity. Columns are independent — the
 /// property the paper's OpenACC physics port exploits by batching columns
 /// over the 64 CPEs.
 
@@ -25,7 +25,9 @@ struct PhysicsConfig {
   RadiationConfig rad{};
   SurfaceConfig sfc{};
   /// Prescribed SST as a function of (lat, lon); default: zonal profile
-  /// with a 302 K tropical maximum.
+  /// with a 302 K tropical maximum. PhysicsDriver evaluates it once per
+  /// column when it is built, so it must be a pure function of
+  /// (lat, lon).
   std::function<double(double, double)> sst;
 
   PhysicsConfig() {
@@ -56,18 +58,21 @@ class PhysicsDriver {
   /// Apply the suite to every column with physics time step \p dt.
   PhysicsStats step(homme::State& s, double dt);
 
-  /// Extract one column (element e, GLL point k) from the state —
-  /// exposed for tests and for the Sunway-port column batches.
-  Column extract_column(const homme::State& s, int e, int k) const;
-  /// Write a processed column back into the state.
-  void restore_column(const Column& c, homme::State& s, int e, int k) const;
-
   const PhysicsConfig& config() const { return cfg_; }
 
  private:
+  /// Fixed data of one column, built once: the prescribed SST and the
+  /// Cartesian components of the local east (ex, ey; ez = 0) and north
+  /// unit vectors that rotate the wind between contravariant and
+  /// east/north components.
+  struct ColumnConstants {
+    double sst, ex, ey, nx, ny, nz;
+  };
+
   const mesh::CubedSphere& mesh_;
   homme::Dims dims_;
   PhysicsConfig cfg_;
+  std::vector<ColumnConstants> consts_;  ///< [elem * kNpp + gidx]
 };
 
 }  // namespace phys

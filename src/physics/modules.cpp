@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "homme/dims.hpp"
 
@@ -27,33 +26,36 @@ double saturation_mixing_ratio(double t, double p) {
 void gray_radiation(const RadiationConfig& cfg, Column& c, double dt,
                     ColumnDiag& diag) {
   const int n = c.nlev;
+  const std::size_t sn = static_cast<std::size_t>(n);
+  // Per-level optical depth, transmissivity and blackbody emission, then
+  // the two flux profiles on the n+1 interfaces: 5n+2 doubles of c.work.
+  double* dtau = c.work.data();
+  double* tr = dtau + sn;
+  double* emit = tr + sn;
+  double* up = emit + sn;
+  double* down = up + sn + 1;
+
   // Gray optical depth grows quadratically toward the surface (a crude
   // water-vapor profile): tau(p) = tau0 (p/ps)^2.
-  std::vector<double> dtau(static_cast<std::size_t>(n));
   double p_int = homme::kPtop;
   double tau_prev = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
   for (int k = 0; k < n; ++k) {
-    p_int += c.dp[static_cast<std::size_t>(k)];
+    const std::size_t sk = static_cast<std::size_t>(k);
+    p_int += c.dp[sk];
     const double tau = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
-    dtau[static_cast<std::size_t>(k)] = tau - tau_prev;
+    dtau[sk] = tau - tau_prev;
     tau_prev = tau;
+    tr[sk] = std::exp(-dtau[sk]);
+    emit[sk] = kStefan * std::pow(c.t[sk], 4);
   }
 
-  std::vector<double> up(static_cast<std::size_t>(n) + 1),
-      down(static_cast<std::size_t>(n) + 1);
   down[0] = 0.0;
-  for (int k = 0; k < n; ++k) {
-    const double tr = std::exp(-dtau[static_cast<std::size_t>(k)]);
-    const double b = kStefan * std::pow(c.t[static_cast<std::size_t>(k)], 4);
-    down[static_cast<std::size_t>(k) + 1] =
-        down[static_cast<std::size_t>(k)] * tr + b * (1.0 - tr);
+  for (std::size_t k = 0; k < sn; ++k) {
+    down[k + 1] = down[k] * tr[k] + emit[k] * (1.0 - tr[k]);
   }
-  up[static_cast<std::size_t>(n)] = kStefan * std::pow(c.sst, 4);
-  for (int k = n - 1; k >= 0; --k) {
-    const double tr = std::exp(-dtau[static_cast<std::size_t>(k)]);
-    const double b = kStefan * std::pow(c.t[static_cast<std::size_t>(k)], 4);
-    up[static_cast<std::size_t>(k)] =
-        up[static_cast<std::size_t>(k) + 1] * tr + b * (1.0 - tr);
+  up[sn] = kStefan * std::pow(c.sst, 4);
+  for (std::size_t k = sn; k-- > 0;) {
+    up[k] = up[k + 1] * tr[k] + emit[k] * (1.0 - tr[k]);
   }
   diag.olr = up[0];
 
@@ -78,7 +80,7 @@ void gray_radiation(const RadiationConfig& cfg, Column& c, double dt,
 
 void dry_adjustment(Column& c, int max_iter) {
   const int n = c.nlev;
-  std::vector<double> exner(static_cast<std::size_t>(n));
+  double* exner = c.work.data();
   for (int k = 0; k < n; ++k) {
     exner[static_cast<std::size_t>(k)] =
         std::pow(c.p[static_cast<std::size_t>(k)] / kP0, kKappa);
@@ -123,25 +125,6 @@ void large_scale_condensation(Column& c, double dt, ColumnDiag& diag) {
   }
 }
 
-namespace {
-
-/// Thomas algorithm for a tridiagonal system (a=sub, b=diag, c=sup).
-void tridiag_solve(std::vector<double>& a, std::vector<double>& b,
-                   std::vector<double>& cc, std::vector<double>& d) {
-  const std::size_t n = b.size();
-  for (std::size_t i = 1; i < n; ++i) {
-    const double w = a[i] / b[i - 1];
-    b[i] -= w * cc[i - 1];
-    d[i] -= w * d[i - 1];
-  }
-  d[n - 1] /= b[n - 1];
-  for (std::size_t i = n - 1; i-- > 0;) {
-    d[i] = (d[i] - cc[i] * d[i + 1]) / b[i];
-  }
-}
-
-}  // namespace
-
 void surface_and_pbl(const SurfaceConfig& cfg, Column& c, double dt,
                      ColumnDiag& diag) {
   const int n = c.nlev;
@@ -165,8 +148,16 @@ void surface_and_pbl(const SurfaceConfig& cfg, Column& c, double dt,
   diag.lhf += lhf;
 
   // Implicit vertical diffusion over the PBL depth. In pressure
-  // coordinates d/dt X = g^2 d/dp (rho^2 K dX/dp).
-  std::vector<double> kfac(static_cast<std::size_t>(n) + 1, 0.0);
+  // coordinates d/dt X = g^2 d/dp (rho^2 K dX/dp). Interface
+  // coefficients (n+1), then the tridiagonal system's eliminated form
+  // (multipliers w, modified diagonal b, super-diagonal cc; n each):
+  // 4n+1 doubles of c.work.
+  const std::size_t sn = static_cast<std::size_t>(n);
+  double* kfac = c.work.data();
+  double* w = kfac + sn + 1;
+  double* b = w + sn;
+  double* cc = b + sn;
+  std::fill(kfac, kfac + sn + 1, 0.0);
   for (int k = 1; k < n; ++k) {
     const std::size_t sk = static_cast<std::size_t>(k);
     const double p_int = 0.5 * (c.p[sk - 1] + c.p[sk]);
@@ -176,25 +167,26 @@ void surface_and_pbl(const SurfaceConfig& cfg, Column& c, double dt,
     kfac[sk] = kGravity * kGravity * rho_i * rho_i * cfg.k_pbl / dpi;
   }
 
-  auto diffuse = [&](std::vector<double>& x) {
-    std::vector<double> a(static_cast<std::size_t>(n), 0.0),
-        b(static_cast<std::size_t>(n), 0.0),
-        cc(static_cast<std::size_t>(n), 0.0), d(x);
-    for (int k = 0; k < n; ++k) {
-      const std::size_t sk = static_cast<std::size_t>(k);
-      const double up = kfac[sk] * dt / c.dp[sk];
-      const double dn = kfac[sk + 1] * dt / c.dp[sk];
-      a[sk] = -up;
-      cc[sk] = -dn;
-      b[sk] = 1.0 + up + dn;
+  // t, q, u and v share one matrix (sub-diagonal -up, diagonal
+  // 1+up+dn, super-diagonal -dn), so the Thomas forward elimination of
+  // its coefficients runs once.
+  for (std::size_t k = 0; k < sn; ++k) {
+    const double up = kfac[k] * dt / c.dp[k];
+    const double dn = kfac[k + 1] * dt / c.dp[k];
+    cc[k] = -dn;
+    b[k] = 1.0 + up + dn;
+    if (k > 0) {
+      w[k] = -up / b[k - 1];
+      b[k] -= w[k] * cc[k - 1];
     }
-    tridiag_solve(a, b, cc, d);
-    x = d;
-  };
-  diffuse(c.t);
-  diffuse(c.q);
-  diffuse(c.u);
-  diffuse(c.v);
+  }
+  for (double* x : {c.t.data(), c.q.data(), c.u.data(), c.v.data()}) {
+    for (std::size_t i = 1; i < sn; ++i) x[i] -= w[i] * x[i - 1];
+    x[sn - 1] /= b[sn - 1];
+    for (std::size_t i = sn - 1; i-- > 0;) {
+      x[i] = (x[i] - cc[i] * x[i + 1]) / b[i];
+    }
+  }
 }
 
 double column_moist_enthalpy(const Column& c) {

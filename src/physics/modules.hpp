@@ -4,7 +4,9 @@
 
 /// \file modules.hpp
 /// The physics parameterizations: a CAM5-shaped suite in miniature.
-/// Each module advances one column by dt and adds to the diagnostics.
+/// Each module advances one column by dt and adds to the diagnostics;
+/// its temporaries come from the column's work array, so a module call
+/// makes no heap allocation.
 /// The ordering in PhysicsDriver (radiation -> convective adjustment ->
 /// large-scale condensation -> surface fluxes + vertical diffusion)
 /// mirrors CAM's tphysbc/tphysac split.

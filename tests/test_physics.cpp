@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "homme/init.hpp"
 #include "physics/driver.hpp"
 #include "physics/modules.hpp"
+#include "scenario/experiments.hpp"
 
 namespace {
 
+using homme::fidx;
+using mesh::kNpp;
 using phys::Column;
 using phys::ColumnDiag;
 
@@ -201,6 +206,279 @@ TEST(PhysicsDriver, ColumnRoundTripPreservesState) {
                   1e-12 + 1e-6 * std::abs(copy[e].u1[f]));
       EXPECT_NEAR(s[e].u2[f], copy[e].u2[f],
                   1e-12 + 1e-6 * std::abs(copy[e].u2[f]));
+    }
+  }
+}
+
+// -- the schemes as they were before the column work array ---------------
+// Verbatim pre-rewrite bodies (per-call vectors, exp/pow in both
+// radiation sweeps, one Thomas solve per diffused field): the rewritten
+// schemes must reproduce them bit for bit.
+
+void prerewrite_gray_radiation(const phys::RadiationConfig& cfg, Column& c,
+                               double dt, ColumnDiag& diag) {
+  const int n = c.nlev;
+  std::vector<double> dtau(static_cast<std::size_t>(n));
+  double p_int = homme::kPtop;
+  double tau_prev = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
+  for (int k = 0; k < n; ++k) {
+    p_int += c.dp[static_cast<std::size_t>(k)];
+    const double tau = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
+    dtau[static_cast<std::size_t>(k)] = tau - tau_prev;
+    tau_prev = tau;
+  }
+  std::vector<double> up(static_cast<std::size_t>(n) + 1),
+      down(static_cast<std::size_t>(n) + 1);
+  down[0] = 0.0;
+  for (int k = 0; k < n; ++k) {
+    const double tr = std::exp(-dtau[static_cast<std::size_t>(k)]);
+    const double b =
+        phys::kStefan * std::pow(c.t[static_cast<std::size_t>(k)], 4);
+    down[static_cast<std::size_t>(k) + 1] =
+        down[static_cast<std::size_t>(k)] * tr + b * (1.0 - tr);
+  }
+  up[static_cast<std::size_t>(n)] = phys::kStefan * std::pow(c.sst, 4);
+  for (int k = n - 1; k >= 0; --k) {
+    const double tr = std::exp(-dtau[static_cast<std::size_t>(k)]);
+    const double b =
+        phys::kStefan * std::pow(c.t[static_cast<std::size_t>(k)], 4);
+    up[static_cast<std::size_t>(k)] =
+        up[static_cast<std::size_t>(k) + 1] * tr + b * (1.0 - tr);
+  }
+  diag.olr = up[0];
+  const double cosl = std::cos(c.lat);
+  const double insol = cfg.solar0 * (0.25 + 0.75 * cosl * cosl);
+  const double sw_col = insol * (1.0 - cfg.albedo) * cfg.sw_abs_frac;
+  double heat_col = 0.0;
+  for (int k = 0; k < n; ++k) {
+    const std::size_t sk = static_cast<std::size_t>(k);
+    const double net = (up[sk + 1] - down[sk + 1]) - (up[sk] - down[sk]);
+    const double sw = sw_col * dtau[sk] / std::max(1e-12, cfg.tau0);
+    const double heating = net + sw;
+    c.t[sk] += dt * heating * homme::kGravity / (homme::kCp * c.dp[sk]);
+    heat_col += heating;
+  }
+  diag.net_heating += heat_col;
+}
+
+void prerewrite_tridiag_solve(std::vector<double>& a, std::vector<double>& b,
+                              std::vector<double>& cc,
+                              std::vector<double>& d) {
+  const std::size_t n = b.size();
+  for (std::size_t i = 1; i < n; ++i) {
+    const double w = a[i] / b[i - 1];
+    b[i] -= w * cc[i - 1];
+    d[i] -= w * d[i - 1];
+  }
+  d[n - 1] /= b[n - 1];
+  for (std::size_t i = n - 1; i-- > 0;) {
+    d[i] = (d[i] - cc[i] * d[i + 1]) / b[i];
+  }
+}
+
+void prerewrite_surface_and_pbl(const phys::SurfaceConfig& cfg, Column& c,
+                                double dt, ColumnDiag& diag) {
+  using homme::kCp;
+  using homme::kGravity;
+  using homme::kRgas;
+  using phys::kLv;
+  const int n = c.nlev;
+  const std::size_t bot = static_cast<std::size_t>(n - 1);
+  const double rho = c.ps / (kRgas * c.t[bot]);
+  const double wind =
+      std::max(cfg.min_wind, std::hypot(c.u[bot], c.v[bot]));
+  const double ch = rho * cfg.c_drag * wind;
+  const double shf = ch * kCp * (c.sst - c.t[bot]);
+  const double qs_sfc = phys::saturation_mixing_ratio(c.sst, c.ps);
+  const double lhf = std::max(0.0, ch * kLv * (qs_sfc - c.q[bot]));
+  c.t[bot] += dt * shf * kGravity / (kCp * c.dp[bot]);
+  c.q[bot] += dt * (lhf / kLv) * kGravity / c.dp[bot];
+  const double drag = ch * kGravity * dt / c.dp[bot];
+  c.u[bot] /= (1.0 + drag);
+  c.v[bot] /= (1.0 + drag);
+  diag.shf += shf;
+  diag.lhf += lhf;
+  std::vector<double> kfac(static_cast<std::size_t>(n) + 1, 0.0);
+  for (int k = 1; k < n; ++k) {
+    const std::size_t sk = static_cast<std::size_t>(k);
+    const double p_int = 0.5 * (c.p[sk - 1] + c.p[sk]);
+    if (p_int < c.ps - cfg.pbl_depth_pa) continue;
+    const double rho_i = p_int / (kRgas * 0.5 * (c.t[sk - 1] + c.t[sk]));
+    const double dpi = c.p[sk] - c.p[sk - 1];
+    kfac[sk] = kGravity * kGravity * rho_i * rho_i * cfg.k_pbl / dpi;
+  }
+  auto diffuse = [&](std::vector<double>& x) {
+    std::vector<double> a(static_cast<std::size_t>(n), 0.0),
+        b(static_cast<std::size_t>(n), 0.0),
+        cc(static_cast<std::size_t>(n), 0.0), d(x);
+    for (int k = 0; k < n; ++k) {
+      const std::size_t sk = static_cast<std::size_t>(k);
+      const double up = kfac[sk] * dt / c.dp[sk];
+      const double dn = kfac[sk + 1] * dt / c.dp[sk];
+      a[sk] = -up;
+      cc[sk] = -dn;
+      b[sk] = 1.0 + up + dn;
+    }
+    prerewrite_tridiag_solve(a, b, cc, d);
+    x = d;
+  };
+  diffuse(c.t);
+  diffuse(c.q);
+  diffuse(c.u);
+  diffuse(c.v);
+}
+
+TEST(PhysicsSchemes, RadiationAndPblMatchTheirPreRewriteForms) {
+  phys::RadiationConfig rad;
+  for (int trial = 0; trial < 40; ++trial) {
+    const int nlev = 6 + trial % 25;
+    auto a = make_column(nlev, 250.0 + trial, 1e-3 * (trial % 7),
+                         homme::kP0 * (0.95 + 0.002 * trial), 10.0 + trial);
+    a.lat = -1.2 + 0.06 * trial;
+    a.sst = 285.0 + 0.5 * trial;
+    for (int k = 0; k < nlev; ++k) {
+      a.u[static_cast<std::size_t>(k)] = 12.0 * std::sin(0.7 * (k + trial));
+      a.v[static_cast<std::size_t>(k)] = -5.0 + 0.3 * k;
+    }
+    phys::SurfaceConfig sfc;
+    sfc.pbl_depth_pa = 2.0e4 + 2.0e3 * trial;
+    auto b = a;
+    ColumnDiag da, db;
+    phys::gray_radiation(rad, a, 1800.0, da);
+    prerewrite_gray_radiation(rad, b, 1800.0, db);
+    phys::surface_and_pbl(sfc, a, 1800.0, da);
+    prerewrite_surface_and_pbl(sfc, b, 1800.0, db);
+    EXPECT_TRUE(a.t == b.t && a.q == b.q && a.u == b.u && a.v == b.v)
+        << "trial " << trial;
+    EXPECT_EQ(da.olr, db.olr);
+    EXPECT_EQ(da.net_heating, db.net_heating);
+    EXPECT_EQ(da.shf, db.shf);
+    EXPECT_EQ(da.lhf, db.lhf);
+  }
+}
+
+/// The straightforward driver PhysicsDriver::step must reproduce bit for
+/// bit: per point a fresh Column, the trig-based extract, the four
+/// schemes, and the restore through homme::wind_to_contra.
+phys::PhysicsStats oracle_step(const mesh::CubedSphere& m,
+                               const homme::Dims& d,
+                               const phys::PhysicsConfig& cfg,
+                               homme::State& s, double dt) {
+  phys::PhysicsStats out;
+  out.olr_field.assign(static_cast<std::size_t>(m.nelem()) * kNpp, 0.0);
+  double area = 0.0;
+  for (int e = 0; e < m.nelem(); ++e) {
+    const auto& g = m.geom(e);
+    homme::ElementState& es = s[static_cast<std::size_t>(e)];
+    for (int k = 0; k < kNpp; ++k) {
+      const std::size_t sk = static_cast<std::size_t>(k);
+      Column c(d.nlev);
+      c.lat = g.lat[sk];
+      c.lon = g.lon[sk];
+      c.sst = cfg.sst(c.lat, c.lon);
+      const double ex = -std::sin(c.lon), ey = std::cos(c.lon);
+      const double nx = -std::sin(c.lat) * std::cos(c.lon);
+      const double ny = -std::sin(c.lat) * std::sin(c.lon);
+      const double nz = std::cos(c.lat);
+      c.ps = homme::kPtop;
+      double run = homme::kPtop;
+      for (int lev = 0; lev < d.nlev; ++lev) {
+        const std::size_t l = static_cast<std::size_t>(lev), f = fidx(lev, k);
+        c.t[l] = es.T[f];
+        c.dp[l] = es.dp[f];
+        c.q[l] = es.q(0, d)[f] / es.dp[f];
+        const double u1 = es.u1[f], u2 = es.u2[f];
+        const double ux = u1 * g.a1[sk][0] + u2 * g.a2[sk][0];
+        const double uy = u1 * g.a1[sk][1] + u2 * g.a2[sk][1];
+        const double uz = u1 * g.a1[sk][2] + u2 * g.a2[sk][2];
+        c.u[l] = ux * ex + uy * ey;
+        c.v[l] = ux * nx + uy * ny + uz * nz;
+        c.ps += es.dp[f];
+        c.p[l] = run + 0.5 * c.dp[l];
+        run += c.dp[l];
+      }
+      ColumnDiag diag;
+      if (cfg.radiation) phys::gray_radiation(cfg.rad, c, dt, diag);
+      if (cfg.convection) phys::dry_adjustment(c);
+      if (cfg.condensation) phys::large_scale_condensation(c, dt, diag);
+      if (cfg.surface_pbl) phys::surface_and_pbl(cfg.sfc, c, dt, diag);
+      for (int lev = 0; lev < d.nlev; ++lev) {
+        const std::size_t l = static_cast<std::size_t>(lev), f = fidx(lev, k);
+        es.T.mutable_span()[f] = c.t[l];
+        es.q_mut(0, d)[f] = c.q[l] * es.dp[f];
+        homme::wind_to_contra(g, k, c.u[l], c.v[l], es.u1.mutable_span()[f],
+                              es.u2.mutable_span()[f]);
+      }
+      const double w = g.mass[sk];
+      area += w;
+      out.mean_precip += w * diag.precip;
+      out.mean_olr += w * diag.olr;
+      out.mean_shf += w * diag.shf;
+      out.mean_lhf += w * diag.lhf;
+      out.max_precip = std::max(out.max_precip, diag.precip);
+      out.olr_field[static_cast<std::size_t>(e) * kNpp + sk] = diag.olr;
+    }
+  }
+  out.mean_precip /= area;
+  out.mean_olr /= area;
+  out.mean_shf /= area;
+  out.mean_lhf /= area;
+  return out;
+}
+
+/// A moist baroclinic state: a lapse-rate temperature profile under a
+/// humid lower troposphere that is supersaturated in places
+/// (condensation fires) and a warm lowest layer in every third column
+/// (dry adjustment fires).
+homme::State moist_state(const mesh::CubedSphere& m, const homme::Dims& d) {
+  auto s = homme::baroclinic(m, d, 15.0);
+  homme::init_tracers(m, d, s);
+  for (auto& es : s) {
+    auto q = es.q_mut(0, d);
+    auto T = es.T.mutable_span();
+    for (int k = 0; k < kNpp; ++k) {
+      for (int lev = 0; lev < d.nlev; ++lev) {
+        const double sigma = (lev + 0.5) / d.nlev;
+        T[fidx(lev, k)] = 300.0 * std::pow(sigma, 0.19);
+        q[fidx(lev, k)] = 0.04 * sigma * sigma * sigma * es.dp[fidx(lev, k)];
+      }
+      if (k % 3 == 0) T[fidx(d.nlev - 1, k)] += 12.0;
+    }
+  }
+  return s;
+}
+
+TEST(PhysicsDriver, StepIsBitIdenticalToStraightforwardOracle) {
+  auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  for (int qsize : {1, 2}) {
+    for (bool katrina : {false, true}) {
+      homme::Dims d;
+      d.nlev = 10;
+      d.qsize = qsize;
+      const phys::PhysicsConfig cfg =
+          katrina ? scenario::katrina_physics_cfg(tc::TcParams{})
+                  : phys::PhysicsConfig{};
+      auto a = moist_state(m, d);
+      auto b = a;
+      phys::PhysicsDriver pd(m, d, cfg);
+      // Two steps: the second runs on the already-reused column.
+      for (int step = 0; step < 2; ++step) {
+        const phys::PhysicsStats sa = pd.step(a, 900.0);
+        const phys::PhysicsStats sb = oracle_step(m, d, cfg, b, 900.0);
+        EXPECT_EQ(sa.mean_precip, sb.mean_precip);
+        EXPECT_EQ(sa.mean_olr, sb.mean_olr);
+        EXPECT_EQ(sa.mean_shf, sb.mean_shf);
+        EXPECT_EQ(sa.mean_lhf, sb.mean_lhf);
+        EXPECT_EQ(sa.max_precip, sb.max_precip);
+        EXPECT_GT(sa.max_precip, 0.0);
+        EXPECT_TRUE(sa.olr_field == sb.olr_field);
+        for (std::size_t e = 0; e < a.size(); ++e) {
+          ASSERT_TRUE(a[e].T == b[e].T) << "elem " << e;
+          ASSERT_TRUE(a[e].u1 == b[e].u1) << "elem " << e;
+          ASSERT_TRUE(a[e].u2 == b[e].u2) << "elem " << e;
+          ASSERT_TRUE(a[e].qdp == b[e].qdp) << "elem " << e;
+        }
+      }
     }
   }
 }
