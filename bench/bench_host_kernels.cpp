@@ -2,10 +2,12 @@
 // the frozen scalar reference path (homme::ref::*, per-call heap
 // temporaries and all) on identical states.
 //
-// Four rows, matching the shapes the rewrite targets:
+// Five rows, matching the shapes the rewrite targets:
 //   column_scans          pressure / geopotential / omega vertical scans
 //   compute_and_apply_rhs element_rhs + state update + DSS (Table 1's
 //                         biggest host kernel)
+//   euler_step            SSP-RK3 tracer advection: three stages of
+//                         flux divergence, stage update, DSS and limiter
 //   vertical_remap        cumulative-mass remap of the full state
 //   tile_operators        deriv_ref, divergence_sphere, vorticity_sphere
 //                         and laplace_sphere_wk on every level tile (the
@@ -32,6 +34,7 @@
 #include <vector>
 
 #include "homme/driver.hpp"
+#include "homme/euler.hpp"
 #include "homme/ops.hpp"
 #include "homme/ref_kernels.hpp"
 #include "homme/remap.hpp"
@@ -183,6 +186,29 @@ std::vector<Row> run_rows() {
     r.vector_s = time_loop(g_steps, [&] {
       homme::compute_and_apply_rhs(m, d, s, s, dt, out_new);
     });
+    rows.push_back(r);
+  }
+
+  {
+    // -- euler_step: SSP-RK3 tracer advection ----------------------------
+    Row r;
+    r.name = "euler_step";
+    r.points = points;
+    // Per tracer and stage: flux products 2, divergence 20, negation 1,
+    // stage update 5, DSS ~3, limiter ~4 -- times 3 stages and qsize.
+    r.flops_per_point = 3.0 * d.qsize * 35.0;
+    // Per tracer and stage: u1, u2, q0, qs read, rhs written and read, qs
+    // written, DSS and limiter read/write qs twice: ~11 doubles.
+    r.bytes_per_point = 3.0 * d.qsize * 11.0 * 8.0;
+    homme::State a = s, b = s;
+    homme::ref::euler_step(m, d, a, dt);
+    homme::euler_step(m, d, b, dt);
+    r.max_rel_err = max_rel_diff_state(a, b, d);
+    // Advecting an advected state again is the same work, so the timing
+    // loops reuse one working copy each.
+    r.scalar_s =
+        time_loop(g_steps, [&] { homme::ref::euler_step(m, d, a, dt); });
+    r.vector_s = time_loop(g_steps, [&] { homme::euler_step(m, d, b, dt); });
     rows.push_back(r);
   }
 

@@ -6,6 +6,7 @@
 #include "accel/tile_math.hpp"
 #include "homme/dims.hpp"
 #include "homme/remap.hpp"
+#include "homme/scratch.hpp"
 #include "homme/state.hpp"
 #include "sw/task.hpp"
 #include "sw/transpose.hpp"
@@ -186,9 +187,10 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   // Sections 7.3 + 7.5 combined: each field streams as ONE contiguous
   // block, the 8-shuffle register transpose switches the array axis in
   // LDM, the 16 now-contiguous columns remap, and the block transposes
-  // back. The source/target grids are built once and reused across u, v,
-  // T and every tracer; in a chain the prognostic leases resolve to the
-  // buffers a preceding kernel left resident.
+  // back. Each column's remap plan (source/target grids, intervals and
+  // Hermite weights) is built once and reused across u, v, T and every
+  // tracer; in a chain the prognostic leases resolve to the buffers a
+  // preceding kernel left resident.
   const int nlev = p_.nlev;
   const std::size_t n = p_.field_size();  // nlev * 16
   auto dpt = cpe.ldm().alloc<double>(n);  // [16][lev] transposed dp
@@ -200,10 +202,24 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
     FieldLease dps = ctx.lease(FieldId::kDp, 0, 0, n, Access::kRead);
     sw::ldm_transpose(cpe, dps.data(), dpt.data(), nlev, kNpp);
   }
+  const std::size_t levels = static_cast<std::size_t>(nlev);
+  auto src_col = [&](int k) {
+    return std::span<const double>(
+        dpt.data() + static_cast<std::size_t>(k) * levels, levels);
+  };
+  // The plans live in the host thread's scratch arena, not in the
+  // modeled LDM: element() never suspends, so this frame closes before
+  // the next CPE runs.
+  homme::ScratchArena& arena = homme::ScratchArena::thread_local_arena();
+  const std::size_t need =
+      kNpp * homme::ColumnRemapPlan::scratch_doubles(levels);
+  if (arena.capacity() < need) arena.require(need);
+  homme::ScratchArena::Frame frame(arena);
+  homme::ColumnRemapPlan plans[kNpp];
   for (int k = 0; k < kNpp; ++k) {
-    column_target(dpt.data() + static_cast<std::size_t>(k) * nlev, nlev,
-                  tgt.data());
+    column_target(src_col(k).data(), nlev, tgt.data());
     tgt_ref[k] = tgt[0];  // uniform target thickness of this column
+    plans[k] = homme::ColumnRemapPlan::checked(src_col(k), tgt, arena);
   }
   cpe.scalar_flops(static_cast<std::uint64_t>(kNpp * nlev));
 
@@ -212,7 +228,7 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
     sw::ldm_transpose(cpe, fld.data(), ft.data(), nlev, kNpp);
     for (int k = 0; k < kNpp; ++k) {
       double* col = ft.data() + static_cast<std::size_t>(k) * nlev;
-      const double* src = dpt.data() + static_cast<std::size_t>(k) * nlev;
+      const std::span<const double> src = src_col(k);
       for (int l = 0; l < nlev; ++l) {
         tgt[static_cast<std::size_t>(l)] = tgt_ref[k];
       }
@@ -220,9 +236,7 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
         for (int l = 0; l < nlev; ++l) col[l] /= src[l];
         cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
       }
-      homme::remap_column(
-          std::span<const double>(src, static_cast<std::size_t>(nlev)), tgt,
-          std::span<double>(col, static_cast<std::size_t>(nlev)));
+      plans[k].apply(src, tgt, std::span<double>(col, levels));
       cpe.scalar_flops(remap_flops(nlev));
       if (as_ratio) {
         for (int l = 0; l < nlev; ++l) col[l] *= tgt_ref[k];

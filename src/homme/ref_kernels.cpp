@@ -6,14 +6,15 @@
 #include <vector>
 
 #include "homme/dss.hpp"
+#include "homme/euler.hpp"
 #include "homme/ops.hpp"
 #include "mesh/gll.hpp"
 
-// The bodies below are the pre-rewrite ops.cpp / rhs.cpp / remap.cpp hot
-// paths, verbatim: they are the baseline the vectorized kernels are
-// tested and benchmarked against, so they must stay untouched by future
-// tuning. Inside this namespace the operator names resolve to the scalar
-// twins, so element_rhs stays frozen with them.
+// The bodies below are the pre-rewrite ops.cpp / rhs.cpp / remap.cpp /
+// euler.cpp hot paths, verbatim: they are the baseline the vectorized
+// kernels are tested and benchmarked against, so they must stay untouched
+// by future tuning. Inside this namespace the operator names resolve to
+// the scalar twins, so element_rhs and euler_step stay frozen with them.
 
 namespace homme::ref {
 
@@ -421,6 +422,91 @@ void vertical_remap_local(const Dims& d, State& s) {
       for (int lev = 0; lev < nlev; ++lev) {
         fdp[fidx(lev, k)] = tgt[static_cast<std::size_t>(lev)];
       }
+    }
+  }
+}
+
+namespace {
+
+void element_tracer_rhs(const mesh::ElementGeom& g, const Dims& d,
+                        const ElementState& es,
+                        std::span<const double> qdp, std::span<double> rhs) {
+  double f1[kNpp], f2[kNpp];
+  for (int lev = 0; lev < d.nlev; ++lev) {
+    const double* u1 = es.u1.data() + fidx(lev, 0);
+    const double* u2 = es.u2.data() + fidx(lev, 0);
+    const double* q = qdp.data() + fidx(lev, 0);
+    for (int k = 0; k < kNpp; ++k) {
+      f1[k] = u1[k] * q[k];
+      f2[k] = u2[k] * q[k];
+    }
+    divergence_sphere(g, f1, f2, rhs.data() + fidx(lev, 0));
+    for (int k = 0; k < kNpp; ++k) {
+      rhs[fidx(lev, k)] = -rhs[fidx(lev, k)];
+    }
+  }
+}
+
+}  // namespace
+
+void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
+                double dt, bool limit) {
+  const int nelem = m.nelem();
+  const std::size_t fs = d.field_size();
+
+  // Per-tracer stage buffers (q0 = start of step, qs = working stage).
+  std::vector<std::vector<double>> q0(static_cast<std::size_t>(nelem)),
+      qs(static_cast<std::size_t>(nelem)),
+      rhs(static_cast<std::size_t>(nelem));
+  for (int e = 0; e < nelem; ++e) {
+    q0[static_cast<std::size_t>(e)].resize(fs);
+    qs[static_cast<std::size_t>(e)].resize(fs);
+    rhs[static_cast<std::size_t>(e)].resize(fs);
+  }
+  std::vector<double*> qs_ptrs(static_cast<std::size_t>(nelem));
+  for (int e = 0; e < nelem; ++e) {
+    qs_ptrs[static_cast<std::size_t>(e)] =
+        qs[static_cast<std::size_t>(e)].data();
+  }
+
+  for (int q = 0; q < d.qsize; ++q) {
+    for (int e = 0; e < nelem; ++e) {
+      const std::size_t se = static_cast<std::size_t>(e);
+      auto src = s[se].q(q, d);
+      std::copy(src.begin(), src.end(), q0[se].begin());
+      std::copy(src.begin(), src.end(), qs[se].begin());
+    }
+
+    // SSP-RK3 (Shu-Osher): each stage = Euler step + convex combination,
+    // with DSS (and optionally the limiter) after every stage.
+    const double stage_w[3][2] = {
+        {0.0, 1.0},              // q1 = q0 + dt L(q0)
+        {0.75, 0.25},            // q2 = 3/4 q0 + 1/4 (q1 + dt L(q1))
+        {1.0 / 3.0, 2.0 / 3.0}}; // q3 = 1/3 q0 + 2/3 (q2 + dt L(q2))
+    for (int stage = 0; stage < 3; ++stage) {
+      for (int e = 0; e < nelem; ++e) {
+        const std::size_t se = static_cast<std::size_t>(e);
+        // Qualified: homme::element_tracer_rhs is the vectorized twin.
+        ref::element_tracer_rhs(m.geom(e), d, s[se], qs[se], rhs[se]);
+        const double a = stage_w[stage][0];
+        const double b = stage_w[stage][1];
+        for (std::size_t f = 0; f < fs; ++f) {
+          qs[se][f] = a * q0[se][f] + b * (qs[se][f] + dt * rhs[se][f]);
+        }
+      }
+      dss_levels(m, qs_ptrs, d.nlev);
+      if (limit) {
+        for (int e = 0; e < nelem; ++e) {
+          positivity_limiter(m.geom(e), d.nlev,
+                             qs[static_cast<std::size_t>(e)]);
+        }
+      }
+    }
+
+    for (int e = 0; e < nelem; ++e) {
+      const std::size_t se = static_cast<std::size_t>(e);
+      auto dst = s[se].q_mut(q, d);
+      std::copy(qs[se].begin(), qs[se].end(), dst.begin());
     }
   }
 }

@@ -55,4 +55,10 @@ void remap_column(std::span<const double> src_dp,
 /// remap_column above).
 void vertical_remap_local(const Dims& d, State& s);
 
+/// Scalar SSP-RK3 tracer advection with per-call vector temporaries and
+/// the whole-mesh DSS; its divergence is the scalar one above (the
+/// positivity limiter was never vectorized and is shared).
+void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
+                double dt, bool limit = true);
+
 }  // namespace homme::ref

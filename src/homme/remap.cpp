@@ -14,13 +14,14 @@ using mesh::kNpp;
 
 namespace {
 
-/// Fritsch-Carlson monotone cubic Hermite slopes for data (x_i, y_i).
-/// \p delta is caller-provided scratch of n-1 entries.
-void monotone_slopes(std::span<const double> x, std::span<const double> y,
+/// Fritsch-Carlson monotone cubic Hermite slopes \p m for data y_i on
+/// nodes whose spacing is \p width. \p delta is caller-provided scratch
+/// of n-1 entries.
+void monotone_slopes(std::span<const double> width, std::span<const double> y,
                      std::span<double> m, std::span<double> delta) {
-  const std::size_t n = x.size();
+  const std::size_t n = y.size();
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    delta[i] = (y[i + 1] - y[i]) / (x[i + 1] - x[i]);
+    delta[i] = (y[i + 1] - y[i]) / width[i];
   }
   m[0] = delta[0];
   m[n - 1] = delta[n - 2];
@@ -46,77 +47,27 @@ void monotone_slopes(std::span<const double> x, std::span<const double> y,
   }
 }
 
-/// Hermite basis evaluation on interval \p lo (x[lo] <= xq < x[lo+1]).
-double hermite_on(std::span<const double> x, std::span<const double> y,
-                  std::span<const double> m, std::size_t lo, double xq) {
-  const double h = x[lo + 1] - x[lo];
-  const double t = (xq - x[lo]) / h;
-  const double t2 = t * t, t3 = t2 * t;
-  const double h00 = 2 * t3 - 3 * t2 + 1;
-  const double h10 = t3 - 2 * t2 + t;
-  const double h01 = -2 * t3 + 3 * t2;
-  const double h11 = t3 - t2;
-  return h00 * y[lo] + h10 * h * m[lo] + h01 * y[lo + 1] + h11 * h * m[lo + 1];
-}
-
-/// Evaluate the monotone cubic at \p xq (monotone increasing x), keeping
-/// a caller-maintained interval cursor: successive calls query monotone
-/// increasing xq (the target interfaces), so the containing interval is
-/// found by walking \p lo forward — O(1) amortized per evaluation versus
-/// the binary search the scalar reference re-runs for every interface.
-/// The interval chosen is identical (x strictly increasing), so the
-/// arithmetic is too.
-double eval_hermite(std::span<const double> x, std::span<const double> y,
-                    std::span<const double> m, double xq, std::size_t& lo) {
-  const std::size_t n = x.size();
-  if (xq <= x[0]) return y[0];
-  if (xq >= x[n - 1]) return y[n - 1];
-  while (x[lo + 1] <= xq) ++lo;
-  return hermite_on(x, y, m, lo, xq);
-}
-
-/// Shared remap core once the cumulative coordinates exist: build the
-/// cumulative integral of q on the source grid, fit the monotone cubic
-/// and difference it at the target interfaces. \p ys, \p slopes (n+1)
-/// and \p delta (n) are caller scratch.
-void remap_core(std::span<const double> xs, std::span<const double> xt,
-                std::span<const double> src_dp,
-                std::span<const double> tgt_dp, std::span<double> ys,
-                std::span<double> slopes, std::span<double> delta,
-                std::span<double> q) {
-  const std::size_t n = q.size();
-  ys[0] = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    ys[k + 1] = ys[k] + q[k] * src_dp[k];
-  }
-  monotone_slopes(xs, ys, slopes, delta);
-  double prev = 0.0;
-  std::size_t lo = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const double cur =
-        (k + 1 == n) ? ys[n] : eval_hermite(xs, ys, slopes, xt[k + 1], lo);
-    q[k] = (cur - prev) / tgt_dp[k];
-    prev = cur;
-  }
-}
+/// ColumnRemapPlan::at_ codes of the two early-outs: the interface lies
+/// at or below the first source node, or at or above the last.
+constexpr double kBelow = -1.0;
+constexpr double kAbove = -2.0;
 
 /// The remappability guard of one column: strictly positive layer
-/// thicknesses and column masses that agree to roundoff. \p where names
-/// the column for the error message ("element 3 column 7" or "").
+/// thicknesses and column masses that agree to roundoff.
 void check_column(std::span<const double> src_dp,
                   std::span<const double> tgt_dp, double src_mass,
-                  double tgt_mass, const std::string& where) {
+                  double tgt_mass) {
   const std::size_t n = src_dp.size();
   for (std::size_t k = 0; k < n; ++k) {
     if (!(src_dp[k] > 0.0)) {
       throw RemapError("remap_column: non-positive source thickness dp=" +
                        std::to_string(src_dp[k]) + " at level " +
-                       std::to_string(k) + (where.empty() ? "" : " of " + where));
+                       std::to_string(k));
     }
     if (!(tgt_dp[k] > 0.0)) {
       throw RemapError("remap_column: non-positive target thickness dp=" +
                        std::to_string(tgt_dp[k]) + " at level " +
-                       std::to_string(k) + (where.empty() ? "" : " of " + where));
+                       std::to_string(k));
     }
   }
   // The totals must agree (same column mass); tolerate roundoff. Kept as
@@ -127,12 +78,105 @@ void check_column(std::span<const double> src_dp,
       1e-8 * std::max(1.0, std::abs(src_mass))) {
     throw RemapError("remap_column: column mass mismatch (source " +
                      std::to_string(src_mass) + ", target " +
-                     std::to_string(tgt_mass) +
-                     (where.empty() ? ")" : ") in " + where));
+                     std::to_string(tgt_mass) + ")");
   }
 }
 
 }  // namespace
+
+ColumnRemapPlan::ColumnRemapPlan(std::size_t nlev, ScratchArena& arena)
+    : width_(arena.alloc(nlev)),
+      at_(arena.alloc(nlev - 1)),
+      w_(arena.alloc(4 * (nlev - 1))),
+      ys_(arena.alloc(nlev + 1)),
+      slopes_(arena.alloc(nlev + 1)),
+      delta_(arena.alloc(nlev)) {}
+
+ColumnRemapPlan::ColumnRemapPlan(std::span<const double> xs,
+                                 std::span<const double> xt,
+                                 ScratchArena& arena)
+    : ColumnRemapPlan(xs.size() - 1, arena) {
+  build(xs, xt);
+}
+
+ColumnRemapPlan ColumnRemapPlan::checked(std::span<const double> src_dp,
+                                         std::span<const double> tgt_dp,
+                                         ScratchArena& arena) {
+  const std::size_t n = src_dp.size();
+  assert(tgt_dp.size() == n);
+  ColumnRemapPlan plan(n, arena);
+  // The cumulative mass coordinates of both grids live in the work
+  // buffers until the first apply().
+  std::span<double> xs = plan.ys_, xt = plan.slopes_;
+  xs[0] = 0.0;
+  xt[0] = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    xs[k + 1] = xs[k] + src_dp[k];
+    xt[k + 1] = xt[k] + tgt_dp[k];
+  }
+  check_column(src_dp, tgt_dp, xs[n], xt[n]);
+  plan.build(xs, xt);
+  return plan;
+}
+
+void ColumnRemapPlan::build(std::span<const double> xs,
+                            std::span<const double> xt) {
+  const std::size_t n = width_.size();
+  for (std::size_t i = 0; i < n; ++i) width_[i] = xs[i + 1] - xs[i];
+  // Target interfaces increase, so the containing source interval is
+  // found by walking one cursor forward across all of them.
+  std::size_t lo = 0;
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    const double xq = xt[k + 1];
+    if (xq <= xs[0]) {
+      at_[k] = kBelow;
+      continue;
+    }
+    if (xq >= xs[n]) {
+      at_[k] = kAbove;
+      continue;
+    }
+    while (xs[lo + 1] <= xq) ++lo;
+    const double h = width_[lo];
+    const double t = (xq - xs[lo]) / h;
+    const double t2 = t * t, t3 = t2 * t;
+    double* w = w_.data() + 4 * k;
+    w[0] = 2 * t3 - 3 * t2 + 1;
+    w[1] = (t3 - 2 * t2 + t) * h;
+    w[2] = -2 * t3 + 3 * t2;
+    w[3] = (t3 - t2) * h;
+    at_[k] = static_cast<double>(lo);
+  }
+}
+
+void ColumnRemapPlan::apply(std::span<const double> src_dp,
+                            std::span<const double> tgt_dp,
+                            std::span<double> q) const {
+  const std::size_t n = width_.size();
+  assert(src_dp.size() == n && tgt_dp.size() == n && q.size() == n);
+  // Cumulative integral of q on the source grid, its monotone cubic fit,
+  // and the fit differenced at the target interfaces.
+  ys_[0] = 0.0;
+  for (std::size_t k = 0; k < n; ++k) ys_[k + 1] = ys_[k] + q[k] * src_dp[k];
+  monotone_slopes(width_, ys_, slopes_, delta_);
+  double prev = 0.0;
+  for (std::size_t k = 0; k + 1 < n; ++k) {
+    double cur;
+    if (at_[k] == kBelow) {
+      cur = ys_[0];
+    } else if (at_[k] == kAbove) {
+      cur = ys_[n];
+    } else {
+      const std::size_t lo = static_cast<std::size_t>(at_[k]);
+      const double* w = w_.data() + 4 * k;
+      cur = w[0] * ys_[lo] + w[1] * slopes_[lo] + w[2] * ys_[lo + 1] +
+            w[3] * slopes_[lo + 1];
+    }
+    q[k] = (cur - prev) / tgt_dp[k];
+    prev = cur;
+  }
+  q[n - 1] = (ys_[n] - prev) / tgt_dp[n - 1];
+}
 
 void remap_column(std::span<const double> src_dp,
                   std::span<const double> tgt_dp, std::span<double> q) {
@@ -140,22 +184,10 @@ void remap_column(std::span<const double> src_dp,
   assert(tgt_dp.size() == n && q.size() == n);
 
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < 5 * (n + 1)) arena.require(5 * (n + 1));
+  const std::size_t need = ColumnRemapPlan::scratch_doubles(n);
+  if (arena.capacity() < need) arena.require(need);
   ScratchArena::Frame frame(arena);
-  std::span<double> xs = arena.alloc(n + 1), ys = arena.alloc(n + 1),
-                    slopes = arena.alloc(n + 1), xt = arena.alloc(n + 1),
-                    delta = arena.alloc(n);
-
-  // Cumulative mass coordinate on both grids.
-  xs[0] = 0.0;
-  xt[0] = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    xs[k + 1] = xs[k] + src_dp[k];
-    xt[k + 1] = xt[k] + tgt_dp[k];
-  }
-  check_column(src_dp, tgt_dp, xs[n], xt[n], "");
-
-  remap_core(xs, xt, src_dp, tgt_dp, ys, slopes, delta, q);
+  ColumnRemapPlan::checked(src_dp, tgt_dp, arena).apply(src_dp, tgt_dp, q);
 }
 
 void vertical_remap(const mesh::CubedSphere& m, const Dims& d, State& s) {
@@ -172,10 +204,10 @@ void vertical_remap_local(const Dims& d, State& s) {
 
   // Arena layout per element: two SoA interface tiles ((nlev+1) x kNpp)
   // for the cumulative mass coordinates, one SoA layer tile for the
-  // target thicknesses, and seven per-column strips.
+  // target thicknesses, five per-column strips and one column plan.
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  const std::size_t need =
-      2 * (n + 1) * kNpp + fs + 4 * (n + 1) + 3 * n;
+  const std::size_t need = 2 * (n + 1) * kNpp + fs + 2 * (n + 1) + 3 * n +
+                           ColumnRemapPlan::scratch_doubles(n);
   if (arena.capacity() < need) arena.require(need);
   ScratchArena::Frame frame(arena);
 
@@ -183,8 +215,7 @@ void vertical_remap_local(const Dims& d, State& s) {
   std::span<double> xt_soa = arena.alloc((n + 1) * kNpp);
   std::span<double> tgt_soa = arena.alloc(fs);
   std::span<double> xs = arena.alloc(n + 1), xt = arena.alloc(n + 1),
-                    ys = arena.alloc(n + 1), slopes = arena.alloc(n + 1),
-                    delta = arena.alloc(n), src = arena.alloc(n),
+                    src = arena.alloc(n), tgt = arena.alloc(n),
                     col = arena.alloc(n);
 
   for (std::size_t e = 0; e < s.size(); ++e) {
@@ -247,13 +278,14 @@ void vertical_remap_local(const Dims& d, State& s) {
       }
       for (int lev = 0; lev < nlev; ++lev) {
         src[static_cast<std::size_t>(lev)] = es.dp[fidx(lev, k)];
+        tgt[static_cast<std::size_t>(lev)] = tgt_soa[fidx(lev, k)];
       }
       // Guard before any divide: a zero/negative layer thickness
       // (reachable under injected faults before rollback triggers) or a
       // mass-inconsistent column must surface, not silently remap.
       for (int lev = 0; lev < nlev; ++lev) {
         const double sdp = src[static_cast<std::size_t>(lev)];
-        const double tdp = tgt_soa[fidx(lev, k)];
+        const double tdp = tgt[static_cast<std::size_t>(lev)];
         if (!(sdp > 0.0) || !(tdp > 0.0)) {
           throw RemapError(
               "vertical_remap: non-positive layer thickness (src dp=" +
@@ -269,35 +301,13 @@ void vertical_remap_local(const Dims& d, State& s) {
                          std::to_string(e) + " column " + std::to_string(k));
       }
 
-      // Remap col (source cell averages) to target cell averages in place.
-      auto remap_col_inplace = [&] {
-        ys[0] = 0.0;
-        for (int lev = 0; lev < nlev; ++lev) {
-          ys[static_cast<std::size_t>(lev) + 1] =
-              ys[static_cast<std::size_t>(lev)] +
-              col[static_cast<std::size_t>(lev)] *
-                  src[static_cast<std::size_t>(lev)];
-        }
-        monotone_slopes(xs, ys, slopes, delta);
-        double prev = 0.0;
-        std::size_t lo = 0;
-        for (int lev = 0; lev < nlev; ++lev) {
-          const double cur =
-              (lev + 1 == nlev)
-                  ? ys[n]
-                  : eval_hermite(xs, ys, slopes,
-                                 xt[static_cast<std::size_t>(lev) + 1], lo);
-          col[static_cast<std::size_t>(lev)] =
-              (cur - prev) / tgt_soa[fidx(lev, k)];
-          prev = cur;
-        }
-      };
-
+      ScratchArena::Frame plan_frame(arena);
+      const ColumnRemapPlan plan(xs, xt, arena);
       auto remap_field = [&](double* field) {
         for (int lev = 0; lev < nlev; ++lev) {
           col[static_cast<std::size_t>(lev)] = field[fidx(lev, k)];
         }
-        remap_col_inplace();
+        plan.apply(src, tgt, col);
         for (int lev = 0; lev < nlev; ++lev) {
           field[fidx(lev, k)] = col[static_cast<std::size_t>(lev)];
         }
@@ -312,14 +322,14 @@ void vertical_remap_local(const Dims& d, State& s) {
           col[static_cast<std::size_t>(lev)] =
               qf[fidx(lev, k)] / src[static_cast<std::size_t>(lev)];
         }
-        remap_col_inplace();
+        plan.apply(src, tgt, col);
         for (int lev = 0; lev < nlev; ++lev) {
           qf[fidx(lev, k)] = col[static_cast<std::size_t>(lev)] *
-                             tgt_soa[fidx(lev, k)];
+                             tgt[static_cast<std::size_t>(lev)];
         }
       }
       for (int lev = 0; lev < nlev; ++lev) {
-        fdp[fidx(lev, k)] = tgt_soa[fidx(lev, k)];
+        fdp[fidx(lev, k)] = tgt[static_cast<std::size_t>(lev)];
       }
     }
   }

@@ -33,6 +33,58 @@ class RemapError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+class ScratchArena;
+
+/// The field-independent half of one column's conservative remap, built
+/// once per column and applied to u, v, T and every tracer: the source
+/// cell widths and, for each interior target interface, either an
+/// early-out (at or below the column bottom, at or above its top) or the
+/// source interval it falls in with its four Hermite basis weights. Every
+/// remap in the model goes through it: remap_column, vertical_remap_local
+/// and the CPE RemapKernel.
+///
+/// Its tables and apply()'s work buffers are carved from a ScratchArena;
+/// a plan is valid until the arena frame open when it was built closes,
+/// and serves one thread (apply() writes its work buffers).
+class ColumnRemapPlan {
+ public:
+  /// Arena doubles one plan of an \p nlev-level column takes.
+  static std::size_t scratch_doubles(std::size_t nlev) {
+    return 9 * nlev - 3;
+  }
+
+  ColumnRemapPlan() = default;
+
+  /// Plans the remap between a column's cumulative source and target mass
+  /// coordinates \p xs and \p xt (nlev + 1 entries each, starting at 0).
+  /// Checks nothing: the caller guards the column first.
+  ColumnRemapPlan(std::span<const double> xs, std::span<const double> xt,
+                  ScratchArena& arena);
+
+  /// remap_column's guard and plan: throws RemapError unless every layer
+  /// thickness is positive and the two column masses agree to roundoff.
+  static ColumnRemapPlan checked(std::span<const double> src_dp,
+                                 std::span<const double> tgt_dp,
+                                 ScratchArena& arena);
+
+  /// Remap \p q from source cell averages to target cell averages in
+  /// place. \p src_dp and \p tgt_dp are the layer thicknesses whose
+  /// cumulative sums the plan was built from.
+  void apply(std::span<const double> src_dp, std::span<const double> tgt_dp,
+             std::span<double> q) const;
+
+ private:
+  ColumnRemapPlan(std::size_t nlev, ScratchArena& arena);
+  void build(std::span<const double> xs, std::span<const double> xt);
+
+  std::span<double> width_;  ///< nlev source cell widths
+  /// nlev - 1 interior target interfaces: the source interval (an index,
+  /// exact in a double) or kBelow / kAbove.
+  std::span<double> at_;
+  std::span<double> w_;  ///< 4 per interface: h00, h10*h, h01, h11*h
+  std::span<double> ys_, slopes_, delta_;  ///< apply()'s work buffers
+};
+
 /// Conservatively remap one column. \p src_dp / \p tgt_dp are the source
 /// and target layer thicknesses (same total mass); \p q holds the source
 /// cell averages on input and receives target cell averages.

@@ -61,7 +61,13 @@ struct vpack {
 
   static vpack fill(double x) {
     vpack r;
+#if defined(SWCAM_VPACK_NATIVE)
+    // A register broadcast (see the scalar operators below). x - (+0.0)
+    // is x for every x, -0.0 included; 0.0 + x would turn -0.0 into +0.0.
+    r.v = x - lanes{};
+#else
     for (int i = 0; i < width; ++i) r.v[i] = x;
+#endif
     return r;
   }
   static vpack zero() { return fill(0.0); }
@@ -89,6 +95,23 @@ struct vpack {
     a.v = -a.v;
     return a;
   }
+  // Scalar operands go through the vector extension's own scalar form,
+  // which compiles to a broadcast hoisted out of the caller's loop. A
+  // lane-by-lane fill(s) is spilled to the stack and reloaded inside the
+  // loop instead, paying a failed store-to-load forward on every pack op
+  // (GCC splits the 4-lane type into two SSE2 halves without -march).
+  friend vpack operator*(double s, vpack a) {
+    a.v = s * a.v;
+    return a;
+  }
+  friend vpack operator*(vpack a, double s) {
+    a.v = a.v * s;
+    return a;
+  }
+  friend vpack operator+(vpack a, double s) {
+    a.v = a.v + s;
+    return a;
+  }
 #else
   vpack& operator+=(const vpack& o) {
     for (int i = 0; i < width; ++i) v[i] += o.v[i];
@@ -110,16 +133,15 @@ struct vpack {
     for (int i = 0; i < vpack::width; ++i) a.v[i] = -a.v[i];
     return a;
   }
+  friend vpack operator*(double s, vpack a) { return a *= fill(s); }
+  friend vpack operator*(vpack a, double s) { return a *= fill(s); }
+  friend vpack operator+(vpack a, double s) { return a += fill(s); }
 #endif
 
   friend vpack operator+(vpack a, const vpack& b) { return a += b; }
   friend vpack operator-(vpack a, const vpack& b) { return a -= b; }
   friend vpack operator*(vpack a, const vpack& b) { return a *= b; }
   friend vpack operator/(vpack a, const vpack& b) { return a /= b; }
-
-  friend vpack operator*(double s, vpack a) { return a *= fill(s); }
-  friend vpack operator*(vpack a, double s) { return a *= fill(s); }
-  friend vpack operator+(vpack a, double s) { return a += fill(s); }
 };
 
 }  // namespace homme

@@ -4,9 +4,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <span>
 
 #include "homme/driver.hpp"
+#include "homme/euler.hpp"
 #include "homme/init.hpp"
 #include "homme/ops.hpp"
 #include "homme/ref_kernels.hpp"
@@ -30,6 +33,16 @@ constexpr double kTol = 1e-12;
 
 double rel_diff(double a, double b) {
   return std::abs(a - b) / std::max({std::abs(a), std::abs(b), 1e-300});
+}
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (std::bit_cast<std::uint64_t>(a[k]) !=
+        std::bit_cast<std::uint64_t>(b[k])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void expect_state_close(const homme::State& a, const homme::State& b,
@@ -114,15 +127,6 @@ TEST(HostKernels, TileOperatorsBitIdenticalToReference) {
   auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
   std::mt19937 rng(13u);
   std::uniform_real_distribution<double> val(-3.0, 3.0);
-  auto same_bits = [](const double* a, const double* b) {
-    for (int k = 0; k < kNpp; ++k) {
-      if (std::bit_cast<std::uint64_t>(a[k]) !=
-          std::bit_cast<std::uint64_t>(b[k])) {
-        return false;
-      }
-    }
-    return true;
-  };
   int faces = 0;
   for (int e = 0; e < m.nelem(); e += 4) {
     faces |= 1 << m.elem_coords(e)[0];
@@ -178,6 +182,42 @@ TEST(HostKernels, RhsMatchesReferenceAcrossConfigs) {
   }
 }
 
+TEST(HostKernels, EulerStepBitIdenticalToReference) {
+  auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  const double dt = homme::Dycore::stable_dt(m);
+  for (int nlev : {10, 30}) {
+    for (int qsize : {1, 3}) {
+      for (bool moist : {false, true}) {
+        for (bool limit : {false, true}) {
+          Dims d;
+          d.nlev = nlev;
+          d.qsize = qsize;
+          d.moist = moist;
+          auto a = deformed_state(m, d, 31u);
+          // Some negative tracer mass, so the limiter has work to do.
+          for (auto& es : a) {
+            auto qdp = es.qdp.mutable_span();
+            for (std::size_t f = 0; f < qdp.size(); f += 7) {
+              qdp[f] = -0.3 * qdp[f];
+            }
+          }
+          auto b = a;
+          homme::ref::euler_step(m, d, a, dt, limit);
+          homme::euler_step(m, d, b, dt, limit);
+          for (std::size_t e = 0; e < a.size(); ++e) {
+            for (std::size_t f = 0; f < a[e].qdp.size(); ++f) {
+              ASSERT_EQ(a[e].qdp[f], b[e].qdp[f])
+                  << "nlev " << nlev << " qsize " << qsize << " moist "
+                  << moist << " limit " << limit << " elem " << e
+                  << " value " << f;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(HostKernels, VerticalRemapMatchesReferenceAcrossConfigs) {
   for (int ne : {2, 4}) {
     for (int nlev : {10, 30, 72}) {
@@ -211,6 +251,69 @@ TEST(HostKernels, RemapColumnMatchesReference) {
     homme::remap_column(src, tgt, qb);
     for (std::size_t k = 0; k < qa.size(); ++k) {
       EXPECT_LE(rel_diff(qa[k], qb[k]), kTol);
+    }
+  }
+}
+
+TEST(HostKernels, RemapPlanBitIdenticalToReferenceAtItsEdges) {
+  std::mt19937 rng(43u);
+  std::uniform_real_distribution<double> thick(0.3, 2.5);
+  std::uniform_real_distribution<double> val(0.1, 4.0);
+  homme::ScratchArena arena;
+  for (int nlev : {1, 2, 3, 16, 72}) {
+    const std::size_t n = static_cast<std::size_t>(nlev);
+    // Random source and target grids of one column mass.
+    std::vector<double> src(n), tgt(n), above(n);
+    double s_mass = 0.0, t_mass = 0.0;
+    for (auto& v : src) s_mass += (v = thick(rng));
+    for (auto& v : tgt) t_mass += (v = thick(rng));
+    for (auto& v : tgt) v *= s_mass / t_mass;
+    // Source layers of thickness 1, so the column total is nlev. The last
+    // (up to) three target layers are tiny and the others carry a total
+    // just above nlev, inside the 1e-8 mass tolerance: every interface
+    // between the tiny layers lies at or above the source column top.
+    std::vector<double> unit(n, 1.0);
+    const std::size_t top = std::min<std::size_t>(3, n - 1);
+    const double bulk = nlev * (1.0 + 4e-9) / static_cast<double>(n - top);
+    for (std::size_t k = 0; k < n; ++k) above[k] = k + top < n ? bulk : 1e-10;
+
+    std::vector<double> smooth(n), step(n), patchy(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      smooth[k] = val(rng);
+      // A jump of 100x: the slope at the jump is about 50x the secant on
+      // its low side, so the Fritsch-Carlson limit (s > 9) fires.
+      step[k] = k < n / 2 ? 1.0 : 100.0;
+      // Zero layers give flat stretches of the cumulative integral.
+      patchy[k] = k % 3 == 1 ? 0.0 : val(rng);
+    }
+    // Two constant fields: a linear cumulative integral, and one whose
+    // every secant is 0.
+    const std::vector<std::vector<double>> fields = {
+        smooth, step, patchy, std::vector<double>(n, 2.75),
+        std::vector<double>(n, 0.0)};
+
+    struct Grid {
+      const char* name;
+      const std::vector<double>& src;
+      const std::vector<double>& tgt;
+    };
+    arena.require(homme::ColumnRemapPlan::scratch_doubles(n));
+    for (const Grid& g : {Grid{"random grids", src, tgt},
+                          Grid{"identical grids", src, src},
+                          Grid{"interfaces above the top", unit, above}}) {
+      homme::ScratchArena::Frame frame(arena);
+      // One plan serves every field, as in the model.
+      const auto plan = homme::ColumnRemapPlan::checked(g.src, g.tgt, arena);
+      for (std::size_t f = 0; f < fields.size(); ++f) {
+        auto want = fields[f], got = fields[f], via_column = fields[f];
+        homme::ref::remap_column(g.src, g.tgt, want);
+        plan.apply(g.src, g.tgt, got);
+        homme::remap_column(g.src, g.tgt, via_column);
+        EXPECT_TRUE(same_bits(want, got))
+            << g.name << ", nlev " << nlev << ", field " << f;
+        EXPECT_TRUE(same_bits(want, via_column))
+            << g.name << ", nlev " << nlev << ", field " << f;
+      }
     }
   }
 }
@@ -407,6 +510,45 @@ TEST(Vpack, ElementwiseOpsMatchScalar) {
   for (int i = 0; i < homme::kVpackWidth; ++i) EXPECT_EQ(out[i], -a[i]);
   homme::vpack::fill(3.5).store(out);
   for (int i = 0; i < homme::kVpackWidth; ++i) EXPECT_EQ(out[i], 3.5);
+}
+
+TEST(HostKernels, VpackScalarOperandsMatchLanes) {
+  using homme::vpack;
+  constexpr int kW = homme::kVpackWidth;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double sub = 3.0 * std::numeric_limits<double>::denorm_min();
+  std::vector<double> vals = {0.0,  -0.0, inf,  -inf,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              sub,  -sub};
+  std::mt19937 rng(47u);
+  std::uniform_real_distribution<double> val(-1e3, 1e3);
+  for (int i = 0; i < 9; ++i) vals.push_back(val(rng));
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  double out[kW];
+  for (double s : vals) {
+    // fill(-0.0) must keep its sign: a 0.0 + x broadcast would not.
+    vpack::fill(s).store(out);
+    for (int i = 0; i < kW; ++i) EXPECT_EQ(bits(out[i]), bits(s)) << s;
+    for (std::size_t first = 0; first < vals.size(); ++first) {
+      double lanes[kW];
+      for (int i = 0; i < kW; ++i) {
+        lanes[i] = vals[(first + static_cast<std::size_t>(i)) % vals.size()];
+      }
+      const vpack p = vpack::load(lanes);
+      (s * p).store(out);
+      for (int i = 0; i < kW; ++i) {
+        EXPECT_EQ(bits(out[i]), bits(s * lanes[i])) << s << " * " << lanes[i];
+      }
+      (p * s).store(out);
+      for (int i = 0; i < kW; ++i) {
+        EXPECT_EQ(bits(out[i]), bits(lanes[i] * s)) << lanes[i] << " * " << s;
+      }
+      (p + s).store(out);
+      for (int i = 0; i < kW; ++i) {
+        EXPECT_EQ(bits(out[i]), bits(lanes[i] + s)) << lanes[i] << " + " << s;
+      }
+    }
+  }
 }
 
 }  // namespace
