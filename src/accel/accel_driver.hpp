@@ -23,6 +23,9 @@ namespace accel {
 /// kernel pipeline. Attach to a Dycore with attach_accelerator(&pa).
 /// The remap reads and writes only the state's own prognostics, so one
 /// accelerator serves a whole-mesh Dycore and a rank's Dycore alike.
+/// The kernel takes homme's remap target and column plans, so the
+/// offloaded remap is bit-identical to homme::vertical_remap_local: a
+/// pipeline-backend run steps to the host backend's bits.
 ///
 /// By default the accelerator owns a private 1-CG pool, exactly the
 /// historical single-core-group behavior. set_cg_pool() instead binds to
@@ -40,8 +43,8 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   /// failure, CPE death, LDM overflow, scheduler deadlock) the poisoned
   /// launch is discarded — the host state was never touched; shard
   /// images unpack only after every shard succeeded — and the remap
-  /// re-runs on the host reference path, bit-identical to a
-  /// never-accelerated step. The fallback is recorded in the launch
+  /// re-runs on the host path, bit-identical to an unfaulted launch and
+  /// to a never-accelerated step. The fallback is recorded in the launch
   /// stats (CpeCounters::host_fallbacks) and in fallbacks()/last_fault().
   void vertical_remap(homme::State& s) override;
 

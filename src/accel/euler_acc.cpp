@@ -4,9 +4,9 @@
 #include <cmath>
 
 #include "accel/pipeline.hpp"
-#include "accel/tile_math.hpp"
-#include "sw/footprint.hpp"
+#include "homme/ops.hpp"
 #include "homme/state.hpp"
+#include "sw/footprint.hpp"
 #include "sw/task.hpp"
 
 namespace accel {
@@ -16,9 +16,9 @@ using homme::fidx;
 namespace {
 
 /// The per-(element, tracer, level) arithmetic shared by every variant:
-/// vstar = vn0/dp; qdp += dt * (-div(vstar * qdp)).
-/// All pointers are level-tile pointers (16 doubles).
-void euler_tile(const double* dvv, const double* jac, const double* vn01,
+/// vstar = vn0/dp; qdp += dt * (-div(vstar * qdp)). The divergence reads
+/// only the view's jac. All pointers are level-tile pointers (16 doubles).
+void euler_tile(const homme::MetricView& g, const double* vn01,
                 const double* vn02, const double* dp, double* qdp, double dt,
                 sw::Cpe* cpe, bool vectorized) {
   double f1[kNpp], f2[kNpp], div[kNpp];
@@ -27,7 +27,8 @@ void euler_tile(const double* dvv, const double* jac, const double* vn01,
     f2[k] = (vn02[k] / dp[k]) * qdp[k];
   }
   charge(cpe, vectorized, kNpp * 4);
-  tile_divergence(dvv, jac, f1, f2, div, cpe, vectorized);
+  homme::divergence_sphere(g, f1, f2, div);
+  charge(cpe, vectorized, kDivergenceFlops);
   for (int k = 0; k < kNpp; ++k) {
     qdp[k] -= dt * div[k];
   }
@@ -53,12 +54,12 @@ EulerDerived EulerDerived::make(const PackedElems& p, int shared_extra) {
 void euler_ref(PackedElems& p, const EulerDerived& dv,
                const EulerAccConfig& cfg) {
   for (int e = 0; e < p.nelem; ++e) {
-    const double* jac = p.geom_of(e) + kJac * kNpp;
+    const homme::MetricView g(p.geom_of(e), kMetricTiles);
     for (int q = 0; q < p.qsize; ++q) {
       for (int lev = 0; lev < p.nlev; ++lev) {
         const std::size_t off = p.elem_offset(e) + fidx(lev, 0);
-        euler_tile(p.dvv.data(), jac, dv.vn01.data() + off,
-                   dv.vn02.data() + off, p.dp.data() + off,
+        euler_tile(g, dv.vn01.data() + off, dv.vn02.data() + off,
+                   p.dp.data() + off,
                    p.qdp.data() + p.qdp_offset(e, q) + fidx(lev, 0), cfg.dt,
                    nullptr, false);
       }
@@ -84,6 +85,7 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
       sw::LdmFrame frame(cpe.ldm());
       auto jac = cpe.ldm().alloc<double>(kNpp);
       cpe.get(jac, p.geom_of(e) + kJac * kNpp);
+      const homme::MetricView g(jac.data(), 1);
       for (int s = 0; s < p.nlev; s += chunk) {
         const int levs = std::min(chunk, p.nlev - s);
         const std::size_t n =
@@ -110,9 +112,8 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
         cpe.get(qdp, p.qdp.data() + qoff);
         for (int l = 0; l < levs; ++l) {
           const std::size_t t = static_cast<std::size_t>(l) * kNpp;
-          euler_tile(p.dvv.data(), jac.data(), vn01.data() + t,
-                     vn02.data() + t, dp.data() + t, qdp.data() + t, cfg.dt,
-                     &cpe, /*vectorized=*/false);
+          euler_tile(g, vn01.data() + t, vn02.data() + t, dp.data() + t,
+                     qdp.data() + t, cfg.dt, &cpe, /*vectorized=*/false);
         }
         cpe.put(p.qdp.data() + qoff, std::span<const double>(qdp));
       }
@@ -168,11 +169,11 @@ std::size_t EulerKernel::transient_bytes(const Workset&,
 }
 
 void EulerKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
-  const auto dvv = ctx.dvv();
   const int nlev = p_.nlev;
   FieldLease jac = ctx.lease(FieldId::kGeom, 0,
                              static_cast<std::size_t>(kJac) * kNpp, kNpp,
                              Access::kRead);
+  const homme::MetricView g(jac.data(), 1);
   // Size the level chunk to what is actually free after the keep set,
   // assuming all four streamed slices are transient (conservative when
   // dp is resident). Byte totals are invariant to the chunk size.
@@ -196,9 +197,8 @@ void EulerKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
       FieldLease qdp = ctx.lease(FieldId::kQdp, q, off, n, Access::kReadWrite);
       for (int l = 0; l < levs; ++l) {
         const std::size_t t = static_cast<std::size_t>(l) * kNpp;
-        euler_tile(dvv.data(), jac.data(), vn01.data() + t, vn02.data() + t,
-                   dp.data() + t, qdp.data() + t, cfg_.dt, &cpe,
-                   /*vectorized=*/true);
+        euler_tile(g, vn01.data() + t, vn02.data() + t, dp.data() + t,
+                   qdp.data() + t, cfg_.dt, &cpe, /*vectorized=*/true);
       }
     }
   }

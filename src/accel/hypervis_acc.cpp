@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "accel/pipeline.hpp"
-#include "accel/tile_math.hpp"
+#include "homme/ops.hpp"
 #include "homme/state.hpp"
 #include "sw/task.hpp"
 
@@ -13,22 +13,32 @@ using homme::fidx;
 
 namespace {
 
+/// The metric tiles the strong Laplacian reads (jac, ginv11/12/22): the
+/// leading packed tiles kJac..kGinv22.
+constexpr int kLaplaceTiles = kGinv22 + 1;
+
+/// homme::laplace_sphere of one level tile, charged as its derivative,
+/// inverse-metric products and divergence.
+void laplace_tile(const homme::MetricView& g, const double* s, double* lap,
+                  sw::Cpe* cpe, bool vec) {
+  homme::laplace_sphere(g, s, lap);
+  charge(cpe, vec, kDerivFlops);
+  charge(cpe, vec, kNpp * 6);
+  charge(cpe, vec, kDivergenceFlops);
+}
+
 /// Apply the kernel's operator to one level tile in place.
-void hv_tile(HvKernel which, const double* dvv, const double* geom,
-             double* field, double nu_dt, sw::Cpe* cpe, bool vec) {
-  const double* jac = geom + kJac * kNpp;
-  const double* gi11 = geom + kGinv11 * kNpp;
-  const double* gi12 = geom + kGinv12 * kNpp;
-  const double* gi22 = geom + kGinv22 * kNpp;
+void hv_tile(HvKernel which, const homme::MetricView& g, double* field,
+             double nu_dt, sw::Cpe* cpe, bool vec) {
   double lap[kNpp];
-  tile_laplace(dvv, jac, gi11, gi12, gi22, field, lap, cpe, vec);
+  laplace_tile(g, field, lap, cpe, vec);
   if (which == HvKernel::kDp1) {
     for (int k = 0; k < kNpp; ++k) field[k] += nu_dt * lap[k];
     charge(cpe, vec, kNpp * 2);
     return;
   }
   double lap2[kNpp];
-  tile_laplace(dvv, jac, gi11, gi12, gi22, lap, lap2, cpe, vec);
+  laplace_tile(g, lap, lap2, cpe, vec);
   for (int k = 0; k < kNpp; ++k) field[k] -= nu_dt * lap2[k];
   charge(cpe, vec, kNpp * 2);
 }
@@ -46,9 +56,10 @@ void hypervis_ref(PackedElems& p, HvKernel which,
   for (double* base : hv_fields(p, which)) {
     for (int e = 0; e < p.nelem; ++e) {
       const std::size_t eo = p.elem_offset(e);
+      const homme::MetricView g(p.geom_of(e), kLaplaceTiles);
       for (int lev = 0; lev < p.nlev; ++lev) {
-        hv_tile(which, p.dvv.data(), p.geom_of(e), base + eo + fidx(lev, 0),
-                cfg.nu_dt, nullptr, false);
+        hv_tile(which, g, base + eo + fidx(lev, 0), cfg.nu_dt, nullptr,
+                false);
       }
     }
   }
@@ -68,7 +79,7 @@ sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, PackedElems& p,
         sw::LdmFrame frame(cpe.ldm());
         // The directive port re-stages the 4 metric tiles it references
         // for every single level iteration.
-        auto geom = cpe.ldm().alloc<double>(4 * kNpp);
+        auto geom = cpe.ldm().alloc<double>(kLaplaceTiles * kNpp);
         cpe.get(geom.subspan(0, kNpp), p.geom_of(e) + kJac * kNpp);
         cpe.get(geom.subspan(kNpp, kNpp), p.geom_of(e) + kGinv11 * kNpp);
         cpe.get(geom.subspan(2 * kNpp, kNpp), p.geom_of(e) + kGinv12 * kNpp);
@@ -76,18 +87,8 @@ sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, PackedElems& p,
         auto tile = cpe.ldm().alloc<double>(kNpp);
         const std::size_t off = p.elem_offset(e) + fidx(lev, 0);
         cpe.get(tile, fields[f] + off);
-        // Rebuild a 23-tile view with the 4 staged tiles at the right
-        // offsets (only those four are read by hv_tile).
-        double geom_view[kGeomDoubles];
-        std::copy(geom.begin(), geom.begin() + kNpp, geom_view + kJac * kNpp);
-        std::copy(geom.begin() + kNpp, geom.begin() + 2 * kNpp,
-                  geom_view + kGinv11 * kNpp);
-        std::copy(geom.begin() + 2 * kNpp, geom.begin() + 3 * kNpp,
-                  geom_view + kGinv12 * kNpp);
-        std::copy(geom.begin() + 3 * kNpp, geom.begin() + 4 * kNpp,
-                  geom_view + kGinv22 * kNpp);
-        hv_tile(which, p.dvv.data(), geom_view, tile.data(), cfg.nu_dt, &cpe,
-                /*vectorized=*/false);
+        hv_tile(which, homme::MetricView(geom.data(), kLaplaceTiles),
+                tile.data(), cfg.nu_dt, &cpe, /*vectorized=*/false);
         cpe.put(fields[f] + off, std::span<const double>(tile));
         co_await cpe.yield();
       }
@@ -147,22 +148,24 @@ std::size_t HypervisKernel::transient_bytes(const Workset& ws,
   if (field_missing) {
     bytes += ws.at(field_ids().front()).extent * sizeof(double) + 32;
   }
-  if (!keep.has(FieldId::kGeom)) bytes += 4u * kNpp * sizeof(double) + 32;
+  if (!keep.has(FieldId::kGeom)) {
+    bytes += kLaplaceTiles * kNpp * sizeof(double) + 32;
+  }
   return bytes;
 }
 
 void HypervisKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
-  const auto dvv = ctx.dvv();
-  // The leading four packed tiles are exactly the ones hv_tile indexes
-  // (kJac..kGinv22), so the prefix lease doubles as its geometry base.
-  FieldLease geom =
-      ctx.lease(FieldId::kGeom, 0, 0, 4u * kNpp, Access::kRead);
+  // The Laplacian's metric tiles lead the packed geometry, so the prefix
+  // lease is its whole view; g11/g12/g22 stay outside it, and null.
+  FieldLease geom = ctx.lease(FieldId::kGeom, 0, 0, kLaplaceTiles * kNpp,
+                              Access::kRead);
+  const homme::MetricView g(geom.data(), kLaplaceTiles);
   const std::size_t fs = p_.field_size();
   for (FieldId f : field_ids()) {
     FieldLease fld = ctx.lease(f, 0, 0, fs, Access::kReadWrite);
     for (int lev = 0; lev < p_.nlev; ++lev) {
-      hv_tile(which_, dvv.data(), geom.data(), fld.data() + fidx(lev, 0),
-              cfg_.nu_dt, &cpe, /*vectorized=*/true);
+      hv_tile(which_, g, fld.data() + fidx(lev, 0), cfg_.nu_dt, &cpe,
+              /*vectorized=*/true);
     }
   }
 }

@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "mesh/geometry.hpp"
 #include "sw/core_group.hpp"
 
 /// \file kernel.hpp
@@ -23,6 +24,29 @@
 namespace accel {
 
 class ElemCtx;  // defined in pipeline.hpp
+
+inline constexpr int kNp = mesh::kNp;
+inline constexpr int kNpp = mesh::kNpp;
+
+/// Charge \p n retired flops to \p cpe (if any) on the chosen issue width.
+/// The ports compute with homme's operators and charge at the call site;
+/// the host references pass no CPE. The simulator separates functional
+/// results from timing, so the arithmetic is the same either way.
+inline void charge(sw::Cpe* cpe, bool vectorized, std::uint64_t n) {
+  if (cpe == nullptr) return;
+  if (vectorized) {
+    cpe->vector_flops(n);
+  } else {
+    cpe->scalar_flops(n);
+  }
+}
+
+/// Flops one call of a homme tile operator charges: the 4-term reference
+/// derivative sums of all 16 points, plus the metric products and final
+/// divide of the divergence and vorticity.
+inline constexpr std::uint64_t kDerivFlops = kNpp * 4 * kNp;
+inline constexpr std::uint64_t kDivergenceFlops = kNpp * (2 + 4 * kNp + 2);
+inline constexpr std::uint64_t kVorticityFlops = kNpp * (6 + 4 * kNp + 2);
 
 /// Identity of one main-memory field a kernel can lease.
 enum class FieldId : std::uint16_t {
@@ -78,7 +102,8 @@ class Workset {
   int nitems = 0;
   int nlev = 0;                    ///< vertical extent (chunk planning)
   const double* dvv = nullptr;     ///< GLL derivative matrix (16 doubles),
-                                   ///< pinned resident by the pipeline
+                                   ///< staged and pinned by the pipeline
+                                   ///< for its modeled traffic
 
   /// Register a binding; kernels sharing a FieldId must agree on it.
   void bind(const FieldBinding& b) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "homme/ops.hpp"
 #include "mesh/gll.hpp"
 
 namespace accel {
@@ -11,6 +12,8 @@ using mesh::kNpp;
 namespace {
 
 void pack_geometry(const mesh::ElementGeom& g, double* out) {
+  homme::unit_normals(g, out + kRhatX * kNpp, out + kRhatY * kNpp,
+                      out + kRhatZ * kNpp);
   for (int k = 0; k < kNpp; ++k) {
     const std::size_t sk = static_cast<std::size_t>(k);
     out[kJac * kNpp + k] = g.jac[sk];
@@ -26,10 +29,6 @@ void pack_geometry(const mesh::ElementGeom& g, double* out) {
       out[(kB1X + d) * kNpp + k] = g.b1[sk][d];
       out[(kB2X + d) * kNpp + k] = g.b2[sk][d];
     }
-    const double r = std::sqrt(mesh::dot(g.pos[sk], g.pos[sk]));
-    out[kRhatX * kNpp + k] = g.pos[sk][0] / r;
-    out[kRhatY * kNpp + k] = g.pos[sk][1] / r;
-    out[kRhatZ * kNpp + k] = g.pos[sk][2] / r;
     out[kCor * kNpp + k] = g.coriolis[sk];
   }
 }

@@ -62,7 +62,9 @@ struct PackedElems {
                                const homme::Dims& d, int nelem);
 };
 
-/// Geometry tile offsets within geom_of(e), in units of kNpp doubles.
+/// Geometry tile offsets within geom_of(e), in units of kNpp doubles. The
+/// leading kMetricTiles (kJac..kG22) are in homme::MetricView's member
+/// order, so a view reads them straight off a packed or staged block.
 enum GeomTile {
   kJac = 0,
   kGinv11,
@@ -88,6 +90,7 @@ enum GeomTile {
   kRhatZ,
   kCor  ///< Coriolis parameter 2*Omega*sin(lat)
 };
+inline constexpr int kMetricTiles = kG22 + 1;
 
 /// Analytic compulsory-traffic estimates used to price the cache-based
 /// platforms (Intel core / MPE) in Table 1. flops are taken from the

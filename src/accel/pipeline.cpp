@@ -4,7 +4,6 @@
 #include <cstring>
 #include <string>
 
-#include "accel/tile_math.hpp"
 #include "sw/config.hpp"
 
 namespace accel {
@@ -68,9 +67,12 @@ KeepPlan plan_keeps(const Workset& ws,
 /// Stage (or find) the pinned GLL derivative matrix in this CPE's LDM.
 /// Allocated outside any element frame and registered persistent, so it
 /// survives element scopes and — with persistent-LDM launches — whole
-/// pipeline launches on the same core group.
-std::span<const double> stage_dvv(sw::Cpe& cpe, const Workset& ws) {
-  if (ws.dvv == nullptr) return {};
+/// pipeline launches on the same core group. The kernels compute with
+/// homme's operators, which read the same matrix from their host-side
+/// tables; the staging models the traffic of the real port, which reads
+/// it from LDM.
+void stage_dvv(sw::Cpe& cpe, const Workset& ws) {
+  if (ws.dvv == nullptr) return;
   sw::ResidentEntry* e = cpe.ledger().find(kDvvTag, -1, ws.dvv);
   if (e == nullptr) {
     std::span<double> buf = cpe.ldm().alloc<double>(kNpp);
@@ -89,8 +91,6 @@ std::span<const double> stage_dvv(sw::Cpe& cpe, const Workset& ws) {
   } else {
     cpe.counters().dma_reused_bytes += e->extent_bytes;
   }
-  return {reinterpret_cast<const double*>(e->ldm.data()),
-          static_cast<std::size_t>(kNpp)};
 }
 
 /// One element's residency scope inside a fused launch: allocates the keep
@@ -242,12 +242,11 @@ sw::KernelStats KernelPipeline::run_fused(
 
   const Workset& ws = ws_;
   auto kernel = [&](sw::Cpe& cpe) -> sw::Task {
-    std::span<const double> dvv;
-    bool dvv_ready = false;
+    bool dvv_staged = false;
     for (int item = cpe.id(); item < ws.nitems; item += sw::kCpesPerGroup) {
-      if (!dvv_ready) {
-        dvv = stage_dvv(cpe, ws);
-        dvv_ready = true;
+      if (!dvv_staged) {
+        stage_dvv(cpe, ws);
+        dvv_staged = true;
       }
       {
         ElemScope scope(cpe, ws, plan, item);
@@ -256,7 +255,7 @@ sw::KernelStats KernelPipeline::run_fused(
           const sw::CpeCounters ctr0 = cpe.counters();
           {
             sw::LdmFrame kernel_frame(cpe.ldm());
-            ElemCtx ctx(cpe, ws, item, dvv);
+            ElemCtx ctx(cpe, ws, item);
             segment[static_cast<std::size_t>(k)]->element(cpe, ctx);
           }
           phase_cycles[static_cast<std::size_t>(k)]

@@ -66,20 +66,12 @@ class FieldLease {
 /// Per-element execution context handed to Kernel::element().
 class ElemCtx {
  public:
-  ElemCtx(sw::Cpe& cpe, const Workset& ws, int item,
-          std::span<const double> dvv)
-      : cpe_(cpe), ws_(ws), item_(item), dvv_(dvv) {}
+  ElemCtx(sw::Cpe& cpe, const Workset& ws, int item)
+      : cpe_(cpe), ws_(ws), item_(item) {}
 
   int item() const { return item_; }
   int nlev() const { return ws_.nlev; }
   const Workset& workset() const { return ws_; }
-
-  /// The LDM-resident GLL derivative matrix (16 doubles), staged once per
-  /// CPE and pinned across pipeline launches.
-  std::span<const double> dvv() const {
-    assert(!dvv_.empty());
-    return dvv_;
-  }
 
   /// Lease [offset, offset+count) doubles of field (\p id, \p sub) of this
   /// element. The residency ledger decides what actually moves.
@@ -90,7 +82,6 @@ class ElemCtx {
   sw::Cpe& cpe_;
   const Workset& ws_;
   int item_;
-  std::span<const double> dvv_;
 };
 
 /// A scheduled chain of kernels sharing one workset and one core group.

@@ -1,10 +1,8 @@
 #include "accel/remap_acc.hpp"
 
-#include <vector>
+#include <algorithm>
 
 #include "accel/pipeline.hpp"
-#include "accel/tile_math.hpp"
-#include "homme/dims.hpp"
 #include "homme/remap.hpp"
 #include "homme/scratch.hpp"
 #include "homme/state.hpp"
@@ -14,7 +12,21 @@
 namespace accel {
 
 using homme::fidx;
-using homme::kPtop;
+
+void remap_ref(PackedElems& p) {
+  homme::Dims d;
+  d.nlev = p.nlev;
+  d.qsize = p.qsize;
+  homme::State s(static_cast<std::size_t>(p.nelem), homme::ElementState(d));
+  p.to_state(s, 0);
+  homme::vertical_remap_local(d, s);
+  PackedElems r = PackedElems::from_state(d, s, 0, p.nelem);
+  p.u1 = std::move(r.u1);
+  p.u2 = std::move(r.u2);
+  p.T = std::move(r.T);
+  p.dp = std::move(r.dp);
+  p.qdp = std::move(r.qdp);
+}
 
 namespace {
 
@@ -24,60 +36,17 @@ std::uint64_t remap_flops(int nlev) {
   return static_cast<std::uint64_t>(nlev) * 30;
 }
 
-/// Remap every field of one column given gathered source thickness.
-/// Fields are contiguous [nlev] arrays. Target grid: uniform reference.
-void column_target(const double* src_dp, int nlev, double* tgt_dp) {
-  double ps = kPtop;
-  for (int l = 0; l < nlev; ++l) ps += src_dp[l];
-  const double ref = (ps - kPtop) / nlev;
-  for (int l = 0; l < nlev; ++l) tgt_dp[l] = ref;
-}
-
-}  // namespace
-
-void remap_ref(PackedElems& p) {
-  const int nlev = p.nlev;
-  std::vector<double> src(static_cast<std::size_t>(nlev)),
-      tgt(static_cast<std::size_t>(nlev)), col(static_cast<std::size_t>(nlev));
-  for (int e = 0; e < p.nelem; ++e) {
-    const std::size_t eo = p.elem_offset(e);
-    for (int k = 0; k < kNpp; ++k) {
-      for (int l = 0; l < nlev; ++l) {
-        src[static_cast<std::size_t>(l)] = p.dp[eo + fidx(l, k)];
-      }
-      column_target(src.data(), nlev, tgt.data());
-      auto remap_field = [&](double* base) {
-        for (int l = 0; l < nlev; ++l) {
-          col[static_cast<std::size_t>(l)] = base[eo + fidx(l, k)];
-        }
-        homme::remap_column(src, tgt, col);
-        for (int l = 0; l < nlev; ++l) {
-          base[eo + fidx(l, k)] = col[static_cast<std::size_t>(l)];
-        }
-      };
-      remap_field(p.u1.data());
-      remap_field(p.u2.data());
-      remap_field(p.T.data());
-      for (int q = 0; q < p.qsize; ++q) {
-        double* qd = p.qdp.data() + p.qdp_offset(e, q) - eo;  // rebase
-        for (int l = 0; l < nlev; ++l) {
-          col[static_cast<std::size_t>(l)] =
-              qd[eo + fidx(l, k)] / src[static_cast<std::size_t>(l)];
-        }
-        homme::remap_column(src, tgt, col);
-        for (int l = 0; l < nlev; ++l) {
-          qd[eo + fidx(l, k)] =
-              col[static_cast<std::size_t>(l)] * tgt[static_cast<std::size_t>(l)];
-        }
-      }
-      for (int l = 0; l < nlev; ++l) {
-        p.dp[eo + fidx(l, k)] = tgt[static_cast<std::size_t>(l)];
-      }
-    }
+/// The remap target of the column whose source thicknesses are \p src:
+/// homme::remap_target_dp at the column's mass, summed from 0.0 top down
+/// as vertical_remap_local's scan sums it.
+void fill_target(const homme::HybridCoord& hc, std::span<const double> src,
+                 std::span<double> tgt) {
+  double mass = 0.0;
+  for (const double d : src) mass += d;
+  for (std::size_t l = 0; l < tgt.size(); ++l) {
+    tgt[l] = homme::remap_target_dp(hc, static_cast<int>(l), mass);
   }
 }
-
-namespace {
 
 /// Gather one column (GLL point k of element e) of a field into LDM with
 /// a single strided DMA descriptor.
@@ -102,6 +71,7 @@ void scatter_column(sw::Cpe& cpe, double* base, std::size_t eo, int k,
 sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p) {
   const int nlev = p.nlev;
   const int columns = p.nelem * kNpp;
+  const homme::HybridCoord hc = homme::HybridCoord::uniform(nlev);
   auto kernel = [&](sw::Cpe& cpe) -> sw::Task {
     for (int c = cpe.id(); c < columns; c += sw::kCpesPerGroup) {
       const int e = c / kNpp;
@@ -115,7 +85,7 @@ sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p) {
       auto remap_field = [&](double* base, bool as_ratio) {
         // Per-loop copyin: the directive port re-gathers dp every time.
         gather_column(cpe, p.dp.data(), eo, k, nlev, src);
-        column_target(src.data(), nlev, tgt.data());
+        fill_target(hc, src, tgt);
         cpe.scalar_flops(static_cast<std::uint64_t>(nlev) * 2);
         gather_column(cpe, base, eo, k, nlev, col);
         if (as_ratio) {
@@ -141,7 +111,7 @@ sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p) {
         remap_field(p.qdp.data() + p.qdp_offset(e, q) - eo, true);
       }
       gather_column(cpe, p.dp.data(), eo, k, nlev, src);
-      column_target(src.data(), nlev, tgt.data());
+      fill_target(hc, src, tgt);
       cpe.scalar_flops(static_cast<std::uint64_t>(nlev) * 2);
       scatter_column(cpe, p.dp.data(), eo, k, nlev, tgt);
       co_await cpe.yield();
@@ -187,39 +157,51 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   // Sections 7.3 + 7.5 combined: each field streams as ONE contiguous
   // block, the 8-shuffle register transpose switches the array axis in
   // LDM, the 16 now-contiguous columns remap, and the block transposes
-  // back. Each column's remap plan (source/target grids, intervals and
-  // Hermite weights) is built once and reused across u, v, T and every
-  // tracer; in a chain the prognostic leases resolve to the buffers a
-  // preceding kernel left resident.
+  // back. Each column's target thicknesses and remap plan (source/target
+  // grids, intervals and Hermite weights) are built once and reused
+  // across u, v, T and every tracer; in a chain the prognostic leases
+  // resolve to the buffers a preceding kernel left resident.
   const int nlev = p_.nlev;
   const std::size_t n = p_.field_size();  // nlev * 16
   auto dpt = cpe.ldm().alloc<double>(n);  // [16][lev] transposed dp
   auto ft = cpe.ldm().alloc<double>(n);   // [16][lev] transposed field
   auto tgt = cpe.ldm().alloc<double>(static_cast<std::size_t>(nlev));
-  double tgt_ref[kNpp];
 
+  // The targets and plans live in the host thread's scratch arena, not
+  // in the modeled LDM: element() never suspends, so this frame closes
+  // before the next CPE runs.
+  const std::size_t levels = static_cast<std::size_t>(nlev);
+  homme::ScratchArena& arena = homme::ScratchArena::thread_local_arena();
+  const std::size_t need =
+      2 * n + kNpp * homme::ColumnRemapPlan::scratch_doubles(levels);
+  if (arena.capacity() < need) arena.require(need);
+  homme::ScratchArena::Frame frame(arena);
+  // Every column's targets, in dp's [lev][16] layout, from column masses
+  // summed level by level from 0.0 as vertical_remap_local sums them;
+  // then each column's, contiguous, beside its plan.
+  const std::span<double> tile = arena.alloc(n);
   {
     FieldLease dps = ctx.lease(FieldId::kDp, 0, 0, n, Access::kRead);
     sw::ldm_transpose(cpe, dps.data(), dpt.data(), nlev, kNpp);
+    double mass[kNpp] = {};
+    for (int lev = 0; lev < nlev; ++lev) {
+      for (int k = 0; k < kNpp; ++k) mass[k] += dps[fidx(lev, k)];
+    }
+    homme::remap_targets(hc_, nlev, mass, tile.data());
   }
-  const std::size_t levels = static_cast<std::size_t>(nlev);
   auto src_col = [&](int k) {
     return std::span<const double>(
         dpt.data() + static_cast<std::size_t>(k) * levels, levels);
   };
-  // The plans live in the host thread's scratch arena, not in the
-  // modeled LDM: element() never suspends, so this frame closes before
-  // the next CPE runs.
-  homme::ScratchArena& arena = homme::ScratchArena::thread_local_arena();
-  const std::size_t need =
-      kNpp * homme::ColumnRemapPlan::scratch_doubles(levels);
-  if (arena.capacity() < need) arena.require(need);
-  homme::ScratchArena::Frame frame(arena);
+  std::span<const double> targets[kNpp];
   homme::ColumnRemapPlan plans[kNpp];
   for (int k = 0; k < kNpp; ++k) {
-    column_target(src_col(k).data(), nlev, tgt.data());
-    tgt_ref[k] = tgt[0];  // uniform target thickness of this column
-    plans[k] = homme::ColumnRemapPlan::checked(src_col(k), tgt, arena);
+    const std::span<double> t = arena.alloc(levels);
+    for (int l = 0; l < nlev; ++l) {
+      t[static_cast<std::size_t>(l)] = tile[fidx(l, k)];
+    }
+    targets[k] = t;
+    plans[k] = homme::ColumnRemapPlan::checked(src_col(k), t, arena);
   }
   cpe.scalar_flops(static_cast<std::uint64_t>(kNpp * nlev));
 
@@ -229,9 +211,7 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
     for (int k = 0; k < kNpp; ++k) {
       double* col = ft.data() + static_cast<std::size_t>(k) * nlev;
       const std::span<const double> src = src_col(k);
-      for (int l = 0; l < nlev; ++l) {
-        tgt[static_cast<std::size_t>(l)] = tgt_ref[k];
-      }
+      std::copy(targets[k].begin(), targets[k].end(), tgt.begin());
       if (as_ratio) {
         for (int l = 0; l < nlev; ++l) col[l] /= src[l];
         cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
@@ -239,7 +219,9 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
       plans[k].apply(src, tgt, std::span<double>(col, levels));
       cpe.scalar_flops(remap_flops(nlev));
       if (as_ratio) {
-        for (int l = 0; l < nlev; ++l) col[l] *= tgt_ref[k];
+        for (int l = 0; l < nlev; ++l) {
+          col[l] *= tgt[static_cast<std::size_t>(l)];
+        }
         cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
       }
     }
@@ -253,13 +235,9 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   }
   {
     // dp becomes the reference thickness: a pure overwrite, so the lease
-    // skips the stage-in ([lev][16] is uniform per column).
+    // skips the stage-in.
     FieldLease dpw = ctx.lease(FieldId::kDp, 0, 0, n, Access::kWrite);
-    for (int lev = 0; lev < nlev; ++lev) {
-      for (int k = 0; k < kNpp; ++k) {
-        dpw[fidx(lev, k)] = tgt_ref[k];
-      }
-    }
+    std::copy(tile.begin(), tile.end(), dpw.data());
   }
 }
 

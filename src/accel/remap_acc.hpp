@@ -11,15 +11,19 @@
 /// levels (stride 16 doubles in the [lev][gidx] layout — the strided-DMA
 /// pattern the Sunway engine supports natively), rebuilds the reference
 /// grid, and conservatively remaps u, T and the tracer mixing ratios.
+/// Both variants compute what homme::vertical_remap_local computes, bit
+/// for bit: the target thicknesses come from homme::remap_target_dp and
+/// each column's remap goes through a homme::ColumnRemapPlan.
 ///
 /// * OpenACC variant: collapse over (element, GLL point) with the source
-///   thickness re-gathered for every field remapped (per-loop copyin).
+///   thickness re-gathered and the target rebuilt for every field
+///   remapped (per-loop copyin).
 /// * Athread variant: a CPE owns whole columns; the source/target grids
 ///   are built once and reused across all fields and tracers.
 
 namespace accel {
 
-/// Host reference on packed data.
+/// Host reference: homme::vertical_remap_local on the unpacked workset.
 void remap_ref(PackedElems& p);
 
 sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p);
@@ -29,7 +33,8 @@ sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p);
 /// u2, T) and streams tracers; rebuilds dp as the reference grid.
 class RemapKernel final : public Kernel {
  public:
-  explicit RemapKernel(PackedElems& p) : p_(p) {}
+  explicit RemapKernel(PackedElems& p)
+      : p_(p), hc_(homme::HybridCoord::uniform(p.nlev)) {}
 
   std::string_view name() const override { return "vertical_remap"; }
   void bind(Workset& ws) const override;
@@ -40,6 +45,7 @@ class RemapKernel final : public Kernel {
 
  private:
   PackedElems& p_;
+  homme::HybridCoord hc_;  ///< built once per launch: it allocates
 };
 
 sw::KernelStats remap_athread(sw::CoreGroup& cg, PackedElems& p);

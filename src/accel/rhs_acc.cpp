@@ -5,8 +5,8 @@
 #include <vector>
 
 #include "accel/pipeline.hpp"
-#include "accel/tile_math.hpp"
 #include "homme/dims.hpp"
+#include "homme/ops.hpp"
 #include "homme/state.hpp"
 #include "sw/scan.hpp"
 #include "sw/task.hpp"
@@ -20,38 +20,36 @@ using homme::kRgas;
 
 namespace {
 
-/// Per-level RHS arithmetic on LDM tiles. geom points at the element's 23
-/// packed tiles. Produces the momentum/temperature tendencies and the
-/// mass-flux divergence of this level.
-void rhs_level_tile(const double* dvv, const double* geom, const double* u1,
-                    const double* u2, const double* T, const double* dp,
-                    const double* pm, const double* phim, double* tu1,
-                    double* tu2, double* tT, double* divdp, sw::Cpe* cpe,
-                    bool vec) {
-  const double* jac = geom + kJac * kNpp;
-  const double* gi11 = geom + kGinv11 * kNpp;
-  const double* gi12 = geom + kGinv12 * kNpp;
-  const double* gi22 = geom + kGinv22 * kNpp;
-  const double* g11 = geom + kG11 * kNpp;
-  const double* g12 = geom + kG12 * kNpp;
-  const double* g22 = geom + kG22 * kNpp;
+/// Per-level RHS arithmetic on LDM tiles, homme::element_rhs's level body
+/// with dry T. geom points at the element's 23 packed tiles. Produces the
+/// momentum/temperature tendencies and the mass-flux divergence of this
+/// level.
+void rhs_level_tile(const double* geom, const double* u1, const double* u2,
+                    const double* T, const double* dp, const double* pm,
+                    const double* phim, double* tu1, double* tu2, double* tT,
+                    double* divdp, sw::Cpe* cpe, bool vec) {
+  const homme::MetricView g(geom, kMetricTiles);
   const double* cor = geom + kCor * kNpp;
 
   double vort[kNpp], energy[kNpp];
-  tile_vorticity(dvv, jac, g11, g12, g22, u1, u2, vort, cpe, vec);
+  homme::vorticity_sphere(g, u1, u2, vort);
+  charge(cpe, vec, kVorticityFlops);
   for (int k = 0; k < kNpp; ++k) {
     vort[k] += cor[k];
-    const double ke = 0.5 * (g11[k] * u1[k] * u1[k] +
-                             2.0 * g12[k] * u1[k] * u2[k] +
-                             g22[k] * u2[k] * u2[k]);
+    const double ke = 0.5 * (g.g11[k] * u1[k] * u1[k] +
+                             2.0 * g.g12[k] * u1[k] * u2[k] +
+                             g.g22[k] * u2[k] * u2[k]);
     energy[k] = ke + phim[k];
   }
   charge(cpe, vec, kNpp * 10);
 
   double dE1[kNpp], dE2[kNpp], dp1[kNpp], dp2[kNpp], dT1[kNpp], dT2[kNpp];
-  tile_deriv(dvv, energy, dE1, dE2, cpe, vec);
-  tile_deriv(dvv, pm, dp1, dp2, cpe, vec);
-  tile_deriv(dvv, T, dT1, dT2, cpe, vec);
+  homme::deriv_ref(energy, dE1, dE2);
+  charge(cpe, vec, kDerivFlops);
+  homme::deriv_ref(pm, dp1, dp2);
+  charge(cpe, vec, kDerivFlops);
+  homme::deriv_ref(T, dT1, dT2);
+  charge(cpe, vec, kDerivFlops);
 
   // Coriolis/vorticity cross product via Cartesian rotation.
   for (int k = 0; k < kNpp; ++k) {
@@ -74,10 +72,10 @@ void rhs_level_tile(const double* dvv, const double* geom, const double* u1,
                       wy * geom[kB2Y * kNpp + k] +
                       wz * geom[kB2Z * kNpp + k];
     const double rtp = kRgas * T[k] / pm[k];
-    const double gE1 = gi11[k] * dE1[k] + gi12[k] * dE2[k];
-    const double gE2 = gi12[k] * dE1[k] + gi22[k] * dE2[k];
-    const double gp1 = gi11[k] * dp1[k] + gi12[k] * dp2[k];
-    const double gp2 = gi12[k] * dp1[k] + gi22[k] * dp2[k];
+    const double gE1 = g.ginv11[k] * dE1[k] + g.ginv12[k] * dE2[k];
+    const double gE2 = g.ginv12[k] * dE1[k] + g.ginv22[k] * dE2[k];
+    const double gp1 = g.ginv11[k] * dp1[k] + g.ginv12[k] * dp2[k];
+    const double gp2 = g.ginv12[k] * dp1[k] + g.ginv22[k] * dp2[k];
     tu1[k] = -c1 - gE1 - rtp * gp1;
     tu2[k] = -c2 - gE2 - rtp * gp2;
     tT[k] = -(u1[k] * dT1[k] + u2[k] * dT2[k]);
@@ -90,7 +88,8 @@ void rhs_level_tile(const double* dvv, const double* geom, const double* u1,
     f2[k] = dp[k] * u2[k];
   }
   charge(cpe, vec, kNpp * 2);
-  tile_divergence(dvv, jac, f1, f2, divdp, cpe, vec);
+  homme::divergence_sphere(g, f1, f2, divdp);
+  charge(cpe, vec, kDivergenceFlops);
 }
 
 }  // namespace
@@ -126,7 +125,7 @@ void rhs_ref(PackedElems& p, const RhsAccConfig& cfg) {
       }
     }
     for (int lev = 0; lev < nlev; ++lev) {
-      rhs_level_tile(p.dvv.data(), geom, p.u1.data() + eo + fidx(lev, 0),
+      rhs_level_tile(geom, p.u1.data() + eo + fidx(lev, 0),
                      p.u2.data() + eo + fidx(lev, 0),
                      p.T.data() + eo + fidx(lev, 0),
                      p.dp.data() + eo + fidx(lev, 0), pm.data() + fidx(lev, 0),
@@ -245,9 +244,9 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
           cpe.get(pmt, pm.data() + eo + fidx(lev, 0));
           cpe.get(pht, phim.data() + eo + fidx(lev, 0));
           double a[kNpp], b[kNpp], c[kNpp], dd[kNpp];
-          rhs_level_tile(p.dvv.data(), geom.data(), u1.data(), u2.data(),
-                         T.data(), dp.data(), pmt.data(), pht.data(), a, b,
-                         c, dd, &cpe, /*vectorized=*/false);
+          rhs_level_tile(geom.data(), u1.data(), u2.data(), T.data(),
+                         dp.data(), pmt.data(), pht.data(), a, b, c, dd, &cpe,
+                         /*vectorized=*/false);
           cpe.dma_wait(cpe.dma_put(tu1.data() + eo + fidx(lev, 0), a, sizeof(a)));
           cpe.dma_wait(cpe.dma_put(tu2.data() + eo + fidx(lev, 0), b, sizeof(b)));
           cpe.dma_wait(cpe.dma_put(tT.data() + eo + fidx(lev, 0), c, sizeof(c)));
@@ -394,11 +393,11 @@ sw::KernelStats rhs_athread_impl(sw::CoreGroup& cg, PackedElems& p,
       auto tT = cpe.ldm().alloc<double>(n);
       for (int l = 0; l < levs; ++l) {
         const std::size_t t = static_cast<std::size_t>(l) * kNpp;
-        rhs_level_tile(p.dvv.data(), geom.data(), u1.data() + t,
-                       u2.data() + t, T.data() + t, dp.data() + t,
-                       pmv.data() + t, phiv.data() + t, tu1.data() + t,
-                       tu2.data() + t, tT.data() + t, divdp.data() + t,
-                       &cpe, /*vectorized=*/true);
+        rhs_level_tile(geom.data(), u1.data() + t, u2.data() + t,
+                       T.data() + t, dp.data() + t, pmv.data() + t,
+                       phiv.data() + t, tu1.data() + t, tu2.data() + t,
+                       tT.data() + t, divdp.data() + t, &cpe,
+                       /*vectorized=*/true);
       }
 
       // Omega: exclusive down-scan of divdp.

@@ -6,7 +6,6 @@
 
 #include "accel/euler_acc.hpp"
 #include "accel/hypervis_acc.hpp"
-#include "accel/pipeline.hpp"
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "sw/cost_model.hpp"
@@ -68,8 +67,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
          return rhs_openacc(cg, p, rhs_cfg);
        },
        [&](sw::CoreGroup& cg, PackedElems& p) {
-         RhsKernel k(p, rhs_cfg);
-         return KernelPipeline({&k}).run(cg);
+         return rhs_athread(cg, p, rhs_cfg);
        }});
   specs.push_back(
       {"euler_step", 15.88, 175.73, 10.18, &euler_step_work,
@@ -78,8 +76,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
          return euler_openacc(cg, p, derived, euler_cfg);
        },
        [&](sw::CoreGroup& cg, PackedElems& p) {
-         EulerKernel k(p, derived, euler_cfg);
-         return KernelPipeline({&k}).run(cg);
+         return euler_athread(cg, p, derived, euler_cfg);
        }});
   specs.push_back({"vertical_remap", 11.38, 39.99, 16.17, &remap_work,
                    [&](PackedElems& p) { remap_ref(p); },
@@ -87,8 +84,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
                      return remap_openacc(cg, p);
                    },
                    [&](sw::CoreGroup& cg, PackedElems& p) {
-                     RemapKernel k(p);
-                     return KernelPipeline({&k}).run(cg);
+                     return remap_athread(cg, p);
                    }});
   auto add_hv = [&](const std::string& name, double pi, double pm, double pa,
                     HvKernel which, int apps) {
@@ -100,8 +96,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
            return hypervis_openacc(cg, p, which, hv_cfg);
          },
          [&, which](sw::CoreGroup& cg, PackedElems& p) {
-           HypervisKernel k(p, which, hv_cfg);
-           return KernelPipeline({&k}).run(cg);
+           return hypervis_athread(cg, p, which, hv_cfg);
          }});
     (void)apps;
   };
@@ -137,7 +132,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
 
     const double acc_err = packed_max_rel_diff(ref_p, acc_p);
     const double ath_err = packed_max_rel_diff(ref_p, ath_p);
-    // The OpenACC ports are bit-identical; the Athread register scans
+    // The OpenACC ports are bit-identical; the rhs Athread register scans
     // reassociate the 128-level sums, giving O(1e-9) relative drift.
     if (acc_err > 1e-7 || ath_err > 1e-7) {
       throw std::runtime_error("table1: port diverges from reference for " +

@@ -32,11 +32,12 @@ struct DycoreConfig {
 /// Hook for offloading step phases to an accelerator backend (the
 /// accel:: kernel pipeline in this repo). The dycore stays ignorant of
 /// how the work runs — an attached accelerator simply replaces the host
-/// implementation of a phase with a bit-compatible one.
+/// implementation of a phase with a bit-identical one.
 class StepAccelerator {
  public:
   virtual ~StepAccelerator() = default;
-  /// Replace homme::vertical_remap for the dycore's whole (local) state.
+  /// Replace homme::vertical_remap_local for the dycore's whole (local)
+  /// state.
   virtual void vertical_remap(State& s) = 0;
 };
 

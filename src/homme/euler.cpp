@@ -126,11 +126,6 @@ void euler_step(const Exchange& x, const Dims& d, State& s, double dt,
   }
 }
 
-void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
-                double dt, bool limit) {
-  euler_step(Exchange(m), d, s, dt, limit);
-}
-
 double tracer_mass(const mesh::CubedSphere& m, const Dims& d, const State& s,
                    int tracer) {
   double total = 0.0;

@@ -23,9 +23,6 @@ class Exchange;
 /// the element to conserve tracer mass).
 void euler_step(const Exchange& x, const Dims& d, State& s, double dt,
                 bool limit = true);
-/// The same over the whole mesh (mesh order, whole-mesh DSS).
-void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
-                double dt, bool limit = true);
 
 /// One advection RHS for a single element and tracer: out = -div(u q).
 void element_tracer_rhs(const mesh::ElementGeom& g, const Dims& d,

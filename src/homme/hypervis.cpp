@@ -130,9 +130,8 @@ void biharmonic_scalar(const Exchange& x, int nlev,
   x.dss(out, nlev);
 }
 
-void hypervis_dp1(const mesh::CubedSphere& m, const Dims& d, State& s,
-                  double nu, double dt) {
-  const Exchange x(m);
+void hypervis_dp1(const Exchange& x, const Dims& d, State& s, double nu,
+                  double dt) {
   const std::size_t fs = d.field_size();
   ScratchArena& arena = ScratchArena::thread_local_arena();
   reserve(arena, x, fs, 4);  // ux/uy/uz + nested laplacian_update
@@ -170,11 +169,6 @@ void hypervis_dp2(const Exchange& x, const Dims& d, State& s, double nu,
   x.dss(Tp, d.nlev);
 }
 
-void hypervis_dp2(const mesh::CubedSphere& m, const Dims& d, State& s,
-                  double nu, double dt) {
-  hypervis_dp2(Exchange(m), d, s, nu, dt);
-}
-
 void biharmonic_dp3d(const Exchange& x, const Dims& d, State& s, double nu,
                      double dt) {
   const std::size_t fs = d.field_size();
@@ -186,11 +180,6 @@ void biharmonic_dp3d(const Exchange& x, const Dims& d, State& s, double nu,
   biharmonic_scalar(x, d.nlev, dpp, bi.ptrs);
   axpy_fields(x.nelem(), fs, -nu * dt, bi.ptrs, dpp);
   x.dss(dpp, d.nlev);
-}
-
-void biharmonic_dp3d(const mesh::CubedSphere& m, const Dims& d, State& s,
-                     double nu, double dt) {
-  biharmonic_dp3d(Exchange(m), d, s, nu, dt);
 }
 
 }  // namespace homme

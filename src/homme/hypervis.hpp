@@ -30,21 +30,18 @@ void biharmonic_scalar(const Exchange& x, int nlev,
                        std::span<double* const> field,
                        std::span<double* const> out);
 
-/// Table 1 "hypervis dp1": u, T <- u, T + dt*nu*Lap(u, T).
-void hypervis_dp1(const mesh::CubedSphere& m, const Dims& d, State& s,
-                  double nu, double dt);
+/// Table 1 "hypervis dp1": u, T <- u, T + dt*nu*Lap(u, T), over \p x's
+/// elements with every DSS through \p x.
+void hypervis_dp1(const Exchange& x, const Dims& d, State& s, double nu,
+                  double dt);
 
 /// Table 1 "hypervis dp2": u, T <- u, T - dt*nu*Lap(Lap(u, T)), over
 /// \p x's elements with every DSS through \p x.
 void hypervis_dp2(const Exchange& x, const Dims& d, State& s, double nu,
                   double dt);
-void hypervis_dp2(const mesh::CubedSphere& m, const Dims& d, State& s,
-                  double nu, double dt);
 
 /// Table 1 "biharmonic dp3d": dp <- dp - dt*nu*Lap(Lap(dp)).
 void biharmonic_dp3d(const Exchange& x, const Dims& d, State& s, double nu,
                      double dt);
-void biharmonic_dp3d(const mesh::CubedSphere& m, const Dims& d, State& s,
-                     double nu, double dt);
 
 }  // namespace homme

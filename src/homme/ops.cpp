@@ -1,5 +1,6 @@
 #include "homme/ops.hpp"
 
+#include <cassert>
 #include <cmath>
 
 #include "homme/vpack.hpp"
@@ -78,6 +79,13 @@ void tile_derivs(const double* a, const double* b, double* dx, double* dy) {
 
 }  // namespace
 
+MetricView::MetricView(const double* tiles, int ntiles) {
+  const double** slots[] = {&jac, &ginv11, &ginv12, &ginv22,
+                            &g11, &g12,    &g22};
+  assert(ntiles >= 0 && ntiles <= 7);
+  for (int t = 0; t < ntiles; ++t) *slots[t] = tiles + t * kNpp;
+}
+
 void deriv_ref(const double* s, double* d1, double* d2) {
   tile_derivs(s, s, d1, d2);
 }
@@ -86,78 +94,70 @@ void gradient_covariant(const double* s, double* d1, double* d2) {
   deriv_ref(s, d1, d2);
 }
 
-void gradient_sphere(const mesh::ElementGeom& g, const double* s, double* g1,
+void gradient_sphere(const MetricView& g, const double* s, double* g1,
                      double* g2) {
   double d1[kNpp], d2[kNpp];
   deriv_ref(s, d1, d2);
   for (int k = 0; k < kNpp; ++k) {
-    g1[k] = g.ginv11[static_cast<std::size_t>(k)] * d1[k] +
-            g.ginv12[static_cast<std::size_t>(k)] * d2[k];
-    g2[k] = g.ginv12[static_cast<std::size_t>(k)] * d1[k] +
-            g.ginv22[static_cast<std::size_t>(k)] * d2[k];
+    g1[k] = g.ginv11[k] * d1[k] + g.ginv12[k] * d2[k];
+    g2[k] = g.ginv12[k] * d1[k] + g.ginv22[k] * d2[k];
   }
 }
 
-void divergence_sphere(const mesh::ElementGeom& g, const double* u1,
+void divergence_sphere(const MetricView& g, const double* u1,
                        const double* u2, double* div) {
   double ju1[kNpp], ju2[kNpp], dx[kNpp], dy[kNpp];
   for (int p = 0; p < kTilePacks; ++p) {
     const int k = p * vpack::width;
-    const vpack jac = vpack::load(g.jac.data() + k);
+    const vpack jac = vpack::load(g.jac + k);
     (jac * vpack::load(u1 + k)).store(ju1 + k);
     (jac * vpack::load(u2 + k)).store(ju2 + k);
   }
   tile_derivs(ju1, ju2, dx, dy);
   for (int p = 0; p < kTilePacks; ++p) {
     const int k = p * vpack::width;
-    ((vpack::load(dx + k) + vpack::load(dy + k)) /
-     vpack::load(g.jac.data() + k))
+    ((vpack::load(dx + k) + vpack::load(dy + k)) / vpack::load(g.jac + k))
         .store(div + k);
   }
 }
 
-void vorticity_sphere(const mesh::ElementGeom& g, const double* u1,
+void vorticity_sphere(const MetricView& g, const double* u1,
                       const double* u2, double* vort) {
   // Covariant components: cov_i = g_ij u^j.
   double cov1[kNpp], cov2[kNpp], dx[kNpp], dy[kNpp];
   for (int p = 0; p < kTilePacks; ++p) {
     const int k = p * vpack::width;
     const vpack vu1 = vpack::load(u1 + k), vu2 = vpack::load(u2 + k);
-    const vpack g12 = vpack::load(g.g12.data() + k);
-    (vpack::load(g.g11.data() + k) * vu1 + g12 * vu2).store(cov1 + k);
-    (g12 * vu1 + vpack::load(g.g22.data() + k) * vu2).store(cov2 + k);
+    const vpack g12 = vpack::load(g.g12 + k);
+    (vpack::load(g.g11 + k) * vu1 + g12 * vu2).store(cov1 + k);
+    (g12 * vu1 + vpack::load(g.g22 + k) * vu2).store(cov2 + k);
   }
   tile_derivs(cov2, cov1, dx, dy);
   for (int p = 0; p < kTilePacks; ++p) {
     const int k = p * vpack::width;
-    ((vpack::load(dx + k) - vpack::load(dy + k)) /
-     vpack::load(g.jac.data() + k))
+    ((vpack::load(dx + k) - vpack::load(dy + k)) / vpack::load(g.jac + k))
         .store(vort + k);
   }
 }
 
-void laplace_sphere(const mesh::ElementGeom& g, const double* s,
-                    double* lap) {
+void laplace_sphere(const MetricView& g, const double* s, double* lap) {
   double g1[kNpp], g2[kNpp];
   gradient_sphere(g, s, g1, g2);
   divergence_sphere(g, g1, g2, lap);
 }
 
-void laplace_sphere_wk(const mesh::ElementGeom& g, const double* s,
-                       double* lap) {
+void laplace_sphere_wk(const MetricView& g, const double* s, double* lap) {
   const OpTables& t = tables();
   // Contravariant flux F^a = J g^{ab} ds/dxi_b.
   double d1[kNpp], d2[kNpp], f1[kNpp], f2[kNpp];
   deriv_ref(s, d1, d2);
   for (int p = 0; p < kTilePacks; ++p) {
     const int k = p * vpack::width;
-    const vpack jac = vpack::load(g.jac.data() + k);
+    const vpack jac = vpack::load(g.jac + k);
     const vpack vd1 = vpack::load(d1 + k), vd2 = vpack::load(d2 + k);
-    const vpack gi12 = vpack::load(g.ginv12.data() + k);
-    (jac * (vpack::load(g.ginv11.data() + k) * vd1 + gi12 * vd2))
-        .store(f1 + k);
-    (jac * (gi12 * vd1 + vpack::load(g.ginv22.data() + k) * vd2))
-        .store(f2 + k);
+    const vpack gi12 = vpack::load(g.ginv12 + k);
+    (jac * (vpack::load(g.ginv11 + k) * vd1 + gi12 * vd2)).store(f1 + k);
+    (jac * (gi12 * vd1 + vpack::load(g.ginv22 + k) * vd2)).store(f2 + k);
   }
   // Weak divergence: lap(i,j) = -(1/(w_i w_j J)) *
   //   [ sum_m D[m][i] w_m w_j F1(m,j) + sum_m D[m][j] w_i w_m F2(i,m) ].
@@ -170,7 +170,7 @@ void laplace_sphere_wk(const mesh::ElementGeom& g, const double* s,
         acc += vpack::load(&t.WK2[j][m][i0]) * vpack::load(f2 + gidx(i0, m));
       }
       const int k = gidx(i0, j);
-      (-acc / (vpack::load(&t.WW[j][i0]) * vpack::load(g.jac.data() + k)))
+      (-acc / (vpack::load(&t.WW[j][i0]) * vpack::load(g.jac + k)))
           .store(lap + k);
     }
   }
@@ -198,20 +198,30 @@ void cart_to_contra(const mesh::ElementGeom& g, const double* ux,
   }
 }
 
+void unit_normals(const mesh::ElementGeom& g, double* rx, double* ry,
+                  double* rz) {
+  const double r = std::sqrt(mesh::dot(g.pos[0], g.pos[0]));
+  for (int k = 0; k < kNpp; ++k) {
+    const auto& p = g.pos[static_cast<std::size_t>(k)];
+    rx[k] = p[0] / r;
+    ry[k] = p[1] / r;
+    rz[k] = p[2] / r;
+  }
+}
+
 void coriolis_vorticity_term(const mesh::ElementGeom& g,
                              const double* absvort, const double* u1,
                              const double* u2, double* t1, double* t2) {
   double ux[kNpp], uy[kNpp], uz[kNpp];
   contra_to_cart(g, u1, u2, ux, uy, uz);
+  double rx[kNpp], ry[kNpp], rz[kNpp];
+  unit_normals(g, rx, ry, rz);
   double wx[kNpp], wy[kNpp], wz[kNpp];
-  const double r = std::sqrt(mesh::dot(g.pos[0], g.pos[0]));
   for (int k = 0; k < kNpp; ++k) {
-    const auto& p = g.pos[static_cast<std::size_t>(k)];
     // r_hat x U scaled by (zeta + f).
-    const double rx = p[0] / r, ry = p[1] / r, rz = p[2] / r;
-    wx[k] = absvort[k] * (ry * uz[k] - rz * uy[k]);
-    wy[k] = absvort[k] * (rz * ux[k] - rx * uz[k]);
-    wz[k] = absvort[k] * (rx * uy[k] - ry * ux[k]);
+    wx[k] = absvort[k] * (ry[k] * uz[k] - rz[k] * uy[k]);
+    wy[k] = absvort[k] * (rz[k] * ux[k] - rx[k] * uz[k]);
+    wz[k] = absvort[k] * (rx[k] * uy[k] - ry[k] * ux[k]);
   }
   cart_to_contra(g, wx, wy, wz, t1, t2);
 }

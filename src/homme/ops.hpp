@@ -15,15 +15,49 @@
 /// deriv_ref, divergence_sphere, vorticity_sphere and laplace_sphere_wk
 /// are vectorized (vpack lanes over a tile row) and bit-identical to
 /// their scalar bodies, which are frozen in homme::ref.
+///
+/// The metric operators read their tiles through a MetricView, so one
+/// library serves the host kernels (which pass a mesh::ElementGeom) and
+/// the CPE ports (which pass the tiles staged in LDM from a packed
+/// geometry block). The ports charge their modeled flops at the call
+/// site; the arithmetic is this file's either way.
 
 namespace homme {
+
+/// The metric tiles the spherical operators read, 16 doubles each in gidx
+/// order. Converts implicitly from a mesh::ElementGeom; a block of
+/// consecutive tiles in member order (jac, ginv11, ginv12, ginv22, g11,
+/// g12, g22 — the leading tiles of accel's packed geometry) provides its
+/// first \p ntiles. An operator reads only the tiles it names, so a view
+/// may leave the others null: divergence needs jac; the gradient adds
+/// ginv; vorticity needs jac and g.
+struct MetricView {
+  const double* jac = nullptr;
+  const double* ginv11 = nullptr;
+  const double* ginv12 = nullptr;
+  const double* ginv22 = nullptr;
+  const double* g11 = nullptr;
+  const double* g12 = nullptr;
+  const double* g22 = nullptr;
+
+  // Implicit, so host call sites pass the geometry unchanged.
+  MetricView(const mesh::ElementGeom& g)
+      : jac(g.jac.data()),
+        ginv11(g.ginv11.data()),
+        ginv12(g.ginv12.data()),
+        ginv22(g.ginv22.data()),
+        g11(g.g11.data()),
+        g12(g.g12.data()),
+        g22(g.g22.data()) {}
+  MetricView(const double* tiles, int ntiles);
+};
 
 /// Reference-element derivatives of a scalar tile:
 /// d1 = ds/dx, d2 = ds/dy (x along gidx's fast axis).
 void deriv_ref(const double* s, double* d1, double* d2);
 
 /// Contravariant gradient on the sphere: grad^i = ginv^{ij} ds/dxi_j.
-void gradient_sphere(const mesh::ElementGeom& g, const double* s, double* g1,
+void gradient_sphere(const MetricView& g, const double* s, double* g1,
                      double* g2);
 
 /// Covariant gradient (plain reference derivatives), exposed for the
@@ -31,22 +65,23 @@ void gradient_sphere(const mesh::ElementGeom& g, const double* s, double* g1,
 void gradient_covariant(const double* s, double* d1, double* d2);
 
 /// Divergence of a contravariant vector: (1/J)(d(J u1)/dx + d(J u2)/dy).
-void divergence_sphere(const mesh::ElementGeom& g, const double* u1,
+void divergence_sphere(const MetricView& g, const double* u1,
                        const double* u2, double* div);
 
 /// Relative vorticity of a contravariant vector:
 /// (1/J)(d(g_2j u^j)/dx - d(g_1j u^j)/dy).
-void vorticity_sphere(const mesh::ElementGeom& g, const double* u1,
+void vorticity_sphere(const MetricView& g, const double* u1,
                       const double* u2, double* vort);
 
-/// Strong-form scalar Laplacian div(grad s).
-void laplace_sphere(const mesh::ElementGeom& g, const double* s, double* lap);
+/// Strong-form scalar Laplacian div(grad s): gradient_sphere, then
+/// divergence_sphere.
+void laplace_sphere(const MetricView& g, const double* s, double* lap);
 
 /// Weak-form scalar Laplacian, divided by the local GLL mass. After a
 /// mass-weighted DSS the global integral of the result telescopes to
 /// exactly zero, so hyperviscosity built on this operator conserves mass
 /// to roundoff — the property HOMME's laplace_sphere_wk provides.
-void laplace_sphere_wk(const mesh::ElementGeom& g, const double* s,
+void laplace_sphere_wk(const MetricView& g, const double* s,
                        double* lap);
 
 /// Convert a contravariant vector tile to Cartesian 3-vectors
@@ -59,6 +94,12 @@ void contra_to_cart(const mesh::ElementGeom& g, const double* u1,
 void cart_to_contra(const mesh::ElementGeom& g, const double* ux,
                     const double* uy, const double* uz, double* u1,
                     double* u2);
+
+/// The outward unit normal r_hat at every GLL point, as three tiles:
+/// pos / |pos[0]| (an element's points all lie on one sphere). The
+/// Coriolis term below and accel's packed geometry both take r_hat here.
+void unit_normals(const mesh::ElementGeom& g, double* rx, double* ry,
+                  double* rz);
 
 /// (zeta+f) * (r_hat x U) expressed in contravariant components; used by
 /// the vector-invariant momentum equation. \p absvort holds zeta+f.

@@ -31,11 +31,7 @@ void monotone_slopes(std::span<const double> width, std::span<const double> y,
                : 0.5 * (delta[i - 1] + delta[i]);
   }
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (delta[i] == 0.0) {
-      m[i] = 0.0;
-      m[i + 1] = 0.0;
-      continue;
-    }
+    // For finite y a zero secant has +0 slopes: s is NaN and s > 9 false.
     const double a = m[i] / delta[i];
     const double b = m[i + 1] / delta[i];
     const double s = a * a + b * b;
@@ -190,10 +186,15 @@ void remap_column(std::span<const double> src_dp,
   ColumnRemapPlan::checked(src_dp, tgt_dp, arena).apply(src_dp, tgt_dp, q);
 }
 
-void vertical_remap(const mesh::CubedSphere& m, const Dims& d, State& s) {
-  assert(static_cast<std::size_t>(m.nelem()) == s.size());
-  (void)m;
-  vertical_remap_local(d, s);
+void remap_targets(const HybridCoord& hc, int nlev, const double* mass,
+                   double* tgt) {
+  for (int lev = 0; lev < nlev; ++lev) {
+    for (int p = 0; p < kTilePacks; ++p) {
+      const int k = p * vpack::width;
+      remap_target_dp(hc, lev, vpack::load(mass + k))
+          .store(tgt + fidx(lev, k));
+    }
+  }
 }
 
 void vertical_remap_local(const Dims& d, State& s) {
@@ -237,22 +238,9 @@ void vertical_remap_local(const Dims& d, State& s) {
       }
     }
 
-    // Reference target thicknesses from each column's surface pressure
-    // ps = ptop + total mass, evaluated 16 columns at a time, then the
-    // same tiled scan for the target coordinate.
-    for (int lev = 0; lev < nlev; ++lev) {
-      const double a0 = hc.hyai[static_cast<std::size_t>(lev)] * kP0;
-      const double a1 = hc.hyai[static_cast<std::size_t>(lev) + 1] * kP0;
-      const double b0 = hc.hybi[static_cast<std::size_t>(lev)];
-      const double b1 = hc.hybi[static_cast<std::size_t>(lev) + 1];
-      const double* total = xs_soa.data() + fidx(nlev, 0);
-      double* tl = tgt_soa.data() + fidx(lev, 0);
-      for (int p = 0; p < kTilePacks; ++p) {
-        const int k = p * vpack::width;
-        const vpack ps = vpack::load(total + k) + kPtop;
-        ((b1 * ps + a1) - (b0 * ps + a0)).store(tl + k);
-      }
-    }
+    // Reference target thicknesses from each column's total mass, then
+    // the same tiled scan for the target coordinate.
+    remap_targets(hc, nlev, xs_soa.data() + fidx(nlev, 0), tgt_soa.data());
     for (int p = 0; p < kTilePacks; ++p) {
       vpack::zero().store(xt_soa.data() + p * vpack::width);
     }

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "homme/state.hpp"
-#include "mesh/cubed_sphere.hpp"
 
 /// \file remap.hpp
 /// vertical_remap — Table 1 kernel: "compute the vertical flux needed to
@@ -85,6 +84,26 @@ class ColumnRemapPlan {
   std::span<double> ys_, slopes_, delta_;  ///< apply()'s work buffers
 };
 
+/// The remap target: the reference thickness of layer \p lev in a column
+/// whose layer thicknesses sum (from 0.0, top down) to \p mass — the
+/// hybrid coordinate's layer at surface pressure ps = mass + ptop. The
+/// one target formula of every remap in the model. \p T is double (one
+/// column) or vpack (one lane per column).
+template <class T>
+T remap_target_dp(const HybridCoord& hc, int lev, T mass) {
+  const std::size_t k = static_cast<std::size_t>(lev);
+  const double a0 = hc.hyai[k] * kP0;
+  const double a1 = hc.hyai[k + 1] * kP0;
+  const T ps = mass + kPtop;
+  return (hc.hybi[k + 1] * ps + a1) - (hc.hybi[k] * ps + a0);
+}
+
+/// remap_target_dp for the kNpp columns of one element, 16 lanes at a
+/// time: \p tgt[fidx(lev, k)] is the target of column k, whose mass is
+/// \p mass[k]. vertical_remap_local and the CPE RemapKernel call it.
+void remap_targets(const HybridCoord& hc, int nlev, const double* mass,
+                   double* tgt);
+
 /// Conservatively remap one column. \p src_dp / \p tgt_dp are the source
 /// and target layer thicknesses (same total mass); \p q holds the source
 /// cell averages on input and receives target cell averages.
@@ -92,14 +111,12 @@ void remap_column(std::span<const double> src_dp,
                   std::span<const double> tgt_dp, std::span<double> q);
 
 /// Remap the full state (u, T, tracers as mixing ratios) of every element
-/// back to the reference hybrid levels implied by each column's surface
-/// pressure, then reset dp to the reference thicknesses.
-void vertical_remap(const mesh::CubedSphere& m, const Dims& d, State& s);
-
-/// The same remap over every element of \p s regardless of mesh extent:
-/// the remap is purely column-local, so this single implementation serves
-/// the Dycore (s = the whole mesh or a rank's local subset) and the
-/// accelerator's host-fallback path — all bit-identical.
+/// of \p s back to the reference hybrid levels implied by each column's
+/// surface pressure (remap_target_dp), then reset dp to the reference
+/// thicknesses. The remap is purely column-local, so this single
+/// implementation serves the Dycore (s = the whole mesh or a rank's local
+/// subset), the accelerator's host-fallback path and the reference the
+/// CPE remap ports are checked against — all bit-identical.
 void vertical_remap_local(const Dims& d, State& s);
 
 }  // namespace homme

@@ -210,10 +210,4 @@ void compute_and_apply_rhs(const Exchange& x, const Dims& d,
   x.dss(dpp, d.nlev);
 }
 
-void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
-                           const State& base, const State& eval, double dt,
-                           State& out) {
-  compute_and_apply_rhs(Exchange(m), d, base, eval, dt, out);
-}
-
 }  // namespace homme

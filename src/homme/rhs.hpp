@@ -43,9 +43,5 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
 void compute_and_apply_rhs(const Exchange& x, const Dims& d,
                            const State& base, const State& eval, double dt,
                            State& out);
-/// The same over the whole mesh (mesh order, whole-mesh DSS).
-void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
-                           const State& base, const State& eval, double dt,
-                           State& out);
 
 }  // namespace homme

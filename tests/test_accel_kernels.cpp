@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "accel/euler_acc.hpp"
 #include "accel/hypervis_acc.hpp"
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
+#include "homme/rhs.hpp"
 #include "mesh/cubed_sphere.hpp"
 
 namespace {
@@ -88,6 +91,45 @@ TEST(AccelRhs, PortsMatchReferenceWithinScanReordering) {
   EXPECT_EQ(accel::packed_max_rel_diff(ref, acc), 0.0);
   // The 3-stage register scan reassociates the sums: tiny fp difference.
   EXPECT_LT(accel::packed_max_rel_diff(ref, ath), 1e-11);
+}
+
+// The ports against the model's own kernel: on the unpacked workset,
+// homme::element_rhs plus x += dt * tend (base = eval, as the in-place
+// port updates) is what the rhs ports compute. Dry, so T is not virtual.
+TEST(AccelRhs, PortsMatchHostElementBody) {
+  const accel::RhsAccConfig cfg{};
+  for (int nlev : {8, 16, 64}) {
+    SCOPED_TRACE("nlev " + std::to_string(nlev));
+    AccelFixture fx(nlev, 0);
+    const auto base = fx.make(10);
+    homme::State s(static_cast<std::size_t>(base.nelem),
+                   homme::ElementState(fx.d));
+    base.to_state(s, 0);
+    auto host = base;
+    homme::ElementTend tend(fx.d);
+    const std::size_t fs = base.field_size();
+    for (int e = 0; e < base.nelem; ++e) {
+      const auto& es = s[static_cast<std::size_t>(e)];
+      homme::element_rhs(fx.m.geom(e % fx.m.nelem()), fx.d, es, tend);
+      const std::size_t eo = base.elem_offset(e);
+      for (std::size_t f = 0; f < fs; ++f) {
+        host.u1[eo + f] = es.u1[f] + cfg.dt * tend.u1[f];
+        host.u2[eo + f] = es.u2[f] + cfg.dt * tend.u2[f];
+        host.T[eo + f] = es.T[f] + cfg.dt * tend.T[f];
+        host.dp[eo + f] = es.dp[f] + cfg.dt * tend.dp[f];
+      }
+    }
+    auto ref = base;
+    accel::rhs_ref(ref, cfg);
+    auto acc = base;
+    accel::rhs_openacc(fx.cg, acc, cfg);
+    auto ath = base;
+    accel::rhs_athread(fx.cg, ath, cfg);
+    EXPECT_EQ(accel::packed_max_rel_diff(host, ref), 0.0);
+    EXPECT_EQ(accel::packed_max_rel_diff(host, acc), 0.0);
+    // The register-communication scans reassociate the column sums.
+    EXPECT_LT(accel::packed_max_rel_diff(host, ath), 1e-11);
+  }
 }
 
 TEST(AccelRhs, AthreadBeatsOpenAccHandily) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "homme/dss.hpp"
+#include "homme/exchange.hpp"
 #include "homme/hypervis.hpp"
 #include "homme/init.hpp"
 #include "mesh/cubed_sphere.hpp"
@@ -66,7 +67,7 @@ TEST(Hypervis, DampsNoiseButPreservesMean) {
   // One explicit nabla^2 step with a clearly stable coefficient.
   homme::Dycore dy(m, d, homme::DycoreConfig{});
   const double nu_dt = 0.05 * std::pow(dy.min_dx(), 2) / 9.87;
-  homme::hypervis_dp1(m, d, s, nu_dt, 1.0);
+  homme::hypervis_dp1(homme::Exchange(m), d, s, nu_dt, 1.0);
   const auto [mean1, var1] = moments();
   EXPECT_NEAR(mean1, mean0, 1e-6 * std::abs(mean0));
   EXPECT_LT(var1, var0);
@@ -93,7 +94,7 @@ TEST(Hypervis, BiharmonicDp3dPreservesGlobalMass) {
   };
   const double before = mass();
   homme::Dycore dy(m, d, homme::DycoreConfig{});
-  homme::biharmonic_dp3d(m, d, s, dy.nu(), dy.dt());
+  homme::biharmonic_dp3d(homme::Exchange(m), d, s, dy.nu(), dy.dt());
   EXPECT_NEAR(mass(), before, 1e-9 * before);
 }
 

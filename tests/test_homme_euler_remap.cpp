@@ -5,6 +5,7 @@
 
 #include "homme/driver.hpp"
 #include "homme/euler.hpp"
+#include "homme/exchange.hpp"
 #include "homme/init.hpp"
 #include "homme/remap.hpp"
 #include "mesh/cubed_sphere.hpp"
@@ -29,7 +30,7 @@ TEST(EulerStep, ConservesTracerMass) {
   const double before0 = homme::tracer_mass(m, d, s, 0);
   const double before1 = homme::tracer_mass(m, d, s, 1);
   const double dt = homme::Dycore::stable_dt(m);
-  for (int i = 0; i < 5; ++i) homme::euler_step(m, d, s, dt);
+  for (int i = 0; i < 5; ++i) homme::euler_step(homme::Exchange(m), d, s, dt);
   EXPECT_NEAR(homme::tracer_mass(m, d, s, 0), before0, 1e-10 * before0);
   EXPECT_NEAR(homme::tracer_mass(m, d, s, 1), before1, 1e-10 * before1);
 }
@@ -52,7 +53,9 @@ TEST(EulerStep, LimiterKeepsTracersNonNegative) {
     }
   }
   const double dt = homme::Dycore::stable_dt(m);
-  for (int i = 0; i < 10; ++i) homme::euler_step(m, d, s, dt, true);
+  for (int i = 0; i < 10; ++i) {
+    homme::euler_step(homme::Exchange(m), d, s, dt, true);
+  }
   for (int e = 0; e < m.nelem(); ++e) {
     auto q = s[static_cast<std::size_t>(e)].q(0, d);
     for (double v : q) EXPECT_GE(v, 0.0);
@@ -67,7 +70,7 @@ TEST(EulerStep, ZeroWindLeavesTracersUnchanged) {
   auto s = homme::isothermal_rest(m, d);
   homme::init_tracers(m, d, s);
   homme::State copy = s;
-  homme::euler_step(m, d, s, 500.0, false);
+  homme::euler_step(homme::Exchange(m), d, s, 500.0, false);
   for (std::size_t e = 0; e < s.size(); ++e) {
     auto q = s[e].q(0, d);
     auto q0 = copy[e].q(0, d);
@@ -194,7 +197,7 @@ TEST(VerticalRemap, RestoresReferenceThicknessAndConserves) {
     }
   }
   const double mass_before = homme::tracer_mass(m, d, s, 0);
-  homme::vertical_remap(m, d, s);
+  homme::vertical_remap_local(d, s);
   EXPECT_NEAR(homme::tracer_mass(m, d, s, 0), mass_before,
               1e-10 * mass_before);
   const homme::HybridCoord hc = homme::HybridCoord::uniform(d.nlev);

@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "homme/driver.hpp"
+#include "homme/exchange.hpp"
 #include "homme/init.hpp"
 #include "homme/rhs.hpp"
 #include "mesh/cubed_sphere.hpp"
@@ -35,8 +36,9 @@ TEST(MoistDynamics, DryLimitIsExactlyTheDryCore) {
   }
   homme::State out_dry(s.size(), homme::ElementState(dry));
   homme::State out_moist(s.size(), homme::ElementState(moist));
-  homme::compute_and_apply_rhs(m, dry, s, s, 100.0, out_dry);
-  homme::compute_and_apply_rhs(m, moist, s, s, 100.0, out_moist);
+  homme::compute_and_apply_rhs(homme::Exchange(m), dry, s, s, 100.0, out_dry);
+  homme::compute_and_apply_rhs(homme::Exchange(m), moist, s, s, 100.0,
+                               out_moist);
   for (std::size_t e = 0; e < s.size(); ++e) {
     ASSERT_EQ(out_dry[e].u1, out_moist[e].u1);
     ASSERT_EQ(out_dry[e].T, out_moist[e].T);
@@ -70,8 +72,8 @@ TEST(MoistDynamics, MoistureChangesThePressureGradientResponse) {
   dry.moist = false;
   homme::State out_m(s.size(), homme::ElementState(d));
   homme::State out_d(s.size(), homme::ElementState(d));
-  homme::compute_and_apply_rhs(m, d, s, s, 100.0, out_m);
-  homme::compute_and_apply_rhs(m, dry, s, s, 100.0, out_d);
+  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, 100.0, out_m);
+  homme::compute_and_apply_rhs(homme::Exchange(m), dry, s, s, 100.0, out_d);
   double worst = 0.0;
   for (std::size_t e = 0; e < s.size(); ++e) {
     for (std::size_t f = 0; f < d.field_size(); ++f) {
@@ -99,7 +101,7 @@ TEST(MoistDynamics, MoistRestStateWithUniformHumidityStaysAtRest) {
     }
   }
   homme::State out(s.size(), homme::ElementState(d));
-  homme::compute_and_apply_rhs(m, d, s, s, 500.0, out);
+  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, 500.0, out);
   for (std::size_t e = 0; e < s.size(); ++e) {
     for (std::size_t f = 0; f < d.field_size(); ++f) {
       ASSERT_NEAR(out[e].u1[f], 0.0, 1e-10);

@@ -1,3 +1,4 @@
+#include "homme/exchange.hpp"
 #include "homme/rhs.hpp"
 
 #include <gtest/gtest.h>
@@ -105,7 +106,7 @@ TEST(Rhs, IsothermalRestIsSteady) {
   d.qsize = 0;
   auto s = homme::isothermal_rest(m, d);
   homme::State out(s.size(), homme::ElementState(d));
-  homme::compute_and_apply_rhs(m, d, s, s, 100.0, out);
+  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, 100.0, out);
   for (std::size_t e = 0; e < s.size(); ++e) {
     for (std::size_t f = 0; f < d.field_size(); ++f) {
       EXPECT_NEAR(out[e].u1[f], 0.0, 1e-10);
@@ -128,7 +129,7 @@ TEST(Rhs, SolidBodyRotationIsNearSteady) {
   auto s = homme::solid_body_rotation(m, d, u0);
   homme::State out(s.size(), homme::ElementState(d));
   const double dt = 100.0;
-  homme::compute_and_apply_rhs(m, d, s, s, dt, out);
+  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, dt, out);
   // Measure physical wind change |du| vs u0.
   double max_du = 0.0;
   for (std::size_t e = 0; e < s.size(); ++e) {
@@ -159,7 +160,7 @@ TEST(Rhs, MassTendencyIntegralVanishes) {
   auto s = homme::baroclinic(m, d, 30.0, 300.0, 5.0);
   homme::State out(s.size(), homme::ElementState(d));
   const double dt = 50.0;
-  homme::compute_and_apply_rhs(m, d, s, s, dt, out);
+  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, dt, out);
   double before = 0.0, after = 0.0;
   for (int e = 0; e < m.nelem(); ++e) {
     const auto& g = m.geom(e);
@@ -181,7 +182,7 @@ TEST(Rhs, OutputIsContinuousAcrossElements) {
   d.qsize = 0;
   auto s = homme::baroclinic(m, d);
   homme::State out(s.size(), homme::ElementState(d));
-  homme::compute_and_apply_rhs(m, d, s, s, 60.0, out);
+  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, 60.0, out);
   for (int node = 0; node < m.nnodes(); ++node) {
     const auto& owners = m.node_elems(node);
     if (owners.size() < 2) continue;

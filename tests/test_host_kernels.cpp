@@ -10,6 +10,7 @@
 
 #include "homme/driver.hpp"
 #include "homme/euler.hpp"
+#include "homme/exchange.hpp"
 #include "homme/init.hpp"
 #include "homme/ops.hpp"
 #include "homme/ref_kernels.hpp"
@@ -175,7 +176,7 @@ TEST(HostKernels, RhsMatchesReferenceAcrossConfigs) {
         homme::State out_ref(s.size(), homme::ElementState(d));
         homme::State out_new(s.size(), homme::ElementState(d));
         homme::ref::compute_and_apply_rhs(m, d, s, s, dt, out_ref);
-        homme::compute_and_apply_rhs(m, d, s, s, dt, out_new);
+        homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, dt, out_new);
         expect_state_close(out_ref, out_new, d, kTol);
       }
     }
@@ -203,7 +204,7 @@ TEST(HostKernels, EulerStepBitIdenticalToReference) {
           }
           auto b = a;
           homme::ref::euler_step(m, d, a, dt, limit);
-          homme::euler_step(m, d, b, dt, limit);
+          homme::euler_step(homme::Exchange(m), d, b, dt, limit);
           for (std::size_t e = 0; e < a.size(); ++e) {
             for (std::size_t f = 0; f < a[e].qdp.size(); ++f) {
               ASSERT_EQ(a[e].qdp[f], b[e].qdp[f])

@@ -16,6 +16,7 @@
 #include "homme/driver.hpp"
 #include "homme/init.hpp"
 #include "model/session.hpp"
+#include "scenario/registry.hpp"
 
 namespace {
 
@@ -172,32 +173,40 @@ TEST(Session, ParallelMatchesSequential) {
   expect_states_near(par.state(), seq.state());
 }
 
-// The pipeline backend's remap reassociates the column pressure scan on
-// the simulated CPEs, so backends agree to rounding (the same bound the
-// accel pipeline tests use), and no fault means no host fallback. At two
-// ranks every rank remaps its own local state; at three core groups the
-// ranks' shares of the pool differ in width.
+// The pipeline backend's remap takes homme's target thicknesses and
+// column plans, so every builtin scenario steps to the host's bits, and
+// no fault means no host fallback. At three core groups the shards
+// differ in width; at two ranks (the scenarios without physics, which
+// runs on one rank) every rank remaps its own local state.
 TEST(Session, PipelineBackendMatchesHost) {
   const int kSteps = 4;  // remap_freq 3: crosses a remap step
-  for (const int nranks : {1, 2}) {
-    const SessionConfig base =
-        SessionConfig{}.with_ne(2).with_levels(8, 2).with_ranks(nranks);
-    Session host(base);
-    host.run(kSteps);
-    EXPECT_EQ(host.accelerator(), nullptr);
-    for (const int cgs : {1, 3}) {
-      SCOPED_TRACE("ranks " + std::to_string(nranks) + ", core groups " +
-                   std::to_string(cgs));
-      Session pipe(SessionConfig{base}
-                       .with_backend(SessionConfig::Backend::kPipeline)
-                       .with_core_groups(cgs));
-      pipe.run(kSteps);
+  for (const std::string& name : scenario::names()) {
+    const scenario::Scenario& sc = scenario::get(name);
+    for (const int nranks : {1, 2}) {
+      if (nranks > 1 && sc.defaults.physics) continue;
+      scenario::Overrides ov;
+      ov.ne = 2;
+      ov.nranks = nranks;
+      ov.remap_freq = 3;
+      const auto host = sc.session(ov);
+      scenario::run(sc, *host, kSteps);
+      EXPECT_EQ(host->accelerator(), nullptr);
+      for (const int cgs : {1, 3}) {
+        SCOPED_TRACE(name + ", ranks " + std::to_string(nranks) +
+                     ", core groups " + std::to_string(cgs));
+        scenario::Overrides po = ov;
+        po.backend = SessionConfig::Backend::kPipeline;
+        po.core_groups = cgs;
+        const auto pipe = sc.session(po);
+        scenario::run(sc, *pipe, kSteps);
 
-      EXPECT_EQ(pipe.fallbacks(), 0);
-      for (int r = 0; r < nranks; ++r) {
-        ASSERT_NE(pipe.accelerator(r), nullptr);
+        EXPECT_EQ(pipe->fallbacks(), 0);
+        for (int r = 0; r < nranks; ++r) {
+          ASSERT_NE(pipe->accelerator(r), nullptr);
+        }
+        EXPECT_EQ(model::state_digest(pipe->state(), kSteps),
+                  model::state_digest(host->state(), kSteps));
       }
-      expect_states_near(pipe.state(), host.state());
     }
   }
 }

@@ -303,26 +303,35 @@ TEST(GracefulDegradation, FaultedLaunchFallsBackToHostBitIdentically) {
 
   homme::State host_s = homme::baroclinic(mesh, d);
   homme::State accel_s = host_s;
+  homme::State clean_s = host_s;
 
   homme::Dycore host_dc(mesh, d, cfg);
   homme::Dycore accel_dc(mesh, d, cfg);
+  homme::Dycore clean_dc(mesh, d, cfg);
   accel::PipelineAccelerator pa(d);
   sw::FaultPlan plan;
   plan.inject({FaultKind::kDmaFail, /*target=*/-1, /*op_index=*/0});
   pa.set_fault_plan(&plan);
   accel_dc.attach_accelerator(&pa);
+  accel::PipelineAccelerator clean(d);
+  clean_dc.attach_accelerator(&clean);
 
   host_dc.run(host_s, 3);
   accel_dc.run(accel_s, 3);  // must complete despite the fault
+  clean_dc.run(clean_s, 3);
 
   EXPECT_EQ(plan.fired_count(), 1u);
   EXPECT_EQ(pa.launches(), 1);
   EXPECT_EQ(pa.fallbacks(), 1);
   EXPECT_EQ(pa.last_stats().totals.host_fallbacks, 1u);
   EXPECT_FALSE(pa.last_fault().empty());
+  EXPECT_EQ(clean.launches(), 1);
+  EXPECT_EQ(clean.fallbacks(), 0);
   // The discarded launch never touched the state; the host redo makes the
-  // run indistinguishable from a never-accelerated one.
+  // run indistinguishable from a never-accelerated one, and from one whose
+  // launch never faulted: a fallback leaves no trace in the state.
   EXPECT_TRUE(states_bitwise_equal(host_s, accel_s));
+  EXPECT_TRUE(states_bitwise_equal(host_s, clean_s));
 }
 
 TEST(GracefulDegradation, RecoveredAcceleratorKeepsWorkingAfterTheFault) {
