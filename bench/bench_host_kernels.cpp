@@ -54,6 +54,24 @@ int g_ne = 4;
 int g_nlev = 64;
 int g_steps = 20;
 
+/// The vector ISA this build targets, from the compiler's predefined
+/// macros: a wall time means nothing across machines without it.
+const char* vector_isa() {
+#if defined(__AVX512F__)
+  return "avx512f";
+#elif defined(__AVX2__)
+  return "avx2";
+#elif defined(__AVX__)
+  return "avx";
+#elif defined(__SSE2__)
+  return "sse2";
+#elif defined(__ARM_NEON)
+  return "neon";
+#else
+  return "other";
+#endif
+}
+
 struct Row {
   std::string name;
   double scalar_s = 0.0;      ///< per invocation, reference path
@@ -307,8 +325,8 @@ const std::vector<Row>& rows() {
 void print_table() {
   std::printf(
       "\n=== Host kernels: scalar reference vs vectorized/arena path "
-      "(ne=%d, nlev=%d, vpack width %d) ===\n",
-      g_ne, g_nlev, homme::kVpackWidth);
+      "(ne=%d, nlev=%d, vpack width %d, %s) ===\n",
+      g_ne, g_nlev, homme::kVpackWidth, vector_isa());
   std::printf("%-24s %12s %12s %8s %9s %8s %10s\n", "kernel", "scalar_s",
               "vector_s", "speedup", "GFLOP/s", "B/pt", "max_rel");
   for (const auto& r : rows()) {
@@ -326,7 +344,8 @@ bool write_json(const std::string& path) {
       .set("nlev", g_nlev)
       .set("qsize", 2)
       .set("steps", g_steps)
-      .set("vpack_width", homme::kVpackWidth);
+      .set("vpack_width", homme::kVpackWidth)
+      .set("isa", vector_isa());
   obs::Json& kernels = rep.root().arr("kernels");
   for (const auto& r : rows()) {
     kernels.push()

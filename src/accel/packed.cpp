@@ -1,8 +1,8 @@
 #include "accel/packed.hpp"
 
+#include <algorithm>
 #include <cmath>
 
-#include "homme/ops.hpp"
 #include "mesh/gll.hpp"
 
 namespace accel {
@@ -12,25 +12,24 @@ using mesh::kNpp;
 namespace {
 
 void pack_geometry(const mesh::ElementGeom& g, double* out) {
-  homme::unit_normals(g, out + kRhatX * kNpp, out + kRhatY * kNpp,
-                      out + kRhatZ * kNpp);
-  for (int k = 0; k < kNpp; ++k) {
-    const std::size_t sk = static_cast<std::size_t>(k);
-    out[kJac * kNpp + k] = g.jac[sk];
-    out[kGinv11 * kNpp + k] = g.ginv11[sk];
-    out[kGinv12 * kNpp + k] = g.ginv12[sk];
-    out[kGinv22 * kNpp + k] = g.ginv22[sk];
-    out[kG11 * kNpp + k] = g.g11[sk];
-    out[kG12 * kNpp + k] = g.g12[sk];
-    out[kG22 * kNpp + k] = g.g22[sk];
-    for (int d = 0; d < 3; ++d) {
-      out[(kA1X + d) * kNpp + k] = g.a1[sk][d];
-      out[(kA2X + d) * kNpp + k] = g.a2[sk][d];
-      out[(kB1X + d) * kNpp + k] = g.b1[sk][d];
-      out[(kB2X + d) * kNpp + k] = g.b2[sk][d];
-    }
-    out[kCor * kNpp + k] = g.coriolis[sk];
+  auto put = [out](int tile, const std::array<double, kNpp>& src) {
+    std::copy(src.begin(), src.end(), out + tile * kNpp);
+  };
+  put(kJac, g.jac);
+  put(kGinv11, g.ginv11);
+  put(kGinv12, g.ginv12);
+  put(kGinv22, g.ginv22);
+  put(kG11, g.g11);
+  put(kG12, g.g12);
+  put(kG22, g.g22);
+  for (int d = 0; d < 3; ++d) {
+    put(kA1X + d, g.a1[static_cast<std::size_t>(d)]);
+    put(kA2X + d, g.a2[static_cast<std::size_t>(d)]);
+    put(kB1X + d, g.b1[static_cast<std::size_t>(d)]);
+    put(kB2X + d, g.b2[static_cast<std::size_t>(d)]);
+    put(kRhatX + d, g.rhat[static_cast<std::size_t>(d)]);
   }
+  put(kCor, g.coriolis);
 }
 
 }  // namespace

@@ -64,7 +64,8 @@ struct PackedElems {
 
 /// Geometry tile offsets within geom_of(e), in units of kNpp doubles. The
 /// leading kMetricTiles (kJac..kG22) are in homme::MetricView's member
-/// order, so a view reads them straight off a packed or staged block.
+/// order and kA1X..kRhatZ in homme::FrameView's, so both views read
+/// their tiles straight off a packed or staged block.
 enum GeomTile {
   kJac = 0,
   kGinv11,
@@ -91,6 +92,7 @@ enum GeomTile {
   kCor  ///< Coriolis parameter 2*Omega*sin(lat)
 };
 inline constexpr int kMetricTiles = kG22 + 1;
+static_assert(kRhatZ == kA1X + 14, "FrameView reads 15 consecutive tiles");
 
 /// Analytic compulsory-traffic estimates used to price the cache-based
 /// platforms (Intel core / MPE) in Table 1. flops are taken from the

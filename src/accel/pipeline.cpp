@@ -288,8 +288,14 @@ sw::KernelStats KernelPipeline::run_fused(
   obs::Tracer* tracer = cg.tracer();
   const bool tracing = tracer != nullptr && tracer->enabled();
   if (tracing) {
-    std::string label = "launch:" + std::string(segment[0]->name());
-    if (nkernels > 1) label += "+" + std::to_string(nkernels - 1);
+    // Appended piecewise: GCC 12 reports a false -Wrestrict on
+    // libstdc++'s operator+(const char*, std::string&&).
+    std::string label = "launch:";
+    label += segment[0]->name();
+    if (nkernels > 1) {
+      label += '+';
+      label += std::to_string(nkernels - 1);
+    }
     opts.trace_name = tracer->intern(label);
     opts.trace_defer = true;
   }

@@ -51,35 +51,21 @@ void rhs_level_tile(const double* geom, const double* u1, const double* u2,
   homme::deriv_ref(T, dT1, dT2);
   charge(cpe, vec, kDerivFlops);
 
-  // Coriolis/vorticity cross product via Cartesian rotation.
+  // Coriolis/vorticity cross product on the staged frame tiles.
+  double c1[kNpp], c2[kNpp];
+  homme::coriolis_vorticity_term(homme::FrameView(geom + kA1X * kNpp), vort,
+                                 u1, u2, c1, c2);
   for (int k = 0; k < kNpp; ++k) {
-    const double ux = u1[k] * geom[(kA1X)*kNpp + k] +
-                      u2[k] * geom[(kA2X)*kNpp + k];
-    const double uy = u1[k] * geom[(kA1Y)*kNpp + k] +
-                      u2[k] * geom[(kA2Y)*kNpp + k];
-    const double uz = u1[k] * geom[(kA1Z)*kNpp + k] +
-                      u2[k] * geom[(kA2Z)*kNpp + k];
-    const double rx = geom[kRhatX * kNpp + k];
-    const double ry = geom[kRhatY * kNpp + k];
-    const double rz = geom[kRhatZ * kNpp + k];
-    const double wx = vort[k] * (ry * uz - rz * uy);
-    const double wy = vort[k] * (rz * ux - rx * uz);
-    const double wz = vort[k] * (rx * uy - ry * ux);
-    const double c1 = wx * geom[kB1X * kNpp + k] +
-                      wy * geom[kB1Y * kNpp + k] +
-                      wz * geom[kB1Z * kNpp + k];
-    const double c2 = wx * geom[kB2X * kNpp + k] +
-                      wy * geom[kB2Y * kNpp + k] +
-                      wz * geom[kB2Z * kNpp + k];
     const double rtp = kRgas * T[k] / pm[k];
     const double gE1 = g.ginv11[k] * dE1[k] + g.ginv12[k] * dE2[k];
     const double gE2 = g.ginv12[k] * dE1[k] + g.ginv22[k] * dE2[k];
     const double gp1 = g.ginv11[k] * dp1[k] + g.ginv12[k] * dp2[k];
     const double gp2 = g.ginv12[k] * dp1[k] + g.ginv22[k] * dp2[k];
-    tu1[k] = -c1 - gE1 - rtp * gp1;
-    tu2[k] = -c2 - gE2 - rtp * gp2;
+    tu1[k] = -c1[k] - gE1 - rtp * gp1;
+    tu2[k] = -c2[k] - gE2 - rtp * gp2;
     tT[k] = -(u1[k] * dT1[k] + u2[k] * dT2[k]);
   }
+  // One charge covers the Coriolis term and the tendencies.
   charge(cpe, vec, kNpp * 60);
 
   double f1[kNpp], f2[kNpp];
@@ -97,8 +83,8 @@ void rhs_level_tile(const double* geom, const double* u1, const double* u2,
 void rhs_ref(PackedElems& p, const RhsAccConfig& cfg) {
   const int nlev = p.nlev;
   const std::size_t fs = p.field_size();
-  std::vector<double> pm(fs), phim(fs), h(fs), divdp(fs), omega(fs),
-      tu1(fs), tu2(fs), tT(fs);
+  std::vector<double> pm(fs), phim(fs), divdp(fs), omega(fs), tu1(fs),
+      tu2(fs), tT(fs);
   for (int e = 0; e < p.nelem; ++e) {
     const double* geom = p.geom_of(e);
     const std::size_t eo = p.elem_offset(e);

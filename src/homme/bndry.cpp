@@ -243,9 +243,9 @@ void BndryExchange::dss_vector_levels(net::Rank& r,
   {
     obs::ScopedSpan span(trk_, "bndry:rotate");
     for (std::size_t le = 0; le < n; ++le) {
-      const auto& g = mesh_.geom(local_elems_[le]);
+      const FrameView f = mesh_.geom(local_elems_[le]);
       for (int lev = 0; lev < nlev; ++lev) {
-        contra_to_cart(g, u1[le] + fidx(lev, 0), u2[le] + fidx(lev, 0),
+        contra_to_cart(f, u1[le] + fidx(lev, 0), u2[le] + fidx(lev, 0),
                        px[le] + fidx(lev, 0), py[le] + fidx(lev, 0),
                        pz[le] + fidx(lev, 0));
       }
@@ -257,9 +257,9 @@ void BndryExchange::dss_vector_levels(net::Rank& r,
   {
     obs::ScopedSpan span(trk_, "bndry:rotate");
     for (std::size_t le = 0; le < n; ++le) {
-      const auto& g = mesh_.geom(local_elems_[le]);
+      const FrameView f = mesh_.geom(local_elems_[le]);
       for (int lev = 0; lev < nlev; ++lev) {
-        cart_to_contra(g, px[le] + fidx(lev, 0), py[le] + fidx(lev, 0),
+        cart_to_contra(f, px[le] + fidx(lev, 0), py[le] + fidx(lev, 0),
                        pz[le] + fidx(lev, 0), u1[le] + fidx(lev, 0),
                        u2[le] + fidx(lev, 0));
       }

@@ -74,9 +74,9 @@ void dss_vector_levels(const mesh::CubedSphere& m,
   }
   for (int e = 0; e < nelem; ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = m.geom(e);
+    const FrameView f = m.geom(e);
     for (int lev = 0; lev < nlev; ++lev) {
-      contra_to_cart(g, u1[se] + fidx(lev, 0), u2[se] + fidx(lev, 0),
+      contra_to_cart(f, u1[se] + fidx(lev, 0), u2[se] + fidx(lev, 0),
                      px[se] + fidx(lev, 0), py[se] + fidx(lev, 0),
                      pz[se] + fidx(lev, 0));
     }
@@ -86,9 +86,9 @@ void dss_vector_levels(const mesh::CubedSphere& m,
   dss_levels(m, pz, nlev);
   for (int e = 0; e < nelem; ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = m.geom(e);
+    const FrameView f = m.geom(e);
     for (int lev = 0; lev < nlev; ++lev) {
-      cart_to_contra(g, px[se] + fidx(lev, 0), py[se] + fidx(lev, 0),
+      cart_to_contra(f, px[se] + fidx(lev, 0), py[se] + fidx(lev, 0),
                      pz[se] + fidx(lev, 0), u1[se] + fidx(lev, 0),
                      u2[se] + fidx(lev, 0));
     }

@@ -57,9 +57,9 @@ void wind_to_cart(const Exchange& ex, const Dims& d, const State& s,
                   std::span<double* const> z) {
   for (int e = 0; e < ex.nelem(); ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = ex.geom(e);
+    const FrameView f = ex.geom(e);
     for (int lev = 0; lev < d.nlev; ++lev) {
-      contra_to_cart(g, s[se].u1.data() + fidx(lev, 0),
+      contra_to_cart(f, s[se].u1.data() + fidx(lev, 0),
                      s[se].u2.data() + fidx(lev, 0), x[se] + fidx(lev, 0),
                      y[se] + fidx(lev, 0), z[se] + fidx(lev, 0));
     }
@@ -71,11 +71,11 @@ void cart_to_wind(const Exchange& ex, const Dims& d,
                   std::span<double* const> z, State& s) {
   for (int e = 0; e < ex.nelem(); ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = ex.geom(e);
+    const FrameView f = ex.geom(e);
     std::span<double> u1 = s[se].u1.mutable_span();
     std::span<double> u2 = s[se].u2.mutable_span();
     for (int lev = 0; lev < d.nlev; ++lev) {
-      cart_to_contra(g, x[se] + fidx(lev, 0), y[se] + fidx(lev, 0),
+      cart_to_contra(f, x[se] + fidx(lev, 0), y[se] + fidx(lev, 0),
                      z[se] + fidx(lev, 0), u1.data() + fidx(lev, 0),
                      u2.data() + fidx(lev, 0));
     }

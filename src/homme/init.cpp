@@ -19,8 +19,8 @@ void wind_to_contra(const mesh::ElementGeom& g, int k, double u_east,
   const double ux = u_east * ex + v_north * nx;
   const double uy = u_east * ey + v_north * ny;
   const double uz = u_east * ez + v_north * nz;
-  u1 = ux * g.b1[sk][0] + uy * g.b1[sk][1] + uz * g.b1[sk][2];
-  u2 = ux * g.b2[sk][0] + uy * g.b2[sk][1] + uz * g.b2[sk][2];
+  u1 = ux * g.b1[0][sk] + uy * g.b1[1][sk] + uz * g.b1[2][sk];
+  u2 = ux * g.b2[0][sk] + uy * g.b2[1][sk] + uz * g.b2[2][sk];
 }
 
 namespace {

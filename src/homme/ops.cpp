@@ -1,7 +1,6 @@
 #include "homme/ops.hpp"
 
 #include <cassert>
-#include <cmath>
 
 #include "homme/vpack.hpp"
 #include "mesh/gll.hpp"
@@ -176,54 +175,68 @@ void laplace_sphere_wk(const MetricView& g, const double* s, double* lap) {
   }
 }
 
-void contra_to_cart(const mesh::ElementGeom& g, const double* u1,
-                    const double* u2, double* ux, double* uy, double* uz) {
-  for (int k = 0; k < kNpp; ++k) {
-    const auto& a1 = g.a1[static_cast<std::size_t>(k)];
-    const auto& a2 = g.a2[static_cast<std::size_t>(k)];
-    ux[k] = u1[k] * a1[0] + u2[k] * a2[0];
-    uy[k] = u1[k] * a1[1] + u2[k] * a2[1];
-    uz[k] = u1[k] * a1[2] + u2[k] * a2[2];
+// The rotations and the Coriolis term are pointwise, so vpack lanes run
+// over the whole tile; each lane keeps the scalar op order of ref's twins.
+
+namespace {
+
+/// Cartesian U = u1 a1 + u2 a2 at the pack of points starting at k.
+void to_cart(const FrameView& f, int k, const vpack& u1, const vpack& u2,
+             vpack (&u)[3]) {
+  for (int d = 0; d < 3; ++d) {
+    u[d] = u1 * vpack::load(f.a1[d] + k) + u2 * vpack::load(f.a2[d] + k);
   }
 }
 
-void cart_to_contra(const mesh::ElementGeom& g, const double* ux,
-                    const double* uy, const double* uz, double* u1,
-                    double* u2) {
-  for (int k = 0; k < kNpp; ++k) {
-    const auto& b1 = g.b1[static_cast<std::size_t>(k)];
-    const auto& b2 = g.b2[static_cast<std::size_t>(k)];
-    u1[k] = ux[k] * b1[0] + uy[k] * b1[1] + uz[k] * b1[2];
-    u2[k] = ux[k] * b2[0] + uy[k] * b2[1] + uz[k] * b2[2];
+/// The contravariant component U . b at the pack of points starting at k.
+vpack dot_dual(const double* const (&b)[3], int k, const vpack (&u)[3]) {
+  return u[0] * vpack::load(b[0] + k) + u[1] * vpack::load(b[1] + k) +
+         u[2] * vpack::load(b[2] + k);
+}
+
+}  // namespace
+
+void contra_to_cart(const FrameView& f, const double* u1, const double* u2,
+                    double* ux, double* uy, double* uz) {
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    vpack u[3];
+    to_cart(f, k, vpack::load(u1 + k), vpack::load(u2 + k), u);
+    u[0].store(ux + k);
+    u[1].store(uy + k);
+    u[2].store(uz + k);
   }
 }
 
-void unit_normals(const mesh::ElementGeom& g, double* rx, double* ry,
-                  double* rz) {
-  const double r = std::sqrt(mesh::dot(g.pos[0], g.pos[0]));
-  for (int k = 0; k < kNpp; ++k) {
-    const auto& p = g.pos[static_cast<std::size_t>(k)];
-    rx[k] = p[0] / r;
-    ry[k] = p[1] / r;
-    rz[k] = p[2] / r;
+void cart_to_contra(const FrameView& f, const double* ux, const double* uy,
+                    const double* uz, double* u1, double* u2) {
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    const vpack u[3] = {vpack::load(ux + k), vpack::load(uy + k),
+                        vpack::load(uz + k)};
+    dot_dual(f.b1, k, u).store(u1 + k);
+    dot_dual(f.b2, k, u).store(u2 + k);
   }
 }
 
-void coriolis_vorticity_term(const mesh::ElementGeom& g,
-                             const double* absvort, const double* u1,
-                             const double* u2, double* t1, double* t2) {
-  double ux[kNpp], uy[kNpp], uz[kNpp];
-  contra_to_cart(g, u1, u2, ux, uy, uz);
-  double rx[kNpp], ry[kNpp], rz[kNpp];
-  unit_normals(g, rx, ry, rz);
-  double wx[kNpp], wy[kNpp], wz[kNpp];
-  for (int k = 0; k < kNpp; ++k) {
+void coriolis_vorticity_term(const FrameView& f, const double* absvort,
+                             const double* u1, const double* u2, double* t1,
+                             double* t2) {
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    vpack u[3];
+    to_cart(f, k, vpack::load(u1 + k), vpack::load(u2 + k), u);
+    const vpack rx = vpack::load(f.rhat[0] + k);
+    const vpack ry = vpack::load(f.rhat[1] + k);
+    const vpack rz = vpack::load(f.rhat[2] + k);
+    const vpack av = vpack::load(absvort + k);
     // r_hat x U scaled by (zeta + f).
-    wx[k] = absvort[k] * (ry[k] * uz[k] - rz[k] * uy[k]);
-    wy[k] = absvort[k] * (rz[k] * ux[k] - rx[k] * uz[k]);
-    wz[k] = absvort[k] * (rx[k] * uy[k] - ry[k] * ux[k]);
+    const vpack w[3] = {av * (ry * u[2] - rz * u[1]),
+                        av * (rz * u[0] - rx * u[2]),
+                        av * (rx * u[1] - ry * u[0])};
+    dot_dual(f.b1, k, w).store(t1 + k);
+    dot_dual(f.b2, k, w).store(t2 + k);
   }
-  cart_to_contra(g, wx, wy, wz, t1, t2);
 }
 
 }  // namespace homme

@@ -12,15 +12,17 @@
 /// (for DSS across faces and for Coriolis cross products) use the
 /// covariant/dual bases stored in ElementGeom.
 ///
-/// deriv_ref, divergence_sphere, vorticity_sphere and laplace_sphere_wk
-/// are vectorized (vpack lanes over a tile row) and bit-identical to
-/// their scalar bodies, which are frozen in homme::ref.
+/// deriv_ref, divergence_sphere, vorticity_sphere, laplace_sphere_wk,
+/// the two rotations and the Coriolis term are vectorized (vpack lanes
+/// over a tile row, or over the whole tile for the pointwise ones) and
+/// bit-identical to their scalar bodies, which are frozen in homme::ref.
 ///
-/// The metric operators read their tiles through a MetricView, so one
-/// library serves the host kernels (which pass a mesh::ElementGeom) and
-/// the CPE ports (which pass the tiles staged in LDM from a packed
-/// geometry block). The ports charge their modeled flops at the call
-/// site; the arithmetic is this file's either way.
+/// The metric operators read their tiles through a MetricView and the
+/// rotations through a FrameView, so one library serves the host kernels
+/// (which pass a mesh::ElementGeom) and the CPE ports (which pass the
+/// tiles staged in LDM from a packed geometry block). The ports charge
+/// their modeled flops at the call site; the arithmetic is this file's
+/// either way.
 
 namespace homme {
 
@@ -84,27 +86,53 @@ void laplace_sphere(const MetricView& g, const double* s, double* lap);
 void laplace_sphere_wk(const MetricView& g, const double* s,
                        double* lap);
 
+/// The element frame the rotations and the Coriolis term read: five
+/// 3-vectors per GLL point, each as its x, y and z component tiles (16
+/// doubles each). Converts implicitly from a mesh::ElementGeom; a block
+/// of 15 consecutive tiles in member order (accel's packed kA1X..kRhatZ)
+/// provides it too.
+struct FrameView {
+  const double* a1[3];    ///< covariant basis
+  const double* a2[3];
+  const double* b1[3];    ///< dual basis
+  const double* b2[3];
+  const double* rhat[3];  ///< outward unit normal
+
+  // Implicit, so host call sites pass the geometry unchanged.
+  FrameView(const mesh::ElementGeom& g) {
+    for (int d = 0; d < 3; ++d) {
+      a1[d] = g.a1[d].data();
+      a2[d] = g.a2[d].data();
+      b1[d] = g.b1[d].data();
+      b2[d] = g.b2[d].data();
+      rhat[d] = g.rhat[d].data();
+    }
+  }
+  explicit FrameView(const double* tiles) {
+    for (int d = 0; d < 3; ++d) {
+      a1[d] = tiles + d * mesh::kNpp;
+      a2[d] = tiles + (3 + d) * mesh::kNpp;
+      b1[d] = tiles + (6 + d) * mesh::kNpp;
+      b2[d] = tiles + (9 + d) * mesh::kNpp;
+      rhat[d] = tiles + (12 + d) * mesh::kNpp;
+    }
+  }
+};
+
 /// Convert a contravariant vector tile to Cartesian 3-vectors
 /// U = u1 * a1 + u2 * a2 (tangent to the sphere).
-void contra_to_cart(const mesh::ElementGeom& g, const double* u1,
-                    const double* u2, double* ux, double* uy, double* uz);
+void contra_to_cart(const FrameView& f, const double* u1, const double* u2,
+                    double* ux, double* uy, double* uz);
 
 /// Project Cartesian vectors back to contravariant components via the
 /// dual basis: u^i = U . b_i.
-void cart_to_contra(const mesh::ElementGeom& g, const double* ux,
-                    const double* uy, const double* uz, double* u1,
-                    double* u2);
-
-/// The outward unit normal r_hat at every GLL point, as three tiles:
-/// pos / |pos[0]| (an element's points all lie on one sphere). The
-/// Coriolis term below and accel's packed geometry both take r_hat here.
-void unit_normals(const mesh::ElementGeom& g, double* rx, double* ry,
-                  double* rz);
+void cart_to_contra(const FrameView& f, const double* ux, const double* uy,
+                    const double* uz, double* u1, double* u2);
 
 /// (zeta+f) * (r_hat x U) expressed in contravariant components; used by
 /// the vector-invariant momentum equation. \p absvort holds zeta+f.
-void coriolis_vorticity_term(const mesh::ElementGeom& g,
-                             const double* absvort, const double* u1,
-                             const double* u2, double* t1, double* t2);
+void coriolis_vorticity_term(const FrameView& f, const double* absvort,
+                             const double* u1, const double* u2, double* t1,
+                             double* t2);
 
 }  // namespace homme

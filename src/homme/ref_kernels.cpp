@@ -11,10 +11,12 @@
 #include "mesh/gll.hpp"
 
 // The bodies below are the pre-rewrite ops.cpp / rhs.cpp / remap.cpp /
-// euler.cpp hot paths, verbatim: they are the baseline the vectorized
-// kernels are tested and benchmarked against, so they must stay untouched
-// by future tuning. Inside this namespace the operator names resolve to
-// the scalar twins, so element_rhs and euler_step stay frozen with them.
+// euler.cpp hot paths, verbatim (the rotations read the frame's component
+// tiles, the layout ElementGeom stores): they are the baseline the
+// vectorized kernels are tested and benchmarked against, so they must
+// stay untouched by future tuning. Inside this namespace the operator
+// names resolve to the scalar twins, so element_rhs and euler_step stay
+// frozen with them.
 
 namespace homme::ref {
 
@@ -139,6 +141,43 @@ void laplace_sphere_wk(const mesh::ElementGeom& g, const double* s,
                        g.jac[static_cast<std::size_t>(k)]);
     }
   }
+}
+
+void contra_to_cart(const mesh::ElementGeom& g, const double* u1,
+                    const double* u2, double* ux, double* uy, double* uz) {
+  for (int k = 0; k < kNpp; ++k) {
+    const std::size_t sk = static_cast<std::size_t>(k);
+    ux[k] = u1[k] * g.a1[0][sk] + u2[k] * g.a2[0][sk];
+    uy[k] = u1[k] * g.a1[1][sk] + u2[k] * g.a2[1][sk];
+    uz[k] = u1[k] * g.a1[2][sk] + u2[k] * g.a2[2][sk];
+  }
+}
+
+void cart_to_contra(const mesh::ElementGeom& g, const double* ux,
+                    const double* uy, const double* uz, double* u1,
+                    double* u2) {
+  for (int k = 0; k < kNpp; ++k) {
+    const std::size_t sk = static_cast<std::size_t>(k);
+    u1[k] = ux[k] * g.b1[0][sk] + uy[k] * g.b1[1][sk] + uz[k] * g.b1[2][sk];
+    u2[k] = ux[k] * g.b2[0][sk] + uy[k] * g.b2[1][sk] + uz[k] * g.b2[2][sk];
+  }
+}
+
+void coriolis_vorticity_term(const mesh::ElementGeom& g,
+                             const double* absvort, const double* u1,
+                             const double* u2, double* t1, double* t2) {
+  double ux[kNpp], uy[kNpp], uz[kNpp];
+  contra_to_cart(g, u1, u2, ux, uy, uz);
+  const auto& r = g.rhat;
+  double wx[kNpp], wy[kNpp], wz[kNpp];
+  for (int k = 0; k < kNpp; ++k) {
+    const std::size_t sk = static_cast<std::size_t>(k);
+    // r_hat x U scaled by (zeta + f).
+    wx[k] = absvort[k] * (r[1][sk] * uz[k] - r[2][sk] * uy[k]);
+    wy[k] = absvort[k] * (r[2][sk] * ux[k] - r[0][sk] * uz[k]);
+    wz[k] = absvort[k] * (r[0][sk] * uy[k] - r[1][sk] * ux[k]);
+  }
+  cart_to_contra(g, wx, wy, wz, t1, t2);
 }
 
 void column_pressure(int nlev, const double* dp, double* p_mid) {

@@ -30,6 +30,18 @@ void vorticity_sphere(const mesh::ElementGeom& g, const double* u1,
 void laplace_sphere_wk(const mesh::ElementGeom& g, const double* s,
                        double* lap);
 
+/// Scalar rotations and Coriolis term (the originals of ops.cpp's
+/// contra_to_cart, cart_to_contra and coriolis_vorticity_term, reading
+/// the frame's component tiles).
+void contra_to_cart(const mesh::ElementGeom& g, const double* u1,
+                    const double* u2, double* ux, double* uy, double* uz);
+void cart_to_contra(const mesh::ElementGeom& g, const double* ux,
+                    const double* uy, const double* uz, double* u1,
+                    double* u2);
+void coriolis_vorticity_term(const mesh::ElementGeom& g,
+                             const double* absvort, const double* u1,
+                             const double* u2, double* t1, double* t2);
+
 /// Scalar column scans (the originals of rhs.cpp's scans).
 void column_pressure(int nlev, const double* dp, double* p_mid);
 void column_geopotential(int nlev, const double* T, const double* dp,
@@ -38,7 +50,7 @@ void column_geopotential(int nlev, const double* T, const double* dp,
 void column_omega(int nlev, const double* divdp, double* omega);
 
 /// Scalar element_rhs with per-call vector temporaries (no DSS); its
-/// operators are the scalar ones above.
+/// operators and Coriolis term are the scalar ones above.
 void element_rhs(const mesh::ElementGeom& g, const Dims& d,
                  const ElementState& eval, ElementTend& tend);
 

@@ -98,6 +98,7 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
   column_geopotential(nlev, t_for_phi, eval.dp.data(), p_mid.data(),
                       eval.phis.data(), phi_mid.data());
 
+  const FrameView fview = g;
   double vort[kNpp], absvort[kNpp], energy[kNpp];
   double gE1[kNpp], gE2[kNpp];
   double d1p[kNpp], d2p[kNpp];
@@ -128,7 +129,7 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
     }
     gradient_sphere(g, energy, gE1, gE2);
     gradient_covariant(pm, d1p, d2p);
-    coriolis_vorticity_term(g, absvort, u1, u2, cor1, cor2);
+    coriolis_vorticity_term(fview, absvort, u1, u2, cor1, cor2);
     gradient_covariant(T, d1T, d2T);
 
     // Mass flux divergence.

@@ -13,13 +13,14 @@
 /// layout), so every horizontal operator and vertical scan walks tiles of
 /// 16; vpack processes them kVpackWidth lanes at a time. On GCC/Clang the
 /// lanes are a native vector-extension type (the v4d idiom), so pack
-/// arithmetic is a single hardware-width operation per expression;
-/// elsewhere the lanes are a fixed-trip-count loop the optimizer
-/// vectorizes. Either way *each lane performs exactly the scalar sequence
-/// of operations* — no reassociation, no cross-lane reductions — so
-/// results are bit-identical to the scalar loops they replace (modulo the
-/// compiler's uniform fp-contraction policy, which applies to both paths
-/// equally — hence the 1e-12 acceptance bound in the tests).
+/// arithmetic is a single hardware-width operation per expression: the
+/// build targets the build machine's ISA (src/CMakeLists.txt), so on an
+/// AVX host a pack is one 256-bit register. Elsewhere the lanes are a
+/// fixed-trip-count loop the optimizer vectorizes. Either way *each lane
+/// performs exactly the scalar sequence of operations* — no
+/// reassociation, no cross-lane reductions — and every build compiles
+/// with -ffp-contract=off, so no ISA fuses a*b+c and the packs are
+/// bit-identical to the scalar loops they replace on any host.
 ///
 /// Build with -DSWCAM_VPACK_SCALAR to force width 1 (the scalar
 /// fallback): same code, same answers, one lane.
@@ -97,9 +98,9 @@ struct vpack {
   }
   // Scalar operands go through the vector extension's own scalar form,
   // which compiles to a broadcast hoisted out of the caller's loop. A
-  // lane-by-lane fill(s) is spilled to the stack and reloaded inside the
-  // loop instead, paying a failed store-to-load forward on every pack op
-  // (GCC splits the 4-lane type into two SSE2 halves without -march).
+  // lane-by-lane fill(s) can be spilled to the stack and reloaded inside
+  // the loop instead, paying a failed store-to-load forward on every pack
+  // op.
   friend vpack operator*(double s, vpack a) {
     a.v = s * a.v;
     return a;

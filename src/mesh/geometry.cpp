@@ -72,14 +72,17 @@ ElementGeom element_geometry(int face, int ei, int ej, int ne,
         dPdb[d] = radius * (secb2 * f.t2[d] / n - w[d] * wb_dot_w / (n2 * n));
       }
       // Chain to reference coordinates x, y in [-1, 1].
+      Vec3 a1, a2;
       for (int d = 0; d < 3; ++d) {
-        g.a1[k][d] = dPda[d] * dadx;
-        g.a2[k][d] = dPdb[d] * dadx;
+        a1[d] = dPda[d] * dadx;
+        a2[d] = dPdb[d] * dadx;
+        g.a1[d][k] = a1[d];
+        g.a2[d][k] = a2[d];
       }
 
-      const double g11 = dot(g.a1[k], g.a1[k]);
-      const double g12 = dot(g.a1[k], g.a2[k]);
-      const double g22 = dot(g.a2[k], g.a2[k]);
+      const double g11 = dot(a1, a1);
+      const double g12 = dot(a1, a2);
+      const double g22 = dot(a2, a2);
       const double det = g11 * g22 - g12 * g12;
       g.g11[k] = g11;
       g.g12[k] = g12;
@@ -91,8 +94,8 @@ ElementGeom element_geometry(int face, int ei, int ej, int ne,
 
       // Dual basis: b^i . a_j = delta_ij.
       for (int d = 0; d < 3; ++d) {
-        g.b1[k][d] = (g22 * g.a1[k][d] - g12 * g.a2[k][d]) / det;
-        g.b2[k][d] = (g11 * g.a2[k][d] - g12 * g.a1[k][d]) / det;
+        g.b1[d][k] = (g22 * a1[d] - g12 * a2[d]) / det;
+        g.b2[d][k] = (g11 * a2[d] - g12 * a1[d]) / det;
       }
 
       g.lat[k] = std::asin(g.pos[k][2] / radius);
@@ -102,6 +105,12 @@ ElementGeom element_geometry(int face, int ei, int ej, int ne,
                   b.weights[static_cast<std::size_t>(j)] * g.jac[k];
       g.rmass[k] = 1.0 / g.mass[k];
     }
+  }
+  // An element's points all lie on one sphere, so every normal divides
+  // by the first point's radius.
+  const double r = std::sqrt(dot(g.pos[0], g.pos[0]));
+  for (int k = 0; k < kNpp; ++k) {
+    for (int d = 0; d < 3; ++d) g.rhat[d][k] = g.pos[k][d] / r;
   }
   return g;
 }

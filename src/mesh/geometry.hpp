@@ -39,13 +39,21 @@ inline constexpr int gidx(int i, int j) { return j * kNp + i; }
 /// GLL points per element.
 inline constexpr int kNpp = kNp * kNp;
 
+/// A 3-vector at every GLL point as three component tiles: v[d][k] is
+/// component d (x, y, z) at point k.
+using VecTiles = std::array<std::array<double, kNpp>, 3>;
+
 /// Metric terms of one element, one entry per GLL point (gidx order).
 struct ElementGeom {
   std::array<Vec3, kNpp> pos;   ///< position on the sphere (radius R)
-  std::array<Vec3, kNpp> a1;    ///< covariant basis dP/dx
-  std::array<Vec3, kNpp> a2;    ///< covariant basis dP/dy
-  std::array<Vec3, kNpp> b1;    ///< contravariant (dual) basis
-  std::array<Vec3, kNpp> b2;
+  // The frame is component-major, in the order of accel's packed kA1X..
+  // kRhatZ tiles, so the rotations and the Coriolis term load it in
+  // vpack lanes (homme::FrameView).
+  VecTiles a1;    ///< covariant basis dP/dx
+  VecTiles a2;    ///< covariant basis dP/dy
+  VecTiles b1;    ///< contravariant (dual) basis
+  VecTiles b2;
+  VecTiles rhat;  ///< outward unit normal pos / |pos[0]|
   std::array<double, kNpp> jac;     ///< sqrt(det g), area element
   std::array<double, kNpp> ginv11;  ///< inverse metric tensor
   std::array<double, kNpp> ginv12;

@@ -46,8 +46,8 @@ PhysicsStats PhysicsDriver::step(homme::State& s, double dt) {
     for (int k = 0; k < kNpp; ++k) {
       const std::size_t sk = static_cast<std::size_t>(k);
       const ColumnConstants& cc = consts_[se * kNpp + sk];
-      const auto& a1 = g.a1[sk];
-      const auto& a2 = g.a2[sk];
+      const double a1[3] = {g.a1[0][sk], g.a1[1][sk], g.a1[2][sk]};
+      const double a2[3] = {g.a2[0][sk], g.a2[1][sk], g.a2[2][sk]};
 
       // Gather: physical east/north wind from contravariant components.
       c.lat = g.lat[sk];
@@ -84,8 +84,8 @@ PhysicsStats PhysicsDriver::step(homme::State& s, double dt) {
       // Scatter: east/north wind back to contravariant components through
       // the dual basis (homme::wind_to_contra's arithmetic, ez = 0).
       constexpr double ez = 0.0;
-      const auto& b1 = g.b1[sk];
-      const auto& b2 = g.b2[sk];
+      const double b1[3] = {g.b1[0][sk], g.b1[1][sk], g.b1[2][sk]};
+      const double b2[3] = {g.b2[0][sk], g.b2[1][sk], g.b2[2][sk]};
       for (int lev = 0; lev < nlev; ++lev) {
         const std::size_t l = static_cast<std::size_t>(lev);
         const std::size_t f = fidx(lev, k);

@@ -162,6 +162,46 @@ TEST(HostKernels, TileOperatorsBitIdenticalToReference) {
   EXPECT_EQ(faces, 0x3f);
 }
 
+TEST(HostKernels, FrameRotationsBitIdenticalToReference) {
+  // Frames from elements on all six faces, and seeded random tiles with
+  // signed values, exact zeros and one all-zero tile.
+  auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
+  std::mt19937 rng(17u);
+  std::uniform_real_distribution<double> val(-3.0, 3.0);
+  int faces = 0;
+  for (int e = 0; e < m.nelem(); e += 4) {
+    faces |= 1 << m.elem_coords(e)[0];
+    const auto& g = m.geom(e);
+    for (int trial = 0; trial < 6; ++trial) {
+      double u1[kNpp], u2[kNpp], ux[kNpp], uy[kNpp], uz[kNpp], av[kNpp];
+      for (int k = 0; k < kNpp; ++k) {
+        const bool zero = trial == 0 || (k + trial) % 5 == 0;
+        u1[k] = zero ? 0.0 : 40.0 * val(rng);
+        u2[k] = (k + trial) % 7 == 0 ? 0.0 : 40.0 * val(rng);
+        ux[k] = zero ? 0.0 : 40.0 * val(rng);
+        uy[k] = (k + trial) % 3 == 0 ? 0.0 : 40.0 * val(rng);
+        uz[k] = 40.0 * val(rng);
+        av[k] = (k + trial) % 4 == 0 ? 0.0 : 1e-4 * val(rng);
+      }
+      double a1[kNpp], a2[kNpp], a3[kNpp], b1[kNpp], b2[kNpp], b3[kNpp];
+      homme::ref::contra_to_cart(g, u1, u2, a1, a2, a3);
+      homme::contra_to_cart(g, u1, u2, b1, b2, b3);
+      EXPECT_TRUE(same_bits(a1, b1) && same_bits(a2, b2) &&
+                  same_bits(a3, b3))
+          << "contra_to_cart, elem " << e << " trial " << trial;
+      homme::ref::cart_to_contra(g, ux, uy, uz, a1, a2);
+      homme::cart_to_contra(g, ux, uy, uz, b1, b2);
+      EXPECT_TRUE(same_bits(a1, b1) && same_bits(a2, b2))
+          << "cart_to_contra, elem " << e << " trial " << trial;
+      homme::ref::coriolis_vorticity_term(g, av, u1, u2, a1, a2);
+      homme::coriolis_vorticity_term(g, av, u1, u2, b1, b2);
+      EXPECT_TRUE(same_bits(a1, b1) && same_bits(a2, b2))
+          << "coriolis_vorticity_term, elem " << e << " trial " << trial;
+    }
+  }
+  EXPECT_EQ(faces, 0x3f);
+}
+
 TEST(HostKernels, RhsMatchesReferenceAcrossConfigs) {
   for (int ne : {2, 4}) {
     for (int nlev : {10, 30, 72}) {

@@ -140,16 +140,21 @@ TEST(CubedSphere, MetricTermsAreConsistent) {
   for (int e = 0; e < m.nelem(); e += 7) {
     const auto& g = m.geom(e);
     for (int k = 0; k < kNpp; ++k) {
+      const std::size_t sk = static_cast<std::size_t>(k);
+      const auto at = [sk](const mesh::VecTiles& v) {
+        return mesh::Vec3{v[0][sk], v[1][sk], v[2][sk]};
+      };
       // Dual basis property b^i . a_j = delta_ij.
-      EXPECT_NEAR(mesh::dot(g.b1[static_cast<std::size_t>(k)],
-                            g.a1[static_cast<std::size_t>(k)]),
-                  1.0, 1e-10);
-      EXPECT_NEAR(mesh::dot(g.b1[static_cast<std::size_t>(k)],
-                            g.a2[static_cast<std::size_t>(k)]),
-                  0.0, 1e-10);
-      EXPECT_NEAR(mesh::dot(g.b2[static_cast<std::size_t>(k)],
-                            g.a2[static_cast<std::size_t>(k)]),
-                  1.0, 1e-10);
+      EXPECT_NEAR(mesh::dot(at(g.b1), at(g.a1)), 1.0, 1e-10);
+      EXPECT_NEAR(mesh::dot(at(g.b1), at(g.a2)), 0.0, 1e-10);
+      EXPECT_NEAR(mesh::dot(at(g.b2), at(g.a2)), 1.0, 1e-10);
+      // The unit normal is the position scaled to the unit sphere.
+      for (int d = 0; d < 3; ++d) {
+        EXPECT_NEAR(g.rhat[static_cast<std::size_t>(d)][sk],
+                    g.pos[sk][static_cast<std::size_t>(d)] /
+                        mesh::kEarthRadius,
+                    1e-14);
+      }
       // Position is on the sphere.
       EXPECT_NEAR(std::sqrt(mesh::dot(g.pos[static_cast<std::size_t>(k)],
                                       g.pos[static_cast<std::size_t>(k)])),

@@ -388,9 +388,9 @@ phys::PhysicsStats oracle_step(const mesh::CubedSphere& m,
         c.dp[l] = es.dp[f];
         c.q[l] = es.q(0, d)[f] / es.dp[f];
         const double u1 = es.u1[f], u2 = es.u2[f];
-        const double ux = u1 * g.a1[sk][0] + u2 * g.a2[sk][0];
-        const double uy = u1 * g.a1[sk][1] + u2 * g.a2[sk][1];
-        const double uz = u1 * g.a1[sk][2] + u2 * g.a2[sk][2];
+        const double ux = u1 * g.a1[0][sk] + u2 * g.a2[0][sk];
+        const double uy = u1 * g.a1[1][sk] + u2 * g.a2[1][sk];
+        const double uz = u1 * g.a1[2][sk] + u2 * g.a2[2][sk];
         c.u[l] = ux * ex + uy * ey;
         c.v[l] = ux * nx + uy * ny + uz * nz;
         c.ps += es.dp[f];

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,54 @@ TEST(ScenarioRegistry, EveryBuiltinConstructsStepsAndHoldsInvariants) {
     EXPECT_EQ(session->step_count(), 2);
     const auto violated = scenario::check_invariants(sc, *session);
     EXPECT_FALSE(violated.has_value()) << *violated;
+  }
+}
+
+TEST(ScenarioRegistry, TwelveStepDigestsArePinned) {
+  // The host trajectory of every builtin at its default shape, after 12
+  // steps in scenario::run order: at 1 rank, and at 2 ranks where the
+  // scenario has no physics. The values hold at every vpack width and on
+  // every ISA because contraction is off in every build; they do depend
+  // on libm's trig, exp and pow (recorded with glibc 2.36). A change that
+  // moves one has changed the model's arithmetic.
+  struct Pin {
+    std::uint32_t one_rank;
+    std::uint32_t two_ranks;  ///< 0: the scenario has physics
+  };
+  const std::map<std::string, Pin> pins = {
+      {"aquaplanet", {0x8ed74e0a, 0}},
+      {"baroclinic-wave", {0xa1bcd641, 0x519d9e6a}},
+      {"fig4-validation", {0x8ed74e0a, 0}},
+      {"held-suarez", {0x9f34c10c, 0x302743c8}},
+      {"katrina", {0x5856eb31, 0}},
+      {"nggps", {0x68c0d92e, 0x38375ebb}},
+      {"storm-track-ensemble", {0x45cd662e, 0}},
+      {"tracer-advection", {0x2c9b2c4d, 0x54e3575a}},
+  };
+  auto hex = [](std::uint32_t v) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%08x", v);
+    return std::string(buf);
+  };
+  for (const auto& name : scenario::names()) {
+    if (name.rfind("test-", 0) == 0) continue;  // test-local registrations
+    const auto pin = pins.find(name);
+    ASSERT_NE(pin, pins.end()) << name << " has no pinned digest";
+    const scenario::Scenario& sc = scenario::get(name);
+    EXPECT_EQ(sc.defaults.physics, pin->second.two_ranks == 0) << name;
+    for (int nranks : {1, 2}) {
+      const std::uint32_t want =
+          nranks == 1 ? pin->second.one_rank : pin->second.two_ranks;
+      if (want == 0) continue;
+      scenario::Overrides ov;
+      ov.nranks = nranks;
+      ov.backend = model::SessionConfig::Backend::kHost;
+      auto s = sc.session(ov);
+      scenario::run(sc, *s, 12);
+      const std::uint32_t got = digest_of(*s);
+      EXPECT_EQ(got, want) << name << " at " << nranks << " rank(s): "
+                           << hex(got) << ", pinned " << hex(want);
+    }
   }
 }
 
