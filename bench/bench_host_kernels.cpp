@@ -2,7 +2,7 @@
 // the frozen scalar reference path (homme::ref::*, per-call heap
 // temporaries and all) on identical states.
 //
-// Five rows, matching the shapes the rewrite targets:
+// Seven rows, matching the shapes the rewrite targets:
 //   column_scans          pressure / geopotential / omega vertical scans
 //   compute_and_apply_rhs element_rhs + state update + DSS (Table 1's
 //                         biggest host kernel)
@@ -12,6 +12,10 @@
 //   tile_operators        deriv_ref, divergence_sphere, vorticity_sphere
 //                         and laplace_sphere_wk on every level tile (the
 //                         operators rhs, euler and hypervis call)
+//   dss                   whole-mesh DSS of one scalar field (the
+//                         transposed block body)
+//   dss_vector            whole-mesh DSS of the wind (rotations folded
+//                         into the block body)
 //
 // Each row reports both wall times, the speedup, achieved GFLOP/s of the
 // vectorized path (analytic flop counts of the scalar op sequence) and
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "homme/driver.hpp"
+#include "homme/dss.hpp"
 #include "homme/euler.hpp"
 #include "homme/exchange.hpp"
 #include "homme/ops.hpp"
@@ -312,6 +317,61 @@ std::vector<Row> run_rows() {
     r.scalar_s = time_loop(g_steps, [&] { apply(ref_ops, out_ref); });
     r.vector_s = time_loop(g_steps, [&] { apply(new_ops, out_new); });
     rows.push_back(r);
+  }
+
+  {
+    // -- DSS: one scalar field, then the wind ------------------------------
+    // A DSS is a projection, so re-assembling an assembled field is the
+    // same work; each path keeps its own working copies. One call is short,
+    // so these rows time ten calls per repetition.
+    using homme::ElementState;
+    const int iters = 10 * g_steps;
+    homme::State a = s, b = s;
+    auto Ta = homme::field_ptrs(a, &ElementState::T);
+    auto Tb = homme::field_ptrs(b, &ElementState::T);
+    auto u1a = homme::field_ptrs(a, &ElementState::u1);
+    auto u2a = homme::field_ptrs(a, &ElementState::u2);
+    auto u1b = homme::field_ptrs(b, &ElementState::u1);
+    auto u2b = homme::field_ptrs(b, &ElementState::u2);
+
+    Row r;
+    r.name = "dss";
+    r.points = points;
+    // A mass product and an add per point in, an rmass product out.
+    r.flops_per_point = 3.0;
+    // The field read and written once; its node's accumulator entry
+    // read-modified-written, then read: 5 doubles/point.
+    r.bytes_per_point = 40.0;
+    homme::ref::dss_levels(m, Ta, d.nlev);
+    homme::dss_levels(m, Tb, d.nlev);
+    for (std::size_t e = 0; e < s.size(); ++e) {
+      r.max_rel_err = std::max(r.max_rel_err, max_rel_diff(a[e].T, b[e].T));
+    }
+    r.scalar_s =
+        time_loop(iters, [&] { homme::ref::dss_levels(m, Ta, d.nlev); });
+    r.vector_s = time_loop(iters, [&] { homme::dss_levels(m, Tb, d.nlev); });
+    rows.push_back(r);
+
+    Row v;
+    v.name = "dss_vector";
+    v.points = points;
+    // Rotation to x, y, z (9), three scalar DSS (9), rotation back (10).
+    v.flops_per_point = 28.0;
+    // u1, u2 read and written; three accumulator entries
+    // read-modified-written, then read: 13 doubles/point.
+    v.bytes_per_point = 104.0;
+    homme::ref::dss_vector_levels(m, u1a, u2a, d.nlev);
+    homme::dss_vector_levels(m, u1b, u2b, d.nlev);
+    for (std::size_t e = 0; e < s.size(); ++e) {
+      v.max_rel_err = std::max({v.max_rel_err, max_rel_diff(a[e].u1, b[e].u1),
+                                max_rel_diff(a[e].u2, b[e].u2)});
+    }
+    v.scalar_s = time_loop(iters, [&] {
+      homme::ref::dss_vector_levels(m, u1a, u2a, d.nlev);
+    });
+    v.vector_s = time_loop(
+        iters, [&] { homme::dss_vector_levels(m, u1b, u2b, d.nlev); });
+    rows.push_back(v);
   }
 
   return rows;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 
-#include "homme/ops.hpp"
+#include "homme/dss.hpp"
 #include "homme/scratch.hpp"
-#include "homme/state.hpp"
 
 namespace homme {
 
@@ -17,118 +17,83 @@ BndryExchange::BndryExchange(const mesh::CubedSphere& mesh,
     : mesh_(mesh),
       local_elems_(part.rank_elems[static_cast<std::size_t>(rank)]) {
   // Dense local node numbering over every node touched by local elements.
+  std::unordered_map<int, int> node_index;
   for (int ge : local_elems_) {
     for (int node : mesh.nodes(ge)) {
-      if (node_index_.emplace(node, nlocal_nodes_).second) {
-        ++nlocal_nodes_;
-      }
+      if (node_index.emplace(node, nlocal_nodes_).second) ++nlocal_nodes_;
     }
   }
 
+  // Per local element and point: the local node, and the assembled
+  // (global) inverse mass, summed over the node's elements in mesh order
+  // so every copy of a node holds the same double. An element touching a
+  // node another rank's element touches is a boundary element (section
+  // 7.6's split); those nodes are exactly the comm plan's.
   local_node_of_elem_.resize(local_elems_.size());
+  elem_rmass_.resize(local_elems_.size());
   for (std::size_t le = 0; le < local_elems_.size(); ++le) {
     const auto& ids = mesh.nodes(local_elems_[le]);
-    for (int k = 0; k < kNpp; ++k) {
-      local_node_of_elem_[le][static_cast<std::size_t>(k)] =
-          node_index_.at(ids[static_cast<std::size_t>(k)]);
+    bool shared = false;
+    for (std::size_t k = 0; k < kNpp; ++k) {
+      local_node_of_elem_[le][k] = node_index.at(ids[k]);
+      double mass = 0.0;
+      for (const auto& [e, ek] : mesh.node_elems(ids[k])) {
+        mass += mesh.geom(e).mass[static_cast<std::size_t>(ek)];
+        shared = shared || part.owner(e) != rank;
+      }
+      elem_rmass_[le][k] = 1.0 / mass;
     }
+    (shared ? boundary_ : interior_).push_back(static_cast<int>(le));
   }
 
-  // Assembled (global) inverse mass per local node, from mesh geometry.
-  node_rmass_.assign(static_cast<std::size_t>(nlocal_nodes_), 0.0);
-  for (const auto& [gnode, lnode] : node_index_) {
-    double mass = 0.0;
-    for (const auto& [e, k] : mesh.node_elems(gnode)) {
-      mass += mesh.geom(e).mass[static_cast<std::size_t>(k)];
-    }
-    node_rmass_[static_cast<std::size_t>(lnode)] = 1.0 / mass;
-  }
-
-  // Neighbor buffers in plan order.
-  std::vector<bool> node_shared(static_cast<std::size_t>(nlocal_nodes_),
-                                false);
+  // Neighbours in plan order; their message buffers follow one another.
   for (const auto& nb : plan.per_rank[static_cast<std::size_t>(rank)]) {
-    NeighborBuf buf;
-    buf.rank = nb.rank;
-    buf.local_nodes.reserve(nb.nodes.size());
-    for (int gnode : nb.nodes) {
-      const int lnode = node_index_.at(gnode);
-      buf.local_nodes.push_back(lnode);
-      node_shared[static_cast<std::size_t>(lnode)] = true;
-    }
-    neighbors_.push_back(std::move(buf));
+    Neighbor n{nb.rank, {}, plan_nodes_};
+    n.local_nodes.reserve(nb.nodes.size());
+    for (int gnode : nb.nodes) n.local_nodes.push_back(node_index.at(gnode));
+    plan_nodes_ += n.local_nodes.size();
+    neighbors_.push_back(std::move(n));
   }
-
-  // Interior / boundary element split (section 7.6).
-  elem_is_boundary_.assign(local_elems_.size(), false);
-  for (std::size_t le = 0; le < local_elems_.size(); ++le) {
-    for (int k = 0; k < kNpp; ++k) {
-      if (node_shared[static_cast<std::size_t>(
-              local_node_of_elem_[le][static_cast<std::size_t>(k)])]) {
-        elem_is_boundary_[le] = true;
-        break;
-      }
-    }
-    (elem_is_boundary_[le] ? boundary_ : interior_)
-        .push_back(static_cast<int>(le));
-  }
+  sends_.reserve(neighbors_.size());
 }
 
-void BndryExchange::accumulate(std::span<double* const> fields, int nlev,
-                               const std::vector<int>& elems) {
-  for (int le : elems) {
-    const std::size_t sle = static_cast<std::size_t>(le);
-    const auto& g = mesh_.geom(local_elems_[sle]);
-    const double* f = fields[sle];
-    for (int lev = 0; lev < nlev; ++lev) {
-      for (int k = 0; k < kNpp; ++k) {
-        node_acc_[static_cast<std::size_t>(
-                      local_node_of_elem_[sle][static_cast<std::size_t>(k)]) *
-                      static_cast<std::size_t>(nlev) +
-                  static_cast<std::size_t>(lev)] +=
-            g.mass[static_cast<std::size_t>(k)] * f[fidx(lev, k)];
-      }
-    }
-  }
-}
-
-void BndryExchange::scatter(std::span<double* const> fields, int nlev) {
-  for (std::size_t le = 0; le < local_elems_.size(); ++le) {
-    double* f = fields[le];
-    for (int lev = 0; lev < nlev; ++lev) {
-      for (int k = 0; k < kNpp; ++k) {
-        const std::size_t ln = static_cast<std::size_t>(
-            local_node_of_elem_[le][static_cast<std::size_t>(k)]);
-        f[fidx(lev, k)] = node_acc_[ln * static_cast<std::size_t>(nlev) +
-                                    static_cast<std::size_t>(lev)] *
-                          node_rmass_[ln];
-      }
-    }
-  }
-}
-
-void BndryExchange::dss_levels(net::Rank& r, std::span<double* const> fields,
-                               int nlev, Mode mode) {
-  assert(fields.size() == local_elems_.size());
-  node_acc_.assign(
-      static_cast<std::size_t>(nlocal_nodes_) * static_cast<std::size_t>(nlev),
-      0.0);
+template <typename Accumulate>
+void BndryExchange::assemble(net::Rank& r, double* const* acc, int ncomp,
+                             int nlev, std::span<double> msg, Mode mode,
+                             Accumulate&& accumulate) {
   last_copy_bytes_ = 0;
   last_msg_bytes_ = 0;
   const int tag = 101;
+  const std::size_t row = static_cast<std::size_t>(nlev);
+  const std::size_t per_node = static_cast<std::size_t>(ncomp) * row;
+  // Neighbour nb's message: each component's partial sums at the shared
+  // nodes, component-major; the receiver adds them back in the same
+  // (component, node, level) order.
+  auto send_buf = [&](const Neighbor& nb) {
+    return msg.subspan(nb.first * per_node, nb.local_nodes.size() * per_node);
+  };
+  auto recv_buf = [&](const Neighbor& nb) {
+    return msg.subspan((plan_nodes_ + nb.first) * per_node,
+                       nb.local_nodes.size() * per_node);
+  };
 
-  auto pack_neighbor = [&](NeighborBuf& nb) {
-    nb.send.resize(nb.local_nodes.size() * static_cast<std::size_t>(nlev));
-    for (std::size_t i = 0; i < nb.local_nodes.size(); ++i) {
-      for (int lev = 0; lev < nlev; ++lev) {
-        nb.send[i * static_cast<std::size_t>(nlev) +
-                static_cast<std::size_t>(lev)] =
-            node_acc_[static_cast<std::size_t>(nb.local_nodes[i]) *
-                          static_cast<std::size_t>(nlev) +
-                      static_cast<std::size_t>(lev)];
+  auto pack_neighbor = [&](const Neighbor& nb) {
+    double* out = send_buf(nb).data();
+    for (int c = 0; c < ncomp; ++c) {
+      for (int ln : nb.local_nodes) {
+        const double* a = acc[c] + static_cast<std::size_t>(ln) * row;
+        out = std::copy(a, a + row, out);
       }
     }
-    last_copy_bytes_ += nb.send.size() * sizeof(double);
+    last_copy_bytes_ += send_buf(nb).size_bytes();
+  };
+  auto unpack = [&](const Neighbor& nb, const double* in) {
+    for (int c = 0; c < ncomp; ++c) {
+      for (int ln : nb.local_nodes) {
+        double* a = acc[c] + static_cast<std::size_t>(ln) * row;
+        for (std::size_t lev = 0; lev < row; ++lev) a[lev] += *in++;
+      }
+    }
   };
 
   if (mode == Mode::kOriginal) {
@@ -137,84 +102,88 @@ void BndryExchange::dss_levels(net::Rank& r, std::span<double* const> fields,
     // unified-interface design the paper measures).
     {
       obs::ScopedSpan span(trk_, "bndry:compute");
-      accumulate(fields, nlev, boundary_);
-      accumulate(fields, nlev, interior_);
+      accumulate(boundary_);
+      accumulate(interior_);
     }
     {
       obs::ScopedSpan span(trk_, "bndry:pack");
-      for (auto& nb : neighbors_) pack_neighbor(nb);
+      for (const auto& nb : neighbors_) pack_neighbor(nb);
     }
     {
       obs::ScopedSpan span(trk_, "bndry:send");
-      for (auto& nb : neighbors_) {
-        r.send(nb.rank, tag, nb.send);
-        last_msg_bytes_ += nb.send.size() * sizeof(double);
+      for (const auto& nb : neighbors_) {
+        r.send(nb.rank, tag, send_buf(nb));
+        last_msg_bytes_ += send_buf(nb).size_bytes();
       }
     }
     obs::ScopedSpan wait_span(trk_, "bndry:wait_unpack");
-    for (auto& nb : neighbors_) {
-      nb.recv.resize(nb.send.size());
-      r.recv(nb.rank, tag, nb.recv);
+    for (const auto& nb : neighbors_) {
+      const std::span<double> in = recv_buf(nb), staged = send_buf(nb);
+      r.recv(nb.rank, tag, in);
       // Original data flow: recv buffer -> pack buffer -> elements. The
-      // extra staging pass is modeled by a real copy.
-      std::vector<double> staged(nb.recv);
-      last_copy_bytes_ += 2 * staged.size() * sizeof(double);
-      for (std::size_t i = 0; i < nb.local_nodes.size(); ++i) {
-        for (int lev = 0; lev < nlev; ++lev) {
-          node_acc_[static_cast<std::size_t>(nb.local_nodes[i]) *
-                        static_cast<std::size_t>(nlev) +
-                    static_cast<std::size_t>(lev)] +=
-              staged[i * static_cast<std::size_t>(nlev) +
-                     static_cast<std::size_t>(lev)];
-        }
-      }
+      // extra staging pass is a real copy into the (already sent) pack
+      // buffer.
+      std::copy(in.begin(), in.end(), staged.begin());
+      last_copy_bytes_ += 2 * staged.size_bytes();
+      unpack(nb, staged.data());
     }
   } else {
     // Redesign: boundary elements first, async sends posted before the
     // interior work, receive buffers unpacked directly.
     {
       obs::ScopedSpan span(trk_, "bndry:boundary_compute");
-      accumulate(fields, nlev, boundary_);
+      accumulate(boundary_);
     }
     {
       obs::ScopedSpan span(trk_, "bndry:pack");
-      for (auto& nb : neighbors_) pack_neighbor(nb);
+      for (const auto& nb : neighbors_) pack_neighbor(nb);
     }
-    std::vector<net::Request> sends;
-    sends.reserve(neighbors_.size());
+    sends_.clear();
     {
       obs::ScopedSpan span(trk_, "bndry:post_send");
-      for (auto& nb : neighbors_) {
-        sends.push_back(r.isend(nb.rank, tag, nb.send));
-        last_msg_bytes_ += nb.send.size() * sizeof(double);
+      for (const auto& nb : neighbors_) {
+        sends_.push_back(r.isend(nb.rank, tag, send_buf(nb)));
+        last_msg_bytes_ += send_buf(nb).size_bytes();
       }
     }
     {
       // Interior computation overlaps the in-flight messages — the
       // section 7.6 window the ablation trace measures.
       obs::ScopedSpan span(trk_, "bndry:inner_compute");
-      accumulate(fields, nlev, interior_);
+      accumulate(interior_);
     }
     obs::ScopedSpan wait_span(trk_, "bndry:wait_unpack");
-    for (auto& nb : neighbors_) {
-      nb.recv.resize(nb.send.size());
-      r.recv(nb.rank, tag, nb.recv);
-      for (std::size_t i = 0; i < nb.local_nodes.size(); ++i) {
-        for (int lev = 0; lev < nlev; ++lev) {
-          node_acc_[static_cast<std::size_t>(nb.local_nodes[i]) *
-                        static_cast<std::size_t>(nlev) +
-                    static_cast<std::size_t>(lev)] +=
-              nb.recv[i * static_cast<std::size_t>(nlev) +
-                      static_cast<std::size_t>(lev)];
-        }
-      }
+    for (const auto& nb : neighbors_) {
+      r.recv(nb.rank, tag, recv_buf(nb));
+      unpack(nb, recv_buf(nb).data());
     }
-    r.wait_all(sends);
+    r.wait_all(sends_);
   }
+}
 
-  {
-    obs::ScopedSpan span(trk_, "bndry:scatter");
-    scatter(fields, nlev);
+void BndryExchange::dss_levels(net::Rank& r, std::span<double* const> fields,
+                               int nlev, Mode mode) {
+  assert(fields.size() == local_elems_.size());
+  const std::size_t acc_n = static_cast<std::size_t>(nlocal_nodes_) *
+                            static_cast<std::size_t>(nlev);
+  const std::size_t need = dss_scratch(nlev);
+  ScratchArena& arena = ScratchArena::thread_local_arena();
+  if (arena.capacity() < need) arena.require(need);
+  ScratchArena::Frame frame(arena);
+  double* const acc = arena.alloc_zero(acc_n).data();
+  const std::span<double> msg = arena.alloc(need - acc_n);
+  assemble(r, &acc, 1, nlev, msg, mode, [&](const auto& elems) {
+    for (int le : elems) {
+      const std::size_t sle = static_cast<std::size_t>(le);
+      dss_accumulate(local_node_of_elem_[sle].data(),
+                     mesh_.geom(local_elems_[sle]).mass.data(), fields[sle],
+                     nlev, acc);
+    }
+  });
+  obs::ScopedSpan span(trk_, "bndry:scatter");
+  for (std::size_t le = 0; le < local_elems_.size(); ++le) {
+    dss_scatter(local_node_of_elem_[le].data(), elem_rmass_[le].data(), acc,
+                nlev, fields[le]);
   }
 }
 
@@ -222,48 +191,29 @@ void BndryExchange::dss_vector_levels(net::Rank& r,
                                       std::span<double* const> u1,
                                       std::span<double* const> u2, int nlev,
                                       Mode mode) {
-  const std::size_t n = local_elems_.size();
-  const std::size_t fs = static_cast<std::size_t>(nlev) * kNpp;
-  // Cartesian component scratch from the per-thread arena (the rank-level
-  // node accumulator is the node_acc_ member, not arena storage).
+  assert(u1.size() == local_elems_.size() && u2.size() == u1.size());
+  const std::size_t acc_n = static_cast<std::size_t>(nlocal_nodes_) *
+                            static_cast<std::size_t>(nlev);
+  const std::size_t need = 3 * dss_scratch(nlev);
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < 3 * n * fs || arena.ptr_capacity() < 3 * n) {
-    arena.require(3 * n * fs, 3 * n);
-  }
+  if (arena.capacity() < need) arena.require(need);
   ScratchArena::Frame frame(arena);
-  std::span<double> cx = arena.alloc(n * fs), cy = arena.alloc(n * fs),
-                    cz = arena.alloc(n * fs);
-  std::span<double*> px = arena.alloc_ptrs(n), py = arena.alloc_ptrs(n),
-                     pz = arena.alloc_ptrs(n);
-  for (std::size_t le = 0; le < n; ++le) {
-    px[le] = cx.data() + le * fs;
-    py[le] = cy.data() + le * fs;
-    pz[le] = cz.data() + le * fs;
-  }
-  {
-    obs::ScopedSpan span(trk_, "bndry:rotate");
-    for (std::size_t le = 0; le < n; ++le) {
-      const FrameView f = mesh_.geom(local_elems_[le]);
-      for (int lev = 0; lev < nlev; ++lev) {
-        contra_to_cart(f, u1[le] + fidx(lev, 0), u2[le] + fidx(lev, 0),
-                       px[le] + fidx(lev, 0), py[le] + fidx(lev, 0),
-                       pz[le] + fidx(lev, 0));
-      }
+  double* const flat = arena.alloc_zero(3 * acc_n).data();
+  double* const acc[3] = {flat, flat + acc_n, flat + 2 * acc_n};
+  const std::span<double> msg = arena.alloc(need - 3 * acc_n);
+  assemble(r, acc, 3, nlev, msg, mode, [&](const auto& elems) {
+    for (int le : elems) {
+      const std::size_t sle = static_cast<std::size_t>(le);
+      const auto& g = mesh_.geom(local_elems_[sle]);
+      dss_accumulate_vector(g, local_node_of_elem_[sle].data(), g.mass.data(),
+                            u1[sle], u2[sle], nlev, acc);
     }
-  }
-  dss_levels(r, px, nlev, mode);
-  dss_levels(r, py, nlev, mode);
-  dss_levels(r, pz, nlev, mode);
-  {
-    obs::ScopedSpan span(trk_, "bndry:rotate");
-    for (std::size_t le = 0; le < n; ++le) {
-      const FrameView f = mesh_.geom(local_elems_[le]);
-      for (int lev = 0; lev < nlev; ++lev) {
-        cart_to_contra(f, px[le] + fidx(lev, 0), py[le] + fidx(lev, 0),
-                       pz[le] + fidx(lev, 0), u1[le] + fidx(lev, 0),
-                       u2[le] + fidx(lev, 0));
-      }
-    }
+  });
+  obs::ScopedSpan span(trk_, "bndry:scatter");
+  for (std::size_t le = 0; le < local_elems_.size(); ++le) {
+    dss_scatter_vector(mesh_.geom(local_elems_[le]),
+                       local_node_of_elem_[le].data(), elem_rmass_[le].data(),
+                       acc, nlev, u1[le], u2[le]);
   }
 }
 

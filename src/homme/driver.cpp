@@ -11,6 +11,7 @@
 #include "homme/hypervis.hpp"
 #include "homme/remap.hpp"
 #include "homme/rhs.hpp"
+#include "homme/vpack.hpp"
 
 namespace homme {
 
@@ -36,20 +37,23 @@ double smallest_gll_spacing(const mesh::CubedSphere& m) {
   return best;
 }
 
-/// s <- a*x + b*y elementwise over dynamical fields.
+/// s <- a*x + b*y elementwise over dynamical fields, in vpack lanes.
 void blend(const Dims& d, double a, const State& x, double b, const State& y,
            State& out) {
-  for (std::size_t e = 0; e < out.size(); ++e) {
-    std::span<double> ou1 = out[e].u1.mutable_span(),
-                      ou2 = out[e].u2.mutable_span(),
-                      oT = out[e].T.mutable_span(),
-                      odp = out[e].dp.mutable_span();
-    for (std::size_t f = 0; f < d.field_size(); ++f) {
-      ou1[f] = a * x[e].u1[f] + b * y[e].u1[f];
-      ou2[f] = a * x[e].u2[f] + b * y[e].u2[f];
-      oT[f] = a * x[e].T[f] + b * y[e].T[f];
-      odp[f] = a * x[e].dp[f] + b * y[e].dp[f];
+  const std::size_t fs = d.field_size();
+  auto axpby = [&](const Chunk& xc, const Chunk& yc, Chunk& oc) {
+    const double* xp = xc.data();
+    const double* yp = yc.data();
+    double* op = oc.mutable_span().data();
+    for (std::size_t f = 0; f < fs; f += vpack::width) {
+      (a * vpack::load(xp + f) + b * vpack::load(yp + f)).store(op + f);
     }
+  };
+  for (std::size_t e = 0; e < out.size(); ++e) {
+    axpby(x[e].u1, y[e].u1, out[e].u1);
+    axpby(x[e].u2, y[e].u2, out[e].u2);
+    axpby(x[e].T, y[e].T, out[e].T);
+    axpby(x[e].dp, y[e].dp, out[e].dp);
   }
 }
 
@@ -89,10 +93,11 @@ double Dycore::stable_dt(const mesh::CubedSphere& m, double cmax) {
 
 void Dycore::step(State& s) { step(s, Exchange(mesh_)); }
 
-void Dycore::step(State& s, const Exchange& x) {
-  assert(x.nelem() == static_cast<int>(elems_.size()));
+void Dycore::step(State& s, const Exchange& exchange) {
+  assert(exchange.nelem() == static_cast<int>(elems_.size()));
   assert(s.size() == elems_.size());
   const double dt = cfg_.dt;
+  const Exchange x = exchange.traced(trk_);
   obs::ScopedSpan step_span(trk_, "dyn:step");
 
   // SSP-RK3 (Shu-Osher) on the dynamical fields; tracers ride along via

@@ -6,6 +6,7 @@
 #include "homme/bndry.hpp"
 #include "homme/dss.hpp"
 #include "mesh/cubed_sphere.hpp"
+#include "obs/trace.hpp"
 
 /// \file exchange.hpp
 /// homme::Exchange — the exchange policy a dynamics step runs against.
@@ -21,6 +22,9 @@
 ///   - one rank's elements (Partition::rank_elems order), assembled by
 ///     that rank's BndryExchange bound to its net::Rank and mode — the
 ///     section 7.6 bndry_exchangev.
+/// Both assemble through dss.hpp's one element body. The Dycore hands its
+/// kernels a traced() copy, so every DSS call shows as a dyn:dss span on
+/// the Dycore's track (at N ranks the bndry:* spans nest inside it).
 /// An Exchange is a view: build one per call (a net::Rank handle lives
 /// for one net::Cluster::run only).
 
@@ -34,6 +38,14 @@ class Exchange {
   Exchange(BndryExchange& bx, net::Rank& r, BndryExchange::Mode mode)
       : mesh_(&bx.mesh()), bx_(&bx), rank_(&r), mode_(mode) {}
 
+  /// The same exchange, opening a dyn:dss span on \p trk around every
+  /// DSS call (nullptr: untraced).
+  Exchange traced(obs::Track* trk) const {
+    Exchange x = *this;
+    x.trk_ = trk;
+    return x;
+  }
+
   /// Elements covered; kernels index states by local position 0..nelem-1.
   int nelem() const {
     return bx_ != nullptr ? bx_->nlocal() : mesh_->nelem();
@@ -45,6 +57,7 @@ class Exchange {
 
   /// DSS one multi-level scalar field (one pointer per local element).
   void dss(std::span<double* const> fields, int nlev) const {
+    obs::ScopedSpan span(trk_, "dyn:dss");
     if (bx_ != nullptr) {
       bx_->dss_levels(*rank_, fields, nlev, mode_);
     } else {
@@ -54,6 +67,7 @@ class Exchange {
   /// DSS a contravariant vector field.
   void dss_vector(std::span<double* const> u1, std::span<double* const> u2,
                   int nlev) const {
+    obs::ScopedSpan span(trk_, "dyn:dss");
     if (bx_ != nullptr) {
       bx_->dss_vector_levels(*rank_, u1, u2, nlev, mode_);
     } else {
@@ -62,11 +76,12 @@ class Exchange {
   }
 
   /// Arena doubles one dss() call draws on top of its caller's live
-  /// frames: the whole-mesh node accumulator, or nothing (a BndryExchange
-  /// keeps its accumulator as a member). Callers that hold a frame across
-  /// dss() reserve this on top of their own scratch.
+  /// frames: a node accumulator (nodes x nlev), plus a rank's message
+  /// buffers. Callers that hold a frame across dss() reserve this on top
+  /// of their own scratch. dss_vector() draws three times as much; its
+  /// callers hold no frame.
   std::size_t dss_scratch(int nlev) const {
-    return bx_ != nullptr ? 0
+    return bx_ != nullptr ? bx_->dss_scratch(nlev)
                           : static_cast<std::size_t>(mesh_->nnodes()) *
                                 static_cast<std::size_t>(nlev);
   }
@@ -76,6 +91,7 @@ class Exchange {
   BndryExchange* bx_ = nullptr;
   net::Rank* rank_ = nullptr;
   BndryExchange::Mode mode_ = BndryExchange::Mode::kOverlap;
+  obs::Track* trk_ = nullptr;
 };
 
 }  // namespace homme

@@ -87,8 +87,8 @@ void cart_to_wind(const Exchange& ex, const Dims& d,
 // taking a frame; when a public function is re-entered with allocations
 // live (laplacian_update / biharmonic_scalar inside hypervis_*), the
 // outer reservation already covers it and no growth is attempted. The
-// deepest callee is always the exchange's DSS, whose scratch (the
-// whole-mesh node accumulator) rides on top of every live field set.
+// deepest callee is always the exchange's DSS, whose scratch (its node
+// accumulator) rides on top of every live field set.
 void reserve(ScratchArena& a, const Exchange& x, std::size_t fs,
              int nfields) {
   const std::size_t need =

@@ -49,12 +49,25 @@ void column_geopotential(int nlev, const double* T, const double* dp,
                          double* phi_mid);
 void column_omega(int nlev, const double* divdp, double* omega);
 
+/// Scalar whole-mesh DSS (the original of dss.cpp's dss_levels: a
+/// per-(element, level, point) indirect scatter into the node
+/// accumulator).
+void dss_levels(const mesh::CubedSphere& m,
+                std::span<double* const> elem_fields, int nlev);
+
+/// Scalar whole-mesh vector DSS: rotate every element to three Cartesian
+/// fields, run the scalar DSS on each, rotate back (the original of
+/// dss.cpp's dss_vector_levels, with the scalar rotations above).
+void dss_vector_levels(const mesh::CubedSphere& m,
+                       std::span<double* const> u1,
+                       std::span<double* const> u2, int nlev);
+
 /// Scalar element_rhs with per-call vector temporaries (no DSS); its
 /// operators and Coriolis term are the scalar ones above.
 void element_rhs(const mesh::ElementGeom& g, const Dims& d,
                  const ElementState& eval, ElementTend& tend);
 
-/// Scalar compute_and_apply_rhs (element_rhs + update + DSS).
+/// Scalar compute_and_apply_rhs (element_rhs + update + the scalar DSS).
 void compute_and_apply_rhs(const mesh::CubedSphere& m, const Dims& d,
                            const State& base, const State& eval, double dt,
                            State& out);
@@ -68,7 +81,7 @@ void remap_column(std::span<const double> src_dp,
 void vertical_remap_local(const Dims& d, State& s);
 
 /// Scalar SSP-RK3 tracer advection with per-call vector temporaries and
-/// the whole-mesh DSS; its divergence is the scalar one above (the
+/// the scalar whole-mesh DSS above; its divergence is the scalar one above (the
 /// positivity limiter was never vectorized and is shared).
 void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
                 double dt, bool limit = true);

@@ -60,8 +60,17 @@ class ScratchArena {
           std::to_string(used_) + " doubles / " + std::to_string(pused_) +
           " pointers are live");
     }
-    if (buf_.size() < doubles) buf_.resize(doubles);
-    if (pbuf_.size() < ptrs) pbuf_.resize(ptrs);
+    // Nothing is live, so no content has to survive: release the old
+    // block before taking the larger one, so a growing arena never holds
+    // both at once.
+    if (buf_.size() < doubles) {
+      std::vector<double>().swap(buf_);
+      buf_.resize(doubles);
+    }
+    if (pbuf_.size() < ptrs) {
+      std::vector<double*>().swap(pbuf_);
+      pbuf_.resize(ptrs);
+    }
   }
 
   /// Bump-allocate \p n doubles (uninitialized; contents are whatever the
@@ -128,15 +137,36 @@ class ScratchArena {
     std::size_t mark_, pmark_;
   };
 
-  /// The calling thread's arena. Each svc::Engine worker (and the main
-  /// thread) gets its own, so kernels stay lock-free and reentrant per
-  /// thread.
+  /// The calling thread's arena: the one a Bind on this thread installed,
+  /// else the thread's own. Each svc::Engine worker (and the main thread)
+  /// gets its own, so kernels stay lock-free and reentrant per thread.
   static ScratchArena& thread_local_arena() {
-    thread_local ScratchArena arena;
-    return arena;
+    thread_local ScratchArena own;
+    ScratchArena* b = bound();
+    return b != nullptr ? *b : own;
   }
 
+  /// RAII: make \p a the calling thread's arena for this scope. A
+  /// thread that lives for one step (an N-rank session's rank threads)
+  /// binds an arena that outlives it, so the arena keeps its size from
+  /// step to step instead of regrowing from empty on every new thread.
+  class Bind {
+   public:
+    explicit Bind(ScratchArena& a) : prev_(bound()) { bound() = &a; }
+    ~Bind() { bound() = prev_; }
+    Bind(const Bind&) = delete;
+    Bind& operator=(const Bind&) = delete;
+
+   private:
+    ScratchArena* prev_;
+  };
+
  private:
+  static ScratchArena*& bound() {
+    thread_local ScratchArena* b = nullptr;
+    return b;
+  }
+
   std::vector<double> buf_;
   std::vector<double*> pbuf_;
   std::size_t used_ = 0, pused_ = 0, high_ = 0;

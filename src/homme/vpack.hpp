@@ -143,6 +143,48 @@ struct vpack {
   friend vpack operator-(vpack a, const vpack& b) { return a -= b; }
   friend vpack operator*(vpack a, const vpack& b) { return a *= b; }
   friend vpack operator/(vpack a, const vpack& b) { return a /= b; }
+
+  /// Transpose a width x width block in place: lane c of pack r moves to
+  /// lane r of pack c. Pure data movement, so no value changes. Natively
+  /// this is section 7.5's 8-shuffle 4x4 register transpose (pairs of
+  /// rows interleave, then pairs of halves swap); at width 1 it is the
+  /// identity.
+  static void transpose(vpack (&b)[width]) {
+#if defined(SWCAM_VPACK_NATIVE)
+    static_assert(width == 4, "the native transpose is the 4x4 shuffle");
+    const lanes t0 = shuffle<0, 4, 2, 6>(b[0].v, b[1].v);
+    const lanes t1 = shuffle<1, 5, 3, 7>(b[0].v, b[1].v);
+    const lanes t2 = shuffle<0, 4, 2, 6>(b[2].v, b[3].v);
+    const lanes t3 = shuffle<1, 5, 3, 7>(b[2].v, b[3].v);
+    b[0].v = shuffle<0, 1, 4, 5>(t0, t2);
+    b[1].v = shuffle<0, 1, 4, 5>(t1, t3);
+    b[2].v = shuffle<2, 3, 6, 7>(t0, t2);
+    b[3].v = shuffle<2, 3, 6, 7>(t1, t3);
+#else
+    for (int r = 0; r < width; ++r) {
+      for (int c = r + 1; c < width; ++c) {
+        const double x = b[r].v[c];
+        b[r].v[c] = b[c].v[r];
+        b[c].v[r] = x;
+      }
+    }
+#endif
+  }
+
+#if defined(SWCAM_VPACK_NATIVE)
+ private:
+  /// Lanes i0..i3 of the eight-lane concatenation (a, b).
+  template <int i0, int i1, int i2, int i3>
+  static lanes shuffle(lanes a, lanes b) {
+#if defined(__clang__)
+    return __builtin_shufflevector(a, b, i0, i1, i2, i3);
+#else
+    typedef long long index
+        __attribute__((vector_size(sizeof(long long) * kVpackWidth)));
+    return __builtin_shuffle(a, b, index{i0, i1, i2, i3});
+#endif
+  }
+#endif
 };
 
 }  // namespace homme

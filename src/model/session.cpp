@@ -215,6 +215,8 @@ void Session::build(const Session* parent) {
       bx = std::make_unique<homme::BndryExchange>(m, bundle_->partition,
                                                   bundle_->plan, r);
       bx->set_track(trk);
+      ranks_[static_cast<std::size_t>(r)].arena =
+          std::make_unique<homme::ScratchArena>();
       places.push_back(
           {bundle_->partition.rank_elems[static_cast<std::size_t>(r)], trk,
            "accel.r" + std::to_string(r), r});
@@ -318,6 +320,7 @@ void Session::step() {
   } else {
     cluster_->run([&](net::Rank& r) {
       RankSlot& rk = ranks_[static_cast<std::size_t>(r.rank())];
+      homme::ScratchArena::Bind scratch(*rk.arena);
       rk.dycore->step(rk.state, homme::Exchange(*rk.bndry, r, cfg_.exchange));
     });
   }

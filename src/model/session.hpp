@@ -9,6 +9,7 @@
 #include "homme/bndry.hpp"
 #include "homme/checkpoint.hpp"
 #include "homme/driver.hpp"
+#include "homme/scratch.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "mesh/partition.hpp"
 #include "obs/trace.hpp"
@@ -327,6 +328,9 @@ class Session {
     std::unique_ptr<accel::PipelineAccelerator> accel;  ///< kPipeline only
     /// This rank's chain writer; checkpoint_base only.
     std::unique_ptr<homme::AsyncCheckpointWriter> ckpt;
+    /// N ranks only: the scratch arena the rank's step runs on. The
+    /// cluster's threads live for one step; the arena lives with the rank.
+    std::unique_ptr<homme::ScratchArena> arena;
   };
 
   /// Per-rank construction shared by the constructor and fork(): the IC

@@ -7,8 +7,10 @@
 #include <limits>
 #include <random>
 #include <span>
+#include <vector>
 
 #include "homme/driver.hpp"
+#include "homme/dss.hpp"
 #include "homme/euler.hpp"
 #include "homme/exchange.hpp"
 #include "homme/init.hpp"
@@ -200,6 +202,51 @@ TEST(HostKernels, FrameRotationsBitIdenticalToReference) {
     }
   }
   EXPECT_EQ(faces, 0x3f);
+}
+
+TEST(HostKernels, DssBitIdenticalToReference) {
+  // The live DSS (the transposed block body; the vector DSS with its
+  // rotations folded in) against the frozen scalar DSS, whole mesh, at
+  // level counts below, at and around the pack width. The data are signed,
+  // with +-0 sprinkled in and one all +0 and one all -0 element, and each
+  // DSS is applied twice (the second pass assembles an assembled field).
+  for (int ne : {2, 3, 4}) {
+    auto m = mesh::CubedSphere::build(ne, mesh::kEarthRadius);
+    const std::size_t nelem = static_cast<std::size_t>(m.nelem());
+    for (int nlev : {1, 3, 4, 5, 16, 30}) {
+      const std::size_t fs = static_cast<std::size_t>(nlev) * kNpp;
+      std::mt19937 rng(static_cast<unsigned>(100 * ne + nlev));
+      std::uniform_real_distribution<double> val(-1.0, 1.0);
+      auto field = [&] {
+        std::vector<double> f(nelem * fs);
+        for (std::size_t i = 0; i < f.size(); ++i) {
+          f[i] = i % 7 == 0 ? (i % 2 == 0 ? 0.0 : -0.0) : val(rng);
+        }
+        std::fill(f.begin() + fs, f.begin() + 2 * fs, 0.0);
+        std::fill(f.begin() + 2 * fs, f.begin() + 3 * fs, -0.0);
+        return f;
+      };
+      auto ptrs = [&](std::vector<double>& f) {
+        std::vector<double*> p(nelem);
+        for (std::size_t e = 0; e < nelem; ++e) p[e] = f.data() + e * fs;
+        return p;
+      };
+      std::vector<double> a = field(), b = a;
+      std::vector<double> a1 = field(), a2 = field(), b1 = a1, b2 = a2;
+      auto pa = ptrs(a), pb = ptrs(b);
+      auto pa1 = ptrs(a1), pa2 = ptrs(a2), pb1 = ptrs(b1), pb2 = ptrs(b2);
+      for (int pass = 0; pass < 2; ++pass) {
+        homme::ref::dss_levels(m, pa, nlev);
+        homme::dss_levels(m, pb, nlev);
+        EXPECT_TRUE(same_bits(a, b))
+            << "scalar, ne " << ne << " nlev " << nlev << " pass " << pass;
+        homme::ref::dss_vector_levels(m, pa1, pa2, nlev);
+        homme::dss_vector_levels(m, pb1, pb2, nlev);
+        EXPECT_TRUE(same_bits(a1, b1) && same_bits(a2, b2))
+            << "vector, ne " << ne << " nlev " << nlev << " pass " << pass;
+      }
+    }
+  }
 }
 
 TEST(HostKernels, RhsMatchesReferenceAcrossConfigs) {
@@ -551,6 +598,25 @@ TEST(Vpack, ElementwiseOpsMatchScalar) {
   for (int i = 0; i < homme::kVpackWidth; ++i) EXPECT_EQ(out[i], -a[i]);
   homme::vpack::fill(3.5).store(out);
   for (int i = 0; i < homme::kVpackWidth; ++i) EXPECT_EQ(out[i], 3.5);
+}
+
+TEST(Vpack, TransposeMovesEveryLane) {
+  using homme::vpack;
+  constexpr int kW = homme::kVpackWidth;
+  vpack b[kW];
+  double row[kW];
+  for (int r = 0; r < kW; ++r) {
+    for (int c = 0; c < kW; ++c) row[c] = 10.0 * r + c;
+    b[r] = vpack::load(row);
+  }
+  vpack::transpose(b);
+  for (int r = 0; r < kW; ++r) {
+    for (int c = 0; c < kW; ++c) EXPECT_EQ(b[r][c], 10.0 * c + r);
+  }
+  vpack::transpose(b);
+  for (int r = 0; r < kW; ++r) {
+    for (int c = 0; c < kW; ++c) EXPECT_EQ(b[r][c], 10.0 * r + c);
+  }
 }
 
 TEST(HostKernels, VpackScalarOperandsMatchLanes) {

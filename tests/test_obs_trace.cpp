@@ -4,37 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "alloc_counter.hpp"
 #include "model/session.hpp"
 #include "obs/trace.hpp"
-
-// -- allocation counting (for DisabledTracingAllocatesNothing) --------------
-//
-// Global operator new/delete overrides for this test binary; counting is
-// armed only inside the measured region.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::size_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  }
-  void* p = std::malloc(n ? n : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -141,8 +115,7 @@ TEST(DisabledTracing, AllocatesNothing) {
   obs::Track& t = tr.track("t");               // registry alloc up front
   const obs::Counter args[1] = {{"bytes", 1}};
 
-  g_alloc_count.store(0);
-  g_count_allocs.store(true);
+  alloc_counter::arm();
   for (int i = 0; i < 1000; ++i) {
     t.begin("span", args);
     t.instant("evt", args);
@@ -150,9 +123,7 @@ TEST(DisabledTracing, AllocatesNothing) {
     t.end();
     obs::ScopedSpan s(&t, "scoped");
   }
-  g_count_allocs.store(false);
-
-  EXPECT_EQ(g_alloc_count.load(), 0u);
+  EXPECT_EQ(alloc_counter::disarm(), 0u);
   EXPECT_EQ(t.retained(), 0u);
 }
 
@@ -238,6 +209,30 @@ TEST(ChromeTrace, TwoRankStepIsWellFormed) {
   EXPECT_NE(doc.find("\"net:send\""), std::string::npos);
   EXPECT_NE(doc.find("\"net:recv\""), std::string::npos);
   EXPECT_NE(doc.find("\"dyn:remap\""), std::string::npos);
+}
+
+TEST(ChromeTrace, EveryDssIsOneSpanAndOneMessageRound) {
+  // At 2 tracers a step makes 27 DSS calls: 3 rhs stages x (the vector
+  // DSS of the wind, then T and dp), 3 euler stages x 2 tracers, and 12 in
+  // hyperviscosity (6 for the Cartesian wind, 3 for T, 3 for dp). Each is
+  // one dyn:dss span on the dycore's track; at 2 ranks each is also one
+  // message from each rank to the other, the vector DSS included.
+  for (int nranks : {1, 2}) {
+    model::Session s(model::SessionConfig{}
+                         .with_ne(2)
+                         .with_levels(4, 2)
+                         .with_ranks(nranks)
+                         .with_trace(true, obs::ClockDomain::kVirtual));
+    s.step();
+    const obs::Summary sum = s.tracer().summary();
+    const std::uint64_t per_rank = 27;
+    ASSERT_EQ(sum.count("dyn:dss"), 1u);
+    EXPECT_EQ(sum.at("dyn:dss").count, per_rank * nranks) << nranks;
+    if (nranks == 2) {
+      EXPECT_EQ(sum.at("net:send").count, per_rank * nranks);
+      EXPECT_EQ(sum.count("bndry:rotate"), 0u);
+    }
+  }
 }
 
 TEST(ChromeTrace, MergedExportSeparatesTracersByPidOffset) {

@@ -156,6 +156,32 @@ TEST(ScenarioRegistry, TwelveStepDigestsArePinned) {
   }
 }
 
+TEST(ScenarioRegistry, ManyRankDigestsArePinned) {
+  // baroclinic-wave at its default shape after 12 steps, at 3, 4 and 7
+  // ranks, in both exchange modes (which agree bit for bit). Each rank
+  // count adds a shared node's partial sums in its own order, so each has
+  // its own digest; the pins hold the multi-rank DSS to its bits.
+  // ROADMAP item 4 (one summation order at every rank count) moves these
+  // on purpose; re-pin them then, with a CHANGES.md entry.
+  const scenario::Scenario& sc = scenario::get("baroclinic-wave");
+  const std::pair<int, std::uint32_t> pins[] = {
+      {3, 0x8afd5c59}, {4, 0x92facac3}, {7, 0xdc4f2924}};
+  for (const auto& [nranks, want] : pins) {
+    for (auto mode : {homme::BndryExchange::Mode::kOriginal,
+                      homme::BndryExchange::Mode::kOverlap}) {
+      scenario::Overrides ov;
+      ov.nranks = nranks;
+      ov.backend = model::SessionConfig::Backend::kHost;
+      model::Session s(sc.config(ov).with_exchange(mode));
+      scenario::run(sc, s, 12);
+      EXPECT_EQ(digest_of(s), want)
+          << nranks << " ranks, "
+          << (mode == homme::BndryExchange::Mode::kOverlap ? "overlap"
+                                                           : "original");
+    }
+  }
+}
+
 TEST(ScenarioRegistry, InitSpecMatchesRawGeneratorsBitExactly) {
   // The typed InitSpec path must reproduce the raw homme:: IC generators
   // (plus the cosine-bell tracers) bit for bit, at birth and after a
