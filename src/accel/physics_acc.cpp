@@ -36,8 +36,7 @@ phys::Column column_from_buffer(std::span<const double> buf, int nlev,
     c.p[l] = buf[5 * n + l];
   }
   c.ps = ps;
-  c.sst = sst;
-  c.lat = lat;
+  c.sfc = phys::surface_at(lat, sst);
   return c;
 }
 
@@ -269,8 +268,7 @@ void PhysicsSchemeKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
     c.p[l] = pr[l];
   }
   c.ps = p_.ps[col];
-  c.sst = p_.sst[col];
-  c.lat = p_.lat[col];
+  c.sfc = phys::surface_at(p_.lat[col], p_.sst[col]);
 
   phys::ColumnDiag diag;
   run_scheme(scheme_, c, cfg_, diag);

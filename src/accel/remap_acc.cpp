@@ -6,6 +6,7 @@
 #include "homme/remap.hpp"
 #include "homme/scratch.hpp"
 #include "homme/state.hpp"
+#include "homme/vpack.hpp"
 #include "sw/task.hpp"
 #include "sw/transpose.hpp"
 
@@ -64,6 +65,43 @@ void scatter_column(sw::Cpe& cpe, double* base, std::size_t eo, int k,
                                    sizeof(double),
                                    static_cast<std::size_t>(nlev),
                                    kNpp * sizeof(double)));
+}
+
+/// Host re-blocking of a CPE's transposed columns (\p cols, [kNpp][nlev])
+/// into a [nlev][kNpp] tile, and back: W x W blocks turned by
+/// vpack::transpose, so no value changes. nlev is a multiple of 4, as
+/// ldm_transpose requires.
+void columns_to_tile(const double* cols, int nlev, double* tile) {
+  constexpr int W = homme::vpack::width;
+  const std::size_t levels = static_cast<std::size_t>(nlev);
+  for (int k = 0; k < kNpp; k += W) {
+    for (int l = 0; l < nlev; l += W) {
+      homme::vpack b[W];
+      for (int r = 0; r < W; ++r) {
+        b[r] = homme::vpack::load(cols + static_cast<std::size_t>(k + r) *
+                                             levels + l);
+      }
+      homme::vpack::transpose(b);
+      for (int r = 0; r < W; ++r) b[r].store(tile + fidx(l + r, k));
+    }
+  }
+}
+
+void tile_to_columns(const double* tile, int nlev, double* cols) {
+  constexpr int W = homme::vpack::width;
+  const std::size_t levels = static_cast<std::size_t>(nlev);
+  for (int k = 0; k < kNpp; k += W) {
+    for (int l = 0; l < nlev; l += W) {
+      homme::vpack b[W];
+      for (int r = 0; r < W; ++r) {
+        b[r] = homme::vpack::load(tile + fidx(l + r, k));
+      }
+      homme::vpack::transpose(b);
+      for (int r = 0; r < W; ++r) {
+        b[r].store(cols + static_cast<std::size_t>(k + r) * levels + l);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -167,64 +205,87 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   auto ft = cpe.ldm().alloc<double>(n);   // [16][lev] transposed field
   auto tgt = cpe.ldm().alloc<double>(static_cast<std::size_t>(nlev));
 
-  // The targets and plans live in the host thread's scratch arena, not
+  // The host computes the columns' remap four at a time, in the lanes of
+  // a vpack, on [lev][16] tiles in the host thread's scratch arena (not
   // in the modeled LDM: element() never suspends, so this frame closes
-  // before the next CPE runs.
+  // before the next CPE runs). The modeled work above is unchanged: the
+  // same leases, transposes, LDM buffers and flop charges.
+  using Plan = homme::BasicColumnRemapPlan<homme::vpack>;
   const std::size_t levels = static_cast<std::size_t>(nlev);
   homme::ScratchArena& arena = homme::ScratchArena::thread_local_arena();
-  const std::size_t need =
-      2 * n + kNpp * homme::ColumnRemapPlan::scratch_doubles(levels);
+  const std::size_t need = 3 * n + 2 * (levels + 1) * kNpp +
+                           homme::kTilePacks * Plan::scratch_doubles(levels);
   if (arena.capacity() < need) arena.require(need);
   homme::ScratchArena::Frame frame(arena);
-  // Every column's targets, in dp's [lev][16] layout, from column masses
-  // summed level by level from 0.0 as vertical_remap_local sums them;
-  // then each column's, contiguous, beside its plan.
-  const std::span<double> tile = arena.alloc(n);
+  double* const dp = arena.alloc(n).data();    // source thicknesses
+  double* const tile = arena.alloc(n).data();  // targets
+  double* const work = arena.alloc(n).data();  // the field being remapped
+  double* const xs = arena.alloc((levels + 1) * kNpp).data();
+  double* const xt = arena.alloc((levels + 1) * kNpp).data();
   {
     FieldLease dps = ctx.lease(FieldId::kDp, 0, 0, n, Access::kRead);
     sw::ldm_transpose(cpe, dps.data(), dpt.data(), nlev, kNpp);
-    double mass[kNpp] = {};
-    for (int lev = 0; lev < nlev; ++lev) {
-      for (int k = 0; k < kNpp; ++k) mass[k] += dps[fidx(lev, k)];
-    }
-    homme::remap_targets(hc_, nlev, mass, tile.data());
+    std::copy(dps.data(), dps.data() + n, dp);
   }
-  auto src_col = [&](int k) {
-    return std::span<const double>(
-        dpt.data() + static_cast<std::size_t>(k) * levels, levels);
-  };
-  std::span<const double> targets[kNpp];
-  homme::ColumnRemapPlan plans[kNpp];
-  for (int k = 0; k < kNpp; ++k) {
-    const std::span<double> t = arena.alloc(levels);
-    for (int l = 0; l < nlev; ++l) {
-      t[static_cast<std::size_t>(l)] = tile[fidx(l, k)];
+  // Every column's targets from column masses summed level by level from
+  // 0.0, as vertical_remap_local sums them.
+  homme::cumulative_tiles(nlev, dp, xs);
+  homme::remap_targets(hc_, nlev, xs + fidx(nlev, 0), tile);
+  homme::cumulative_tiles(nlev, tile, xt);
+  if (!homme::tile_columns_remappable(nlev, dp, tile, xs, xt)) {
+    // remap_column's guard, column by column: throws the first failing
+    // column's RemapError.
+    for (int k = 0; k < kNpp; ++k) {
+      homme::ScratchArena::Frame column(arena);
+      const std::span<double> t = arena.alloc(levels);
+      for (int l = 0; l < nlev; ++l) {
+        t[static_cast<std::size_t>(l)] = tile[fidx(l, k)];
+      }
+      homme::ColumnRemapPlan::checked(
+          {dpt.data() + static_cast<std::size_t>(k) * levels, levels}, t,
+          arena);
     }
-    targets[k] = t;
-    plans[k] = homme::ColumnRemapPlan::checked(src_col(k), t, arena);
+  }
+  Plan plans[homme::kTilePacks];
+  for (int p = 0; p < homme::kTilePacks; ++p) {
+    const int k = p * homme::vpack::width;
+    plans[p] = Plan(xs + k, xt + k, kNpp, levels, arena);
   }
   cpe.scalar_flops(static_cast<std::uint64_t>(kNpp * nlev));
 
   auto remap_field = [&](FieldId id, int sub, bool as_ratio) {
     FieldLease fld = ctx.lease(id, sub, 0, n, Access::kReadWrite);
     sw::ldm_transpose(cpe, fld.data(), ft.data(), nlev, kNpp);
+    // Each column's modeled charges, in column order, with its targets
+    // staged into the LDM.
     for (int k = 0; k < kNpp; ++k) {
-      double* col = ft.data() + static_cast<std::size_t>(k) * nlev;
-      const std::span<const double> src = src_col(k);
-      std::copy(targets[k].begin(), targets[k].end(), tgt.begin());
-      if (as_ratio) {
-        for (int l = 0; l < nlev; ++l) col[l] /= src[l];
-        cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
+      for (int l = 0; l < nlev; ++l) {
+        tgt[static_cast<std::size_t>(l)] = tile[fidx(l, k)];
       }
-      plans[k].apply(src, tgt, std::span<double>(col, levels));
+      if (as_ratio) cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
       cpe.scalar_flops(remap_flops(nlev));
+      if (as_ratio) cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
+    }
+    columns_to_tile(ft.data(), nlev, work);
+    for (int p = 0; p < homme::kTilePacks; ++p) {
+      const int k = p * homme::vpack::width;
       if (as_ratio) {
         for (int l = 0; l < nlev; ++l) {
-          col[l] *= tgt[static_cast<std::size_t>(l)];
+          const std::size_t i = fidx(l, k);
+          (homme::vpack::load(work + i) / homme::vpack::load(dp + i))
+              .store(work + i);
         }
-        cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
+      }
+      plans[p].apply(dp + k, tile + k, work + k, kNpp);
+      if (as_ratio) {
+        for (int l = 0; l < nlev; ++l) {
+          const std::size_t i = fidx(l, k);
+          (homme::vpack::load(work + i) * homme::vpack::load(tile + i))
+              .store(work + i);
+        }
       }
     }
+    tile_to_columns(work, nlev, ft.data());
     sw::ldm_transpose(cpe, ft.data(), fld.data(), kNpp, nlev);
   };
   remap_field(FieldId::kU1, 0, false);
@@ -237,7 +298,7 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
     // dp becomes the reference thickness: a pure overwrite, so the lease
     // skips the stage-in.
     FieldLease dpw = ctx.lease(FieldId::kDp, 0, 0, n, Access::kWrite);
-    std::copy(tile.begin(), tile.end(), dpw.data());
+    std::copy(tile, tile + n, dpw.data());
   }
 }
 

@@ -13,7 +13,9 @@
 /// grid, and conservatively remaps u, T and the tracer mixing ratios.
 /// Both variants compute what homme::vertical_remap_local computes, bit
 /// for bit: the target thicknesses come from homme::remap_target_dp and
-/// each column's remap goes through a homme::ColumnRemapPlan.
+/// each column's remap goes through a homme::BasicColumnRemapPlan (one
+/// column per plan in the OpenACC variant, four per plan in the Athread
+/// variant's host-side arithmetic).
 ///
 /// * OpenACC variant: collapse over (element, GLL point) with the source
 ///   thickness re-gathered and the target rebuilt for every field

@@ -53,6 +53,43 @@ struct vpack {
   double v[kVpackWidth];
 #endif
 
+  /// A lane-wise boolean, what comparing two packs gives: natively a lane
+  /// of all ones (true) or all zeros, else one bool per lane.
+  struct mask {
+#if defined(SWCAM_VPACK_NATIVE)
+    typedef __typeof__(vpack::lanes{} < vpack::lanes{}) lanes;
+    lanes v;
+    bool operator[](int i) const { return v[i] != 0; }
+    friend mask operator!(mask m) {
+      m.v = ~m.v;
+      return m;
+    }
+    friend mask operator&(mask a, const mask& b) {
+      a.v &= b.v;
+      return a;
+    }
+    friend mask operator|(mask a, const mask& b) {
+      a.v |= b.v;
+      return a;
+    }
+#else
+    bool v[kVpackWidth];
+    bool operator[](int i) const { return v[i]; }
+    friend mask operator!(mask m) {
+      for (int i = 0; i < kVpackWidth; ++i) m.v[i] = !m.v[i];
+      return m;
+    }
+    friend mask operator&(mask a, const mask& b) {
+      for (int i = 0; i < kVpackWidth; ++i) a.v[i] = a.v[i] && b.v[i];
+      return a;
+    }
+    friend mask operator|(mask a, const mask& b) {
+      for (int i = 0; i < kVpackWidth; ++i) a.v[i] = a.v[i] || b.v[i];
+      return a;
+    }
+#endif
+  };
+
   static vpack load(const double* p) {
     vpack r;
     std::memcpy(&r.v, p, sizeof(r.v));
@@ -113,6 +150,39 @@ struct vpack {
     a.v = a.v + s;
     return a;
   }
+  friend vpack operator+(double s, vpack a) {
+    a.v = s + a.v;
+    return a;
+  }
+  friend vpack operator-(vpack a, double s) {
+    a.v = a.v - s;
+    return a;
+  }
+  friend vpack operator-(double s, vpack a) {
+    a.v = s - a.v;
+    return a;
+  }
+  friend vpack operator/(vpack a, double s) {
+    a.v = a.v / s;
+    return a;
+  }
+  friend vpack operator/(double s, vpack a) {
+    a.v = s / a.v;
+    return a;
+  }
+
+  friend mask operator<(const vpack& a, const vpack& b) {
+    return {a.v < b.v};
+  }
+  friend mask operator<=(const vpack& a, const vpack& b) {
+    return {a.v <= b.v};
+  }
+  friend mask operator>(const vpack& a, const vpack& b) {
+    return {a.v > b.v};
+  }
+  friend mask operator>=(const vpack& a, const vpack& b) {
+    return {a.v >= b.v};
+  }
 #else
   vpack& operator+=(const vpack& o) {
     for (int i = 0; i < width; ++i) v[i] += o.v[i];
@@ -137,7 +207,38 @@ struct vpack {
   friend vpack operator*(double s, vpack a) { return a *= fill(s); }
   friend vpack operator*(vpack a, double s) { return a *= fill(s); }
   friend vpack operator+(vpack a, double s) { return a += fill(s); }
+  friend vpack operator+(double s, const vpack& a) { return fill(s) += a; }
+  friend vpack operator-(vpack a, double s) { return a -= fill(s); }
+  friend vpack operator-(double s, const vpack& a) { return fill(s) -= a; }
+  friend vpack operator/(vpack a, double s) { return a /= fill(s); }
+  friend vpack operator/(double s, const vpack& a) { return fill(s) /= a; }
+
+  friend mask operator<(const vpack& a, const vpack& b) {
+    mask m;
+    for (int i = 0; i < width; ++i) m.v[i] = a.v[i] < b.v[i];
+    return m;
+  }
+  friend mask operator<=(const vpack& a, const vpack& b) {
+    mask m;
+    for (int i = 0; i < width; ++i) m.v[i] = a.v[i] <= b.v[i];
+    return m;
+  }
+  friend mask operator>(const vpack& a, const vpack& b) {
+    mask m;
+    for (int i = 0; i < width; ++i) m.v[i] = a.v[i] > b.v[i];
+    return m;
+  }
+  friend mask operator>=(const vpack& a, const vpack& b) {
+    mask m;
+    for (int i = 0; i < width; ++i) m.v[i] = a.v[i] >= b.v[i];
+    return m;
+  }
 #endif
+
+  friend mask operator<(const vpack& a, double s) { return a < fill(s); }
+  friend mask operator<=(const vpack& a, double s) { return a <= fill(s); }
+  friend mask operator>(const vpack& a, double s) { return a > fill(s); }
+  friend mask operator>=(const vpack& a, double s) { return a >= fill(s); }
 
   friend vpack operator+(vpack a, const vpack& b) { return a += b; }
   friend vpack operator-(vpack a, const vpack& b) { return a -= b; }
@@ -185,6 +286,105 @@ struct vpack {
 #endif
   }
 #endif
+};
+
+// -- lane-generic column code -----------------------------------------------
+// A column kernel is written once, templated on its lane type T: double is
+// one column, vpack is one column per lane. A branch of the column becomes
+// a lane mask: the body computes both sides and select() keeps, in each
+// lane, the side that column's branch takes, so every lane performs its
+// column's scalar operation sequence. Library functions (exp, pow, cos,
+// hypot, sqrt) run per lane through per_lane(), one scalar call per lane,
+// so their bits are the scalar library's. At T = double every helper is
+// the plain scalar form: a bool, ?: and the call itself.
+
+inline vpack select(const vpack::mask& m, const vpack& a, const vpack& b) {
+  vpack r;
+#if defined(SWCAM_VPACK_NATIVE) && !defined(__clang__)
+  r.v = m.v ? a.v : b.v;
+#elif defined(SWCAM_VPACK_NATIVE)
+  typedef vpack::mask::lanes bits;
+  r.v = (vpack::lanes)(((bits)a.v & m.v) | ((bits)b.v & ~m.v));
+#else
+  for (int i = 0; i < vpack::width; ++i) r.v[i] = m.v[i] ? a.v[i] : b.v[i];
+#endif
+  return r;
+}
+inline double select(bool m, double a, double b) { return m ? a : b; }
+
+/// Whether any lane is set.
+inline bool any(const vpack::mask& m) {
+  bool r = false;
+  for (int i = 0; i < vpack::width; ++i) r = r || m[i];
+  return r;
+}
+inline bool any(bool m) { return m; }
+
+/// f applied lane by lane: one scalar call per lane.
+template <class F>
+vpack per_lane(F f, const vpack& a) {
+  vpack r;
+  for (int i = 0; i < vpack::width; ++i) r.v[i] = f(a.v[i]);
+  return r;
+}
+template <class F>
+vpack per_lane(F f, const vpack& a, const vpack& b) {
+  vpack r;
+  for (int i = 0; i < vpack::width; ++i) r.v[i] = f(a.v[i], b.v[i]);
+  return r;
+}
+template <class F>
+double per_lane(F f, double a) {
+  return f(a);
+}
+template <class F>
+double per_lane(F f, double a, double b) {
+  return f(a, b);
+}
+
+/// std::min and std::max lane by lane, with their exact comparisons, so a
+/// NaN operand picks the same side it picks in std::min/std::max.
+inline vpack min(const vpack& a, const vpack& b) { return select(b < a, b, a); }
+inline vpack max(const vpack& a, const vpack& b) { return select(a < b, b, a); }
+inline vpack max(double a, const vpack& b) { return max(vpack::fill(a), b); }
+inline double min(double a, double b) { return b < a ? b : a; }
+inline double max(double a, double b) { return a < b ? b : a; }
+
+/// Memory access and broadcasts of the lane type T. A column's value at
+/// one level is one double (T = double) or kVpackWidth adjacent doubles,
+/// one per column (T = vpack): a [lev][kNpp] tile row holds four columns.
+template <class T>
+struct Lanes;
+
+template <>
+struct Lanes<double> {
+  static constexpr int width = 1;
+  using mask = bool;
+  static double load(const double* p) { return *p; }
+  static void store(double x, double* p) { *p = x; }
+  static double fill(double x) { return x; }
+  static double lane(double x, int) { return x; }
+  static bool lane(bool m, int) { return m; }
+  static double gather(const double* base, const int* off) {
+    return base[off[0]];
+  }
+};
+
+template <>
+struct Lanes<vpack> {
+  static constexpr int width = vpack::width;
+  using mask = vpack::mask;
+  static vpack load(const double* p) { return vpack::load(p); }
+  static void store(const vpack& x, double* p) { x.store(p); }
+  static vpack fill(double x) { return vpack::fill(x); }
+  static double lane(const vpack& x, int i) { return x[i]; }
+  static bool lane(const vpack::mask& m, int i) { return m[i]; }
+  /// Lane i from base[off[i]].
+  static vpack gather(const double* base, const int* off) {
+    vpack r;
+    for (int i = 0; i < vpack::width; ++i) r.v[i] = base[off[i]];
+    return r;
+  }
 };
 
 }  // namespace homme

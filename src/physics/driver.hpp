@@ -1,7 +1,9 @@
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "homme/state.hpp"
@@ -13,7 +15,8 @@
 /// runs the parameterization suite, and scatters the result back. Tracer
 /// 0 of the dycore is specific humidity. Columns are independent — the
 /// property the paper's OpenACC physics port exploits by batching columns
-/// over the 64 CPEs.
+/// over the 64 CPEs, and the one the host driver exploits by running four
+/// adjacent columns of a [lev][kNpp] tile in the lanes of one vpack.
 
 namespace phys {
 
@@ -61,18 +64,42 @@ class PhysicsDriver {
   const PhysicsConfig& config() const { return cfg_; }
 
  private:
-  /// Fixed data of one column, built once: the prescribed SST and the
-  /// Cartesian components of the local east (ex, ey; ez = 0) and north
-  /// unit vectors that rotate the wind between contravariant and
-  /// east/north components.
-  struct ColumnConstants {
-    double sst, ex, ey, nx, ny, nz;
+  using Tile = std::array<double, mesh::kNpp>;
+  /// Fixed data of one element's columns, built once, one tile per
+  /// quantity so that one pack loads four columns: the surface data
+  /// (surface_at) and the Cartesian components of the local east (ex, ey;
+  /// ez = 0) and north (nx, ny; nz = sfc.cos_lat) unit vectors that rotate
+  /// the wind between contravariant and east/north components.
+  struct ElementConstants {
+    BasicSurface<Tile> sfc;
+    Tile ex, ey, nx, ny;
   };
+  /// One element's fields as physics reads and writes them, [lev][kNpp].
+  struct ElementFields {
+    std::span<const double> dp;
+    std::span<double> qdp;  ///< tracer 0 (humidity) as q*dp; empty if none
+    std::span<double> T, u1, u2;
+  };
+
+  /// Load the columns starting at GLL point \p k (one per lane of T) into
+  /// \p c: the physical east/north wind from the contravariant
+  /// components, the mixing ratio from q*dp, and the surface and
+  /// mid-level pressures.
+  template <class T>
+  static void gather(const ElementFields& f, const mesh::ElementGeom& g,
+                     const ElementConstants& ec, int k, BasicColumn<T>& c);
+  /// Store \p c back into the columns starting at GLL point \p k: the
+  /// east/north wind back to contravariant components through the dual
+  /// basis (homme::wind_to_contra's arithmetic, ez = 0).
+  template <class T>
+  static void scatter(const BasicColumn<T>& c, const mesh::ElementGeom& g,
+                      const ElementConstants& ec, int k,
+                      const ElementFields& f);
 
   const mesh::CubedSphere& mesh_;
   homme::Dims dims_;
   PhysicsConfig cfg_;
-  std::vector<ColumnConstants> consts_;  ///< [elem * kNpp + gidx]
+  std::vector<ElementConstants> consts_;  ///< [elem]
 };
 
 }  // namespace phys

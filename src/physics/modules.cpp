@@ -4,56 +4,86 @@
 #include <cmath>
 
 #include "homme/dims.hpp"
+#include "homme/vpack.hpp"
 
 namespace phys {
 
+using homme::any;
 using homme::kCp;
 using homme::kGravity;
 using homme::kKappa;
 using homme::kP0;
 using homme::kRgas;
+using homme::max;
+using homme::min;
+using homme::per_lane;
+using homme::select;
+using homme::vpack;
 
-double saturation_vapor_pressure(double t) {
-  // Bolton (1980).
-  return 611.2 * std::exp(17.67 * (t - 273.15) / (t - 29.65));
+namespace {
+
+/// Bolton (1980), lane by lane.
+template <class T>
+T vapor_pressure(T t) {
+  return 611.2 * per_lane([](double x) { return std::exp(x); },
+                          17.67 * (t - 273.15) / (t - 29.65));
 }
 
-double saturation_mixing_ratio(double t, double p) {
-  const double es = std::min(saturation_vapor_pressure(t), 0.5 * p);
+/// The saturation mixing ratio at pressure \p p, given the saturation
+/// vapor pressure \p es_t at the temperature.
+template <class T>
+T mixing_ratio(T es_t, T p) {
+  const T es = min(es_t, 0.5 * p);
   return kEps * es / (p - (1.0 - kEps) * es);
 }
 
-void gray_radiation(const RadiationConfig& cfg, Column& c, double dt,
-                    ColumnDiag& diag) {
+}  // namespace
+
+double saturation_vapor_pressure(double t) { return vapor_pressure(t); }
+
+double saturation_mixing_ratio(double t, double p) {
+  return mixing_ratio(vapor_pressure(t), p);
+}
+
+Surface surface_at(double lat, double sst) {
+  return {sst, kStefan * std::pow(sst, 4), saturation_vapor_pressure(sst),
+          std::cos(lat)};
+}
+
+template <class T>
+void gray_radiation(const RadiationConfig& cfg, BasicColumn<T>& c, double dt,
+                    BasicColumnDiag<T>& diag) {
+  using L = homme::Lanes<T>;
   const int n = c.nlev;
   const std::size_t sn = static_cast<std::size_t>(n);
   // Per-level optical depth, transmissivity and blackbody emission, then
-  // the two flux profiles on the n+1 interfaces: 5n+2 doubles of c.work.
-  double* dtau = c.work.data();
-  double* tr = dtau + sn;
-  double* emit = tr + sn;
-  double* up = emit + sn;
-  double* down = up + sn + 1;
+  // the two flux profiles on the n+1 interfaces: 5n+2 values of c.work.
+  T* dtau = c.work.data();
+  T* tr = dtau + sn;
+  T* emit = tr + sn;
+  T* up = emit + sn;
+  T* down = up + sn + 1;
 
   // Gray optical depth grows quadratically toward the surface (a crude
   // water-vapor profile): tau(p) = tau0 (p/ps)^2.
-  double p_int = homme::kPtop;
-  double tau_prev = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
+  T p_int = L::fill(homme::kPtop);
+  T tau_prev = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
   for (int k = 0; k < n; ++k) {
     const std::size_t sk = static_cast<std::size_t>(k);
     p_int += c.dp[sk];
-    const double tau = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
+    const T tau = cfg.tau0 * (p_int / c.ps) * (p_int / c.ps);
     dtau[sk] = tau - tau_prev;
     tau_prev = tau;
-    tr[sk] = std::exp(-dtau[sk]);
-    emit[sk] = kStefan * std::pow(c.t[sk], 4);
+    tr[sk] = per_lane([](double x) { return std::exp(x); }, -dtau[sk]);
+    emit[sk] =
+        kStefan * per_lane([](double x) { return std::pow(x, 4); }, c.t[sk]);
   }
 
-  down[0] = 0.0;
+  down[0] = L::fill(0.0);
   for (std::size_t k = 0; k < sn; ++k) {
     down[k + 1] = down[k] * tr[k] + emit[k] * (1.0 - tr[k]);
   }
-  up[sn] = kStefan * std::pow(c.sst, 4);
+  up[sn] = c.sfc.emit;
   for (std::size_t k = sn; k-- > 0;) {
     up[k] = up[k + 1] * tr[k] + emit[k] * (1.0 - tr[k]);
   }
@@ -61,87 +91,97 @@ void gray_radiation(const RadiationConfig& cfg, Column& c, double dt,
 
   // Annual-mean insolation profile; the absorbed-in-atmosphere part is
   // deposited proportionally to optical depth.
-  const double cosl = std::cos(c.lat);
-  const double insol = cfg.solar0 * (0.25 + 0.75 * cosl * cosl);
-  const double sw_col = insol * (1.0 - cfg.albedo) * cfg.sw_abs_frac;
+  const T cosl = c.sfc.cos_lat;
+  const T insol = cfg.solar0 * (0.25 + 0.75 * cosl * cosl);
+  const T sw_col = insol * (1.0 - cfg.albedo) * cfg.sw_abs_frac;
 
-  double heat_col = 0.0;
+  T heat_col = L::fill(0.0);
   for (int k = 0; k < n; ++k) {
     const std::size_t sk = static_cast<std::size_t>(k);
-    const double net =
+    const T net =
         (up[sk + 1] - down[sk + 1]) - (up[sk] - down[sk]);  // W/m^2 converged
-    const double sw = sw_col * dtau[sk] / std::max(1e-12, cfg.tau0);
-    const double heating = net + sw;
+    const T sw = sw_col * dtau[sk] / std::max(1e-12, cfg.tau0);
+    const T heating = net + sw;
     c.t[sk] += dt * heating * kGravity / (kCp * c.dp[sk]);
     heat_col += heating;
   }
   diag.net_heating += heat_col;
 }
 
-void dry_adjustment(Column& c, int max_iter) {
+template <class T>
+void dry_adjustment(BasicColumn<T>& c, int max_iter) {
   const int n = c.nlev;
-  double* exner = c.work.data();
+  T* exner = c.work.data();
   for (int k = 0; k < n; ++k) {
     exner[static_cast<std::size_t>(k)] =
-        std::pow(c.p[static_cast<std::size_t>(k)] / kP0, kKappa);
+        per_lane([](double x) { return std::pow(x, kKappa); },
+                 c.p[static_cast<std::size_t>(k)] / kP0);
   }
   for (int iter = 0; iter < max_iter; ++iter) {
     bool adjusted = false;
     for (int k = 0; k + 1 < n; ++k) {  // k above, k+1 below
       const std::size_t a = static_cast<std::size_t>(k);
       const std::size_t b = a + 1;
-      const double theta_a = c.t[a] / exner[a];
-      const double theta_b = c.t[b] / exner[b];
-      if (theta_b > theta_a * (1.0 + 1e-12)) {
-        // Unstable: mix to a common potential temperature conserving
-        // enthalpy cp*(T_a dp_a + T_b dp_b).
-        const double denom = exner[a] * c.dp[a] + exner[b] * c.dp[b];
-        const double theta = (c.t[a] * c.dp[a] + c.t[b] * c.dp[b]) / denom;
-        c.t[a] = theta * exner[a];
-        c.t[b] = theta * exner[b];
-        // Homogenize moisture too (simple convective transport).
-        const double qbar =
-            (c.q[a] * c.dp[a] + c.q[b] * c.dp[b]) / (c.dp[a] + c.dp[b]);
-        c.q[a] = qbar;
-        c.q[b] = qbar;
-        adjusted = true;
-      }
+      const T theta_a = c.t[a] / exner[a];
+      const T theta_b = c.t[b] / exner[b];
+      const auto unstable = theta_b > theta_a * (1.0 + 1e-12);
+      if (!any(unstable)) continue;
+      // Unstable: mix to a common potential temperature conserving
+      // enthalpy cp*(T_a dp_a + T_b dp_b).
+      const T denom = exner[a] * c.dp[a] + exner[b] * c.dp[b];
+      const T theta = (c.t[a] * c.dp[a] + c.t[b] * c.dp[b]) / denom;
+      c.t[a] = select(unstable, theta * exner[a], c.t[a]);
+      c.t[b] = select(unstable, theta * exner[b], c.t[b]);
+      // Homogenize moisture too (simple convective transport).
+      const T qbar =
+          (c.q[a] * c.dp[a] + c.q[b] * c.dp[b]) / (c.dp[a] + c.dp[b]);
+      c.q[a] = select(unstable, qbar, c.q[a]);
+      c.q[b] = select(unstable, qbar, c.q[b]);
+      adjusted = true;
     }
     if (!adjusted) break;
   }
 }
 
-void large_scale_condensation(Column& c, double dt, ColumnDiag& diag) {
+template <class T>
+void large_scale_condensation(BasicColumn<T>& c, double dt,
+                              BasicColumnDiag<T>& diag) {
   for (int k = 0; k < c.nlev; ++k) {
     const std::size_t sk = static_cast<std::size_t>(k);
-    const double qs = saturation_mixing_ratio(c.t[sk], c.p[sk]);
-    if (c.q[sk] <= qs) continue;
-    const double dqs_dt = qs * kLv / (kRv * c.t[sk] * c.t[sk]);
-    const double gamma = (kLv / kCp) * dqs_dt;
-    const double dq = (c.q[sk] - qs) / (1.0 + gamma);
-    c.q[sk] -= dq;
-    c.t[sk] += (kLv / kCp) * dq;
-    diag.precip += dq * c.dp[sk] / (kGravity * dt);
+    const T qs = mixing_ratio(vapor_pressure(c.t[sk]), c.p[sk]);
+    // Subsaturated (q <= qs) lanes keep their state; a NaN proceeds.
+    const auto go = !(c.q[sk] <= qs);
+    if (!any(go)) continue;
+    const T dqs_dt = qs * kLv / (kRv * c.t[sk] * c.t[sk]);
+    const T gamma = (kLv / kCp) * dqs_dt;
+    const T dq = (c.q[sk] - qs) / (1.0 + gamma);
+    c.q[sk] = select(go, c.q[sk] - dq, c.q[sk]);
+    c.t[sk] = select(go, c.t[sk] + (kLv / kCp) * dq, c.t[sk]);
+    diag.precip = select(go, diag.precip + dq * c.dp[sk] / (kGravity * dt),
+                         diag.precip);
   }
 }
 
-void surface_and_pbl(const SurfaceConfig& cfg, Column& c, double dt,
-                     ColumnDiag& diag) {
+template <class T>
+void surface_and_pbl(const SurfaceConfig& cfg, BasicColumn<T>& c, double dt,
+                     BasicColumnDiag<T>& diag) {
+  using L = homme::Lanes<T>;
   const int n = c.nlev;
   const std::size_t bot = static_cast<std::size_t>(n - 1);
 
   // Bulk surface fluxes into the lowest layer.
-  const double rho = c.ps / (kRgas * c.t[bot]);
-  const double wind =
-      std::max(cfg.min_wind, std::hypot(c.u[bot], c.v[bot]));
-  const double ch = rho * cfg.c_drag * wind;
-  const double shf = ch * kCp * (c.sst - c.t[bot]);
-  const double qs_sfc = saturation_mixing_ratio(c.sst, c.ps);
-  const double lhf = std::max(0.0, ch * kLv * (qs_sfc - c.q[bot]));
+  const T rho = c.ps / (kRgas * c.t[bot]);
+  const T wind = max(cfg.min_wind,
+                     per_lane([](double x, double y) { return std::hypot(x, y); },
+                              c.u[bot], c.v[bot]));
+  const T ch = rho * cfg.c_drag * wind;
+  const T shf = ch * kCp * (c.sfc.sst - c.t[bot]);
+  const T qs_sfc = mixing_ratio(c.sfc.es, c.ps);
+  const T lhf = max(0.0, ch * kLv * (qs_sfc - c.q[bot]));
   c.t[bot] += dt * shf * kGravity / (kCp * c.dp[bot]);
   c.q[bot] += dt * (lhf / kLv) * kGravity / c.dp[bot];
   // Implicit momentum drag.
-  const double drag = ch * kGravity * dt / c.dp[bot];
+  const T drag = ch * kGravity * dt / c.dp[bot];
   c.u[bot] /= (1.0 + drag);
   c.v[bot] /= (1.0 + drag);
   diag.shf += shf;
@@ -151,28 +191,32 @@ void surface_and_pbl(const SurfaceConfig& cfg, Column& c, double dt,
   // coordinates d/dt X = g^2 d/dp (rho^2 K dX/dp). Interface
   // coefficients (n+1), then the tridiagonal system's eliminated form
   // (multipliers w, modified diagonal b, super-diagonal cc; n each):
-  // 4n+1 doubles of c.work.
+  // 4n+1 values of c.work.
   const std::size_t sn = static_cast<std::size_t>(n);
-  double* kfac = c.work.data();
-  double* w = kfac + sn + 1;
-  double* b = w + sn;
-  double* cc = b + sn;
-  std::fill(kfac, kfac + sn + 1, 0.0);
+  T* kfac = c.work.data();
+  T* w = kfac + sn + 1;
+  T* b = w + sn;
+  T* cc = b + sn;
+  std::fill(kfac, kfac + sn + 1, L::fill(0.0));
   for (int k = 1; k < n; ++k) {
     const std::size_t sk = static_cast<std::size_t>(k);
-    const double p_int = 0.5 * (c.p[sk - 1] + c.p[sk]);
-    if (p_int < c.ps - cfg.pbl_depth_pa) continue;
-    const double rho_i = p_int / (kRgas * 0.5 * (c.t[sk - 1] + c.t[sk]));
-    const double dpi = c.p[sk] - c.p[sk - 1];
-    kfac[sk] = kGravity * kGravity * rho_i * rho_i * cfg.k_pbl / dpi;
+    const T p_int = 0.5 * (c.p[sk - 1] + c.p[sk]);
+    // Interfaces above the mixing depth keep kfac at 0.
+    const auto mixed = !(p_int < c.ps - cfg.pbl_depth_pa);
+    if (!any(mixed)) continue;
+    const T rho_i = p_int / (kRgas * 0.5 * (c.t[sk - 1] + c.t[sk]));
+    const T dpi = c.p[sk] - c.p[sk - 1];
+    kfac[sk] = select(
+        mixed, kGravity * kGravity * rho_i * rho_i * cfg.k_pbl / dpi,
+        kfac[sk]);
   }
 
   // t, q, u and v share one matrix (sub-diagonal -up, diagonal
   // 1+up+dn, super-diagonal -dn), so the Thomas forward elimination of
   // its coefficients runs once.
   for (std::size_t k = 0; k < sn; ++k) {
-    const double up = kfac[k] * dt / c.dp[k];
-    const double dn = kfac[k + 1] * dt / c.dp[k];
+    const T up = kfac[k] * dt / c.dp[k];
+    const T dn = kfac[k + 1] * dt / c.dp[k];
     cc[k] = -dn;
     b[k] = 1.0 + up + dn;
     if (k > 0) {
@@ -180,7 +224,7 @@ void surface_and_pbl(const SurfaceConfig& cfg, Column& c, double dt,
       b[k] -= w[k] * cc[k - 1];
     }
   }
-  for (double* x : {c.t.data(), c.q.data(), c.u.data(), c.v.data()}) {
+  for (T* x : {c.t.data(), c.q.data(), c.u.data(), c.v.data()}) {
     for (std::size_t i = 1; i < sn; ++i) x[i] -= w[i] * x[i - 1];
     x[sn - 1] /= b[sn - 1];
     for (std::size_t i = sn - 1; i-- > 0;) {
@@ -188,6 +232,22 @@ void surface_and_pbl(const SurfaceConfig& cfg, Column& c, double dt,
     }
   }
 }
+
+// One column (the reference form, accel's ports and the tests) and one
+// column per lane (PhysicsDriver).
+template void gray_radiation(const RadiationConfig&, Column&, double,
+                             ColumnDiag&);
+template void gray_radiation(const RadiationConfig&, BasicColumn<vpack>&,
+                             double, BasicColumnDiag<vpack>&);
+template void dry_adjustment(Column&, int);
+template void dry_adjustment(BasicColumn<vpack>&, int);
+template void large_scale_condensation(Column&, double, ColumnDiag&);
+template void large_scale_condensation(BasicColumn<vpack>&, double,
+                                       BasicColumnDiag<vpack>&);
+template void surface_and_pbl(const SurfaceConfig&, Column&, double,
+                              ColumnDiag&);
+template void surface_and_pbl(const SurfaceConfig&, BasicColumn<vpack>&,
+                              double, BasicColumnDiag<vpack>&);
 
 double column_moist_enthalpy(const Column& c) {
   double s = 0.0;

@@ -7,6 +7,8 @@
 #include <limits>
 #include <random>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "homme/driver.hpp"
@@ -406,6 +408,80 @@ TEST(HostKernels, RemapPlanBitIdenticalToReferenceAtItsEdges) {
   }
 }
 
+TEST(HostKernels, RemapLanesMatchColumnsBitForBit) {
+  // RemapPlanBitIdenticalToReferenceAtItsEdges's grids and fields, one
+  // (grid, field) pair per lane of a vpack plan, each lane against
+  // ref::remap_column on its own column.
+  using homme::vpack;
+  constexpr int kW = vpack::width;
+  std::mt19937 rng(43u);
+  std::uniform_real_distribution<double> thick(0.3, 2.5);
+  std::uniform_real_distribution<double> val(0.1, 4.0);
+  homme::ScratchArena arena;
+  for (int nlev : {1, 2, 3, 16, 72}) {
+    const std::size_t n = static_cast<std::size_t>(nlev);
+    std::vector<double> src(n), tgt(n), above(n);
+    double s_mass = 0.0, t_mass = 0.0;
+    for (auto& v : src) s_mass += (v = thick(rng));
+    for (auto& v : tgt) t_mass += (v = thick(rng));
+    for (auto& v : tgt) v *= s_mass / t_mass;
+    std::vector<double> unit(n, 1.0);
+    const std::size_t top = std::min<std::size_t>(3, n - 1);
+    const double bulk = nlev * (1.0 + 4e-9) / static_cast<double>(n - top);
+    for (std::size_t k = 0; k < n; ++k) above[k] = k + top < n ? bulk : 1e-10;
+    std::vector<double> smooth(n), step(n), patchy(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      smooth[k] = val(rng);
+      step[k] = k < n / 2 ? 1.0 : 100.0;
+      patchy[k] = k % 3 == 1 ? 0.0 : val(rng);
+    }
+    const std::vector<std::vector<double>> fields = {
+        smooth, step, patchy, std::vector<double>(n, 2.75),
+        std::vector<double>(n, 0.0)};
+    const std::vector<std::pair<const std::vector<double>*,
+                                const std::vector<double>*>>
+        grids = {{&src, &tgt}, {&src, &src}, {&unit, &above}};
+
+    const std::size_t pairs = grids.size() * fields.size();
+    arena.require(homme::BasicColumnRemapPlan<vpack>::scratch_doubles(n) +
+                  5 * kW * (n + 1));
+    for (std::size_t first = 0; first < pairs; first += kW) {
+      homme::ScratchArena::Frame frame(arena);
+      // Lane i of level l at l * kW + i, as in a tile row.
+      double* xs = arena.alloc(kW * (n + 1)).data();
+      double* xt = arena.alloc(kW * (n + 1)).data();
+      double* sdp = arena.alloc(kW * n).data();
+      double* tdp = arena.alloc(kW * n).data();
+      double* q = arena.alloc(kW * n).data();
+      std::vector<std::vector<double>> want;
+      for (std::size_t i = 0; i < kW; ++i) {
+        const std::size_t pair = (first + i) % pairs;
+        const auto& g = grids[pair / fields.size()];
+        want.push_back(fields[pair % fields.size()]);
+        homme::ref::remap_column(*g.first, *g.second, want.back());
+        xs[i] = 0.0;
+        xt[i] = 0.0;
+        for (std::size_t l = 0; l < n; ++l) {
+          sdp[l * kW + i] = (*g.first)[l];
+          tdp[l * kW + i] = (*g.second)[l];
+          q[l * kW + i] = fields[pair % fields.size()][l];
+          xs[(l + 1) * kW + i] = xs[l * kW + i] + (*g.first)[l];
+          xt[(l + 1) * kW + i] = xt[l * kW + i] + (*g.second)[l];
+        }
+      }
+      const homme::BasicColumnRemapPlan<vpack> plan(xs, xt, kW, n, arena);
+      plan.apply(sdp, tdp, q, kW);
+      for (std::size_t i = 0; i < kW; ++i) {
+        std::vector<double> got(n);
+        for (std::size_t l = 0; l < n; ++l) got[l] = q[l * kW + i];
+        EXPECT_TRUE(same_bits(want[i], got))
+            << "nlev " << nlev << ", grid " << (first + i) % pairs / 5
+            << ", field " << (first + i) % pairs % 5;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // remap_column properties
 // ---------------------------------------------------------------------------
@@ -497,10 +573,40 @@ TEST(VerticalRemap, FaultCorruptedThicknessThrowsTypedError) {
   d.nlev = 8;
   d.qsize = 1;
   auto s = deformed_state(m, d, 3u);
+  auto clean = s;
   // An injected-fault-style corruption: one layer loses its mass. The old
   // path divided by it and silently spread NaN through qdp.
   s[1].dp.mutable_span()[fidx(3, 5)] = -s[1].dp[fidx(3, 5)];
-  EXPECT_THROW(homme::vertical_remap_local(d, s), homme::RemapError);
+  const auto input = s;
+  try {
+    homme::vertical_remap_local(d, s);
+    ADD_FAILURE() << "no RemapError";
+  } catch (const homme::RemapError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("at level 3 of element 1 column 5"),
+              std::string::npos)
+        << what;
+  }
+  // The columns before the failing one are remapped, the rest untouched.
+  homme::vertical_remap_local(d, clean);
+  auto column_equals = [&](const homme::State& want, std::size_t e, int k) {
+    for (int lev = 0; lev < d.nlev; ++lev) {
+      const std::size_t f = fidx(lev, k);
+      if (s[e].u1[f] != want[e].u1[f] || s[e].u2[f] != want[e].u2[f] ||
+          s[e].T[f] != want[e].T[f] || s[e].dp[f] != want[e].dp[f] ||
+          s[e].qdp[f] != want[e].qdp[f]) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (std::size_t e = 0; e < s.size(); ++e) {
+    for (int k = 0; k < kNpp; ++k) {
+      const bool remapped = e == 0 || (e == 1 && k < 5);
+      EXPECT_TRUE(column_equals(remapped ? clean : input, e, k))
+          << "element " << e << " column " << k;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -616,6 +722,56 @@ TEST(Vpack, TransposeMovesEveryLane) {
   vpack::transpose(b);
   for (int r = 0; r < kW; ++r) {
     for (int c = 0; c < kW; ++c) EXPECT_EQ(b[r][c], 10.0 * r + c);
+  }
+}
+
+TEST(Vpack, MasksMinMaxAndPerLaneCallsMatchScalar) {
+  // The lane-generic helpers against the scalar forms they stand for,
+  // on pairs that include NaN and signed zeros, whose side in
+  // std::min/std::max is part of the bits.
+  using homme::vpack;
+  constexpr int kW = homme::kVpackWidth;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> vals = {0.0, -0.0, 1.5, -2.25, nan,
+                                    std::numeric_limits<double>::infinity()};
+  auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t first = 0; first < vals.size() * vals.size();
+       first += kW) {
+    double a[kW], b[kW], out[kW];
+    for (int i = 0; i < kW; ++i) {
+      const std::size_t pair = (first + i) % (vals.size() * vals.size());
+      a[i] = vals[pair / vals.size()];
+      b[i] = vals[pair % vals.size()];
+    }
+    const vpack va = vpack::load(a), vb = vpack::load(b);
+    auto expect_lanes = [&](const vpack& got, auto want, const char* what) {
+      got.store(out);
+      for (int i = 0; i < kW; ++i) {
+        EXPECT_EQ(bits(out[i]), bits(want(a[i], b[i])))
+            << what << "(" << a[i] << ", " << b[i] << ")";
+      }
+    };
+    expect_lanes(homme::max(va, vb),
+                 [](double x, double y) { return std::max(x, y); }, "max");
+    expect_lanes(homme::min(va, vb),
+                 [](double x, double y) { return std::min(x, y); }, "min");
+    expect_lanes(homme::max(1.0, vb),
+                 [](double, double y) { return std::max(1.0, y); }, "max1");
+    const vpack::mask above = !(va <= vb), nonneg = vb >= 0.0;
+    expect_lanes(homme::select(above & nonneg, va, vb),
+                 [](double x, double y) {
+                   return !(x <= y) && y >= 0.0 ? x : y;
+                 },
+                 "select");
+    expect_lanes(
+        homme::per_lane([](double x, double y) { return std::hypot(x, y); },
+                        va, vb),
+        [](double x, double y) { return std::hypot(x, y); }, "hypot");
+    bool any_less = false;
+    for (int i = 0; i < kW; ++i) any_less = any_less || a[i] < b[i];
+    EXPECT_EQ(homme::any(va < vb), any_less);
+    EXPECT_EQ(bits(homme::max(a[0], b[0])), bits(std::max(a[0], b[0])));
+    EXPECT_EQ(bits(homme::min(a[0], b[0])), bits(std::min(a[0], b[0])));
   }
 }
 

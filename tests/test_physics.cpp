@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "homme/init.hpp"
+#include "homme/vpack.hpp"
 #include "physics/driver.hpp"
 #include "physics/modules.hpp"
 #include "scenario/experiments.hpp"
@@ -16,12 +18,13 @@ using mesh::kNpp;
 using phys::Column;
 using phys::ColumnDiag;
 
+/// make_column's latitude.
+constexpr double kLat = 0.3;
+
 Column make_column(int nlev, double t0, double q0, double ps = homme::kP0,
                    double lapse = 0.0) {
   Column c(nlev);
-  c.lat = 0.3;
-  c.lon = 1.0;
-  c.sst = 300.0;
+  c.sfc = phys::surface_at(kLat, 300.0);
   c.ps = ps;
   double run = homme::kPtop;
   for (int k = 0; k < nlev; ++k) {
@@ -129,7 +132,7 @@ TEST(Condensation, NoPrecipWhenSubsaturated) {
 TEST(SurfacePbl, WarmOceanHeatsAndMoistensLowestLayer) {
   phys::SurfaceConfig cfg;
   auto c = make_column(12, 285.0, 1e-3);
-  c.sst = 302.0;
+  c.sfc = phys::surface_at(kLat, 302.0);
   c.u[11] = 10.0;
   const double t0 = c.t[11], q0 = c.q[11];
   ColumnDiag diag;
@@ -147,7 +150,7 @@ TEST(SurfacePbl, DiffusionSmoothsVerticalGradients) {
   cfg.k_pbl = 50.0;
   cfg.pbl_depth_pa = 1.0e5;  // everywhere
   auto c = make_column(10, 280.0, 0.0);
-  c.sst = c.t[9];  // neutral surface
+  c.sfc = phys::surface_at(kLat, c.t[9]);  // neutral surface
   for (int k = 0; k < 10; ++k) {
     c.u[static_cast<std::size_t>(k)] = (k % 2 == 0) ? 10.0 : -10.0;
   }
@@ -212,11 +215,12 @@ TEST(PhysicsDriver, ColumnRoundTripPreservesState) {
 
 // -- the schemes as they were before the column work array ---------------
 // Verbatim pre-rewrite bodies (per-call vectors, exp/pow in both
-// radiation sweeps, one Thomas solve per diffused field): the rewritten
-// schemes must reproduce them bit for bit.
+// radiation sweeps, one Thomas solve per diffused field, the surface's
+// library calls made from the raw latitude and SST): the rewritten schemes
+// must reproduce them bit for bit.
 
 void prerewrite_gray_radiation(const phys::RadiationConfig& cfg, Column& c,
-                               double dt, ColumnDiag& diag) {
+                               double lat, double dt, ColumnDiag& diag) {
   const int n = c.nlev;
   std::vector<double> dtau(static_cast<std::size_t>(n));
   double p_int = homme::kPtop;
@@ -237,7 +241,7 @@ void prerewrite_gray_radiation(const phys::RadiationConfig& cfg, Column& c,
     down[static_cast<std::size_t>(k) + 1] =
         down[static_cast<std::size_t>(k)] * tr + b * (1.0 - tr);
   }
-  up[static_cast<std::size_t>(n)] = phys::kStefan * std::pow(c.sst, 4);
+  up[static_cast<std::size_t>(n)] = phys::kStefan * std::pow(c.sfc.sst, 4);
   for (int k = n - 1; k >= 0; --k) {
     const double tr = std::exp(-dtau[static_cast<std::size_t>(k)]);
     const double b =
@@ -246,7 +250,7 @@ void prerewrite_gray_radiation(const phys::RadiationConfig& cfg, Column& c,
         up[static_cast<std::size_t>(k) + 1] * tr + b * (1.0 - tr);
   }
   diag.olr = up[0];
-  const double cosl = std::cos(c.lat);
+  const double cosl = std::cos(lat);
   const double insol = cfg.solar0 * (0.25 + 0.75 * cosl * cosl);
   const double sw_col = insol * (1.0 - cfg.albedo) * cfg.sw_abs_frac;
   double heat_col = 0.0;
@@ -288,8 +292,8 @@ void prerewrite_surface_and_pbl(const phys::SurfaceConfig& cfg, Column& c,
   const double wind =
       std::max(cfg.min_wind, std::hypot(c.u[bot], c.v[bot]));
   const double ch = rho * cfg.c_drag * wind;
-  const double shf = ch * kCp * (c.sst - c.t[bot]);
-  const double qs_sfc = phys::saturation_mixing_ratio(c.sst, c.ps);
+  const double shf = ch * kCp * (c.sfc.sst - c.t[bot]);
+  const double qs_sfc = phys::saturation_mixing_ratio(c.sfc.sst, c.ps);
   const double lhf = std::max(0.0, ch * kLv * (qs_sfc - c.q[bot]));
   c.t[bot] += dt * shf * kGravity / (kCp * c.dp[bot]);
   c.q[bot] += dt * (lhf / kLv) * kGravity / c.dp[bot];
@@ -334,8 +338,8 @@ TEST(PhysicsSchemes, RadiationAndPblMatchTheirPreRewriteForms) {
     const int nlev = 6 + trial % 25;
     auto a = make_column(nlev, 250.0 + trial, 1e-3 * (trial % 7),
                          homme::kP0 * (0.95 + 0.002 * trial), 10.0 + trial);
-    a.lat = -1.2 + 0.06 * trial;
-    a.sst = 285.0 + 0.5 * trial;
+    const double lat = -1.2 + 0.06 * trial;
+    a.sfc = phys::surface_at(lat, 285.0 + 0.5 * trial);
     for (int k = 0; k < nlev; ++k) {
       a.u[static_cast<std::size_t>(k)] = 12.0 * std::sin(0.7 * (k + trial));
       a.v[static_cast<std::size_t>(k)] = -5.0 + 0.3 * k;
@@ -345,7 +349,7 @@ TEST(PhysicsSchemes, RadiationAndPblMatchTheirPreRewriteForms) {
     auto b = a;
     ColumnDiag da, db;
     phys::gray_radiation(rad, a, 1800.0, da);
-    prerewrite_gray_radiation(rad, b, 1800.0, db);
+    prerewrite_gray_radiation(rad, b, lat, 1800.0, db);
     phys::surface_and_pbl(sfc, a, 1800.0, da);
     prerewrite_surface_and_pbl(sfc, b, 1800.0, db);
     EXPECT_TRUE(a.t == b.t && a.q == b.q && a.u == b.u && a.v == b.v)
@@ -373,13 +377,12 @@ phys::PhysicsStats oracle_step(const mesh::CubedSphere& m,
     for (int k = 0; k < kNpp; ++k) {
       const std::size_t sk = static_cast<std::size_t>(k);
       Column c(d.nlev);
-      c.lat = g.lat[sk];
-      c.lon = g.lon[sk];
-      c.sst = cfg.sst(c.lat, c.lon);
-      const double ex = -std::sin(c.lon), ey = std::cos(c.lon);
-      const double nx = -std::sin(c.lat) * std::cos(c.lon);
-      const double ny = -std::sin(c.lat) * std::sin(c.lon);
-      const double nz = std::cos(c.lat);
+      const double lat = g.lat[sk], lon = g.lon[sk];
+      c.sfc = phys::surface_at(lat, cfg.sst(lat, lon));
+      const double ex = -std::sin(lon), ey = std::cos(lon);
+      const double nx = -std::sin(lat) * std::cos(lon);
+      const double ny = -std::sin(lat) * std::sin(lon);
+      const double nz = std::cos(lat);
       c.ps = homme::kPtop;
       double run = homme::kPtop;
       for (int lev = 0; lev < d.nlev; ++lev) {
@@ -479,6 +482,163 @@ TEST(PhysicsDriver, StepIsBitIdenticalToStraightforwardOracle) {
           ASSERT_TRUE(a[e].qdp == b[e].qdp) << "elem " << e;
         }
       }
+    }
+  }
+}
+
+// -- one column per lane ------------------------------------------------------
+
+/// Four columns that drive every branch of the suite differently: a
+/// supersaturated level in lane 0 only, a warm surface layer in lane 1 that
+/// keeps dry adjustment sweeping to max_iter beside lanes stable from the
+/// start, a layer spacing per lane so that the PBL depth crosses a
+/// different interface in each, an air layer moister than the cold ocean's
+/// saturation in lane 3 (the latent flux clamps at 0), and winds of -0.0
+/// and +0.0 in lanes 2 and 3.
+std::vector<Column> lane_columns(int nlev) {
+  std::vector<Column> cols;
+  for (int lane = 0; lane < 4; ++lane) {
+    Column c(nlev);
+    const double ps = homme::kP0 * (1.0 - 0.05 * lane);
+    c.ps = ps;
+    c.sfc = phys::surface_at(-0.9 + 0.6 * lane, lane == 3 ? 270.0 : 301.0);
+    // Layers thin toward the surface, faster in each further lane.
+    auto weight = [lane, nlev](int k) {
+      return std::exp(-0.8 * lane * k / nlev);
+    };
+    double wsum = 0.0;
+    for (int k = 0; k < nlev; ++k) wsum += weight(k);
+    double run = homme::kPtop;
+    for (int k = 0; k < nlev; ++k) {
+      const std::size_t sk = static_cast<std::size_t>(k);
+      c.dp[sk] = (ps - homme::kPtop) * weight(k) / wsum;
+      c.p[sk] = run + 0.5 * c.dp[sk];
+      run += c.dp[sk];
+      c.t[sk] = 295.0 * std::pow(c.p[sk] / ps, 0.19);
+      const double qs = phys::saturation_mixing_ratio(c.t[sk], c.p[sk]);
+      c.q[sk] = (lane == 1 ? 0.01 : 0.3) * qs;
+      c.u[sk] = lane == 2 ? -0.0 : lane == 3 ? 0.0 : 6.0 - 0.5 * k;
+      c.v[sk] = lane == 2 ? 0.0 : lane == 3 ? -0.0 : 1.5 + 0.1 * k;
+    }
+    if (lane == 0) c.q[static_cast<std::size_t>(nlev - 4)] *= 5.0;
+    if (lane == 1) c.t[static_cast<std::size_t>(nlev - 1)] += 40.0;
+    cols.push_back(c);
+  }
+  return cols;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Physics, LanesMatchColumnsBitForBit) {
+  using homme::vpack;
+  constexpr int kW = vpack::width;
+  constexpr int nlev = 16;
+  constexpr double dt = 1800.0;
+  const phys::RadiationConfig rad;
+  const phys::SurfaceConfig sfc;
+  const std::vector<Column> start = lane_columns(nlev);
+
+  // The columns one at a time, scheme by scheme, with each scheme's
+  // input and output kept.
+  enum { kRad, kConv, kCond, kPbl, kSchemes };
+  std::vector<std::vector<Column>> after(kSchemes);
+  std::vector<ColumnDiag> diag(4);
+  for (int i = 0; i < 4; ++i) {
+    Column c = start[static_cast<std::size_t>(i)];
+    ColumnDiag& d = diag[static_cast<std::size_t>(i)];
+    phys::gray_radiation(rad, c, dt, d);
+    after[kRad].push_back(c);
+    phys::dry_adjustment(c);
+    after[kConv].push_back(c);
+    phys::large_scale_condensation(c, dt, d);
+    after[kCond].push_back(c);
+    phys::surface_and_pbl(sfc, c, dt, d);
+    after[kPbl].push_back(c);
+  }
+
+  // The columns reach every branch they were built for.
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t si = static_cast<std::size_t>(i);
+    EXPECT_EQ(diag[si].precip > 0.0, i == 0) << "lane " << i;
+    EXPECT_EQ(diag[si].lhf == 0.0, i == 3) << "lane " << i;
+    EXPECT_EQ(after[kConv][si].t == after[kRad][si].t, i != 1) << i;
+  }
+  {
+    Column ten = after[kRad][1], eleven = after[kRad][1];
+    phys::dry_adjustment(ten, 10);
+    phys::dry_adjustment(eleven, 11);
+    EXPECT_FALSE(ten.t == eleven.t) << "lane 1 stops before max_iter";
+  }
+  std::vector<int> mixed;
+  for (const Column& c : after[kCond]) {
+    int m = 0;
+    for (int k = 1; k < nlev; ++k) {
+      const std::size_t sk = static_cast<std::size_t>(k);
+      m += !(0.5 * (c.p[sk - 1] + c.p[sk]) < c.ps - sfc.pbl_depth_pa);
+    }
+    EXPECT_EQ(std::count(mixed.begin(), mixed.end(), m), 0) << m;
+    mixed.push_back(m);
+  }
+
+  // kW columns per call, against each column alone.
+  for (int first = 0; first < 4; first += kW) {
+    phys::BasicColumn<vpack> c(nlev);
+    phys::BasicColumnDiag<vpack> d;
+    auto pack = [&](auto get) {
+      double lanes[kW];
+      for (int i = 0; i < kW; ++i) {
+        lanes[i] = get(start[static_cast<std::size_t>(first + i)]);
+      }
+      return vpack::load(lanes);
+    };
+    c.ps = pack([](const Column& x) { return x.ps; });
+    c.sfc = {pack([](const Column& x) { return x.sfc.sst; }),
+             pack([](const Column& x) { return x.sfc.emit; }),
+             pack([](const Column& x) { return x.sfc.es; }),
+             pack([](const Column& x) { return x.sfc.cos_lat; })};
+    for (std::size_t l = 0; l < nlev; ++l) {
+      c.t[l] = pack([l](const Column& x) { return x.t[l]; });
+      c.q[l] = pack([l](const Column& x) { return x.q[l]; });
+      c.u[l] = pack([l](const Column& x) { return x.u[l]; });
+      c.v[l] = pack([l](const Column& x) { return x.v[l]; });
+      c.dp[l] = pack([l](const Column& x) { return x.dp[l]; });
+      c.p[l] = pack([l](const Column& x) { return x.p[l]; });
+    }
+    auto expect_columns = [&](int scheme) {
+      for (int i = 0; i < kW; ++i) {
+        const Column& want =
+            after[static_cast<std::size_t>(scheme)]
+                 [static_cast<std::size_t>(first + i)];
+        for (std::size_t l = 0; l < nlev; ++l) {
+          EXPECT_TRUE(same_bits(c.t[l][i], want.t[l]) &&
+                      same_bits(c.q[l][i], want.q[l]) &&
+                      same_bits(c.u[l][i], want.u[l]) &&
+                      same_bits(c.v[l][i], want.v[l]) &&
+                      same_bits(c.dp[l][i], want.dp[l]) &&
+                      same_bits(c.p[l][i], want.p[l]))
+              << "scheme " << scheme << ", lane " << first + i
+              << ", level " << l;
+        }
+      }
+    };
+    phys::gray_radiation(rad, c, dt, d);
+    expect_columns(kRad);
+    phys::dry_adjustment(c);
+    expect_columns(kConv);
+    phys::large_scale_condensation(c, dt, d);
+    expect_columns(kCond);
+    phys::surface_and_pbl(sfc, c, dt, d);
+    expect_columns(kPbl);
+    for (int i = 0; i < kW; ++i) {
+      const ColumnDiag& want = diag[static_cast<std::size_t>(first + i)];
+      EXPECT_TRUE(same_bits(d.precip[i], want.precip) &&
+                  same_bits(d.olr[i], want.olr) &&
+                  same_bits(d.shf[i], want.shf) &&
+                  same_bits(d.lhf[i], want.lhf) &&
+                  same_bits(d.net_heating[i], want.net_heating))
+          << "lane " << first + i;
     }
   }
 }

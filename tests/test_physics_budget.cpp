@@ -14,9 +14,7 @@ namespace {
 
 phys::Column tropical_column(int nlev) {
   phys::Column c(nlev);
-  c.lat = 0.1;
-  c.lon = 0.0;
-  c.sst = 301.0;
+  c.sfc = phys::surface_at(0.1, 301.0);
   c.ps = homme::kP0;
   double run = homme::kPtop;
   for (int k = 0; k < nlev; ++k) {
