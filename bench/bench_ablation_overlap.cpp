@@ -9,15 +9,15 @@
 // host, so the comm-share table steps a session of each mode many times,
 // alternating modes after a warm-up, and reports each mode's median with
 // its quartiles. It measures at ne4 x 16 levels: at ne2 nearly every
-// element of a rank is a boundary element, so the overlap mode has almost
-// no interior work to run while its messages fly.
+// element of a rank is a boundary element, so most of a step's DSS work
+// is the boundary bodies that run before the messages fly.
 //
 // Flags: --trace <path> captures a Chrome trace of one full distributed
 // dycore step in each mode on 2 ranks — side by side in one file via the
 // tracer pid offsets. The overlap mode is the only one that shows
-// bndry:inner_compute (interior work running while the sends posted in
-// bndry:post_send are in flight); the original mode instead serializes
-// bndry:compute before bndry:send. --json <path> dumps the per-phase
+// bndry:inner_compute (the rank's accumulation running while the sends
+// posted in bndry:post_send are in flight); the original mode instead
+// serializes bndry:compute before bndry:send. --json <path> dumps the per-phase
 // attribution of those traced steps and the measured comm-share
 // distribution of each mode.
 
@@ -180,7 +180,7 @@ void print_copy_ablation() {
         ptrs[static_cast<std::size_t>(le)] =
             local[static_cast<std::size_t>(le)].data();
       }
-      bx.dss_levels(r, ptrs, nlev, mode);
+      bx.dss_levels(ptrs, nlev, &r, mode);
       std::lock_guard<std::mutex> lock(mu);
       copies[mode_idx] += bx.last_copy_bytes();
       msgs[mode_idx] += bx.last_msg_bytes();
@@ -236,7 +236,7 @@ void BM_DssExchange(benchmark::State& state) {
         ptrs[static_cast<std::size_t>(le)] =
             local[static_cast<std::size_t>(le)].data();
       }
-      bx.dss_levels(r, ptrs, nlev, mode);
+      bx.dss_levels(ptrs, nlev, &r, mode);
     });
   }
 }
@@ -261,7 +261,8 @@ int main(int argc, char** argv) {
   print_attribution(orig);
   print_attribution(over);
   std::printf("(bndry:inner_compute exists only in the overlap redesign: it "
-              "is the interior work running while sends are in flight)\n");
+              "is the rank's accumulation running while sends are in "
+              "flight)\n");
 
   ShareStats orig_share, over_share;
   measure_comm_shares(orig_share, over_share);

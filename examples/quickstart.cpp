@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   phys::PhysicsDriver physics(mesh, dims, phys::PhysicsConfig{});
   std::printf("dt = %.1f s, nu = %.3e m^4/s\n\n", dycore.dt(), dycore.nu());
 
-  const auto d0 = dycore.diagnose(state);
+  const auto d0 = homme::diagnose(mesh, dims, state);
   const double qmass0 = homme::tracer_mass(mesh, dims, state, 0);
   std::printf("%6s %14s %16s %10s %10s %10s\n", "step", "dry mass",
               "energy", "max|u|", "minT", "maxT");
@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     dycore.step(state);
     auto pstats = physics.step(state, dycore.dt());
     if (s % 5 == 0 || s == steps) {
-      const auto d = dycore.diagnose(state);
+      const auto d = homme::diagnose(mesh, dims, state);
       std::printf("%6d %14.6e %16.9e %10.2f %10.2f %10.2f  (OLR %.1f W/m2, "
                   "precip %.2e)\n",
                   s, d.dry_mass, d.total_energy, d.max_wind, d.min_t, d.max_t,
@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto d1 = dycore.diagnose(state);
+  const auto d1 = homme::diagnose(mesh, dims, state);
   std::printf("\nDry-mass drift over the run: %.2e (relative)\n",
               (d1.dry_mass - d0.dry_mass) / d0.dry_mass);
   std::printf("Tracer mass drift:           %.2e (relative; physics adds "

@@ -2,219 +2,277 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
+#include <numeric>
 #include <unordered_map>
 
 #include "homme/dss.hpp"
 #include "homme/scratch.hpp"
+#include "homme/vpack.hpp"
 
 namespace homme {
 
 using mesh::kNpp;
+
+namespace {
+
+/// One rank owning the whole mesh in mesh order.
+mesh::Partition whole_mesh(const mesh::CubedSphere& m) {
+  mesh::Partition p;
+  p.nranks = 1;
+  p.elem_rank.assign(static_cast<std::size_t>(m.nelem()), 0);
+  p.rank_elems.emplace_back(static_cast<std::size_t>(m.nelem()));
+  std::iota(p.rank_elems[0].begin(), p.rank_elems[0].end(), 0);
+  return p;
+}
+
+/// The comm plan of one rank: no neighbours.
+mesh::CommPlan no_neighbours() {
+  mesh::CommPlan plan;
+  plan.per_rank.resize(1);
+  return plan;
+}
+
+}  // namespace
+
+BndryExchange::BndryExchange(const mesh::CubedSphere& mesh)
+    : BndryExchange(mesh, whole_mesh(mesh), no_neighbours(), 0) {}
 
 BndryExchange::BndryExchange(const mesh::CubedSphere& mesh,
                              const mesh::Partition& part,
                              const mesh::CommPlan& plan, int rank)
     : mesh_(mesh),
       local_elems_(part.rank_elems[static_cast<std::size_t>(rank)]) {
-  // Dense local node numbering over every node touched by local elements.
-  std::unordered_map<int, int> node_index;
-  for (int ge : local_elems_) {
-    for (int node : mesh.nodes(ge)) {
-      if (node_index.emplace(node, nlocal_nodes_).second) ++nlocal_nodes_;
-    }
-  }
-
-  // Per local element and point: the local node, and the assembled
-  // (global) inverse mass, summed over the node's elements in mesh order
-  // so every copy of a node holds the same double. An element touching a
-  // node another rank's element touches is a boundary element (section
-  // 7.6's split); those nodes are exactly the comm plan's.
+  // Dense local node numbering over every node touched by local elements
+  // (over the whole mesh in mesh order it is the mesh's own numbering).
+  std::unordered_map<int, int> node_index, local_of;
   local_node_of_elem_.resize(local_elems_.size());
-  elem_rmass_.resize(local_elems_.size());
   for (std::size_t le = 0; le < local_elems_.size(); ++le) {
+    local_of.emplace(local_elems_[le], static_cast<int>(le));
     const auto& ids = mesh.nodes(local_elems_[le]);
-    bool shared = false;
     for (std::size_t k = 0; k < kNpp; ++k) {
-      local_node_of_elem_[le][k] = node_index.at(ids[k]);
-      double mass = 0.0;
-      for (const auto& [e, ek] : mesh.node_elems(ids[k])) {
-        mass += mesh.geom(e).mass[static_cast<std::size_t>(ek)];
-        shared = shared || part.owner(e) != rank;
-      }
-      elem_rmass_[le][k] = 1.0 / mass;
+      const auto [it, fresh] = node_index.emplace(ids[k], nlocal_nodes_);
+      if (fresh) ++nlocal_nodes_;
+      local_node_of_elem_[le][k] = it->second;
     }
-    (shared ? boundary_ : interior_).push_back(static_cast<int>(le));
+  }
+  order_.resize(local_elems_.size());
+  std::iota(order_.begin(), order_.end(), 0);
+  auto ascending = [&](int a, int b) {
+    return global_elem(a) < global_elem(b);
+  };
+  std::sort(order_.begin(), order_.end(), ascending);
+
+  // Rows, neighbour by neighbour in plan order: at each shared node in
+  // ascending order, the sending rank's elements at that node in
+  // ascending order (node_elems lists them so). Both sides walk the same
+  // node list, so a message's rows line up without a handshake. Each row
+  // is recorded under its (local node, element); a receive row is
+  // numbered within the receive area until the send rows are counted. A
+  // local element at a node several neighbours share has a send row in
+  // each message, all equal; the first serves.
+  std::map<std::pair<int, int>, std::pair<bool, std::size_t>> node_rows;
+  std::unordered_map<int, std::size_t> body_of;  // per neighbour: le -> body
+  for (const auto& nb : plan.per_rank[static_cast<std::size_t>(rank)]) {
+    Neighbor out{nb.rank, send_rows_, 0, recv_rows_, 0};
+    body_of.clear();
+    for (int gnode : nb.nodes) {
+      const int ln = node_index.at(gnode);
+      for (const auto& [e, ek] : mesh.node_elems(gnode)) {
+        if (part.owner(e) == rank) {
+          const auto [it, fresh] =
+              body_of.emplace(local_of.at(e), send_bodies_.size());
+          if (fresh) {
+            send_bodies_.push_back({it->first, {}});
+            send_bodies_.back().ids.fill(-1);
+          }
+          send_bodies_[it->second].ids[static_cast<std::size_t>(ek)] =
+              static_cast<int>(send_rows_);
+          node_rows.try_emplace({ln, e}, false, send_rows_++);
+        } else if (part.owner(e) == nb.rank) {
+          node_rows.try_emplace({ln, e}, true, recv_rows_++);
+        }
+      }
+    }
+    out.send_rows = send_rows_ - out.send_first;
+    out.recv_rows = recv_rows_ - out.recv_first;
+    neighbors_.push_back(out);
   }
 
-  // Neighbours in plan order; their message buffers follow one another.
-  for (const auto& nb : plan.per_rank[static_cast<std::size_t>(rank)]) {
-    Neighbor n{nb.rank, {}, plan_nodes_};
-    n.local_nodes.reserve(nb.nodes.size());
-    for (int gnode : nb.nodes) n.local_nodes.push_back(node_index.at(gnode));
-    plan_nodes_ += n.local_nodes.size();
-    neighbors_.push_back(std::move(n));
+  // One block of rows: the send rows, the discard row, the receive rows.
+  const int discard = static_cast<int>(send_rows_);
+  for (SendBody& b : send_bodies_) {
+    std::replace(b.ids.begin(), b.ids.end(), -1, discard);
+    boundary_.push_back(b.le);
   }
+  for (Neighbor& nb : neighbors_) nb.recv_first += send_rows_ + 1;
+  std::sort(boundary_.begin(), boundary_.end(), ascending);
+  boundary_.erase(std::unique(boundary_.begin(), boundary_.end()),
+                  boundary_.end());
+
+  // The plan: each shared node's rows, ascending element id (the map's
+  // order within a node).
+  for (const auto& [key, row] : node_rows) {
+    if (shared_nodes_.empty() || shared_nodes_.back() != key.first) {
+      shared_nodes_.push_back(key.first);
+      shared_first_.push_back(static_cast<int>(shared_rows_.size()));
+    }
+    const auto& [recv, index] = row;
+    shared_rows_.push_back(
+        static_cast<int>(recv ? send_rows_ + 1 + index : index));
+  }
+  shared_first_.push_back(static_cast<int>(shared_rows_.size()));
   sends_.reserve(neighbors_.size());
 }
 
-template <typename Accumulate>
-void BndryExchange::assemble(net::Rank& r, double* const* acc, int ncomp,
-                             int nlev, std::span<double> msg, Mode mode,
-                             Accumulate&& accumulate) {
+void BndryExchange::sum_shared(const double* rows, std::size_t rowlen,
+                               double* acc) const {
+  constexpr std::size_t kW = vpack::width;
+  for (std::size_t i = 0; i < shared_nodes_.size(); ++i) {
+    const int* first = shared_rows_.data() + shared_first_[i];
+    const int* last = shared_rows_.data() + shared_first_[i + 1];
+    double* a = acc + static_cast<std::size_t>(shared_nodes_[i]) * rowlen;
+    std::size_t l = 0;
+    for (; l + kW <= rowlen; l += kW) {
+      vpack s = vpack::zero();
+      for (const int* p = first; p != last; ++p) {
+        s += vpack::load(rows + static_cast<std::size_t>(*p) * rowlen + l);
+      }
+      s.store(a + l);
+    }
+    for (; l < rowlen; ++l) {
+      double s = 0.0;
+      for (const int* p = first; p != last; ++p) {
+        s += rows[static_cast<std::size_t>(*p) * rowlen + l];
+      }
+      a[l] = s;
+    }
+  }
+}
+
+template <typename Body, typename Scatter>
+void BndryExchange::assemble(net::Rank* r, std::size_t rowlen, Mode mode,
+                             Body&& body, Scatter&& scatter) {
+  assert(r != nullptr || neighbors_.empty());
+  const std::size_t need = dss_scratch(1) * rowlen;
+  ScratchArena& arena = ScratchArena::thread_local_arena();
+  if (arena.capacity() < need) arena.require(need);
+  ScratchArena::Frame frame(arena);
+  double* const acc =
+      arena.alloc_zero(static_cast<std::size_t>(nlocal_nodes_) * rowlen)
+          .data();
+  double* const rows =
+      arena.alloc((send_rows_ + 1 + recv_rows_) * rowlen).data();
+  double* const staged = arena.alloc(recv_rows_ * rowlen).data();
+  auto block = [rowlen](double* base, std::size_t first, std::size_t n) {
+    return std::span<double>(base + first * rowlen, n * rowlen);
+  };
+  const int tag = 101;
   last_copy_bytes_ = 0;
   last_msg_bytes_ = 0;
-  const int tag = 101;
-  const std::size_t row = static_cast<std::size_t>(nlev);
-  const std::size_t per_node = static_cast<std::size_t>(ncomp) * row;
-  // Neighbour nb's message: each component's partial sums at the shared
-  // nodes, component-major; the receiver adds them back in the same
-  // (component, node, level) order.
-  auto send_buf = [&](const Neighbor& nb) {
-    return msg.subspan(nb.first * per_node, nb.local_nodes.size() * per_node);
-  };
-  auto recv_buf = [&](const Neighbor& nb) {
-    return msg.subspan((plan_nodes_ + nb.first) * per_node,
-                       nb.local_nodes.size() * per_node);
-  };
 
-  auto pack_neighbor = [&](const Neighbor& nb) {
-    double* out = send_buf(nb).data();
-    for (int c = 0; c < ncomp; ++c) {
-      for (int ln : nb.local_nodes) {
-        const double* a = acc[c] + static_cast<std::size_t>(ln) * row;
-        out = std::copy(a, a + row, out);
-      }
-    }
-    last_copy_bytes_ += send_buf(nb).size_bytes();
+  // The boundary bodies write every send row into zeroed rows: the pack.
+  auto pack = [&] {
+    obs::ScopedSpan span(trk_, "bndry:pack");
+    std::fill(rows, rows + (send_rows_ + 1) * rowlen, 0.0);
+    for (const SendBody& b : send_bodies_) body(b.le, b.ids.data(), rows);
+    last_copy_bytes_ += send_rows_ * rowlen * sizeof(double);
   };
-  auto unpack = [&](const Neighbor& nb, const double* in) {
-    for (int c = 0; c < ncomp; ++c) {
-      for (int ln : nb.local_nodes) {
-        double* a = acc[c] + static_cast<std::size_t>(ln) * row;
-        for (std::size_t lev = 0; lev < row; ++lev) a[lev] += *in++;
-      }
+  auto accumulate = [&] {
+    for (int le : order_) {
+      body(le, local_node_of_elem_[static_cast<std::size_t>(le)].data(), acc);
     }
   };
 
   if (mode == Mode::kOriginal) {
-    // Pack everything, then communicate, then route received data through
-    // the pack buffer once more before it reaches the accumulators (the
-    // unified-interface design the paper measures).
+    // Compute everything, pack, then communicate; received data passes
+    // through a staging buffer before it reaches the rows the plan sums
+    // (the unified-interface design the paper measures).
     {
       obs::ScopedSpan span(trk_, "bndry:compute");
-      accumulate(boundary_);
-      accumulate(interior_);
+      accumulate();
     }
-    {
-      obs::ScopedSpan span(trk_, "bndry:pack");
-      for (const auto& nb : neighbors_) pack_neighbor(nb);
-    }
+    pack();
     {
       obs::ScopedSpan span(trk_, "bndry:send");
-      for (const auto& nb : neighbors_) {
-        r.send(nb.rank, tag, send_buf(nb));
-        last_msg_bytes_ += send_buf(nb).size_bytes();
+      for (const Neighbor& nb : neighbors_) {
+        const std::span<double> out = block(rows, nb.send_first, nb.send_rows);
+        r->send(nb.rank, tag, out);
+        last_msg_bytes_ += out.size_bytes();
       }
     }
     obs::ScopedSpan wait_span(trk_, "bndry:wait_unpack");
-    for (const auto& nb : neighbors_) {
-      const std::span<double> in = recv_buf(nb), staged = send_buf(nb);
-      r.recv(nb.rank, tag, in);
-      // Original data flow: recv buffer -> pack buffer -> elements. The
-      // extra staging pass is a real copy into the (already sent) pack
-      // buffer.
-      std::copy(in.begin(), in.end(), staged.begin());
-      last_copy_bytes_ += 2 * staged.size_bytes();
-      unpack(nb, staged.data());
+    for (const Neighbor& nb : neighbors_) {
+      const std::span<double> in = block(staged, 0, nb.recv_rows);
+      r->recv(nb.rank, tag, in);
+      std::copy(in.begin(), in.end(), rows + nb.recv_first * rowlen);
+      last_copy_bytes_ += 2 * in.size_bytes();
     }
+    sum_shared(rows, rowlen, acc);
   } else {
-    // Redesign: boundary elements first, async sends posted before the
-    // interior work, receive buffers unpacked directly.
-    {
-      obs::ScopedSpan span(trk_, "bndry:boundary_compute");
-      accumulate(boundary_);
-    }
-    {
-      obs::ScopedSpan span(trk_, "bndry:pack");
-      for (const auto& nb : neighbors_) pack_neighbor(nb);
-    }
+    // Redesign: boundary bodies first, async sends posted before the
+    // rank's accumulation, messages received straight into the rows.
+    pack();
     sends_.clear();
     {
       obs::ScopedSpan span(trk_, "bndry:post_send");
-      for (const auto& nb : neighbors_) {
-        sends_.push_back(r.isend(nb.rank, tag, send_buf(nb)));
-        last_msg_bytes_ += send_buf(nb).size_bytes();
+      for (const Neighbor& nb : neighbors_) {
+        const std::span<double> out = block(rows, nb.send_first, nb.send_rows);
+        sends_.push_back(r->isend(nb.rank, tag, out));
+        last_msg_bytes_ += out.size_bytes();
       }
     }
     {
-      // Interior computation overlaps the in-flight messages — the
-      // section 7.6 window the ablation trace measures.
+      // The accumulation overlaps the in-flight messages — the section
+      // 7.6 window the ablation trace measures.
       obs::ScopedSpan span(trk_, "bndry:inner_compute");
-      accumulate(interior_);
+      accumulate();
     }
     obs::ScopedSpan wait_span(trk_, "bndry:wait_unpack");
-    for (const auto& nb : neighbors_) {
-      r.recv(nb.rank, tag, recv_buf(nb));
-      unpack(nb, recv_buf(nb).data());
+    for (const Neighbor& nb : neighbors_) {
+      r->recv(nb.rank, tag, block(rows, nb.recv_first, nb.recv_rows));
     }
-    r.wait_all(sends_);
+    sum_shared(rows, rowlen, acc);
+    for (net::Request& q : sends_) r->wait(q);
   }
+  obs::ScopedSpan span(trk_, "bndry:scatter");
+  for (int le = 0; le < nlocal(); ++le) scatter(le, acc);
 }
 
-void BndryExchange::dss_levels(net::Rank& r, std::span<double* const> fields,
-                               int nlev, Mode mode) {
+void BndryExchange::dss_levels(std::span<double* const> fields, int nlev,
+                               net::Rank* r, Mode mode) {
   assert(fields.size() == local_elems_.size());
-  const std::size_t acc_n = static_cast<std::size_t>(nlocal_nodes_) *
-                            static_cast<std::size_t>(nlev);
-  const std::size_t need = dss_scratch(nlev);
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < need) arena.require(need);
-  ScratchArena::Frame frame(arena);
-  double* const acc = arena.alloc_zero(acc_n).data();
-  const std::span<double> msg = arena.alloc(need - acc_n);
-  assemble(r, &acc, 1, nlev, msg, mode, [&](const auto& elems) {
-    for (int le : elems) {
-      const std::size_t sle = static_cast<std::size_t>(le);
-      dss_accumulate(local_node_of_elem_[sle].data(),
-                     mesh_.geom(local_elems_[sle]).mass.data(), fields[sle],
-                     nlev, acc);
-    }
-  });
-  obs::ScopedSpan span(trk_, "bndry:scatter");
-  for (std::size_t le = 0; le < local_elems_.size(); ++le) {
-    dss_scatter(local_node_of_elem_[le].data(), elem_rmass_[le].data(), acc,
-                nlev, fields[le]);
-  }
+  assemble(
+      r, static_cast<std::size_t>(nlev), mode,
+      [&](int le, const int* ids, double* acc) {
+        dss_accumulate(ids, mesh_.geom(global_elem(le)).mass.data(),
+                       fields[static_cast<std::size_t>(le)], nlev, acc);
+      },
+      [&](int le, const double* acc) {
+        dss_scatter(local_node_of_elem_[static_cast<std::size_t>(le)].data(),
+                    mesh_.geom(global_elem(le)).rmass.data(), acc, nlev,
+                    fields[static_cast<std::size_t>(le)]);
+      });
 }
 
-void BndryExchange::dss_vector_levels(net::Rank& r,
-                                      std::span<double* const> u1,
+void BndryExchange::dss_vector_levels(std::span<double* const> u1,
                                       std::span<double* const> u2, int nlev,
-                                      Mode mode) {
+                                      net::Rank* r, Mode mode) {
   assert(u1.size() == local_elems_.size() && u2.size() == u1.size());
-  const std::size_t acc_n = static_cast<std::size_t>(nlocal_nodes_) *
-                            static_cast<std::size_t>(nlev);
-  const std::size_t need = 3 * dss_scratch(nlev);
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < need) arena.require(need);
-  ScratchArena::Frame frame(arena);
-  double* const flat = arena.alloc_zero(3 * acc_n).data();
-  double* const acc[3] = {flat, flat + acc_n, flat + 2 * acc_n};
-  const std::span<double> msg = arena.alloc(need - 3 * acc_n);
-  assemble(r, acc, 3, nlev, msg, mode, [&](const auto& elems) {
-    for (int le : elems) {
-      const std::size_t sle = static_cast<std::size_t>(le);
-      const auto& g = mesh_.geom(local_elems_[sle]);
-      dss_accumulate_vector(g, local_node_of_elem_[sle].data(), g.mass.data(),
-                            u1[sle], u2[sle], nlev, acc);
-    }
-  });
-  obs::ScopedSpan span(trk_, "bndry:scatter");
-  for (std::size_t le = 0; le < local_elems_.size(); ++le) {
-    dss_scatter_vector(mesh_.geom(local_elems_[le]),
-                       local_node_of_elem_[le].data(), elem_rmass_[le].data(),
-                       acc, nlev, u1[le], u2[le]);
-  }
+  assemble(
+      r, 3 * static_cast<std::size_t>(nlev), mode,
+      [&](int le, const int* ids, double* acc) {
+        const auto& g = mesh_.geom(global_elem(le));
+        const std::size_t sle = static_cast<std::size_t>(le);
+        dss_accumulate_vector(g, ids, g.mass.data(), u1[sle], u2[sle], nlev,
+                              acc);
+      },
+      [&](int le, const double* acc) {
+        const auto& g = mesh_.geom(global_elem(le));
+        const std::size_t sle = static_cast<std::size_t>(le);
+        dss_scatter_vector(g, local_node_of_elem_[sle].data(),
+                           g.rmass.data(), acc, nlev, u1[sle], u2[sle]);
+      });
 }
 
 }  // namespace homme

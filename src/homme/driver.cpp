@@ -59,15 +59,6 @@ void blend(const Dims& d, double a, const State& x, double b, const State& y,
 
 }  // namespace
 
-void Diagnostics::merge(const Diagnostics& o) {
-  dry_mass += o.dry_mass;
-  total_energy += o.total_energy;
-  max_wind = std::max(max_wind, o.max_wind);
-  min_dp = std::min(min_dp, o.min_dp);
-  max_t = std::max(max_t, o.max_t);
-  min_t = std::min(min_t, o.min_t);
-}
-
 Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg,
                std::vector<int> elems)
     : mesh_(m), dims_(d), cfg_(cfg), elems_(std::move(elems)),
@@ -75,6 +66,7 @@ Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg,
   if (elems_.empty()) {
     elems_.resize(static_cast<std::size_t>(m.nelem()));
     std::iota(elems_.begin(), elems_.end(), 0);
+    whole_ = std::make_unique<BndryExchange>(m);
   }
   if (cfg_.dt <= 0.0) cfg_.dt = stable_dt(m);
   if (cfg_.nu < 0.0) {
@@ -87,11 +79,16 @@ Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg,
   stage2_.assign(elems_.size(), ElementState(d));
 }
 
+Dycore::~Dycore() = default;
+
 double Dycore::stable_dt(const mesh::CubedSphere& m, double cmax) {
   return 0.25 * smallest_gll_spacing(m) / cmax;
 }
 
-void Dycore::step(State& s) { step(s, Exchange(mesh_)); }
+void Dycore::step(State& s) {
+  assert(whole_ != nullptr);
+  step(s, Exchange(*whole_));
+}
 
 void Dycore::step(State& s, const Exchange& exchange) {
   assert(exchange.nelem() == static_cast<int>(elems_.size()));
@@ -153,14 +150,16 @@ void Dycore::run(State& s, int n) {
   for (int i = 0; i < n; ++i) step(s);
 }
 
-Diagnostics Dycore::diagnose(const State& s) const {
+Diagnostics diagnose(const mesh::CubedSphere& m, const Dims& d,
+                     const State& s) {
+  assert(s.size() == static_cast<std::size_t>(m.nelem()));
   Diagnostics out;
   out.min_dp = std::numeric_limits<double>::max();
   out.max_t = -std::numeric_limits<double>::max();
   out.min_t = std::numeric_limits<double>::max();
-  for (std::size_t se = 0; se < elems_.size(); ++se) {
-    const auto& g = mesh_.geom(elems_[se]);
-    for (int lev = 0; lev < dims_.nlev; ++lev) {
+  for (std::size_t se = 0; se < s.size(); ++se) {
+    const auto& g = m.geom(static_cast<int>(se));
+    for (int lev = 0; lev < d.nlev; ++lev) {
       for (int k = 0; k < kNpp; ++k) {
         const std::size_t f = fidx(lev, k);
         const double w = g.mass[static_cast<std::size_t>(k)];

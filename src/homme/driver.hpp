@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,8 +17,9 @@
 ///   4. every remap_freq steps, vertical_remap back to reference levels.
 /// This is the structure the paper's timers break into the six Table 1
 /// kernels. The step is written once: it runs against a homme::Exchange
-/// (exchange.hpp), the whole-mesh DSS in one address space or one rank's
-/// bndry_exchangev over the mini-MPI.
+/// (exchange.hpp), one BndryExchange with no neighbours for the whole mesh
+/// or one rank's bndry_exchangev over the mini-MPI; both sum every node
+/// in one order, so both step to the same bits.
 
 namespace homme {
 
@@ -41,20 +43,22 @@ class StepAccelerator {
   virtual void vertical_remap(State& s) = 0;
 };
 
-/// Conservation / sanity diagnostics of a state, or of one element set's
-/// share of it (partial sums, minima and maxima).
+/// Conservation / sanity diagnostics of a whole-mesh state.
 struct Diagnostics {
   double dry_mass = 0.0;      ///< integral of dp dA (total air mass * g)
   double total_energy = 0.0;  ///< integral of (cp T + KE) dp dA / g
   double max_wind = 0.0;      ///< max |u| (m/s)
   double min_dp = 0.0;        ///< min layer thickness (sanity: > 0)
   double max_t = 0.0, min_t = 0.0;
-
-  /// Fold another element set's partials into these. Merging ranks in
-  /// rank order gives the same bits on every call.
-  void merge(const Diagnostics& o);
 };
 
+/// Diagnostics of \p s, the whole mesh in mesh order, summed in that
+/// order: one pass, so the same state gives the same bits however many
+/// ranks stepped it.
+Diagnostics diagnose(const mesh::CubedSphere& m, const Dims& d,
+                     const State& s);
+
+class BndryExchange;
 class Exchange;
 
 class Dycore {
@@ -64,19 +68,17 @@ class Dycore {
   /// or, when empty, the whole mesh in mesh order.
   Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg,
          std::vector<int> elems = {});
+  ~Dycore();
 
   /// Advance one dynamics step of \p s (this dycore's elements, local
   /// order), every DSS assembled through \p x, which must cover the same
   /// elements.
   void step(State& s, const Exchange& x);
-  /// One step of a whole-mesh dycore (whole-mesh DSS).
+  /// One step of a whole-mesh dycore, against its own one-rank exchange
+  /// (built once, with the dycore).
   void step(State& s);
   /// Advance \p n whole-mesh steps.
   void run(State& s, int n);
-
-  /// Diagnostics over this dycore's elements; Diagnostics::merge
-  /// combines the partials of several ranks.
-  Diagnostics diagnose(const State& s) const;
 
   /// Owned global element ids, local order.
   std::span<const int> elements() const { return elems_; }
@@ -111,6 +113,8 @@ class Dycore {
   Dims dims_;
   DycoreConfig cfg_;
   std::vector<int> elems_;
+  /// The whole-mesh dycore's exchange: no neighbours, mesh order.
+  std::unique_ptr<BndryExchange> whole_;
   double min_dx_;
   int step_count_ = 0;
   StepAccelerator* accel_ = nullptr;

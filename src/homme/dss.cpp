@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "homme/scratch.hpp"
 #include "homme/state.hpp"
 #include "homme/vpack.hpp"
 
@@ -83,8 +82,8 @@ void dss_scatter(const int* ids, const double* rmass, const double* acc,
 
 void dss_accumulate_vector(const FrameView& fr, const int* ids,
                            const double* mass, const double* u1,
-                           const double* u2, int nlev, double* const* acc) {
-  const std::size_t stride = static_cast<std::size_t>(nlev);
+                           const double* u2, int nlev, double* acc) {
+  const std::size_t stride = 3 * static_cast<std::size_t>(nlev);
   double t[3][kW * kNpp];  // Cartesian tiles of one block of levels
   for (int l0 = 0; l0 < nlev; l0 += kW) {
     const int n = std::min(kW, nlev - l0);
@@ -94,70 +93,26 @@ void dss_accumulate_vector(const FrameView& fr, const int* ids,
     }
     for (int c = 0; c < 3; ++c) {
       accumulate_levels(ids, mass, t[c], n, stride,
-                        acc[c] + static_cast<std::size_t>(l0));
+                        acc + static_cast<std::size_t>(c * nlev + l0));
     }
   }
 }
 
 void dss_scatter_vector(const FrameView& fr, const int* ids,
-                        const double* rmass, const double* const* acc,
-                        int nlev, double* u1, double* u2) {
-  const std::size_t stride = static_cast<std::size_t>(nlev);
+                        const double* rmass, const double* acc, int nlev,
+                        double* u1, double* u2) {
+  const std::size_t stride = 3 * static_cast<std::size_t>(nlev);
   double t[3][kW * kNpp];
   for (int l0 = 0; l0 < nlev; l0 += kW) {
     const int n = std::min(kW, nlev - l0);
     for (int c = 0; c < 3; ++c) {
-      scatter_levels(ids, rmass, acc[c] + static_cast<std::size_t>(l0), n,
-                     stride, t[c]);
+      scatter_levels(ids, rmass, acc + static_cast<std::size_t>(c * nlev + l0),
+                     n, stride, t[c]);
     }
     for (int r = 0; r < n; ++r) {
       cart_to_contra(fr, t[0] + r * kNpp, t[1] + r * kNpp, t[2] + r * kNpp,
                      u1 + fidx(l0 + r, 0), u2 + fidx(l0 + r, 0));
     }
-  }
-}
-
-void dss_levels(const mesh::CubedSphere& m,
-                std::span<double* const> elem_fields, int nlev) {
-  const std::size_t acc_n =
-      static_cast<std::size_t>(m.nnodes()) * static_cast<std::size_t>(nlev);
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < acc_n) arena.require(acc_n);
-  ScratchArena::Frame frame(arena);
-  double* acc = arena.alloc_zero(acc_n).data();
-  const int nelem = m.nelem();
-  for (int e = 0; e < nelem; ++e) {
-    dss_accumulate(m.nodes(e).data(), m.geom(e).mass.data(),
-                   elem_fields[static_cast<std::size_t>(e)], nlev, acc);
-  }
-  for (int e = 0; e < nelem; ++e) {
-    dss_scatter(m.nodes(e).data(), m.geom(e).rmass.data(), acc, nlev,
-                elem_fields[static_cast<std::size_t>(e)]);
-  }
-}
-
-void dss_vector_levels(const mesh::CubedSphere& m,
-                       std::span<double* const> u1,
-                       std::span<double* const> u2, int nlev) {
-  const std::size_t acc_n =
-      static_cast<std::size_t>(m.nnodes()) * static_cast<std::size_t>(nlev);
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < 3 * acc_n) arena.require(3 * acc_n);
-  ScratchArena::Frame frame(arena);
-  double* const flat = arena.alloc_zero(3 * acc_n).data();
-  double* const acc[3] = {flat, flat + acc_n, flat + 2 * acc_n};
-  const int nelem = m.nelem();
-  for (int e = 0; e < nelem; ++e) {
-    const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = m.geom(e);
-    dss_accumulate_vector(g, m.nodes(e).data(), g.mass.data(), u1[se],
-                          u2[se], nlev, acc);
-  }
-  for (int e = 0; e < nelem; ++e) {
-    const std::size_t se = static_cast<std::size_t>(e);
-    const auto& g = m.geom(e);
-    dss_scatter_vector(g, m.nodes(e).data(), g.rmass.data(), acc, nlev,
-                       u1[se], u2[se]);
   }
 }
 

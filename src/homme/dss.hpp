@@ -12,8 +12,8 @@
 /// spectral-element space: mass-weighted sums at shared GLL points,
 /// divided by the assembled mass.
 ///
-/// Every DSS in the model, whole-mesh or per rank (BndryExchange), runs
-/// the one element body below. An element field is level-major
+/// The model's one DSS (BndryExchange, at every rank count) runs the
+/// element body below. An element field is level-major
 /// ([lev][point], fidx layout) but a node accumulator is node-major
 /// ([node][lev]), so the body works in vpack::width x vpack::width blocks:
 /// it multiplies W levels of W points by the mass in packs, turns the
@@ -24,26 +24,12 @@
 
 namespace homme {
 
-/// DSS one multi-level scalar field over the whole mesh, in mesh order.
-/// elem_fields[e] points at element e's [nlev][kNpp] data (fidx layout).
-/// Draws one nnodes x nlev accumulator from the thread's ScratchArena.
-void dss_levels(const mesh::CubedSphere& m,
-                std::span<double* const> elem_fields, int nlev);
-
-/// DSS a contravariant vector field over the whole mesh. Adjacent faces
-/// use different frames, so each element's components are rotated to
-/// Cartesian 3-space a block of levels at a time, assembled, and projected
-/// back with the dual basis. Draws three nnodes x nlev accumulators from
-/// the thread's ScratchArena.
-void dss_vector_levels(const mesh::CubedSphere& m,
-                       std::span<double* const> u1,
-                       std::span<double* const> u2, int nlev);
-
 // -- the element body --------------------------------------------------------
 //
-// ids[k] is the accumulator row of the element's point k; a row holds nlev
-// doubles (one per level). The accumulation adds into acc in place, so the
-// caller's element order is the summation order.
+// ids[k] is the accumulator row of the element's point k. A scalar row
+// holds nlev doubles (one per level); a vector row holds 3 * nlev, the x,
+// y and z components' levels one after another. The accumulation adds
+// into acc in place, so the caller's element order is the summation order.
 
 /// acc[ids[k] * nlev + lev] += mass[k] * f[fidx(lev, k)].
 void dss_accumulate(const int* ids, const double* mass, const double* f,
@@ -53,14 +39,16 @@ void dss_scatter(const int* ids, const double* rmass, const double* acc,
                  int nlev, double* f);
 
 /// The vector DSS's element body: rotates (u1, u2) to Cartesian x, y, z a
-/// block of levels at a time and accumulates component c into acc[c].
+/// block of levels at a time (adjacent faces use different frames) and
+/// accumulates component c into acc[ids[k] * 3 * nlev + c * nlev + lev].
 void dss_accumulate_vector(const FrameView& fr, const int* ids,
                            const double* mass, const double* u1,
-                           const double* u2, int nlev, double* const* acc);
-/// Scatters the three components and rotates them back into (u1, u2).
+                           const double* u2, int nlev, double* acc);
+/// Scatters the three components and rotates them back into (u1, u2)
+/// with the dual basis.
 void dss_scatter_vector(const FrameView& fr, const int* ids,
-                        const double* rmass, const double* const* acc,
-                        int nlev, double* u1, double* u2);
+                        const double* rmass, const double* acc, int nlev,
+                        double* u1, double* u2);
 
 /// Convenience: build the per-element pointer table for a member field.
 /// DSS writes in place, so this takes the write path: each chunk is

@@ -49,15 +49,15 @@ void column_geopotential(int nlev, const double* T, const double* dp,
                          double* phi_mid);
 void column_omega(int nlev, const double* divdp, double* omega);
 
-/// Scalar whole-mesh DSS (the original of dss.cpp's dss_levels: a
-/// per-(element, level, point) indirect scatter into the node
-/// accumulator).
+/// Scalar whole-mesh DSS (the original of the DSS BndryExchange runs
+/// through dss.cpp's element body: a per-(element, level, point)
+/// indirect scatter into the node accumulator).
 void dss_levels(const mesh::CubedSphere& m,
                 std::span<double* const> elem_fields, int nlev);
 
 /// Scalar whole-mesh vector DSS: rotate every element to three Cartesian
 /// fields, run the scalar DSS on each, rotate back (the original of
-/// dss.cpp's dss_vector_levels, with the scalar rotations above).
+/// BndryExchange::dss_vector_levels, with the scalar rotations above).
 void dss_vector_levels(const mesh::CubedSphere& m,
                        std::span<double* const> u1,
                        std::span<double* const> u2, int nlev);

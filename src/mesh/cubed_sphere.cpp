@@ -129,29 +129,6 @@ std::vector<int> CubedSphere::edge_neighbors(int elem) const {
   return out;
 }
 
-void CubedSphere::dss_scalar(std::span<double> field) const {
-  std::vector<double> acc(static_cast<std::size_t>(nnodes_), 0.0);
-  const int n = nelem();
-  for (int e = 0; e < n; ++e) {
-    const auto& ids = nodes_[static_cast<std::size_t>(e)];
-    const auto& g = geom_[static_cast<std::size_t>(e)];
-    for (int k = 0; k < kNpp; ++k) {
-      acc[static_cast<std::size_t>(ids[static_cast<std::size_t>(k)])] +=
-          g.mass[static_cast<std::size_t>(k)] *
-          field[static_cast<std::size_t>(e * kNpp + k)];
-    }
-  }
-  for (int e = 0; e < n; ++e) {
-    const auto& ids = nodes_[static_cast<std::size_t>(e)];
-    const auto& g = geom_[static_cast<std::size_t>(e)];
-    for (int k = 0; k < kNpp; ++k) {
-      field[static_cast<std::size_t>(e * kNpp + k)] =
-          acc[static_cast<std::size_t>(ids[static_cast<std::size_t>(k)])] *
-          g.rmass[static_cast<std::size_t>(k)];
-    }
-  }
-}
-
 double CubedSphere::total_area() const {
   double area = 0.0;
   for (const auto& g : geom_) {

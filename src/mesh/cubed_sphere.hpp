@@ -1,6 +1,5 @@
 #pragma once
 
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -52,12 +51,6 @@ class CubedSphere {
 
   /// Elements sharing at least one edge (>= 2 nodes) with \p elem.
   std::vector<int> edge_neighbors(int elem) const;
-
-  /// Reference (sequential, global) DSS of one scalar per GLL point:
-  /// field[elem * kNpp + gidx] <- weighted average over sharing elements.
-  /// This is the specification the distributed bndry_exchangev versions
-  /// are tested against.
-  void dss_scalar(std::span<double> field) const;
 
   /// Sum of the GLL mass over all elements; equals the sphere area.
   double total_area() const;

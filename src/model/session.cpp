@@ -190,11 +190,12 @@ void Session::build(const Session* parent) {
   homme::State global;
   if (parent == nullptr) global = cfg_.init_spec.build(m, dims_);
 
-  // Where each rank's work lives. The rank count decides two things:
-  // here, whether a cluster and per-rank halo exchanges are built — N
-  // ranks own their SFC partition slices and report on the "rank<r>"
-  // tracks that net:* and bndry:* share, one rank owns the whole mesh in
-  // mesh order and reports on "dycore" — and in step(), whether the step
+  // Where each rank's work lives. The rank count decides how the work is
+  // split, never the bits: here, whether a cluster and per-rank halo
+  // exchanges are built — N ranks own their SFC partition slices and
+  // report on the "rank<r>" tracks that net:* and bndry:* share, one rank
+  // owns the whole mesh in mesh order (its dycore's exchange has no
+  // neighbours) and reports on "dycore" — and in step(), whether the step
   // runs inline or on the cluster.
   struct Placement {
     std::vector<int> elems;  ///< empty: the whole mesh, mesh order
@@ -313,15 +314,17 @@ double Session::dt() const { return ranks_.front().dycore->dt(); }
 
 void Session::step() {
   // The second rank-count decision (see build()): one rank steps inline
-  // on the calling thread against the whole-mesh DSS; N ranks step on the
-  // cluster's threads, each against its bndry_exchangev.
+  // on the calling thread against its dycore's exchange; N ranks step on
+  // the cluster's threads, each against its bndry_exchangev. Both sum
+  // every node in ascending element id, so both give the one-rank bits.
   if (cluster_ == nullptr) {
     ranks_.front().dycore->step(ranks_.front().state);
   } else {
     cluster_->run([&](net::Rank& r) {
       RankSlot& rk = ranks_[static_cast<std::size_t>(r.rank())];
       homme::ScratchArena::Bind scratch(*rk.arena);
-      rk.dycore->step(rk.state, homme::Exchange(*rk.bndry, r, cfg_.exchange));
+      rk.dycore->step(rk.state,
+                      homme::Exchange(*rk.bndry, &r, cfg_.exchange));
     });
   }
   if (physics_ != nullptr) {
@@ -389,12 +392,7 @@ bool Session::try_resume() {
 }
 
 homme::Diagnostics Session::diagnose() {
-  const RankSlot& first = ranks_.front();
-  homme::Diagnostics out = first.dycore->diagnose(first.state);
-  for (std::size_t r = 1; r < ranks_.size(); ++r) {
-    out.merge(ranks_[r].dycore->diagnose(ranks_[r].state));
-  }
-  return out;
+  return homme::diagnose(bundle_->mesh, dims_, state());
 }
 
 homme::State Session::state() const {

@@ -87,9 +87,10 @@ struct SessionConfig {
   scenario::InitSpec init_spec = scenario::InitSpec::baroclinic();
 
   // -- decomposition / exchange --------------------------------------------
-  /// 1: the whole mesh steps on the calling thread with the whole-mesh
-  /// DSS; >1: SFC-partitioned ranks step on the threaded mini-MPI, each
-  /// DSS a bndry_exchangev in `exchange` mode.
+  /// 1: the whole mesh steps on the calling thread, its DSS an exchange
+  /// with no neighbours; >1: SFC-partitioned ranks step on the threaded
+  /// mini-MPI, each DSS a bndry_exchangev in `exchange` mode. Every rank
+  /// count steps to the same bits; it only decides how the work is split.
   int nranks = 1;
   homme::BndryExchange::Mode exchange = homme::BndryExchange::Mode::kOverlap;
   double watchdog_s = 0.0;         ///< net watchdog bound (parallel only)
@@ -246,8 +247,9 @@ class Session {
   /// \p n steps, honoring the checkpoint cadence.
   void run(int n);
 
-  /// Conservation / sanity diagnostics: every rank's partials, merged in
-  /// rank order on the calling thread, so repeated calls agree bitwise.
+  /// Conservation / sanity diagnostics: one pass over the assembled
+  /// state in mesh order, so they are the one-rank bits at any rank
+  /// count and repeated calls agree bitwise.
   homme::Diagnostics diagnose();
 
   // -- state ----------------------------------------------------------------
@@ -320,7 +322,7 @@ class Session {
           ForkTag);
 
   /// One rank's slice of the model. One rank owns the whole mesh in mesh
-  /// order and has no exchange.
+  /// order, and its exchange (no neighbours) belongs to its dycore.
   struct RankSlot {
     std::unique_ptr<homme::BndryExchange> bndry;  ///< N ranks only
     std::unique_ptr<homme::Dycore> dycore;

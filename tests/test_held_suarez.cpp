@@ -92,12 +92,12 @@ TEST(HeldSuarez, DrivenDycoreDevelopsCirculationAndStaysStable) {
   d.qsize = 0;
   auto s = homme::isothermal_rest(m, d, 280.0);
   homme::Dycore dy(m, d, homme::DycoreConfig{});
-  const auto d0 = dy.diagnose(s);
+  const auto d0 = homme::diagnose(m, d, s);
   for (int step = 0; step < 30; ++step) {
     dy.step(s);
     phys::held_suarez_forcing(m, d, s, dy.dt());
   }
-  const auto d1 = dy.diagnose(s);
+  const auto d1 = homme::diagnose(m, d, s);
   // ~4 simulated hours against the 40-day relaxation: a weak but clearly
   // nonzero thermal-wind response (full spin-up takes ~200 days).
   EXPECT_GT(d1.max_wind, 0.02);

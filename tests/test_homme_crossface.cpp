@@ -7,7 +7,7 @@
 #include <cmath>
 #include <vector>
 
-#include "homme/dss.hpp"
+#include "homme/bndry.hpp"
 #include "homme/init.hpp"
 #include "homme/ops.hpp"
 #include "homme/state.hpp"
@@ -57,6 +57,7 @@ TEST(CrossFace, SmoothVectorFieldIsAFixedPointOfVectorDss) {
   // DSS unchanged — including at cube edges and corners where the frames
   // differ maximally.
   auto m = mesh::CubedSphere::build(3, 1.0);
+  homme::BndryExchange bx(m);
   const int nlev = 2;
   std::vector<std::vector<double>> u1, u2;
   fill_smooth_vector(m, {0.2, -1.0, 0.5}, u1, u2, nlev);
@@ -67,7 +68,7 @@ TEST(CrossFace, SmoothVectorFieldIsAFixedPointOfVectorDss) {
     p1[static_cast<std::size_t>(e)] = r1[static_cast<std::size_t>(e)].data();
     p2[static_cast<std::size_t>(e)] = r2[static_cast<std::size_t>(e)].data();
   }
-  homme::dss_vector_levels(m, p1, p2, nlev);
+  bx.dss_vector_levels(p1, p2, nlev);
   for (int e = 0; e < m.nelem(); ++e) {
     for (std::size_t f = 0; f < r1[static_cast<std::size_t>(e)].size();
          ++f) {
@@ -85,6 +86,7 @@ TEST(CrossFace, VectorDssAveragesCartesianComponents) {
   // shared node must agree across every owning element, whatever the
   // local frames are.
   auto m = mesh::CubedSphere::build(2, 1.0);
+  homme::BndryExchange bx(m);
   const int nlev = 1;
   std::vector<std::vector<double>> u1(static_cast<std::size_t>(m.nelem())),
       u2(static_cast<std::size_t>(m.nelem()));
@@ -98,7 +100,7 @@ TEST(CrossFace, VectorDssAveragesCartesianComponents) {
     p1[static_cast<std::size_t>(e)] = u1[static_cast<std::size_t>(e)].data();
     p2[static_cast<std::size_t>(e)] = u2[static_cast<std::size_t>(e)].data();
   }
-  homme::dss_vector_levels(m, p1, p2, nlev);
+  bx.dss_vector_levels(p1, p2, nlev);
 
   for (int node = 0; node < m.nnodes(); ++node) {
     const auto& owners = m.node_elems(node);
@@ -162,6 +164,7 @@ TEST(CrossFace, SolidBodyWindIsContinuousAcrossAllTwelveCubeEdges) {
 
 TEST(CrossFace, ScalarLaplacianOfSmoothFieldIsContinuousAfterDss) {
   auto m = mesh::CubedSphere::build(3, 1.0);
+  homme::BndryExchange bx(m);
   const int nelem = m.nelem();
   std::vector<std::vector<double>> lap(static_cast<std::size_t>(nelem));
   std::vector<double*> lp(static_cast<std::size_t>(nelem));
@@ -177,7 +180,7 @@ TEST(CrossFace, ScalarLaplacianOfSmoothFieldIsContinuousAfterDss) {
                              lap[static_cast<std::size_t>(e)].data());
     lp[static_cast<std::size_t>(e)] = lap[static_cast<std::size_t>(e)].data();
   }
-  homme::dss_levels(m, lp, 1);
+  bx.dss_levels(lp, 1);
   for (int node = 0; node < m.nnodes(); ++node) {
     const auto& owners = m.node_elems(node);
     if (owners.size() < 2) continue;

@@ -22,6 +22,7 @@ using mesh::kNpp;
 
 TEST(EulerStep, ConservesTracerMass) {
   auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
+  homme::BndryExchange bx(m);
   Dims d;
   d.nlev = 4;
   d.qsize = 2;
@@ -30,13 +31,14 @@ TEST(EulerStep, ConservesTracerMass) {
   const double before0 = homme::tracer_mass(m, d, s, 0);
   const double before1 = homme::tracer_mass(m, d, s, 1);
   const double dt = homme::Dycore::stable_dt(m);
-  for (int i = 0; i < 5; ++i) homme::euler_step(homme::Exchange(m), d, s, dt);
+  for (int i = 0; i < 5; ++i) homme::euler_step(homme::Exchange(bx), d, s, dt);
   EXPECT_NEAR(homme::tracer_mass(m, d, s, 0), before0, 1e-10 * before0);
   EXPECT_NEAR(homme::tracer_mass(m, d, s, 1), before1, 1e-10 * before1);
 }
 
 TEST(EulerStep, LimiterKeepsTracersNonNegative) {
   auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
+  homme::BndryExchange bx(m);
   Dims d;
   d.nlev = 3;
   d.qsize = 1;
@@ -54,7 +56,7 @@ TEST(EulerStep, LimiterKeepsTracersNonNegative) {
   }
   const double dt = homme::Dycore::stable_dt(m);
   for (int i = 0; i < 10; ++i) {
-    homme::euler_step(homme::Exchange(m), d, s, dt, true);
+    homme::euler_step(homme::Exchange(bx), d, s, dt, true);
   }
   for (int e = 0; e < m.nelem(); ++e) {
     auto q = s[static_cast<std::size_t>(e)].q(0, d);
@@ -64,13 +66,14 @@ TEST(EulerStep, LimiterKeepsTracersNonNegative) {
 
 TEST(EulerStep, ZeroWindLeavesTracersUnchanged) {
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  homme::BndryExchange bx(m);
   Dims d;
   d.nlev = 3;
   d.qsize = 1;
   auto s = homme::isothermal_rest(m, d);
   homme::init_tracers(m, d, s);
   homme::State copy = s;
-  homme::euler_step(homme::Exchange(m), d, s, 500.0, false);
+  homme::euler_step(homme::Exchange(bx), d, s, 500.0, false);
   for (std::size_t e = 0; e < s.size(); ++e) {
     auto q = s[e].q(0, d);
     auto q0 = copy[e].q(0, d);

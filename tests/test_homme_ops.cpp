@@ -6,7 +6,7 @@
 #include <random>
 #include <vector>
 
-#include "homme/dss.hpp"
+#include "homme/bndry.hpp"
 #include "homme/state.hpp"
 #include "mesh/cubed_sphere.hpp"
 
@@ -141,6 +141,7 @@ TEST(HommeOps, VorticityOfSolidBodyFlowIsTwiceOmegaSinLat) {
 TEST(HommeOps, VorticityOfGradientVanishesAfterDss) {
   // curl(grad s) = 0 pointwise for the C0-projected field.
   auto m = mesh::CubedSphere::build(4, 1.0);
+  homme::BndryExchange bx(m);
   const int nelem = m.nelem();
   std::vector<std::vector<double>> s(static_cast<std::size_t>(nelem));
   std::vector<double*> sp(static_cast<std::size_t>(nelem));
@@ -154,7 +155,7 @@ TEST(HommeOps, VorticityOfGradientVanishesAfterDss) {
     }
     sp[static_cast<std::size_t>(e)] = buf.data();
   }
-  homme::dss_levels(m, sp, 1);
+  bx.dss_levels(sp, 1);
   for (int e = 0; e < nelem; e += 7) {
     const auto& g = m.geom(e);
     double g1[kNpp], g2[kNpp], vort[kNpp];

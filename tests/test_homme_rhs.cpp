@@ -101,12 +101,13 @@ TEST(Rhs, IsothermalRestIsSteady) {
   // At rest with uniform T and ps the RHS must vanish identically: no
   // pressure gradient, no geopotential gradient, no advection.
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  homme::BndryExchange bx(m);
   Dims d;
   d.nlev = 6;
   d.qsize = 0;
   auto s = homme::isothermal_rest(m, d);
   homme::State out(s.size(), homme::ElementState(d));
-  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, 100.0, out);
+  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, 100.0, out);
   for (std::size_t e = 0; e < s.size(); ++e) {
     for (std::size_t f = 0; f < d.field_size(); ++f) {
       EXPECT_NEAR(out[e].u1[f], 0.0, 1e-10);
@@ -122,6 +123,7 @@ TEST(Rhs, SolidBodyRotationIsNearSteady) {
   // equations; one discrete step must barely change the wind relative to
   // the wind itself.
   auto m = mesh::CubedSphere::build(4, mesh::kEarthRadius);
+  homme::BndryExchange bx(m);
   Dims d;
   d.nlev = 4;
   d.qsize = 0;
@@ -129,7 +131,7 @@ TEST(Rhs, SolidBodyRotationIsNearSteady) {
   auto s = homme::solid_body_rotation(m, d, u0);
   homme::State out(s.size(), homme::ElementState(d));
   const double dt = 100.0;
-  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, dt, out);
+  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, dt, out);
   // Measure physical wind change |du| vs u0.
   double max_du = 0.0;
   for (std::size_t e = 0; e < s.size(); ++e) {
@@ -154,13 +156,14 @@ TEST(Rhs, SolidBodyRotationIsNearSteady) {
 TEST(Rhs, MassTendencyIntegralVanishes) {
   // d/dt integral(dp) = -integral(div(dp u)) = 0 on the closed sphere.
   auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
+  homme::BndryExchange bx(m);
   Dims d;
   d.nlev = 4;
   d.qsize = 0;
   auto s = homme::baroclinic(m, d, 30.0, 300.0, 5.0);
   homme::State out(s.size(), homme::ElementState(d));
   const double dt = 50.0;
-  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, dt, out);
+  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, dt, out);
   double before = 0.0, after = 0.0;
   for (int e = 0; e < m.nelem(); ++e) {
     const auto& g = m.geom(e);
@@ -177,12 +180,13 @@ TEST(Rhs, MassTendencyIntegralVanishes) {
 
 TEST(Rhs, OutputIsContinuousAcrossElements) {
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  homme::BndryExchange bx(m);
   Dims d;
   d.nlev = 3;
   d.qsize = 0;
   auto s = homme::baroclinic(m, d);
   homme::State out(s.size(), homme::ElementState(d));
-  homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, 60.0, out);
+  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, 60.0, out);
   for (int node = 0; node < m.nnodes(); ++node) {
     const auto& owners = m.node_elems(node);
     if (owners.size() < 2) continue;

@@ -208,12 +208,14 @@ TEST(HostKernels, FrameRotationsBitIdenticalToReference) {
 
 TEST(HostKernels, DssBitIdenticalToReference) {
   // The live DSS (the transposed block body; the vector DSS with its
-  // rotations folded in) against the frozen scalar DSS, whole mesh, at
-  // level counts below, at and around the pack width. The data are signed,
-  // with +-0 sprinkled in and one all +0 and one all -0 element, and each
-  // DSS is applied twice (the second pass assembles an assembled field).
+  // rotations folded in), as the one-rank exchange runs it over the whole
+  // mesh, against the frozen scalar DSS, at level counts below, at and
+  // around the pack width. The data are signed, with +-0 sprinkled in
+  // and one all +0 and one all -0 element, and each DSS is applied twice
+  // (the second pass assembles an assembled field).
   for (int ne : {2, 3, 4}) {
     auto m = mesh::CubedSphere::build(ne, mesh::kEarthRadius);
+    homme::BndryExchange bx(m);
     const std::size_t nelem = static_cast<std::size_t>(m.nelem());
     for (int nlev : {1, 3, 4, 5, 16, 30}) {
       const std::size_t fs = static_cast<std::size_t>(nlev) * kNpp;
@@ -239,11 +241,11 @@ TEST(HostKernels, DssBitIdenticalToReference) {
       auto pa1 = ptrs(a1), pa2 = ptrs(a2), pb1 = ptrs(b1), pb2 = ptrs(b2);
       for (int pass = 0; pass < 2; ++pass) {
         homme::ref::dss_levels(m, pa, nlev);
-        homme::dss_levels(m, pb, nlev);
+        bx.dss_levels(pb, nlev);
         EXPECT_TRUE(same_bits(a, b))
             << "scalar, ne " << ne << " nlev " << nlev << " pass " << pass;
         homme::ref::dss_vector_levels(m, pa1, pa2, nlev);
-        homme::dss_vector_levels(m, pb1, pb2, nlev);
+        bx.dss_vector_levels(pb1, pb2, nlev);
         EXPECT_TRUE(same_bits(a1, b1) && same_bits(a2, b2))
             << "vector, ne " << ne << " nlev " << nlev << " pass " << pass;
       }
@@ -256,6 +258,7 @@ TEST(HostKernels, RhsMatchesReferenceAcrossConfigs) {
     for (int nlev : {10, 30, 72}) {
       for (bool moist : {false, true}) {
         auto m = mesh::CubedSphere::build(ne, mesh::kEarthRadius);
+        homme::BndryExchange bx(m);
         Dims d;
         d.nlev = nlev;
         d.qsize = 2;
@@ -265,7 +268,7 @@ TEST(HostKernels, RhsMatchesReferenceAcrossConfigs) {
         homme::State out_ref(s.size(), homme::ElementState(d));
         homme::State out_new(s.size(), homme::ElementState(d));
         homme::ref::compute_and_apply_rhs(m, d, s, s, dt, out_ref);
-        homme::compute_and_apply_rhs(homme::Exchange(m), d, s, s, dt, out_new);
+        homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, dt, out_new);
         expect_state_close(out_ref, out_new, d, kTol);
       }
     }
@@ -274,6 +277,7 @@ TEST(HostKernels, RhsMatchesReferenceAcrossConfigs) {
 
 TEST(HostKernels, EulerStepBitIdenticalToReference) {
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  homme::BndryExchange bx(m);
   const double dt = homme::Dycore::stable_dt(m);
   for (int nlev : {10, 30}) {
     for (int qsize : {1, 3}) {
@@ -293,7 +297,7 @@ TEST(HostKernels, EulerStepBitIdenticalToReference) {
           }
           auto b = a;
           homme::ref::euler_step(m, d, a, dt, limit);
-          homme::euler_step(homme::Exchange(m), d, b, dt, limit);
+          homme::euler_step(homme::Exchange(bx), d, b, dt, limit);
           for (std::size_t e = 0; e < a.size(); ++e) {
             for (std::size_t f = 0; f < a[e].qdp.size(); ++f) {
               ASSERT_EQ(a[e].qdp[f], b[e].qdp[f])

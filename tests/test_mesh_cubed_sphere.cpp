@@ -4,8 +4,6 @@
 
 #include <cmath>
 #include <numbers>
-#include <set>
-#include <vector>
 
 namespace {
 
@@ -70,70 +68,6 @@ TEST(CubedSphere, AreaErrorConvergesSpectrally) {
 
 INSTANTIATE_TEST_SUITE_P(SmallMeshes, CubedSphereTopology,
                          ::testing::Values(2, 3, 4, 5));
-
-TEST(CubedSphere, DssPreservesConstantField) {
-  auto m = CubedSphere::build(4, 1.0);
-  std::vector<double> field(static_cast<std::size_t>(m.nelem() * kNpp), 2.5);
-  m.dss_scalar(field);
-  for (double v : field) EXPECT_NEAR(v, 2.5, 1e-13);
-}
-
-TEST(CubedSphere, DssMakesFieldContinuous) {
-  auto m = CubedSphere::build(3, 1.0);
-  std::vector<double> field(static_cast<std::size_t>(m.nelem() * kNpp));
-  // Discontinuous input: element id as value.
-  for (int e = 0; e < m.nelem(); ++e) {
-    for (int k = 0; k < kNpp; ++k) {
-      field[static_cast<std::size_t>(e * kNpp + k)] = e;
-    }
-  }
-  m.dss_scalar(field);
-  // After DSS all copies of a shared node agree.
-  for (int node = 0; node < m.nnodes(); ++node) {
-    const auto& owners = m.node_elems(node);
-    const double v0 =
-        field[static_cast<std::size_t>(owners[0].first * kNpp +
-                                       owners[0].second)];
-    for (const auto& [e, k] : owners) {
-      EXPECT_NEAR(field[static_cast<std::size_t>(e * kNpp + k)], v0, 1e-12);
-    }
-  }
-}
-
-TEST(CubedSphere, DssIsIdempotent) {
-  auto m = CubedSphere::build(3, 1.0);
-  std::vector<double> field(static_cast<std::size_t>(m.nelem() * kNpp));
-  for (std::size_t i = 0; i < field.size(); ++i) {
-    field[i] = std::sin(static_cast<double>(i));
-  }
-  m.dss_scalar(field);
-  auto once = field;
-  m.dss_scalar(field);
-  for (std::size_t i = 0; i < field.size(); ++i) {
-    EXPECT_NEAR(field[i], once[i], 1e-12);
-  }
-}
-
-TEST(CubedSphere, DssConservesMassWeightedIntegral) {
-  auto m = CubedSphere::build(4, 1.0);
-  std::vector<double> field(static_cast<std::size_t>(m.nelem() * kNpp));
-  for (std::size_t i = 0; i < field.size(); ++i) {
-    field[i] = std::cos(0.1 * static_cast<double>(i));
-  }
-  auto integral = [&] {
-    double s = 0;
-    for (int e = 0; e < m.nelem(); ++e) {
-      for (int k = 0; k < kNpp; ++k) {
-        s += m.geom(e).mass[static_cast<std::size_t>(k)] *
-             field[static_cast<std::size_t>(e * kNpp + k)];
-      }
-    }
-    return s;
-  };
-  const double before = integral();
-  m.dss_scalar(field);
-  EXPECT_NEAR(integral(), before, std::abs(before) * 1e-12 + 1e-12);
-}
 
 TEST(CubedSphere, MetricTermsAreConsistent) {
   auto m = CubedSphere::build(3, mesh::kEarthRadius);

@@ -38,26 +38,6 @@ void expect_states_equal(const homme::State& a, const homme::State& b) {
   }
 }
 
-/// Near-equality: the distributed DSS reassociates node sums across
-/// ranks, so parallel-vs-sequential agreement is 1e-9 relative, not
-/// bitwise (same bound the homme parallel tests use).
-void expect_states_near(const homme::State& a, const homme::State& b) {
-  ASSERT_EQ(a.size(), b.size());
-  auto near = [](const homme::Chunk& x, const homme::Chunk& y) {
-    ASSERT_EQ(x.size(), y.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      EXPECT_NEAR(x[i], y[i], 1e-9 * (std::abs(y[i]) + 1.0));
-    }
-  };
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    near(a[e].u1, b[e].u1);
-    near(a[e].u2, b[e].u2);
-    near(a[e].T, b[e].T);
-    near(a[e].dp, b[e].dp);
-    near(a[e].qdp, b[e].qdp);
-  }
-}
-
 /// Deletes every rank's chain ("<base>.r<r>.full", ".dN") under \p base.
 void remove_chains(const std::string& base, int nranks) {
   for (int r = 0; r < nranks; ++r) {
@@ -170,7 +150,7 @@ TEST(Session, ParallelMatchesSequential) {
   Session par(SessionConfig{base}.with_ranks(3));
   par.run(kSteps);
 
-  expect_states_near(par.state(), seq.state());
+  expect_states_equal(par.state(), seq.state());
 }
 
 // The pipeline backend's remap takes homme's target thicknesses and
