@@ -37,23 +37,21 @@ double smallest_gll_spacing(const mesh::CubedSphere& m) {
   return best;
 }
 
-/// s <- a*x + b*y elementwise over dynamical fields, in vpack lanes.
-void blend(const Dims& d, double a, const State& x, double b, const State& y,
-           State& out) {
+/// y <- a*x + b*y elementwise over dynamical fields, in vpack lanes.
+void blend(const Dims& d, double a, const State& x, double b, State& y) {
   const std::size_t fs = d.field_size();
-  auto axpby = [&](const Chunk& xc, const Chunk& yc, Chunk& oc) {
+  auto axpby = [&](const Chunk& xc, Chunk& yc) {
     const double* xp = xc.data();
-    const double* yp = yc.data();
-    double* op = oc.mutable_span().data();
+    double* yp = yc.mutable_span().data();
     for (std::size_t f = 0; f < fs; f += vpack::width) {
-      (a * vpack::load(xp + f) + b * vpack::load(yp + f)).store(op + f);
+      (a * vpack::load(xp + f) + b * vpack::load(yp + f)).store(yp + f);
     }
   };
-  for (std::size_t e = 0; e < out.size(); ++e) {
-    axpby(x[e].u1, y[e].u1, out[e].u1);
-    axpby(x[e].u2, y[e].u2, out[e].u2);
-    axpby(x[e].T, y[e].T, out[e].T);
-    axpby(x[e].dp, y[e].dp, out[e].dp);
+  for (std::size_t e = 0; e < y.size(); ++e) {
+    axpby(x[e].u1, y[e].u1);
+    axpby(x[e].u2, y[e].u2);
+    axpby(x[e].T, y[e].T);
+    axpby(x[e].dp, y[e].dp);
   }
 }
 
@@ -75,8 +73,7 @@ Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg,
     const double dx4 = std::pow(min_dx_, 4);
     cfg_.nu = 0.01 * dx4 / (97.4 * cfg_.dt);
   }
-  stage1_.assign(elems_.size(), ElementState(d));
-  stage2_.assign(elems_.size(), ElementState(d));
+  stage_.assign(elems_.size(), ElementState(d));
 }
 
 Dycore::~Dycore() = default;
@@ -97,30 +94,38 @@ void Dycore::step(State& s, const Exchange& exchange) {
   const Exchange x = exchange.traced(trk_);
   obs::ScopedSpan step_span(trk_, "dyn:step");
 
-  // SSP-RK3 (Shu-Osher) on the dynamical fields; tracers ride along via
-  // the separate euler_step below, as in CAM-SE's subcycling.
+  // SSP-RK3 (Shu-Osher) on the dynamical fields, in the one stage
+  // buffer: stage 1 writes it from s, and stages 2 and 3 and both blends
+  // update it in place, so s holds the step's start until the swap. The
+  // buffer shares s's tracers until then, so every stage reads the step's
+  // humidity, as HOMME reads qn0. Tracers ride along via the separate
+  // euler_step below, as in CAM-SE's subcycling.
+  for (std::size_t e = 0; e < s.size(); ++e) stage_[e].qdp = s[e].qdp;
   {
     obs::ScopedSpan span(trk_, "dyn:rhs_stage");
-    compute_and_apply_rhs(x, dims_, s, s, dt, stage1_);
+    compute_and_apply_rhs(x, dims_, s, dt, stage_);
   }
 
   {
     obs::ScopedSpan span(trk_, "dyn:rhs_stage");
-    compute_and_apply_rhs(x, dims_, stage1_, stage1_, dt, stage2_);
+    compute_and_apply_rhs(x, dims_, stage_, dt, stage_);
   }
-  blend(dims_, 0.75, s, 0.25, stage2_, stage1_);
+  blend(dims_, 0.75, s, 0.25, stage_);
 
   {
     obs::ScopedSpan span(trk_, "dyn:rhs_stage");
-    compute_and_apply_rhs(x, dims_, stage1_, stage1_, dt, stage2_);
+    compute_and_apply_rhs(x, dims_, stage_, dt, stage_);
   }
-  blend(dims_, 1.0 / 3.0, s, 2.0 / 3.0, stage2_, stage1_);
+  blend(dims_, 1.0 / 3.0, s, 2.0 / 3.0, stage_);
 
   for (std::size_t e = 0; e < s.size(); ++e) {
-    std::swap(s[e].u1, stage1_[e].u1);
-    std::swap(s[e].u2, stage1_[e].u2);
-    std::swap(s[e].T, stage1_[e].T);
-    std::swap(s[e].dp, stage1_[e].dp);
+    std::swap(s[e].u1, stage_[e].u1);
+    std::swap(s[e].u2, stage_[e].u2);
+    std::swap(s[e].T, stage_[e].T);
+    std::swap(s[e].dp, stage_[e].dp);
+    // Drop the buffer's share of s's tracers, or euler_step's q_mut would
+    // copy every tracer chunk.
+    stage_[e].qdp = Chunk();
   }
 
   if (dims_.qsize > 0) {
@@ -129,8 +134,9 @@ void Dycore::step(State& s, const Exchange& exchange) {
   }
 
   if (cfg_.hypervis_on) {
+    // The stage buffer is idle from the swap to the next step's stage 1.
     obs::ScopedSpan span(trk_, "dyn:hypervis");
-    hypervis_dp2(x, dims_, s, cfg_.nu, dt);
+    hypervis_dp2(x, dims_, s, stage_, cfg_.nu, dt);
     biharmonic_dp3d(x, dims_, s, cfg_.nu, dt);
   }
 

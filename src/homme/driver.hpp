@@ -119,7 +119,9 @@ class Dycore {
   int step_count_ = 0;
   StepAccelerator* accel_ = nullptr;
   obs::Track* trk_ = nullptr;
-  State stage1_, stage2_;
+  /// The RK stage buffer, updated in place by every stage; hypervis_dp2's
+  /// work state while it is idle, from the swap to the next stage 1.
+  State stage_;
 };
 
 }  // namespace homme

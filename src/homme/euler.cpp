@@ -66,26 +66,25 @@ void euler_step(const Exchange& x, const Dims& d, State& s, double dt,
   const std::size_t ne = static_cast<std::size_t>(nelem);
   const std::size_t fs = d.field_size();
 
-  // Per-tracer stage buffers (q0 = start of step, qs = working stage),
-  // carved from the scratch arena instead of per-call heap vectors. The
-  // reservation also covers whatever the exchange's DSS allocates while
-  // all three buffers are live.
+  // Each stage updates the tracer's own slab of s in place: an element's
+  // tendency reads only that element and is complete before its update is
+  // written. The scratch arena holds the start-of-step tracer q0 and one
+  // element's tendency; the reservation also covers the exchange's DSS,
+  // which runs while both are live.
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  const std::size_t need = 3 * ne * fs + x.dss_scratch(d.nlev);
+  const std::size_t need = ne * fs + fs + x.dss_scratch(d.nlev);
   if (arena.capacity() < need || arena.ptr_capacity() < ne) {
     arena.require(need, ne);
   }
   ScratchArena::Frame frame(arena);
-  std::span<double> q0 = arena.alloc(ne * fs), qs = arena.alloc(ne * fs),
-                    rhs = arena.alloc(ne * fs);
+  std::span<double> q0 = arena.alloc(ne * fs), rhs = arena.alloc(fs);
   std::span<double*> qs_ptrs = arena.alloc_ptrs(ne);
-  for (std::size_t e = 0; e < ne; ++e) qs_ptrs[e] = qs.data() + e * fs;
 
   for (int q = 0; q < d.qsize; ++q) {
     for (std::size_t e = 0; e < ne; ++e) {
-      auto src = s[e].q(q, d);
-      std::copy(src.begin(), src.end(), q0.begin() + e * fs);
-      std::copy(src.begin(), src.end(), qs.begin() + e * fs);
+      const std::span<double> qs = s[e].q_mut(q, d);
+      qs_ptrs[e] = qs.data();
+      std::copy(qs.begin(), qs.end(), q0.begin() + e * fs);
     }
 
     // SSP-RK3 (Shu-Osher): each stage = Euler step + convex combination,
@@ -97,16 +96,14 @@ void euler_step(const Exchange& x, const Dims& d, State& s, double dt,
     for (int stage = 0; stage < 3; ++stage) {
       for (int e = 0; e < nelem; ++e) {
         const std::size_t se = static_cast<std::size_t>(e);
-        element_tracer_rhs(x.geom(e), d, s[se], qs.subspan(se * fs, fs),
-                           rhs.subspan(se * fs, fs));
+        double* qe = qs_ptrs[se];
+        element_tracer_rhs(x.geom(e), d, s[se], {qe, fs}, rhs);
         const double a = stage_w[stage][0];
         const double b = stage_w[stage][1];
         const double* q0e = q0.data() + se * fs;
-        const double* re = rhs.data() + se * fs;
-        double* qe = qs.data() + se * fs;
         for (std::size_t f = 0; f < fs; f += vpack::width) {
           (a * vpack::load(q0e + f) +
-           b * (vpack::load(qe + f) + dt * vpack::load(re + f)))
+           b * (vpack::load(qe + f) + dt * vpack::load(rhs.data() + f)))
               .store(qe + f);
         }
       }
@@ -114,14 +111,9 @@ void euler_step(const Exchange& x, const Dims& d, State& s, double dt,
       if (limit) {
         for (std::size_t e = 0; e < ne; ++e) {
           positivity_limiter(x.geom(static_cast<int>(e)), d.nlev,
-                             qs.subspan(e * fs, fs));
+                             {qs_ptrs[e], fs});
         }
       }
-    }
-
-    for (std::size_t e = 0; e < ne; ++e) {
-      auto dst = s[e].q_mut(q, d);
-      std::copy(qs.begin() + e * fs, qs.begin() + (e + 1) * fs, dst.begin());
     }
   }
 }

@@ -1,5 +1,7 @@
 #include "homme/hypervis.hpp"
 
+#include <cassert>
+
 #include "homme/exchange.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
@@ -11,7 +13,9 @@ using mesh::kNpp;
 
 namespace {
 
-/// Laplacian of a multi-level scalar field into out (no DSS).
+/// Laplacian of a multi-level scalar field into out (no DSS). \p out may
+/// be \p field: laplace_sphere_wk reads a level tile whole before it
+/// writes one.
 void laplacian_field(const Exchange& x, int nlev,
                      std::span<double* const> field,
                      std::span<double* const> out) {
@@ -24,20 +28,15 @@ void laplacian_field(const Exchange& x, int nlev,
   }
 }
 
-/// Workspace: per-element field set carved from the scratch arena — one
-/// flat block of nelem*fs doubles plus a pointer table into it.
-struct ArenaFields {
-  std::span<double*> ptrs;
-  ArenaFields(ScratchArena& a, int nelem, std::size_t fs) {
-    std::span<double> flat =
-        a.alloc_zero(static_cast<std::size_t>(nelem) * fs);
-    ptrs = a.alloc_ptrs(static_cast<std::size_t>(nelem));
-    for (int e = 0; e < nelem; ++e) {
-      ptrs[static_cast<std::size_t>(e)] =
-          flat.data() + static_cast<std::size_t>(e) * fs;
-    }
-  }
-};
+/// lap <- Lap(Lap(field)), DSSed after each Laplacian; the second
+/// Laplacian writes over the first.
+void biharmonic(const Exchange& x, int nlev, std::span<double* const> field,
+                std::span<double* const> lap) {
+  laplacian_field(x, nlev, field, lap);
+  x.dss(lap, nlev);
+  laplacian_field(x, nlev, lap, lap);
+  x.dss(lap, nlev);
+}
 
 /// y[se][:] += coef * x[se][:] over every element, vectorized.
 void axpy_fields(int nelem, std::size_t fs, double coef,
@@ -82,90 +81,66 @@ void cart_to_wind(const Exchange& ex, const Dims& d,
   }
 }
 
-// Scratch sizing. The arena grows only while empty, so every public entry
-// point reserves its own worst case *including nested callees* before
-// taking a frame; when a public function is re-entered with allocations
-// live (laplacian_update / biharmonic_scalar inside hypervis_*), the
-// outer reservation already covers it and no growth is attempted. The
-// deepest callee is always the exchange's DSS, whose scratch (its node
-// accumulator) rides on top of every live field set.
+/// Scratch sizing: a biharmonic's one scratch field over \p x's elements
+/// and, on top of it, the exchange's DSS scratch, plus \p tables pointer
+/// tables. The arena grows only while empty, so this runs before the
+/// caller's frame opens.
 void reserve(ScratchArena& a, const Exchange& x, std::size_t fs,
-             int nfields) {
+             std::size_t tables) {
+  const std::size_t ne = static_cast<std::size_t>(x.nelem());
   const std::size_t need =
-      static_cast<std::size_t>(nfields) * static_cast<std::size_t>(x.nelem()) *
-          fs +
-      x.dss_scratch(static_cast<int>(fs / kNpp));
-  const std::size_t pneed =
-      static_cast<std::size_t>(nfields) * static_cast<std::size_t>(x.nelem());
-  if (a.capacity() < need || a.ptr_capacity() < pneed) {
-    a.require(need, pneed);
+      ne * fs + x.dss_scratch(static_cast<int>(fs / kNpp));
+  if (a.capacity() < need || a.ptr_capacity() < tables * ne) {
+    a.require(need, tables * ne);
   }
+}
+
+/// That field, in the caller's frame: a flat block of nelem * fs doubles,
+/// uninitialized (the first Laplacian writes all of it), and a pointer
+/// table into it.
+std::span<double*> arena_field(ScratchArena& a, const Exchange& x,
+                               std::size_t fs) {
+  const std::size_t ne = static_cast<std::size_t>(x.nelem());
+  std::span<double> flat = a.alloc(ne * fs);
+  std::span<double*> ptrs = a.alloc_ptrs(ne);
+  for (std::size_t e = 0; e < ne; ++e) ptrs[e] = flat.data() + e * fs;
+  return ptrs;
+}
+
+/// field_ptrs with the table in the caller's frame: each element's
+/// \p member chunk, un-shared for writing.
+std::span<double*> arena_ptrs(ScratchArena& a, State& s,
+                              Chunk ElementState::*member) {
+  std::span<double*> ptrs = a.alloc_ptrs(s.size());
+  for (std::size_t e = 0; e < s.size(); ++e) {
+    ptrs[e] = (s[e].*member).mutable_span().data();
+  }
+  return ptrs;
 }
 
 }  // namespace
 
-void laplacian_update(const Exchange& x, int nlev,
-                      std::span<double* const> field, double coef) {
-  const std::size_t fs = static_cast<std::size_t>(nlev) * kNpp;
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, x, fs, 1);
-  ScratchArena::Frame frame(arena);
-  ArenaFields lap(arena, x.nelem(), fs);
-  laplacian_field(x, nlev, field, lap.ptrs);
-  axpy_fields(x.nelem(), fs, coef, lap.ptrs, field);
-  x.dss(field, nlev);
-}
-
-void biharmonic_scalar(const Exchange& x, int nlev,
-                       std::span<double* const> field,
-                       std::span<double* const> out) {
-  const std::size_t fs = static_cast<std::size_t>(nlev) * kNpp;
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, x, fs, 1);
-  ScratchArena::Frame frame(arena);
-  ArenaFields lap1(arena, x.nelem(), fs);
-  laplacian_field(x, nlev, field, lap1.ptrs);
-  x.dss(lap1.ptrs, nlev);
-  laplacian_field(x, nlev, lap1.ptrs, out);
-  x.dss(out, nlev);
-}
-
-void hypervis_dp1(const Exchange& x, const Dims& d, State& s, double nu,
-                  double dt) {
+void hypervis_dp2(const Exchange& x, const Dims& d, State& s, State& work,
+                  double nu, double dt) {
+  assert(work.size() == s.size());
   const std::size_t fs = d.field_size();
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, x, fs, 4);  // ux/uy/uz + nested laplacian_update
+  reserve(arena, x, fs, 5);  // lap, ux, uy, uz, T
   ScratchArena::Frame frame(arena);
-  ArenaFields ux(arena, x.nelem(), fs), uy(arena, x.nelem(), fs),
-      uz(arena, x.nelem(), fs);
-  wind_to_cart(x, d, s, ux.ptrs, uy.ptrs, uz.ptrs);
-  laplacian_update(x, d.nlev, ux.ptrs, nu * dt);
-  laplacian_update(x, d.nlev, uy.ptrs, nu * dt);
-  laplacian_update(x, d.nlev, uz.ptrs, nu * dt);
-  cart_to_wind(x, d, ux.ptrs, uy.ptrs, uz.ptrs, s);
-  auto Tp = field_ptrs(s, &ElementState::T);
-  laplacian_update(x, d.nlev, Tp, nu * dt);
-}
-
-void hypervis_dp2(const Exchange& x, const Dims& d, State& s, double nu,
-                  double dt) {
-  const std::size_t fs = d.field_size();
-  ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, x, fs, 5);  // ux/uy/uz/bi + nested biharmonic
-  ScratchArena::Frame frame(arena);
-  ArenaFields ux(arena, x.nelem(), fs), uy(arena, x.nelem(), fs),
-      uz(arena, x.nelem(), fs);
-  wind_to_cart(x, d, s, ux.ptrs, uy.ptrs, uz.ptrs);
-  ArenaFields bi(arena, x.nelem(), fs);
-  for (std::span<double* const> comp : {ux.ptrs, uy.ptrs, uz.ptrs}) {
-    biharmonic_scalar(x, d.nlev, comp, bi.ptrs);
-    axpy_fields(x.nelem(), fs, -nu * dt, bi.ptrs, comp);
+  const std::span<double*> lap = arena_field(arena, x, fs);
+  const std::span<double*> ux = arena_ptrs(arena, work, &ElementState::u1);
+  const std::span<double*> uy = arena_ptrs(arena, work, &ElementState::u2);
+  const std::span<double*> uz = arena_ptrs(arena, work, &ElementState::T);
+  wind_to_cart(x, d, s, ux, uy, uz);
+  for (std::span<double* const> comp : {ux, uy, uz}) {
+    biharmonic(x, d.nlev, comp, lap);
+    axpy_fields(x.nelem(), fs, -nu * dt, lap, comp);
   }
-  cart_to_wind(x, d, ux.ptrs, uy.ptrs, uz.ptrs, s);
+  cart_to_wind(x, d, ux, uy, uz, s);
 
-  auto Tp = field_ptrs(s, &ElementState::T);
-  biharmonic_scalar(x, d.nlev, Tp, bi.ptrs);
-  axpy_fields(x.nelem(), fs, -nu * dt, bi.ptrs, Tp);
+  const std::span<double*> Tp = arena_ptrs(arena, s, &ElementState::T);
+  biharmonic(x, d.nlev, Tp, lap);
+  axpy_fields(x.nelem(), fs, -nu * dt, lap, Tp);
   x.dss(Tp, d.nlev);
 }
 
@@ -173,12 +148,12 @@ void biharmonic_dp3d(const Exchange& x, const Dims& d, State& s, double nu,
                      double dt) {
   const std::size_t fs = d.field_size();
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, x, fs, 2);  // bi + nested biharmonic
+  reserve(arena, x, fs, 2);  // lap, dp
   ScratchArena::Frame frame(arena);
-  ArenaFields bi(arena, x.nelem(), fs);
-  auto dpp = field_ptrs(s, &ElementState::dp);
-  biharmonic_scalar(x, d.nlev, dpp, bi.ptrs);
-  axpy_fields(x.nelem(), fs, -nu * dt, bi.ptrs, dpp);
+  const std::span<double*> lap = arena_field(arena, x, fs);
+  const std::span<double*> dpp = arena_ptrs(arena, s, &ElementState::dp);
+  biharmonic(x, d.nlev, dpp, lap);
+  axpy_fields(x.nelem(), fs, -nu * dt, lap, dpp);
   x.dss(dpp, d.nlev);
 }
 

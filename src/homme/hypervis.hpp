@@ -4,41 +4,30 @@
 #include "mesh/cubed_sphere.hpp"
 
 /// \file hypervis.hpp
-/// The horizontal dissipation kernels of Table 1:
-///   hypervis_dp1     — regular (nabla^2) viscosity on momentum and T
+/// The horizontal dissipation kernels of Table 1 the dycore steps:
 ///   hypervis_dp2     — hyper (nabla^4) viscosity on momentum and T
 ///   biharmonic_dp3d  — weak biharmonic operator on the layer thickness
+/// (Table 1's hypervis_dp1 row, a single nabla^2, is the CPE port's
+/// accel::HvKernel::kDp1.)
 ///
-/// nabla^2 is the strong-form spectral Laplacian followed by DSS; the
-/// biharmonic applies it twice with a DSS in between. Vector fields are
-/// dissipated component-wise in Cartesian 3-space (coordinate-free across
-/// cube faces) and projected back.
+/// nabla^2 is the weak-form spectral Laplacian followed by DSS; the
+/// biharmonic applies it twice with a DSS in between, the second
+/// application written over the first, so a biharmonic draws one scratch
+/// field from the arena. Vector fields are dissipated component-wise in
+/// Cartesian 3-space (coordinate-free across cube faces) and projected
+/// back.
 
 namespace homme {
 
 class Exchange;
 
-/// Apply s <- s + dt * nu * Laplacian(s) to a multi-level scalar field
-/// given by per-element pointers over \p x's elements. One DSS at the
-/// end.
-void laplacian_update(const Exchange& x, int nlev,
-                      std::span<double* const> field, double coef);
-
-/// Compute the biharmonic nabla^4 of a scalar field into \p out (per-
-/// element pointers); DSS applied between and after the two Laplacians.
-void biharmonic_scalar(const Exchange& x, int nlev,
-                       std::span<double* const> field,
-                       std::span<double* const> out);
-
-/// Table 1 "hypervis dp1": u, T <- u, T + dt*nu*Lap(u, T), over \p x's
-/// elements with every DSS through \p x.
-void hypervis_dp1(const Exchange& x, const Dims& d, State& s, double nu,
-                  double dt);
-
 /// Table 1 "hypervis dp2": u, T <- u, T - dt*nu*Lap(Lap(u, T)), over
-/// \p x's elements with every DSS through \p x.
-void hypervis_dp2(const Exchange& x, const Dims& d, State& s, double nu,
-                  double dt);
+/// \p x's elements with every DSS through \p x. The Cartesian wind (ux,
+/// uy, uz) lives in \p work's u1, u2 and T chunks, which it overwrites;
+/// \p work covers the same elements as \p s (the Dycore passes its idle
+/// stage buffer).
+void hypervis_dp2(const Exchange& x, const Dims& d, State& s, State& work,
+                  double nu, double dt);
 
 /// Table 1 "biharmonic dp3d": dp <- dp - dt*nu*Lap(Lap(dp)).
 void biharmonic_dp3d(const Exchange& x, const Dims& d, State& s, double nu,

@@ -83,6 +83,9 @@ void laplace_sphere(const MetricView& g, const double* s, double* lap);
 /// mass-weighted DSS the global integral of the result telescopes to
 /// exactly zero, so hyperviscosity built on this operator conserves mass
 /// to roundoff — the property HOMME's laplace_sphere_wk provides.
+/// \p lap may be \p s: the operator reads the tile whole before it writes
+/// one value, which is how a biharmonic writes its second Laplacian over
+/// its first. Never mark these two pointers __restrict.
 void laplace_sphere_wk(const MetricView& g, const double* s,
                        double* lap);
 

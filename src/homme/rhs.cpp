@@ -175,18 +175,17 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
   }
 }
 
-void compute_and_apply_rhs(const Exchange& x, const Dims& d,
-                           const State& base, const State& eval, double dt,
-                           State& out) {
-  assert(base.size() == static_cast<std::size_t>(x.nelem()));
-  assert(eval.size() == base.size() && out.size() == base.size());
+void compute_and_apply_rhs(const Exchange& x, const Dims& d, const State& in,
+                           double dt, State& out) {
+  assert(in.size() == static_cast<std::size_t>(x.nelem()));
+  assert(out.size() == in.size());
 
   ElementTend tend(d);
   for (int e = 0; e < x.nelem(); ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
-    element_rhs(x.geom(e), d, eval[se], tend);
+    element_rhs(x.geom(e), d, in[se], tend);
     ElementState& o = out[se];
-    const ElementState& b = base[se];
+    const ElementState& b = in[se];
     std::span<double> ou1 = o.u1.mutable_span(), ou2 = o.u2.mutable_span(),
                       oT = o.T.mutable_span(), odp = o.dp.mutable_span();
     for (std::size_t f = 0; f < d.field_size(); f += vpack::width) {

@@ -38,10 +38,12 @@ void column_omega(int nlev, const double* divdp, double* omega);
 void element_rhs(const mesh::ElementGeom& g, const Dims& d,
                  const ElementState& eval, ElementTend& tend);
 
-/// out = base + dt * RHS(eval) over \p x's elements, then DSS through \p x
-/// on u (as a vector field), T and dp — the full Table 1 kernel.
-void compute_and_apply_rhs(const Exchange& x, const Dims& d,
-                           const State& base, const State& eval, double dt,
-                           State& out);
+/// out = in + dt * RHS(in) over \p x's elements, then DSS through \p x
+/// on u (as a vector field), T and dp — the full Table 1 kernel. \p out
+/// may be \p in: an element's tendency reads only that element and is
+/// complete before its update is written, and every DSS runs after the
+/// element loop, so the update in place has the bits of a separate out.
+void compute_and_apply_rhs(const Exchange& x, const Dims& d, const State& in,
+                           double dt, State& out);
 
 }  // namespace homme

@@ -171,10 +171,12 @@ MachineModel MachineModel::calibrate(int nlev, int qsize, int nelem,
 }
 
 double MachineModel::halo_bytes(long long local) const {
-  // Boundary GLL nodes of a compact patch of `local` elements: perimeter
-  // ~ 4 sqrt(local) element edges x 3 nodes, x levels x 8 bytes.
-  const double nodes = 4.0 * std::sqrt(static_cast<double>(local)) * 3.0 + 4.0;
-  return nodes * nlev * 8.0;
+  // The rows a rank sends for a compact patch of `local` elements: each
+  // boundary element sends its own row at each node it shares, 4 rows per
+  // element edge over a perimeter of ~ 4 sqrt(local) edges, plus the
+  // corners; x levels x 8 bytes.
+  const double rows = 4.0 * std::sqrt(static_cast<double>(local)) * 4.0 + 4.0;
+  return rows * nlev * 8.0;
 }
 
 double MachineModel::exchanges_per_step() const {

@@ -100,8 +100,9 @@ struct MachineModel {
   double parallel_efficiency(int ne, long long base_procs,
                              long long nprocs, Version v) const;
 
-  /// Halo bytes exchanged per element-step stage for a process owning
-  /// \p local elements (boundary GLL nodes x levels x 8 bytes).
+  /// Halo bytes a process owning \p local elements sends per one-field
+  /// exchange: the rows BndryExchange sends, one per (boundary element,
+  /// shared node), x levels x 8 bytes.
   double halo_bytes(long long local) const;
   /// Number of halo-exchange stages per dynamics step.
   double exchanges_per_step() const;

@@ -29,7 +29,7 @@ double solid_body_residual(int ne) {
   auto s = homme::solid_body_rotation(m, d, u0);
   homme::State out(s.size(), homme::ElementState(d));
   const double dt = 1.0;  // per-second tendency
-  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, dt, out);
+  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, dt, out);
   double worst = 0.0;
   // Restrict to the lower half of the column: near the model top the
   // midpoint hydrostatic integration error (dp/p ~ 1 there with uniform
@@ -111,7 +111,7 @@ TEST(Convergence, RestStateResidualIsExactAtEveryResolution) {
     d.qsize = 0;
     auto s = homme::isothermal_rest(m, d);
     homme::State out(s.size(), homme::ElementState(d));
-    homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, 1000.0, out);
+    homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, 1000.0, out);
     for (std::size_t e = 0; e < s.size(); ++e) {
       for (std::size_t f = 0; f < d.field_size(); ++f) {
         ASSERT_NEAR(out[e].u1[f], 0.0, 1e-10) << "ne " << ne;

@@ -8,6 +8,7 @@
 #include "homme/exchange.hpp"
 #include "homme/hypervis.hpp"
 #include "homme/init.hpp"
+#include "homme/scratch.hpp"
 #include "mesh/cubed_sphere.hpp"
 
 namespace {
@@ -63,12 +64,10 @@ TEST(Hypervis, DampsNoiseButPreservesMean) {
   };
 
   const auto [mean0, var0] = moments();
-  const double dx = 1.0e5;  // not used; kept for clarity of scaling below
-  (void)dx;
-  // One explicit nabla^2 step with a clearly stable coefficient.
+  // One nabla^4 step at the dycore's own coefficient and time step.
   homme::Dycore dy(m, d, homme::DycoreConfig{});
-  const double nu_dt = 0.05 * std::pow(dy.min_dx(), 2) / 9.87;
-  homme::hypervis_dp1(homme::Exchange(bx), d, s, nu_dt, 1.0);
+  homme::State work(s.size(), homme::ElementState(d));
+  homme::hypervis_dp2(homme::Exchange(bx), d, s, work, dy.nu(), dy.dt());
   const auto [mean1, var1] = moments();
   EXPECT_NEAR(mean1, mean0, 1e-6 * std::abs(mean0));
   EXPECT_LT(var1, var0);
@@ -150,6 +149,27 @@ TEST(Dycore, SolidBodyRotationRemainsBalancedOverManySteps) {
   EXPECT_GT(diag.max_wind, 0.5 * u0);
   EXPECT_LT(diag.max_wind, 1.5 * u0);
   EXPECT_GT(diag.min_dp, 0.0);
+}
+
+TEST(Dycore, StepsInTwoSlabsOfArena) {
+  // A slab is one field over all elements. Beside its state the dycore
+  // holds one stage buffer (4 slabs) and the thread arena; the arena's
+  // largest frame is the vector DSS's node accumulator (1.69 slabs at
+  // this shape), since the tracer stages run in the state and a
+  // biharmonic needs one scratch field.
+  auto m = mesh::CubedSphere::build(8, mesh::kEarthRadius);
+  Dims d;
+  d.nlev = 16;
+  d.qsize = 2;
+  auto s = homme::baroclinic(m, d, 30.0, 300.0, 3.0);
+  homme::init_tracers(m, d, s);
+  homme::ScratchArena arena;
+  homme::ScratchArena::Bind bind(arena);
+  homme::Dycore dy(m, d, homme::DycoreConfig{});
+  dy.run(s, 3);  // the third step remaps
+  const std::size_t slab =
+      static_cast<std::size_t>(m.nelem()) * d.field_size();
+  EXPECT_LE(arena.capacity(), 2 * slab);
 }
 
 TEST(Dycore, StableDtScalesInverselyWithResolution) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "homme/driver.hpp"
 #include "homme/exchange.hpp"
@@ -37,8 +38,8 @@ TEST(MoistDynamics, DryLimitIsExactlyTheDryCore) {
   }
   homme::State out_dry(s.size(), homme::ElementState(dry));
   homme::State out_moist(s.size(), homme::ElementState(moist));
-  homme::compute_and_apply_rhs(homme::Exchange(bx), dry, s, s, 100.0, out_dry);
-  homme::compute_and_apply_rhs(homme::Exchange(bx), moist, s, s, 100.0,
+  homme::compute_and_apply_rhs(homme::Exchange(bx), dry, s, 100.0, out_dry);
+  homme::compute_and_apply_rhs(homme::Exchange(bx), moist, s, 100.0,
                                out_moist);
   for (std::size_t e = 0; e < s.size(); ++e) {
     ASSERT_EQ(out_dry[e].u1, out_moist[e].u1);
@@ -74,8 +75,8 @@ TEST(MoistDynamics, MoistureChangesThePressureGradientResponse) {
   dry.moist = false;
   homme::State out_m(s.size(), homme::ElementState(d));
   homme::State out_d(s.size(), homme::ElementState(d));
-  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, 100.0, out_m);
-  homme::compute_and_apply_rhs(homme::Exchange(bx), dry, s, s, 100.0, out_d);
+  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, 100.0, out_m);
+  homme::compute_and_apply_rhs(homme::Exchange(bx), dry, s, 100.0, out_d);
   double worst = 0.0;
   for (std::size_t e = 0; e < s.size(); ++e) {
     for (std::size_t f = 0; f < d.field_size(); ++f) {
@@ -104,7 +105,7 @@ TEST(MoistDynamics, MoistRestStateWithUniformHumidityStaysAtRest) {
     }
   }
   homme::State out(s.size(), homme::ElementState(d));
-  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, 500.0, out);
+  homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, 500.0, out);
   for (std::size_t e = 0; e < s.size(); ++e) {
     for (std::size_t f = 0; f < d.field_size(); ++f) {
       ASSERT_NEAR(out[e].u1[f], 0.0, 1e-10);
@@ -137,6 +138,72 @@ TEST(MoistDynamics, FullMoistStepRunsStably) {
   EXPECT_GT(d1.min_dp, 0.0);
   EXPECT_LT(d1.max_wind, 150.0);
   EXPECT_TRUE(std::isfinite(d1.total_energy));
+}
+
+TEST(MoistDynamics, EveryRkStageReadsTheStepsHumidity) {
+  // One moist Dycore step with no hyperviscosity and no remap advances u,
+  // T and dp by the SSP-RK3 composed from compute_and_apply_rhs whose
+  // stage states carry the step's tracers: every stage reads the humidity
+  // of the step's start, as stage 1 does and as HOMME reads qn0.
+  auto m = mesh::CubedSphere::build(3, mesh::kEarthRadius);
+  homme::BndryExchange bx(m);
+  const homme::Exchange x(bx);
+  Dims d;
+  d.nlev = 6;
+  d.qsize = 2;
+  d.moist = true;
+  auto s = homme::baroclinic(m, d, 25.0, 295.0, 3.0);
+  homme::init_tracers(m, d, s);
+  for (int e = 0; e < m.nelem(); ++e) {
+    const auto& g = m.geom(e);
+    auto q = s[static_cast<std::size_t>(e)].q_mut(0, d);
+    for (int lev = 0; lev < d.nlev; ++lev) {
+      for (int k = 0; k < kNpp; ++k) {
+        const double lat = g.lat[static_cast<std::size_t>(k)];
+        q[fidx(lev, k)] = 0.02 * std::exp(-4.0 * lat * lat) *
+                          s[static_cast<std::size_t>(e)].dp[fidx(lev, k)];
+      }
+    }
+  }
+  homme::DycoreConfig cfg;
+  cfg.hypervis_on = false;
+  cfg.remap_freq = 0;
+  homme::Dycore dy(m, d, cfg);
+  const double dt = dy.dt();
+
+  // The stage state is a fork of s, so it carries s's tracers.
+  auto blend = [&](double a, double b, homme::State& y) {
+    for (std::size_t e = 0; e < y.size(); ++e) {
+      for (auto field : {&homme::ElementState::u1, &homme::ElementState::u2,
+                         &homme::ElementState::T, &homme::ElementState::dp}) {
+        const homme::Chunk& xc = s[e].*field;
+        std::span<double> yc = (y[e].*field).mutable_span();
+        for (std::size_t f = 0; f < yc.size(); ++f) {
+          yc[f] = a * xc[f] + b * yc[f];
+        }
+      }
+    }
+  };
+  homme::State stage = s.fork();
+  homme::compute_and_apply_rhs(x, d, s, dt, stage);
+  homme::compute_and_apply_rhs(x, d, stage, dt, stage);
+  blend(0.75, 0.25, stage);
+  homme::compute_and_apply_rhs(x, d, stage, dt, stage);
+  blend(1.0 / 3.0, 2.0 / 3.0, stage);
+
+  homme::State stepped = s.fork();
+  dy.step(stepped);
+  auto same_bits = [](const homme::Chunk& a, const homme::Chunk& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+  };
+  for (std::size_t e = 0; e < s.size(); ++e) {
+    ASSERT_TRUE(same_bits(stepped[e].u1, stage[e].u1) &&
+                same_bits(stepped[e].u2, stage[e].u2) &&
+                same_bits(stepped[e].T, stage[e].T) &&
+                same_bits(stepped[e].dp, stage[e].dp))
+        << "element " << e;
+  }
 }
 
 }  // namespace

@@ -161,6 +161,12 @@ TEST(HostKernels, TileOperatorsBitIdenticalToReference) {
       homme::laplace_sphere_wk(g, s, b1);
       EXPECT_TRUE(same_bits(a1, b1))
           << "laplace_sphere_wk, elem " << e << " trial " << trial;
+      // lap may be s: a biharmonic writes its second Laplacian over its
+      // first.
+      std::copy(s, s + kNpp, b2);
+      homme::laplace_sphere_wk(g, b2, b2);
+      EXPECT_TRUE(same_bits(a1, b2))
+          << "laplace_sphere_wk in place, elem " << e << " trial " << trial;
     }
   }
   EXPECT_EQ(faces, 0x3f);
@@ -268,7 +274,7 @@ TEST(HostKernels, RhsMatchesReferenceAcrossConfigs) {
         homme::State out_ref(s.size(), homme::ElementState(d));
         homme::State out_new(s.size(), homme::ElementState(d));
         homme::ref::compute_and_apply_rhs(m, d, s, s, dt, out_ref);
-        homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, s, dt, out_new);
+        homme::compute_and_apply_rhs(homme::Exchange(bx), d, s, dt, out_new);
         expect_state_close(out_ref, out_new, d, kTol);
       }
     }

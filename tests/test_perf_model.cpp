@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "homme/bndry.hpp"
+#include "mesh/cubed_sphere.hpp"
+#include "mesh/partition.hpp"
+#include "net/mini_mpi.hpp"
+
 namespace {
 
 using perf::MachineModel;
@@ -98,6 +105,42 @@ TEST(MachineModel, OverlapReducesStepTime) {
 TEST(MachineModel, DynDtScalesInverselyWithResolution) {
   EXPECT_DOUBLE_EQ(MachineModel::dyn_dt_seconds(30), 300.0);
   EXPECT_DOUBLE_EQ(MachineModel::dyn_dt_seconds(120), 75.0);
+}
+
+TEST(MachineModel, HaloBytesAreTheRowsTheExchangeSends) {
+  // halo_bytes models what one rank sends per one-field DSS: one row per
+  // (boundary element, shared node). Held to the bytes BndryExchange
+  // sends for a 1-level DSS on an SFC partition, averaged over the ranks.
+  MachineModel mm;
+  mm.nlev = 1;
+  for (int ne : {8, 16}) {
+    const auto m = mesh::CubedSphere::build(ne, mesh::kEarthRadius);
+    std::vector<std::vector<double>> field(
+        static_cast<std::size_t>(m.nelem()),
+        std::vector<double>(mesh::kNpp, 1.0));
+    for (int nranks : {6, 24, 96}) {
+      const auto part = mesh::Partition::build(m, nranks);
+      const auto plan = mesh::CommPlan::build(m, part);
+      std::vector<std::size_t> sent(static_cast<std::size_t>(nranks));
+      net::Cluster cluster(nranks);
+      cluster.run([&](net::Rank& r) {
+        homme::BndryExchange bx(m, part, plan, r.rank());
+        std::vector<double*> f;
+        for (int le = 0; le < bx.nlocal(); ++le) {
+          f.push_back(field[static_cast<std::size_t>(bx.global_elem(le))]
+                          .data());
+        }
+        bx.dss_levels(f, 1, &r);
+        sent[static_cast<std::size_t>(r.rank())] = bx.last_msg_bytes();
+      });
+      double mean = 0.0;
+      for (std::size_t b : sent) mean += static_cast<double>(b) / nranks;
+      const long long local = m.nelem() / nranks;
+      EXPECT_NEAR(mm.halo_bytes(local) / mean, 1.0, 0.05)
+          << "ne " << ne << " at " << nranks << " ranks: model "
+          << mm.halo_bytes(local) << " B, sent " << mean << " B";
+    }
+  }
 }
 
 }  // namespace

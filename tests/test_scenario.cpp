@@ -127,7 +127,7 @@ const std::map<std::string, std::uint32_t> kTwelveStepPins = {
     {"katrina", 0x5856eb31},
     {"nggps", 0x68c0d92e},
     {"storm-track-ensemble", 0x45cd662e},
-    {"tracer-advection", 0x2c9b2c4d},
+    {"tracer-advection", 0x28deaf83},
 };
 
 /// Runs \p sc's default shape on the host for 12 steps at \p nranks in
