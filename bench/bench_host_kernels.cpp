@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "homme/driver.hpp"
-#include "homme/dss.hpp"
 #include "homme/euler.hpp"
 #include "homme/exchange.hpp"
 #include "homme/ops.hpp"
@@ -403,12 +402,12 @@ std::vector<Row> run_rows() {
     using homme::ElementState;
     const int iters = 10 * g_steps;
     homme::State a = s, b = s;
-    auto Ta = homme::field_ptrs(a, &ElementState::T);
-    auto Tb = homme::field_ptrs(b, &ElementState::T);
-    auto u1a = homme::field_ptrs(a, &ElementState::u1);
-    auto u2a = homme::field_ptrs(a, &ElementState::u2);
-    auto u1b = homme::field_ptrs(b, &ElementState::u1);
-    auto u2b = homme::field_ptrs(b, &ElementState::u2);
+    auto Ta = homme::ref::field_ptrs(a, &ElementState::T);
+    auto Tb = homme::ref::field_ptrs(b, &ElementState::T);
+    auto u1a = homme::ref::field_ptrs(a, &ElementState::u1);
+    auto u2a = homme::ref::field_ptrs(a, &ElementState::u2);
+    auto u1b = homme::ref::field_ptrs(b, &ElementState::u1);
+    auto u2b = homme::ref::field_ptrs(b, &ElementState::u2);
 
     Row r;
     r.name = "dss";

@@ -15,7 +15,9 @@
 
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "baselines/nggps.hpp"
@@ -35,9 +37,27 @@ const std::vector<baselines::NggpsRow>& rows() {
   return r;
 }
 
+/// Whether HOMME's row of \p workload is faster than every other row of
+/// it: Table 3's claim, read from the measured rows.
+bool homme_fastest(const std::string& workload) {
+  double homme = 0.0, others = std::numeric_limits<double>::infinity();
+  for (const auto& r : rows()) {
+    if (r.workload != workload) continue;
+    if (r.dycore.starts_with("HOMME")) {
+      homme = r.runtime_s;
+    } else {
+      others = std::min(others, r.runtime_s);
+    }
+  }
+  return homme < others;
+}
+
 bool write_json(const std::string& path) {
   obs::Report rep("table3_nggps");
   rep.config().set("scenario", g_scenario);
+  rep.root()
+      .set("homme_fastest_12km", homme_fastest(rows()[0].workload))
+      .set("homme_fastest_3km", homme_fastest(rows()[3].workload));
   obs::Json& records = rep.root().arr("records");
   for (const auto& r : rows()) {
     records.push()
@@ -59,10 +79,12 @@ void print_table() {
                 r.dycore.c_str(), r.procs, r.runtime_s, r.paper_s);
   }
   const auto& v = rows();
-  std::printf(
-      "\nShape: HOMME fastest on both workloads; advantage at 3 km vs FV3 "
-      "%.2fx (paper 2.1x), vs MPAS %.2fx (paper 4.5x).\n\n",
-      v[4].runtime_s / v[3].runtime_s, v[5].runtime_s / v[3].runtime_s);
+  std::printf("\nShape: HOMME fastest at 12.5 km: %s; at 3 km: %s (paper: "
+              "both); advantage at 3 km vs FV3 %.2fx (paper 2.1x), vs MPAS "
+              "%.2fx (paper 4.5x).\n\n",
+              homme_fastest(v[0].workload) ? "yes" : "NO",
+              homme_fastest(v[3].workload) ? "yes" : "NO",
+              v[4].runtime_s / v[3].runtime_s, v[5].runtime_s / v[3].runtime_s);
 }
 
 void register_benchmarks() {

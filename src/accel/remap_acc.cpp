@@ -213,9 +213,6 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   using Plan = homme::BasicColumnRemapPlan<homme::vpack>;
   const std::size_t levels = static_cast<std::size_t>(nlev);
   homme::ScratchArena& arena = homme::ScratchArena::thread_local_arena();
-  const std::size_t need = 3 * n + 2 * (levels + 1) * kNpp +
-                           homme::kTilePacks * Plan::scratch_doubles(levels);
-  if (arena.capacity() < need) arena.require(need);
   homme::ScratchArena::Frame frame(arena);
   double* const dp = arena.alloc(n).data();    // source thicknesses
   double* const tile = arena.alloc(n).data();  // targets
@@ -230,7 +227,8 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   // Every column's targets from column masses summed level by level from
   // 0.0, as vertical_remap_local sums them.
   homme::cumulative_tiles(nlev, dp, xs);
-  homme::remap_targets(hc_, nlev, xs + fidx(nlev, 0), tile);
+  homme::remap_targets(homme::HybridCoord::uniform(nlev), xs + fidx(nlev, 0),
+                       tile);
   homme::cumulative_tiles(nlev, tile, xt);
   if (!homme::tile_columns_remappable(nlev, dp, tile, xs, xt)) {
     // remap_column's guard, column by column: throws the first failing

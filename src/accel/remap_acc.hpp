@@ -35,8 +35,7 @@ sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p);
 /// u2, T) and streams tracers; rebuilds dp as the reference grid.
 class RemapKernel final : public Kernel {
  public:
-  explicit RemapKernel(PackedElems& p)
-      : p_(p), hc_(homme::HybridCoord::uniform(p.nlev)) {}
+  explicit RemapKernel(PackedElems& p) : p_(p) {}
 
   std::string_view name() const override { return "vertical_remap"; }
   void bind(Workset& ws) const override;
@@ -47,7 +46,6 @@ class RemapKernel final : public Kernel {
 
  private:
   PackedElems& p_;
-  homme::HybridCoord hc_;  ///< built once per launch: it allocates
 };
 
 sw::KernelStats remap_athread(sw::CoreGroup& cg, PackedElems& p);

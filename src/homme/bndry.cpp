@@ -154,9 +154,7 @@ template <typename Body, typename Scatter>
 void BndryExchange::assemble(net::Rank* r, std::size_t rowlen, Mode mode,
                              Body&& body, Scatter&& scatter) {
   assert(r != nullptr || neighbors_.empty());
-  const std::size_t need = dss_scratch(1) * rowlen;
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < need) arena.require(need);
   ScratchArena::Frame frame(arena);
   double* const acc =
       arena.alloc_zero(static_cast<std::size_t>(nlocal_nodes_) * rowlen)

@@ -77,27 +77,18 @@ class BndryExchange {
 
   /// DSS a multi-level scalar field (collective: every rank calls this
   /// with its own BndryExchange and fields). \p r carries the messages in
-  /// \p mode; it may be null when there are no neighbours. Draws
-  /// dss_scratch(nlev) doubles from the thread's ScratchArena.
+  /// \p mode; it may be null when there are no neighbours. Its node
+  /// accumulator and rows come from the thread's ScratchArena.
   void dss_levels(std::span<double* const> fields, int nlev,
                   net::Rank* r = nullptr, Mode mode = Mode::kOverlap);
 
   /// DSS a contravariant vector field: each element is rotated to
   /// Cartesian components inside the element body, and one message per
-  /// neighbour carries all three components. Draws 3 * dss_scratch(nlev)
-  /// doubles from the thread's ScratchArena.
+  /// neighbour carries all three components, so its rows hold three times
+  /// a scalar DSS's.
   void dss_vector_levels(std::span<double* const> u1,
                          std::span<double* const> u2, int nlev,
                          net::Rank* r = nullptr, Mode mode = Mode::kOverlap);
-
-  /// Arena doubles dss_levels draws: a row of nlev per local node (the
-  /// accumulator), per send row, for the discard row, and twice per
-  /// receive row (the rows the plan sums, and kOriginal's staging).
-  std::size_t dss_scratch(int nlev) const {
-    return (static_cast<std::size_t>(nlocal_nodes_) + send_rows_ + 1 +
-            2 * recv_rows_) *
-           static_cast<std::size_t>(nlev);
-  }
 
   /// Memory-copy traffic of the last DSS call, bytes: the send rows
   /// written, plus, in the original mode, the extra pass through the

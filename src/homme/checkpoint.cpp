@@ -108,7 +108,7 @@ void put_info(std::vector<std::uint8_t>& out, const CheckpointInfo& info) {
   put<std::int64_t>(out, info.step_count);
   put<std::uint64_t>(out, info.rng_seed);
   put<double>(out, info.config.dt);
-  put<double>(out, info.config.nu);
+  put<double>(out, info.nu);
 }
 
 CheckpointInfo get_info(Reader& r) {
@@ -121,7 +121,7 @@ CheckpointInfo get_info(Reader& r) {
   info.step_count = r.get<std::int64_t>();
   info.rng_seed = r.get<std::uint64_t>();
   info.config.dt = r.get<double>();
-  info.config.nu = r.get<double>();
+  info.nu = r.get<double>();
   info.config.limit_tracers = (flags & kFlagLimitTracers) != 0;
   info.config.hypervis_on = (flags & kFlagHypervisOn) != 0;
   info.dims.moist = (flags & kFlagMoist) != 0;

@@ -73,6 +73,7 @@ struct CheckpointInfo {
   std::uint64_t nelem = 0;  ///< elements serialized (rank-local count)
   Dims dims;
   DycoreConfig config;
+  double nu = 0.0;  ///< the dycore's resolved nabla^4 coefficient, m^4/s
   std::int64_t step_count = 0;
   std::uint64_t rng_seed = 0;  ///< caller-defined (e.g. fault-plan seed)
 };

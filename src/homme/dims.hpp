@@ -1,7 +1,6 @@
 #pragma once
 
-#include <cassert>
-#include <vector>
+#include <cstddef>
 
 #include "mesh/geometry.hpp"
 
@@ -49,29 +48,24 @@ struct Dims {
 /// Hybrid vertical coordinate: interface pressures
 /// p_int(k) = hyai(k)*p0 + hybi(k)*ps, k = 0..nlev (0 = model top).
 /// This build uses the sigma-like profile p_int = ptop*(1-eta) + ps*eta
-/// with eta uniform, which keeps reference layers equally thick.
+/// with eta = k / nlev uniform, which keeps reference layers equally
+/// thick. The coefficients are that formula, evaluated where they are
+/// read, so a coordinate is its level count and making one allocates
+/// nothing.
 struct HybridCoord {
-  std::vector<double> hyai;  ///< nlev+1
-  std::vector<double> hybi;  ///< nlev+1
+  int nlev = 0;
 
-  static HybridCoord uniform(int nlev) {
-    HybridCoord h;
-    h.hyai.resize(static_cast<std::size_t>(nlev) + 1);
-    h.hybi.resize(static_cast<std::size_t>(nlev) + 1);
-    for (int k = 0; k <= nlev; ++k) {
-      const double eta = static_cast<double>(k) / nlev;
-      h.hyai[static_cast<std::size_t>(k)] = (kPtop / kP0) * (1.0 - eta);
-      h.hybi[static_cast<std::size_t>(k)] = eta;
-    }
-    return h;
-  }
+  static HybridCoord uniform(int nlev) { return {nlev}; }
 
-  double p_int(int k, double ps) const {
-    return hyai[static_cast<std::size_t>(k)] * kP0 +
-           hybi[static_cast<std::size_t>(k)] * ps;
-  }
+  double hyai(int k) const { return (kPtop / kP0) * (1.0 - eta(k)); }
+  double hybi(int k) const { return eta(k); }
+
+  double p_int(int k, double ps) const { return hyai(k) * kP0 + hybi(k) * ps; }
   /// Reference layer thickness for surface pressure \p ps.
   double dp_ref(int k, double ps) const { return p_int(k + 1, ps) - p_int(k, ps); }
+
+ private:
+  double eta(int k) const { return static_cast<double>(k) / nlev; }
 };
 
 }  // namespace homme

@@ -59,20 +59,17 @@ void blend(const Dims& d, double a, const State& x, double b, State& y) {
 
 Dycore::Dycore(const mesh::CubedSphere& m, const Dims& d, DycoreConfig cfg,
                std::vector<int> elems)
-    : mesh_(m), dims_(d), cfg_(cfg), elems_(std::move(elems)),
-      min_dx_(smallest_gll_spacing(m)) {
+    : mesh_(m), dims_(d), cfg_(cfg), elems_(std::move(elems)) {
   if (elems_.empty()) {
     elems_.resize(static_cast<std::size_t>(m.nelem()));
     std::iota(elems_.begin(), elems_.end(), 0);
     whole_ = std::make_unique<BndryExchange>(m);
   }
   if (cfg_.dt <= 0.0) cfg_.dt = stable_dt(m);
-  if (cfg_.nu < 0.0) {
-    // Damp the 2-dx wave by ~1% of its amplitude per step:
-    // nu * dt * (pi/dx)^4 ~ 0.01 => nu = 0.01 dx^4 / (pi^4 dt).
-    const double dx4 = std::pow(min_dx_, 4);
-    cfg_.nu = 0.01 * dx4 / (97.4 * cfg_.dt);
-  }
+  // Damp the 2-dx wave by ~1% of its amplitude per step:
+  // nu * dt * (pi/dx)^4 ~ 0.01 => nu = 0.01 dx^4 / (pi^4 dt).
+  const double dx4 = std::pow(smallest_gll_spacing(m), 4);
+  nu_ = 0.01 * dx4 / (97.4 * cfg_.dt);
   stage_.assign(elems_.size(), ElementState(d));
 }
 
@@ -136,8 +133,8 @@ void Dycore::step(State& s, const Exchange& exchange) {
   if (cfg_.hypervis_on) {
     // The stage buffer is idle from the swap to the next step's stage 1.
     obs::ScopedSpan span(trk_, "dyn:hypervis");
-    hypervis_dp2(x, dims_, s, stage_, cfg_.nu, dt);
-    biharmonic_dp3d(x, dims_, s, cfg_.nu, dt);
+    hypervis_dp2(x, dims_, s, stage_, nu_, dt);
+    biharmonic_dp3d(x, dims_, s, nu_, dt);
   }
 
   ++step_count_;

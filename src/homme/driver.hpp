@@ -26,7 +26,6 @@ namespace homme {
 struct DycoreConfig {
   double dt = 0.0;         ///< dynamics time step, s (0: pick stable_dt)
   int remap_freq = 3;      ///< vertical remap cadence, steps
-  double nu = -1.0;        ///< nabla^4 coefficient (m^4/s); <0: auto
   bool limit_tracers = true;
   bool hypervis_on = true;
 };
@@ -84,9 +83,8 @@ class Dycore {
   std::span<const int> elements() const { return elems_; }
 
   double dt() const { return cfg_.dt; }
-  double nu() const { return cfg_.nu; }
-  /// Smallest GLL spacing, m.
-  double min_dx() const { return min_dx_; }
+  /// The nabla^4 coefficient (m^4/s), from the grid spacing and dt.
+  double nu() const { return nu_; }
 
   /// A conservative CFL-stable time step for wind + gravity-wave speed
   /// \p cmax (m/s) on mesh \p m.
@@ -115,7 +113,7 @@ class Dycore {
   std::vector<int> elems_;
   /// The whole-mesh dycore's exchange: no neighbours, mesh order.
   std::unique_ptr<BndryExchange> whole_;
-  double min_dx_;
+  double nu_;
   int step_count_ = 0;
   StepAccelerator* accel_ = nullptr;
   obs::Track* trk_ = nullptr;

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "homme/state.hpp"
+#include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
 
 namespace homme {
@@ -114,6 +114,16 @@ void dss_scatter_vector(const FrameView& fr, const int* ids,
                      u1 + fidx(l0 + r, 0), u2 + fidx(l0 + r, 0));
     }
   }
+}
+
+std::span<double*> arena_ptrs(ScratchArena& a, State& s,
+                              Chunk ElementState::*member,
+                              std::size_t offset) {
+  const std::span<double*> ptrs = a.alloc_ptrs(s.size());
+  for (std::size_t e = 0; e < s.size(); ++e) {
+    ptrs[e] = (s[e].*member).mutable_span().data() + offset;
+  }
+  return ptrs;
 }
 
 }  // namespace homme

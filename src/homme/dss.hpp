@@ -1,9 +1,10 @@
 #pragma once
 
+#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "homme/ops.hpp"
+#include "homme/state.hpp"
 #include "mesh/cubed_sphere.hpp"
 
 /// \file dss.hpp
@@ -23,6 +24,8 @@
 /// loop, so the bits are those of the scalar DSS frozen in homme::ref.
 
 namespace homme {
+
+class ScratchArena;
 
 // -- the element body --------------------------------------------------------
 //
@@ -50,15 +53,12 @@ void dss_scatter_vector(const FrameView& fr, const int* ids,
                         const double* rmass, const double* acc, int nlev,
                         double* u1, double* u2);
 
-/// Convenience: build the per-element pointer table for a member field.
-/// DSS writes in place, so this takes the write path: each chunk is
-/// un-shared (COW) up front if a forked member still aliases it.
-template <typename StateVec, typename Member>
-std::vector<double*> field_ptrs(StateVec& state, Member member) {
-  std::vector<double*> p;
-  p.reserve(state.size());
-  for (auto& es : state) p.push_back((es.*member).mutable_span().data());
-  return p;
-}
+/// The per-element pointer table of a member field, in the caller's frame
+/// of \p a: element e's \p member chunk, \p offset doubles in (a tracer's
+/// slab of qdp). DSS writes in place, so this takes the write path: each
+/// chunk is un-shared (COW) up front if a forked member still aliases it.
+std::span<double*> arena_ptrs(ScratchArena& a, State& s,
+                              Chunk ElementState::*member,
+                              std::size_t offset = 0);
 
 }  // namespace homme

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "homme/dss.hpp"
 #include "homme/exchange.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
@@ -68,23 +69,18 @@ void euler_step(const Exchange& x, const Dims& d, State& s, double dt,
 
   // Each stage updates the tracer's own slab of s in place: an element's
   // tendency reads only that element and is complete before its update is
-  // written. The scratch arena holds the start-of-step tracer q0 and one
-  // element's tendency; the reservation also covers the exchange's DSS,
-  // which runs while both are live.
+  // written. The scratch arena holds the start-of-step tracer q0, one
+  // element's tendency and the tracer's pointer table.
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  const std::size_t need = ne * fs + fs + x.dss_scratch(d.nlev);
-  if (arena.capacity() < need || arena.ptr_capacity() < ne) {
-    arena.require(need, ne);
-  }
   ScratchArena::Frame frame(arena);
   std::span<double> q0 = arena.alloc(ne * fs), rhs = arena.alloc(fs);
-  std::span<double*> qs_ptrs = arena.alloc_ptrs(ne);
 
   for (int q = 0; q < d.qsize; ++q) {
+    ScratchArena::Frame tracer(arena);
+    const std::span<double*> qs_ptrs = arena_ptrs(
+        arena, s, &ElementState::qdp, static_cast<std::size_t>(q) * fs);
     for (std::size_t e = 0; e < ne; ++e) {
-      const std::span<double> qs = s[e].q_mut(q, d);
-      qs_ptrs[e] = qs.data();
-      std::copy(qs.begin(), qs.end(), q0.begin() + e * fs);
+      std::copy(qs_ptrs[e], qs_ptrs[e] + fs, q0.begin() + e * fs);
     }
 
     // SSP-RK3 (Shu-Osher): each stage = Euler step + convex combination,

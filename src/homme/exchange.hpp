@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstddef>
 #include <span>
 
 #include "homme/bndry.hpp"
@@ -60,12 +59,6 @@ class Exchange {
     obs::ScopedSpan span(trk_, "dyn:dss");
     bx_->dss_vector_levels(u1, u2, nlev, rank_, mode_);
   }
-
-  /// Arena doubles one dss() call draws on top of its caller's live
-  /// frames (BndryExchange::dss_scratch). Callers that hold a frame
-  /// across dss() reserve this on top of their own scratch. dss_vector()
-  /// draws three times as much; its callers hold no frame.
-  std::size_t dss_scratch(int nlev) const { return bx_->dss_scratch(nlev); }
 
  private:
   BndryExchange* bx_;

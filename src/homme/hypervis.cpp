@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "homme/dss.hpp"
 #include "homme/exchange.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
@@ -81,40 +82,15 @@ void cart_to_wind(const Exchange& ex, const Dims& d,
   }
 }
 
-/// Scratch sizing: a biharmonic's one scratch field over \p x's elements
-/// and, on top of it, the exchange's DSS scratch, plus \p tables pointer
-/// tables. The arena grows only while empty, so this runs before the
-/// caller's frame opens.
-void reserve(ScratchArena& a, const Exchange& x, std::size_t fs,
-             std::size_t tables) {
-  const std::size_t ne = static_cast<std::size_t>(x.nelem());
-  const std::size_t need =
-      ne * fs + x.dss_scratch(static_cast<int>(fs / kNpp));
-  if (a.capacity() < need || a.ptr_capacity() < tables * ne) {
-    a.require(need, tables * ne);
-  }
-}
-
-/// That field, in the caller's frame: a flat block of nelem * fs doubles,
-/// uninitialized (the first Laplacian writes all of it), and a pointer
-/// table into it.
+/// A biharmonic's one scratch field, in the caller's frame: a flat block
+/// of nelem * fs doubles, uninitialized (the first Laplacian writes all of
+/// it), and a pointer table into it.
 std::span<double*> arena_field(ScratchArena& a, const Exchange& x,
                                std::size_t fs) {
   const std::size_t ne = static_cast<std::size_t>(x.nelem());
   std::span<double> flat = a.alloc(ne * fs);
   std::span<double*> ptrs = a.alloc_ptrs(ne);
   for (std::size_t e = 0; e < ne; ++e) ptrs[e] = flat.data() + e * fs;
-  return ptrs;
-}
-
-/// field_ptrs with the table in the caller's frame: each element's
-/// \p member chunk, un-shared for writing.
-std::span<double*> arena_ptrs(ScratchArena& a, State& s,
-                              Chunk ElementState::*member) {
-  std::span<double*> ptrs = a.alloc_ptrs(s.size());
-  for (std::size_t e = 0; e < s.size(); ++e) {
-    ptrs[e] = (s[e].*member).mutable_span().data();
-  }
   return ptrs;
 }
 
@@ -125,7 +101,6 @@ void hypervis_dp2(const Exchange& x, const Dims& d, State& s, State& work,
   assert(work.size() == s.size());
   const std::size_t fs = d.field_size();
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, x, fs, 5);  // lap, ux, uy, uz, T
   ScratchArena::Frame frame(arena);
   const std::span<double*> lap = arena_field(arena, x, fs);
   const std::span<double*> ux = arena_ptrs(arena, work, &ElementState::u1);
@@ -148,7 +123,6 @@ void biharmonic_dp3d(const Exchange& x, const Dims& d, State& s, double nu,
                      double dt) {
   const std::size_t fs = d.field_size();
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  reserve(arena, x, fs, 2);  // lap, dp
   ScratchArena::Frame frame(arena);
   const std::span<double*> lap = arena_field(arena, x, fs);
   const std::span<double*> dpp = arena_ptrs(arena, s, &ElementState::dp);

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "homme/dss.hpp"
 #include "homme/euler.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
@@ -186,7 +185,6 @@ void dss_levels(const mesh::CubedSphere& m,
   const std::size_t acc_n =
       static_cast<std::size_t>(m.nnodes()) * static_cast<std::size_t>(nlev);
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < acc_n) arena.require(acc_n);
   ScratchArena::Frame frame(arena);
   std::span<double> acc = arena.alloc_zero(acc_n);
   const int nelem = m.nelem();
@@ -225,16 +223,10 @@ void dss_vector_levels(const mesh::CubedSphere& m,
   const int nelem = m.nelem();
   const std::size_t sn = static_cast<std::size_t>(nelem);
   const std::size_t fs = static_cast<std::size_t>(nlev) * kNpp;
-  const std::size_t acc_n =
-      static_cast<std::size_t>(m.nnodes()) * static_cast<std::size_t>(nlev);
 
   // Cartesian scratch per element, plus the nested dss_levels node
   // accumulator, all carved from the thread's arena.
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < 3 * sn * fs + acc_n ||
-      arena.ptr_capacity() < 3 * sn) {
-    arena.require(3 * sn * fs + acc_n, 3 * sn);
-  }
   ScratchArena::Frame frame(arena);
   std::span<double> cx = arena.alloc(sn * fs), cy = arena.alloc(sn * fs),
                     cz = arena.alloc(sn * fs);

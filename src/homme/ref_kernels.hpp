@@ -1,6 +1,7 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
 #include "homme/state.hpp"
 #include "mesh/cubed_sphere.hpp"
@@ -19,6 +20,30 @@
 /// Nothing in the model itself may call homme::ref::*.
 
 namespace homme::ref {
+
+/// Dynamics tendencies (d/dt of u1, u2, T, dp) of one element, as plain
+/// vectors: the reference element_rhs's output.
+struct ElementTend {
+  std::vector<double> u1, u2, T, dp;
+
+  ElementTend() = default;
+  explicit ElementTend(const Dims& d)
+      : u1(d.field_size(), 0.0),
+        u2(d.field_size(), 0.0),
+        T(d.field_size(), 0.0),
+        dp(d.field_size(), 0.0) {}
+};
+
+/// The per-element pointer table of a member field, as a vector. DSS
+/// writes in place, so this takes the write path: each chunk is un-shared
+/// (COW) up front if a forked member still aliases it.
+template <typename StateVec, typename Member>
+std::vector<double*> field_ptrs(StateVec& state, Member member) {
+  std::vector<double*> p;
+  p.reserve(state.size());
+  for (auto& es : state) p.push_back((es.*member).mutable_span().data());
+  return p;
+}
 
 /// Scalar spherical tile operators (the originals of ops.cpp's
 /// deriv_ref, divergence_sphere, vorticity_sphere and laplace_sphere_wk).

@@ -307,19 +307,14 @@ template class BasicColumnRemapPlan<vpack>;
 
 void remap_column(std::span<const double> src_dp,
                   std::span<const double> tgt_dp, std::span<double> q) {
-  const std::size_t n = src_dp.size();
-  assert(tgt_dp.size() == n && q.size() == n);
-
+  assert(tgt_dp.size() == src_dp.size() && q.size() == src_dp.size());
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  const std::size_t need = ColumnRemapPlan::scratch_doubles(n);
-  if (arena.capacity() < need) arena.require(need);
   ScratchArena::Frame frame(arena);
   ColumnRemapPlan::checked(src_dp, tgt_dp, arena).apply(src_dp, tgt_dp, q);
 }
 
-void remap_targets(const HybridCoord& hc, int nlev, const double* mass,
-                   double* tgt) {
-  for (int lev = 0; lev < nlev; ++lev) {
+void remap_targets(const HybridCoord& hc, const double* mass, double* tgt) {
+  for (int lev = 0; lev < hc.nlev; ++lev) {
     for (int p = 0; p < kTilePacks; ++p) {
       const int k = p * vpack::width;
       remap_target_dp(hc, lev, vpack::load(mass + k))
@@ -368,11 +363,8 @@ void vertical_remap_local(const Dims& d, State& s) {
 
   // Arena layout per element: two interface tiles ((nlev+1) x kNpp) for
   // the cumulative mass coordinates, one layer tile for the target
-  // thicknesses, and one plan.
+  // thicknesses, and one plan at a time.
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  const std::size_t need = 2 * (n + 1) * kNpp + fs +
-                           BasicColumnRemapPlan<vpack>::scratch_doubles(n);
-  if (arena.capacity() < need) arena.require(need);
   ScratchArena::Frame frame(arena);
 
   double* const xs = arena.alloc((n + 1) * kNpp).data();
@@ -386,7 +378,7 @@ void vertical_remap_local(const Dims& d, State& s) {
     // target thicknesses follow from each column's total mass, then the
     // same scan gives the target coordinate.
     cumulative_tiles(nlev, es.dp.data(), xs);
-    remap_targets(hc, nlev, xs + fidx(nlev, 0), tgt);
+    remap_targets(hc, xs + fidx(nlev, 0), tgt);
     cumulative_tiles(nlev, tgt, xt);
 
     // Four columns per plan once all 16 pass the guard; an element with a

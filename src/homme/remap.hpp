@@ -60,11 +60,6 @@ class BasicColumnRemapPlan {
   /// Columns per plan: one per lane of T.
   static constexpr int kLanes = Lanes<T>::width;
 
-  /// Arena doubles one plan of \p nlev-level columns takes.
-  static std::size_t scratch_doubles(std::size_t nlev) {
-    return kLanes * (11 * nlev - 5);
-  }
-
   BasicColumnRemapPlan() = default;
 
   /// Plans the remap between the cumulative source and target mass
@@ -118,18 +113,16 @@ using ColumnRemapPlan = BasicColumnRemapPlan<double>;
 /// column) or vpack (one lane per column).
 template <class T>
 T remap_target_dp(const HybridCoord& hc, int lev, T mass) {
-  const std::size_t k = static_cast<std::size_t>(lev);
-  const double a0 = hc.hyai[k] * kP0;
-  const double a1 = hc.hyai[k + 1] * kP0;
+  const double a0 = hc.hyai(lev) * kP0;
+  const double a1 = hc.hyai(lev + 1) * kP0;
   const T ps = mass + kPtop;
-  return (hc.hybi[k + 1] * ps + a1) - (hc.hybi[k] * ps + a0);
+  return (hc.hybi(lev + 1) * ps + a1) - (hc.hybi(lev) * ps + a0);
 }
 
 /// remap_target_dp for the kNpp columns of one element, 16 lanes at a
 /// time: \p tgt[fidx(lev, k)] is the target of column k, whose mass is
 /// \p mass[k]. vertical_remap_local and the CPE RemapKernel call it.
-void remap_targets(const HybridCoord& hc, int nlev, const double* mass,
-                   double* tgt);
+void remap_targets(const HybridCoord& hc, const double* mass, double* tgt);
 
 /// The cumulative mass coordinate of an element's kNpp columns: \p x
 /// [fidx(l, k)] (l = 0..nlev) is the sum of \p dp[fidx(0..l-1, k)] from 0.0

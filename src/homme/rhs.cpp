@@ -68,12 +68,11 @@ void column_omega(int nlev, const double* divdp, double* omega) {
 }
 
 void element_rhs(const mesh::ElementGeom& g, const Dims& d,
-                 const ElementState& eval, ElementTend& tend) {
+                 const ElementState& eval, const TendView& tend) {
   const int nlev = d.nlev;
   const std::size_t fs = d.field_size();
 
   ScratchArena& arena = ScratchArena::thread_local_arena();
-  if (arena.capacity() < 5 * fs) arena.require(5 * fs);
   ScratchArena::Frame frame(arena);
   std::span<double> p_mid = arena.alloc(fs), phi_mid = arena.alloc(fs),
                     divdp = arena.alloc(fs), omega = arena.alloc(fs);
@@ -141,10 +140,10 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
     }
     divergence_sphere(g, flux1, flux2, divdp.data() + fidx(lev, 0));
 
-    double* tu1 = tend.u1.data() + fidx(lev, 0);
-    double* tu2 = tend.u2.data() + fidx(lev, 0);
-    double* tT = tend.T.data() + fidx(lev, 0);
-    double* tdp = tend.dp.data() + fidx(lev, 0);
+    double* tu1 = tend.u1 + fidx(lev, 0);
+    double* tu2 = tend.u2 + fidx(lev, 0);
+    double* tT = tend.T + fidx(lev, 0);
+    double* tdp = tend.dp + fidx(lev, 0);
     const double* divl = divdp.data() + fidx(lev, 0);
     for (int p = 0; p < kTilePacks; ++p) {
       const int k = p * vpack::width;
@@ -171,7 +170,7 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
     const vpack corr = kKappa * vpack::load(t_for_phi + f) *
                        vpack::load(omega.data() + f) /
                        vpack::load(p_mid.data() + f);
-    (vpack::load(tend.T.data() + f) + corr).store(tend.T.data() + f);
+    (vpack::load(tend.T + f) + corr).store(tend.T + f);
   }
 }
 
@@ -180,7 +179,11 @@ void compute_and_apply_rhs(const Exchange& x, const Dims& d, const State& in,
   assert(in.size() == static_cast<std::size_t>(x.nelem()));
   assert(out.size() == in.size());
 
-  ElementTend tend(d);
+  const std::size_t fs = d.field_size();
+  ScratchArena& arena = ScratchArena::thread_local_arena();
+  ScratchArena::Frame frame(arena);
+  const TendView tend{arena.alloc(fs).data(), arena.alloc(fs).data(),
+                      arena.alloc(fs).data(), arena.alloc(fs).data()};
   for (int e = 0; e < x.nelem(); ++e) {
     const std::size_t se = static_cast<std::size_t>(e);
     element_rhs(x.geom(e), d, in[se], tend);
@@ -188,26 +191,23 @@ void compute_and_apply_rhs(const Exchange& x, const Dims& d, const State& in,
     const ElementState& b = in[se];
     std::span<double> ou1 = o.u1.mutable_span(), ou2 = o.u2.mutable_span(),
                       oT = o.T.mutable_span(), odp = o.dp.mutable_span();
-    for (std::size_t f = 0; f < d.field_size(); f += vpack::width) {
-      (vpack::load(b.u1.data() + f) + dt * vpack::load(tend.u1.data() + f))
+    for (std::size_t f = 0; f < fs; f += vpack::width) {
+      (vpack::load(b.u1.data() + f) + dt * vpack::load(tend.u1 + f))
           .store(ou1.data() + f);
-      (vpack::load(b.u2.data() + f) + dt * vpack::load(tend.u2.data() + f))
+      (vpack::load(b.u2.data() + f) + dt * vpack::load(tend.u2 + f))
           .store(ou2.data() + f);
-      (vpack::load(b.T.data() + f) + dt * vpack::load(tend.T.data() + f))
+      (vpack::load(b.T.data() + f) + dt * vpack::load(tend.T + f))
           .store(oT.data() + f);
-      (vpack::load(b.dp.data() + f) + dt * vpack::load(tend.dp.data() + f))
+      (vpack::load(b.dp.data() + f) + dt * vpack::load(tend.dp + f))
           .store(odp.data() + f);
     }
     o.phis = b.phis;
   }
 
-  auto u1p = field_ptrs(out, &ElementState::u1);
-  auto u2p = field_ptrs(out, &ElementState::u2);
-  auto Tp = field_ptrs(out, &ElementState::T);
-  auto dpp = field_ptrs(out, &ElementState::dp);
-  x.dss_vector(u1p, u2p, d.nlev);
-  x.dss(Tp, d.nlev);
-  x.dss(dpp, d.nlev);
+  x.dss_vector(arena_ptrs(arena, out, &ElementState::u1),
+               arena_ptrs(arena, out, &ElementState::u2), d.nlev);
+  x.dss(arena_ptrs(arena, out, &ElementState::T), d.nlev);
+  x.dss(arena_ptrs(arena, out, &ElementState::dp), d.nlev);
 }
 
 }  // namespace homme

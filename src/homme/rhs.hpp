@@ -34,9 +34,19 @@ void column_geopotential(int nlev, const double* T, const double* dp,
 /// accumulated horizontal mass-flux divergence (exclusive scan down).
 void column_omega(int nlev, const double* divdp, double* omega);
 
-/// Evaluate the RHS of one element into \p tend (no DSS).
+/// One element's dynamics tendencies (d/dt of u1, u2, T, dp): four
+/// field_size() blocks in fidx layout that the caller owns.
+struct TendView {
+  double* u1;
+  double* u2;
+  double* T;
+  double* dp;
+};
+
+/// Evaluate the RHS of one element into \p tend (no DSS); every value of
+/// \p tend is written.
 void element_rhs(const mesh::ElementGeom& g, const Dims& d,
-                 const ElementState& eval, ElementTend& tend);
+                 const ElementState& eval, const TendView& tend);
 
 /// out = in + dt * RHS(in) over \p x's elements, then DSS through \p x
 /// on u (as a vector field), T and dp — the full Table 1 kernel. \p out

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <algorithm>
 #include <span>
 #include <utility>
 #include <vector>
@@ -60,26 +59,6 @@ struct ElementState {
   static SpanT q_view(SpanT whole, int tracer, const Dims& d) {
     return whole.subspan(static_cast<std::size_t>(tracer) * d.field_size(),
                          d.field_size());
-  }
-};
-
-/// Dynamics tendencies (d/dt of u1, u2, T, dp). Private per-step scratch,
-/// never shared across members — plain vectors, not COW chunks.
-struct ElementTend {
-  std::vector<double> u1, u2, T, dp;
-
-  ElementTend() = default;
-  explicit ElementTend(const Dims& d)
-      : u1(d.field_size(), 0.0),
-        u2(d.field_size(), 0.0),
-        T(d.field_size(), 0.0),
-        dp(d.field_size(), 0.0) {}
-
-  void zero() {
-    std::fill(u1.begin(), u1.end(), 0.0);
-    std::fill(u2.begin(), u2.end(), 0.0);
-    std::fill(T.begin(), T.end(), 0.0);
-    std::fill(dp.begin(), dp.end(), 0.0);
   }
 };
 

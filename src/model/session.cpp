@@ -420,7 +420,7 @@ homme::CheckpointInfo Session::checkpoint_info(const RankSlot& rk) const {
   info.dims = dims_;
   info.config = cfg_.dycore_config();
   info.config.dt = rk.dycore->dt();  // the resolved (auto-picked) values
-  info.config.nu = rk.dycore->nu();
+  info.nu = rk.dycore->nu();
   info.step_count = step_count_;
   info.rng_seed = cfg_.faults != nullptr ? cfg_.faults->seed() : 0;
   return info;
@@ -448,15 +448,15 @@ void Session::check_restored(const homme::CheckpointInfo& info,
   }
   const homme::DycoreConfig& f = info.config;
   const homme::DycoreConfig& w = want.config;
-  if (f.dt != w.dt || f.nu != w.nu || f.remap_freq != w.remap_freq ||
+  if (f.dt != w.dt || info.nu != want.nu || f.remap_freq != w.remap_freq ||
       f.limit_tracers != w.limit_tracers || f.hypervis_on != w.hypervis_on) {
     throw homme::CheckpointError(
         path + ": config mismatch (file dt=" + std::to_string(f.dt) +
-        " nu=" + std::to_string(f.nu) +
+        " nu=" + std::to_string(info.nu) +
         " remap_freq=" + std::to_string(f.remap_freq) +
         " limit_tracers=" + std::to_string(f.limit_tracers) +
         " hypervis_on=" + std::to_string(f.hypervis_on) + ", session dt=" +
-        std::to_string(w.dt) + " nu=" + std::to_string(w.nu) +
+        std::to_string(w.dt) + " nu=" + std::to_string(want.nu) +
         " remap_freq=" + std::to_string(w.remap_freq) +
         " limit_tracers=" + std::to_string(w.limit_tracers) +
         " hypervis_on=" + std::to_string(w.hypervis_on) + ")");

@@ -134,10 +134,6 @@ void Rank::wait(Request& req) {
   req.done_ = true;
 }
 
-void Rank::wait_all(std::span<Request> reqs) {
-  for (auto& r : reqs) wait(r);
-}
-
 void Rank::barrier() { (void)allreduce_sum(0.0); }
 
 double Rank::allreduce_sum(double value) {

@@ -103,7 +103,6 @@ class Rank {
   /// Nonblocking receive; complete it with wait().
   Request irecv(int src, int tag, std::span<double> out);
   void wait(Request& req);
-  void wait_all(std::span<Request> reqs);
 
   void barrier();
   double allreduce_sum(double value);

@@ -7,7 +7,7 @@
 /// operator new/delete pair lives in alloc_counter.cpp, a translation
 /// unit of its own, so no caller inlines either half: the compiler sees
 /// operator new matched with operator delete, never malloc with delete.
-/// Link alloc_counter.cpp into the one test binary that counts.
+/// Link alloc_counter.cpp into each test binary that counts.
 
 namespace alloc_counter {
 

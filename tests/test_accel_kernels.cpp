@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "accel/euler_acc.hpp"
 #include "accel/hypervis_acc.hpp"
@@ -106,8 +107,10 @@ TEST(AccelRhs, PortsMatchHostElementBody) {
                    homme::ElementState(fx.d));
     base.to_state(s, 0);
     auto host = base;
-    homme::ElementTend tend(fx.d);
     const std::size_t fs = base.field_size();
+    std::vector<double> t(4 * fs);
+    const homme::TendView tend{t.data(), t.data() + fs, t.data() + 2 * fs,
+                               t.data() + 3 * fs};
     for (int e = 0; e < base.nelem; ++e) {
       const auto& es = s[static_cast<std::size_t>(e)];
       homme::element_rhs(fx.m.geom(e % fx.m.nelem()), fx.d, es, tend);

@@ -311,7 +311,7 @@ TEST(AsyncCheckpointWriter, SnapshotsSurviveConcurrentStepping) {
     info.dims = d;
     info.config = homme::DycoreConfig{};
     info.config.dt = dycore.dt();
-    info.config.nu = dycore.nu();
+    info.nu = dycore.nu();
     for (int i = 0; i < kSteps; ++i) {
       dycore.step(s);
       info.step_count = dycore.step_count();

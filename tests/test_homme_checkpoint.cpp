@@ -62,7 +62,7 @@ CheckpointInfo make_info(const Dims& d, const State& s) {
   info.nelem = s.size();
   info.dims = d;
   info.config.dt = 12.5;
-  info.config.nu = 1.0e15;
+  info.nu = 1.0e15;
   info.config.remap_freq = 3;
   info.step_count = 17;
   info.rng_seed = 0xDEADBEEFull;

@@ -4,10 +4,12 @@
 
 #include <cmath>
 
-#include "homme/dss.hpp"
+#include "alloc_counter.hpp"
+
 #include "homme/exchange.hpp"
 #include "homme/hypervis.hpp"
 #include "homme/init.hpp"
+#include "homme/ref_kernels.hpp"
 #include "homme/scratch.hpp"
 #include "mesh/cubed_sphere.hpp"
 
@@ -32,7 +34,7 @@ TEST(Hypervis, DampsNoiseButPreservesMean) {
       t += 5.0 * (static_cast<double>(seed % 1000) / 1000.0 - 0.5);
     }
   }
-  auto Tp = homme::field_ptrs(s, &homme::ElementState::T);
+  auto Tp = homme::ref::field_ptrs(s, &homme::ElementState::T);
   bx.dss_levels(Tp, d.nlev);
 
   auto moments = [&] {
@@ -170,6 +172,27 @@ TEST(Dycore, StepsInTwoSlabsOfArena) {
   const std::size_t slab =
       static_cast<std::size_t>(m.nelem()) * d.field_size();
   EXPECT_LE(arena.capacity(), 2 * slab);
+}
+
+TEST(Dycore, WarmStepsAllocateNothing) {
+  // A step's scratch comes from the thread's arena, which grows only in
+  // the first steps: three warm steps, one of them remapping, make no
+  // heap allocation, dry and moist, with hyperviscosity on.
+  auto m = mesh::CubedSphere::build(4, mesh::kEarthRadius);
+  for (bool moist : {false, true}) {
+    SCOPED_TRACE(moist ? "moist" : "dry");
+    Dims d;
+    d.nlev = 8;
+    d.qsize = 2;
+    d.moist = moist;
+    auto s = homme::baroclinic(m, d, 30.0, 300.0, 3.0);
+    homme::init_tracers(m, d, s);
+    homme::Dycore dy(m, d, homme::DycoreConfig{});
+    dy.run(s, 3);  // warm: every phase has run, the third step remapped
+    alloc_counter::arm();
+    dy.run(s, 3);  // the sixth step remaps
+    EXPECT_EQ(alloc_counter::disarm(), 0u);
+  }
 }
 
 TEST(Dycore, StableDtScalesInverselyWithResolution) {

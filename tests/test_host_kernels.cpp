@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "homme/driver.hpp"
 #include "homme/dss.hpp"
 #include "homme/euler.hpp"
@@ -397,7 +398,6 @@ TEST(HostKernels, RemapPlanBitIdenticalToReferenceAtItsEdges) {
       const std::vector<double>& src;
       const std::vector<double>& tgt;
     };
-    arena.require(homme::ColumnRemapPlan::scratch_doubles(n));
     for (const Grid& g : {Grid{"random grids", src, tgt},
                           Grid{"identical grids", src, src},
                           Grid{"interfaces above the top", unit, above}}) {
@@ -453,8 +453,6 @@ TEST(HostKernels, RemapLanesMatchColumnsBitForBit) {
         grids = {{&src, &tgt}, {&src, &src}, {&unit, &above}};
 
     const std::size_t pairs = grids.size() * fields.size();
-    arena.require(homme::BasicColumnRemapPlan<vpack>::scratch_doubles(n) +
-                  5 * kW * (n + 1));
     for (std::size_t first = 0; first < pairs; first += kW) {
       homme::ScratchArena::Frame frame(arena);
       // Lane i of level l at l * kW + i, as in a tile row.
@@ -625,7 +623,6 @@ TEST(VerticalRemap, FaultCorruptedThicknessThrowsTypedError) {
 
 TEST(ScratchArena, FramesReuseTheSameMemory) {
   homme::ScratchArena a;
-  a.require(64, 4);
   double* first = nullptr;
   {
     homme::ScratchArena::Frame f(a);
@@ -647,7 +644,6 @@ TEST(ScratchArena, FramesReuseTheSameMemory) {
 
 TEST(ScratchArena, NestedFramesRestoreInOrder) {
   homme::ScratchArena a;
-  a.require(100);
   homme::ScratchArena::Frame outer(a);
   a.alloc(10);
   {
@@ -661,29 +657,61 @@ TEST(ScratchArena, NestedFramesRestoreInOrder) {
   EXPECT_EQ(a.high_water(), 60u);
 }
 
-TEST(ScratchArena, OverflowThrowsInsteadOfReallocating) {
+TEST(ScratchArena, GrowthLeavesLiveSpansInPlace) {
   homme::ScratchArena a;
-  a.require(16, 2);
   homme::ScratchArena::Frame f(a);
-  auto live = a.alloc(12);
-  live[0] = 42.0;
-  EXPECT_THROW(a.alloc(8), homme::ScratchOverflow);
-  EXPECT_THROW(a.alloc_ptrs(3), homme::ScratchOverflow);
-  // The live span was not invalidated by the failed request.
-  EXPECT_EQ(live[0], 42.0);
+  const std::span<double> live = a.alloc(12);
+  const std::span<double*> table = a.alloc_ptrs(2);
+  for (std::size_t i = 0; i < live.size(); ++i) live[i] = 1.5 * i;
+  table[0] = live.data();
+  table[1] = live.data() + 11;
+  // Far more than the arena holds: it takes new blocks under the live
+  // spans, and writing them all touches neither.
+  const std::span<double> big = a.alloc(1 << 16);
+  const std::span<double*> more = a.alloc_ptrs(1 << 10);
+  std::fill(big.begin(), big.end(), -1.0);
+  std::fill(more.begin(), more.end(), nullptr);
+  EXPECT_EQ(a.used(), 12u + (1u << 16));
+  EXPECT_GE(a.capacity(), a.used());
+  for (std::size_t i = 0; i < live.size(); ++i) EXPECT_EQ(live[i], 1.5 * i);
+  EXPECT_EQ(table[0], live.data());
+  EXPECT_EQ(table[1], live.data() + 11);
 }
 
-TEST(ScratchArena, RequireWhileLiveThrows) {
+TEST(ScratchArena, OutermostFrameFoldsIntoOneBlockOfTheHighWaterMark) {
   homme::ScratchArena a;
-  a.require(16);
-  homme::ScratchArena::Frame f(a);
-  a.alloc(8);
-  EXPECT_THROW(a.require(1024), homme::ScratchOverflow);
+  auto frames = [&a] {
+    homme::ScratchArena::Frame outer(a);
+    double* first = a.alloc(100).data();
+    a.alloc_ptrs(4);
+    {
+      homme::ScratchArena::Frame inner(a);
+      a.alloc(1000);  // does not fit the first block
+      a.alloc_ptrs(40);
+    }
+    a.alloc(500);
+    return first;
+  };
+  frames();
+  EXPECT_EQ(a.high_water(), 1100u);
+  EXPECT_EQ(a.capacity(), 1100u);
+  EXPECT_EQ(a.depth(), 0);
+
+  alloc_counter::arm();
+  const double* again = frames();
+  {
+    // The whole high-water mark in one span: one block holds it.
+    homme::ScratchArena::Frame f(a);
+    a.alloc(a.high_water());
+  }
+  const double* third = frames();
+  EXPECT_EQ(alloc_counter::disarm(), 0u);
+  EXPECT_EQ(again, third);
+  EXPECT_EQ(a.capacity(), 1100u);
 }
 
 TEST(ScratchArena, AllocZeroClears) {
   homme::ScratchArena a;
-  a.require(8);
   {
     homme::ScratchArena::Frame f(a);
     auto x = a.alloc(8);
