@@ -1,13 +1,13 @@
 // Reproduces Table 3: the NGGPS-style comparison of the redesigned HOMME
 // against FV3- and MPAS-style dynamical cores on the 12.5 km / 2 h and
 // 3 km / 30 min workloads. Methodology in DESIGN.md / EXPERIMENTS.md:
-// per-column costs measured from the mini implementations on this host,
-// composed with the TaihuLight network model, normalized at the HOMME
-// 12.5 km anchor.
+// per-column costs measured on this host (HOMME's from the model's own
+// step, FV3's and MPAS's from their minis), composed with the TaihuLight
+// network model, normalized at the HOMME 12.5 km anchor.
 //
-// The column shape (vertical levels) comes from the "nggps" scenario of
-// the scenario:: registry; pass --scenario to re-anchor the measurement
-// on another registered workload's shape.
+// HOMME's step runs the "nggps" scenario's config from the scenario::
+// registry; pass --scenario to re-anchor the measurement on another
+// registered workload's shape.
 
 // Pass --json <path> for a machine-readable record of every table row.
 
@@ -31,8 +31,7 @@ std::string g_scenario = "nggps";
 const std::vector<baselines::NggpsRow>& rows() {
   static const auto r = [] {
     const scenario::Scenario& sc = scenario::get(g_scenario);
-    return baselines::run_nggps(
-        baselines::measure_dycore_costs(sc.defaults.nlev));
+    return baselines::run_nggps(baselines::measure_dycore_costs(sc.config()));
   }();
   return r;
 }

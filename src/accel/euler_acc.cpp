@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "accel/pipeline.hpp"
-#include "homme/ops.hpp"
+#include "homme/euler.hpp"
 #include "homme/state.hpp"
 #include "sw/footprint.hpp"
 #include "sw/task.hpp"
@@ -15,24 +15,18 @@ using homme::fidx;
 
 namespace {
 
-/// The per-(element, tracer, level) arithmetic shared by every variant:
-/// vstar = vn0/dp; qdp += dt * (-div(vstar * qdp)). The divergence reads
-/// only the view's jac. All pointers are level-tile pointers (16 doubles).
-void euler_tile(const homme::MetricView& g, const double* vn01,
-                const double* vn02, const double* dp, double* qdp, double dt,
-                sw::Cpe* cpe, bool vectorized) {
-  double f1[kNpp], f2[kNpp], div[kNpp];
-  for (int k = 0; k < kNpp; ++k) {
-    f1[k] = (vn01[k] / dp[k]) * qdp[k];
-    f2[k] = (vn02[k] / dp[k]) * qdp[k];
-  }
-  charge(cpe, vectorized, kNpp * 4);
-  homme::divergence_sphere(g, f1, f2, div);
-  charge(cpe, vectorized, kDivergenceFlops);
-  for (int k = 0; k < kNpp; ++k) {
-    qdp[k] -= dt * div[k];
-  }
-  charge(cpe, vectorized, kNpp * 2);
+/// One (element, tracer, level) tile of every variant: homme's tracer
+/// body r = -div(u qdp), then qdp += dt * r. The divergence reads only
+/// the view's jac. All pointers are level-tile pointers (16 doubles).
+void euler_tile(const homme::MetricView& g, const double* u1,
+                const double* u2, double* qdp, double dt, sw::Cpe& cpe,
+                bool vectorized) {
+  double r[kNpp];
+  homme::tracer_rhs_level(g, u1, u2, qdp, r);
+  charge(&cpe, vectorized, kNpp * 2);  // the flux u qdp
+  charge(&cpe, vectorized, kDivergenceFlops);
+  for (int k = 0; k < kNpp; ++k) qdp[k] += dt * r[k];
+  charge(&cpe, vectorized, kNpp * 2);
 }
 
 }  // namespace
@@ -40,38 +34,15 @@ void euler_tile(const homme::MetricView& g, const double* vn01,
 EulerDerived EulerDerived::make(const PackedElems& p, int shared_extra) {
   EulerDerived dv;
   const std::size_t total = static_cast<std::size_t>(p.nelem) * p.field_size();
-  dv.vn01.resize(total);
-  dv.vn02.resize(total);
   dv.extra.assign(total * static_cast<std::size_t>(shared_extra), 1.0);
-  // Mass flux consistent with the packed wind.
-  for (std::size_t i = 0; i < total; ++i) {
-    dv.vn01[i] = p.u1[i] * p.dp[i];
-    dv.vn02[i] = p.u2[i] * p.dp[i];
-  }
   return dv;
-}
-
-void euler_ref(PackedElems& p, const EulerDerived& dv,
-               const EulerAccConfig& cfg) {
-  for (int e = 0; e < p.nelem; ++e) {
-    const homme::MetricView g(p.geom_of(e), kMetricTiles);
-    for (int q = 0; q < p.qsize; ++q) {
-      for (int lev = 0; lev < p.nlev; ++lev) {
-        const std::size_t off = p.elem_offset(e) + fidx(lev, 0);
-        euler_tile(g, dv.vn01.data() + off, dv.vn02.data() + off,
-                   p.dp.data() + off,
-                   p.qdp.data() + p.qdp_offset(e, q) + fidx(lev, 0), cfg.dt,
-                   nullptr, false);
-      }
-    }
-  }
 }
 
 sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
                               const EulerDerived& dv,
                               const EulerAccConfig& cfg) {
   const int iters = p.nelem * p.qsize;
-  const int nshared = 3 + cfg.shared_extra;  // vn01, vn02, dp + dummies
+  const int nshared = 3 + cfg.shared_extra;  // u1, u2, dp + dummies
   // Level chunk that fits the shared slices + qdp slice + jac in LDM —
   // what the paper's footprint-analysis tool decided per loop nest.
   const int chunk =
@@ -93,12 +64,12 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
         sw::LdmFrame inner(cpe.ldm());
         // The collapse(2) constraint: every (ie, q) iteration re-reads
         // ALL shared arrays for its level chunk.
-        auto vn01 = cpe.ldm().alloc<double>(n);
-        auto vn02 = cpe.ldm().alloc<double>(n);
+        auto u1 = cpe.ldm().alloc<double>(n);
+        auto u2 = cpe.ldm().alloc<double>(n);
         auto dp = cpe.ldm().alloc<double>(n);
         const std::size_t off = p.elem_offset(e) + fidx(s, 0);
-        cpe.get(vn01, dv.vn01.data() + off);
-        cpe.get(vn02, dv.vn02.data() + off);
+        cpe.get(u1, p.u1.data() + off);
+        cpe.get(u2, p.u2.data() + off);
         cpe.get(dp, p.dp.data() + off);
         for (int x = 0; x < cfg.shared_extra; ++x) {
           auto dummy = cpe.ldm().alloc<double>(n);
@@ -112,8 +83,8 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
         cpe.get(qdp, p.qdp.data() + qoff);
         for (int l = 0; l < levs; ++l) {
           const std::size_t t = static_cast<std::size_t>(l) * kNpp;
-          euler_tile(g, vn01.data() + t, vn02.data() + t, dp.data() + t,
-                     qdp.data() + t, cfg.dt, &cpe, /*vectorized=*/false);
+          euler_tile(g, u1.data() + t, u2.data() + t, qdp.data() + t,
+                     cfg.dt, cpe, /*vectorized=*/false);
         }
         cpe.put(p.qdp.data() + qoff, std::span<const double>(qdp));
       }
@@ -130,10 +101,8 @@ void EulerKernel::bind(Workset& ws) const {
   const std::size_t geom = static_cast<std::size_t>(kGeomDoubles);
   ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false});
   ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, false});
-  ws.bind({FieldId::kVn01, const_cast<double*>(dv_.vn01.data()), fs, fs, 1, 0,
-           false});
-  ws.bind({FieldId::kVn02, const_cast<double*>(dv_.vn02.data()), fs, fs, 1, 0,
-           false});
+  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, false});
+  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, false});
   if (cfg_.shared_extra > 0) {
     ws.bind({FieldId::kExtra, const_cast<double*>(dv_.extra.data()), fs, fs,
              cfg_.shared_extra, static_cast<std::size_t>(p_.nelem) * fs,
@@ -150,8 +119,8 @@ std::vector<FieldUse> EulerKernel::footprint() const {
   std::vector<FieldUse> uses = {
       {FieldId::kGeom, Access::kRead, /*keep=*/true},
       {FieldId::kDp, Access::kRead, /*keep=*/true},
-      {FieldId::kVn01, Access::kRead, false},
-      {FieldId::kVn02, Access::kRead, false},
+      {FieldId::kU1, Access::kRead, /*keep=*/true},
+      {FieldId::kU2, Access::kRead, /*keep=*/true},
   };
   if (cfg_.shared_extra > 0) uses.push_back({FieldId::kExtra, Access::kRead, false});
   if (p_.qsize > 0) uses.push_back({FieldId::kQdp, Access::kReadWrite, false});
@@ -161,7 +130,7 @@ std::vector<FieldUse> EulerKernel::footprint() const {
 std::size_t EulerKernel::transient_bytes(const Workset&,
                                          const KeepSet& keep) const {
   // Worst case per level chunk: four transient slices live at once
-  // (vn01, vn02, dp, extra-or-qdp) at the minimum chunk of one level,
+  // (u1, u2, dp, extra-or-qdp) at the minimum chunk of one level,
   // plus the jac tile when geometry is not resident, plus alignment slop.
   std::size_t bytes = 4u * kNpp * sizeof(double) + 256;
   if (!keep.has(FieldId::kGeom)) bytes += kNpp * sizeof(double) + 32;
@@ -185,20 +154,20 @@ void EulerKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
     const int levs = std::min(chunk, nlev - s);
     const std::size_t off = fidx(s, 0);
     const std::size_t n = static_cast<std::size_t>(levs) * kNpp;
-    FieldLease vn01 = ctx.lease(FieldId::kVn01, 0, off, n, Access::kRead);
-    FieldLease vn02 = ctx.lease(FieldId::kVn02, 0, off, n, Access::kRead);
+    FieldLease u1 = ctx.lease(FieldId::kU1, 0, off, n, Access::kRead);
+    FieldLease u2 = ctx.lease(FieldId::kU2, 0, off, n, Access::kRead);
     FieldLease dp = ctx.lease(FieldId::kDp, 0, off, n, Access::kRead);
     for (int x = 0; x < cfg_.shared_extra; ++x) {
-      // CAM's extra shared arrays are transferred but not combined into
-      // the arithmetic (see EulerAccConfig::shared_extra).
+      // dp and CAM's extra shared arrays are transferred but not combined
+      // into the arithmetic (see EulerAccConfig::shared_extra).
       FieldLease dummy = ctx.lease(FieldId::kExtra, x, off, n, Access::kRead);
     }
     for (int q = 0; q < p_.qsize; ++q) {
       FieldLease qdp = ctx.lease(FieldId::kQdp, q, off, n, Access::kReadWrite);
       for (int l = 0; l < levs; ++l) {
         const std::size_t t = static_cast<std::size_t>(l) * kNpp;
-        euler_tile(g, vn01.data() + t, vn02.data() + t, dp.data() + t,
-                   qdp.data() + t, cfg_.dt, &cpe, /*vectorized=*/true);
+        euler_tile(g, u1.data() + t, u2.data() + t, qdp.data() + t,
+                   cfg_.dt, cpe, /*vectorized=*/true);
       }
     }
   }

@@ -8,19 +8,21 @@
 /// The Sunway ports of euler_step — Table 1's most expensive kernel and
 /// the paper's worked example (Algorithms 1 and 2).
 ///
-/// The kernel advects every tracer with the time-averaged mass flux:
-///   vstar = vn0 / dp,  qdp += dt * ( -div(vstar * qdp) )
-/// The tracer loop shares the non-q arrays (vn0_1, vn0_2, dp, geometry,
-/// plus CAM's further derived fields, stood in for by `shared_extra`
-/// dummy fields):
+/// The kernel takes one forward-Euler stage of homme's tracer advection
+/// for every tracer, r = -div(u qdp) by homme::tracer_rhs_level, then
+/// qdp += dt * r: homme::element_tracer_rhs plus that update, bit for bit.
+/// The tracer loop shares the non-q arrays (u1, u2, dp, geometry, plus
+/// CAM's further derived fields, stood in for by `shared_extra` dummy
+/// fields). dp is transferred as CAM's euler_step reads it (vstar =
+/// vn0 / dp) but, like the dummies, does not enter the arithmetic:
 ///
 /// * OpenACC variant (Algorithm 1): collapse(ie, q) iterations spread
 ///   over the CPEs; because copyin can only live inside the collapsed
 ///   loop, every (ie, q) iteration re-reads all shared arrays, chunked
 ///   over levels to fit the 64 KB LDM. Scalar arithmetic.
-/// * Athread variant (Algorithm 2): elements strip-mined 8 at a time
-///   across CPE columns, layers split across CPE rows; shared arrays are
-///   DMA'd once per element and *kept* in LDM across the whole q loop;
+/// * Athread variant (Algorithm 2): a one-kernel pipeline, each CPE
+///   taking whole elements; the shared arrays are DMA'd once per level
+///   chunk of an element and *kept* in LDM across the whole q loop;
 ///   arithmetic is issued 4-wide.
 ///
 /// Both variants compute bit-identical results (same tile arithmetic);
@@ -37,25 +39,20 @@ struct EulerAccConfig {
   int shared_extra = 4;
 };
 
-/// Extra derived fields for the euler kernel (vn0_1, vn0_2 + dummies).
+/// The euler kernel's stand-in derived fields (shared_extra dummies).
 struct EulerDerived {
-  std::vector<double> vn01, vn02;  ///< [e][lev][16] mass flux components
-  std::vector<double> extra;       ///< [e][shared_extra][lev][16]
+  std::vector<double> extra;  ///< [shared_extra][e][lev][16]
   static EulerDerived make(const PackedElems& p, int shared_extra);
 };
-
-/// Host reference: plain sequential implementation.
-void euler_ref(PackedElems& p, const EulerDerived& dv,
-               const EulerAccConfig& cfg);
 
 /// OpenACC-style port on the simulated CPE cluster. Mutates p.qdp.
 sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
                               const EulerDerived& dv,
                               const EulerAccConfig& cfg);
 
-/// euler_step behind the declared-footprint pipeline interface: geometry
-/// and dp are keep-candidates shared across the tracer loop (and, in a
-/// chain, with hypervis/remap); tracers stream level-chunked.
+/// euler_step behind the declared-footprint pipeline interface: geometry,
+/// dp and the wind are keep-candidates shared across the tracer loop (and,
+/// in a chain, with hypervis/remap); tracers stream level-chunked.
 class EulerKernel final : public Kernel {
  public:
   EulerKernel(PackedElems& p, const EulerDerived& dv,

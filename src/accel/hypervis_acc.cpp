@@ -13,18 +13,21 @@ using homme::fidx;
 
 namespace {
 
-/// The metric tiles the strong Laplacian reads (jac, ginv11/12/22): the
+/// The metric tiles the weak Laplacian reads (jac, ginv11/12/22): the
 /// leading packed tiles kJac..kGinv22.
 constexpr int kLaplaceTiles = kGinv22 + 1;
 
-/// homme::laplace_sphere of one level tile, charged as its derivative,
-/// inverse-metric products and divergence.
+/// homme::laplace_sphere_wk of one level tile, the operator the model's
+/// hyperviscosity applies, charged as its reference derivatives, its flux
+/// J g^ab ds/dxi_b (8 flops a point) and its weak divergence (two 4-term
+/// sums of products a point, then the negation, the mass product and the
+/// divide).
 void laplace_tile(const homme::MetricView& g, const double* s, double* lap,
                   sw::Cpe* cpe, bool vec) {
-  homme::laplace_sphere(g, s, lap);
+  homme::laplace_sphere_wk(g, s, lap);
   charge(cpe, vec, kDerivFlops);
-  charge(cpe, vec, kNpp * 6);
-  charge(cpe, vec, kDivergenceFlops);
+  charge(cpe, vec, kNpp * 8);
+  charge(cpe, vec, kNpp * (4 * kNp + 3));
 }
 
 /// Apply the kernel's operator to one level tile in place.

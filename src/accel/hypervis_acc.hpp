@@ -10,7 +10,8 @@
 ///   hypervis_dp2     — nabla^4 on momentum and temperature
 ///   biharmonic_dp3d  — weak biharmonic on the layer thickness
 ///
-/// These are the element-local operator applications (the DSS between
+/// These are the element-local applications of homme::laplace_sphere_wk,
+/// the weak Laplacian the model's hyperviscosity applies (the DSS between
 /// and after applications belongs to bndry_exchangev). The OpenACC
 /// variant re-stages the metric tiles for every (element, level)
 /// iteration of the collapsed loop; the Athread variant keeps the metric
@@ -28,7 +29,10 @@ enum class HvKernel {
   kBiharmDp3d  ///< biharmonic on dp
 };
 
-/// Host reference on packed data.
+/// Host reference on packed data: the same tile applications, with no
+/// CPE charged. hypervis_dp1 has no host kernel, and the model's dp2 and
+/// dp3d DSS between their two applications, so no homme kernel is this
+/// element-local operator.
 void hypervis_ref(PackedElems& p, HvKernel which,
                   const HypervisAccConfig& cfg);
 

@@ -29,9 +29,10 @@ inline constexpr int kNp = mesh::kNp;
 inline constexpr int kNpp = mesh::kNpp;
 
 /// Charge \p n retired flops to \p cpe (if any) on the chosen issue width.
-/// The ports compute with homme's operators and charge at the call site;
-/// the host references pass no CPE. The simulator separates functional
-/// results from timing, so the arithmetic is the same either way.
+/// The ports compute with homme's bodies and operators and charge at the
+/// call site; hypervis_ref passes no CPE. The simulator separates
+/// functional results from timing, so the arithmetic is the same either
+/// way.
 inline void charge(sw::Cpe* cpe, bool vectorized, std::uint64_t n) {
   if (cpe == nullptr) return;
   if (vectorized) {
@@ -56,8 +57,6 @@ enum class FieldId : std::uint16_t {
   kU2,        ///< contravariant wind 2
   kT,         ///< temperature
   kQdp,       ///< tracer mass (sub-indexed by tracer)
-  kVn01,      ///< time-averaged mass flux 1 (euler derived)
-  kVn02,      ///< time-averaged mass flux 2 (euler derived)
   kExtra,     ///< euler's stand-in shared arrays (sub-indexed)
   kPhis,      ///< surface geopotential
   kColT,      ///< physics column temperature

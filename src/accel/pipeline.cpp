@@ -64,35 +64,6 @@ KeepPlan plan_keeps(const Workset& ws,
   return plan;
 }
 
-/// Stage (or find) the pinned GLL derivative matrix in this CPE's LDM.
-/// Allocated outside any element frame and registered persistent, so it
-/// survives element scopes and — with persistent-LDM launches — whole
-/// pipeline launches on the same core group. The kernels compute with
-/// homme's operators, which read the same matrix from their host-side
-/// tables; the staging models the traffic of the real port, which reads
-/// it from LDM.
-void stage_dvv(sw::Cpe& cpe, const Workset& ws) {
-  if (ws.dvv == nullptr) return;
-  sw::ResidentEntry* e = cpe.ledger().find(kDvvTag, -1, ws.dvv);
-  if (e == nullptr) {
-    std::span<double> buf = cpe.ldm().alloc<double>(kNpp);
-    sw::ResidentEntry ent;
-    ent.tag = kDvvTag;
-    ent.sub = -1;
-    ent.mem = ws.dvv;
-    ent.ldm = std::as_writable_bytes(buf);
-    ent.extent_bytes = buf.size_bytes();
-    ent.persistent = true;
-    e = &cpe.ledger().add(ent);
-    cpe.dma_wait(cpe.dma_get(e->ldm.data(), ws.dvv, e->extent_bytes));
-    e->lo = 0;
-    e->hi = e->extent_bytes;
-    cpe.counters().dma_cold_bytes += e->extent_bytes;
-  } else {
-    cpe.counters().dma_reused_bytes += e->extent_bytes;
-  }
-}
-
 /// One element's residency scope inside a fused launch: allocates the keep
 /// buffers, registers them with the ledger, and — via flush() — writes the
 /// dirty hulls back before the underlying LdmFrame releases the space.
@@ -156,6 +127,28 @@ void merge_stats(sw::KernelStats& total, const sw::KernelStats& s,
 }
 
 }  // namespace
+
+void stage_dvv(sw::Cpe& cpe, const Workset& ws) {
+  if (ws.dvv == nullptr) return;
+  sw::ResidentEntry* e = cpe.ledger().find(kDvvTag, -1, ws.dvv);
+  if (e == nullptr) {
+    std::span<double> buf = cpe.ldm().alloc<double>(kNpp);
+    sw::ResidentEntry ent;
+    ent.tag = kDvvTag;
+    ent.sub = -1;
+    ent.mem = ws.dvv;
+    ent.ldm = std::as_writable_bytes(buf);
+    ent.extent_bytes = buf.size_bytes();
+    ent.persistent = true;
+    e = &cpe.ledger().add(ent);
+    cpe.dma_wait(cpe.dma_get(e->ldm.data(), ws.dvv, e->extent_bytes));
+    e->lo = 0;
+    e->hi = e->extent_bytes;
+    cpe.counters().dma_cold_bytes += e->extent_bytes;
+  } else {
+    cpe.counters().dma_reused_bytes += e->extent_bytes;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // FieldLease / ElemCtx

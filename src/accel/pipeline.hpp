@@ -31,6 +31,16 @@ namespace accel {
 /// launch-invariant and survives pipeline launches on the same group).
 inline constexpr std::uint16_t kDvvTag = 0xFFFF;
 
+/// Stage (or find) the pinned GLL derivative matrix \p ws.dvv in this
+/// CPE's LDM: a fused launch stages it before a CPE's first element, and
+/// the rhs launch, which runs outside the fused schedule, does the same.
+/// Allocated outside any element frame and registered persistent, so it
+/// survives element scopes and, with persistent-LDM launches, whole
+/// pipeline launches on the same core group. homme's operators read the
+/// same matrix from their host-side tables; the staging models the
+/// traffic of the real port, which reads it from LDM.
+void stage_dvv(sw::Cpe& cpe, const Workset& ws);
+
 /// LDM access to one field's element block, granted by ElemCtx::lease().
 /// Residency-transparent: when the field is in the keep set the span
 /// aliases the resident buffer (only hull extensions move); otherwise the

@@ -6,7 +6,7 @@
 
 #include "accel/pipeline.hpp"
 #include "homme/dims.hpp"
-#include "homme/ops.hpp"
+#include "homme/rhs.hpp"
 #include "homme/state.hpp"
 #include "sw/scan.hpp"
 #include "sw/task.hpp"
@@ -20,125 +20,30 @@ using homme::kRgas;
 
 namespace {
 
-/// Per-level RHS arithmetic on LDM tiles, homme::element_rhs's level body
-/// with dry T. geom points at the element's 23 packed tiles. Produces the
-/// momentum/temperature tendencies and the mass-flux divergence of this
-/// level.
+/// homme::rhs_level on one level of a staged element, dry (T is its own
+/// virtual temperature). geom points at the element's 23 staged tiles:
+/// the metric view, the frame view and the Coriolis tile all read them.
+/// The level's flops are charged term by term in a fixed order: the
+/// modeled clock is a sum of doubles, so the order is part of Table 1's
+/// values.
 void rhs_level_tile(const double* geom, const double* u1, const double* u2,
                     const double* T, const double* dp, const double* pm,
                     const double* phim, double* tu1, double* tu2, double* tT,
-                    double* divdp, sw::Cpe* cpe, bool vec) {
-  const homme::MetricView g(geom, kMetricTiles);
-  const double* cor = geom + kCor * kNpp;
-
-  double vort[kNpp], energy[kNpp];
-  homme::vorticity_sphere(g, u1, u2, vort);
-  charge(cpe, vec, kVorticityFlops);
-  for (int k = 0; k < kNpp; ++k) {
-    vort[k] += cor[k];
-    const double ke = 0.5 * (g.g11[k] * u1[k] * u1[k] +
-                             2.0 * g.g12[k] * u1[k] * u2[k] +
-                             g.g22[k] * u2[k] * u2[k]);
-    energy[k] = ke + phim[k];
+                    double* divdp, sw::Cpe& cpe, bool vec) {
+  homme::rhs_level(homme::MetricView(geom, kMetricTiles),
+                   homme::FrameView(geom + kA1X * kNpp), geom + kCor * kNpp,
+                   u1, u2, T, T, dp, pm, phim, tu1, tu2, tT, divdp);
+  // Vorticity; kinetic energy; the energy, pressure and T derivatives;
+  // the Coriolis term and the tendencies; the mass flux; its divergence.
+  for (const std::uint64_t n :
+       {kVorticityFlops, std::uint64_t{kNpp * 10}, kDerivFlops, kDerivFlops,
+        kDerivFlops, std::uint64_t{kNpp * 60}, std::uint64_t{kNpp * 2},
+        kDivergenceFlops}) {
+    charge(&cpe, vec, n);
   }
-  charge(cpe, vec, kNpp * 10);
-
-  double dE1[kNpp], dE2[kNpp], dp1[kNpp], dp2[kNpp], dT1[kNpp], dT2[kNpp];
-  homme::deriv_ref(energy, dE1, dE2);
-  charge(cpe, vec, kDerivFlops);
-  homme::deriv_ref(pm, dp1, dp2);
-  charge(cpe, vec, kDerivFlops);
-  homme::deriv_ref(T, dT1, dT2);
-  charge(cpe, vec, kDerivFlops);
-
-  // Coriolis/vorticity cross product on the staged frame tiles.
-  double c1[kNpp], c2[kNpp];
-  homme::coriolis_vorticity_term(homme::FrameView(geom + kA1X * kNpp), vort,
-                                 u1, u2, c1, c2);
-  for (int k = 0; k < kNpp; ++k) {
-    const double rtp = kRgas * T[k] / pm[k];
-    const double gE1 = g.ginv11[k] * dE1[k] + g.ginv12[k] * dE2[k];
-    const double gE2 = g.ginv12[k] * dE1[k] + g.ginv22[k] * dE2[k];
-    const double gp1 = g.ginv11[k] * dp1[k] + g.ginv12[k] * dp2[k];
-    const double gp2 = g.ginv12[k] * dp1[k] + g.ginv22[k] * dp2[k];
-    tu1[k] = -c1[k] - gE1 - rtp * gp1;
-    tu2[k] = -c2[k] - gE2 - rtp * gp2;
-    tT[k] = -(u1[k] * dT1[k] + u2[k] * dT2[k]);
-  }
-  // One charge covers the Coriolis term and the tendencies.
-  charge(cpe, vec, kNpp * 60);
-
-  double f1[kNpp], f2[kNpp];
-  for (int k = 0; k < kNpp; ++k) {
-    f1[k] = dp[k] * u1[k];
-    f2[k] = dp[k] * u2[k];
-  }
-  charge(cpe, vec, kNpp * 2);
-  homme::divergence_sphere(g, f1, f2, divdp);
-  charge(cpe, vec, kDivergenceFlops);
 }
 
 }  // namespace
-
-void rhs_ref(PackedElems& p, const RhsAccConfig& cfg) {
-  const int nlev = p.nlev;
-  const std::size_t fs = p.field_size();
-  std::vector<double> pm(fs), phim(fs), divdp(fs), omega(fs), tu1(fs),
-      tu2(fs), tT(fs);
-  for (int e = 0; e < p.nelem; ++e) {
-    const double* geom = p.geom_of(e);
-    const std::size_t eo = p.elem_offset(e);
-    // Sequential scans, same recurrences as homme::column_*.
-    double run[kNpp];
-    for (int k = 0; k < kNpp; ++k) run[k] = kPtop;
-    for (int lev = 0; lev < nlev; ++lev) {
-      for (int k = 0; k < kNpp; ++k) {
-        const double d = p.dp[eo + fidx(lev, k)];
-        pm[fidx(lev, k)] = run[k] + 0.5 * d;
-        run[k] += d;
-      }
-    }
-    for (int k = 0; k < kNpp; ++k) {
-      run[k] = p.phis[static_cast<std::size_t>(e) * kNpp + k];
-    }
-    for (int lev = nlev - 1; lev >= 0; --lev) {
-      for (int k = 0; k < kNpp; ++k) {
-        const std::size_t f = fidx(lev, k);
-        const double half =
-            0.5 * kRgas * p.T[eo + f] * p.dp[eo + f] / pm[f];
-        phim[f] = run[k] + half;
-        run[k] += 2.0 * half;
-      }
-    }
-    for (int lev = 0; lev < nlev; ++lev) {
-      rhs_level_tile(geom, p.u1.data() + eo + fidx(lev, 0),
-                     p.u2.data() + eo + fidx(lev, 0),
-                     p.T.data() + eo + fidx(lev, 0),
-                     p.dp.data() + eo + fidx(lev, 0), pm.data() + fidx(lev, 0),
-                     phim.data() + fidx(lev, 0), tu1.data() + fidx(lev, 0),
-                     tu2.data() + fidx(lev, 0), tT.data() + fidx(lev, 0),
-                     divdp.data() + fidx(lev, 0), nullptr, false);
-    }
-    for (int k = 0; k < kNpp; ++k) run[k] = 0.0;
-    for (int lev = 0; lev < nlev; ++lev) {
-      for (int k = 0; k < kNpp; ++k) {
-        const std::size_t f = fidx(lev, k);
-        omega[f] = -(run[k] + 0.5 * divdp[f]);
-        run[k] += divdp[f];
-      }
-    }
-    for (int lev = 0; lev < nlev; ++lev) {
-      for (int k = 0; k < kNpp; ++k) {
-        const std::size_t f = fidx(lev, k);
-        const double tTf = tT[f] + kKappa * p.T[eo + f] * omega[f] / pm[f];
-        p.u1[eo + f] += cfg.dt * tu1[f];
-        p.u2[eo + f] += cfg.dt * tu2[f];
-        p.T[eo + f] += cfg.dt * tTf;
-        p.dp[eo + f] -= cfg.dt * divdp[f];
-      }
-    }
-  }
-}
 
 sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
                             const RhsAccConfig& cfg) {
@@ -231,8 +136,8 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
           cpe.get(pht, phim.data() + eo + fidx(lev, 0));
           double a[kNpp], b[kNpp], c[kNpp], dd[kNpp];
           rhs_level_tile(geom.data(), u1.data(), u2.data(), T.data(),
-                         dp.data(), pmt.data(), pht.data(), a, b, c, dd, &cpe,
-                         /*vectorized=*/false);
+                         dp.data(), pmt.data(), pht.data(), a, b, c, dd, cpe,
+                         /*vec=*/false);
           cpe.dma_wait(cpe.dma_put(tu1.data() + eo + fidx(lev, 0), a, sizeof(a)));
           cpe.dma_wait(cpe.dma_put(tu2.data() + eo + fidx(lev, 0), b, sizeof(b)));
           cpe.dma_wait(cpe.dma_put(tT.data() + eo + fidx(lev, 0), c, sizeof(c)));
@@ -318,17 +223,53 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
   return cg.run(kernel, sw::kCpesPerGroup, 5.0 * sw::kSpawnCycles);
 }
 
-namespace {
+void RhsKernel::validate(const Workset&) const {
+  if (p_.nlev % sw::kCpeRows != 0) {
+    throw std::invalid_argument(
+        "rhs_athread: nlev must be a multiple of the CPE row count (8); "
+        "the Figure 2 layer decomposition requires equal blocks");
+  }
+}
 
-/// The Figure 2 register-communication implementation, shared by the
-/// public wrapper and RhsKernel::launch.
-sw::KernelStats rhs_athread_impl(sw::CoreGroup& cg, PackedElems& p,
-                                 const RhsAccConfig& cfg) {
+void RhsKernel::bind(Workset& ws) const {
+  ws.items(p_.nelem, p_.nlev);
+  ws.dvv = p_.dvv.data();
+  const std::size_t fs = p_.field_size();
+  const std::size_t geom = static_cast<std::size_t>(kGeomDoubles);
+  ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false});
+  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, true});
+  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, true});
+  ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true});
+  ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true});
+  ws.bind({FieldId::kPhis, p_.phis.data(), kNpp, kNpp, 1, 0, false});
+}
+
+std::vector<FieldUse> RhsKernel::footprint() const {
+  // Declared for introspection; the kernel is non-fusible (its column
+  // scans span CPE rows), so these never enter a fused keep plan.
+  return {
+      {FieldId::kGeom, Access::kRead, false},
+      {FieldId::kU1, Access::kReadWrite, false},
+      {FieldId::kU2, Access::kReadWrite, false},
+      {FieldId::kT, Access::kReadWrite, false},
+      {FieldId::kDp, Access::kReadWrite, false},
+      {FieldId::kPhis, Access::kRead, false},
+  };
+}
+
+sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg,
+                                  const Workset& ws) const {
+  // The Figure 2 register-communication implementation.
+  PackedElems& p = p_;
+  const RhsAccConfig& cfg = cfg_;
   const int levs = p.nlev / sw::kCpeRows;
   const std::size_t n = static_cast<std::size_t>(levs) * kNpp;
 
   auto kernel = [&, levs, n](sw::Cpe& cpe) -> sw::Task {
     std::vector<double> ptop_init(kNpp, kPtop), zero_init(kNpp, 0.0);
+    // Column c owns elements c, c + 8, ...: a CPE with an element stages
+    // the derivative matrix its level bodies read, as a fused launch does.
+    if (cpe.col() < p.nelem) stage_dvv(cpe, ws);
     for (int base = 0; base < p.nelem; base += sw::kCpeCols) {
       const int e = base + cpe.col();
       if (e >= p.nelem) continue;
@@ -382,8 +323,7 @@ sw::KernelStats rhs_athread_impl(sw::CoreGroup& cg, PackedElems& p,
         rhs_level_tile(geom.data(), u1.data() + t, u2.data() + t,
                        T.data() + t, dp.data() + t, pmv.data() + t,
                        phiv.data() + t, tu1.data() + t, tu2.data() + t,
-                       tT.data() + t, divdp.data() + t, &cpe,
-                       /*vectorized=*/true);
+                       tT.data() + t, divdp.data() + t, cpe, /*vec=*/true);
       }
 
       // Omega: exclusive down-scan of divdp.
@@ -411,46 +351,6 @@ sw::KernelStats rhs_athread_impl(sw::CoreGroup& cg, PackedElems& p,
     }
   };
   return cg.run(kernel, sw::kCpesPerGroup, sw::kSpawnCycles);
-}
-
-}  // namespace
-
-void RhsKernel::validate(const Workset&) const {
-  if (p_.nlev % sw::kCpeRows != 0) {
-    throw std::invalid_argument(
-        "rhs_athread: nlev must be a multiple of the CPE row count (8); "
-        "the Figure 2 layer decomposition requires equal blocks");
-  }
-}
-
-void RhsKernel::bind(Workset& ws) const {
-  ws.items(p_.nelem, p_.nlev);
-  ws.dvv = p_.dvv.data();
-  const std::size_t fs = p_.field_size();
-  const std::size_t geom = static_cast<std::size_t>(kGeomDoubles);
-  ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false});
-  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kPhis, p_.phis.data(), kNpp, kNpp, 1, 0, false});
-}
-
-std::vector<FieldUse> RhsKernel::footprint() const {
-  // Declared for introspection; the kernel is non-fusible (its column
-  // scans span CPE rows), so these never enter a fused keep plan.
-  return {
-      {FieldId::kGeom, Access::kRead, false},
-      {FieldId::kU1, Access::kReadWrite, false},
-      {FieldId::kU2, Access::kReadWrite, false},
-      {FieldId::kT, Access::kReadWrite, false},
-      {FieldId::kDp, Access::kReadWrite, false},
-      {FieldId::kPhis, Access::kRead, false},
-  };
-}
-
-sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg, const Workset&) const {
-  return rhs_athread_impl(cg, p_, cfg_);
 }
 
 sw::KernelStats rhs_athread(sw::CoreGroup& cg, PackedElems& p,

@@ -20,16 +20,17 @@
 ///   4-wide.
 ///
 /// The kernel updates u, T, dp in place by dt * RHS (the DSS that follows
-/// in the full model is bndry_exchangev's job and measured there).
+/// in the full model is bndry_exchangev's job and measured there). Both
+/// variants run homme::rhs_level for each level on a dry workset (T is its
+/// own virtual temperature), so they compute homme::element_rhs plus
+/// x += dt * tend: the OpenACC variant bit for bit, the Athread variant
+/// within its register scans' reassociation of the column sums.
 
 namespace accel {
 
 struct RhsAccConfig {
   double dt = 100.0;
 };
-
-/// Host reference (sequential scans + the same tile arithmetic).
-void rhs_ref(PackedElems& p, const RhsAccConfig& cfg);
 
 /// OpenACC-style port. Mutates p.u1/u2/T/dp.
 sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,

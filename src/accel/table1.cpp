@@ -8,6 +8,8 @@
 #include "accel/hypervis_acc.hpp"
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
+#include "homme/euler.hpp"
+#include "homme/rhs.hpp"
 #include "sw/cost_model.hpp"
 
 namespace accel {
@@ -22,6 +24,53 @@ double max_rel_diff(const std::vector<double>& a,
     worst = std::max(worst, std::abs(a[i] - b[i]) / scale);
   }
   return worst;
+}
+
+/// The homme::State of \p p's elements (prognostics and tracers).
+homme::State unpack(const PackedElems& p, const homme::Dims& d) {
+  homme::State s(static_cast<std::size_t>(p.nelem), homme::ElementState(d));
+  p.to_state(s, 0);
+  return s;
+}
+
+/// Table 1's rhs reference: homme::element_rhs on the unpacked workset
+/// (dry, so T is its own virtual temperature), then x += dt * tend. The
+/// geometry is the donor mesh's, as PackedElems::synthetic packs it.
+void rhs_host(const mesh::CubedSphere& m, const homme::Dims& d,
+              PackedElems& p, const RhsAccConfig& cfg) {
+  const homme::State s = unpack(p, d);
+  const std::size_t fs = p.field_size();
+  std::vector<double> t(4 * fs);
+  const homme::TendView tend{t.data(), t.data() + fs, t.data() + 2 * fs,
+                             t.data() + 3 * fs};
+  for (int e = 0; e < p.nelem; ++e) {
+    homme::element_rhs(m.geom(e % m.nelem()), d,
+                       s[static_cast<std::size_t>(e)], tend);
+    const std::size_t eo = p.elem_offset(e);
+    for (std::size_t f = 0; f < fs; ++f) {
+      p.u1[eo + f] += cfg.dt * tend.u1[f];
+      p.u2[eo + f] += cfg.dt * tend.u2[f];
+      p.T[eo + f] += cfg.dt * tend.T[f];
+      p.dp[eo + f] += cfg.dt * tend.dp[f];
+    }
+  }
+}
+
+/// Table 1's euler reference: homme::element_tracer_rhs on the unpacked
+/// workset, then q += dt * r for every tracer.
+void euler_host(const mesh::CubedSphere& m, const homme::Dims& d,
+                PackedElems& p, const EulerAccConfig& cfg) {
+  const homme::State s = unpack(p, d);
+  const std::size_t fs = p.field_size();
+  std::vector<double> r(fs);
+  for (int e = 0; e < p.nelem; ++e) {
+    const homme::ElementState& es = s[static_cast<std::size_t>(e)];
+    for (int q = 0; q < p.qsize; ++q) {
+      homme::element_tracer_rhs(m.geom(e % m.nelem()), d, es, es.q(q, d), r);
+      double* qdp = p.qdp.data() + p.qdp_offset(e, q);
+      for (std::size_t f = 0; f < fs; ++f) qdp[f] += cfg.dt * r[f];
+    }
+  }
 }
 
 struct KernelSpec {
@@ -62,7 +111,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
   std::vector<KernelSpec> specs;
   specs.push_back(
       {"compute_and_apply_rhs", 12.69, 92.13, 75.11, &rhs_work,
-       [&](PackedElems& p) { rhs_ref(p, rhs_cfg); },
+       [&](PackedElems& p) { rhs_host(mesh, d, p, rhs_cfg); },
        [&](sw::CoreGroup& cg, PackedElems& p) {
          return rhs_openacc(cg, p, rhs_cfg);
        },
@@ -71,7 +120,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
        }});
   specs.push_back(
       {"euler_step", 15.88, 175.73, 10.18, &euler_step_work,
-       [&](PackedElems& p) { euler_ref(p, derived, euler_cfg); },
+       [&](PackedElems& p) { euler_host(mesh, d, p, euler_cfg); },
        [&](sw::CoreGroup& cg, PackedElems& p) {
          return euler_openacc(cg, p, derived, euler_cfg);
        },

@@ -55,7 +55,9 @@ struct Table1Row {
 };
 
 /// Run all six kernels on every platform; also verifies that the OpenACC
-/// and Athread ports agree with the host reference (throws on mismatch).
+/// and Athread ports agree with the host reference (throws on mismatch):
+/// homme's rhs, tracer and remap kernels on the unpacked workset, and
+/// hypervis_ref for the three dissipation rows.
 ///
 /// The flop/DMA columns are consumed from the obs:: per-phase summary
 /// (launch-span counter attachments) rather than read off KernelStats

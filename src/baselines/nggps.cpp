@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "accel/packed.hpp"
-#include "accel/rhs_acc.hpp"
 #include "baselines/fv_core.hpp"
 #include "baselines/mpas_core.hpp"
 #include "net/network_model.hpp"
@@ -35,14 +33,14 @@ double best_of(int trials, F&& body) {
 
 }  // namespace
 
-DycoreCosts measure_dycore_costs(int nlev) {
+DycoreCosts measure_dycore_costs(const model::SessionConfig& homme) {
   DycoreCosts c;
 
   // All three are measured on the same host, so their *ratios* carry the
-  // information; each raw measurement is then scaled by the core's
-  // structural multiplier to a full dynamics step per column-level:
-  //   HOMME: one RHS evaluation measured; x4.5 for the 3 RK stages plus
-  //          hyperviscosity and the remap share.
+  // information; each is a full dynamics step per column-level:
+  //   HOMME: the model's own step, measured whole (the RK stages, tracer
+  //          advection, hyperviscosity and the remap share), so no
+  //          multiplier.
   //   FV3:   one field, one level measured (incl. polar filter); x7 for
   //          ~5 prognostic fields and the acoustic/vertical substepping
   //          of a lean FV scheme.
@@ -50,18 +48,14 @@ DycoreCosts measure_dycore_costs(int nlev) {
   //          plus the C-grid reconstruction and tangential-velocity
   //          extras of the full solver.
 
-  // HOMME (spectral element): the RHS kernel over a packed workset.
+  // HOMME (spectral element): one remap cycle of a Session, per step and
+  // column-level (GLL points of every element times levels).
   {
-    homme::Dims d;
-    d.nlev = nlev;
-    d.qsize = 0;
-    auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-    auto p = accel::PackedElems::synthetic(m, d, 24);
-    const accel::RhsAccConfig cfg{};
-    const int reps = 4;
-    const double dtm =
-        best_of(3, [&] { for (int r = 0; r < reps; ++r) accel::rhs_ref(p, cfg); });
-    c.homme = 4.5 * dtm / (reps * 24.0 * mesh::kNpp * d.nlev);
+    model::Session s(homme);
+    const int steps = std::max(1, homme.remap_freq);
+    const double dtm = best_of(3, [&] { s.run(steps); });
+    c.homme = dtm / (steps * static_cast<double>(s.mesh().nelem()) *
+                     mesh::kNpp * s.dims().nlev);
   }
 
   // FV3-style: dimension-split PPM advection plus polar filtering.

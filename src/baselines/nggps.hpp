@@ -3,14 +3,16 @@
 #include <string>
 #include <vector>
 
+#include "model/session.hpp"
+
 /// \file nggps.hpp
 /// Reproduction harness for Table 3: the NGGPS-style comparison of the
 /// redesigned HOMME against FV3- and MPAS-style dynamical cores on the
 /// 12.5 km / 2-hour and 3 km / 30-minute prediction workloads.
 ///
 /// Methodology (documented in EXPERIMENTS.md): per-column step costs of
-/// the three minis are *measured on the same host* (so their ratios are
-/// meaningful), time steps follow each core's stability character
+/// HOMME's real step and of the FV3 and MPAS minis are *measured on the
+/// same host* (so their ratios are meaningful), time steps follow each core's stability character
 /// (FV3 runs a longer dt; MPAS's RK3 needs three sweeps), communication
 /// comes from the analytic TaihuLight network model with each core's
 /// halo pattern (HOMME overlaps per section 7.6; FV3 pays its polar
@@ -28,17 +30,19 @@ struct NggpsRow {
   double paper_s = 0.0;
 };
 
-/// Host-measured per-column per-step costs (seconds) of the three minis.
+/// Host-measured per-column-level per-step costs (seconds) of the three
+/// dycores.
 struct DycoreCosts {
   double homme = 0.0;
   double fv3 = 0.0;
   double mpas = 0.0;
 };
 
-/// Measure the per-column costs by running each mini on the host.
-/// \p nlev sets the HOMME mini's vertical levels (the Table 3 runs use
-/// the "nggps" scenario's default of 16).
-DycoreCosts measure_dycore_costs(int nlev = 16);
+/// Measure the per-column-level costs on the host: HOMME's as one remap
+/// cycle (remap_freq steps, one of them remapping) of a model::Session
+/// built from \p homme (Table 3 passes the "nggps" scenario's config),
+/// FV3's and MPAS's by running their minis.
+DycoreCosts measure_dycore_costs(const model::SessionConfig& homme);
 
 /// Produce the six Table 3 rows.
 std::vector<NggpsRow> run_nggps(const DycoreCosts& costs);

@@ -122,7 +122,6 @@ BndryExchange::BndryExchange(const mesh::CubedSphere& mesh,
         static_cast<int>(recv ? send_rows_ + 1 + index : index));
   }
   shared_first_.push_back(static_cast<int>(shared_rows_.size()));
-  sends_.reserve(neighbors_.size());
 }
 
 void BndryExchange::sum_shared(const double* rows, std::size_t rowlen,
@@ -208,15 +207,15 @@ void BndryExchange::assemble(net::Rank* r, std::size_t rowlen, Mode mode,
     }
     sum_shared(rows, rowlen, acc);
   } else {
-    // Redesign: boundary bodies first, async sends posted before the
-    // rank's accumulation, messages received straight into the rows.
+    // Redesign: boundary bodies first, sends posted before the rank's
+    // accumulation, messages received straight into the rows. A send is
+    // buffered, so it is complete when it returns and needs no wait.
     pack();
-    sends_.clear();
     {
       obs::ScopedSpan span(trk_, "bndry:post_send");
       for (const Neighbor& nb : neighbors_) {
         const std::span<double> out = block(rows, nb.send_first, nb.send_rows);
-        sends_.push_back(r->isend(nb.rank, tag, out));
+        r->send(nb.rank, tag, out);
         last_msg_bytes_ += out.size_bytes();
       }
     }
@@ -231,7 +230,6 @@ void BndryExchange::assemble(net::Rank* r, std::size_t rowlen, Mode mode,
       r->recv(nb.rank, tag, block(rows, nb.recv_first, nb.recv_rows));
     }
     sum_shared(rows, rowlen, acc);
-    for (net::Request& q : sends_) r->wait(q);
   }
   obs::ScopedSpan span(trk_, "bndry:scatter");
   for (int le = 0; le < nlocal(); ++le) scatter(le, acc);

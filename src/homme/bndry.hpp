@@ -152,7 +152,6 @@ class BndryExchange {
   std::vector<int> shared_nodes_;
   std::vector<int> shared_first_;
   std::vector<int> shared_rows_;
-  std::vector<net::Request> sends_;  ///< kOverlap's in-flight sends
 
   std::size_t last_copy_bytes_ = 0;
   std::size_t last_msg_bytes_ = 0;

@@ -4,7 +4,6 @@
 
 #include "homme/dss.hpp"
 #include "homme/exchange.hpp"
-#include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
 
@@ -12,26 +11,30 @@ namespace homme {
 
 using mesh::kNpp;
 
+void tracer_rhs_level(const MetricView& g, const double* u1,
+                      const double* u2, const double* q, double* r) {
+  double f1[kNpp], f2[kNpp];
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    const vpack vq = vpack::load(q + k);
+    (vpack::load(u1 + k) * vq).store(f1 + k);
+    (vpack::load(u2 + k) * vq).store(f2 + k);
+  }
+  divergence_sphere(g, f1, f2, r);
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    (-vpack::load(r + k)).store(r + k);
+  }
+}
+
 void element_tracer_rhs(const mesh::ElementGeom& g, const Dims& d,
                         const ElementState& es,
                         std::span<const double> qdp, std::span<double> rhs) {
-  double f1[kNpp], f2[kNpp];
+  const MetricView mview = g;
   for (int lev = 0; lev < d.nlev; ++lev) {
-    const double* u1 = es.u1.data() + fidx(lev, 0);
-    const double* u2 = es.u2.data() + fidx(lev, 0);
-    const double* q = qdp.data() + fidx(lev, 0);
-    for (int p = 0; p < kTilePacks; ++p) {
-      const int k = p * vpack::width;
-      const vpack vq = vpack::load(q + k);
-      (vpack::load(u1 + k) * vq).store(f1 + k);
-      (vpack::load(u2 + k) * vq).store(f2 + k);
-    }
-    double* r = rhs.data() + fidx(lev, 0);
-    divergence_sphere(g, f1, f2, r);
-    for (int p = 0; p < kTilePacks; ++p) {
-      const int k = p * vpack::width;
-      (-vpack::load(r + k)).store(r + k);
-    }
+    const std::size_t l = fidx(lev, 0);
+    tracer_rhs_level(mview, es.u1.data() + l, es.u2.data() + l,
+                     qdp.data() + l, rhs.data() + l);
   }
 }
 

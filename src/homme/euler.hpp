@@ -1,5 +1,6 @@
 #pragma once
 
+#include "homme/ops.hpp"
 #include "homme/state.hpp"
 #include "mesh/cubed_sphere.hpp"
 
@@ -23,6 +24,13 @@ class Exchange;
 /// the element to conserve tracer mass).
 void euler_step(const Exchange& x, const Dims& d, State& s, double dt,
                 bool limit = true);
+
+/// One level of element_tracer_rhs on level tiles (16 doubles each):
+/// r = -div(u q). The divergence reads only \p g's jac, so a packed or
+/// LDM-staged jac tile feeds it as well as a mesh::ElementGeom; the host
+/// loop and the CPE ports run this one body.
+void tracer_rhs_level(const MetricView& g, const double* u1,
+                      const double* u2, const double* q, double* r);
 
 /// One advection RHS for a single element and tracer: out = -div(u q).
 void element_tracer_rhs(const mesh::ElementGeom& g, const Dims& d,

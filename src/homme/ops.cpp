@@ -139,12 +139,6 @@ void vorticity_sphere(const MetricView& g, const double* u1,
   }
 }
 
-void laplace_sphere(const MetricView& g, const double* s, double* lap) {
-  double g1[kNpp], g2[kNpp];
-  gradient_sphere(g, s, g1, g2);
-  divergence_sphere(g, g1, g2, lap);
-}
-
 void laplace_sphere_wk(const MetricView& g, const double* s, double* lap) {
   const OpTables& t = tables();
   // Contravariant flux F^a = J g^{ab} ds/dxi_b.

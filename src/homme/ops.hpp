@@ -32,7 +32,7 @@ namespace homme {
 /// g12, g22 — the leading tiles of accel's packed geometry) provides its
 /// first \p ntiles. An operator reads only the tiles it names, so a view
 /// may leave the others null: divergence needs jac; the gradient adds
-/// ginv; vorticity needs jac and g.
+/// ginv, and so does the weak Laplacian; vorticity needs jac and g.
 struct MetricView {
   const double* jac = nullptr;
   const double* ginv11 = nullptr;
@@ -74,10 +74,6 @@ void divergence_sphere(const MetricView& g, const double* u1,
 /// (1/J)(d(g_2j u^j)/dx - d(g_1j u^j)/dy).
 void vorticity_sphere(const MetricView& g, const double* u1,
                       const double* u2, double* vort);
-
-/// Strong-form scalar Laplacian div(grad s): gradient_sphere, then
-/// divergence_sphere.
-void laplace_sphere(const MetricView& g, const double* s, double* lap);
 
 /// Weak-form scalar Laplacian, divided by the local GLL mass. After a
 /// mass-weighted DSS the global integral of the result telescopes to

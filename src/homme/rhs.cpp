@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "homme/exchange.hpp"
-#include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "homme/vpack.hpp"
 
@@ -67,6 +66,61 @@ void column_omega(int nlev, const double* divdp, double* omega) {
   }
 }
 
+void rhs_level(const MetricView& g, const FrameView& f, const double* cor,
+               const double* u1, const double* u2, const double* T,
+               const double* Tv, const double* dp, const double* p_mid,
+               const double* phi_mid, double* tu1, double* tu2, double* tT,
+               double* divdp) {
+  double vort[kNpp], absvort[kNpp], energy[kNpp];
+  double gE1[kNpp], gE2[kNpp];
+  double d1p[kNpp], d2p[kNpp];
+  double cor1[kNpp], cor2[kNpp];
+  double d1T[kNpp], d2T[kNpp];
+  double flux1[kNpp], flux2[kNpp];
+
+  vorticity_sphere(g, u1, u2, vort);
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    const vpack vu1 = vpack::load(u1 + k), vu2 = vpack::load(u2 + k);
+    const vpack ke = 0.5 * (vpack::load(g.g11 + k) * vu1 * vu1 +
+                            2.0 * vpack::load(g.g12 + k) * vu1 * vu2 +
+                            vpack::load(g.g22 + k) * vu2 * vu2);
+    (vpack::load(vort + k) + vpack::load(cor + k)).store(absvort + k);
+    (ke + vpack::load(phi_mid + k)).store(energy + k);
+  }
+  gradient_sphere(g, energy, gE1, gE2);
+  gradient_covariant(p_mid, d1p, d2p);
+  coriolis_vorticity_term(f, absvort, u1, u2, cor1, cor2);
+  gradient_covariant(T, d1T, d2T);
+
+  // Mass flux divergence.
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    const vpack vdp = vpack::load(dp + k);
+    (vdp * vpack::load(u1 + k)).store(flux1 + k);
+    (vdp * vpack::load(u2 + k)).store(flux2 + k);
+  }
+  divergence_sphere(g, flux1, flux2, divdp);
+
+  for (int p = 0; p < kTilePacks; ++p) {
+    const int k = p * vpack::width;
+    const vpack rtp = kRgas * vpack::load(Tv + k) / vpack::load(p_mid + k);
+    const vpack vd1p = vpack::load(d1p + k), vd2p = vpack::load(d2p + k);
+    const vpack gp1 = vpack::load(g.ginv11 + k) * vd1p +
+                      vpack::load(g.ginv12 + k) * vd2p;
+    const vpack gp2 = vpack::load(g.ginv12 + k) * vd1p +
+                      vpack::load(g.ginv22 + k) * vd2p;
+    (-vpack::load(cor1 + k) - vpack::load(gE1 + k) - rtp * gp1)
+        .store(tu1 + k);
+    (-vpack::load(cor2 + k) - vpack::load(gE2 + k) - rtp * gp2)
+        .store(tu2 + k);
+    // Advection of T: contravariant wind dotted with covariant gradient.
+    (-(vpack::load(u1 + k) * vpack::load(d1T + k) +
+       vpack::load(u2 + k) * vpack::load(d2T + k)))
+        .store(tT + k);
+  }
+}
+
 void element_rhs(const mesh::ElementGeom& g, const Dims& d,
                  const ElementState& eval, const TendView& tend) {
   const int nlev = d.nlev;
@@ -97,72 +151,14 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
   column_geopotential(nlev, t_for_phi, eval.dp.data(), p_mid.data(),
                       eval.phis.data(), phi_mid.data());
 
+  const MetricView mview = g;
   const FrameView fview = g;
-  double vort[kNpp], absvort[kNpp], energy[kNpp];
-  double gE1[kNpp], gE2[kNpp];
-  double d1p[kNpp], d2p[kNpp];
-  double cor1[kNpp], cor2[kNpp];
-  double d1T[kNpp], d2T[kNpp];
-  double flux1[kNpp], flux2[kNpp];
-
   for (int lev = 0; lev < nlev; ++lev) {
-    const double* u1 = eval.u1.data() + fidx(lev, 0);
-    const double* u2 = eval.u2.data() + fidx(lev, 0);
-    const double* T = eval.T.data() + fidx(lev, 0);
-    const double* Tv = t_for_phi + fidx(lev, 0);
-    const double* dp = eval.dp.data() + fidx(lev, 0);
-    const double* pm = p_mid.data() + fidx(lev, 0);
-    const double* phim = phi_mid.data() + fidx(lev, 0);
-
-    vorticity_sphere(g, u1, u2, vort);
-    for (int p = 0; p < kTilePacks; ++p) {
-      const int k = p * vpack::width;
-      const vpack vu1 = vpack::load(u1 + k), vu2 = vpack::load(u2 + k);
-      const vpack ke =
-          0.5 * (vpack::load(g.g11.data() + k) * vu1 * vu1 +
-                 2.0 * vpack::load(g.g12.data() + k) * vu1 * vu2 +
-                 vpack::load(g.g22.data() + k) * vu2 * vu2);
-      (vpack::load(vort + k) + vpack::load(g.coriolis.data() + k))
-          .store(absvort + k);
-      (ke + vpack::load(phim + k)).store(energy + k);
-    }
-    gradient_sphere(g, energy, gE1, gE2);
-    gradient_covariant(pm, d1p, d2p);
-    coriolis_vorticity_term(fview, absvort, u1, u2, cor1, cor2);
-    gradient_covariant(T, d1T, d2T);
-
-    // Mass flux divergence.
-    for (int p = 0; p < kTilePacks; ++p) {
-      const int k = p * vpack::width;
-      const vpack vdp = vpack::load(dp + k);
-      (vdp * vpack::load(u1 + k)).store(flux1 + k);
-      (vdp * vpack::load(u2 + k)).store(flux2 + k);
-    }
-    divergence_sphere(g, flux1, flux2, divdp.data() + fidx(lev, 0));
-
-    double* tu1 = tend.u1 + fidx(lev, 0);
-    double* tu2 = tend.u2 + fidx(lev, 0);
-    double* tT = tend.T + fidx(lev, 0);
-    double* tdp = tend.dp + fidx(lev, 0);
-    const double* divl = divdp.data() + fidx(lev, 0);
-    for (int p = 0; p < kTilePacks; ++p) {
-      const int k = p * vpack::width;
-      const vpack rtp = kRgas * vpack::load(Tv + k) / vpack::load(pm + k);
-      const vpack vd1p = vpack::load(d1p + k), vd2p = vpack::load(d2p + k);
-      const vpack gp1 = vpack::load(g.ginv11.data() + k) * vd1p +
-                        vpack::load(g.ginv12.data() + k) * vd2p;
-      const vpack gp2 = vpack::load(g.ginv12.data() + k) * vd1p +
-                        vpack::load(g.ginv22.data() + k) * vd2p;
-      (-vpack::load(cor1 + k) - vpack::load(gE1 + k) - rtp * gp1)
-          .store(tu1 + k);
-      (-vpack::load(cor2 + k) - vpack::load(gE2 + k) - rtp * gp2)
-          .store(tu2 + k);
-      // Advection of T: contravariant wind dotted with covariant gradient.
-      (-(vpack::load(u1 + k) * vpack::load(d1T + k) +
-         vpack::load(u2 + k) * vpack::load(d2T + k)))
-          .store(tT + k);
-      (-vpack::load(divl + k)).store(tdp + k);
-    }
+    const std::size_t l = fidx(lev, 0);
+    rhs_level(mview, fview, g.coriolis.data(), eval.u1.data() + l,
+              eval.u2.data() + l, eval.T.data() + l, t_for_phi + l,
+              eval.dp.data() + l, p_mid.data() + l, phi_mid.data() + l,
+              tend.u1 + l, tend.u2 + l, tend.T + l, divdp.data() + l);
   }
 
   column_omega(nlev, divdp.data(), omega.data());
@@ -171,6 +167,7 @@ void element_rhs(const mesh::ElementGeom& g, const Dims& d,
                        vpack::load(omega.data() + f) /
                        vpack::load(p_mid.data() + f);
     (vpack::load(tend.T + f) + corr).store(tend.T + f);
+    (-vpack::load(divdp.data() + f)).store(tend.dp + f);
   }
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include "homme/ops.hpp"
 #include "homme/state.hpp"
 #include "mesh/cubed_sphere.hpp"
 
@@ -42,6 +43,21 @@ struct TendView {
   double* T;
   double* dp;
 };
+
+/// One level of element_rhs, on level tiles (16 doubles each): vorticity,
+/// kinetic energy, the gradients, the Coriolis term, the u1/u2/T
+/// tendencies (T's before the omega correction) and the mass-flux
+/// divergence \p divdp (the dp tendency is -divdp). The pressure-gradient
+/// term reads the virtual temperature \p Tv, the advection \p T; a dry
+/// caller passes T for both. The metric and frame tiles and the Coriolis
+/// tile \p cor may come from a mesh::ElementGeom or from a packed or
+/// LDM-staged geometry block, so the host loop and the CPE ports run this
+/// one body.
+void rhs_level(const MetricView& g, const FrameView& f, const double* cor,
+               const double* u1, const double* u2, const double* T,
+               const double* Tv, const double* dp, const double* p_mid,
+               const double* phi_mid, double* tu1, double* tu2, double* tT,
+               double* divdp);
 
 /// Evaluate the RHS of one element into \p tend (no DSS); every value of
 /// \p tend is written.

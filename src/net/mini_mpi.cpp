@@ -74,11 +74,6 @@ void Rank::send(int dst, int tag, std::span<const double> data) {
                                                          data.end())});
 }
 
-Request Rank::isend(int dst, int tag, std::span<const double> data) {
-  send(dst, tag, data);
-  return Request{};  // buffered: already complete
-}
-
 void Rank::recv(int src, int tag, std::span<double> out) {
   obs::Track* trk = trace_track();
   if (trk != nullptr) trk->begin("net:recv");
@@ -116,108 +111,6 @@ void Rank::recv(int src, int tag, std::span<double> out) {
         {"src", static_cast<std::uint64_t>(src)}};
     trk->end(args);
   }
-}
-
-Request Rank::irecv(int src, int tag, std::span<double> out) {
-  Request r;
-  r.is_recv_ = true;
-  r.src_ = src;
-  r.tag_ = tag;
-  r.out_ = out;
-  r.done_ = false;
-  return r;
-}
-
-void Rank::wait(Request& req) {
-  if (req.done_) return;
-  recv(req.src_, req.tag_, req.out_);
-  req.done_ = true;
-}
-
-void Rank::barrier() { (void)allreduce_sum(0.0); }
-
-double Rank::allreduce_sum(double value) {
-  obs::Track* trk = trace_track();
-  if (trk == nullptr) return allreduce_sum_impl(value);
-  obs::ScopedSpan span(trk, "net:allreduce");
-  return allreduce_sum_impl(value);
-}
-
-double Rank::allreduce_sum_impl(double value) {
-  // Generation-counted rendezvous. A rank can only join generation n+1
-  // after leaving generation n, so coll_result_ for generation n stays
-  // valid until every rank has read it.
-  Cluster& c = *cluster_;
-  std::unique_lock<std::mutex> lock(c.coll_mu_);
-  const std::uint64_t my_gen = c.coll_generation_;
-  if (c.coll_arrived_ == 0) c.coll_acc_ = 0.0;
-  c.coll_acc_ += value;
-  c.coll_arrived_ += 1;
-  if (c.coll_arrived_ == size_) {
-    c.coll_result_ = c.coll_acc_;
-    c.coll_arrived_ = 0;
-    c.coll_generation_ += 1;
-    c.coll_cv_.notify_all();
-    return c.coll_result_;
-  }
-  const auto done = [&] {
-    return c.coll_generation_ != my_gen || c.aborted_.load();
-  };
-  if (c.watchdog_seconds_ > 0.0) {
-    // A watchdog-bounded wait that succeeds must still be visible in the
-    // per-phase summary (not only when it times out and throws).
-    if (trk_ != nullptr) trk_->instant("net:watchdog_wait");
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::duration<double>(c.watchdog_seconds_);
-    if (!c.coll_cv_.wait_until(lock, deadline, done)) {
-      throw CommTimeout("mini_mpi: rank " + std::to_string(rank_) +
-                            " blocked in a collective past the " +
-                            std::to_string(c.watchdog_seconds_) +
-                            " s watchdog",
-                        rank_, -1, -1);
-    }
-  } else {
-    c.coll_cv_.wait(lock, done);
-  }
-  if (c.coll_generation_ == my_gen) {
-    throw CommFault("mini_mpi: rank " + std::to_string(rank_) +
-                        " aborted in a collective: a peer rank failed",
-                    rank_, -1, -1);
-  }
-  return c.coll_result_;
-}
-
-double Rank::allreduce_max(double value) {
-  auto all = allgather(value);
-  return *std::max_element(all.begin(), all.end());
-}
-
-double Rank::allreduce_min(double value) {
-  auto all = allgather(value);
-  return *std::min_element(all.begin(), all.end());
-}
-
-std::vector<double> Rank::allgather(double value) {
-  // Simple two-phase: everyone sends to everyone via mailboxes with a
-  // reserved tag, then receives size-1 values. A barrier on each side
-  // isolates concurrent allgathers.
-  obs::ScopedSpan span(trace_track(), "net:allgather");
-  constexpr int kTag = -424242;
-  barrier();
-  for (int dst = 0; dst < size_; ++dst) {
-    if (dst != rank_) send(dst, kTag, std::span<const double>(&value, 1));
-  }
-  std::vector<double> out(static_cast<std::size_t>(size_));
-  out[static_cast<std::size_t>(rank_)] = value;
-  for (int src = 0; src < size_; ++src) {
-    if (src != rank_) {
-      recv(src, kTag,
-           std::span<double>(&out[static_cast<std::size_t>(src)], 1));
-    }
-  }
-  barrier();
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -308,16 +201,11 @@ Cluster::Message Cluster::retrieve(int self, int src, int tag) {
 
 void Cluster::abort_peers() {
   aborted_.store(true);
-  coll_cv_.notify_all();
   for (auto& box : mailboxes_) box->cv.notify_all();
 }
 
 void Cluster::run(const std::function<void(Rank&)>& fn) {
-  // Fresh collective state per run.
-  coll_arrived_ = 0;
-  coll_generation_ = 0;
-  coll_acc_ = 0.0;
-  coll_result_ = 0.0;
+  // Fresh state per run.
   aborted_.store(false);
   for (auto& box : mailboxes_) {
     std::lock_guard<std::mutex> lock(box->mu);
@@ -342,8 +230,8 @@ void Cluster::run(const std::function<void(Rank&)>& fn) {
           std::lock_guard<std::mutex> lock(err_mu);
           if (!first_error) first_error = std::current_exception();
         }
-        // Unblock peers waiting on collectives or receives so the join
-        // terminates: a failed rank must never hang the cluster.
+        // Unblock peers waiting on receives so the join terminates: a
+        // failed rank must never hang the cluster.
         abort_peers();
       }
     });

@@ -27,13 +27,16 @@
 /// Machine-scale communication cost comes from the analytic model in
 /// network_model.hpp instead.
 ///
+/// It carries what the exchange calls: a buffered send and a blocking
+/// receive, matched by source and tag.
+///
 /// Resilience: the cluster accepts a sw::FaultPlan that injects message
 /// drop / duplication / truncation on the Nth send of a chosen rank, and
-/// a watchdog (default off) that bounds every blocking receive and
-/// collective. Any fault surfaces as a typed net::CommFault — a length
-/// mismatch or truncation at the receiver, a net::CommTimeout naming the
-/// blocked rank/src/tag for a lost message — never as a hang: when one
-/// rank fails, the cluster aborts every peer still blocked in it.
+/// a watchdog (default off) that bounds every blocking receive. Any fault
+/// surfaces as a typed net::CommFault — a length mismatch or truncation
+/// at the receiver, a net::CommTimeout naming the blocked rank/src/tag
+/// for a lost message — never as a hang: when one rank fails, the
+/// cluster aborts every peer still blocked in it.
 
 namespace net {
 
@@ -62,27 +65,12 @@ class CommFault : public std::runtime_error {
   std::size_t bytes_got_;
 };
 
-/// The cluster watchdog fired: a receive or collective blocked past the
-/// configured bound. The mini-MPI analogue of sw::SchedulerDeadlock.
+/// The cluster watchdog fired: a receive blocked past the configured
+/// bound. The mini-MPI analogue of sw::SchedulerDeadlock.
 class CommTimeout : public CommFault {
  public:
   CommTimeout(const std::string& what, int rank, int src, int tag)
       : CommFault(what, rank, src, tag) {}
-};
-
-/// A posted nonblocking operation. Sends are buffered and complete
-/// immediately; receives complete when a matching message arrives.
-class Request {
- public:
-  Request() = default;
-
- private:
-  friend class Rank;
-  bool is_recv_ = false;
-  int src_ = -1;
-  int tag_ = 0;
-  std::span<double> out_{};
-  bool done_ = true;
 };
 
 /// The per-process communication handle passed to every rank function.
@@ -91,25 +79,14 @@ class Rank {
   int rank() const { return rank_; }
   int size() const { return size_; }
 
-  /// Buffered standard send: copies \p data and returns immediately.
+  /// Buffered standard send: copies \p data and returns immediately, so
+  /// a send is complete when it returns (an MPI_Isend of the exchange
+  /// needs no wait here).
   void send(int dst, int tag, std::span<const double> data);
-  /// Nonblocking send (buffered, completes immediately; kept for API
-  /// parity with the CAM communication code).
-  Request isend(int dst, int tag, std::span<const double> data);
   /// Blocking receive into \p out. Throws CommFault when the matching
   /// message's payload length differs from the \p out span (never copies
   /// out of bounds or truncates silently).
   void recv(int src, int tag, std::span<double> out);
-  /// Nonblocking receive; complete it with wait().
-  Request irecv(int src, int tag, std::span<double> out);
-  void wait(Request& req);
-
-  void barrier();
-  double allreduce_sum(double value);
-  double allreduce_max(double value);
-  double allreduce_min(double value);
-  /// Gather one double from every rank (result valid on all ranks).
-  std::vector<double> allgather(double value);
 
   /// This rank's trace track ("rank<r>"), or nullptr when the cluster has
   /// no tracer. The dycore layers share it so net events nest inside
@@ -118,7 +95,6 @@ class Rank {
 
  private:
   friend class Cluster;
-  double allreduce_sum_impl(double value);
 
   Cluster* cluster_ = nullptr;
   int rank_ = 0;
@@ -144,7 +120,7 @@ class Cluster {
   void set_fault_plan(sw::FaultPlan* plan) { faults_ = plan; }
   sw::FaultPlan* fault_plan() const { return faults_; }
 
-  /// Bound every blocking receive and collective wait by \p seconds
+  /// Bound every blocking receive by \p seconds
   /// (<= 0 disables, the default): a rank blocked longer throws
   /// CommTimeout naming itself, the awaited source and the tag.
   void set_watchdog(double seconds) { watchdog_seconds_ = seconds; }
@@ -153,7 +129,7 @@ class Cluster {
   /// Execute \p fn as every rank, in parallel, and join.
   void run(const std::function<void(Rank&)>& fn);
 
-  /// Attach a tracer: every rank reports sends/receives/collectives,
+  /// Attach a tracer: every rank reports sends/receives,
   /// watchdog-bounded waits and injected message faults on its own
   /// "rank<r>" track (pid = r). nullptr detaches. Call while no rank
   /// function is running.
@@ -185,14 +161,6 @@ class Cluster {
   /// Mark the cluster failed and wake every blocked rank so no peer of a
   /// dead rank waits forever.
   void abort_peers();
-
-  // Barrier / reduction rendezvous state.
-  std::mutex coll_mu_;
-  std::condition_variable coll_cv_;
-  int coll_arrived_ = 0;
-  std::uint64_t coll_generation_ = 0;
-  double coll_acc_ = 0.0;
-  double coll_result_ = 0.0;
 
   sw::FaultPlan* faults_ = nullptr;
   double watchdog_seconds_ = 0.0;

@@ -107,6 +107,15 @@ void Server::handle_terminal(Member& m) {
   cv_.notify_all();
 }
 
+void Server::activate(Member& m, RunTicket ticket) {
+  m.ticket = std::move(ticket);
+  m.phase = MemberPhase::kActive;
+  if (m.ticket->done()) {
+    terminal_dirty_ = true;
+    cv_.notify_all();
+  }
+}
+
 void Server::resubmit(const std::string& name) {
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
   RunRequest req;
@@ -140,8 +149,7 @@ void Server::resubmit(const std::string& name) {
   }
   std::lock_guard<std::mutex> lock(mu_);
   Member& m = members_.at(name);
-  m.ticket = std::move(ticket);
-  m.phase = MemberPhase::kActive;
+  activate(m, std::move(ticket));
   ++m.attempts;
   m.request.resume = true;
   ++retries_;
@@ -224,8 +232,7 @@ void Server::restart() {
     RunTicket ticket = engine_->submit(req);  // blocking is fine here
     std::lock_guard<std::mutex> lock(mu_);
     Member& m = members_.at(name);
-    m.ticket = std::move(ticket);
-    m.phase = MemberPhase::kActive;
+    activate(m, std::move(ticket));
     ++m.attempts;
     ++m.restarts;
     m.request.resume = true;

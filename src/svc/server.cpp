@@ -156,12 +156,10 @@ Server::SubmitOutcome Server::submit(const std::string& tenant,
   m.name = member;
   m.tenant = tenant;
   m.request = std::move(req);
-  m.ticket = ticket;
-  m.phase = MemberPhase::kActive;
   m.admission = verdict.decision;
   m.priority = verdict.priority;
   m.attempts = 1;
-  members_.emplace(member, std::move(m));
+  activate(members_.emplace(member, std::move(m)).first->second, ticket);
   admission_.on_admitted(tenant);
   admission_.count(tenant, verdict.decision);
   out.admission = verdict.decision;

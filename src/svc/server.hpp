@@ -205,6 +205,11 @@ class Server {
   /// Fold a terminal attempt into the member record; schedules a retry
   /// (kBackoff) or finishes it. Caller holds mu_.
   void handle_terminal(Member& m);
+  /// Record \p m as running \p ticket (kActive). Caller holds mu_. The
+  /// engine runs a member from its submit, before the record exists, so
+  /// a member already terminal here fired the hook with nothing to
+  /// retire: wake the lifecycle loop again for it.
+  void activate(Member& m, RunTicket ticket);
   /// Re-submit \p name with resume=true. Takes submit_mu_ then mu_.
   void resubmit(const std::string& name);
   void apply_server_fields(const std::string& member, RunRequest& req) const;

@@ -8,7 +8,7 @@
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
-#include "homme/rhs.hpp"
+#include "accel_host_kernels.hpp"
 #include "mesh/cubed_sphere.hpp"
 
 namespace {
@@ -27,23 +27,26 @@ struct AccelFixture {
   PackedElems make(int nelem) { return PackedElems::synthetic(m, d, nelem); }
 };
 
-TEST(AccelEuler, PortsMatchReference) {
-  AccelFixture fx(16, 3);
+// The ports against the model's own tracer body: on the unpacked
+// workset, homme::element_tracer_rhs plus q += dt * r.
+TEST(AccelEuler, PortsMatchHostTracerBody) {
   const accel::EulerAccConfig cfg{};
-  auto base = fx.make(12);
-  auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
-
-  auto ref = base;
-  accel::euler_ref(ref, derived, cfg);
-  auto acc = base;
-  auto acc_stats = accel::euler_openacc(fx.cg, acc, derived, cfg);
-  auto ath = base;
-  auto ath_stats = accel::euler_athread(fx.cg, ath, derived, cfg);
-
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, acc), 0.0);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, ath), 0.0);
-  EXPECT_GT(acc_stats.totals.total_flops(), 0u);
-  EXPECT_EQ(acc_stats.totals.total_flops(), ath_stats.totals.total_flops());
+  for (int nlev : {8, 16, 32}) {
+    SCOPED_TRACE("nlev " + std::to_string(nlev));
+    AccelFixture fx(nlev, 3);
+    const auto base = fx.make(12);
+    const auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
+    const auto host = accel_host::euler(fx.m, base, cfg.dt);
+    auto acc = base;
+    auto acc_stats = accel::euler_openacc(fx.cg, acc, derived, cfg);
+    auto ath = base;
+    auto ath_stats = accel::euler_athread(fx.cg, ath, derived, cfg);
+    EXPECT_EQ(accel::packed_max_rel_diff(host, acc), 0.0);
+    EXPECT_EQ(accel::packed_max_rel_diff(host, ath), 0.0);
+    EXPECT_GT(acc_stats.totals.total_flops(), 0u);
+    EXPECT_EQ(acc_stats.totals.total_flops(),
+              ath_stats.totals.total_flops());
+  }
 }
 
 TEST(AccelEuler, AthreadMovesFarLessData) {
@@ -78,22 +81,6 @@ TEST(AccelEuler, AthreadIsFasterInModeledTime) {
   EXPECT_LT(t_ath, t_acc);
 }
 
-TEST(AccelRhs, PortsMatchReferenceWithinScanReordering) {
-  AccelFixture fx(16, 0);
-  const accel::RhsAccConfig cfg{};
-  auto base = fx.make(10);
-  auto ref = base;
-  accel::rhs_ref(ref, cfg);
-  auto acc = base;
-  accel::rhs_openacc(fx.cg, acc, cfg);
-  auto ath = base;
-  accel::rhs_athread(fx.cg, ath, cfg);
-  // The OpenACC port performs the same sequential scans: bit identical.
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, acc), 0.0);
-  // The 3-stage register scan reassociates the sums: tiny fp difference.
-  EXPECT_LT(accel::packed_max_rel_diff(ref, ath), 1e-11);
-}
-
 // The ports against the model's own kernel: on the unpacked workset,
 // homme::element_rhs plus x += dt * tend (base = eval, as the in-place
 // port updates) is what the rhs ports compute. Dry, so T is not virtual.
@@ -103,34 +90,15 @@ TEST(AccelRhs, PortsMatchHostElementBody) {
     SCOPED_TRACE("nlev " + std::to_string(nlev));
     AccelFixture fx(nlev, 0);
     const auto base = fx.make(10);
-    homme::State s(static_cast<std::size_t>(base.nelem),
-                   homme::ElementState(fx.d));
-    base.to_state(s, 0);
-    auto host = base;
-    const std::size_t fs = base.field_size();
-    std::vector<double> t(4 * fs);
-    const homme::TendView tend{t.data(), t.data() + fs, t.data() + 2 * fs,
-                               t.data() + 3 * fs};
-    for (int e = 0; e < base.nelem; ++e) {
-      const auto& es = s[static_cast<std::size_t>(e)];
-      homme::element_rhs(fx.m.geom(e % fx.m.nelem()), fx.d, es, tend);
-      const std::size_t eo = base.elem_offset(e);
-      for (std::size_t f = 0; f < fs; ++f) {
-        host.u1[eo + f] = es.u1[f] + cfg.dt * tend.u1[f];
-        host.u2[eo + f] = es.u2[f] + cfg.dt * tend.u2[f];
-        host.T[eo + f] = es.T[f] + cfg.dt * tend.T[f];
-        host.dp[eo + f] = es.dp[f] + cfg.dt * tend.dp[f];
-      }
-    }
-    auto ref = base;
-    accel::rhs_ref(ref, cfg);
+    const auto host = accel_host::rhs(fx.m, base, cfg.dt);
     auto acc = base;
     accel::rhs_openacc(fx.cg, acc, cfg);
     auto ath = base;
     accel::rhs_athread(fx.cg, ath, cfg);
-    EXPECT_EQ(accel::packed_max_rel_diff(host, ref), 0.0);
+    // The OpenACC port performs the same sequential scans: bit identical.
     EXPECT_EQ(accel::packed_max_rel_diff(host, acc), 0.0);
-    // The register-communication scans reassociate the column sums.
+    // The register-communication scans (section 7.4) reassociate the
+    // column sums: tiny fp difference.
     EXPECT_LT(accel::packed_max_rel_diff(host, ath), 1e-11);
   }
 }
@@ -173,18 +141,23 @@ TEST(AccelRemap, AthreadReusesGridsAcrossFields) {
 
 class AccelHypervis : public ::testing::TestWithParam<accel::HvKernel> {};
 
-TEST_P(AccelHypervis, PortsMatchReference) {
+// The ports against the operator the model's hyperviscosity applies:
+// homme::laplace_sphere_wk on the unpacked workset. hypervis_ref, Table
+// 1's reference for these rows, computes the same bits.
+TEST_P(AccelHypervis, PortsMatchHostWeakLaplacian) {
   AccelFixture fx(16, 0);
   const accel::HypervisAccConfig cfg{};
   auto base = fx.make(9);
+  const auto host = accel_host::hypervis(fx.m, base, GetParam(), cfg.nu_dt);
   auto ref = base;
   accel::hypervis_ref(ref, GetParam(), cfg);
   auto acc = base;
   accel::hypervis_openacc(fx.cg, acc, GetParam(), cfg);
   auto ath = base;
   accel::hypervis_athread(fx.cg, ath, GetParam(), cfg);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, acc), 0.0);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, ath), 0.0);
+  EXPECT_EQ(accel::packed_max_rel_diff(host, ref), 0.0);
+  EXPECT_EQ(accel::packed_max_rel_diff(host, acc), 0.0);
+  EXPECT_EQ(accel::packed_max_rel_diff(host, ath), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllThree, AccelHypervis,

@@ -1,6 +1,6 @@
 // Parameterized sweeps of the Sunway kernel ports over model shapes:
 // every configuration must keep the ports equivalent to the host
-// reference, keep the Athread traffic advantage, and stay inside the
+// kernels, keep the Athread traffic advantage, and stay inside the
 // 64 KB LDM.
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
+#include "accel_host_kernels.hpp"
 #include "mesh/cubed_sphere.hpp"
 
 namespace {
@@ -29,8 +30,11 @@ class AccelShapeSweep : public ::testing::TestWithParam<Shape> {
     homme::Dims d;
     d.nlev = p.nlev;
     d.qsize = p.qsize;
-    static auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-    return accel::PackedElems::synthetic(m, d, p.nelem);
+    return accel::PackedElems::synthetic(donor(), d, p.nelem);
+  }
+  static const mesh::CubedSphere& donor() {
+    static const auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+    return m;
   }
 };
 
@@ -38,8 +42,7 @@ TEST_P(AccelShapeSweep, EulerPortsAgreeAndFitLdm) {
   const accel::EulerAccConfig cfg{};
   auto base = make();
   auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
-  auto ref = base;
-  accel::euler_ref(ref, derived, cfg);
+  const auto ref = accel_host::euler(donor(), base, cfg.dt);
   sw::CoreGroup cg;
   auto acc = base;
   auto acc_stats = accel::euler_openacc(cg, acc, derived, cfg);
@@ -75,8 +78,8 @@ TEST_P(AccelShapeSweep, RemapPortsAgree) {
 TEST_P(AccelShapeSweep, HypervisDp2PortsAgree) {
   const accel::HypervisAccConfig cfg{};
   auto base = make();
-  auto ref = base;
-  accel::hypervis_ref(ref, accel::HvKernel::kDp2, cfg);
+  const auto ref =
+      accel_host::hypervis(donor(), base, accel::HvKernel::kDp2, cfg.nu_dt);
   sw::CoreGroup cg;
   auto ath = base;
   accel::hypervis_athread(cg, ath, accel::HvKernel::kDp2, cfg);
@@ -102,8 +105,7 @@ TEST(AccelRhsSweep, PortsAgreeOverLevelMultiplesOfEight) {
     d.nlev = nlev;
     d.qsize = 0;
     auto base = accel::PackedElems::synthetic(m, d, 10);
-    auto ref = base;
-    accel::rhs_ref(ref, cfg);
+    const auto ref = accel_host::rhs(m, base, cfg.dt);
     auto ath = base;
     accel::rhs_athread(cg, ath, cfg);
     EXPECT_LT(accel::packed_max_rel_diff(ref, ath), 1e-10)

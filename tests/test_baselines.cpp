@@ -6,6 +6,7 @@
 #include "baselines/mpas_core.hpp"
 #include "baselines/nggps.hpp"
 #include "mesh/cubed_sphere.hpp"
+#include "scenario/registry.hpp"
 
 namespace {
 
@@ -99,7 +100,8 @@ TEST(MpasCore, UpwindSchemeDampsButDoesNotUndershoot) {
 }
 
 TEST(Nggps, MeasuredCostsArePositive) {
-  auto costs = baselines::measure_dycore_costs();
+  auto costs =
+      baselines::measure_dycore_costs(scenario::get("nggps").config());
   EXPECT_GT(costs.homme, 0.0);
   EXPECT_GT(costs.fv3, 0.0);
   EXPECT_GT(costs.mpas, 0.0);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
 #include <vector>
 
 namespace {
@@ -41,75 +39,6 @@ TEST(MiniMpi, TagsDisambiguateMessages) {
   });
   EXPECT_EQ(a, 10.0);
   EXPECT_EQ(b, 20.0);
-}
-
-TEST(MiniMpi, IrecvWaitCompletes) {
-  Cluster cluster(2);
-  std::vector<double> out(3, 0.0);
-  cluster.run([&](Rank& r) {
-    if (r.rank() == 0) {
-      std::vector<double> data = {5, 6, 7};
-      auto req = r.isend(1, 0, data);
-      r.wait(req);
-    } else {
-      auto req = r.irecv(0, 0, out);
-      r.wait(req);
-    }
-  });
-  EXPECT_EQ(out, (std::vector<double>{5, 6, 7}));
-}
-
-TEST(MiniMpi, AllreduceSum) {
-  Cluster cluster(8);
-  std::vector<double> results(8, -1.0);
-  cluster.run([&](Rank& r) {
-    results[static_cast<std::size_t>(r.rank())] =
-        r.allreduce_sum(static_cast<double>(r.rank() + 1));
-  });
-  for (double v : results) EXPECT_EQ(v, 36.0);  // 1+...+8
-}
-
-TEST(MiniMpi, BackToBackCollectivesDoNotInterfere) {
-  Cluster cluster(6);
-  std::vector<double> second(6, 0.0);
-  cluster.run([&](Rank& r) {
-    (void)r.allreduce_sum(1.0);
-    (void)r.allreduce_sum(2.0);
-    second[static_cast<std::size_t>(r.rank())] = r.allreduce_sum(3.0);
-  });
-  for (double v : second) EXPECT_EQ(v, 18.0);
-}
-
-TEST(MiniMpi, AllreduceMaxMin) {
-  Cluster cluster(5);
-  cluster.run([&](Rank& r) {
-    const double x = static_cast<double>(r.rank());
-    EXPECT_EQ(r.allreduce_max(x), 4.0);
-    EXPECT_EQ(r.allreduce_min(x), 0.0);
-  });
-}
-
-TEST(MiniMpi, AllgatherOrdersByRank) {
-  Cluster cluster(4);
-  cluster.run([&](Rank& r) {
-    auto all = r.allgather(10.0 * r.rank());
-    ASSERT_EQ(all.size(), 4u);
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_EQ(all[static_cast<std::size_t>(i)], 10.0 * i);
-    }
-  });
-}
-
-TEST(MiniMpi, BarrierOrdersSideEffects) {
-  Cluster cluster(4);
-  std::atomic<int> before{0};
-  std::atomic<bool> violated{false};
-  cluster.run([&](Rank& r) {
-    before.fetch_add(1);
-    r.barrier();
-    if (before.load() != 4) violated = true;
-  });
-  EXPECT_FALSE(violated.load());
 }
 
 TEST(MiniMpi, ManyRanksHaloPattern) {
@@ -157,14 +86,23 @@ TEST(MiniMpi, RankExceptionPropagates) {
 }
 
 TEST(MiniMpi, ClusterReusableAcrossRuns) {
+  // Each run starts from empty mailboxes: a message left unreceived by
+  // one run is never matched by a receive of the next.
   Cluster cluster(3);
   for (int iter = 0; iter < 3; ++iter) {
-    double result = 0;
+    std::vector<double> got(3, 0.0);
     cluster.run([&](Rank& r) {
-      const double s = r.allreduce_sum(1.0);
-      if (r.rank() == 0) result = s;
+      const int next = (r.rank() + 1) % r.size();
+      const int prev = (r.rank() + r.size() - 1) % r.size();
+      const double mine = 10.0 * iter + r.rank(), stale = -1.0;
+      r.send(next, 0, std::span<const double>(&mine, 1));
+      r.send(next, 0, std::span<const double>(&stale, 1));  // left unread
+      r.recv(prev, 0,
+             std::span<double>(&got[static_cast<std::size_t>(r.rank())], 1));
     });
-    EXPECT_EQ(result, 3.0);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(got[static_cast<std::size_t>(i)], 10.0 * iter + (i + 2) % 3);
+    }
   }
 }
 
