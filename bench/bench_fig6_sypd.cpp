@@ -2,23 +2,17 @@
 // (100 km) with the three ports and ne120 (25 km) with the OpenACC port,
 // as a function of process count. Two documented calibration anchors
 // (ne30/5400/athread = 21.5 SYPD, ne120/28800/openacc = 3.4 SYPD);
-// everything else is the model's prediction.
-//
-// Alongside the analytic figure, a measured section drives a real
-// model::Session at a small resolution on both backends and reports the
-// SYPD this host actually sustains.
+// everything else is the model's prediction. perfbench's workloads are
+// the wall-clock record of what a model::Session sustains on a host.
 
 // Pass --json <path> for a machine-readable record of every plotted point.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "model/session.hpp"
 #include "obs/report.hpp"
 #include "perf/machine_model.hpp"
 
@@ -29,48 +23,7 @@ const perf::MachineModel& model() {
   return m;
 }
 
-struct MeasuredPoint {
-  std::string backend;
-  int ne = 0;
-  int steps = 0;
-  double dt_s = 0.0;
-  double wall_s = 0.0;
-  double sypd = 0.0;
-};
-
-/// Simulated-years-per-day a Session sustains over \p steps steps.
-MeasuredPoint measure_sypd(model::SessionConfig::Backend backend,
-                           const char* name, int ne, int steps) {
-  model::Session session(model::SessionConfig{}
-                             .with_ne(ne)
-                             .with_levels(8, 2)
-                             .with_backend(backend));
-  session.step();  // warm: first step touches every buffer
-  const auto t0 = std::chrono::steady_clock::now();
-  session.run(steps);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  MeasuredPoint pt;
-  pt.backend = name;
-  pt.ne = ne;
-  pt.steps = steps;
-  pt.dt_s = session.dt();
-  pt.wall_s = wall;
-  const double sim_years = steps * session.dt() / (365.25 * 86400.0);
-  pt.sypd = wall > 0.0 ? sim_years / (wall / 86400.0) : 0.0;
-  return pt;
-}
-
-std::vector<MeasuredPoint> measured_points(int ne, int steps) {
-  return {measure_sypd(model::SessionConfig::Backend::kHost, "host", ne,
-                       steps),
-          measure_sypd(model::SessionConfig::Backend::kPipeline, "pipeline",
-                       ne, steps)};
-}
-
-bool write_json(const std::string& path,
-                const std::vector<MeasuredPoint>& measured) {
+bool write_json(const std::string& path) {
   const auto& m = model();
   obs::Report rep("fig6_sypd");
   rep.config().set("nlev", 128).set("qsize", 25).set("physics_columns", 32);
@@ -91,16 +44,6 @@ bool write_json(const std::string& path,
         .set("procs", static_cast<std::int64_t>(p))
         .set("version", perf::to_string(perf::Version::kOpenAcc))
         .set("sypd", m.sypd(120, p, perf::Version::kOpenAcc));
-  }
-  obs::Json& meas = rep.root().arr("measured");
-  for (const auto& pt : measured) {
-    meas.push()
-        .set("backend", pt.backend)
-        .set("ne", pt.ne)
-        .set("steps", pt.steps)
-        .set("dt_s", pt.dt_s)
-        .set("wall_s", pt.wall_s)
-        .set("sypd", pt.sypd);
   }
   return rep.write(path);
 }
@@ -124,17 +67,7 @@ void print_figure() {
   std::printf("paper: 3.4 SYPD at 28800 processes\n\n");
 }
 
-void print_measured(const std::vector<MeasuredPoint>& measured) {
-  std::printf("=== Measured: model::Session SYPD on this host ===\n");
-  std::printf("%10s %6s %8s %10s %10s %10s\n", "backend", "ne", "steps",
-              "dt s", "wall s", "SYPD");
-  for (const auto& pt : measured)
-    std::printf("%10s %6d %8d %10.1f %10.3f %10.3f\n", pt.backend.c_str(),
-                pt.ne, pt.steps, pt.dt_s, pt.wall_s, pt.sypd);
-  std::printf("\n");
-}
-
-void register_benchmarks(const std::vector<MeasuredPoint>& measured) {
+void register_benchmarks() {
   const auto& m = model();
   for (long long p : {216LL, 5400LL}) {
     for (auto v : {perf::Version::kOriginal, perf::Version::kOpenAcc,
@@ -150,17 +83,6 @@ void register_benchmarks(const std::vector<MeasuredPoint>& measured) {
       b->UseManualTime()->Iterations(1);
     }
   }
-  for (const auto& pt : measured) {
-    const double wall = pt.wall_s;
-    const double sypd = pt.sypd;
-    auto* b = benchmark::RegisterBenchmark(
-        ("measured/ne" + std::to_string(pt.ne) + "/" + pt.backend).c_str(),
-        [wall, sypd](benchmark::State& state) {
-          for (auto _ : state) state.SetIterationTime(wall);
-          state.counters["SYPD"] = sypd;
-        });
-    b->UseManualTime()->Iterations(1);
-  }
 }
 
 }  // namespace
@@ -168,12 +90,8 @@ void register_benchmarks(const std::vector<MeasuredPoint>& measured) {
 int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
   print_figure();
-  const std::vector<MeasuredPoint> measured = measured_points(
-      opts.ne_or(4), opts.steps_or(opts.small ? 2 : 10));
-  print_measured(measured);
-  if (!opts.json_path.empty() && !write_json(opts.json_path, measured))
-    return 1;
-  register_benchmarks(measured);
+  if (!opts.json_path.empty() && !write_json(opts.json_path)) return 1;
+  register_benchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -8,22 +8,15 @@
 // of the simulator (perf::MachineModel::calibrate runs every kernel with
 // --core-groups sibling DMA streams declared on one shared memory
 // controller), not an assumed intra-node figure.
-//
-// A measured section strong-scales a real model::Session over the
-// threaded mini-MPI (nranks 1/2/4 on one fixed mesh) alongside the
-// analytic machine-scale figure.
 
 // Pass --json <path> for a machine-readable record of every plotted point.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "model/session.hpp"
 #include "obs/report.hpp"
 #include "perf/machine_model.hpp"
 
@@ -43,40 +36,7 @@ const perf::MachineModel& model() {
 // paper's accounting (131,072 processes = 8,519,680 cores).
 constexpr long long kCoresPerProcess = 65;
 
-struct MeasuredPoint {
-  int nranks = 0;
-  double wall_s = 0.0;
-  double step_s = 0.0;
-  double speedup = 0.0;
-  double efficiency = 0.0;
-};
-
-/// Wall time of \p steps Session steps at each rank count on one mesh.
-std::vector<MeasuredPoint> measure_strong(int ne, int steps) {
-  std::vector<MeasuredPoint> out;
-  for (int nranks : {1, 2, 4}) {
-    model::Session session(
-        model::SessionConfig{}.with_ne(ne).with_levels(8, 2).with_ranks(
-            nranks));
-    session.step();  // warm
-    const auto t0 = std::chrono::steady_clock::now();
-    session.run(steps);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    MeasuredPoint pt;
-    pt.nranks = nranks;
-    pt.wall_s = wall;
-    pt.step_s = wall / steps;
-    pt.speedup = out.empty() ? 1.0 : out.front().wall_s / wall;
-    pt.efficiency = pt.speedup / nranks;
-    out.push_back(pt);
-  }
-  return out;
-}
-
-bool write_json(const std::string& path, int measured_ne,
-                const std::vector<MeasuredPoint>& measured) {
+bool write_json(const std::string& path) {
   const auto& m = model();
   obs::Report rep("fig7_strong");
   rep.config().set("nlev", 128).set("qsize", 25).set("version", "athread");
@@ -109,29 +69,7 @@ bool write_json(const std::string& path, int measured_ne,
     }
   }
   rep.root().set("max_cores", static_cast<std::int64_t>(max_cores));
-  obs::Json& meas = rep.root().arr("measured");
-  for (const auto& pt : measured) {
-    meas.push()
-        .set("ne", measured_ne)
-        .set("nranks", pt.nranks)
-        .set("wall_s", pt.wall_s)
-        .set("step_s", pt.step_s)
-        .set("speedup", pt.speedup)
-        .set("parallel_efficiency", pt.efficiency);
-  }
   return rep.write(path);
-}
-
-void print_measured(int ne, const std::vector<MeasuredPoint>& measured) {
-  std::printf("=== Measured: model::Session strong scaling (ne%d, threaded "
-              "mini-MPI) ===\n",
-              ne);
-  std::printf("%8s %10s %10s %10s %10s\n", "nranks", "wall s", "step s",
-              "speedup", "par.eff");
-  for (const auto& pt : measured)
-    std::printf("%8d %10.3f %10.4f %9.2fx %9.1f%%\n", pt.nranks, pt.wall_s,
-                pt.step_s, pt.speedup, 100.0 * pt.efficiency);
-  std::printf("\n");
 }
 
 void print_figure() {
@@ -185,12 +123,7 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
   g_core_groups = opts.core_groups_or(4);
   print_figure();
-  const int ne = opts.ne_or(4);
-  const std::vector<MeasuredPoint> measured =
-      measure_strong(ne, opts.steps_or(opts.small ? 2 : 6));
-  print_measured(ne, measured);
-  if (!opts.json_path.empty() && !write_json(opts.json_path, ne, measured))
-    return 1;
+  if (!opts.json_path.empty() && !write_json(opts.json_path)) return 1;
   register_benchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -1,63 +1,20 @@
 // Reproduces Figure 8: weak scalability with 48 / 192 / 650 / 768
 // elements per process. The headline point: 650 elements/process on
 // 155,000 processes = 10,075,000 cores at ~3.3 PFlops, 98.5% efficiency.
-//
-// A measured section weak-scales a real model::Session over the threaded
-// mini-MPI: (ne2, 1 rank), (ne3, 2 ranks), (ne4, 4 ranks) hold the
-// elements-per-rank load near constant (24 / 27 / 24).
 
 // Pass --json <path> for a machine-readable record of every plotted point.
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench_common.hpp"
-#include "model/session.hpp"
 #include "obs/report.hpp"
 #include "perf/machine_model.hpp"
 
 namespace {
-
-struct MeasuredPoint {
-  int ne = 0;
-  int nranks = 0;
-  int elems_per_rank = 0;
-  double wall_s = 0.0;
-  double step_s = 0.0;
-  double weak_efficiency = 0.0;  ///< step_s(1 rank) / step_s(this point)
-};
-
-/// Step wall time at near-constant per-rank load across rank counts.
-std::vector<MeasuredPoint> measure_weak(int steps) {
-  std::vector<MeasuredPoint> out;
-  for (auto [ne, nranks] :
-       {std::pair{2, 1}, std::pair{3, 2}, std::pair{4, 4}}) {
-    model::Session session(
-        model::SessionConfig{}.with_ne(ne).with_levels(8, 2).with_ranks(
-            nranks));
-    session.step();  // warm
-    const auto t0 = std::chrono::steady_clock::now();
-    session.run(steps);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    MeasuredPoint pt;
-    pt.ne = ne;
-    pt.nranks = nranks;
-    pt.elems_per_rank = 6 * ne * ne / nranks;
-    pt.wall_s = wall;
-    pt.step_s = wall / steps;
-    pt.weak_efficiency =
-        out.empty() ? 1.0 : out.front().step_s / pt.step_s;
-    out.push_back(pt);
-  }
-  return out;
-}
 
 // Core groups per processor used for calibration; set once from
 // --core-groups in main() before the first model() call.
@@ -75,8 +32,7 @@ int ne_for(long long elems_per_proc, long long procs) {
       std::sqrt(static_cast<double>(elems_per_proc * procs) / 6.0)));
 }
 
-bool write_json(const std::string& path,
-                const std::vector<MeasuredPoint>& measured) {
+bool write_json(const std::string& path) {
   const auto& m = model();
   obs::Report rep("fig8_weak");
   rep.config().set("nlev", 128).set("qsize", 25).set("version", "athread");
@@ -108,29 +64,7 @@ bool write_json(const std::string& path,
     }
   }
   add(650, 155000);  // the 10,075,000-core headline point
-  obs::Json& meas = rep.root().arr("measured");
-  for (const auto& pt : measured) {
-    meas.push()
-        .set("ne", pt.ne)
-        .set("nranks", pt.nranks)
-        .set("elems_per_rank", pt.elems_per_rank)
-        .set("wall_s", pt.wall_s)
-        .set("step_s", pt.step_s)
-        .set("weak_efficiency", pt.weak_efficiency);
-  }
   return rep.write(path);
-}
-
-void print_measured(const std::vector<MeasuredPoint>& measured) {
-  std::printf("=== Measured: model::Session weak scaling (threaded "
-              "mini-MPI) ===\n");
-  std::printf("%6s %8s %12s %10s %10s %10s\n", "ne", "nranks", "elems/rank",
-              "wall s", "step s", "weak-eff");
-  for (const auto& pt : measured)
-    std::printf("%6d %8d %12d %10.3f %10.4f %9.1f%%\n", pt.ne, pt.nranks,
-                pt.elems_per_rank, pt.wall_s, pt.step_s,
-                100.0 * pt.weak_efficiency);
-  std::printf("\n");
 }
 
 void print_figure() {
@@ -181,11 +115,7 @@ int main(int argc, char** argv) {
   const bench::BenchOptions opts = bench::BenchOptions::parse(argc, argv);
   g_core_groups = opts.core_groups_or(4);
   print_figure();
-  const std::vector<MeasuredPoint> measured =
-      measure_weak(opts.steps_or(opts.small ? 2 : 6));
-  print_measured(measured);
-  if (!opts.json_path.empty() && !write_json(opts.json_path, measured))
-    return 1;
+  if (!opts.json_path.empty() && !write_json(opts.json_path)) return 1;
   register_benchmarks();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

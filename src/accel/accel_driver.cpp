@@ -82,13 +82,13 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
     // The kernels read and write the packed shard images only; s is
     // untouched until the successful write-back below, so a faulted
     // launch — even after sibling shards already ran — can be discarded
-    // wholesale.
-    std::vector<PackedElems> packs;
-    packs.reserve(static_cast<std::size_t>(nshards));
+    // wholesale: the next remap refills every image.
+    packs_.resize(static_cast<std::size_t>(nshards));
     {
       obs::ScopedSpan span(trk_, "accel:pack");
-      for (const auto& [b, e] : ranges) {
-        packs.push_back(PackedElems::from_state(dims_, s, b, e));
+      for (int si = 0; si < nshards; ++si) {
+        const auto& [b, e] = ranges[static_cast<std::size_t>(si)];
+        packs_[static_cast<std::size_t>(si)].from_state(dims_, s, b, e);
       }
     }
 
@@ -109,7 +109,7 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
       auto lk = pool_->lock(cgs_[static_cast<std::size_t>(si)]);
       cg.set_fault_plan(faults_);
       PlanGuard plan_guard{cg};
-      RemapKernel k(packs[static_cast<std::size_t>(si)]);
+      RemapKernel k(packs_[static_cast<std::size_t>(si)]);
       KernelPipeline pipe({&k});
       const sw::KernelStats st = pipe.run(cg);
       if (si == 0) {
@@ -135,7 +135,7 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
     {
       obs::ScopedSpan span(trk_, "accel:unpack");
       for (int si = 0; si < nshards; ++si) {
-        packs[static_cast<std::size_t>(si)].to_state(
+        packs_[static_cast<std::size_t>(si)].to_state(
             s, ranges[static_cast<std::size_t>(si)].first);
       }
     }
@@ -152,8 +152,8 @@ void PipelineAccelerator::degrade(homme::State& s, const std::string& why) {
   last_fault_ = why;
   ++fallbacks_;
   // The abandoned launch may have left persistent-LDM residency entries
-  // pinned to the destroyed packed images; purge every assigned group
-  // before the next launch.
+  // pinned to the packed images, which the next remap refills; purge
+  // every assigned group before the next launch.
   for (int i : cgs_) {
     auto lk = pool_->lock(i);
     pool_->group(i).purge_ldm();

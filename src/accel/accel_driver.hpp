@@ -27,6 +27,9 @@ namespace accel {
 /// offloaded remap is bit-identical to homme::vertical_remap_local: a
 /// pipeline-backend run steps to the host backend's bits.
 ///
+/// The accelerator keeps one packed image per shard across remaps and
+/// refills it in place, so a warm remap allocates no image.
+///
 /// By default the accelerator owns a private 1-CG pool, exactly the
 /// historical single-core-group behavior. set_cg_pool() instead binds to
 /// an externally owned sw::CgPool (a model::Session's pool, or
@@ -93,6 +96,7 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   std::vector<int> cgs_;
   bool owns_pool_ = true;
   sw::FaultPlan* faults_ = nullptr;
+  std::vector<PackedElems> packs_;  ///< one image per shard, refilled
   sw::KernelStats last_stats_;
   int launches_ = 0;
   int fallbacks_ = 0;

@@ -23,10 +23,10 @@ void euler_tile(const homme::MetricView& g, const double* u1,
                 bool vectorized) {
   double r[kNpp];
   homme::tracer_rhs_level(g, u1, u2, qdp, r);
-  charge(&cpe, vectorized, kNpp * 2);  // the flux u qdp
-  charge(&cpe, vectorized, kDivergenceFlops);
+  charge(cpe, vectorized, kNpp * 2);  // the flux u qdp
+  charge(cpe, vectorized, kDivergenceFlops);
   for (int k = 0; k < kNpp; ++k) qdp[k] += dt * r[k];
-  charge(&cpe, vectorized, kNpp * 2);
+  charge(cpe, vectorized, kNpp * 2);
 }
 
 }  // namespace
@@ -99,10 +99,12 @@ void EulerKernel::bind(Workset& ws) const {
   ws.dvv = p_.dvv.data();
   const std::size_t fs = p_.field_size();
   const std::size_t geom = static_cast<std::size_t>(kGeomDoubles);
-  ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false});
-  ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, false});
-  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, false});
-  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, false});
+  // Geometry and the wind stay resident across a chain; the shared
+  // arrays and the tracers stream.
+  ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false, true});
+  ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, false, true});
+  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, false, true});
+  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, false, true});
   if (cfg_.shared_extra > 0) {
     ws.bind({FieldId::kExtra, const_cast<double*>(dv_.extra.data()), fs, fs,
              cfg_.shared_extra, static_cast<std::size_t>(p_.nelem) * fs,
@@ -113,18 +115,6 @@ void EulerKernel::bind(Workset& ws) const {
              static_cast<std::size_t>(p_.qsize) * fs, fs, p_.qsize, fs,
              true});
   }
-}
-
-std::vector<FieldUse> EulerKernel::footprint() const {
-  std::vector<FieldUse> uses = {
-      {FieldId::kGeom, Access::kRead, /*keep=*/true},
-      {FieldId::kDp, Access::kRead, /*keep=*/true},
-      {FieldId::kU1, Access::kRead, /*keep=*/true},
-      {FieldId::kU2, Access::kRead, /*keep=*/true},
-  };
-  if (cfg_.shared_extra > 0) uses.push_back({FieldId::kExtra, Access::kRead, false});
-  if (p_.qsize > 0) uses.push_back({FieldId::kQdp, Access::kReadWrite, false});
-  return uses;
 }
 
 std::size_t EulerKernel::transient_bytes(const Workset&,

@@ -50,7 +50,7 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
                               const EulerDerived& dv,
                               const EulerAccConfig& cfg);
 
-/// euler_step behind the declared-footprint pipeline interface: geometry,
+/// euler_step behind the declared-binding pipeline interface: geometry,
 /// dp and the wind are keep-candidates shared across the tracer loop (and,
 /// in a chain, with hypervis/remap); tracers stream level-chunked.
 class EulerKernel final : public Kernel {
@@ -61,7 +61,6 @@ class EulerKernel final : public Kernel {
 
   std::string_view name() const override { return "euler_step"; }
   void bind(Workset& ws) const override;
-  std::vector<FieldUse> footprint() const override;
   std::size_t transient_bytes(const Workset& ws,
                               const KeepSet& keep) const override;
   void element(sw::Cpe& cpe, ElemCtx& ctx) const override;

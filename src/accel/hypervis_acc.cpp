@@ -23,7 +23,7 @@ constexpr int kLaplaceTiles = kGinv22 + 1;
 /// sums of products a point, then the negation, the mass product and the
 /// divide).
 void laplace_tile(const homme::MetricView& g, const double* s, double* lap,
-                  sw::Cpe* cpe, bool vec) {
+                  sw::Cpe& cpe, bool vec) {
   homme::laplace_sphere_wk(g, s, lap);
   charge(cpe, vec, kDerivFlops);
   charge(cpe, vec, kNpp * 8);
@@ -32,7 +32,7 @@ void laplace_tile(const homme::MetricView& g, const double* s, double* lap,
 
 /// Apply the kernel's operator to one level tile in place.
 void hv_tile(HvKernel which, const homme::MetricView& g, double* field,
-             double nu_dt, sw::Cpe* cpe, bool vec) {
+             double nu_dt, sw::Cpe& cpe, bool vec) {
   double lap[kNpp];
   laplace_tile(g, field, lap, cpe, vec);
   if (which == HvKernel::kDp1) {
@@ -53,20 +53,6 @@ std::vector<double*> hv_fields(PackedElems& p, HvKernel which) {
 }
 
 }  // namespace
-
-void hypervis_ref(PackedElems& p, HvKernel which,
-                  const HypervisAccConfig& cfg) {
-  for (double* base : hv_fields(p, which)) {
-    for (int e = 0; e < p.nelem; ++e) {
-      const std::size_t eo = p.elem_offset(e);
-      const homme::MetricView g(p.geom_of(e), kLaplaceTiles);
-      for (int lev = 0; lev < p.nlev; ++lev) {
-        hv_tile(which, g, base + eo + fidx(lev, 0), cfg.nu_dt, nullptr,
-                false);
-      }
-    }
-  }
-}
 
 sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, PackedElems& p,
                                  HvKernel which,
@@ -91,7 +77,7 @@ sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, PackedElems& p,
         const std::size_t off = p.elem_offset(e) + fidx(lev, 0);
         cpe.get(tile, fields[f] + off);
         hv_tile(which, homme::MetricView(geom.data(), kLaplaceTiles),
-                tile.data(), cfg.nu_dt, &cpe, /*vectorized=*/false);
+                tile.data(), cfg.nu_dt, cpe, /*vectorized=*/false);
         cpe.put(fields[f] + off, std::span<const double>(tile));
         co_await cpe.yield();
       }
@@ -123,22 +109,15 @@ void HypervisKernel::bind(Workset& ws) const {
   ws.dvv = p_.dvv.data();
   const std::size_t fs = p_.field_size();
   const std::size_t geom = static_cast<std::size_t>(kGeomDoubles);
-  ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false});
+  // Every field stays resident across a chain.
+  ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false, true});
   if (which_ == HvKernel::kBiharmDp3d) {
-    ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true});
+    ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true, true});
   } else {
-    ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, true});
-    ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, true});
-    ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true});
+    ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, true, true});
+    ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, true, true});
+    ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true, true});
   }
-}
-
-std::vector<FieldUse> HypervisKernel::footprint() const {
-  std::vector<FieldUse> uses = {{FieldId::kGeom, Access::kRead, /*keep=*/true}};
-  for (FieldId f : field_ids()) {
-    uses.push_back({f, Access::kReadWrite, /*keep=*/true});
-  }
-  return uses;
 }
 
 std::size_t HypervisKernel::transient_bytes(const Workset& ws,
@@ -167,7 +146,7 @@ void HypervisKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   for (FieldId f : field_ids()) {
     FieldLease fld = ctx.lease(f, 0, 0, fs, Access::kReadWrite);
     for (int lev = 0; lev < p_.nlev; ++lev) {
-      hv_tile(which_, g, fld.data() + fidx(lev, 0), cfg_.nu_dt, &cpe,
+      hv_tile(which_, g, fld.data() + fidx(lev, 0), cfg_.nu_dt, cpe,
               /*vectorized=*/true);
     }
   }

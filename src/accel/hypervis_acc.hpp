@@ -29,18 +29,11 @@ enum class HvKernel {
   kBiharmDp3d  ///< biharmonic on dp
 };
 
-/// Host reference on packed data: the same tile applications, with no
-/// CPE charged. hypervis_dp1 has no host kernel, and the model's dp2 and
-/// dp3d DSS between their two applications, so no homme kernel is this
-/// element-local operator.
-void hypervis_ref(PackedElems& p, HvKernel which,
-                  const HypervisAccConfig& cfg);
-
 sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, PackedElems& p,
                                  HvKernel which,
                                  const HypervisAccConfig& cfg);
 
-/// One dissipation kernel behind the declared-footprint interface. The
+/// One dissipation kernel behind the declared-binding interface. The
 /// four metric tiles it reads (jac, ginv11/12/22) are the leading tiles
 /// of the packed geometry, so its geometry lease is the prefix [0, 4*16)
 /// — a subset of what euler/rhs keep resident in a chain.
@@ -51,7 +44,6 @@ class HypervisKernel final : public Kernel {
 
   std::string_view name() const override;
   void bind(Workset& ws) const override;
-  std::vector<FieldUse> footprint() const override;
   std::size_t transient_bytes(const Workset& ws,
                               const KeepSet& keep) const override;
   void element(sw::Cpe& cpe, ElemCtx& ctx) const override;

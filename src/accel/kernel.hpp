@@ -10,16 +10,17 @@
 #include "sw/core_group.hpp"
 
 /// \file kernel.hpp
-/// The declared-footprint kernel interface of the kernel-pipeline layer.
+/// The declared-binding kernel interface of the kernel-pipeline layer.
 ///
 /// Instead of open-coding its DMA gets, an accel kernel *declares* the
-/// per-element LDM field footprint it touches (read / keep / write sets)
-/// and expresses its data movement as leases against that declaration.
-/// The KernelPipeline (pipeline.hpp) turns the declarations of a whole
-/// kernel chain into a keep-set admission plan: fields several kernels
-/// share stay resident in LDM between kernels, and the per-CPE residency
-/// ledger skips the redundant transfers — the scheduling abstraction the
-/// O2ATH toolkit derives from the same idea, applied to this simulator.
+/// main-memory fields it touches (one FieldBinding each, marked writable
+/// and keep-worthy as it uses them) and expresses its data movement as
+/// leases against that declaration. The KernelPipeline (pipeline.hpp)
+/// turns the bindings of a whole kernel chain into a keep-set admission
+/// plan: fields several kernels share stay resident in LDM between
+/// kernels, and the per-CPE residency ledger skips the redundant
+/// transfers — the scheduling abstraction the O2ATH toolkit derives from
+/// the same idea, applied to this simulator.
 
 namespace accel {
 
@@ -28,17 +29,14 @@ class ElemCtx;  // defined in pipeline.hpp
 inline constexpr int kNp = mesh::kNp;
 inline constexpr int kNpp = mesh::kNpp;
 
-/// Charge \p n retired flops to \p cpe (if any) on the chosen issue width.
-/// The ports compute with homme's bodies and operators and charge at the
-/// call site; hypervis_ref passes no CPE. The simulator separates
-/// functional results from timing, so the arithmetic is the same either
-/// way.
-inline void charge(sw::Cpe* cpe, bool vectorized, std::uint64_t n) {
-  if (cpe == nullptr) return;
+/// Charge \p n retired flops to \p cpe on the chosen issue width. The
+/// ports compute with homme's bodies and operators and charge at the call
+/// site: the simulator separates functional results from timing.
+inline void charge(sw::Cpe& cpe, bool vectorized, std::uint64_t n) {
   if (vectorized) {
-    cpe->vector_flops(n);
+    cpe.vector_flops(n);
   } else {
-    cpe->scalar_flops(n);
+    cpe.scalar_flops(n);
   }
 }
 
@@ -73,15 +71,6 @@ enum class Access {
   kWrite,      ///< fully overwritten: no stage-in, written back
 };
 
-/// One entry of a kernel's declared per-element footprint.
-struct FieldUse {
-  FieldId id;
-  Access access = Access::kRead;
-  /// Candidate for cross-kernel LDM residency: the pipeline may keep this
-  /// field's element block resident between kernels of a chain.
-  bool keep = false;
-};
-
 /// How a FieldId maps onto main memory: address of (item, sub, offset) is
 /// base + item * item_stride + sub * sub_stride + offset (doubles).
 struct FieldBinding {
@@ -92,6 +81,10 @@ struct FieldBinding {
   int subcount = 1;             ///< sub-fields per item (tracers, ...)
   std::size_t sub_stride = 0;   ///< doubles between sub-fields
   bool writable = false;
+  /// Candidate for cross-kernel LDM residency: the pipeline may keep this
+  /// field's element block resident between kernels of a fused segment.
+  /// Per kernel: two kernels may bind one field with different values.
+  bool keep = false;
 };
 
 /// The merged binding table of a kernel chain plus the common iteration
@@ -104,7 +97,8 @@ class Workset {
                                    ///< staged and pinned by the pipeline
                                    ///< for its modeled traffic
 
-  /// Register a binding; kernels sharing a FieldId must agree on it.
+  /// Register a binding; kernels sharing a FieldId must agree on where it
+  /// lives (keep is each kernel's own).
   void bind(const FieldBinding& b) {
     if (const FieldBinding* have = find(b.id)) {
       if (have->base != b.base || have->extent != b.extent ||
@@ -172,7 +166,7 @@ struct KeepSet {
   }
 };
 
-/// One accel kernel behind the declared-footprint interface.
+/// One accel kernel behind the declared-binding interface.
 ///
 /// Fusible kernels express their whole per-element work in element():
 /// the pipeline schedules them element-major on one CoreGroup launch and
@@ -191,11 +185,10 @@ class Kernel {
   /// cannot run on it.
   virtual void validate(const Workset&) const {}
 
-  /// Register this kernel's fields and iteration space.
+  /// Register this kernel's fields and iteration space. A fused
+  /// segment's keep candidates are its kernels' keep bindings, in
+  /// declaration order.
   virtual void bind(Workset& ws) const = 0;
-
-  /// The per-element LDM footprint (read/keep/write sets).
-  virtual std::vector<FieldUse> footprint() const = 0;
 
   /// Worst-case transient LDM bytes element() needs *beyond* the keep
   /// buffers, given keep set \p keep (admission uses the max over the

@@ -34,25 +34,24 @@ void pack_geometry(const mesh::ElementGeom& g, double* out) {
 
 }  // namespace
 
-PackedElems PackedElems::from_state(const homme::Dims& d,
-                                    const homme::State& s, int begin,
-                                    int end) {
-  PackedElems p;
-  p.nelem = end - begin;
-  p.nlev = d.nlev;
-  p.qsize = d.qsize;
-  const std::size_t n = static_cast<std::size_t>(p.nelem) * p.field_size();
-  for (auto* f : {&p.u1, &p.u2, &p.T, &p.dp}) f->reserve(n);
-  p.qdp.reserve(static_cast<std::size_t>(d.qsize) * n);
-  for (int e = begin; e < end; ++e) {
-    const auto& es = s[static_cast<std::size_t>(e)];
-    p.u1.insert(p.u1.end(), es.u1.begin(), es.u1.end());
-    p.u2.insert(p.u2.end(), es.u2.begin(), es.u2.end());
-    p.T.insert(p.T.end(), es.T.begin(), es.T.end());
-    p.dp.insert(p.dp.end(), es.dp.begin(), es.dp.end());
-    p.qdp.insert(p.qdp.end(), es.qdp.begin(), es.qdp.end());
+void PackedElems::from_state(const homme::Dims& d, const homme::State& s,
+                             int begin, int end) {
+  nelem = end - begin;
+  nlev = d.nlev;
+  qsize = d.qsize;
+  const std::size_t fs = field_size();
+  const std::size_t qfs = static_cast<std::size_t>(qsize) * fs;
+  const std::size_t n = static_cast<std::size_t>(nelem) * fs;
+  for (auto* f : {&u1, &u2, &T, &dp}) f->resize(n);
+  qdp.resize(static_cast<std::size_t>(nelem) * qfs);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(nelem); ++i) {
+    const auto& es = s[static_cast<std::size_t>(begin) + i];
+    std::copy(es.u1.begin(), es.u1.end(), u1.begin() + i * fs);
+    std::copy(es.u2.begin(), es.u2.end(), u2.begin() + i * fs);
+    std::copy(es.T.begin(), es.T.end(), T.begin() + i * fs);
+    std::copy(es.dp.begin(), es.dp.end(), dp.begin() + i * fs);
+    std::copy(es.qdp.begin(), es.qdp.end(), qdp.begin() + i * qfs);
   }
-  return p;
 }
 
 void PackedElems::to_state(homme::State& s, int begin) const {
@@ -88,7 +87,6 @@ PackedElems PackedElems::synthetic(const mesh::CubedSphere& m,
           b.deriv[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
     }
   }
-  p.gweights.assign(b.weights.begin(), b.weights.end());
   const std::size_t n = static_cast<std::size_t>(nelem) * p.field_size();
   p.geom.resize(static_cast<std::size_t>(nelem) * kGeomDoubles);
   p.u1.resize(n);

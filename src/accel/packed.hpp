@@ -29,7 +29,6 @@ struct PackedElems {
   int qsize = 0;
 
   std::vector<double> dvv;     ///< 16: GLL derivative matrix (row-major)
-  std::vector<double> gweights;///< 4: GLL weights
   std::vector<double> geom;    ///< [e][kGeomDoubles]
   std::vector<double> u1, u2, T, dp;  ///< [e][lev][16]
   std::vector<double> qdp;     ///< [e][q][lev][16]
@@ -48,11 +47,12 @@ struct PackedElems {
     return geom.data() + static_cast<std::size_t>(e) * kGeomDoubles;
   }
 
-  /// Pack the prognostics the remap reads and writes (u1, u2, T, dp,
-  /// qdp) of state entries [begin, end). Geometry, phis and the GLL
-  /// tables stay empty: no kernel run on a state pack reads them.
-  static PackedElems from_state(const homme::Dims& d, const homme::State& s,
-                                int begin, int end);
+  /// Refill the prognostics the remap reads and writes (u1, u2, T, dp,
+  /// qdp) from state entries [begin, end), reusing the arrays' capacity.
+  /// Geometry, phis and the GLL table are left as they are: a state pack
+  /// keeps them empty, since no kernel run on it reads them.
+  void from_state(const homme::Dims& d, const homme::State& s, int begin,
+                  int end);
   /// Write those prognostics back into entries [begin, begin + nelem) of
   /// \p s — the inverse of from_state.
   void to_state(homme::State& s, int begin) const;

@@ -1,9 +1,7 @@
 #pragma once
 
-#include <vector>
-
 #include "accel/kernel.hpp"
-#include "physics/modules.hpp"
+#include "physics/driver.hpp"
 #include "sw/core_group.hpp"
 
 /// \file physics_acc.hpp
@@ -18,65 +16,41 @@
 /// * Athread variant: a CPE claims a column, stages it into the LDM
 ///   once, runs the whole suite on it, and writes it back once.
 ///
-/// Both variants call the exact phys:: module functions, so results are
-/// bit-identical with the host reference.
+/// Both variants run on the column image phys::PhysicsDriver::pack takes
+/// from a state, apply the schemes the driver's PhysicsConfig enables
+/// with the exact phys:: module functions, and leave the image for
+/// PhysicsDriver::unpack: the result is the driver's step, bit for bit.
 
 namespace accel {
 
-/// Column-major packed physics state: arrays of [ncols][nlev].
-struct PackedColumns {
-  int ncols = 0;
-  int nlev = 0;
-  std::vector<double> t, q, u, v, dp, p;  ///< [col * nlev + lev]
-  std::vector<double> ps, sst, lat;       ///< [col]
-
-  static PackedColumns synthetic(int ncols, int nlev);
-
-  std::size_t off(int col) const {
-    return static_cast<std::size_t>(col) * nlev;
-  }
-};
-
-struct PhysicsAccConfig {
-  double dt = 1800.0;
-  phys::RadiationConfig rad{};
-  phys::SurfaceConfig sfc{};
-};
-
-/// Host reference: the full suite column by column.
-void physics_ref(PackedColumns& p, const PhysicsAccConfig& cfg);
-
-sw::KernelStats physics_openacc(sw::CoreGroup& cg, PackedColumns& p,
-                                const PhysicsAccConfig& cfg);
+sw::KernelStats physics_openacc(sw::CoreGroup& cg, phys::PackedColumns& p,
+                                const phys::PhysicsConfig& cfg, double dt);
 
 /// One physics scheme (0=radiation, 1=convection, 2=condensation,
 /// 3=surface/PBL) as a pipeline kernel over the column iteration space.
-/// Fusing all four keeps each column's six arrays resident in LDM across
-/// the suite: the first scheme stages them, the rest hit the ledger, and
-/// the writeback flushes the four prognostics once.
+/// Fusing the suite keeps each column's six arrays resident in LDM across
+/// it: the first scheme stages them, the rest hit the ledger, and the
+/// writeback flushes the four prognostics once.
 class PhysicsSchemeKernel final : public Kernel {
  public:
-  PhysicsSchemeKernel(PackedColumns& p, const PhysicsAccConfig& cfg,
-                      int scheme)
-      : p_(p), cfg_(cfg), scheme_(scheme) {}
+  PhysicsSchemeKernel(phys::PackedColumns& p, const phys::PhysicsConfig& cfg,
+                      double dt, int scheme)
+      : p_(p), cfg_(cfg), dt_(dt), scheme_(scheme) {}
 
   std::string_view name() const override;
   void bind(Workset& ws) const override;
-  std::vector<FieldUse> footprint() const override;
   std::size_t transient_bytes(const Workset& ws,
                               const KeepSet& keep) const override;
   void element(sw::Cpe& cpe, ElemCtx& ctx) const override;
 
  private:
-  PackedColumns& p_;
-  PhysicsAccConfig cfg_;
+  phys::PackedColumns& p_;
+  const phys::PhysicsConfig& cfg_;
+  double dt_;
   int scheme_;
 };
 
-sw::KernelStats physics_athread(sw::CoreGroup& cg, PackedColumns& p,
-                                const PhysicsAccConfig& cfg);
-
-/// Max relative difference across all prognostic arrays.
-double columns_max_rel_diff(const PackedColumns& a, const PackedColumns& b);
+sw::KernelStats physics_athread(sw::CoreGroup& cg, phys::PackedColumns& p,
+                                const phys::PhysicsConfig& cfg, double dt);
 
 }  // namespace accel

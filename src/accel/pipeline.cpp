@@ -25,9 +25,9 @@ std::size_t keep_bytes_of(const Workset& ws, const KeepSet& keep) {
   return bytes;
 }
 
-/// The keep set of one fused segment: fields declared keep-worthy by any
-/// kernel (in first-appearance order), greedily admitted while the keep
-/// buffers plus the worst kernel's transient demand still fit in LDM.
+/// The keep set of one fused segment: fields any of its kernels binds
+/// keep-worthy (in first-declaration order), greedily admitted while the
+/// keep buffers plus the worst kernel's transient demand still fit in LDM.
 struct KeepPlan {
   KeepSet keep;
   std::size_t keep_bytes = 0;
@@ -37,13 +37,15 @@ KeepPlan plan_keeps(const Workset& ws,
                     const std::vector<const Kernel*>& segment) {
   std::vector<FieldId> candidates;
   for (const Kernel* k : segment) {
-    for (const FieldUse& u : k->footprint()) {
+    Workset own;
+    k->bind(own);
+    for (const FieldBinding& b : own.bindings()) {
       // Sub-indexed fields (tracers) stream level-chunked per sub; only
       // single-block fields are residency candidates.
-      if (!u.keep || ws.at(u.id).subcount != 1) continue;
-      if (std::find(candidates.begin(), candidates.end(), u.id) ==
+      if (!b.keep || b.subcount != 1) continue;
+      if (std::find(candidates.begin(), candidates.end(), b.id) ==
           candidates.end()) {
-        candidates.push_back(u.id);
+        candidates.push_back(b.id);
       }
     }
   }

@@ -21,12 +21,7 @@ void remap_ref(PackedElems& p) {
   homme::State s(static_cast<std::size_t>(p.nelem), homme::ElementState(d));
   p.to_state(s, 0);
   homme::vertical_remap_local(d, s);
-  PackedElems r = PackedElems::from_state(d, s, 0, p.nelem);
-  p.u1 = std::move(r.u1);
-  p.u2 = std::move(r.u2);
-  p.T = std::move(r.T);
-  p.dp = std::move(r.dp);
-  p.qdp = std::move(r.qdp);
+  p.from_state(d, s, 0, p.nelem);
 }
 
 namespace {
@@ -161,26 +156,16 @@ sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p) {
 void RemapKernel::bind(Workset& ws) const {
   ws.items(p_.nelem, p_.nlev);
   const std::size_t fs = p_.field_size();
-  ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true});
+  // The prognostics stay resident across a chain; the tracers stream.
+  ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true, true});
+  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, true, true});
+  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, true, true});
+  ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true, true});
   if (p_.qsize > 0) {
     ws.bind({FieldId::kQdp, p_.qdp.data(),
              static_cast<std::size_t>(p_.qsize) * fs, fs, p_.qsize, fs,
              true});
   }
-}
-
-std::vector<FieldUse> RemapKernel::footprint() const {
-  std::vector<FieldUse> uses = {
-      {FieldId::kDp, Access::kReadWrite, /*keep=*/true},
-      {FieldId::kU1, Access::kReadWrite, /*keep=*/true},
-      {FieldId::kU2, Access::kReadWrite, /*keep=*/true},
-      {FieldId::kT, Access::kReadWrite, /*keep=*/true},
-  };
-  if (p_.qsize > 0) uses.push_back({FieldId::kQdp, Access::kReadWrite, false});
-  return uses;
 }
 
 std::size_t RemapKernel::transient_bytes(const Workset& ws,

@@ -30,7 +30,7 @@ void remap_ref(PackedElems& p);
 
 sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p);
 
-/// vertical_remap behind the declared-footprint interface: consumes the
+/// vertical_remap behind the declared-binding interface: consumes the
 /// prognostic fields a preceding euler/hypervis left resident (dp, u1,
 /// u2, T) and streams tracers; rebuilds dp as the reference grid.
 class RemapKernel final : public Kernel {
@@ -39,7 +39,6 @@ class RemapKernel final : public Kernel {
 
   std::string_view name() const override { return "vertical_remap"; }
   void bind(Workset& ws) const override;
-  std::vector<FieldUse> footprint() const override;
   std::size_t transient_bytes(const Workset& ws,
                               const KeepSet& keep) const override;
   void element(sw::Cpe& cpe, ElemCtx& ctx) const override;

@@ -39,7 +39,7 @@ void rhs_level_tile(const double* geom, const double* u1, const double* u2,
        {kVorticityFlops, std::uint64_t{kNpp * 10}, kDerivFlops, kDerivFlops,
         kDerivFlops, std::uint64_t{kNpp * 60}, std::uint64_t{kNpp * 2},
         kDivergenceFlops}) {
-    charge(&cpe, vec, n);
+    charge(cpe, vec, n);
   }
 }
 
@@ -242,19 +242,6 @@ void RhsKernel::bind(Workset& ws) const {
   ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true});
   ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true});
   ws.bind({FieldId::kPhis, p_.phis.data(), kNpp, kNpp, 1, 0, false});
-}
-
-std::vector<FieldUse> RhsKernel::footprint() const {
-  // Declared for introspection; the kernel is non-fusible (its column
-  // scans span CPE rows), so these never enter a fused keep plan.
-  return {
-      {FieldId::kGeom, Access::kRead, false},
-      {FieldId::kU1, Access::kReadWrite, false},
-      {FieldId::kU2, Access::kReadWrite, false},
-      {FieldId::kT, Access::kReadWrite, false},
-      {FieldId::kDp, Access::kReadWrite, false},
-      {FieldId::kPhis, Access::kRead, false},
-  };
 }
 
 sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg,

@@ -49,7 +49,6 @@ class RhsKernel final : public Kernel {
   bool fusible() const override { return false; }
   void validate(const Workset& ws) const override;
   void bind(Workset& ws) const override;
-  std::vector<FieldUse> footprint() const override;
   sw::KernelStats launch(sw::CoreGroup& cg, const Workset& ws) const override;
 
  private:

@@ -9,6 +9,7 @@
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "homme/euler.hpp"
+#include "homme/ops.hpp"
 #include "homme/rhs.hpp"
 #include "sw/cost_model.hpp"
 
@@ -26,51 +27,18 @@ double max_rel_diff(const std::vector<double>& a,
   return worst;
 }
 
+homme::Dims dims_of(const PackedElems& p) {
+  homme::Dims d;
+  d.nlev = p.nlev;
+  d.qsize = p.qsize;
+  return d;
+}
+
 /// The homme::State of \p p's elements (prognostics and tracers).
 homme::State unpack(const PackedElems& p, const homme::Dims& d) {
   homme::State s(static_cast<std::size_t>(p.nelem), homme::ElementState(d));
   p.to_state(s, 0);
   return s;
-}
-
-/// Table 1's rhs reference: homme::element_rhs on the unpacked workset
-/// (dry, so T is its own virtual temperature), then x += dt * tend. The
-/// geometry is the donor mesh's, as PackedElems::synthetic packs it.
-void rhs_host(const mesh::CubedSphere& m, const homme::Dims& d,
-              PackedElems& p, const RhsAccConfig& cfg) {
-  const homme::State s = unpack(p, d);
-  const std::size_t fs = p.field_size();
-  std::vector<double> t(4 * fs);
-  const homme::TendView tend{t.data(), t.data() + fs, t.data() + 2 * fs,
-                             t.data() + 3 * fs};
-  for (int e = 0; e < p.nelem; ++e) {
-    homme::element_rhs(m.geom(e % m.nelem()), d,
-                       s[static_cast<std::size_t>(e)], tend);
-    const std::size_t eo = p.elem_offset(e);
-    for (std::size_t f = 0; f < fs; ++f) {
-      p.u1[eo + f] += cfg.dt * tend.u1[f];
-      p.u2[eo + f] += cfg.dt * tend.u2[f];
-      p.T[eo + f] += cfg.dt * tend.T[f];
-      p.dp[eo + f] += cfg.dt * tend.dp[f];
-    }
-  }
-}
-
-/// Table 1's euler reference: homme::element_tracer_rhs on the unpacked
-/// workset, then q += dt * r for every tracer.
-void euler_host(const mesh::CubedSphere& m, const homme::Dims& d,
-                PackedElems& p, const EulerAccConfig& cfg) {
-  const homme::State s = unpack(p, d);
-  const std::size_t fs = p.field_size();
-  std::vector<double> r(fs);
-  for (int e = 0; e < p.nelem; ++e) {
-    const homme::ElementState& es = s[static_cast<std::size_t>(e)];
-    for (int q = 0; q < p.qsize; ++q) {
-      homme::element_tracer_rhs(m.geom(e % m.nelem()), d, es, es.q(q, d), r);
-      double* qdp = p.qdp.data() + p.qdp_offset(e, q);
-      for (std::size_t f = 0; f < fs; ++f) qdp[f] += cfg.dt * r[f];
-    }
-  }
 }
 
 struct KernelSpec {
@@ -83,6 +51,64 @@ struct KernelSpec {
 };
 
 }  // namespace
+
+void rhs_host(const mesh::CubedSphere& m, PackedElems& p, double dt) {
+  const homme::Dims d = dims_of(p);
+  const homme::State s = unpack(p, d);
+  const std::size_t fs = p.field_size();
+  std::vector<double> t(4 * fs);
+  const homme::TendView tend{t.data(), t.data() + fs, t.data() + 2 * fs,
+                             t.data() + 3 * fs};
+  for (int e = 0; e < p.nelem; ++e) {
+    homme::element_rhs(m.geom(e % m.nelem()), d,
+                       s[static_cast<std::size_t>(e)], tend);
+    const std::size_t eo = p.elem_offset(e);
+    for (std::size_t f = 0; f < fs; ++f) {
+      p.u1[eo + f] += dt * tend.u1[f];
+      p.u2[eo + f] += dt * tend.u2[f];
+      p.T[eo + f] += dt * tend.T[f];
+      p.dp[eo + f] += dt * tend.dp[f];
+    }
+  }
+}
+
+void euler_host(const mesh::CubedSphere& m, PackedElems& p, double dt) {
+  const homme::Dims d = dims_of(p);
+  const homme::State s = unpack(p, d);
+  const std::size_t fs = p.field_size();
+  std::vector<double> r(fs);
+  for (int e = 0; e < p.nelem; ++e) {
+    const homme::ElementState& es = s[static_cast<std::size_t>(e)];
+    for (int q = 0; q < p.qsize; ++q) {
+      homme::element_tracer_rhs(m.geom(e % m.nelem()), d, es, es.q(q, d), r);
+      double* qdp = p.qdp.data() + p.qdp_offset(e, q);
+      for (std::size_t f = 0; f < fs; ++f) qdp[f] += dt * r[f];
+    }
+  }
+}
+
+void hypervis_host(const mesh::CubedSphere& m, PackedElems& p,
+                   HvKernel which, double nu_dt) {
+  std::vector<std::vector<double>*> fields = {&p.u1, &p.u2, &p.T};
+  if (which == HvKernel::kBiharmDp3d) fields = {&p.dp};
+  for (std::vector<double>* fld : fields) {
+    for (int e = 0; e < p.nelem; ++e) {
+      const mesh::ElementGeom& g = m.geom(e % m.nelem());
+      for (int lev = 0; lev < p.nlev; ++lev) {
+        double* x = fld->data() + p.elem_offset(e) + homme::fidx(lev, 0);
+        double lap[kNpp];
+        homme::laplace_sphere_wk(g, x, lap);
+        if (which == HvKernel::kDp1) {
+          for (int k = 0; k < kNpp; ++k) x[k] += nu_dt * lap[k];
+          continue;
+        }
+        double lap2[kNpp];
+        homme::laplace_sphere_wk(g, lap, lap2);
+        for (int k = 0; k < kNpp; ++k) x[k] -= nu_dt * lap2[k];
+      }
+    }
+  }
+}
 
 double packed_max_rel_diff(const PackedElems& a, const PackedElems& b) {
   double worst = 0.0;
@@ -111,7 +137,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
   std::vector<KernelSpec> specs;
   specs.push_back(
       {"compute_and_apply_rhs", 12.69, 92.13, 75.11, &rhs_work,
-       [&](PackedElems& p) { rhs_host(mesh, d, p, rhs_cfg); },
+       [&](PackedElems& p) { rhs_host(mesh, p, rhs_cfg.dt); },
        [&](sw::CoreGroup& cg, PackedElems& p) {
          return rhs_openacc(cg, p, rhs_cfg);
        },
@@ -120,7 +146,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
        }});
   specs.push_back(
       {"euler_step", 15.88, 175.73, 10.18, &euler_step_work,
-       [&](PackedElems& p) { euler_host(mesh, d, p, euler_cfg); },
+       [&](PackedElems& p) { euler_host(mesh, p, euler_cfg.dt); },
        [&](sw::CoreGroup& cg, PackedElems& p) {
          return euler_openacc(cg, p, derived, euler_cfg);
        },
@@ -140,7 +166,9 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
     specs.push_back(
         {name, pi, pm, pa,
          nullptr,  // bytes handled below via laplace_work(apps)
-         [&, which](PackedElems& p) { hypervis_ref(p, which, hv_cfg); },
+         [&, which](PackedElems& p) {
+           hypervis_host(mesh, p, which, hv_cfg.nu_dt);
+         },
          [&, which](sw::CoreGroup& cg, PackedElems& p) {
            return hypervis_openacc(cg, p, which, hv_cfg);
          },

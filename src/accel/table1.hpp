@@ -3,7 +3,9 @@
 #include <string>
 #include <vector>
 
+#include "accel/hypervis_acc.hpp"
 #include "accel/packed.hpp"
+#include "mesh/cubed_sphere.hpp"
 #include "sw/core_group.hpp"
 
 /// \file table1.hpp
@@ -54,10 +56,29 @@ struct Table1Row {
   double athread_speedup_vs_acc() const { return acc_s / athread_s; }
 };
 
+/// The host references of the Table 1 ports: the model's own host code on
+/// the unpacked workset of \p p, with element e's geometry from the donor
+/// mesh \p m (m.geom(e % m.nelem()), as PackedElems::synthetic packs it).
+/// Each updates \p p in place, as the ports do; remap_ref
+/// (remap_acc.hpp), homme::vertical_remap_local on the unpacked workset,
+/// is the fourth.
+///
+/// homme::element_rhs (dry, so T is its own virtual temperature), then
+/// x += dt * tend.
+void rhs_host(const mesh::CubedSphere& m, PackedElems& p, double dt);
+/// homme::element_tracer_rhs for every tracer, then q += dt * r.
+void euler_host(const mesh::CubedSphere& m, PackedElems& p, double dt);
+/// The row's composition of homme::laplace_sphere_wk on each level tile:
+/// x += nu_dt * L(x) for hypervis_dp1, x -= nu_dt * L(L(x)) for
+/// hypervis_dp2 and biharmonic_dp3d. No homme kernel is this
+/// element-local composition: the model's hyperviscosity DSSes between
+/// its applications.
+void hypervis_host(const mesh::CubedSphere& m, PackedElems& p,
+                   HvKernel which, double nu_dt);
+
 /// Run all six kernels on every platform; also verifies that the OpenACC
-/// and Athread ports agree with the host reference (throws on mismatch):
-/// homme's rhs, tracer and remap kernels on the unpacked workset, and
-/// hypervis_ref for the three dissipation rows.
+/// and Athread ports agree with the host references above (throws on
+/// mismatch).
 ///
 /// The flop/DMA columns are consumed from the obs:: per-phase summary
 /// (launch-span counter attachments) rather than read off KernelStats

@@ -1,6 +1,7 @@
 #include "physics/driver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "homme/vpack.hpp"
@@ -10,8 +11,9 @@ namespace phys {
 using homme::fidx;
 using mesh::kNpp;
 
-template <class T>
-void PhysicsDriver::gather(const ElementFields& f, const mesh::ElementGeom& g,
+template <class T, class W>
+void PhysicsDriver::gather(const BasicElementFields<W>& f,
+                           const mesh::ElementGeom& g,
                            const ElementConstants& ec, int k,
                            BasicColumn<T>& c) {
   using L = homme::Lanes<T>;
@@ -147,6 +149,62 @@ PhysicsStats PhysicsDriver::step(homme::State& s, double dt) {
   out.mean_shf /= area;
   out.mean_lhf /= area;
   return out;
+}
+
+void PhysicsDriver::pack(const homme::State& s, PackedColumns& img) const {
+  img.ncols = mesh_.nelem() * kNpp;
+  img.nlev = dims_.nlev;
+  const std::size_t ncols = static_cast<std::size_t>(img.ncols);
+  const std::array to{&img.t, &img.q, &img.u, &img.v, &img.dp, &img.p};
+  for (auto* a : to) a->resize(ncols * static_cast<std::size_t>(img.nlev));
+  img.ps.resize(ncols);
+  img.sfc.resize(ncols);
+  Column c(dims_.nlev);
+  const std::array from{&c.t, &c.q, &c.u, &c.v, &c.dp, &c.p};
+  for (int e = 0; e < mesh_.nelem(); ++e) {
+    const std::size_t se = static_cast<std::size_t>(e);
+    const homme::ElementState& es = s[se];
+    const BasicElementFields<const double> f{
+        es.dp.span(),
+        dims_.qsize > 0 ? es.q(0, dims_) : std::span<const double>{},
+        es.T.span(), es.u1.span(), es.u2.span()};
+    for (int k = 0; k < kNpp; ++k) {
+      gather(f, mesh_.geom(e), consts_[se], k, c);
+      const int col = e * kNpp + k;
+      for (std::size_t a = 0; a < from.size(); ++a) {
+        std::copy(from[a]->begin(), from[a]->end(),
+                  to[a]->begin() + static_cast<std::ptrdiff_t>(img.off(col)));
+      }
+      img.ps[static_cast<std::size_t>(col)] = c.ps;
+      img.sfc[static_cast<std::size_t>(col)] = c.sfc;
+    }
+  }
+}
+
+void PhysicsDriver::unpack(const PackedColumns& img, homme::State& s) const {
+  Column c(dims_.nlev);
+  // scatter reads t, q, u, v and dp, and the surface's cos_lat.
+  const std::array from{&img.t, &img.q, &img.u, &img.v, &img.dp};
+  const std::array to{&c.t, &c.q, &c.u, &c.v, &c.dp};
+  for (int e = 0; e < mesh_.nelem(); ++e) {
+    const std::size_t se = static_cast<std::size_t>(e);
+    homme::ElementState& es = s[se];
+    // COW: un-share the written fields once per element, as step does.
+    const ElementFields f{
+        es.dp.span(),
+        dims_.qsize > 0 ? es.q_mut(0, dims_) : std::span<double>{},
+        es.T.mutable_span(), es.u1.mutable_span(), es.u2.mutable_span()};
+    for (int k = 0; k < kNpp; ++k) {
+      const int col = e * kNpp + k;
+      const auto o = static_cast<std::ptrdiff_t>(img.off(col));
+      for (std::size_t a = 0; a < from.size(); ++a) {
+        std::copy(from[a]->begin() + o, from[a]->begin() + o + c.nlev,
+                  to[a]->begin());
+      }
+      c.sfc = img.sfc[static_cast<std::size_t>(col)];
+      scatter(c, mesh_.geom(e), consts_[se], k, f);
+    }
+  }
 }
 
 }  // namespace phys

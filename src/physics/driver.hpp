@@ -41,6 +41,22 @@ struct PhysicsConfig {
   }
 };
 
+/// A state's columns as flat arrays, the image the CPE physics ports
+/// (accel/physics_acc.hpp) read and write: column e * kNpp + k is GLL
+/// point k of element e. PhysicsDriver::pack fills it and unpack writes
+/// it back.
+struct PackedColumns {
+  int ncols = 0;
+  int nlev = 0;
+  std::vector<double> t, q, u, v, dp, p;  ///< [col * nlev + lev]
+  std::vector<double> ps;                 ///< [col]
+  std::vector<Surface> sfc;               ///< [col]: the driver's surface
+
+  std::size_t off(int col) const {
+    return static_cast<std::size_t>(col) * nlev;
+  }
+};
+
 /// Whole-domain physics diagnostics of one step.
 struct PhysicsStats {
   double mean_precip = 0.0;  ///< area-weighted, kg/m^2/s
@@ -61,6 +77,13 @@ class PhysicsDriver {
   /// Apply the suite to every column with physics time step \p dt.
   PhysicsStats step(homme::State& s, double dt);
 
+  /// Load every column of \p s into \p img as step's gather loads it,
+  /// one column at a time; \p img's arrays keep their capacity.
+  void pack(const homme::State& s, PackedColumns& img) const;
+  /// Store the columns of \p img back into \p s as step's scatter
+  /// stores them (t, q, u and v; dp, p and ps are the physics' inputs).
+  void unpack(const PackedColumns& img, homme::State& s) const;
+
   const PhysicsConfig& config() const { return cfg_; }
 
  private:
@@ -74,20 +97,25 @@ class PhysicsDriver {
     BasicSurface<Tile> sfc;
     Tile ex, ey, nx, ny;
   };
-  /// One element's fields as physics reads and writes them, [lev][kNpp].
-  struct ElementFields {
+  /// One element's fields as physics reads and writes them, [lev][kNpp]:
+  /// W is double where the fields are written back, const double where
+  /// they are only read (pack).
+  template <class W>
+  struct BasicElementFields {
     std::span<const double> dp;
-    std::span<double> qdp;  ///< tracer 0 (humidity) as q*dp; empty if none
-    std::span<double> T, u1, u2;
+    std::span<W> qdp;  ///< tracer 0 (humidity) as q*dp; empty if none
+    std::span<W> T, u1, u2;
   };
+  using ElementFields = BasicElementFields<double>;
 
   /// Load the columns starting at GLL point \p k (one per lane of T) into
   /// \p c: the physical east/north wind from the contravariant
   /// components, the mixing ratio from q*dp, and the surface and
   /// mid-level pressures.
-  template <class T>
-  static void gather(const ElementFields& f, const mesh::ElementGeom& g,
-                     const ElementConstants& ec, int k, BasicColumn<T>& c);
+  template <class T, class W>
+  static void gather(const BasicElementFields<W>& f,
+                     const mesh::ElementGeom& g, const ElementConstants& ec,
+                     int k, BasicColumn<T>& c);
   /// Store \p c back into the columns starting at GLL point \p k: the
   /// east/north wind back to contravariant components through the dual
   /// basis (homme::wind_to_contra's arithmetic, ez = 0).

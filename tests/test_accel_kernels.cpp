@@ -8,7 +8,6 @@
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
-#include "accel_host_kernels.hpp"
 #include "mesh/cubed_sphere.hpp"
 
 namespace {
@@ -27,8 +26,8 @@ struct AccelFixture {
   PackedElems make(int nelem) { return PackedElems::synthetic(m, d, nelem); }
 };
 
-// The ports against the model's own tracer body: on the unpacked
-// workset, homme::element_tracer_rhs plus q += dt * r.
+// The ports against the model's own tracer kernel (accel::euler_host):
+// on the unpacked workset, homme::element_tracer_rhs plus q += dt * r.
 TEST(AccelEuler, PortsMatchHostTracerBody) {
   const accel::EulerAccConfig cfg{};
   for (int nlev : {8, 16, 32}) {
@@ -36,7 +35,8 @@ TEST(AccelEuler, PortsMatchHostTracerBody) {
     AccelFixture fx(nlev, 3);
     const auto base = fx.make(12);
     const auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
-    const auto host = accel_host::euler(fx.m, base, cfg.dt);
+    auto host = base;
+    accel::euler_host(fx.m, host, cfg.dt);
     auto acc = base;
     auto acc_stats = accel::euler_openacc(fx.cg, acc, derived, cfg);
     auto ath = base;
@@ -81,16 +81,18 @@ TEST(AccelEuler, AthreadIsFasterInModeledTime) {
   EXPECT_LT(t_ath, t_acc);
 }
 
-// The ports against the model's own kernel: on the unpacked workset,
-// homme::element_rhs plus x += dt * tend (base = eval, as the in-place
-// port updates) is what the rhs ports compute. Dry, so T is not virtual.
+// The ports against the model's own kernel (accel::rhs_host): on the
+// unpacked workset, homme::element_rhs plus x += dt * tend (base = eval,
+// as the in-place port updates) is what the rhs ports compute. Dry, so T
+// is not virtual.
 TEST(AccelRhs, PortsMatchHostElementBody) {
   const accel::RhsAccConfig cfg{};
   for (int nlev : {8, 16, 64}) {
     SCOPED_TRACE("nlev " + std::to_string(nlev));
     AccelFixture fx(nlev, 0);
     const auto base = fx.make(10);
-    const auto host = accel_host::rhs(fx.m, base, cfg.dt);
+    auto host = base;
+    accel::rhs_host(fx.m, host, cfg.dt);
     auto acc = base;
     accel::rhs_openacc(fx.cg, acc, cfg);
     auto ath = base;
@@ -142,20 +144,18 @@ TEST(AccelRemap, AthreadReusesGridsAcrossFields) {
 class AccelHypervis : public ::testing::TestWithParam<accel::HvKernel> {};
 
 // The ports against the operator the model's hyperviscosity applies:
-// homme::laplace_sphere_wk on the unpacked workset. hypervis_ref, Table
-// 1's reference for these rows, computes the same bits.
+// accel::hypervis_host, homme::laplace_sphere_wk on each level tile with
+// the donor mesh's geometry.
 TEST_P(AccelHypervis, PortsMatchHostWeakLaplacian) {
   AccelFixture fx(16, 0);
   const accel::HypervisAccConfig cfg{};
   auto base = fx.make(9);
-  const auto host = accel_host::hypervis(fx.m, base, GetParam(), cfg.nu_dt);
-  auto ref = base;
-  accel::hypervis_ref(ref, GetParam(), cfg);
+  auto host = base;
+  accel::hypervis_host(fx.m, host, GetParam(), cfg.nu_dt);
   auto acc = base;
   accel::hypervis_openacc(fx.cg, acc, GetParam(), cfg);
   auto ath = base;
   accel::hypervis_athread(fx.cg, ath, GetParam(), cfg);
-  EXPECT_EQ(accel::packed_max_rel_diff(host, ref), 0.0);
   EXPECT_EQ(accel::packed_max_rel_diff(host, acc), 0.0);
   EXPECT_EQ(accel::packed_max_rel_diff(host, ath), 0.0);
 }

@@ -2,40 +2,140 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "homme/state.hpp"
+#include "physics/driver.hpp"
+#include "scenario/experiments.hpp"
+
 namespace {
 
-using accel::PackedColumns;
-using accel::PhysicsAccConfig;
+/// The moist aquaplanet state at ne2 with two tracers (tracer 0 is the
+/// physics' humidity), with every scheme given work: the humidity tripled,
+/// so the lowest levels are supersaturated, and the surface layer of every
+/// third column 12 K warmer, so dry adjustment mixes it.
+struct MoistState {
+  mesh::CubedSphere m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  homme::Dims d;
+  homme::State s;
 
-TEST(PhysicsAcc, PortsMatchHostReference) {
-  auto base = PackedColumns::synthetic(100, 20);
-  const PhysicsAccConfig cfg{};
-  auto ref = base;
-  accel::physics_ref(ref, cfg);
+  explicit MoistState(int nlev) {
+    d.nlev = nlev;
+    d.qsize = 2;
+    s = scenario::aquaplanet_init_spec().build(m, d);
+    for (homme::ElementState& es : s) {
+      for (double& q : es.q_mut(0, d)) q *= 3.0;
+      auto T = es.T.mutable_span();
+      for (int k = 0; k < mesh::kNpp; k += 3) {
+        T[homme::fidx(nlev - 1, k)] += 12.0;
+      }
+    }
+  }
+};
+
+using Port = sw::KernelStats (*)(sw::CoreGroup&, phys::PackedColumns&,
+                                 const phys::PhysicsConfig&, double);
+
+/// Two physics steps of \p port on \p s: pack, port, unpack.
+void port_steps(Port port, const phys::PhysicsDriver& pd, homme::State& s,
+                double dt) {
   sw::CoreGroup cg;
-  auto acc = base;
-  accel::physics_openacc(cg, acc, cfg);
-  auto ath = base;
-  accel::physics_athread(cg, ath, cfg);
-  EXPECT_EQ(accel::columns_max_rel_diff(ref, acc), 0.0);
-  EXPECT_EQ(accel::columns_max_rel_diff(ref, ath), 0.0);
+  phys::PackedColumns img;
+  for (int step = 0; step < 2; ++step) {
+    pd.pack(s, img);
+    port(cg, img, pd.config(), dt);
+    pd.unpack(img, s);
+  }
+}
+
+/// Both ports against two PhysicsDriver::step calls under \p cfg, bit for
+/// bit on every field the driver writes.
+void expect_ports_match_driver(const MoistState& ms,
+                               const phys::PhysicsConfig& cfg) {
+  constexpr double dt = 900.0;
+  phys::PhysicsDriver pd(ms.m, ms.d, cfg);
+  homme::State host = ms.s;
+  for (int step = 0; step < 2; ++step) pd.step(host, dt);
+  for (const auto& [name, port] :
+       {std::pair{"openacc", Port{&accel::physics_openacc}},
+        std::pair{"athread", Port{&accel::physics_athread}}}) {
+    SCOPED_TRACE(name);
+    homme::State s = ms.s;
+    port_steps(port, pd, s, dt);
+    for (std::size_t e = 0; e < s.size(); ++e) {
+      ASSERT_TRUE(s[e].T == host[e].T) << "elem " << e;
+      ASSERT_TRUE(s[e].u1 == host[e].u1) << "elem " << e;
+      ASSERT_TRUE(s[e].u2 == host[e].u2) << "elem " << e;
+      ASSERT_TRUE(s[e].qdp == host[e].qdp) << "elem " << e;
+    }
+  }
+}
+
+TEST(PhysicsAcc, PortsMatchHostDriver) {
+  for (int nlev : {10, 30}) {
+    SCOPED_TRACE("nlev " + std::to_string(nlev));
+    const MoistState ms(nlev);
+    {
+      SCOPED_TRACE("default config");
+      expect_ports_match_driver(ms, phys::PhysicsConfig{});
+    }
+    {
+      SCOPED_TRACE("katrina config");
+      expect_ports_match_driver(
+          ms, scenario::katrina_physics_cfg(tc::TcParams{}));
+    }
+  }
+}
+
+TEST(PhysicsAcc, PortsFollowSchemeSwitches) {
+  const MoistState ms(16);
+  homme::State all = ms.s;
+  phys::PhysicsDriver(ms.m, ms.d).step(all, 900.0);
+  for (bool phys::PhysicsConfig::*scheme :
+       {&phys::PhysicsConfig::radiation, &phys::PhysicsConfig::convection,
+        &phys::PhysicsConfig::condensation,
+        &phys::PhysicsConfig::surface_pbl}) {
+    phys::PhysicsConfig cfg;
+    cfg.*scheme = false;
+    // The scheme changes this state, so a port that ran it anyway would
+    // not match the driver.
+    homme::State off = ms.s;
+    phys::PhysicsDriver(ms.m, ms.d, cfg).step(off, 900.0);
+    bool differs = false;
+    for (std::size_t e = 0; e < off.size(); ++e) {
+      differs = differs || !(off[e].T == all[e].T) ||
+                !(off[e].u1 == all[e].u1) || !(off[e].qdp == all[e].qdp);
+    }
+    EXPECT_TRUE(differs);
+    expect_ports_match_driver(ms, cfg);
+  }
 }
 
 TEST(PhysicsAcc, SuiteActuallyChangesTheState) {
-  auto base = PackedColumns::synthetic(40, 16);
-  auto ref = base;
-  accel::physics_ref(ref, PhysicsAccConfig{});
-  EXPECT_GT(accel::columns_max_rel_diff(ref, base), 1e-8);
+  const MoistState ms(16);
+  const phys::PhysicsDriver pd(ms.m, ms.d);
+  phys::PackedColumns img;
+  pd.pack(ms.s, img);
+  const phys::PackedColumns before = img;
+  sw::CoreGroup cg;
+  accel::physics_athread(cg, img, pd.config(), 1800.0);
+  EXPECT_NE(img.t, before.t);
+  EXPECT_NE(img.q, before.q);
+  EXPECT_NE(img.u, before.u);
+  EXPECT_NE(img.v, before.v);
+  EXPECT_EQ(img.dp, before.dp);
 }
 
 TEST(PhysicsAcc, AthreadStagesColumnsOnce) {
-  auto base = PackedColumns::synthetic(256, 24);
-  const PhysicsAccConfig cfg{};
+  const MoistState ms(24);
+  const phys::PhysicsDriver pd(ms.m, ms.d);
+  phys::PackedColumns base;
+  pd.pack(ms.s, base);
   sw::CoreGroup cg;
   auto acc = base;
-  auto acc_stats = accel::physics_openacc(cg, acc, cfg);
+  auto acc_stats = accel::physics_openacc(cg, acc, pd.config(), 1800.0);
   auto ath = base;
-  auto ath_stats = accel::physics_athread(cg, ath, cfg);
+  auto ath_stats = accel::physics_athread(cg, ath, pd.config(), 1800.0);
   // Four per-scheme regions re-stage everything: ~4x the traffic.
   const double ratio =
       static_cast<double>(acc_stats.totals.total_dma_bytes()) /
@@ -45,18 +145,32 @@ TEST(PhysicsAcc, AthreadStagesColumnsOnce) {
 }
 
 TEST(PhysicsAcc, ColumnsAreIndependent) {
-  // Physics on a subset equals physics on the whole set restricted to
-  // that subset — the property that makes CPE column-batching legal.
-  auto base = PackedColumns::synthetic(30, 12);
-  auto all = base;
-  accel::physics_ref(all, PhysicsAccConfig{});
-  auto one = PackedColumns::synthetic(30, 12);
-  // Re-run reference on a copy where only column 7's data matters.
-  accel::physics_ref(one, PhysicsAccConfig{});
-  for (int l = 0; l < 12; ++l) {
-    const std::size_t i = one.off(7) + static_cast<std::size_t>(l);
-    EXPECT_EQ(one.t[i], all.t[i]);
-    EXPECT_EQ(one.q[i], all.q[i]);
+  // A column's result does not depend on the other columns of the image
+  // — the property that makes CPE column-batching legal.
+  const MoistState ms(12);
+  const phys::PhysicsDriver pd(ms.m, ms.d);
+  phys::PackedColumns a;
+  pd.pack(ms.s, a);
+  constexpr int kCol = 7;
+  phys::PackedColumns b = a;
+  for (int col = 0; col < b.ncols; ++col) {
+    if (col == kCol) continue;
+    for (int l = 0; l < b.nlev; ++l) {
+      const std::size_t i = b.off(col) + static_cast<std::size_t>(l);
+      b.t[i] += 5.0;
+      b.q[i] *= 2.0;
+      b.u[i] = -b.u[i];
+    }
+  }
+  sw::CoreGroup cg;
+  accel::physics_athread(cg, a, pd.config(), 1800.0);
+  accel::physics_athread(cg, b, pd.config(), 1800.0);
+  for (int l = 0; l < a.nlev; ++l) {
+    const std::size_t i = a.off(kCol) + static_cast<std::size_t>(l);
+    EXPECT_EQ(a.t[i], b.t[i]);
+    EXPECT_EQ(a.q[i], b.q[i]);
+    EXPECT_EQ(a.u[i], b.u[i]);
+    EXPECT_EQ(a.v[i], b.v[i]);
   }
 }
 
@@ -64,10 +178,12 @@ TEST(PhysicsAcc, LdmHoldsOneColumnComfortably) {
   // 6 arrays x 128 levels x 8 bytes = 6 KB: a column batch fits the LDM
   // with room to spare, which is why physics ports far more easily than
   // the dycore (the paper's experience).
-  auto base = PackedColumns::synthetic(64, 128);
+  const MoistState ms(128);
+  const phys::PhysicsDriver pd(ms.m, ms.d);
+  phys::PackedColumns ath;
+  pd.pack(ms.s, ath);
   sw::CoreGroup cg;
-  auto ath = base;
-  auto stats = accel::physics_athread(cg, ath, PhysicsAccConfig{});
+  auto stats = accel::physics_athread(cg, ath, pd.config(), 1800.0);
   EXPECT_LT(stats.totals.ldm_peak_bytes, sw::kLdmBytes / 4);
 }
 

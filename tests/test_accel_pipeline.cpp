@@ -18,6 +18,10 @@
 #include "homme/init.hpp"
 #include "homme/remap.hpp"
 #include "mesh/cubed_sphere.hpp"
+#include "physics/driver.hpp"
+#include "scenario/experiments.hpp"
+#include "sw/cg_pool.hpp"
+#include "alloc_counter.hpp"
 
 namespace {
 
@@ -126,10 +130,15 @@ TEST(KernelPipeline, PinnedDvvPersistsAcrossLaunches) {
 }
 
 TEST(KernelPipeline, FusedPhysicsSuiteReusesResidentColumns) {
-  auto p = accel::PackedColumns::synthetic(96, 32);
-  accel::PhysicsAccConfig cfg;
+  auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  homme::Dims d;
+  d.nlev = 32;
+  d.qsize = 1;
+  const phys::PhysicsDriver pd(mesh, d);
+  phys::PackedColumns p;
+  pd.pack(scenario::aquaplanet_init_spec().build(mesh, d), p);
   sw::CoreGroup cg;
-  const auto stats = accel::physics_athread(cg, p, cfg);
+  const auto stats = accel::physics_athread(cg, p, pd.config(), 1800.0);
   // Scheme 1 stages each column's six arrays; schemes 2-4 run out of
   // LDM, so well over half the requested bytes never touch the DMA.
   EXPECT_GT(stats.reuse_fraction(), 0.5);
@@ -172,6 +181,29 @@ TEST(PipelineAccelerator, RemapMatchesHostRemap) {
   EXPECT_EQ(state_max_rel_diff(host, offload), 0.0);
   EXPECT_EQ(pa.launches(), 1);
   EXPECT_GT(pa.last_stats().totals.total_dma_bytes(), 0u);
+}
+
+TEST(PipelineAccelerator, WarmRemapReusesItsShardImages) {
+  // offload-remap's shape: ne6, 32 levels, 4 tracers on 4 core groups.
+  homme::Dims d;
+  d.nlev = 32;
+  d.qsize = 4;
+  auto mesh = mesh::CubedSphere::build(6, mesh::kEarthRadius);
+  homme::State s = homme::baroclinic(mesh, d);
+  homme::init_tracers(mesh, d, s);
+  accel::PipelineAccelerator pa(d);
+  pa.set_cg_pool(std::make_shared<sw::CgPool>(4), {0, 1, 2, 3});
+  pa.vertical_remap(s);  // cold: sizes the shard images
+  alloc_counter::arm();
+  pa.vertical_remap(s);
+  alloc_counter::disarm();
+  // One shard's packed tracer mass (54 elements): 0.88 MB.
+  const std::size_t shard_qdp = static_cast<std::size_t>(mesh.nelem() / 4) *
+                                static_cast<std::size_t>(d.qsize) *
+                                d.field_size() * sizeof(double);
+  EXPECT_LT(alloc_counter::bytes(), shard_qdp);
+  EXPECT_EQ(pa.launches(), 2);
+  EXPECT_EQ(pa.fallbacks(), 0);
 }
 
 TEST(PipelineAccelerator, AttachedDycoreTracksHostDycore) {

@@ -12,7 +12,6 @@
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
-#include "accel_host_kernels.hpp"
 #include "mesh/cubed_sphere.hpp"
 
 namespace {
@@ -42,7 +41,8 @@ TEST_P(AccelShapeSweep, EulerPortsAgreeAndFitLdm) {
   const accel::EulerAccConfig cfg{};
   auto base = make();
   auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
-  const auto ref = accel_host::euler(donor(), base, cfg.dt);
+  auto ref = base;
+  accel::euler_host(donor(), ref, cfg.dt);
   sw::CoreGroup cg;
   auto acc = base;
   auto acc_stats = accel::euler_openacc(cg, acc, derived, cfg);
@@ -78,8 +78,8 @@ TEST_P(AccelShapeSweep, RemapPortsAgree) {
 TEST_P(AccelShapeSweep, HypervisDp2PortsAgree) {
   const accel::HypervisAccConfig cfg{};
   auto base = make();
-  const auto ref =
-      accel_host::hypervis(donor(), base, accel::HvKernel::kDp2, cfg.nu_dt);
+  auto ref = base;
+  accel::hypervis_host(donor(), ref, accel::HvKernel::kDp2, cfg.nu_dt);
   sw::CoreGroup cg;
   auto ath = base;
   accel::hypervis_athread(cg, ath, accel::HvKernel::kDp2, cfg);
@@ -105,7 +105,8 @@ TEST(AccelRhsSweep, PortsAgreeOverLevelMultiplesOfEight) {
     d.nlev = nlev;
     d.qsize = 0;
     auto base = accel::PackedElems::synthetic(m, d, 10);
-    const auto ref = accel_host::rhs(m, base, cfg.dt);
+    auto ref = base;
+    accel::rhs_host(m, ref, cfg.dt);
     auto ath = base;
     accel::rhs_athread(cg, ath, cfg);
     EXPECT_LT(accel::packed_max_rel_diff(ref, ath), 1e-10)
