@@ -1,6 +1,7 @@
 #include "accel/accel_driver.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "accel/pipeline.hpp"
@@ -26,6 +27,13 @@ std::vector<std::pair<int, int>> shard_ranges(int nelem, int nshards) {
   }
   return r;
 }
+
+/// The state's chunks the remap reads and writes, in kRemapFields order.
+constexpr std::array<homme::Chunk homme::ElementState::*,
+                     kRemapFields.size()>
+    kStateFields{&homme::ElementState::dp, &homme::ElementState::u1,
+                 &homme::ElementState::u2, &homme::ElementState::T,
+                 &homme::ElementState::qdp};
 
 /// Detach the fault plan when the shard launch unwinds.
 struct PlanGuard {
@@ -72,6 +80,28 @@ void PipelineAccelerator::set_tracer(obs::Tracer* t,
   forward_tracer();
 }
 
+void PipelineAccelerator::refill_blocks(homme::State& s) {
+  const std::size_t ne = s.size();
+  spare_.resize(ne);
+  reads_.resize(kStateFields.size() * ne);
+  writes_.resize(kStateFields.size() * ne);
+  const std::size_t fs = dims_.field_size();
+  for (std::size_t f = 0; f < kStateFields.size(); ++f) {
+    const auto field = kStateFields[f];
+    const std::size_t size =
+        kRemapFields[f] == FieldId::kQdp
+            ? static_cast<std::size_t>(dims_.qsize) * fs
+            : fs;
+    for (std::size_t e = 0; e < ne; ++e) {
+      homme::Chunk& spare = spare_[e].*field;
+      if (spare.size() != size) spare = homme::Chunk(size);
+      reads_[f * ne + e] = (s[e].*field).data();
+      // Un-shares a spare a fork or snapshot of an earlier state holds.
+      writes_[f * ne + e] = spare.mutable_span().data();
+    }
+  }
+}
+
 void PipelineAccelerator::vertical_remap(homme::State& s) {
   ++launches_;
   obs::ScopedSpan remap_span(trk_, "accel:vertical_remap");
@@ -79,17 +109,15 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
       std::max(1, std::min(core_groups(), static_cast<int>(s.size())));
   const auto ranges = shard_ranges(static_cast<int>(s.size()), nshards);
   try {
-    // The kernels read and write the packed shard images only; s is
-    // untouched until the successful write-back below, so a faulted
-    // launch — even after sibling shards already ran — can be discarded
-    // wholesale: the next remap refills every image.
-    packs_.resize(static_cast<std::size_t>(nshards));
+    // The kernels read s's chunks and write only the spares, so s is
+    // untouched until the swap below, after every shard succeeded: a
+    // faulted launch — even after sibling shards already wrote their
+    // spares — is discarded wholesale, and the next remap rewrites every
+    // spare.
+    const std::size_t ne = s.size();
     {
       obs::ScopedSpan span(trk_, "accel:pack");
-      for (int si = 0; si < nshards; ++si) {
-        const auto& [b, e] = ranges[static_cast<std::size_t>(si)];
-        packs_[static_cast<std::size_t>(si)].from_state(dims_, s, b, e);
-      }
+      refill_blocks(s);
     }
 
     // Declare every shard's DMA stream on the shared controller *before*
@@ -109,7 +137,13 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
       auto lk = pool_->lock(cgs_[static_cast<std::size_t>(si)]);
       cg.set_fault_plan(faults_);
       PlanGuard plan_guard{cg};
-      RemapKernel k(packs_[static_cast<std::size_t>(si)]);
+      const auto& [b, e] = ranges[static_cast<std::size_t>(si)];
+      RemapBlocks blocks;
+      for (std::size_t f = 0; f < kRemapFields.size(); ++f) {
+        blocks.from[f] = reads_.data() + f * ne + static_cast<std::size_t>(b);
+        blocks.to[f] = writes_.data() + f * ne + static_cast<std::size_t>(b);
+      }
+      RemapKernel k(dims_, e - b, blocks);
       KernelPipeline pipe({&k});
       const sw::KernelStats st = pipe.run(cg);
       if (si == 0) {
@@ -134,9 +168,10 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
 
     {
       obs::ScopedSpan span(trk_, "accel:unpack");
-      for (int si = 0; si < nshards; ++si) {
-        packs_[static_cast<std::size_t>(si)].to_state(
-            s, ranges[static_cast<std::size_t>(si)].first);
+      for (std::size_t e = 0; e < ne; ++e) {
+        for (const auto field : kStateFields) {
+          swap(s[e].*field, spare_[e].*field);
+        }
       }
     }
   } catch (const sw::KernelFault& e) {
@@ -152,8 +187,8 @@ void PipelineAccelerator::degrade(homme::State& s, const std::string& why) {
   last_fault_ = why;
   ++fallbacks_;
   // The abandoned launch may have left persistent-LDM residency entries
-  // pinned to the packed images, which the next remap refills; purge
-  // every assigned group before the next launch.
+  // pinned to the state's and the spares' chunks, which the next remap
+  // re-lists; purge every assigned group before the next launch.
   for (int i : cgs_) {
     auto lk = pool_->lock(i);
     pool_->group(i).purge_ldm();

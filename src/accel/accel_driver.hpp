@@ -4,18 +4,17 @@
 #include <string>
 #include <vector>
 
-#include "accel/packed.hpp"
 #include "homme/driver.hpp"
 #include "sw/cg_pool.hpp"
 #include "sw/fault.hpp"
 
 /// \file accel_driver.hpp
 /// Glue between the homme dycore and the accel kernel pipeline: a
-/// homme::StepAccelerator that packs the state, runs the ported kernels
-/// on a simulated core-group pool, and unpacks the prognostics. This is
-/// the boundary the paper's redesigned CAM-SE crosses on every dynamics
-/// step — host element structures on one side, flat DMA-able images on
-/// the other.
+/// homme::StepAccelerator that runs the ported kernels on a simulated
+/// core-group pool, straight on the state's own field chunks. This is the
+/// boundary the paper's redesigned CAM-SE crosses on every dynamics step:
+/// each CPE DMAs element blocks between main memory and its LDM, with no
+/// staging copy of the state in between.
 
 namespace accel {
 
@@ -27,8 +26,13 @@ namespace accel {
 /// offloaded remap is bit-identical to homme::vertical_remap_local: a
 /// pipeline-backend run steps to the host backend's bits.
 ///
-/// The accelerator keeps one packed image per shard across remaps and
-/// refills it in place, so a warm remap allocates no image.
+/// The kernels read each element's prognostic chunks (dp, u1, u2, T,
+/// qdp) where the state holds them and write spare chunks of the same
+/// shape; once every shard has succeeded, the accelerator swaps the
+/// spares into the state, and the state's former chunks become the next
+/// remap's spares. phis is never touched. A warm remap therefore
+/// allocates no field: only a spare that a fork or a checkpoint snapshot
+/// still shares is un-shared (copy on write) before it is written.
 ///
 /// By default the accelerator owns a private 1-CG pool, exactly the
 /// historical single-core-group behavior. set_cg_pool() instead binds to
@@ -44,11 +48,13 @@ class PipelineAccelerator final : public homme::StepAccelerator {
 
   /// Offload to the CPE pipeline; on a kernel fault (injected DMA/reg
   /// failure, CPE death, LDM overflow, scheduler deadlock) the poisoned
-  /// launch is discarded — the host state was never touched; shard
-  /// images unpack only after every shard succeeded — and the remap
-  /// re-runs on the host path, bit-identical to an unfaulted launch and
-  /// to a never-accelerated step. The fallback is recorded in the launch
-  /// stats (CpeCounters::host_fallbacks) and in fallbacks()/last_fault().
+  /// launch is discarded — the kernels wrote only spare chunks, which
+  /// are swapped in only after every shard succeeded, so the state was
+  /// never touched — and the remap re-runs on the host path,
+  /// bit-identical to an unfaulted launch and to a never-accelerated
+  /// step. The next remap rewrites every byte of every spare. The
+  /// fallback is recorded in the launch stats
+  /// (CpeCounters::host_fallbacks) and in fallbacks()/last_fault().
   void vertical_remap(homme::State& s) override;
 
   /// Bind to an externally owned pool, running shards on the groups in
@@ -88,6 +94,8 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   const std::string& last_fault() const { return last_fault_; }
 
  private:
+  /// Size the spares to \p s and list both sides' blocks.
+  void refill_blocks(homme::State& s);
   void degrade(homme::State& s, const std::string& why);
   void forward_tracer();
 
@@ -96,7 +104,12 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   std::vector<int> cgs_;
   bool owns_pool_ = true;
   sw::FaultPlan* faults_ = nullptr;
-  std::vector<PackedElems> packs_;  ///< one image per shard, refilled
+  homme::State spare_;  ///< output chunks, swapped into the state
+  /// Block tables, [field][element] in kRemapFields order: the state's
+  /// chunks (read) and spare_'s (written). Refilled on every remap, in
+  /// the capacity of the last.
+  std::vector<const double*> reads_;
+  std::vector<double*> writes_;
   sw::KernelStats last_stats_;
   int launches_ = 0;
   int fallbacks_ = 0;

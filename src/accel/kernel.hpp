@@ -71,8 +71,11 @@ enum class Access {
   kWrite,      ///< fully overwritten: no stage-in, written back
 };
 
-/// How a FieldId maps onto main memory: address of (item, sub, offset) is
-/// base + item * item_stride + sub * sub_stride + offset (doubles).
+/// How a FieldId maps onto main memory. Item blocks sit at base + item *
+/// item_stride, or, when the binding gives per-item block tables, an
+/// item's block is read from from[item] and written to to[item] (a kernel
+/// then reads one array and writes another). Within a block, (sub,
+/// offset) lies sub * sub_stride + offset doubles in.
 struct FieldBinding {
   FieldId id{};
   double* base = nullptr;
@@ -85,6 +88,10 @@ struct FieldBinding {
   /// field's element block resident between kernels of a fused segment.
   /// Per kernel: two kernels may bind one field with different values.
   bool keep = false;
+  /// Per-item block tables, both or neither: reads from from[item],
+  /// writes to to[item].
+  const double* const* from = nullptr;
+  double* const* to = nullptr;
 };
 
 /// The merged binding table of a kernel chain plus the common iteration
@@ -100,10 +107,14 @@ class Workset {
   /// Register a binding; kernels sharing a FieldId must agree on where it
   /// lives (keep is each kernel's own).
   void bind(const FieldBinding& b) {
+    if ((b.from == nullptr) != (b.to == nullptr)) {
+      throw std::logic_error("Workset: a binding gives one block table");
+    }
     if (const FieldBinding* have = find(b.id)) {
       if (have->base != b.base || have->extent != b.extent ||
           have->item_stride != b.item_stride ||
-          have->subcount != b.subcount || have->sub_stride != b.sub_stride) {
+          have->subcount != b.subcount || have->sub_stride != b.sub_stride ||
+          have->from != b.from || have->to != b.to) {
         throw std::logic_error(
             "Workset: kernels disagree on a field binding");
       }
@@ -130,11 +141,20 @@ class Workset {
     return *b;
   }
 
-  double* addr(FieldId id, int item, int sub) const {
+  /// Where block (\p item, \p sub) of field \p id is read from.
+  const double* read_addr(FieldId id, int item, int sub) const {
     const FieldBinding& b = at(id);
-    assert(sub >= 0 && sub < b.subcount);
-    return b.base + static_cast<std::size_t>(item) * b.item_stride +
-           static_cast<std::size_t>(sub) * b.sub_stride;
+    const std::size_t i = static_cast<std::size_t>(item);
+    return (b.from != nullptr ? b.from[i] : b.base + i * b.item_stride) +
+           sub_offset(b, sub);
+  }
+
+  /// Where block (\p item, \p sub) of field \p id is written to.
+  double* write_addr(FieldId id, int item, int sub) const {
+    const FieldBinding& b = at(id);
+    const std::size_t i = static_cast<std::size_t>(item);
+    return (b.to != nullptr ? b.to[i] : b.base + i * b.item_stride) +
+           sub_offset(b, sub);
   }
 
   /// Set (or check) the common iteration space.
@@ -152,6 +172,11 @@ class Workset {
   const std::vector<FieldBinding>& bindings() const { return bindings_; }
 
  private:
+  static std::size_t sub_offset(const FieldBinding& b, int sub) {
+    assert(sub >= 0 && sub < b.subcount);
+    return static_cast<std::size_t>(sub) * b.sub_stride;
+  }
+
   std::vector<FieldBinding> bindings_;
 };
 

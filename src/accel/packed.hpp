@@ -14,7 +14,7 @@
 /// simulator can transfer block-wise — this mirrors the data-layout work
 /// that dominated the paper's refactoring. Synthetic worksets pack
 /// geometry per element as kGeomTiles tiles (see GeomTile); a state pack
-/// carries only the prognostics the remap offload reads and writes.
+/// (Table 1's host references) carries only the prognostics.
 
 namespace accel {
 
@@ -47,10 +47,9 @@ struct PackedElems {
     return geom.data() + static_cast<std::size_t>(e) * kGeomDoubles;
   }
 
-  /// Refill the prognostics the remap reads and writes (u1, u2, T, dp,
-  /// qdp) from state entries [begin, end), reusing the arrays' capacity.
-  /// Geometry, phis and the GLL table are left as they are: a state pack
-  /// keeps them empty, since no kernel run on it reads them.
+  /// Refill the prognostics (u1, u2, T, dp, qdp) from state entries
+  /// [begin, end), reusing the arrays' capacity. Geometry, phis and the
+  /// GLL table are left as they are.
   void from_state(const homme::Dims& d, const homme::State& s, int begin,
                   int end);
   /// Write those prognostics back into entries [begin, begin + nelem) of

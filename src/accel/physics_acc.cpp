@@ -31,13 +31,22 @@ std::uint64_t scheme_flops(int scheme, int nlev) {
          static_cast<std::uint64_t>(nlev);
 }
 
+/// The host thread's phys::Column of \p nlev levels, reused for every
+/// column, scheme and launch: run_scheme never suspends, so one column is
+/// live per host thread at a time.
+phys::Column& host_column(int nlev) {
+  thread_local phys::Column c(0);
+  if (c.nlev != nlev) c = phys::Column(nlev);
+  return c;
+}
+
 /// Run \p scheme on column \p col of \p p, whose t, q, u, v, dp and p
 /// arrays are staged at \p lev[0..5]; t, q, u and v are updated there.
 /// The column's ps and surface come straight from the image.
 void run_scheme(int scheme, const phys::PackedColumns& p, int col,
                 const std::array<double*, 6>& lev,
                 const phys::PhysicsConfig& cfg, double dt) {
-  phys::Column c(p.nlev);
+  phys::Column& c = host_column(p.nlev);
   const std::array arrays{&c.t, &c.q, &c.u, &c.v, &c.dp, &c.p};
   for (std::size_t a = 0; a < arrays.size(); ++a) {
     std::copy(lev[a], lev[a] + p.nlev, arrays[a]->begin());
@@ -128,8 +137,8 @@ void PhysicsSchemeKernel::bind(Workset& ws) const {
 
 std::size_t PhysicsSchemeKernel::transient_bytes(const Workset&,
                                                  const KeepSet& keep) const {
-  // phys::Column lives on the host heap; LDM transients are only the
-  // leases of bound fields admission left out.
+  // The scheme runs on the host thread's phys::Column; LDM transients are
+  // only the leases of bound fields admission left out.
   Workset own;
   bind(own);
   std::size_t bytes = 128;

@@ -79,7 +79,8 @@ class ElemScope {
       sw::ResidentEntry ent;
       ent.tag = static_cast<std::uint16_t>(id);
       ent.sub = 0;
-      ent.mem = ws.addr(id, item, 0);
+      ent.mem = ws.read_addr(id, item, 0);
+      ent.wb = ws.write_addr(id, item, 0);
       ent.ldm = std::as_writable_bytes(buf);
       ent.extent_bytes = buf.size_bytes();
       cpe.ledger().add(ent);
@@ -94,9 +95,7 @@ class ElemScope {
   void flush() {
     cpe_.ledger().for_each_dirty([this](sw::ResidentEntry& e) {
       if (e.persistent || e.hi == e.lo) return;
-      // Dirty entries only arise from writable bindings, so the memory
-      // behind `mem` is mutable.
-      auto* dst = static_cast<std::byte*>(const_cast<void*>(e.mem));
+      auto* dst = static_cast<std::byte*>(e.wb);
       cpe_.dma_wait(cpe_.dma_put(dst + e.lo, e.ldm.data() + e.lo,
                                  e.hi - e.lo));
       cpe_.counters().dma_cold_bytes += e.hi - e.lo;
@@ -170,12 +169,12 @@ FieldLease ElemCtx::lease(FieldId id, int sub, std::size_t offset_doubles,
   [[maybe_unused]] const FieldBinding& b = ws_.at(id);
   assert(offset_doubles + count_doubles <= b.extent);
   assert(access == Access::kRead || b.writable);
-  double* mem = ws_.addr(id, item_, sub) + offset_doubles;
+  const double* block = ws_.read_addr(id, item_, sub);
   const std::size_t bytes = count_doubles * sizeof(double);
 
   FieldLease lease;
   if (sw::ResidentEntry* e = cpe_.ledger().find(
-          static_cast<std::uint16_t>(id), sub, ws_.addr(id, item_, sub))) {
+          static_cast<std::uint16_t>(id), sub, block)) {
     // Resident: serve from the keep buffer; only hull extensions move.
     const std::size_t lo = offset_doubles * sizeof(double);
     const std::size_t hi = lo + bytes;
@@ -202,12 +201,15 @@ FieldLease ElemCtx::lease(FieldId id, int sub, std::size_t offset_doubles,
   // Transient: private staging for the lease's lifetime (LIFO on the LDM
   // stack — leases must be destroyed innermost-first).
   lease.cpe_ = &cpe_;
-  lease.mem_ = mem;
+  if (access != Access::kRead) {
+    lease.mem_ = ws_.write_addr(id, item_, sub) + offset_doubles;
+  }
   lease.access_ = access;
   lease.mark_ = cpe_.ldm().used();
   lease.span_ = cpe_.ldm().alloc<double>(count_doubles);
   if (access != Access::kWrite) {
-    cpe_.dma_wait(cpe_.dma_get(lease.span_.data(), mem, bytes));
+    cpe_.dma_wait(
+        cpe_.dma_get(lease.span_.data(), block + offset_doubles, bytes));
     cpe_.counters().dma_cold_bytes += bytes;
   }
   return lease;

@@ -44,7 +44,8 @@ void stage_dvv(sw::Cpe& cpe, const Workset& ws);
 /// LDM access to one field's element block, granted by ElemCtx::lease().
 /// Residency-transparent: when the field is in the keep set the span
 /// aliases the resident buffer (only hull extensions move); otherwise the
-/// lease stages a private copy and writes it back on destruction.
+/// lease stages a private copy and writes it back on destruction, to the
+/// binding's write address.
 class FieldLease {
  public:
   FieldLease(FieldLease&& o) noexcept

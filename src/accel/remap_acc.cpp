@@ -62,41 +62,21 @@ void scatter_column(sw::Cpe& cpe, double* base, std::size_t eo, int k,
                                    kNpp * sizeof(double)));
 }
 
-/// Host re-blocking of a CPE's transposed columns (\p cols, [kNpp][nlev])
-/// into a [nlev][kNpp] tile, and back: W x W blocks turned by
-/// vpack::transpose, so no value changes. nlev is a multiple of 4, as
-/// ldm_transpose requires.
-void columns_to_tile(const double* cols, int nlev, double* tile) {
-  constexpr int W = homme::vpack::width;
-  const std::size_t levels = static_cast<std::size_t>(nlev);
-  for (int k = 0; k < kNpp; k += W) {
-    for (int l = 0; l < nlev; l += W) {
-      homme::vpack b[W];
-      for (int r = 0; r < W; ++r) {
-        b[r] = homme::vpack::load(cols + static_cast<std::size_t>(k + r) *
-                                             levels + l);
-      }
-      homme::vpack::transpose(b);
-      for (int r = 0; r < W; ++r) b[r].store(tile + fidx(l + r, k));
-    }
+/// Binding \p f of kRemapFields without its addresses: every field is
+/// written; the prognostics stay resident across a chain, the tracers
+/// stream.
+FieldBinding remap_binding(std::size_t f, std::size_t fs, int qsize) {
+  FieldBinding b;
+  b.id = kRemapFields[f];
+  b.extent = fs;
+  b.writable = true;
+  if (b.id == FieldId::kQdp) {
+    b.subcount = qsize;
+    b.sub_stride = fs;
+  } else {
+    b.keep = true;
   }
-}
-
-void tile_to_columns(const double* tile, int nlev, double* cols) {
-  constexpr int W = homme::vpack::width;
-  const std::size_t levels = static_cast<std::size_t>(nlev);
-  for (int k = 0; k < kNpp; k += W) {
-    for (int l = 0; l < nlev; l += W) {
-      homme::vpack b[W];
-      for (int r = 0; r < W; ++r) {
-        b[r] = homme::vpack::load(tile + fidx(l + r, k));
-      }
-      homme::vpack::transpose(b);
-      for (int r = 0; r < W; ++r) {
-        b[r].store(cols + static_cast<std::size_t>(k + r) * levels + l);
-      }
-    }
-  }
+  return b;
 }
 
 }  // namespace
@@ -153,18 +133,34 @@ sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p) {
   return cg.run(kernel, sw::kCpesPerGroup, sw::kSpawnCycles);
 }
 
+RemapKernel::RemapKernel(PackedElems& p)
+    : nelem_(p.nelem), nlev_(p.nlev), qsize_(p.qsize) {
+  const std::size_t fs = p.field_size();
+  const std::array base{p.dp.data(), p.u1.data(), p.u2.data(), p.T.data(),
+                        p.qdp.data()};
+  for (std::size_t f = 0; f < kRemapFields.size(); ++f) {
+    FieldBinding& b = fields_[f];
+    b = remap_binding(f, fs, qsize_);
+    b.base = base[f];
+    b.item_stride = static_cast<std::size_t>(b.subcount) * fs;
+  }
+}
+
+RemapKernel::RemapKernel(const homme::Dims& d, int nelem,
+                         const RemapBlocks& blocks)
+    : nelem_(nelem), nlev_(d.nlev), qsize_(d.qsize) {
+  for (std::size_t f = 0; f < kRemapFields.size(); ++f) {
+    FieldBinding& b = fields_[f];
+    b = remap_binding(f, d.field_size(), qsize_);
+    b.from = blocks.from[f];
+    b.to = blocks.to[f];
+  }
+}
+
 void RemapKernel::bind(Workset& ws) const {
-  ws.items(p_.nelem, p_.nlev);
-  const std::size_t fs = p_.field_size();
-  // The prognostics stay resident across a chain; the tracers stream.
-  ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true, true});
-  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, true, true});
-  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, true, true});
-  ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true, true});
-  if (p_.qsize > 0) {
-    ws.bind({FieldId::kQdp, p_.qdp.data(),
-             static_cast<std::size_t>(p_.qsize) * fs, fs, p_.qsize, fs,
-             true});
+  ws.items(nelem_, nlev_);
+  for (const FieldBinding& b : fields_) {
+    if (b.id != FieldId::kQdp || qsize_ > 0) ws.bind(b);
   }
 }
 
@@ -184,29 +180,32 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   // grids, intervals and Hermite weights) are built once and reused
   // across u, v, T and every tracer; in a chain the prognostic leases
   // resolve to the buffers a preceding kernel left resident.
-  const int nlev = p_.nlev;
-  const std::size_t n = p_.field_size();  // nlev * 16
-  auto dpt = cpe.ldm().alloc<double>(n);  // [16][lev] transposed dp
-  auto ft = cpe.ldm().alloc<double>(n);   // [16][lev] transposed field
-  auto tgt = cpe.ldm().alloc<double>(static_cast<std::size_t>(nlev));
+  const int nlev = nlev_;
+  const std::size_t n = static_cast<std::size_t>(nlev) * kNpp;
+  // The port's modeled LDM footprint beside its leases. The host
+  // arithmetic below reads none of these buffers.
+  [[maybe_unused]] const auto dpt = cpe.ldm().alloc<double>(n);  // [16][lev]
+  [[maybe_unused]] const auto ft = cpe.ldm().alloc<double>(n);   // [16][lev]
+  [[maybe_unused]] const auto tgt =
+      cpe.ldm().alloc<double>(static_cast<std::size_t>(nlev));  // a column
 
   // The host computes the columns' remap four at a time, in the lanes of
-  // a vpack, on [lev][16] tiles in the host thread's scratch arena (not
-  // in the modeled LDM: element() never suspends, so this frame closes
-  // before the next CPE runs). The modeled work above is unchanged: the
-  // same leases, transposes, LDM buffers and flop charges.
+  // a vpack, on the [lev][16] blocks as the leases deliver them: the
+  // transposes are charged, not executed. The source thicknesses, targets
+  // and plans live in the host thread's scratch arena (not in the modeled
+  // LDM: element() never suspends, so this frame closes before the next
+  // CPE runs).
   using Plan = homme::BasicColumnRemapPlan<homme::vpack>;
   const std::size_t levels = static_cast<std::size_t>(nlev);
   homme::ScratchArena& arena = homme::ScratchArena::thread_local_arena();
   homme::ScratchArena::Frame frame(arena);
   double* const dp = arena.alloc(n).data();    // source thicknesses
   double* const tile = arena.alloc(n).data();  // targets
-  double* const work = arena.alloc(n).data();  // the field being remapped
   double* const xs = arena.alloc((levels + 1) * kNpp).data();
   double* const xt = arena.alloc((levels + 1) * kNpp).data();
   {
     FieldLease dps = ctx.lease(FieldId::kDp, 0, 0, n, Access::kRead);
-    sw::ldm_transpose(cpe, dps.data(), dpt.data(), nlev, kNpp);
+    cpe.cycles(sw::transpose_cycles(nlev, kNpp));
     std::copy(dps.data(), dps.data() + n, dp);
   }
   // Every column's targets from column masses summed level by level from
@@ -220,13 +219,13 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
     // column's RemapError.
     for (int k = 0; k < kNpp; ++k) {
       homme::ScratchArena::Frame column(arena);
+      const std::span<double> src = arena.alloc(levels);
       const std::span<double> t = arena.alloc(levels);
       for (int l = 0; l < nlev; ++l) {
+        src[static_cast<std::size_t>(l)] = dp[fidx(l, k)];
         t[static_cast<std::size_t>(l)] = tile[fidx(l, k)];
       }
-      homme::ColumnRemapPlan::checked(
-          {dpt.data() + static_cast<std::size_t>(k) * levels, levels}, t,
-          arena);
+      homme::ColumnRemapPlan::checked(src, t, arena);
     }
   }
   Plan plans[homme::kTilePacks];
@@ -238,43 +237,37 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
 
   auto remap_field = [&](FieldId id, int sub, bool as_ratio) {
     FieldLease fld = ctx.lease(id, sub, 0, n, Access::kReadWrite);
-    sw::ldm_transpose(cpe, fld.data(), ft.data(), nlev, kNpp);
-    // Each column's modeled charges, in column order, with its targets
-    // staged into the LDM.
+    double* const f = fld.data();
+    cpe.cycles(sw::transpose_cycles(nlev, kNpp));
+    // Each column's modeled charges, in column order.
     for (int k = 0; k < kNpp; ++k) {
-      for (int l = 0; l < nlev; ++l) {
-        tgt[static_cast<std::size_t>(l)] = tile[fidx(l, k)];
-      }
       if (as_ratio) cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
       cpe.scalar_flops(remap_flops(nlev));
       if (as_ratio) cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
     }
-    columns_to_tile(ft.data(), nlev, work);
     for (int p = 0; p < homme::kTilePacks; ++p) {
       const int k = p * homme::vpack::width;
       if (as_ratio) {
         for (int l = 0; l < nlev; ++l) {
           const std::size_t i = fidx(l, k);
-          (homme::vpack::load(work + i) / homme::vpack::load(dp + i))
-              .store(work + i);
+          (homme::vpack::load(f + i) / homme::vpack::load(dp + i)).store(f + i);
         }
       }
-      plans[p].apply(dp + k, tile + k, work + k, kNpp);
+      plans[p].apply(dp + k, tile + k, f + k, kNpp);
       if (as_ratio) {
         for (int l = 0; l < nlev; ++l) {
           const std::size_t i = fidx(l, k);
-          (homme::vpack::load(work + i) * homme::vpack::load(tile + i))
-              .store(work + i);
+          (homme::vpack::load(f + i) * homme::vpack::load(tile + i))
+              .store(f + i);
         }
       }
     }
-    tile_to_columns(work, nlev, ft.data());
-    sw::ldm_transpose(cpe, ft.data(), fld.data(), kNpp, nlev);
+    cpe.cycles(sw::transpose_cycles(kNpp, nlev));
   };
   remap_field(FieldId::kU1, 0, false);
   remap_field(FieldId::kU2, 0, false);
   remap_field(FieldId::kT, 0, false);
-  for (int q = 0; q < p_.qsize; ++q) {
+  for (int q = 0; q < qsize_; ++q) {
     remap_field(FieldId::kQdp, q, true);
   }
   {

@@ -1,6 +1,7 @@
 #include "homme/euler.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "homme/dss.hpp"
 #include "homme/exchange.hpp"
@@ -38,30 +39,79 @@ void element_tracer_rhs(const mesh::ElementGeom& g, const Dims& d,
   }
 }
 
-void positivity_limiter(const mesh::ElementGeom& g, int nlev,
-                        std::span<double> qdp) {
-  for (int lev = 0; lev < nlev; ++lev) {
-    double mass = 0.0, positive = 0.0;
-    for (int k = 0; k < kNpp; ++k) {
-      const double v = qdp[fidx(lev, k)];
-      const double w = g.mass[static_cast<std::size_t>(k)];
-      mass += w * v;
-      if (v > 0.0) positive += w * v;
-    }
-    if (mass <= 0.0) {
-      // Nothing positive to redistribute; clip to zero.
-      for (int k = 0; k < kNpp; ++k) {
-        if (qdp[fidx(lev, k)] < 0.0) qdp[fidx(lev, k)] = 0.0;
-      }
-      continue;
-    }
-    if (positive == mass) continue;  // nothing negative
-    const double scale = mass / positive;
-    for (int k = 0; k < kNpp; ++k) {
-      double& v = qdp[fidx(lev, k)];
-      v = v > 0.0 ? v * scale : 0.0;
+namespace {
+
+/// Column k of levels lev.. of the [lev][kNpp] tile \p q, one level per
+/// lane of T: a double is level lev; a vpack comes out of the width x
+/// width blocks that vpack::transpose turns.
+template <class T>
+void load_levels(const double* q, int lev, T (&col)[kNpp]) {
+  if constexpr (std::is_same_v<T, double>) {
+    for (int k = 0; k < kNpp; ++k) col[k] = q[fidx(lev, k)];
+  } else {
+    constexpr int W = vpack::width;
+    for (int k = 0; k < kNpp; k += W) {
+      vpack b[W];
+      for (int r = 0; r < W; ++r) b[r] = vpack::load(q + fidx(lev + r, k));
+      vpack::transpose(b);
+      for (int c = 0; c < W; ++c) col[k + c] = b[c];
     }
   }
+}
+
+/// load_levels' inverse.
+template <class T>
+void store_levels(T (&col)[kNpp], int lev, double* q) {
+  if constexpr (std::is_same_v<T, double>) {
+    for (int k = 0; k < kNpp; ++k) q[fidx(lev, k)] = col[k];
+  } else {
+    constexpr int W = vpack::width;
+    for (int k = 0; k < kNpp; k += W) {
+      vpack b[W];
+      for (int c = 0; c < W; ++c) b[c] = col[k + c];
+      vpack::transpose(b);
+      for (int r = 0; r < W; ++r) b[r].store(q + fidx(lev + r, k));
+    }
+  }
+}
+
+/// The limiter on the Lanes<T>::width levels from \p lev, one level per
+/// lane: each lane sums its level's kNpp points in k order and takes its
+/// level's branch through lane masks, so its bits are the scalar body's.
+template <class T>
+void limit_levels(const mesh::ElementGeom& g, int lev, double* q) {
+  T col[kNpp];
+  load_levels(q, lev, col);
+  T mass = Lanes<T>::fill(0.0), positive = Lanes<T>::fill(0.0);
+  for (int k = 0; k < kNpp; ++k) {
+    const double w = g.mass[static_cast<std::size_t>(k)];
+    mass = mass + w * col[k];
+    positive = select(col[k] > 0.0, positive + w * col[k], positive);
+  }
+  // Nothing positive to redistribute: clip to zero. Nothing negative:
+  // leave the level as it is. Otherwise rescale the positive values.
+  const auto clip = mass <= 0.0;
+  const auto keep = positive == mass;
+  if (!any(clip | !keep)) return;
+  const T scale = mass / positive;
+  const T zero = Lanes<T>::fill(0.0);
+  for (int k = 0; k < kNpp; ++k) {
+    const T v = col[k];
+    col[k] = select(clip, select(v < 0.0, zero, v),
+                    select(keep, v, select(v > 0.0, v * scale, zero)));
+  }
+  store_levels(col, lev, q);
+}
+
+}  // namespace
+
+void positivity_limiter(const mesh::ElementGeom& g, int nlev,
+                        std::span<double> qdp) {
+  int lev = 0;
+  for (; lev + vpack::width <= nlev; lev += vpack::width) {
+    limit_levels<vpack>(g, lev, qdp.data());
+  }
+  for (; lev < nlev; ++lev) limit_levels<double>(g, lev, qdp.data());
 }
 
 void euler_step(const Exchange& x, const Dims& d, State& s, double dt,

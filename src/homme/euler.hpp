@@ -39,7 +39,9 @@ void element_tracer_rhs(const mesh::ElementGeom& g, const Dims& d,
 
 /// The element-local positivity limiter (exposed for tests): clips
 /// negative qdp values and rescales the positive ones so each element
-/// level conserves its tracer mass, when possible.
+/// level conserves its tracer mass, when possible. Runs vpack::width
+/// levels at a time, one per lane, bit-identical to
+/// homme::ref::positivity_limiter.
 void positivity_limiter(const mesh::ElementGeom& g, int nlev,
                         std::span<double> qdp);
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <vector>
 
-#include "homme/euler.hpp"
 #include "homme/ops.hpp"
 #include "homme/scratch.hpp"
 #include "mesh/gll.hpp"
@@ -566,6 +565,32 @@ void element_tracer_rhs(const mesh::ElementGeom& g, const Dims& d,
 
 }  // namespace
 
+void positivity_limiter(const mesh::ElementGeom& g, int nlev,
+                        std::span<double> qdp) {
+  for (int lev = 0; lev < nlev; ++lev) {
+    double mass = 0.0, positive = 0.0;
+    for (int k = 0; k < kNpp; ++k) {
+      const double v = qdp[fidx(lev, k)];
+      const double w = g.mass[static_cast<std::size_t>(k)];
+      mass += w * v;
+      if (v > 0.0) positive += w * v;
+    }
+    if (mass <= 0.0) {
+      // Nothing positive to redistribute; clip to zero.
+      for (int k = 0; k < kNpp; ++k) {
+        if (qdp[fidx(lev, k)] < 0.0) qdp[fidx(lev, k)] = 0.0;
+      }
+      continue;
+    }
+    if (positive == mass) continue;  // nothing negative
+    const double scale = mass / positive;
+    for (int k = 0; k < kNpp; ++k) {
+      double& v = qdp[fidx(lev, k)];
+      v = v > 0.0 ? v * scale : 0.0;
+    }
+  }
+}
+
 void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
                 double dt, bool limit) {
   const int nelem = m.nelem();
@@ -614,8 +639,8 @@ void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
       dss_levels(m, qs_ptrs, d.nlev);
       if (limit) {
         for (int e = 0; e < nelem; ++e) {
-          positivity_limiter(m.geom(e), d.nlev,
-                             qs[static_cast<std::size_t>(e)]);
+          ref::positivity_limiter(m.geom(e), d.nlev,
+                                  qs[static_cast<std::size_t>(e)]);
         }
       }
     }

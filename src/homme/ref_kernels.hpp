@@ -105,9 +105,14 @@ void remap_column(std::span<const double> src_dp,
 /// remap_column above).
 void vertical_remap_local(const Dims& d, State& s);
 
+/// Scalar element positivity limiter, one level at a time (the original
+/// of euler.cpp's positivity_limiter).
+void positivity_limiter(const mesh::ElementGeom& g, int nlev,
+                        std::span<double> qdp);
+
 /// Scalar SSP-RK3 tracer advection with per-call vector temporaries and
-/// the scalar whole-mesh DSS above; its divergence is the scalar one above (the
-/// positivity limiter was never vectorized and is shared).
+/// the scalar whole-mesh DSS above; its divergence and limiter are the
+/// scalar ones above.
 void euler_step(const mesh::CubedSphere& m, const Dims& d, State& s,
                 double dt, bool limit = true);
 

@@ -183,6 +183,9 @@ struct vpack {
   friend mask operator>=(const vpack& a, const vpack& b) {
     return {a.v >= b.v};
   }
+  friend mask operator==(const vpack& a, const vpack& b) {
+    return {a.v == b.v};
+  }
 #else
   vpack& operator+=(const vpack& o) {
     for (int i = 0; i < width; ++i) v[i] += o.v[i];
@@ -231,6 +234,11 @@ struct vpack {
   friend mask operator>=(const vpack& a, const vpack& b) {
     mask m;
     for (int i = 0; i < width; ++i) m.v[i] = a.v[i] >= b.v[i];
+    return m;
+  }
+  friend mask operator==(const vpack& a, const vpack& b) {
+    mask m;
+    for (int i = 0; i < width; ++i) m.v[i] = a.v[i] == b.v[i];
     return m;
   }
 #endif

@@ -15,9 +15,10 @@
 /// that makes this schedulable from a *declared* kernel footprint instead
 /// of hand-placed gets: each entry records which byte interval of a
 /// main-memory field currently lives in an LDM buffer, whether it has been
-/// modified, and whether it survives the current element scope. The
-/// kernel-pipeline layer consults it on every lease to decide which bytes
-/// must move (cold) and which are already home (reused).
+/// modified, where a writeback puts it, and whether it survives the
+/// current element scope. The kernel-pipeline layer consults it on every
+/// lease to decide which bytes must move (cold) and which are already home
+/// (reused).
 ///
 /// This is pure bookkeeping — the ledger never issues DMA itself, so it
 /// stays independent of Cpe and is unit-testable in isolation.
@@ -33,6 +34,9 @@ struct ResidentEntry {
   std::uint16_t tag = 0;        ///< field identifier (accel::FieldId)
   std::int32_t sub = -1;        ///< sub-field index (tracer, ...); -1: none
   const void* mem = nullptr;    ///< main-memory base of the full extent
+  /// Where a writeback puts the covered bytes: mem itself, or the block a
+  /// kernel writes in place of the one it read.
+  void* wb = nullptr;
   std::span<std::byte> ldm;     ///< LDM backing for the full extent
   std::size_t extent_bytes = 0;
   std::size_t lo = 0, hi = 0;   ///< covered byte interval [lo, hi)

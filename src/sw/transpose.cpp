@@ -26,6 +26,11 @@ void transpose_tile(const double* in, int stride, double* out,
 
 }  // namespace
 
+double transpose_cycles(int rows, int cols) {
+  assert(rows % 4 == 0 && cols % 4 == 0);
+  return kTileTransposeCycles * (rows / 4) * (cols / 4);
+}
+
 void ldm_transpose(Cpe& cpe, const double* in, double* out, int rows,
                    int cols) {
   assert(rows % 4 == 0 && cols % 4 == 0);
@@ -34,7 +39,7 @@ void ldm_transpose(Cpe& cpe, const double* in, double* out, int rows,
       transpose_tile(in + i * cols + j, cols, out + j * rows + i, rows);
     }
   }
-  cpe.cycles(kTileTransposeCycles * (rows / 4) * (cols / 4));
+  cpe.cycles(transpose_cycles(rows, cols));
 }
 
 void ldm_transpose_inplace(Cpe& cpe, double* a, int n) {

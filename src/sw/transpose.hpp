@@ -19,10 +19,16 @@
 
 namespace sw {
 
+/// Modeled cycles of an ldm_transpose of a \p rows x \p cols matrix: the 8
+/// shuffles plus the load and store of each 4x4 tile. A port whose host
+/// arithmetic reads the untransposed block charges this in place of the
+/// transpose it models. Dimensions must be multiples of 4.
+double transpose_cycles(int rows, int cols);
+
 /// Transpose the row-major \p rows x \p cols matrix \p in into \p out
 /// (cols x rows), working tile-by-tile with the 8-shuffle in-register 4x4
-/// transpose. Dimensions must be multiples of 4. Accounts shuffle cycles
-/// on \p cpe.
+/// transpose. Dimensions must be multiples of 4. Charges
+/// transpose_cycles(rows, cols) on \p cpe.
 void ldm_transpose(Cpe& cpe, const double* in, double* out, int rows,
                    int cols);
 

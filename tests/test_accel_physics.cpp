@@ -7,6 +7,7 @@
 #include "homme/state.hpp"
 #include "physics/driver.hpp"
 #include "scenario/experiments.hpp"
+#include "alloc_counter.hpp"
 
 namespace {
 
@@ -172,6 +173,26 @@ TEST(PhysicsAcc, ColumnsAreIndependent) {
     EXPECT_EQ(a.u[i], b.u[i]);
     EXPECT_EQ(a.v[i], b.v[i]);
   }
+}
+
+TEST(PhysicsAcc, WarmAthreadCallReusesOneColumn) {
+  // ne8 x 16 levels: 6,144 columns, each run through every scheme on the
+  // host thread's one phys::Column rather than a fresh one per column
+  // and scheme.
+  const mesh::CubedSphere m = mesh::CubedSphere::build(8, mesh::kEarthRadius);
+  homme::Dims d;
+  d.nlev = 16;
+  d.qsize = 1;
+  const phys::PhysicsDriver pd(m, d);
+  phys::PackedColumns img;
+  pd.pack(scenario::aquaplanet_init_spec().build(m, d), img);
+  sw::CoreGroup cg;
+  accel::physics_athread(cg, img, pd.config(), 1800.0);  // cold
+  alloc_counter::arm();
+  accel::physics_athread(cg, img, pd.config(), 1800.0);
+  const std::size_t allocs = alloc_counter::disarm();
+  EXPECT_EQ(img.ncols, 6144);
+  EXPECT_LT(allocs, static_cast<std::size_t>(img.ncols));
 }
 
 TEST(PhysicsAcc, LdmHoldsOneColumnComfortably) {

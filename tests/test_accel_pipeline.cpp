@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -203,6 +205,60 @@ TEST(PipelineAccelerator, WarmRemapReusesItsShardImages) {
                                 d.field_size() * sizeof(double);
   EXPECT_LT(alloc_counter::bytes(), shard_qdp);
   EXPECT_EQ(pa.launches(), 2);
+  EXPECT_EQ(pa.fallbacks(), 0);
+}
+
+/// A copy of \p s that shares no chunk with it.
+homme::State deep_copy(const homme::State& s) {
+  homme::State out(s.size());
+  for (std::size_t id = 0; id < s.size() * homme::kChunksPerElement; ++id) {
+    const homme::Chunk& c = homme::state_chunk(s, id);
+    homme::state_chunk(out, id).assign(c.data(), c.size());
+  }
+  return out;
+}
+
+bool bitwise_equal(const homme::State& a, const homme::State& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t id = 0; id < a.size() * homme::kChunksPerElement; ++id) {
+    const homme::Chunk& x = homme::state_chunk(a, id);
+    const homme::Chunk& y = homme::state_chunk(b, id);
+    if (x.size() != y.size() ||
+        std::memcmp(x.data(), y.data(), x.size_bytes()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PipelineAccelerator, ForkedStateKeepsItsBitsAcrossRemaps) {
+  // The first remap reads the chunks a fork shares and swaps fresh ones
+  // into the state; the second writes the spares, which are those shared
+  // chunks, so it must un-share them first.
+  homme::Dims d;
+  d.nlev = 16;
+  d.qsize = 3;
+  auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  homme::State s = homme::baroclinic(mesh, d);
+  homme::init_tracers(mesh, d, s);
+  const homme::State fork = s;
+  const homme::State before = deep_copy(s);
+  accel::PipelineAccelerator pa(d);
+  pa.set_cg_pool(std::make_shared<sw::CgPool>(2), {0, 1});
+  for (int remap = 0; remap < 2; ++remap) {
+    // Deform the layers so each remap does real work.
+    for (homme::ElementState& es : s) {
+      auto dp = es.dp.mutable_span();
+      for (std::size_t f = 0; f < dp.size(); ++f) {
+        dp[f] *= 1.0 + 0.05 * std::sin(0.3 * static_cast<double>(f + remap));
+      }
+    }
+    homme::State want = deep_copy(s);
+    homme::vertical_remap_local(d, want);
+    pa.vertical_remap(s);
+    EXPECT_TRUE(bitwise_equal(s, want)) << "remap " << remap;
+    EXPECT_TRUE(bitwise_equal(fork, before)) << "remap " << remap;
+  }
   EXPECT_EQ(pa.fallbacks(), 0);
 }
 

@@ -319,6 +319,37 @@ TEST(HostKernels, EulerStepBitIdenticalToReference) {
   }
 }
 
+TEST(HostKernels, LimiterBitIdenticalToReference) {
+  // Level l takes case l % 7, so every vpack of four levels mixes the
+  // limiter's branches across its lanes.
+  auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  const mesh::ElementGeom& g = m.geom(5);
+  std::mt19937 rng(7u);
+  std::uniform_real_distribution<double> mag(0.1, 2.0);
+  auto level_value = [&](int c, int k) {
+    const double x = mag(rng);
+    switch (c) {
+      case 0: return x;                       // all positive: untouched
+      case 1: return k % 5 == 0 ? -0.3 * x : x;  // a few negative: rescale
+      case 2: return -x;                      // all negative: clip
+      case 3: return k % 2 == 0 ? -x : 0.2 * x;  // net negative: clip
+      case 4: return k % 3 == 0 ? 0.0 : -0.0;    // mass 0: clip keeps -0
+      case 5: return k % 4 == 0 ? -0.0 : x;   // -0 and positive: untouched
+      default: return k % 3 == 0 ? -0.0 : (k % 3 == 1 ? -0.5 * x : x);
+    }
+  };
+  for (int nlev : {1, 3, 4, 5, 16, 30}) {
+    std::vector<double> a(static_cast<std::size_t>(nlev) * kNpp);
+    for (int l = 0; l < nlev; ++l) {
+      for (int k = 0; k < kNpp; ++k) a[fidx(l, k)] = level_value(l % 7, k);
+    }
+    std::vector<double> b = a;
+    homme::ref::positivity_limiter(g, nlev, a);
+    homme::positivity_limiter(g, nlev, b);
+    EXPECT_TRUE(same_bits(a, b)) << "nlev " << nlev;
+  }
+}
+
 TEST(HostKernels, VerticalRemapMatchesReferenceAcrossConfigs) {
   for (int ne : {2, 4}) {
     for (int nlev : {10, 30, 72}) {

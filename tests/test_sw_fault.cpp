@@ -7,14 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "accel/accel_driver.hpp"
 #include "homme/driver.hpp"
 #include "homme/init.hpp"
+#include "homme/remap.hpp"
 #include "net/mini_mpi.hpp"
+#include "sw/cg_pool.hpp"
 #include "sw/core_group.hpp"
 #include "sw/fault.hpp"
 #include "sw/task.hpp"
@@ -291,6 +295,76 @@ bool states_bitwise_equal(const homme::State& a, const homme::State& b) {
     }
   }
   return true;
+}
+
+/// A copy of \p s that shares no chunk with it.
+homme::State deep_copy(const homme::State& s) {
+  homme::State out(s.size());
+  for (std::size_t id = 0; id < s.size() * homme::kChunksPerElement; ++id) {
+    const homme::Chunk& c = homme::state_chunk(s, id);
+    homme::state_chunk(out, id).assign(c.data(), c.size());
+  }
+  return out;
+}
+
+TEST(GracefulDegradation, LateFaultLeavesTheStateUntouched) {
+  homme::Dims d;
+  d.nlev = 8;
+  d.qsize = 2;
+  auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  homme::State s = homme::baroclinic(mesh, d);
+  homme::init_tracers(mesh, d, s);
+  const auto pool = std::make_shared<sw::CgPool>(4);
+
+  // Every element moves the same DMA descriptors, and CPE 0 runs the
+  // first element of each of the four shards (6 elements each).
+  std::size_t ops_per_elem = 0;
+  {
+    accel::PipelineAccelerator probe(d);
+    probe.set_cg_pool(pool, {0, 1, 2, 3});
+    homme::State t = deep_copy(s);
+    probe.vertical_remap(t);
+    ops_per_elem = probe.last_stats().totals.dma_ops / s.size();
+  }
+  ASSERT_GT(ops_per_elem, 3u);
+
+  // CPE 0 fails its third descriptor of shard 1, after shard 0 has
+  // written all of its elements' output chunks.
+  accel::PipelineAccelerator pa(d);
+  pa.set_cg_pool(pool, {0, 1, 2, 3});
+  FaultPlan plan;
+  plan.inject({FaultKind::kDmaFail, /*target=*/0,
+               static_cast<int>(ops_per_elem) + 2});
+  pa.set_fault_plan(&plan);
+  const homme::State before = deep_copy(s);
+  const homme::State read = s;  // the chunks the kernels read
+  pa.vertical_remap(s);
+  ASSERT_EQ(plan.fired_count(), 1u);
+  EXPECT_EQ(pa.fallbacks(), 1);
+  // The launch wrote only spares: the chunks it read hold their bits.
+  EXPECT_TRUE(states_bitwise_equal(read, before));
+  // The host redo ran on the untouched state.
+  homme::State host = deep_copy(before);
+  homme::vertical_remap_local(d, host);
+  EXPECT_TRUE(states_bitwise_equal(s, host));
+
+  // Perturb the state so the next remap's output differs from the
+  // partial output the faulted launch left in the spares; that output
+  // must not leak into the next unfaulted remap.
+  for (homme::ElementState& es : s) {
+    auto dp = es.dp.mutable_span();
+    auto T = es.T.mutable_span();
+    for (std::size_t f = 0; f < dp.size(); ++f) {
+      dp[f] *= 1.0 + 0.05 * std::sin(0.7 * static_cast<double>(f));
+      T[f] += 0.5;
+    }
+  }
+  homme::State want = deep_copy(s);
+  homme::vertical_remap_local(d, want);
+  pa.vertical_remap(s);
+  EXPECT_EQ(pa.fallbacks(), 1);
+  EXPECT_EQ(pa.last_stats().totals.host_fallbacks, 0u);
+  EXPECT_TRUE(states_bitwise_equal(s, want));
 }
 
 TEST(GracefulDegradation, FaultedLaunchFallsBackToHostBitIdentically) {
