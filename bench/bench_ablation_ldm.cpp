@@ -21,6 +21,8 @@ void print_sweep() {
   d.nlev = 64;
   d.qsize = 25;
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
+  const homme::State base = accel::synthetic_state(d, 8);
+  const auto geo = accel::PackedGeometry::pack(m, 8);
   sw::CoreGroup cg;
 
   std::printf("\n=== Ablation (section 7.3): euler_step DMA traffic, Athread "
@@ -30,12 +32,11 @@ void print_sweep() {
   for (int shared : {0, 2, 4, 8, 12, 16}) {
     accel::EulerAccConfig cfg;
     cfg.shared_extra = shared;
-    auto base = accel::PackedElems::synthetic(m, d, 8);
-    auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
-    auto p1 = base;
-    auto acc = accel::euler_openacc(cg, p1, derived, cfg);
-    auto p2 = base;
-    auto ath = accel::euler_athread(cg, p2, derived, cfg);
+    auto derived = accel::EulerDerived::make(d, 8, cfg.shared_extra);
+    homme::State p1 = base;
+    auto acc = accel::euler_openacc(cg, d, p1, geo, derived, cfg);
+    homme::State p2 = base;
+    auto ath = accel::euler_athread(cg, d, p2, geo, derived, cfg);
     std::printf("%-14d %14.2f %14.2f %11.1f%%\n", 3 + shared,
                 acc.totals.total_dma_bytes() / 1e6,
                 ath.totals.total_dma_bytes() / 1e6,
@@ -51,15 +52,16 @@ void BM_EulerTraffic(benchmark::State& state) {
   d.nlev = 32;
   d.qsize = 8;
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-  auto base = accel::PackedElems::synthetic(m, d, 8);
+  const homme::State base = accel::synthetic_state(d, 8);
+  const auto geo = accel::PackedGeometry::pack(m, 8);
   accel::EulerAccConfig cfg;
-  auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
+  auto derived = accel::EulerDerived::make(d, 8, cfg.shared_extra);
   sw::CoreGroup cg;
   const bool athread = state.range(0) == 1;
   for (auto _ : state) {
-    auto p = base;
-    auto stats = athread ? accel::euler_athread(cg, p, derived, cfg)
-                         : accel::euler_openacc(cg, p, derived, cfg);
+    homme::State p = base;
+    auto stats = athread ? accel::euler_athread(cg, d, p, geo, derived, cfg)
+                         : accel::euler_openacc(cg, d, p, geo, derived, cfg);
     state.SetIterationTime(stats.seconds);
     state.counters["dma_MB"] =
         static_cast<double>(stats.totals.total_dma_bytes()) / 1e6;

@@ -29,12 +29,13 @@ namespace {
 
 struct ChainResult {
   sw::KernelStats stats;
-  accel::PackedElems out;
+  homme::State out;
 };
 
 struct ChainBench {
   homme::Dims d;
-  accel::PackedElems base;
+  homme::State base;
+  accel::PackedGeometry geo;
   accel::EulerAccConfig euler_cfg{};
   accel::EulerDerived derived;
   accel::HypervisAccConfig hv_cfg{};
@@ -43,16 +44,20 @@ struct ChainBench {
     d.nlev = nlev;
     d.qsize = qsize;
     auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-    base = accel::PackedElems::synthetic(m, d, nelem);
-    derived = accel::EulerDerived::make(base, euler_cfg.shared_extra);
+    base = accel::synthetic_state(d, nelem);
+    geo = accel::PackedGeometry::pack(m, nelem);
+    derived = accel::EulerDerived::make(d, nelem, euler_cfg.shared_extra);
   }
 
   ChainResult run(bool fused) const {
     ChainResult r{.stats = {}, .out = base};
-    accel::EulerKernel euler(r.out, derived, euler_cfg);
-    accel::HypervisKernel dp2(r.out, accel::HvKernel::kDp2, hv_cfg);
-    accel::HypervisKernel dp3d(r.out, accel::HvKernel::kBiharmDp3d, hv_cfg);
-    accel::RemapKernel remap(r.out);
+    accel::StateBlocks blocks;
+    blocks.refill(d, r.out, r.out);
+    accel::EulerKernel euler(blocks, geo, derived, euler_cfg);
+    accel::HypervisKernel dp2(blocks, geo, accel::HvKernel::kDp2, hv_cfg);
+    accel::HypervisKernel dp3d(blocks, geo, accel::HvKernel::kBiharmDp3d,
+                               hv_cfg);
+    accel::RemapKernel remap(blocks, 0, blocks.nelem());
     const std::vector<const accel::Kernel*> chain{&euler, &dp2, &dp3d,
                                                   &remap};
     if (fused) {
@@ -83,7 +88,7 @@ void print_ablation() {
     const auto iso = cb.run(/*fused=*/false);
     const auto fus = cb.run(/*fused=*/true);
 
-    const double diff = accel::packed_max_rel_diff(iso.out, fus.out);
+    const double diff = accel::state_max_rel_diff(iso.out, fus.out);
     const auto iso_b = iso.stats.totals.total_dma_bytes();
     const auto fus_b = fus.stats.totals.total_dma_bytes();
     char shape[32];

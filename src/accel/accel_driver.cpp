@@ -1,7 +1,6 @@
 #include "accel/accel_driver.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 #include "accel/pipeline.hpp"
@@ -27,13 +26,6 @@ std::vector<std::pair<int, int>> shard_ranges(int nelem, int nshards) {
   }
   return r;
 }
-
-/// The state's chunks the remap reads and writes, in kRemapFields order.
-constexpr std::array<homme::Chunk homme::ElementState::*,
-                     kRemapFields.size()>
-    kStateFields{&homme::ElementState::dp, &homme::ElementState::u1,
-                 &homme::ElementState::u2, &homme::ElementState::T,
-                 &homme::ElementState::qdp};
 
 /// Detach the fault plan when the shard launch unwinds.
 struct PlanGuard {
@@ -80,28 +72,6 @@ void PipelineAccelerator::set_tracer(obs::Tracer* t,
   forward_tracer();
 }
 
-void PipelineAccelerator::refill_blocks(homme::State& s) {
-  const std::size_t ne = s.size();
-  spare_.resize(ne);
-  reads_.resize(kStateFields.size() * ne);
-  writes_.resize(kStateFields.size() * ne);
-  const std::size_t fs = dims_.field_size();
-  for (std::size_t f = 0; f < kStateFields.size(); ++f) {
-    const auto field = kStateFields[f];
-    const std::size_t size =
-        kRemapFields[f] == FieldId::kQdp
-            ? static_cast<std::size_t>(dims_.qsize) * fs
-            : fs;
-    for (std::size_t e = 0; e < ne; ++e) {
-      homme::Chunk& spare = spare_[e].*field;
-      if (spare.size() != size) spare = homme::Chunk(size);
-      reads_[f * ne + e] = (s[e].*field).data();
-      // Un-shares a spare a fork or snapshot of an earlier state holds.
-      writes_[f * ne + e] = spare.mutable_span().data();
-    }
-  }
-}
-
 void PipelineAccelerator::vertical_remap(homme::State& s) {
   ++launches_;
   obs::ScopedSpan remap_span(trk_, "accel:vertical_remap");
@@ -114,10 +84,9 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
     // faulted launch — even after sibling shards already wrote their
     // spares — is discarded wholesale, and the next remap rewrites every
     // spare.
-    const std::size_t ne = s.size();
     {
       obs::ScopedSpan span(trk_, "accel:pack");
-      refill_blocks(s);
+      blocks_.refill(dims_, s, spare_);
     }
 
     // Declare every shard's DMA stream on the shared controller *before*
@@ -138,12 +107,7 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
       cg.set_fault_plan(faults_);
       PlanGuard plan_guard{cg};
       const auto& [b, e] = ranges[static_cast<std::size_t>(si)];
-      RemapBlocks blocks;
-      for (std::size_t f = 0; f < kRemapFields.size(); ++f) {
-        blocks.from[f] = reads_.data() + f * ne + static_cast<std::size_t>(b);
-        blocks.to[f] = writes_.data() + f * ne + static_cast<std::size_t>(b);
-      }
-      RemapKernel k(dims_, e - b, blocks);
+      RemapKernel k(blocks_, b, e);
       KernelPipeline pipe({&k});
       const sw::KernelStats st = pipe.run(cg);
       if (si == 0) {
@@ -168,8 +132,8 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
 
     {
       obs::ScopedSpan span(trk_, "accel:unpack");
-      for (std::size_t e = 0; e < ne; ++e) {
-        for (const auto field : kStateFields) {
+      for (std::size_t e = 0; e < s.size(); ++e) {
+        for (const auto field : kPrognosticChunks) {
           swap(s[e].*field, spare_[e].*field);
         }
       }

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/kernel.hpp"
 #include "homme/driver.hpp"
 #include "sw/cg_pool.hpp"
 #include "sw/fault.hpp"
@@ -28,11 +29,13 @@ namespace accel {
 ///
 /// The kernels read each element's prognostic chunks (dp, u1, u2, T,
 /// qdp) where the state holds them and write spare chunks of the same
-/// shape; once every shard has succeeded, the accelerator swaps the
-/// spares into the state, and the state's former chunks become the next
-/// remap's spares. phis is never touched. A warm remap therefore
-/// allocates no field: only a spare that a fork or a checkpoint snapshot
-/// still shares is un-shared (copy on write) before it is written.
+/// shape, through one StateBlocks (kernel.hpp) refilled per remap, the
+/// same tables every port binds; once every shard has succeeded, the
+/// accelerator swaps the spares into the state, and the state's former
+/// chunks become the next remap's spares. phis is never touched. A warm
+/// remap therefore allocates no field: only a spare that a fork or a
+/// checkpoint snapshot still shares is un-shared (copy on write) before
+/// it is written.
 ///
 /// By default the accelerator owns a private 1-CG pool, exactly the
 /// historical single-core-group behavior. set_cg_pool() instead binds to
@@ -94,8 +97,6 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   const std::string& last_fault() const { return last_fault_; }
 
  private:
-  /// Size the spares to \p s and list both sides' blocks.
-  void refill_blocks(homme::State& s);
   void degrade(homme::State& s, const std::string& why);
   void forward_tracer();
 
@@ -105,11 +106,9 @@ class PipelineAccelerator final : public homme::StepAccelerator {
   bool owns_pool_ = true;
   sw::FaultPlan* faults_ = nullptr;
   homme::State spare_;  ///< output chunks, swapped into the state
-  /// Block tables, [field][element] in kRemapFields order: the state's
-  /// chunks (read) and spare_'s (written). Refilled on every remap, in
-  /// the capacity of the last.
-  std::vector<const double*> reads_;
-  std::vector<double*> writes_;
+  /// The state's chunks (read) and spare_'s (written). Refilled on every
+  /// remap, in the capacity of the last.
+  StateBlocks blocks_;
   sw::KernelStats last_stats_;
   int launches_ = 0;
   int fallbacks_ = 0;

@@ -31,34 +31,39 @@ void euler_tile(const homme::MetricView& g, const double* u1,
 
 }  // namespace
 
-EulerDerived EulerDerived::make(const PackedElems& p, int shared_extra) {
+EulerDerived EulerDerived::make(const homme::Dims& d, int nelem,
+                                int shared_extra) {
   EulerDerived dv;
-  const std::size_t total = static_cast<std::size_t>(p.nelem) * p.field_size();
+  const std::size_t total = static_cast<std::size_t>(nelem) * d.field_size();
   dv.extra.assign(total * static_cast<std::size_t>(shared_extra), 1.0);
   return dv;
 }
 
-sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
+sw::KernelStats euler_openacc(sw::CoreGroup& cg, const homme::Dims& d,
+                              homme::State& s, const PackedGeometry& g,
                               const EulerDerived& dv,
                               const EulerAccConfig& cfg) {
-  const int iters = p.nelem * p.qsize;
+  const StateBlocks b(d, s);
+  const int nlev = d.nlev;
+  const int qsize = d.qsize;
+  const int iters = b.nelem() * qsize;
   const int nshared = 3 + cfg.shared_extra;  // u1, u2, dp + dummies
   // Level chunk that fits the shared slices + qdp slice + jac in LDM —
   // what the paper's footprint-analysis tool decided per loop nest.
   const int chunk =
-      sw::plan_level_chunks(nshared + 1, p.nlev, kNpp * sizeof(double))
+      sw::plan_level_chunks(nshared + 1, nlev, kNpp * sizeof(double))
           .levels_per_chunk;
 
   auto kernel = [&, chunk](sw::Cpe& cpe) -> sw::Task {
     for (int it = cpe.id(); it < iters; it += sw::kCpesPerGroup) {
-      const int e = it / p.qsize;
-      const int q = it % p.qsize;
+      const int e = it / qsize;
+      const int q = it % qsize;
       sw::LdmFrame frame(cpe.ldm());
       auto jac = cpe.ldm().alloc<double>(kNpp);
-      cpe.get(jac, p.geom_of(e) + kJac * kNpp);
-      const homme::MetricView g(jac.data(), 1);
-      for (int s = 0; s < p.nlev; s += chunk) {
-        const int levs = std::min(chunk, p.nlev - s);
+      cpe.get(jac, g.geom_of(e) + kJac * kNpp);
+      const homme::MetricView mv(jac.data(), 1);
+      for (int lev0 = 0; lev0 < nlev; lev0 += chunk) {
+        const int levs = std::min(chunk, nlev - lev0);
         const std::size_t n =
             static_cast<std::size_t>(levs) * kNpp;
         sw::LdmFrame inner(cpe.ldm());
@@ -67,26 +72,27 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
         auto u1 = cpe.ldm().alloc<double>(n);
         auto u2 = cpe.ldm().alloc<double>(n);
         auto dp = cpe.ldm().alloc<double>(n);
-        const std::size_t off = p.elem_offset(e) + fidx(s, 0);
-        cpe.get(u1, p.u1.data() + off);
-        cpe.get(u2, p.u2.data() + off);
-        cpe.get(dp, p.dp.data() + off);
+        const std::size_t off = fidx(lev0, 0);
+        cpe.get(u1, b.from(FieldId::kU1, e) + off);
+        cpe.get(u2, b.from(FieldId::kU2, e) + off);
+        cpe.get(dp, b.from(FieldId::kDp, e) + off);
         for (int x = 0; x < cfg.shared_extra; ++x) {
           auto dummy = cpe.ldm().alloc<double>(n);
-          cpe.get(dummy,
-                  dv.extra.data() +
-                      static_cast<std::size_t>(x) * p.nelem * p.field_size() +
-                      off);
+          cpe.get(dummy, dv.extra.data() +
+                             static_cast<std::size_t>(x * b.nelem() + e) *
+                                 d.field_size() +
+                             off);
         }
         auto qdp = cpe.ldm().alloc<double>(n);
-        const std::size_t qoff = p.qdp_offset(e, q) + fidx(s, 0);
-        cpe.get(qdp, p.qdp.data() + qoff);
+        const std::size_t qoff =
+            static_cast<std::size_t>(q) * d.field_size() + off;
+        cpe.get(qdp, b.from(FieldId::kQdp, e) + qoff);
         for (int l = 0; l < levs; ++l) {
           const std::size_t t = static_cast<std::size_t>(l) * kNpp;
-          euler_tile(g, u1.data() + t, u2.data() + t, qdp.data() + t,
+          euler_tile(mv, u1.data() + t, u2.data() + t, qdp.data() + t,
                      cfg.dt, cpe, /*vectorized=*/false);
         }
-        cpe.put(p.qdp.data() + qoff, std::span<const double>(qdp));
+        cpe.put(b.to(FieldId::kQdp, e) + qoff, std::span<const double>(qdp));
       }
       co_await cpe.yield();
     }
@@ -95,25 +101,25 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
 }
 
 void EulerKernel::bind(Workset& ws) const {
-  ws.items(p_.nelem, p_.nlev);
-  ws.dvv = p_.dvv.data();
-  const std::size_t fs = p_.field_size();
+  const homme::Dims& d = b_.dims();
+  ws.items(b_.nelem(), d.nlev);
+  ws.dvv = g_.dvv.data();
+  const std::size_t fs = d.field_size();
   const std::size_t geom = static_cast<std::size_t>(kGeomDoubles);
   // Geometry and the wind stay resident across a chain; the shared
   // arrays and the tracers stream.
-  ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false, true});
-  ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, false, true});
-  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, false, true});
-  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, false, true});
+  ws.bind({FieldId::kGeom, const_cast<double*>(g_.geom.data()), geom, geom,
+           1, 0, false, true});
+  for (const FieldId id : {FieldId::kDp, FieldId::kU1, FieldId::kU2}) {
+    ws.bind(b_.binding(id, /*writable=*/false, /*keep=*/true));
+  }
   if (cfg_.shared_extra > 0) {
     ws.bind({FieldId::kExtra, const_cast<double*>(dv_.extra.data()), fs, fs,
-             cfg_.shared_extra, static_cast<std::size_t>(p_.nelem) * fs,
+             cfg_.shared_extra, static_cast<std::size_t>(b_.nelem()) * fs,
              false});
   }
-  if (p_.qsize > 0) {
-    ws.bind({FieldId::kQdp, p_.qdp.data(),
-             static_cast<std::size_t>(p_.qsize) * fs, fs, p_.qsize, fs,
-             true});
+  if (d.qsize > 0) {
+    ws.bind(b_.binding(FieldId::kQdp, /*writable=*/true, /*keep=*/false));
   }
 }
 
@@ -128,7 +134,7 @@ std::size_t EulerKernel::transient_bytes(const Workset&,
 }
 
 void EulerKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
-  const int nlev = p_.nlev;
+  const int nlev = b_.dims().nlev;
   FieldLease jac = ctx.lease(FieldId::kGeom, 0,
                              static_cast<std::size_t>(kJac) * kNpp, kNpp,
                              Access::kRead);
@@ -152,7 +158,7 @@ void EulerKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
       // into the arithmetic (see EulerAccConfig::shared_extra).
       FieldLease dummy = ctx.lease(FieldId::kExtra, x, off, n, Access::kRead);
     }
-    for (int q = 0; q < p_.qsize; ++q) {
+    for (int q = 0; q < b_.dims().qsize; ++q) {
       FieldLease qdp = ctx.lease(FieldId::kQdp, q, off, n, Access::kReadWrite);
       for (int l = 0; l < levs; ++l) {
         const std::size_t t = static_cast<std::size_t>(l) * kNpp;
@@ -163,10 +169,12 @@ void EulerKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   }
 }
 
-sw::KernelStats euler_athread(sw::CoreGroup& cg, PackedElems& p,
+sw::KernelStats euler_athread(sw::CoreGroup& cg, const homme::Dims& d,
+                              homme::State& s, const PackedGeometry& g,
                               const EulerDerived& dv,
                               const EulerAccConfig& cfg) {
-  EulerKernel k(p, dv, cfg);
+  const StateBlocks b(d, s);
+  EulerKernel k(b, g, dv, cfg);
   KernelPipeline pipe({&k});
   return pipe.run(cg);
 }

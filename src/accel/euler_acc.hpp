@@ -26,7 +26,9 @@
 ///   arithmetic is issued 4-wide.
 ///
 /// Both variants compute bit-identical results (same tile arithmetic);
-/// they differ in measured DMA traffic and modeled cycles.
+/// they differ in measured DMA traffic and modeled cycles. Both update
+/// the state's own qdp chunks through a StateBlocks and read each
+/// element's jac from the geometry image.
 
 namespace accel {
 
@@ -42,11 +44,13 @@ struct EulerAccConfig {
 /// The euler kernel's stand-in derived fields (shared_extra dummies).
 struct EulerDerived {
   std::vector<double> extra;  ///< [shared_extra][e][lev][16]
-  static EulerDerived make(const PackedElems& p, int shared_extra);
+  /// Stand-ins for \p nelem elements of shape \p d.
+  static EulerDerived make(const homme::Dims& d, int nelem, int shared_extra);
 };
 
-/// OpenACC-style port on the simulated CPE cluster. Mutates p.qdp.
-sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
+/// OpenACC-style port on the simulated CPE cluster. Updates s's qdp.
+sw::KernelStats euler_openacc(sw::CoreGroup& cg, const homme::Dims& d,
+                              homme::State& s, const PackedGeometry& g,
                               const EulerDerived& dv,
                               const EulerAccConfig& cfg);
 
@@ -55,9 +59,9 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, PackedElems& p,
 /// in a chain, with hypervis/remap); tracers stream level-chunked.
 class EulerKernel final : public Kernel {
  public:
-  EulerKernel(PackedElems& p, const EulerDerived& dv,
-              const EulerAccConfig& cfg)
-      : p_(p), dv_(dv), cfg_(cfg) {}
+  EulerKernel(const StateBlocks& b, const PackedGeometry& g,
+              const EulerDerived& dv, const EulerAccConfig& cfg)
+      : b_(b), g_(g), dv_(dv), cfg_(cfg) {}
 
   std::string_view name() const override { return "euler_step"; }
   void bind(Workset& ws) const override;
@@ -66,14 +70,16 @@ class EulerKernel final : public Kernel {
   void element(sw::Cpe& cpe, ElemCtx& ctx) const override;
 
  private:
-  PackedElems& p_;
+  const StateBlocks& b_;
+  const PackedGeometry& g_;
   const EulerDerived& dv_;
   EulerAccConfig cfg_;
 };
 
-/// Athread fine-grained port (Algorithm 2), now a one-kernel pipeline.
-/// Mutates p.qdp.
-sw::KernelStats euler_athread(sw::CoreGroup& cg, PackedElems& p,
+/// Athread fine-grained port (Algorithm 2), a one-kernel pipeline.
+/// Updates s's qdp.
+sw::KernelStats euler_athread(sw::CoreGroup& cg, const homme::Dims& d,
+                              homme::State& s, const PackedGeometry& g,
                               const EulerDerived& dv,
                               const EulerAccConfig& cfg);
 

@@ -46,39 +46,42 @@ void hv_tile(HvKernel which, const homme::MetricView& g, double* field,
   charge(cpe, vec, kNpp * 2);
 }
 
-/// The field pointers this kernel touches.
-std::vector<double*> hv_fields(PackedElems& p, HvKernel which) {
-  if (which == HvKernel::kBiharmDp3d) return {p.dp.data()};
-  return {p.u1.data(), p.u2.data(), p.T.data()};
+/// The fields a kernel updates.
+std::vector<FieldId> hv_fields(HvKernel which) {
+  if (which == HvKernel::kBiharmDp3d) return {FieldId::kDp};
+  return {FieldId::kU1, FieldId::kU2, FieldId::kT};
 }
 
 }  // namespace
 
-sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, PackedElems& p,
+sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, const homme::Dims& d,
+                                 homme::State& s, const PackedGeometry& g,
                                  HvKernel which,
                                  const HypervisAccConfig& cfg) {
-  auto fields = hv_fields(p, which);
-  const int iters = p.nelem * p.nlev;
+  const StateBlocks b(d, s);
+  const std::vector<FieldId> fields = hv_fields(which);
+  const int nlev = d.nlev;
+  const int iters = b.nelem() * nlev;
   auto kernel = [&](sw::Cpe& cpe) -> sw::Task {
-    for (std::size_t f = 0; f < fields.size(); ++f) {
+    for (const FieldId f : fields) {
       // One parallel region per field; collapse(e, lev) iterations.
       for (int it = cpe.id(); it < iters; it += sw::kCpesPerGroup) {
-        const int e = it / p.nlev;
-        const int lev = it % p.nlev;
+        const int e = it / nlev;
+        const int lev = it % nlev;
         sw::LdmFrame frame(cpe.ldm());
         // The directive port re-stages the 4 metric tiles it references
         // for every single level iteration.
         auto geom = cpe.ldm().alloc<double>(kLaplaceTiles * kNpp);
-        cpe.get(geom.subspan(0, kNpp), p.geom_of(e) + kJac * kNpp);
-        cpe.get(geom.subspan(kNpp, kNpp), p.geom_of(e) + kGinv11 * kNpp);
-        cpe.get(geom.subspan(2 * kNpp, kNpp), p.geom_of(e) + kGinv12 * kNpp);
-        cpe.get(geom.subspan(3 * kNpp, kNpp), p.geom_of(e) + kGinv22 * kNpp);
+        cpe.get(geom.subspan(0, kNpp), g.geom_of(e) + kJac * kNpp);
+        cpe.get(geom.subspan(kNpp, kNpp), g.geom_of(e) + kGinv11 * kNpp);
+        cpe.get(geom.subspan(2 * kNpp, kNpp), g.geom_of(e) + kGinv12 * kNpp);
+        cpe.get(geom.subspan(3 * kNpp, kNpp), g.geom_of(e) + kGinv22 * kNpp);
         auto tile = cpe.ldm().alloc<double>(kNpp);
-        const std::size_t off = p.elem_offset(e) + fidx(lev, 0);
-        cpe.get(tile, fields[f] + off);
+        const std::size_t off = fidx(lev, 0);
+        cpe.get(tile, b.from(f, e) + off);
         hv_tile(which, homme::MetricView(geom.data(), kLaplaceTiles),
                 tile.data(), cfg.nu_dt, cpe, /*vectorized=*/false);
-        cpe.put(fields[f] + off, std::span<const double>(tile));
+        cpe.put(b.to(f, e) + off, std::span<const double>(tile));
         co_await cpe.yield();
       }
     }
@@ -99,24 +102,15 @@ std::string_view HypervisKernel::name() const {
   return "hypervis";
 }
 
-std::vector<FieldId> HypervisKernel::field_ids() const {
-  if (which_ == HvKernel::kBiharmDp3d) return {FieldId::kDp};
-  return {FieldId::kU1, FieldId::kU2, FieldId::kT};
-}
-
 void HypervisKernel::bind(Workset& ws) const {
-  ws.items(p_.nelem, p_.nlev);
-  ws.dvv = p_.dvv.data();
-  const std::size_t fs = p_.field_size();
+  ws.items(b_.nelem(), b_.dims().nlev);
+  ws.dvv = g_.dvv.data();
   const std::size_t geom = static_cast<std::size_t>(kGeomDoubles);
   // Every field stays resident across a chain.
-  ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false, true});
-  if (which_ == HvKernel::kBiharmDp3d) {
-    ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true, true});
-  } else {
-    ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, true, true});
-    ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, true, true});
-    ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true, true});
+  ws.bind({FieldId::kGeom, const_cast<double*>(g_.geom.data()), geom, geom,
+           1, 0, false, true});
+  for (const FieldId id : hv_fields(which_)) {
+    ws.bind(b_.binding(id, /*writable=*/true, /*keep=*/true));
   }
 }
 
@@ -124,11 +118,11 @@ std::size_t HypervisKernel::transient_bytes(const Workset& ws,
                                             const KeepSet& keep) const {
   std::size_t bytes = 128;  // slop for lease alignment
   bool field_missing = false;
-  for (FieldId f : field_ids()) {
+  for (FieldId f : hv_fields(which_)) {
     if (!keep.has(f)) field_missing = true;
   }
   if (field_missing) {
-    bytes += ws.at(field_ids().front()).extent * sizeof(double) + 32;
+    bytes += ws.at(hv_fields(which_).front()).extent * sizeof(double) + 32;
   }
   if (!keep.has(FieldId::kGeom)) {
     bytes += kLaplaceTiles * kNpp * sizeof(double) + 32;
@@ -142,20 +136,22 @@ void HypervisKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   FieldLease geom = ctx.lease(FieldId::kGeom, 0, 0, kLaplaceTiles * kNpp,
                               Access::kRead);
   const homme::MetricView g(geom.data(), kLaplaceTiles);
-  const std::size_t fs = p_.field_size();
-  for (FieldId f : field_ids()) {
-    FieldLease fld = ctx.lease(f, 0, 0, fs, Access::kReadWrite);
-    for (int lev = 0; lev < p_.nlev; ++lev) {
+  const homme::Dims& d = b_.dims();
+  for (FieldId f : hv_fields(which_)) {
+    FieldLease fld = ctx.lease(f, 0, 0, d.field_size(), Access::kReadWrite);
+    for (int lev = 0; lev < d.nlev; ++lev) {
       hv_tile(which_, g, fld.data() + fidx(lev, 0), cfg_.nu_dt, cpe,
               /*vectorized=*/true);
     }
   }
 }
 
-sw::KernelStats hypervis_athread(sw::CoreGroup& cg, PackedElems& p,
+sw::KernelStats hypervis_athread(sw::CoreGroup& cg, const homme::Dims& d,
+                                 homme::State& s, const PackedGeometry& g,
                                  HvKernel which,
                                  const HypervisAccConfig& cfg) {
-  HypervisKernel k(p, which, cfg);
+  const StateBlocks b(d, s);
+  HypervisKernel k(b, g, which, cfg);
   KernelPipeline pipe({&k});
   return pipe.run(cg);
 }

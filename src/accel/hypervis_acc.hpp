@@ -15,7 +15,9 @@
 /// and after applications belongs to bndry_exchangev). The OpenACC
 /// variant re-stages the metric tiles for every (element, level)
 /// iteration of the collapsed loop; the Athread variant keeps the metric
-/// and an element's level block resident and runs 4-wide.
+/// and an element's level block resident and runs 4-wide. Both update the
+/// state's own chunks through a StateBlocks and read the metric tiles
+/// from the geometry image.
 
 namespace accel {
 
@@ -29,7 +31,8 @@ enum class HvKernel {
   kBiharmDp3d  ///< biharmonic on dp
 };
 
-sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, PackedElems& p,
+sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, const homme::Dims& d,
+                                 homme::State& s, const PackedGeometry& g,
                                  HvKernel which,
                                  const HypervisAccConfig& cfg);
 
@@ -39,8 +42,9 @@ sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, PackedElems& p,
 /// — a subset of what euler/rhs keep resident in a chain.
 class HypervisKernel final : public Kernel {
  public:
-  HypervisKernel(PackedElems& p, HvKernel which, const HypervisAccConfig& cfg)
-      : p_(p), which_(which), cfg_(cfg) {}
+  HypervisKernel(const StateBlocks& b, const PackedGeometry& g,
+                 HvKernel which, const HypervisAccConfig& cfg)
+      : b_(b), g_(g), which_(which), cfg_(cfg) {}
 
   std::string_view name() const override;
   void bind(Workset& ws) const override;
@@ -49,14 +53,14 @@ class HypervisKernel final : public Kernel {
   void element(sw::Cpe& cpe, ElemCtx& ctx) const override;
 
  private:
-  std::vector<FieldId> field_ids() const;
-
-  PackedElems& p_;
+  const StateBlocks& b_;
+  const PackedGeometry& g_;
   HvKernel which_;
   HypervisAccConfig cfg_;
 };
 
-sw::KernelStats hypervis_athread(sw::CoreGroup& cg, PackedElems& p,
+sw::KernelStats hypervis_athread(sw::CoreGroup& cg, const homme::Dims& d,
+                                 homme::State& s, const PackedGeometry& g,
                                  HvKernel which,
                                  const HypervisAccConfig& cfg);
 

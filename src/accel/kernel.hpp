@@ -1,11 +1,13 @@
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
 
+#include "homme/state.hpp"
 #include "mesh/geometry.hpp"
 #include "sw/core_group.hpp"
 
@@ -20,7 +22,9 @@
 /// plan: fields several kernels share stay resident in LDM between
 /// kernels, and the per-CPE residency ledger skips the redundant
 /// transfers — the scheduling abstraction the O2ATH toolkit derives from
-/// the same idea, applied to this simulator.
+/// the same idea, applied to this simulator. A kernel binds the model's
+/// own homme::State, through the per-element block tables of a
+/// StateBlocks, so its leases DMA the state's chunks with no staging copy.
 
 namespace accel {
 
@@ -71,11 +75,13 @@ enum class Access {
   kWrite,      ///< fully overwritten: no stage-in, written back
 };
 
-/// How a FieldId maps onto main memory. Item blocks sit at base + item *
-/// item_stride, or, when the binding gives per-item block tables, an
-/// item's block is read from from[item] and written to to[item] (a kernel
-/// then reads one array and writes another). Within a block, (sub,
-/// offset) lies sub * sub_stride + offset doubles in.
+/// How a FieldId maps onto main memory. A field of the model's state is
+/// bound through per-item block tables (StateBlocks below): an item's
+/// block is read from from[item] and written to to[item], the state's own
+/// chunks. The three images the ports read beside the state (the packed
+/// geometry, euler's shared_extra stand-ins and the physics columns) bind
+/// no tables: their item blocks sit at base + item * item_stride. Within
+/// a block, (sub, offset) lies sub * sub_stride + offset doubles in.
 struct FieldBinding {
   FieldId id{};
   double* base = nullptr;
@@ -92,6 +98,56 @@ struct FieldBinding {
   /// writes to to[item].
   const double* const* from = nullptr;
   double* const* to = nullptr;
+};
+
+/// The fields of a homme::State a port binds, in block-table order: the
+/// prognostics, which a port may write, then phis, which it only reads.
+inline constexpr std::array<FieldId, 6> kStateFields{
+    FieldId::kDp, FieldId::kU1, FieldId::kU2,
+    FieldId::kT,  FieldId::kQdp, FieldId::kPhis};
+/// The prognostics' chunks, in kStateFields order (qdp holds an element's
+/// tracers in one block).
+inline constexpr std::array<homme::Chunk homme::ElementState::*, 5>
+    kPrognosticChunks{&homme::ElementState::dp, &homme::ElementState::u1,
+                      &homme::ElementState::u2, &homme::ElementState::T,
+                      &homme::ElementState::qdp};
+
+/// Per-element block tables of a homme::State: where every port reads and
+/// writes the model's own chunks. The kernels of one chain bind one
+/// StateBlocks (Workset::bind compares the table pointers), so the caller
+/// fills it and hands it to each of them.
+class StateBlocks {
+ public:
+  StateBlocks() = default;
+  /// The tables of a port that updates \p s in place: refill(d, s, s).
+  StateBlocks(const homme::Dims& d, homme::State& s) { refill(d, s, s); }
+
+  /// List the chunks of \p in's elements to read and those of \p out's to
+  /// write, in the tables' capacity. \p out is \p in (in place) or a
+  /// second state, sized to \p in first (the accelerator's spares). Each
+  /// written chunk is un-shared (mutable_span()) before it is listed, and
+  /// in place read through the pointer that returned: no port writes a
+  /// chunk a copy still holds, and a chain's later kernels read what its
+  /// earlier ones wrote. phis is read only; its write blocks are null.
+  void refill(const homme::Dims& d, homme::State& in, homme::State& out);
+
+  const homme::Dims& dims() const { return dims_; }
+  int nelem() const { return nelem_; }
+  /// Where element \p e's block of field \p id is read, and written.
+  const double* from(FieldId id, int e) const { return reads_[at(id, e)]; }
+  double* to(FieldId id, int e) const { return writes_[at(id, e)]; }
+  /// Field \p id of elements [begin, nelem()) bound through the tables.
+  FieldBinding binding(FieldId id, bool writable, bool keep,
+                       int begin = 0) const;
+
+ private:
+  std::size_t at(FieldId id, int e) const;
+
+  homme::Dims dims_;
+  int nelem_ = 0;
+  /// [field][element] in kStateFields order.
+  std::vector<const double*> reads_;
+  std::vector<double*> writes_;
 };
 
 /// The merged binding table of a kernel chain plus the common iteration

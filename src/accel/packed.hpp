@@ -7,14 +7,15 @@
 #include "sw/cost_model.hpp"
 
 /// \file packed.hpp
-/// Flat "main memory" images of element data for the Sunway kernel ports.
+/// The geometry image the Sunway kernel ports read beside the model's own
+/// state.
 ///
-/// The CPE cluster reaches main memory only through DMA, so the ported
-/// kernels need the element state laid out in plain contiguous arrays the
-/// simulator can transfer block-wise — this mirrors the data-layout work
-/// that dominated the paper's refactoring. Synthetic worksets pack
-/// geometry per element as kGeomTiles tiles (see GeomTile); a state pack
-/// (Table 1's host references) carries only the prognostics.
+/// The CPE cluster reaches main memory only through DMA, so the ports
+/// need each element's metric terms laid out as one contiguous block the
+/// simulator can transfer: kGeomTiles tiles per element (see GeomTile),
+/// at base + e * kGeomDoubles. The prognostics are not copied: every port
+/// reads and writes the homme::State's own chunks through per-element
+/// block tables (StateBlocks, kernel.hpp).
 
 namespace accel {
 
@@ -23,43 +24,24 @@ inline constexpr int kGeomTiles = 23;
 /// Doubles of packed geometry per element.
 inline constexpr int kGeomDoubles = kGeomTiles * mesh::kNpp;
 
-struct PackedElems {
-  int nelem = 0;
-  int nlev = 0;
-  int qsize = 0;
+struct PackedGeometry {
+  std::vector<double> dvv;   ///< 16: GLL derivative matrix (row-major)
+  std::vector<double> geom;  ///< [e][kGeomDoubles]
 
-  std::vector<double> dvv;     ///< 16: GLL derivative matrix (row-major)
-  std::vector<double> geom;    ///< [e][kGeomDoubles]
-  std::vector<double> u1, u2, T, dp;  ///< [e][lev][16]
-  std::vector<double> qdp;     ///< [e][q][lev][16]
-  std::vector<double> phis;    ///< [e][16]
-
-  std::size_t field_size() const {
-    return static_cast<std::size_t>(nlev) * mesh::kNpp;
-  }
-  std::size_t elem_offset(int e) const {
-    return static_cast<std::size_t>(e) * field_size();
-  }
-  std::size_t qdp_offset(int e, int q) const {
-    return (static_cast<std::size_t>(e) * qsize + q) * field_size();
-  }
   const double* geom_of(int e) const {
     return geom.data() + static_cast<std::size_t>(e) * kGeomDoubles;
   }
 
-  /// Refill the prognostics (u1, u2, T, dp, qdp) from state entries
-  /// [begin, end), reusing the arrays' capacity. Geometry, phis and the
-  /// GLL table are left as they are.
-  void from_state(const homme::Dims& d, const homme::State& s, int begin,
-                  int end);
-  /// Write those prognostics back into entries [begin, begin + nelem) of
-  /// \p s — the inverse of from_state.
-  void to_state(homme::State& s, int begin) const;
-  /// Pack a synthetic smooth but non-trivial workset (for benches that do
-  /// not want to build a big mesh state first).
-  static PackedElems synthetic(const mesh::CubedSphere& m,
-                               const homme::Dims& d, int nelem);
+  /// The image of \p nelem elements, element e taking the geometry of
+  /// \p m's element e % m.nelem() (a small donor mesh stands in for a
+  /// process's share of a large one).
+  static PackedGeometry pack(const mesh::CubedSphere& m, int nelem);
 };
+
+/// A smooth but non-trivial state of \p nelem elements of shape \p d, with
+/// phis = 0: the workset Table 1, the ablations and the machine model run
+/// the ports on, without building a big mesh state first.
+homme::State synthetic_state(const homme::Dims& d, int nelem);
 
 /// Geometry tile offsets within geom_of(e), in units of kNpp doubles. The
 /// leading kMetricTiles (kJac..kG22) are in homme::MetricView's member
@@ -94,12 +76,14 @@ inline constexpr int kMetricTiles = kG22 + 1;
 static_assert(kRhatZ == kA1X + 14, "FrameView reads 15 consecutive tiles");
 
 /// Analytic compulsory-traffic estimates used to price the cache-based
-/// platforms (Intel core / MPE) in Table 1. flops are taken from the
-/// simulator's retired-operation counters (same arithmetic on every
-/// platform, as the paper's PERF methodology measures).
-sw::WorkEstimate euler_step_work(const PackedElems& p);
-sw::WorkEstimate rhs_work(const PackedElems& p);
-sw::WorkEstimate remap_work(const PackedElems& p);
-sw::WorkEstimate laplace_work(const PackedElems& p, int applications);
+/// platforms (Intel core / MPE) in Table 1, for \p nelem elements of shape
+/// \p d. flops are taken from the simulator's retired-operation counters
+/// (same arithmetic on every platform, as the paper's PERF methodology
+/// measures).
+sw::WorkEstimate euler_step_work(const homme::Dims& d, int nelem);
+sw::WorkEstimate rhs_work(const homme::Dims& d, int nelem);
+sw::WorkEstimate remap_work(const homme::Dims& d, int nelem);
+sw::WorkEstimate laplace_work(const homme::Dims& d, int nelem,
+                              int applications);
 
 }  // namespace accel

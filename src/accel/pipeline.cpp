@@ -152,6 +152,65 @@ void stage_dvv(sw::Cpe& cpe, const Workset& ws) {
 }
 
 // ---------------------------------------------------------------------------
+// StateBlocks
+// ---------------------------------------------------------------------------
+
+void StateBlocks::refill(const homme::Dims& d, homme::State& in,
+                         homme::State& out) {
+  dims_ = d;
+  nelem_ = static_cast<int>(in.size());
+  const std::size_t ne = in.size();
+  const bool in_place = &in == &out;
+  if (!in_place) out.resize(ne);
+  reads_.resize(kStateFields.size() * ne);
+  writes_.resize(kStateFields.size() * ne);
+  const std::size_t fs = d.field_size();
+  for (std::size_t f = 0; f < kPrognosticChunks.size(); ++f) {
+    const auto field = kPrognosticChunks[f];
+    const std::size_t size =
+        kStateFields[f] == FieldId::kQdp
+            ? static_cast<std::size_t>(d.qsize) * fs
+            : fs;
+    for (std::size_t e = 0; e < ne; ++e) {
+      homme::Chunk& written = out[e].*field;
+      if (!in_place && written.size() != size) written = homme::Chunk(size);
+      double* const block = written.mutable_span().data();
+      writes_[f * ne + e] = block;
+      reads_[f * ne + e] = in_place ? block : (in[e].*field).data();
+    }
+  }
+  const std::size_t phis = kPrognosticChunks.size() * ne;
+  for (std::size_t e = 0; e < ne; ++e) {
+    reads_[phis + e] = in[e].phis.data();
+    writes_[phis + e] = nullptr;
+  }
+}
+
+std::size_t StateBlocks::at(FieldId id, int e) const {
+  const auto f = static_cast<std::size_t>(
+      std::find(kStateFields.begin(), kStateFields.end(), id) -
+      kStateFields.begin());
+  assert(f < kStateFields.size());
+  return f * static_cast<std::size_t>(nelem_) + static_cast<std::size_t>(e);
+}
+
+FieldBinding StateBlocks::binding(FieldId id, bool writable, bool keep,
+                                  int begin) const {
+  FieldBinding b;
+  b.id = id;
+  b.extent = id == FieldId::kPhis ? std::size_t{kNpp} : dims_.field_size();
+  b.writable = writable;
+  b.keep = keep;
+  if (id == FieldId::kQdp) {
+    b.subcount = dims_.qsize;
+    b.sub_stride = dims_.field_size();
+  }
+  b.from = reads_.data() + at(id, begin);
+  b.to = writes_.data() + at(id, begin);
+  return b;
+}
+
+// ---------------------------------------------------------------------------
 // FieldLease / ElemCtx
 // ---------------------------------------------------------------------------
 

@@ -14,16 +14,6 @@ namespace accel {
 
 using homme::fidx;
 
-void remap_ref(PackedElems& p) {
-  homme::Dims d;
-  d.nlev = p.nlev;
-  d.qsize = p.qsize;
-  homme::State s(static_cast<std::size_t>(p.nelem), homme::ElementState(d));
-  p.to_state(s, 0);
-  homme::vertical_remap_local(d, s);
-  p.from_state(d, s, 0, p.nelem);
-}
-
 namespace {
 
 /// Approximate retired flops of one column remap (slope construction,
@@ -44,63 +34,47 @@ void fill_target(const homme::HybridCoord& hc, std::span<const double> src,
   }
 }
 
-/// Gather one column (GLL point k of element e) of a field into LDM with
-/// a single strided DMA descriptor.
-void gather_column(sw::Cpe& cpe, const double* base, std::size_t eo, int k,
-                   int nlev, std::span<double> out) {
-  cpe.dma_wait(cpe.dma_get_strided(out.data(), base + eo + fidx(0, k),
+/// Gather column \p k of the [lev][16] block at \p block into LDM with a
+/// single strided DMA descriptor.
+void gather_column(sw::Cpe& cpe, const double* block, int k, int nlev,
+                   std::span<double> out) {
+  cpe.dma_wait(cpe.dma_get_strided(out.data(), block + fidx(0, k),
                                    sizeof(double),
                                    static_cast<std::size_t>(nlev),
                                    kNpp * sizeof(double)));
 }
 
-void scatter_column(sw::Cpe& cpe, double* base, std::size_t eo, int k,
-                    int nlev, std::span<const double> in) {
-  cpe.dma_wait(cpe.dma_put_strided(base + eo + fidx(0, k), in.data(),
+void scatter_column(sw::Cpe& cpe, double* block, int k, int nlev,
+                    std::span<const double> in) {
+  cpe.dma_wait(cpe.dma_put_strided(block + fidx(0, k), in.data(),
                                    sizeof(double),
                                    static_cast<std::size_t>(nlev),
                                    kNpp * sizeof(double)));
-}
-
-/// Binding \p f of kRemapFields without its addresses: every field is
-/// written; the prognostics stay resident across a chain, the tracers
-/// stream.
-FieldBinding remap_binding(std::size_t f, std::size_t fs, int qsize) {
-  FieldBinding b;
-  b.id = kRemapFields[f];
-  b.extent = fs;
-  b.writable = true;
-  if (b.id == FieldId::kQdp) {
-    b.subcount = qsize;
-    b.sub_stride = fs;
-  } else {
-    b.keep = true;
-  }
-  return b;
 }
 
 }  // namespace
 
-sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p) {
-  const int nlev = p.nlev;
-  const int columns = p.nelem * kNpp;
+sw::KernelStats remap_openacc(sw::CoreGroup& cg, const homme::Dims& d,
+                              homme::State& s) {
+  const StateBlocks b(d, s);
+  const int nlev = d.nlev;
+  const int columns = b.nelem() * kNpp;
   const homme::HybridCoord hc = homme::HybridCoord::uniform(nlev);
   auto kernel = [&](sw::Cpe& cpe) -> sw::Task {
     for (int c = cpe.id(); c < columns; c += sw::kCpesPerGroup) {
       const int e = c / kNpp;
       const int k = c % kNpp;
-      const std::size_t eo = p.elem_offset(e);
       sw::LdmFrame frame(cpe.ldm());
       auto src = cpe.ldm().alloc<double>(static_cast<std::size_t>(nlev));
       auto tgt = cpe.ldm().alloc<double>(static_cast<std::size_t>(nlev));
       auto col = cpe.ldm().alloc<double>(static_cast<std::size_t>(nlev));
 
-      auto remap_field = [&](double* base, bool as_ratio) {
+      auto remap_field = [&](const double* from, double* to, bool as_ratio) {
         // Per-loop copyin: the directive port re-gathers dp every time.
-        gather_column(cpe, p.dp.data(), eo, k, nlev, src);
+        gather_column(cpe, b.from(FieldId::kDp, e), k, nlev, src);
         fill_target(hc, src, tgt);
         cpe.scalar_flops(static_cast<std::uint64_t>(nlev) * 2);
-        gather_column(cpe, base, eo, k, nlev, col);
+        gather_column(cpe, from, k, nlev, col);
         if (as_ratio) {
           for (int l = 0; l < nlev; ++l) {
             col[static_cast<std::size_t>(l)] /= src[static_cast<std::size_t>(l)];
@@ -115,45 +89,33 @@ sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p) {
           }
           cpe.scalar_flops(static_cast<std::uint64_t>(nlev));
         }
-        scatter_column(cpe, base, eo, k, nlev, col);
+        scatter_column(cpe, to, k, nlev, col);
       };
-      remap_field(p.u1.data(), false);
-      remap_field(p.u2.data(), false);
-      remap_field(p.T.data(), false);
-      for (int q = 0; q < p.qsize; ++q) {
-        remap_field(p.qdp.data() + p.qdp_offset(e, q) - eo, true);
+      for (const FieldId id : {FieldId::kU1, FieldId::kU2, FieldId::kT}) {
+        remap_field(b.from(id, e), b.to(id, e), false);
       }
-      gather_column(cpe, p.dp.data(), eo, k, nlev, src);
+      for (int q = 0; q < d.qsize; ++q) {
+        const std::size_t sub = static_cast<std::size_t>(q) * d.field_size();
+        remap_field(b.from(FieldId::kQdp, e) + sub,
+                    b.to(FieldId::kQdp, e) + sub, true);
+      }
+      gather_column(cpe, b.from(FieldId::kDp, e), k, nlev, src);
       fill_target(hc, src, tgt);
       cpe.scalar_flops(static_cast<std::uint64_t>(nlev) * 2);
-      scatter_column(cpe, p.dp.data(), eo, k, nlev, tgt);
+      scatter_column(cpe, b.to(FieldId::kDp, e), k, nlev, tgt);
       co_await cpe.yield();
     }
   };
   return cg.run(kernel, sw::kCpesPerGroup, sw::kSpawnCycles);
 }
 
-RemapKernel::RemapKernel(PackedElems& p)
-    : nelem_(p.nelem), nlev_(p.nlev), qsize_(p.qsize) {
-  const std::size_t fs = p.field_size();
-  const std::array base{p.dp.data(), p.u1.data(), p.u2.data(), p.T.data(),
-                        p.qdp.data()};
-  for (std::size_t f = 0; f < kRemapFields.size(); ++f) {
-    FieldBinding& b = fields_[f];
-    b = remap_binding(f, fs, qsize_);
-    b.base = base[f];
-    b.item_stride = static_cast<std::size_t>(b.subcount) * fs;
-  }
-}
-
-RemapKernel::RemapKernel(const homme::Dims& d, int nelem,
-                         const RemapBlocks& blocks)
-    : nelem_(nelem), nlev_(d.nlev), qsize_(d.qsize) {
-  for (std::size_t f = 0; f < kRemapFields.size(); ++f) {
-    FieldBinding& b = fields_[f];
-    b = remap_binding(f, d.field_size(), qsize_);
-    b.from = blocks.from[f];
-    b.to = blocks.to[f];
+RemapKernel::RemapKernel(const StateBlocks& b, int begin, int end)
+    : nelem_(end - begin), nlev_(b.dims().nlev), qsize_(b.dims().qsize) {
+  // Every field is written; the prognostics stay resident across a chain,
+  // the tracers stream.
+  for (std::size_t f = 0; f < fields_.size(); ++f) {
+    fields_[f] = b.binding(kStateFields[f], /*writable=*/true,
+                           /*keep=*/kStateFields[f] != FieldId::kQdp, begin);
   }
 }
 
@@ -278,8 +240,10 @@ void RemapKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   }
 }
 
-sw::KernelStats remap_athread(sw::CoreGroup& cg, PackedElems& p) {
-  RemapKernel k(p);
+sw::KernelStats remap_athread(sw::CoreGroup& cg, const homme::Dims& d,
+                              homme::State& s) {
+  const StateBlocks b(d, s);
+  RemapKernel k(b, 0, b.nelem());
   KernelPipeline pipe({&k});
   return pipe.run(cg);
 }

@@ -3,7 +3,6 @@
 #include <array>
 
 #include "accel/kernel.hpp"
-#include "accel/packed.hpp"
 #include "sw/core_group.hpp"
 
 /// \file remap_acc.hpp
@@ -29,41 +28,25 @@
 ///   tracers. The transposes are charged (sw::transpose_cycles), not
 ///   executed: the host remaps four columns per plan in the lanes of a
 ///   vpack, in place on the block the DMA delivered, whose layout the
-///   transposes would only restore. The kernel binds a PackedElems, or
-///   per-element block tables that read one set of blocks and write
-///   another (PipelineAccelerator: the state's chunks and their spares).
+///   transposes would only restore.
+///
+/// Both variants read and write the state's own chunks through a
+/// StateBlocks: in place (Table 1, the machine model, the tests), or from
+/// the state's chunks into spares (PipelineAccelerator).
 
 namespace accel {
 
-/// Host reference: homme::vertical_remap_local on the unpacked workset.
-void remap_ref(PackedElems& p);
-
-sw::KernelStats remap_openacc(sw::CoreGroup& cg, PackedElems& p);
-
-/// The remap's prognostics in binding order: dp, u1, u2, T, then qdp (an
-/// element's tracers in one block).
-inline constexpr std::array<FieldId, 5> kRemapFields{
-    FieldId::kDp, FieldId::kU1, FieldId::kU2, FieldId::kT, FieldId::kQdp};
-
-/// Per-element block tables of the remap's prognostics, in kRemapFields
-/// order: field f of element e is read from from[f][e] and written to
-/// to[f][e].
-struct RemapBlocks {
-  std::array<const double* const*, kRemapFields.size()> from{};
-  std::array<double* const*, kRemapFields.size()> to{};
-};
+/// OpenACC-style port: remaps \p s in place.
+sw::KernelStats remap_openacc(sw::CoreGroup& cg, const homme::Dims& d,
+                              homme::State& s);
 
 /// vertical_remap behind the declared-binding interface: consumes the
 /// prognostic fields a preceding euler/hypervis left resident (dp, u1,
 /// u2, T) and streams tracers; rebuilds dp as the reference grid.
 class RemapKernel final : public Kernel {
  public:
-  /// Remap the elements of \p p in place.
-  explicit RemapKernel(PackedElems& p);
-  /// Remap \p nelem elements of shape \p d that are read from one set of
-  /// blocks and written to another (PipelineAccelerator: the state's
-  /// chunks and their spares).
-  RemapKernel(const homme::Dims& d, int nelem, const RemapBlocks& blocks);
+  /// Remap elements [begin, end) of the state \p b lists.
+  RemapKernel(const StateBlocks& b, int begin, int end);
 
   std::string_view name() const override { return "vertical_remap"; }
   void bind(Workset& ws) const override;
@@ -73,9 +56,11 @@ class RemapKernel final : public Kernel {
 
  private:
   int nelem_, nlev_, qsize_;
-  std::array<FieldBinding, kRemapFields.size()> fields_;
+  std::array<FieldBinding, kPrognosticChunks.size()> fields_;
 };
 
-sw::KernelStats remap_athread(sw::CoreGroup& cg, PackedElems& p);
+/// Athread port, a one-kernel pipeline: remaps \p s in place.
+sw::KernelStats remap_athread(sw::CoreGroup& cg, const homme::Dims& d,
+                              homme::State& s);
 
 }  // namespace accel

@@ -45,18 +45,21 @@ void rhs_level_tile(const double* geom, const double* u1, const double* u2,
 
 }  // namespace
 
-sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
+sw::KernelStats rhs_openacc(sw::CoreGroup& cg, const homme::Dims& d,
+                            homme::State& s, const PackedGeometry& g,
                             const RhsAccConfig& cfg) {
-  const int nlev = p.nlev;
-  const std::size_t fs = p.field_size();
+  const StateBlocks blocks(d, s);
+  const int nelem = blocks.nelem();
+  const int nlev = d.nlev;
+  const std::size_t fs = d.field_size();
   // Main-memory scratch the directive port keeps between regions.
-  std::vector<double> pm(static_cast<std::size_t>(p.nelem) * fs),
-      phim(static_cast<std::size_t>(p.nelem) * fs),
-      divdp(static_cast<std::size_t>(p.nelem) * fs),
-      omega(static_cast<std::size_t>(p.nelem) * fs),
-      tu1(static_cast<std::size_t>(p.nelem) * fs),
-      tu2(static_cast<std::size_t>(p.nelem) * fs),
-      tT(static_cast<std::size_t>(p.nelem) * fs);
+  std::vector<double> pm(static_cast<std::size_t>(nelem) * fs),
+      phim(static_cast<std::size_t>(nelem) * fs),
+      divdp(static_cast<std::size_t>(nelem) * fs),
+      omega(static_cast<std::size_t>(nelem) * fs),
+      tu1(static_cast<std::size_t>(nelem) * fs),
+      tu2(static_cast<std::size_t>(nelem) * fs),
+      tT(static_cast<std::size_t>(nelem) * fs);
 
   auto kernel = [&](sw::Cpe& cpe) -> sw::Task {
     // Regions A, B and D carry a loop dependence along the levels; the
@@ -71,12 +74,12 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
       auto tile2 = cpe.ldm().alloc<double>(kNpp);
       auto tile3 = cpe.ldm().alloc<double>(kNpp);
       auto carry = cpe.ldm().alloc<double>(kNpp);
-      for (int e = 0; e < p.nelem; ++e) {
-        const std::size_t eo = p.elem_offset(e);
+      for (int e = 0; e < nelem; ++e) {
+        const std::size_t eo = static_cast<std::size_t>(e) * fs;
         // Region A: pressure scan.
         for (int k = 0; k < kNpp; ++k) carry[k] = kPtop;
         for (int lev = 0; lev < nlev; ++lev) {
-          cpe.get(tile, p.dp.data() + eo + fidx(lev, 0));
+          cpe.get(tile, blocks.from(FieldId::kDp, e) + fidx(lev, 0));
           for (int k = 0; k < kNpp; ++k) {
             tile2[static_cast<std::size_t>(k)] =
                 carry[static_cast<std::size_t>(k)] +
@@ -89,10 +92,10 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
                   std::span<const double>(tile2));
         }
         // Region B: geopotential scan (bottom-up), re-staging T/dp/pm.
-        cpe.get(carry, p.phis.data() + static_cast<std::size_t>(e) * kNpp);
+        cpe.get(carry, blocks.from(FieldId::kPhis, e));
         for (int lev = nlev - 1; lev >= 0; --lev) {
-          cpe.get(tile, p.T.data() + eo + fidx(lev, 0));
-          cpe.get(tile2, p.dp.data() + eo + fidx(lev, 0));
+          cpe.get(tile, blocks.from(FieldId::kT, e) + fidx(lev, 0));
+          cpe.get(tile2, blocks.from(FieldId::kDp, e) + fidx(lev, 0));
           cpe.get(tile3, pm.data() + eo + fidx(lev, 0));
           double out[kNpp];
           for (int k = 0; k < kNpp; ++k) {
@@ -113,13 +116,13 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
 
     // Region C: per-level horizontal operators, collapse(e) parallel but
     // everything re-staged per level.
-    for (int e = cpe.id(); e < p.nelem; e += sw::kCpesPerGroup) {
-      const std::size_t eo = p.elem_offset(e);
+    for (int e = cpe.id(); e < nelem; e += sw::kCpesPerGroup) {
+      const std::size_t eo = static_cast<std::size_t>(e) * fs;
       sw::LdmFrame frame(cpe.ldm());
       {
         sw::LdmFrame geom_frame(cpe.ldm());
         auto geom = cpe.ldm().alloc<double>(kGeomDoubles);
-        cpe.get(geom, p.geom_of(e));
+        cpe.get(geom, g.geom_of(e));
         for (int lev = 0; lev < nlev; ++lev) {
           sw::LdmFrame lf(cpe.ldm());
           auto u1 = cpe.ldm().alloc<double>(kNpp);
@@ -128,10 +131,10 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
           auto dp = cpe.ldm().alloc<double>(kNpp);
           auto pmt = cpe.ldm().alloc<double>(kNpp);
           auto pht = cpe.ldm().alloc<double>(kNpp);
-          cpe.get(u1, p.u1.data() + eo + fidx(lev, 0));
-          cpe.get(u2, p.u2.data() + eo + fidx(lev, 0));
-          cpe.get(T, p.T.data() + eo + fidx(lev, 0));
-          cpe.get(dp, p.dp.data() + eo + fidx(lev, 0));
+          cpe.get(u1, blocks.from(FieldId::kU1, e) + fidx(lev, 0));
+          cpe.get(u2, blocks.from(FieldId::kU2, e) + fidx(lev, 0));
+          cpe.get(T, blocks.from(FieldId::kT, e) + fidx(lev, 0));
+          cpe.get(dp, blocks.from(FieldId::kDp, e) + fidx(lev, 0));
           cpe.get(pmt, pm.data() + eo + fidx(lev, 0));
           cpe.get(pht, phim.data() + eo + fidx(lev, 0));
           double a[kNpp], b[kNpp], c[kNpp], dd[kNpp];
@@ -154,8 +157,8 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
       sw::LdmFrame frame(cpe.ldm());
       auto tile = cpe.ldm().alloc<double>(kNpp);
       auto carry = cpe.ldm().alloc<double>(kNpp);
-      for (int e = 0; e < p.nelem; ++e) {
-        const std::size_t eo = p.elem_offset(e);
+      for (int e = 0; e < nelem; ++e) {
+        const std::size_t eo = static_cast<std::size_t>(e) * fs;
         for (int k = 0; k < kNpp; ++k) carry[k] = 0.0;
         for (int lev = 0; lev < nlev; ++lev) {
           cpe.get(tile, divdp.data() + eo + fidx(lev, 0));
@@ -175,8 +178,8 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
     co_await cpe.barrier();
 
     // Region E: final update, collapse(e) parallel, one more re-stage.
-    for (int e = cpe.id(); e < p.nelem; e += sw::kCpesPerGroup) {
-      const std::size_t eo = p.elem_offset(e);
+    for (int e = cpe.id(); e < nelem; e += sw::kCpesPerGroup) {
+      const std::size_t eo = static_cast<std::size_t>(e) * fs;
       for (int lev = 0; lev < nlev; ++lev) {
         sw::LdmFrame lf(cpe.ldm());
         auto u1 = cpe.ldm().alloc<double>(kNpp);
@@ -189,16 +192,17 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
         auto dd = cpe.ldm().alloc<double>(kNpp);
         auto om = cpe.ldm().alloc<double>(kNpp);
         auto pmt = cpe.ldm().alloc<double>(kNpp);
-        cpe.get(u1, p.u1.data() + eo + fidx(lev, 0));
-        cpe.get(u2, p.u2.data() + eo + fidx(lev, 0));
-        cpe.get(T, p.T.data() + eo + fidx(lev, 0));
-        cpe.get(dp, p.dp.data() + eo + fidx(lev, 0));
-        cpe.get(a, tu1.data() + eo + fidx(lev, 0));
-        cpe.get(b, tu2.data() + eo + fidx(lev, 0));
-        cpe.get(c, tT.data() + eo + fidx(lev, 0));
-        cpe.get(dd, divdp.data() + eo + fidx(lev, 0));
-        cpe.get(om, omega.data() + eo + fidx(lev, 0));
-        cpe.get(pmt, pm.data() + eo + fidx(lev, 0));
+        const std::size_t l = fidx(lev, 0);
+        cpe.get(u1, blocks.from(FieldId::kU1, e) + l);
+        cpe.get(u2, blocks.from(FieldId::kU2, e) + l);
+        cpe.get(T, blocks.from(FieldId::kT, e) + l);
+        cpe.get(dp, blocks.from(FieldId::kDp, e) + l);
+        cpe.get(a, tu1.data() + eo + l);
+        cpe.get(b, tu2.data() + eo + l);
+        cpe.get(c, tT.data() + eo + l);
+        cpe.get(dd, divdp.data() + eo + l);
+        cpe.get(om, omega.data() + eo + l);
+        cpe.get(pmt, pm.data() + eo + l);
         for (int k = 0; k < kNpp; ++k) {
           const double tTf =
               c[static_cast<std::size_t>(k)] +
@@ -211,10 +215,10 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
           dp[static_cast<std::size_t>(k)] -= cfg.dt * dd[static_cast<std::size_t>(k)];
         }
         cpe.scalar_flops(kNpp * 12);
-        cpe.put(p.u1.data() + eo + fidx(lev, 0), std::span<const double>(u1));
-        cpe.put(p.u2.data() + eo + fidx(lev, 0), std::span<const double>(u2));
-        cpe.put(p.T.data() + eo + fidx(lev, 0), std::span<const double>(T));
-        cpe.put(p.dp.data() + eo + fidx(lev, 0), std::span<const double>(dp));
+        cpe.put(blocks.to(FieldId::kU1, e) + l, std::span<const double>(u1));
+        cpe.put(blocks.to(FieldId::kU2, e) + l, std::span<const double>(u2));
+        cpe.put(blocks.to(FieldId::kT, e) + l, std::span<const double>(T));
+        cpe.put(blocks.to(FieldId::kDp, e) + l, std::span<const double>(dp));
       }
       co_await cpe.yield();
     }
@@ -223,8 +227,8 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
   return cg.run(kernel, sw::kCpesPerGroup, 5.0 * sw::kSpawnCycles);
 }
 
-void RhsKernel::validate(const Workset&) const {
-  if (p_.nlev % sw::kCpeRows != 0) {
+void RhsKernel::validate(const Workset& ws) const {
+  if (ws.nlev % sw::kCpeRows != 0) {
     throw std::invalid_argument(
         "rhs_athread: nlev must be a multiple of the CPE row count (8); "
         "the Figure 2 layer decomposition requires equal blocks");
@@ -232,36 +236,35 @@ void RhsKernel::validate(const Workset&) const {
 }
 
 void RhsKernel::bind(Workset& ws) const {
-  ws.items(p_.nelem, p_.nlev);
-  ws.dvv = p_.dvv.data();
-  const std::size_t fs = p_.field_size();
+  ws.items(b_.nelem(), b_.dims().nlev);
+  ws.dvv = g_.dvv.data();
   const std::size_t geom = static_cast<std::size_t>(kGeomDoubles);
-  ws.bind({FieldId::kGeom, p_.geom.data(), geom, geom, 1, 0, false});
-  ws.bind({FieldId::kU1, p_.u1.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kU2, p_.u2.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kT, p_.T.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kDp, p_.dp.data(), fs, fs, 1, 0, true});
-  ws.bind({FieldId::kPhis, p_.phis.data(), kNpp, kNpp, 1, 0, false});
+  ws.bind({FieldId::kGeom, const_cast<double*>(g_.geom.data()), geom, geom,
+           1, 0, false});
+  for (const FieldId id :
+       {FieldId::kU1, FieldId::kU2, FieldId::kT, FieldId::kDp}) {
+    ws.bind(b_.binding(id, /*writable=*/true, /*keep=*/false));
+  }
+  ws.bind(b_.binding(FieldId::kPhis, /*writable=*/false, /*keep=*/false));
 }
 
 sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg,
                                   const Workset& ws) const {
   // The Figure 2 register-communication implementation.
-  PackedElems& p = p_;
   const RhsAccConfig& cfg = cfg_;
-  const int levs = p.nlev / sw::kCpeRows;
+  const int nelem = ws.nitems;
+  const int levs = ws.nlev / sw::kCpeRows;
   const std::size_t n = static_cast<std::size_t>(levs) * kNpp;
 
   auto kernel = [&, levs, n](sw::Cpe& cpe) -> sw::Task {
     std::vector<double> ptop_init(kNpp, kPtop), zero_init(kNpp, 0.0);
     // Column c owns elements c, c + 8, ...: a CPE with an element stages
     // the derivative matrix its level bodies read, as a fused launch does.
-    if (cpe.col() < p.nelem) stage_dvv(cpe, ws);
-    for (int base = 0; base < p.nelem; base += sw::kCpeCols) {
+    if (cpe.col() < nelem) stage_dvv(cpe, ws);
+    for (int base = 0; base < nelem; base += sw::kCpeCols) {
       const int e = base + cpe.col();
-      if (e >= p.nelem) continue;
+      if (e >= nelem) continue;
       const int s = cpe.row() * levs;
-      const std::size_t eo = p.elem_offset(e);
       sw::LdmFrame frame(cpe.ldm());
       auto geom = cpe.ldm().alloc<double>(kGeomDoubles);
       auto u1 = cpe.ldm().alloc<double>(n);
@@ -272,12 +275,12 @@ sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg,
       auto phiv = cpe.ldm().alloc<double>(n);
       auto divdp = cpe.ldm().alloc<double>(n);
       auto phis = cpe.ldm().alloc<double>(kNpp);
-      cpe.get(geom, p.geom_of(e));
-      cpe.get(u1, p.u1.data() + eo + fidx(s, 0));
-      cpe.get(u2, p.u2.data() + eo + fidx(s, 0));
-      cpe.get(T, p.T.data() + eo + fidx(s, 0));
-      cpe.get(dp, p.dp.data() + eo + fidx(s, 0));
-      cpe.get(phis, p.phis.data() + static_cast<std::size_t>(e) * kNpp);
+      cpe.get(geom, ws.read_addr(FieldId::kGeom, e, 0));
+      cpe.get(u1, ws.read_addr(FieldId::kU1, e, 0) + fidx(s, 0));
+      cpe.get(u2, ws.read_addr(FieldId::kU2, e, 0) + fidx(s, 0));
+      cpe.get(T, ws.read_addr(FieldId::kT, e, 0) + fidx(s, 0));
+      cpe.get(dp, ws.read_addr(FieldId::kDp, e, 0) + fidx(s, 0));
+      cpe.get(phis, ws.read_addr(FieldId::kPhis, e, 0));
 
       // Pressure: exclusive down-scan of dp along the CPE column, then
       // the half-layer correction — the 3-stage scan of Figure 2(b).
@@ -331,18 +334,24 @@ sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg,
         dp[i] -= cfg.dt * divdp[i];
       }
       cpe.vector_flops(n * 12);
-      cpe.put(p.u1.data() + eo + fidx(s, 0), std::span<const double>(u1));
-      cpe.put(p.u2.data() + eo + fidx(s, 0), std::span<const double>(u2));
-      cpe.put(p.T.data() + eo + fidx(s, 0), std::span<const double>(T));
-      cpe.put(p.dp.data() + eo + fidx(s, 0), std::span<const double>(dp));
+      cpe.put(ws.write_addr(FieldId::kU1, e, 0) + fidx(s, 0),
+              std::span<const double>(u1));
+      cpe.put(ws.write_addr(FieldId::kU2, e, 0) + fidx(s, 0),
+              std::span<const double>(u2));
+      cpe.put(ws.write_addr(FieldId::kT, e, 0) + fidx(s, 0),
+              std::span<const double>(T));
+      cpe.put(ws.write_addr(FieldId::kDp, e, 0) + fidx(s, 0),
+              std::span<const double>(dp));
     }
   };
   return cg.run(kernel, sw::kCpesPerGroup, sw::kSpawnCycles);
 }
 
-sw::KernelStats rhs_athread(sw::CoreGroup& cg, PackedElems& p,
+sw::KernelStats rhs_athread(sw::CoreGroup& cg, const homme::Dims& d,
+                            homme::State& s, const PackedGeometry& g,
                             const RhsAccConfig& cfg) {
-  RhsKernel k(p, cfg);
+  const StateBlocks b(d, s);
+  RhsKernel k(b, g, cfg);
   KernelPipeline pipe({&k});
   return pipe.run(cg);
 }

@@ -24,7 +24,9 @@
 /// variants run homme::rhs_level for each level on a dry workset (T is its
 /// own virtual temperature), so they compute homme::element_rhs plus
 /// x += dt * tend: the OpenACC variant bit for bit, the Athread variant
-/// within its register scans' reassociation of the column sums.
+/// within its register scans' reassociation of the column sums. Both
+/// update the state's own chunks through a StateBlocks; the Athread
+/// launch reads and writes them through its workset.
 
 namespace accel {
 
@@ -32,8 +34,9 @@ struct RhsAccConfig {
   double dt = 100.0;
 };
 
-/// OpenACC-style port. Mutates p.u1/u2/T/dp.
-sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
+/// OpenACC-style port. Updates s's u1, u2, T and dp.
+sw::KernelStats rhs_openacc(sw::CoreGroup& cg, const homme::Dims& d,
+                            homme::State& s, const PackedGeometry& g,
                             const RhsAccConfig& cfg);
 
 /// compute_and_apply_rhs in the pipeline layer. The kernel is
@@ -43,7 +46,9 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, PackedElems& p,
 /// launch() between fused segments.
 class RhsKernel final : public Kernel {
  public:
-  RhsKernel(PackedElems& p, const RhsAccConfig& cfg) : p_(p), cfg_(cfg) {}
+  RhsKernel(const StateBlocks& b, const PackedGeometry& g,
+            const RhsAccConfig& cfg)
+      : b_(b), g_(g), cfg_(cfg) {}
 
   std::string_view name() const override { return "compute_and_apply_rhs"; }
   bool fusible() const override { return false; }
@@ -52,13 +57,15 @@ class RhsKernel final : public Kernel {
   sw::KernelStats launch(sw::CoreGroup& cg, const Workset& ws) const override;
 
  private:
-  PackedElems& p_;
+  const StateBlocks& b_;
+  const PackedGeometry& g_;
   RhsAccConfig cfg_;
 };
 
 /// Athread fine-grained port with register-communication scans.
-/// Requires p.nlev to be a multiple of the CPE row count (8).
-sw::KernelStats rhs_athread(sw::CoreGroup& cg, PackedElems& p,
+/// Requires d.nlev to be a multiple of the CPE row count (8).
+sw::KernelStats rhs_athread(sw::CoreGroup& cg, const homme::Dims& d,
+                            homme::State& s, const PackedGeometry& g,
                             const RhsAccConfig& cfg);
 
 }  // namespace accel

@@ -21,7 +21,8 @@
 /// compulsory traffic. The paper's Table 1 reports cumulative seconds of
 /// 6,144-process ne256 runs; we report per-invocation seconds of one
 /// process's share (64 elements), so the *ratios* are the comparable
-/// quantity.
+/// quantity. Every platform runs on the model's own homme::State (a
+/// synthetic_state), beside one PackedGeometry image per run.
 
 namespace accel {
 
@@ -57,28 +58,32 @@ struct Table1Row {
 };
 
 /// The host references of the Table 1 ports: the model's own host code on
-/// the unpacked workset of \p p, with element e's geometry from the donor
-/// mesh \p m (m.geom(e % m.nelem()), as PackedElems::synthetic packs it).
-/// Each updates \p p in place, as the ports do; remap_ref
-/// (remap_acc.hpp), homme::vertical_remap_local on the unpacked workset,
-/// is the fourth.
+/// the state \p s, of shape \p d, with element e's geometry from the donor
+/// mesh \p m (m.geom(e % m.nelem()), as PackedGeometry::pack packs it).
+/// Each updates \p s in place, as the ports do;
+/// homme::vertical_remap_local is the fourth.
 ///
 /// homme::element_rhs (dry, so T is its own virtual temperature), then
 /// x += dt * tend.
-void rhs_host(const mesh::CubedSphere& m, PackedElems& p, double dt);
+void rhs_host(const mesh::CubedSphere& m, const homme::Dims& d,
+              homme::State& s, double dt);
 /// homme::element_tracer_rhs for every tracer, then q += dt * r.
-void euler_host(const mesh::CubedSphere& m, PackedElems& p, double dt);
+void euler_host(const mesh::CubedSphere& m, const homme::Dims& d,
+                homme::State& s, double dt);
 /// The row's composition of homme::laplace_sphere_wk on each level tile:
 /// x += nu_dt * L(x) for hypervis_dp1, x -= nu_dt * L(L(x)) for
 /// hypervis_dp2 and biharmonic_dp3d. No homme kernel is this
 /// element-local composition: the model's hyperviscosity DSSes between
 /// its applications.
-void hypervis_host(const mesh::CubedSphere& m, PackedElems& p,
-                   HvKernel which, double nu_dt);
+void hypervis_host(const mesh::CubedSphere& m, const homme::Dims& d,
+                   homme::State& s, HvKernel which, double nu_dt);
 
-/// Run all six kernels on every platform; also verifies that the OpenACC
-/// and Athread ports agree with the host references above (throws on
-/// mismatch).
+/// Run all six kernels on every platform, each platform on a
+/// copy-on-write copy of one synthetic_state; also verifies that the
+/// OpenACC and Athread ports agree with the host references above, and
+/// throws on a mismatch: every port must equal its reference bit for bit,
+/// except the Athread rhs, whose register scans reassociate the column
+/// sums (within 1e-8).
 ///
 /// The flop/DMA columns are consumed from the obs:: per-phase summary
 /// (launch-span counter attachments) rather than read off KernelStats
@@ -91,8 +96,9 @@ void hypervis_host(const mesh::CubedSphere& m, PackedElems& p,
 std::vector<Table1Row> run_table1(const Table1Config& cfg,
                                   obs::Tracer* tracer = nullptr);
 
-/// Maximum relative deviation between two packed element sets (used by
-/// the correctness gate inside run_table1; exposed for tests).
-double packed_max_rel_diff(const PackedElems& a, const PackedElems& b);
+/// Maximum relative deviation between the prognostics (u1, u2, T, dp and
+/// qdp) of two states of one shape (the correctness gate inside
+/// run_table1; exposed for tests and benches).
+double state_max_rel_diff(const homme::State& a, const homme::State& b);
 
 }  // namespace accel

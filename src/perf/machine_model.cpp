@@ -46,9 +46,10 @@ MachineModel MachineModel::calibrate(int nlev, int qsize, int nelem,
   d.nlev = nlev;
   d.qsize = qsize;
   auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-  const auto base = accel::PackedElems::synthetic(mesh, d, nelem);
+  const homme::State base = accel::synthetic_state(d, nelem);
+  const auto geo = accel::PackedGeometry::pack(mesh, nelem);
   const accel::EulerAccConfig ecfg{};
-  const auto derived = accel::EulerDerived::make(base, ecfg.shared_extra);
+  const auto derived = accel::EulerDerived::make(d, nelem, ecfg.shared_extra);
   const accel::RhsAccConfig rcfg{};
   const accel::HypervisAccConfig hcfg{};
 
@@ -64,8 +65,8 @@ MachineModel MachineModel::calibrate(int nlev, int qsize, int nelem,
     std::vector<sw::MemoryContention::StreamGuard> streams;
     streams.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) streams.emplace_back(pool.contention());
-    auto probe = base;
-    const sw::KernelStats st = accel::remap_athread(cg, probe);
+    homme::State probe = base;
+    const sw::KernelStats st = accel::remap_athread(cg, d, probe);
     probe_s.push_back(st.seconds);
     probe_bw.push_back(
         static_cast<double>(st.totals.total_dma_bytes()) / st.seconds / 1e9);
@@ -92,46 +93,48 @@ MachineModel MachineModel::calibrate(int nlev, int qsize, int nelem,
   };
   std::vector<Piece> pieces;
   {
-    Piece pc{3.0, {}, {}, accel::rhs_work(base)};
-    auto p1 = base;
-    pc.acc = accel::rhs_openacc(cg, p1, rcfg);
-    auto p2 = base;
-    pc.ath = accel::rhs_athread(cg, p2, rcfg);
+    Piece pc{3.0, {}, {}, accel::rhs_work(d, nelem)};
+    homme::State p1 = base;
+    pc.acc = accel::rhs_openacc(cg, d, p1, geo, rcfg);
+    homme::State p2 = base;
+    pc.ath = accel::rhs_athread(cg, d, p2, geo, rcfg);
     pieces.push_back(pc);
   }
   {
-    Piece pc{3.0, {}, {}, accel::euler_step_work(base)};
-    auto p1 = base;
-    pc.acc = accel::euler_openacc(cg, p1, derived, ecfg);
-    auto p2 = base;
-    pc.ath = accel::euler_athread(cg, p2, derived, ecfg);
+    Piece pc{3.0, {}, {}, accel::euler_step_work(d, nelem)};
+    homme::State p1 = base;
+    pc.acc = accel::euler_openacc(cg, d, p1, geo, derived, ecfg);
+    homme::State p2 = base;
+    pc.ath = accel::euler_athread(cg, d, p2, geo, derived, ecfg);
     pieces.push_back(pc);
   }
   {
-    Piece pc{1.0, {}, {}, accel::laplace_work(base, 2)};
+    Piece pc{1.0, {}, {}, accel::laplace_work(d, nelem, 2)};
     pc.work.bytes *= 3;
-    auto p1 = base;
-    pc.acc = accel::hypervis_openacc(cg, p1, accel::HvKernel::kDp2, hcfg);
-    auto p2 = base;
-    pc.ath = accel::hypervis_athread(cg, p2, accel::HvKernel::kDp2, hcfg);
+    homme::State p1 = base;
+    pc.acc = accel::hypervis_openacc(cg, d, p1, geo, accel::HvKernel::kDp2,
+                                     hcfg);
+    homme::State p2 = base;
+    pc.ath = accel::hypervis_athread(cg, d, p2, geo, accel::HvKernel::kDp2,
+                                     hcfg);
     pieces.push_back(pc);
   }
   {
-    Piece pc{1.0, {}, {}, accel::laplace_work(base, 2)};
-    auto p1 = base;
-    pc.acc =
-        accel::hypervis_openacc(cg, p1, accel::HvKernel::kBiharmDp3d, hcfg);
-    auto p2 = base;
-    pc.ath =
-        accel::hypervis_athread(cg, p2, accel::HvKernel::kBiharmDp3d, hcfg);
+    Piece pc{1.0, {}, {}, accel::laplace_work(d, nelem, 2)};
+    homme::State p1 = base;
+    pc.acc = accel::hypervis_openacc(cg, d, p1, geo,
+                                     accel::HvKernel::kBiharmDp3d, hcfg);
+    homme::State p2 = base;
+    pc.ath = accel::hypervis_athread(cg, d, p2, geo,
+                                     accel::HvKernel::kBiharmDp3d, hcfg);
     pieces.push_back(pc);
   }
   {
-    Piece pc{1.0 / 3.0, {}, {}, accel::remap_work(base)};
-    auto p1 = base;
-    pc.acc = accel::remap_openacc(cg, p1);
-    auto p2 = base;
-    pc.ath = accel::remap_athread(cg, p2);
+    Piece pc{1.0 / 3.0, {}, {}, accel::remap_work(d, nelem)};
+    homme::State p1 = base;
+    pc.acc = accel::remap_openacc(cg, d, p1);
+    homme::State p2 = base;
+    pc.ath = accel::remap_athread(cg, d, p2);
     pieces.push_back(pc);
   }
 

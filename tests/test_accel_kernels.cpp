@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/euler_acc.hpp"
@@ -8,11 +10,11 @@
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
+#include "homme/remap.hpp"
 #include "mesh/cubed_sphere.hpp"
+#include "state_helpers.hpp"
 
 namespace {
-
-using accel::PackedElems;
 
 struct AccelFixture {
   homme::Dims d;
@@ -23,26 +25,33 @@ struct AccelFixture {
     d.nlev = nlev;
     d.qsize = qsize;
   }
-  PackedElems make(int nelem) { return PackedElems::synthetic(m, d, nelem); }
+  homme::State make(int nelem) { return accel::synthetic_state(d, nelem); }
+  accel::PackedGeometry geometry(int nelem) {
+    return accel::PackedGeometry::pack(m, nelem);
+  }
 };
 
 // The ports against the model's own tracer kernel (accel::euler_host):
-// on the unpacked workset, homme::element_tracer_rhs plus q += dt * r.
+// on the state, homme::element_tracer_rhs plus q += dt * r.
 TEST(AccelEuler, PortsMatchHostTracerBody) {
   const accel::EulerAccConfig cfg{};
   for (int nlev : {8, 16, 32}) {
     SCOPED_TRACE("nlev " + std::to_string(nlev));
     AccelFixture fx(nlev, 3);
     const auto base = fx.make(12);
-    const auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
+    const auto geo = fx.geometry(12);
+    const auto derived =
+        accel::EulerDerived::make(fx.d, 12, cfg.shared_extra);
     auto host = base;
-    accel::euler_host(fx.m, host, cfg.dt);
+    accel::euler_host(fx.m, fx.d, host, cfg.dt);
     auto acc = base;
-    auto acc_stats = accel::euler_openacc(fx.cg, acc, derived, cfg);
+    auto acc_stats =
+        accel::euler_openacc(fx.cg, fx.d, acc, geo, derived, cfg);
     auto ath = base;
-    auto ath_stats = accel::euler_athread(fx.cg, ath, derived, cfg);
-    EXPECT_EQ(accel::packed_max_rel_diff(host, acc), 0.0);
-    EXPECT_EQ(accel::packed_max_rel_diff(host, ath), 0.0);
+    auto ath_stats =
+        accel::euler_athread(fx.cg, fx.d, ath, geo, derived, cfg);
+    EXPECT_EQ(accel::state_max_rel_diff(host, acc), 0.0);
+    EXPECT_EQ(accel::state_max_rel_diff(host, ath), 0.0);
     EXPECT_GT(acc_stats.totals.total_flops(), 0u);
     EXPECT_EQ(acc_stats.totals.total_flops(),
               ath_stats.totals.total_flops());
@@ -55,11 +64,12 @@ TEST(AccelEuler, AthreadMovesFarLessData) {
   AccelFixture fx(32, 25);
   const accel::EulerAccConfig cfg{};
   auto base = fx.make(8);
-  auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
+  const auto geo = fx.geometry(8);
+  auto derived = accel::EulerDerived::make(fx.d, 8, cfg.shared_extra);
   auto acc = base;
-  auto acc_stats = accel::euler_openacc(fx.cg, acc, derived, cfg);
+  auto acc_stats = accel::euler_openacc(fx.cg, fx.d, acc, geo, derived, cfg);
   auto ath = base;
-  auto ath_stats = accel::euler_athread(fx.cg, ath, derived, cfg);
+  auto ath_stats = accel::euler_athread(fx.cg, fx.d, ath, geo, derived, cfg);
   const double ratio =
       static_cast<double>(ath_stats.totals.total_dma_bytes()) /
       static_cast<double>(acc_stats.totals.total_dma_bytes());
@@ -71,18 +81,19 @@ TEST(AccelEuler, AthreadIsFasterInModeledTime) {
   AccelFixture fx(32, 8);
   const accel::EulerAccConfig cfg{};
   auto base = fx.make(8);
-  auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
+  const auto geo = fx.geometry(8);
+  auto derived = accel::EulerDerived::make(fx.d, 8, cfg.shared_extra);
   auto acc = base;
   auto ath = base;
   const double t_acc =
-      accel::euler_openacc(fx.cg, acc, derived, cfg).seconds;
+      accel::euler_openacc(fx.cg, fx.d, acc, geo, derived, cfg).seconds;
   const double t_ath =
-      accel::euler_athread(fx.cg, ath, derived, cfg).seconds;
+      accel::euler_athread(fx.cg, fx.d, ath, geo, derived, cfg).seconds;
   EXPECT_LT(t_ath, t_acc);
 }
 
 // The ports against the model's own kernel (accel::rhs_host): on the
-// unpacked workset, homme::element_rhs plus x += dt * tend (base = eval,
+// state, homme::element_rhs plus x += dt * tend (base = eval,
 // as the in-place port updates) is what the rhs ports compute. Dry, so T
 // is not virtual.
 TEST(AccelRhs, PortsMatchHostElementBody) {
@@ -91,17 +102,18 @@ TEST(AccelRhs, PortsMatchHostElementBody) {
     SCOPED_TRACE("nlev " + std::to_string(nlev));
     AccelFixture fx(nlev, 0);
     const auto base = fx.make(10);
+    const auto geo = fx.geometry(10);
     auto host = base;
-    accel::rhs_host(fx.m, host, cfg.dt);
+    accel::rhs_host(fx.m, fx.d, host, cfg.dt);
     auto acc = base;
-    accel::rhs_openacc(fx.cg, acc, cfg);
+    accel::rhs_openacc(fx.cg, fx.d, acc, geo, cfg);
     auto ath = base;
-    accel::rhs_athread(fx.cg, ath, cfg);
+    accel::rhs_athread(fx.cg, fx.d, ath, geo, cfg);
     // The OpenACC port performs the same sequential scans: bit identical.
-    EXPECT_EQ(accel::packed_max_rel_diff(host, acc), 0.0);
+    EXPECT_EQ(accel::state_max_rel_diff(host, acc), 0.0);
     // The register-communication scans (section 7.4) reassociate the
     // column sums: tiny fp difference.
-    EXPECT_LT(accel::packed_max_rel_diff(host, ath), 1e-11);
+    EXPECT_LT(accel::state_max_rel_diff(host, ath), 1e-11);
   }
 }
 
@@ -110,8 +122,9 @@ TEST(AccelRhs, AthreadBeatsOpenAccHandily) {
   const accel::RhsAccConfig cfg{};
   auto acc = fx.make(8);
   auto ath = acc;
-  const double t_acc = accel::rhs_openacc(fx.cg, acc, cfg).seconds;
-  const double t_ath = accel::rhs_athread(fx.cg, ath, cfg).seconds;
+  const auto geo = fx.geometry(8);
+  const double t_acc = accel::rhs_openacc(fx.cg, fx.d, acc, geo, cfg).seconds;
+  const double t_ath = accel::rhs_athread(fx.cg, fx.d, ath, geo, cfg).seconds;
   // The paper's Table 1: OpenACC 75.11s vs Athread far below Intel's
   // 12.69s — at least several-fold here.
   EXPECT_GT(t_acc / t_ath, 4.0);
@@ -121,21 +134,21 @@ TEST(AccelRemap, PortsMatchReference) {
   AccelFixture fx(24, 2);
   auto base = fx.make(6);
   auto ref = base;
-  accel::remap_ref(ref);
+  homme::vertical_remap_local(fx.d, ref);
   auto acc = base;
-  accel::remap_openacc(fx.cg, acc);
+  accel::remap_openacc(fx.cg, fx.d, acc);
   auto ath = base;
-  accel::remap_athread(fx.cg, ath);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, acc), 0.0);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, ath), 0.0);
+  accel::remap_athread(fx.cg, fx.d, ath);
+  EXPECT_EQ(accel::state_max_rel_diff(ref, acc), 0.0);
+  EXPECT_EQ(accel::state_max_rel_diff(ref, ath), 0.0);
 }
 
 TEST(AccelRemap, AthreadReusesGridsAcrossFields) {
   AccelFixture fx(32, 8);
   auto acc = fx.make(6);
   auto ath = acc;
-  auto acc_stats = accel::remap_openacc(fx.cg, acc);
-  auto ath_stats = accel::remap_athread(fx.cg, ath);
+  auto acc_stats = accel::remap_openacc(fx.cg, fx.d, acc);
+  auto ath_stats = accel::remap_athread(fx.cg, fx.d, ath);
   EXPECT_LT(ath_stats.totals.total_dma_bytes(),
             acc_stats.totals.total_dma_bytes());
   EXPECT_LT(ath_stats.seconds, acc_stats.seconds);
@@ -150,20 +163,91 @@ TEST_P(AccelHypervis, PortsMatchHostWeakLaplacian) {
   AccelFixture fx(16, 0);
   const accel::HypervisAccConfig cfg{};
   auto base = fx.make(9);
+  const auto geo = fx.geometry(9);
   auto host = base;
-  accel::hypervis_host(fx.m, host, GetParam(), cfg.nu_dt);
+  accel::hypervis_host(fx.m, fx.d, host, GetParam(), cfg.nu_dt);
   auto acc = base;
-  accel::hypervis_openacc(fx.cg, acc, GetParam(), cfg);
+  accel::hypervis_openacc(fx.cg, fx.d, acc, geo, GetParam(), cfg);
   auto ath = base;
-  accel::hypervis_athread(fx.cg, ath, GetParam(), cfg);
-  EXPECT_EQ(accel::packed_max_rel_diff(host, acc), 0.0);
-  EXPECT_EQ(accel::packed_max_rel_diff(host, ath), 0.0);
+  accel::hypervis_athread(fx.cg, fx.d, ath, geo, GetParam(), cfg);
+  EXPECT_EQ(accel::state_max_rel_diff(host, acc), 0.0);
+  EXPECT_EQ(accel::state_max_rel_diff(host, ath), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllThree, AccelHypervis,
                          ::testing::Values(accel::HvKernel::kDp1,
                                            accel::HvKernel::kDp2,
                                            accel::HvKernel::kBiharmDp3d));
+
+// Every Table 1 port, in both variants, runs on a copy-on-write copy of a
+// state: it must un-share each chunk before writing it, so the base keeps
+// its bits while the copy gets the reference's.
+TEST(AccelPorts, NeverWriteAChunkTheyShare) {
+  AccelFixture fx(16, 3);
+  const int nelem = 9;
+  const homme::State base = fx.make(nelem);
+  const homme::State before = state_helpers::deep_copy(base);
+  const auto geo = fx.geometry(nelem);
+  const accel::RhsAccConfig rcfg{};
+  const accel::EulerAccConfig ecfg{};
+  const auto derived =
+      accel::EulerDerived::make(fx.d, nelem, ecfg.shared_extra);
+  const accel::HypervisAccConfig hcfg{};
+  using Run = std::function<void(homme::State&)>;
+  struct Port {
+    std::string name;
+    Run ref, acc, ath;
+    double ath_tol;  // the Athread rhs reassociates its column sums
+  };
+  std::vector<Port> ports = {
+      {"rhs", [&](homme::State& s) { accel::rhs_host(fx.m, fx.d, s, rcfg.dt); },
+       [&](homme::State& s) { accel::rhs_openacc(fx.cg, fx.d, s, geo, rcfg); },
+       [&](homme::State& s) { accel::rhs_athread(fx.cg, fx.d, s, geo, rcfg); },
+       1e-11},
+      {"euler",
+       [&](homme::State& s) { accel::euler_host(fx.m, fx.d, s, ecfg.dt); },
+       [&](homme::State& s) {
+         accel::euler_openacc(fx.cg, fx.d, s, geo, derived, ecfg);
+       },
+       [&](homme::State& s) {
+         accel::euler_athread(fx.cg, fx.d, s, geo, derived, ecfg);
+       },
+       0.0},
+      {"remap", [&](homme::State& s) { homme::vertical_remap_local(fx.d, s); },
+       [&](homme::State& s) { accel::remap_openacc(fx.cg, fx.d, s); },
+       [&](homme::State& s) { accel::remap_athread(fx.cg, fx.d, s); }, 0.0}};
+  for (const auto& [name, which] :
+       {std::pair{"hypervis_dp1", accel::HvKernel::kDp1},
+        std::pair{"hypervis_dp2", accel::HvKernel::kDp2},
+        std::pair{"biharmonic_dp3d", accel::HvKernel::kBiharmDp3d}}) {
+    ports.push_back(
+        {name,
+         [&, which](homme::State& s) {
+           accel::hypervis_host(fx.m, fx.d, s, which, hcfg.nu_dt);
+         },
+         [&, which](homme::State& s) {
+           accel::hypervis_openacc(fx.cg, fx.d, s, geo, which, hcfg);
+         },
+         [&, which](homme::State& s) {
+           accel::hypervis_athread(fx.cg, fx.d, s, geo, which, hcfg);
+         },
+         0.0});
+  }
+  for (const Port& p : ports) {
+    homme::State want = state_helpers::deep_copy(base);
+    p.ref(want);
+    homme::State acc = base;
+    p.acc(acc);
+    EXPECT_TRUE(state_helpers::states_bitwise_equal(base, before))
+        << p.name << " openacc";
+    EXPECT_EQ(accel::state_max_rel_diff(want, acc), 0.0) << p.name;
+    homme::State ath = base;
+    p.ath(ath);
+    EXPECT_TRUE(state_helpers::states_bitwise_equal(base, before))
+        << p.name << " athread";
+    EXPECT_LE(accel::state_max_rel_diff(want, ath), p.ath_tol) << p.name;
+  }
+}
 
 TEST(AccelTable1, RealisticConfigReproducesOrdering) {
   // A realistic per-process share (the paper's Table 1 is 64 elements per

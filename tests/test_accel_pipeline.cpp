@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -24,32 +21,38 @@
 #include "scenario/experiments.hpp"
 #include "sw/cg_pool.hpp"
 #include "alloc_counter.hpp"
+#include "state_helpers.hpp"
 
 namespace {
 
 struct ChainSetup {
-  accel::PackedElems base;
+  homme::Dims d;
+  homme::State base;
+  accel::PackedGeometry geo;
   accel::EulerAccConfig euler_cfg{};
   accel::EulerDerived derived;
   accel::HypervisAccConfig hv_cfg{};
 
   ChainSetup(int nelem, int nlev, int qsize) {
-    homme::Dims d;
     d.nlev = nlev;
     d.qsize = qsize;
     auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
-    base = accel::PackedElems::synthetic(mesh, d, nelem);
-    derived = accel::EulerDerived::make(base, euler_cfg.shared_extra);
+    base = accel::synthetic_state(d, nelem);
+    geo = accel::PackedGeometry::pack(mesh, nelem);
+    derived = accel::EulerDerived::make(d, nelem, euler_cfg.shared_extra);
   }
 };
 
 /// Runs euler -> hypervis_dp2 -> biharmonic_dp3d -> vertical_remap either
 /// as ONE fused pipeline or as four isolated single-kernel launches.
-sw::KernelStats run_chain(ChainSetup& s, accel::PackedElems& p, bool fused) {
-  accel::EulerKernel euler(p, s.derived, s.euler_cfg);
-  accel::HypervisKernel dp2(p, accel::HvKernel::kDp2, s.hv_cfg);
-  accel::HypervisKernel dp3d(p, accel::HvKernel::kBiharmDp3d, s.hv_cfg);
-  accel::RemapKernel remap(p);
+sw::KernelStats run_chain(ChainSetup& s, homme::State& p, bool fused) {
+  accel::StateBlocks blocks;
+  blocks.refill(s.d, p, p);
+  accel::EulerKernel euler(blocks, s.geo, s.derived, s.euler_cfg);
+  accel::HypervisKernel dp2(blocks, s.geo, accel::HvKernel::kDp2, s.hv_cfg);
+  accel::HypervisKernel dp3d(blocks, s.geo, accel::HvKernel::kBiharmDp3d,
+                             s.hv_cfg);
+  accel::RemapKernel remap(blocks, 0, blocks.nelem());
   const std::vector<const accel::Kernel*> kernels{&euler, &dp2, &dp3d,
                                                   &remap};
   if (fused) {
@@ -69,17 +72,32 @@ sw::KernelStats run_chain(ChainSetup& s, accel::PackedElems& p, bool fused) {
 
 TEST(KernelPipeline, ChainMatchesIsolatedBitExact) {
   ChainSetup s(8, 32, 6);
-  accel::PackedElems isolated = s.base;
-  accel::PackedElems chained = s.base;
+  homme::State isolated = s.base;
+  homme::State chained = s.base;
   (void)run_chain(s, isolated, /*fused=*/false);
   (void)run_chain(s, chained, /*fused=*/true);
-  EXPECT_EQ(accel::packed_max_rel_diff(isolated, chained), 0.0);
+  EXPECT_EQ(accel::state_max_rel_diff(isolated, chained), 0.0);
+}
+
+TEST(KernelPipeline, ChainOnASharedCopyMatchesAPrivateCopy) {
+  // Later kernels of the chain read blocks earlier ones wrote (the remap
+  // streams the tracers euler updated). On a copy-on-write copy the
+  // tables must read the chunks they un-shared, not those the base still
+  // holds, and the base must keep its bits.
+  ChainSetup s(8, 32, 6);
+  const homme::State before = state_helpers::deep_copy(s.base);
+  homme::State shared = s.base;
+  homme::State owned = state_helpers::deep_copy(s.base);
+  (void)run_chain(s, shared, /*fused=*/true);
+  (void)run_chain(s, owned, /*fused=*/true);
+  EXPECT_TRUE(state_helpers::states_bitwise_equal(shared, owned));
+  EXPECT_TRUE(state_helpers::states_bitwise_equal(s.base, before));
 }
 
 TEST(KernelPipeline, ChainMovesStrictlyFewerBytes) {
   ChainSetup s(16, 64, 8);
-  accel::PackedElems isolated = s.base;
-  accel::PackedElems chained = s.base;
+  homme::State isolated = s.base;
+  homme::State chained = s.base;
   const auto iso = run_chain(s, isolated, /*fused=*/false);
   const auto fus = run_chain(s, chained, /*fused=*/true);
 
@@ -91,7 +109,7 @@ TEST(KernelPipeline, ChainMovesStrictlyFewerBytes) {
 
 TEST(KernelPipeline, PhaseBreakdownCoversKernelsAndWriteback) {
   ChainSetup s(8, 32, 4);
-  accel::PackedElems p = s.base;
+  homme::State p = s.base;
   const auto stats = run_chain(s, p, /*fused=*/true);
 
   std::vector<std::string> names;
@@ -111,9 +129,11 @@ TEST(KernelPipeline, PhaseBreakdownCoversKernelsAndWriteback) {
 
 TEST(KernelPipeline, FreshGroupStartsCold) {
   ChainSetup s(8, 32, 4);
-  accel::PackedElems p = s.base;
+  homme::State p = s.base;
+  accel::StateBlocks blocks;
+  blocks.refill(s.d, p, p);
   sw::CoreGroup cg;
-  accel::EulerKernel k(p, s.derived, s.euler_cfg);
+  accel::EulerKernel k(blocks, s.geo, s.derived, s.euler_cfg);
   const auto stats = accel::KernelPipeline({&k}).run(cg);
   EXPECT_EQ(stats.totals.dma_reused_bytes, 0u);
   EXPECT_GT(stats.totals.dma_cold_bytes, 0u);
@@ -121,9 +141,11 @@ TEST(KernelPipeline, FreshGroupStartsCold) {
 
 TEST(KernelPipeline, PinnedDvvPersistsAcrossLaunches) {
   ChainSetup s(8, 32, 4);
-  accel::PackedElems p = s.base;
+  homme::State p = s.base;
+  accel::StateBlocks blocks;
+  blocks.refill(s.d, p, p);
   sw::CoreGroup cg;
-  accel::EulerKernel k(p, s.derived, s.euler_cfg);
+  accel::EulerKernel k(blocks, s.geo, s.derived, s.euler_cfg);
   (void)accel::KernelPipeline({&k}).run(cg);
   const auto second = accel::KernelPipeline({&k}).run(cg);
   // The GLL derivative matrix stays pinned in each CPE's LDM between
@@ -146,27 +168,6 @@ TEST(KernelPipeline, FusedPhysicsSuiteReusesResidentColumns) {
   EXPECT_GT(stats.reuse_fraction(), 0.5);
 }
 
-double state_max_rel_diff(const homme::State& a, const homme::State& b) {
-  auto field_diff = [](std::span<const double> x,
-                       std::span<const double> y) {
-    double worst = 0.0;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      const double scale = std::max({std::abs(x[i]), std::abs(y[i]), 1e-30});
-      worst = std::max(worst, std::abs(x[i] - y[i]) / scale);
-    }
-    return worst;
-  };
-  double worst = 0.0;
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    worst = std::max(worst, field_diff(a[e].u1.span(), b[e].u1.span()));
-    worst = std::max(worst, field_diff(a[e].u2.span(), b[e].u2.span()));
-    worst = std::max(worst, field_diff(a[e].T.span(), b[e].T.span()));
-    worst = std::max(worst, field_diff(a[e].dp.span(), b[e].dp.span()));
-    worst = std::max(worst, field_diff(a[e].qdp.span(), b[e].qdp.span()));
-  }
-  return worst;
-}
-
 TEST(PipelineAccelerator, RemapMatchesHostRemap) {
   homme::Dims d;
   d.nlev = 16;
@@ -180,7 +181,7 @@ TEST(PipelineAccelerator, RemapMatchesHostRemap) {
   pa.vertical_remap(offload);
 
   // The CPE port takes homme's remap target and column plans: bitwise.
-  EXPECT_EQ(state_max_rel_diff(host, offload), 0.0);
+  EXPECT_EQ(accel::state_max_rel_diff(host, offload), 0.0);
   EXPECT_EQ(pa.launches(), 1);
   EXPECT_GT(pa.last_stats().totals.total_dma_bytes(), 0u);
 }
@@ -208,29 +209,6 @@ TEST(PipelineAccelerator, WarmRemapReusesItsShardImages) {
   EXPECT_EQ(pa.fallbacks(), 0);
 }
 
-/// A copy of \p s that shares no chunk with it.
-homme::State deep_copy(const homme::State& s) {
-  homme::State out(s.size());
-  for (std::size_t id = 0; id < s.size() * homme::kChunksPerElement; ++id) {
-    const homme::Chunk& c = homme::state_chunk(s, id);
-    homme::state_chunk(out, id).assign(c.data(), c.size());
-  }
-  return out;
-}
-
-bool bitwise_equal(const homme::State& a, const homme::State& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t id = 0; id < a.size() * homme::kChunksPerElement; ++id) {
-    const homme::Chunk& x = homme::state_chunk(a, id);
-    const homme::Chunk& y = homme::state_chunk(b, id);
-    if (x.size() != y.size() ||
-        std::memcmp(x.data(), y.data(), x.size_bytes()) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(PipelineAccelerator, ForkedStateKeepsItsBitsAcrossRemaps) {
   // The first remap reads the chunks a fork shares and swaps fresh ones
   // into the state; the second writes the spares, which are those shared
@@ -242,7 +220,7 @@ TEST(PipelineAccelerator, ForkedStateKeepsItsBitsAcrossRemaps) {
   homme::State s = homme::baroclinic(mesh, d);
   homme::init_tracers(mesh, d, s);
   const homme::State fork = s;
-  const homme::State before = deep_copy(s);
+  const homme::State before = state_helpers::deep_copy(s);
   accel::PipelineAccelerator pa(d);
   pa.set_cg_pool(std::make_shared<sw::CgPool>(2), {0, 1});
   for (int remap = 0; remap < 2; ++remap) {
@@ -253,11 +231,13 @@ TEST(PipelineAccelerator, ForkedStateKeepsItsBitsAcrossRemaps) {
         dp[f] *= 1.0 + 0.05 * std::sin(0.3 * static_cast<double>(f + remap));
       }
     }
-    homme::State want = deep_copy(s);
+    homme::State want = state_helpers::deep_copy(s);
     homme::vertical_remap_local(d, want);
     pa.vertical_remap(s);
-    EXPECT_TRUE(bitwise_equal(s, want)) << "remap " << remap;
-    EXPECT_TRUE(bitwise_equal(fork, before)) << "remap " << remap;
+    EXPECT_TRUE(state_helpers::states_bitwise_equal(s, want))
+        << "remap " << remap;
+    EXPECT_TRUE(state_helpers::states_bitwise_equal(fork, before))
+        << "remap " << remap;
   }
   EXPECT_EQ(pa.fallbacks(), 0);
 }
@@ -282,7 +262,7 @@ TEST(PipelineAccelerator, AttachedDycoreTracksHostDycore) {
   accel_dc.run(accel_s, 3);
 
   EXPECT_EQ(pa.launches(), 1);  // remap_freq=3: one remap in 3 steps
-  EXPECT_EQ(state_max_rel_diff(host_s, accel_s), 0.0);
+  EXPECT_EQ(accel::state_max_rel_diff(host_s, accel_s), 0.0);
 }
 
 }  // namespace

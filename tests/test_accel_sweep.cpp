@@ -12,6 +12,7 @@
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
+#include "homme/remap.hpp"
 #include "mesh/cubed_sphere.hpp"
 
 namespace {
@@ -24,12 +25,17 @@ struct Shape {
 
 class AccelShapeSweep : public ::testing::TestWithParam<Shape> {
  protected:
-  accel::PackedElems make() const {
-    const auto p = GetParam();
+  static homme::Dims dims() {
     homme::Dims d;
-    d.nlev = p.nlev;
-    d.qsize = p.qsize;
-    return accel::PackedElems::synthetic(donor(), d, p.nelem);
+    d.nlev = GetParam().nlev;
+    d.qsize = GetParam().qsize;
+    return d;
+  }
+  static homme::State make() {
+    return accel::synthetic_state(dims(), GetParam().nelem);
+  }
+  static accel::PackedGeometry geometry() {
+    return accel::PackedGeometry::pack(donor(), GetParam().nelem);
   }
   static const mesh::CubedSphere& donor() {
     static const auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
@@ -39,17 +45,20 @@ class AccelShapeSweep : public ::testing::TestWithParam<Shape> {
 
 TEST_P(AccelShapeSweep, EulerPortsAgreeAndFitLdm) {
   const accel::EulerAccConfig cfg{};
+  const homme::Dims d = dims();
   auto base = make();
-  auto derived = accel::EulerDerived::make(base, cfg.shared_extra);
+  const auto geo = geometry();
+  auto derived =
+      accel::EulerDerived::make(d, GetParam().nelem, cfg.shared_extra);
   auto ref = base;
-  accel::euler_host(donor(), ref, cfg.dt);
+  accel::euler_host(donor(), d, ref, cfg.dt);
   sw::CoreGroup cg;
   auto acc = base;
-  auto acc_stats = accel::euler_openacc(cg, acc, derived, cfg);
+  auto acc_stats = accel::euler_openacc(cg, d, acc, geo, derived, cfg);
   auto ath = base;
-  auto ath_stats = accel::euler_athread(cg, ath, derived, cfg);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, acc), 0.0);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, ath), 0.0);
+  auto ath_stats = accel::euler_athread(cg, d, ath, geo, derived, cfg);
+  EXPECT_EQ(accel::state_max_rel_diff(ref, acc), 0.0);
+  EXPECT_EQ(accel::state_max_rel_diff(ref, ath), 0.0);
   if (GetParam().qsize >= 2) {
     // LDM reuse needs at least two tracers to amortize the shared-array
     // loads; with one tracer the layer-split even re-reads the metric
@@ -62,28 +71,30 @@ TEST_P(AccelShapeSweep, EulerPortsAgreeAndFitLdm) {
 }
 
 TEST_P(AccelShapeSweep, RemapPortsAgree) {
+  const homme::Dims d = dims();
   auto base = make();
   auto ref = base;
-  accel::remap_ref(ref);
+  homme::vertical_remap_local(d, ref);
   sw::CoreGroup cg;
   auto acc = base;
-  accel::remap_openacc(cg, acc);
+  accel::remap_openacc(cg, d, acc);
   auto ath = base;
-  auto ath_stats = accel::remap_athread(cg, ath);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, acc), 0.0);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, ath), 0.0);
+  auto ath_stats = accel::remap_athread(cg, d, ath);
+  EXPECT_EQ(accel::state_max_rel_diff(ref, acc), 0.0);
+  EXPECT_EQ(accel::state_max_rel_diff(ref, ath), 0.0);
   EXPECT_LE(ath_stats.totals.ldm_peak_bytes, sw::kLdmBytes);
 }
 
 TEST_P(AccelShapeSweep, HypervisDp2PortsAgree) {
   const accel::HypervisAccConfig cfg{};
+  const homme::Dims d = dims();
   auto base = make();
   auto ref = base;
-  accel::hypervis_host(donor(), ref, accel::HvKernel::kDp2, cfg.nu_dt);
+  accel::hypervis_host(donor(), d, ref, accel::HvKernel::kDp2, cfg.nu_dt);
   sw::CoreGroup cg;
   auto ath = base;
-  accel::hypervis_athread(cg, ath, accel::HvKernel::kDp2, cfg);
-  EXPECT_EQ(accel::packed_max_rel_diff(ref, ath), 0.0);
+  accel::hypervis_athread(cg, d, ath, geometry(), accel::HvKernel::kDp2, cfg);
+  EXPECT_EQ(accel::state_max_rel_diff(ref, ath), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -104,12 +115,12 @@ TEST(AccelRhsSweep, PortsAgreeOverLevelMultiplesOfEight) {
     homme::Dims d;
     d.nlev = nlev;
     d.qsize = 0;
-    auto base = accel::PackedElems::synthetic(m, d, 10);
+    auto base = accel::synthetic_state(d, 10);
     auto ref = base;
-    accel::rhs_host(m, ref, cfg.dt);
+    accel::rhs_host(m, d, ref, cfg.dt);
     auto ath = base;
-    accel::rhs_athread(cg, ath, cfg);
-    EXPECT_LT(accel::packed_max_rel_diff(ref, ath), 1e-10)
+    accel::rhs_athread(cg, d, ath, accel::PackedGeometry::pack(m, 10), cfg);
+    EXPECT_LT(accel::state_max_rel_diff(ref, ath), 1e-10)
         << "nlev " << nlev;
   }
 }
@@ -121,8 +132,10 @@ TEST(AccelRhsSweep, RejectsUnsupportedLevelCounts) {
   homme::Dims d;
   d.nlev = 12;  // not a multiple of 8
   d.qsize = 0;
-  auto p = accel::PackedElems::synthetic(m, d, 4);
-  EXPECT_THROW(accel::rhs_athread(cg, p, cfg), std::invalid_argument);
+  auto s = accel::synthetic_state(d, 4);
+  EXPECT_THROW(
+      accel::rhs_athread(cg, d, s, accel::PackedGeometry::pack(m, 4), cfg),
+      std::invalid_argument);
 }
 
 TEST(AccelTable1Sweep, OrderingInvariantsAcrossConfigs) {

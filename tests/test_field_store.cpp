@@ -18,43 +18,21 @@
 #include "homme/init.hpp"
 #include "homme/state.hpp"
 #include "model/session.hpp"
+#include "state_helpers.hpp"
 
 namespace {
 
 using homme::Chunk;
 using homme::Dims;
 using homme::State;
+using state_helpers::deep_copy;
+using state_helpers::states_bitwise_equal;
 
 Dims small_dims() {
   Dims d;
   d.nlev = 4;
   d.qsize = 2;
   return d;
-}
-
-bool states_bitwise_equal(const State& a, const State& b) {
-  auto eq = [](const Chunk& x, const Chunk& y) {
-    return x.size() == y.size() &&
-           std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
-  };
-  if (a.size() != b.size()) return false;
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    if (!eq(a[e].u1, b[e].u1) || !eq(a[e].u2, b[e].u2) ||
-        !eq(a[e].T, b[e].T) || !eq(a[e].dp, b[e].dp) ||
-        !eq(a[e].qdp, b[e].qdp) || !eq(a[e].phis, b[e].phis)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Fully-private copy: un-share every chunk so the result owns its bytes.
-State deep_copy(const State& s) {
-  State c = s;
-  for (std::size_t id = 0; id < c.size() * homme::kChunksPerElement; ++id) {
-    homme::state_chunk(c, id).mutable_span();
-  }
-  return c;
 }
 
 // ---------------------------------------------------------------------------

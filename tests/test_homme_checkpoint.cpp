@@ -26,6 +26,7 @@
 #include "homme/driver.hpp"
 #include "homme/init.hpp"
 #include "model/session.hpp"
+#include "state_helpers.hpp"
 
 namespace {
 
@@ -33,28 +34,13 @@ using homme::CheckpointError;
 using homme::CheckpointInfo;
 using homme::Dims;
 using homme::State;
+using state_helpers::states_bitwise_equal;
 
 Dims small_dims() {
   Dims d;
   d.nlev = 4;
   d.qsize = 2;
   return d;
-}
-
-bool states_bitwise_equal(const State& a, const State& b) {
-  auto eq = [](const homme::Chunk& x, const homme::Chunk& y) {
-    return x.size() == y.size() &&
-           std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
-  };
-  if (a.size() != b.size()) return false;
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    if (!eq(a[e].u1, b[e].u1) || !eq(a[e].u2, b[e].u2) ||
-        !eq(a[e].T, b[e].T) || !eq(a[e].dp, b[e].dp) ||
-        !eq(a[e].qdp, b[e].qdp) || !eq(a[e].phis, b[e].phis)) {
-      return false;
-    }
-  }
-  return true;
 }
 
 CheckpointInfo make_info(const Dims& d, const State& s) {

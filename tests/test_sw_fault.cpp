@@ -22,6 +22,7 @@
 #include "sw/core_group.hpp"
 #include "sw/fault.hpp"
 #include "sw/task.hpp"
+#include "state_helpers.hpp"
 
 namespace {
 
@@ -31,6 +32,8 @@ using sw::FaultKind;
 using sw::FaultPlan;
 using sw::KernelFault;
 using sw::Task;
+using state_helpers::deep_copy;
+using state_helpers::states_bitwise_equal;
 
 constexpr int kWords = 16;  // doubles per DMA block in these kernels
 
@@ -280,32 +283,6 @@ TEST(CommFaults, WatchdogBoundsAReceiveThatCanNeverComplete) {
 // ---------------------------------------------------------------------------
 // Graceful degradation
 // ---------------------------------------------------------------------------
-
-bool states_bitwise_equal(const homme::State& a, const homme::State& b) {
-  auto eq = [](const homme::Chunk& x, const homme::Chunk& y) {
-    return x.size() == y.size() &&
-           std::memcmp(x.data(), y.data(), x.size_bytes()) == 0;
-  };
-  if (a.size() != b.size()) return false;
-  for (std::size_t e = 0; e < a.size(); ++e) {
-    if (!eq(a[e].u1, b[e].u1) || !eq(a[e].u2, b[e].u2) ||
-        !eq(a[e].T, b[e].T) || !eq(a[e].dp, b[e].dp) ||
-        !eq(a[e].qdp, b[e].qdp) || !eq(a[e].phis, b[e].phis)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// A copy of \p s that shares no chunk with it.
-homme::State deep_copy(const homme::State& s) {
-  homme::State out(s.size());
-  for (std::size_t id = 0; id < s.size() * homme::kChunksPerElement; ++id) {
-    const homme::Chunk& c = homme::state_chunk(s, id);
-    homme::state_chunk(out, id).assign(c.data(), c.size());
-  }
-  return out;
-}
 
 TEST(GracefulDegradation, LateFaultLeavesTheStateUntouched) {
   homme::Dims d;
