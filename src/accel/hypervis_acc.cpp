@@ -1,6 +1,6 @@
 #include "accel/hypervis_acc.hpp"
 
-#include <vector>
+#include <span>
 
 #include "accel/pipeline.hpp"
 #include "homme/ops.hpp"
@@ -47,9 +47,12 @@ void hv_tile(HvKernel which, const homme::MetricView& g, double* field,
 }
 
 /// The fields a kernel updates.
-std::vector<FieldId> hv_fields(HvKernel which) {
-  if (which == HvKernel::kBiharmDp3d) return {FieldId::kDp};
-  return {FieldId::kU1, FieldId::kU2, FieldId::kT};
+std::span<const FieldId> hv_fields(HvKernel which) {
+  static constexpr FieldId kDp3d[] = {FieldId::kDp};
+  static constexpr FieldId kWindAndT[] = {FieldId::kU1, FieldId::kU2,
+                                          FieldId::kT};
+  if (which == HvKernel::kBiharmDp3d) return kDp3d;
+  return kWindAndT;
 }
 
 }  // namespace
@@ -59,7 +62,7 @@ sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, const homme::Dims& d,
                                  HvKernel which,
                                  const HypervisAccConfig& cfg) {
   const StateBlocks b(d, s);
-  const std::vector<FieldId> fields = hv_fields(which);
+  const std::span<const FieldId> fields = hv_fields(which);
   const int nlev = d.nlev;
   const int iters = b.nelem() * nlev;
   auto kernel = [&](sw::Cpe& cpe) -> sw::Task {

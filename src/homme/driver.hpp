@@ -99,6 +99,7 @@ class Dycore {
   /// "dycore" track, or a rank's "rank<r>" track shared with its
   /// bndry:*/net:* events. nullptr detaches.
   void set_track(obs::Track* trk) { trk_ = trk; }
+  obs::Track* track() const { return trk_; }
 
   /// Steps taken so far (drives the vertical-remap cadence).
   int step_count() const { return step_count_; }

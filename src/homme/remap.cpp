@@ -39,16 +39,26 @@ void monotone_slopes(std::size_t nlev, const double* width, const double* y,
   for (std::size_t i = 0; i < nlev; ++i) {
     // For finite y a zero secant has +0 slopes: s is NaN and s > 9 false.
     const T d = L::load(delta + i * W);
-    const T a = L::load(m + i * W) / d;
-    const T b = L::load(m + (i + 1) * W) / d;
+    const T mi = L::load(m + i * W), mj = L::load(m + (i + 1) * W);
+    // A lane with mi^2 + mj^2 < 8.99 d^2 and d^2 in (1e-290, 1e290) has
+    // s < 9 once rounded, so the limiter leaves it: the test's six
+    // roundings and s's five each err by a factor of at most 1 + 2^-53 (a
+    // square that underflows, by at most 2^-1074, far below 8.99 d^2),
+    // which leaves s below 8.99 (1 + 12 * 2^-53). NaN, infinite and zero
+    // secants fail the test. An interval of such lanes skips the divides.
+    const T d2 = d * d;
+    const auto settled =
+        (d2 > 1e-290) & (d2 < 1e290) & (mi * mi + mj * mj < 8.99 * d2);
+    if (!any(!settled)) continue;
+    const T a = mi / d;
+    const T b = mj / d;
     const T s = a * a + b * b;
     const auto limit = s > 9.0;
     if (!any(limit)) continue;
     const T tau =
         3.0 / per_lane([](double x) { return std::sqrt(x); }, s);
-    L::store(select(limit, tau * a * d, L::load(m + i * W)), m + i * W);
-    L::store(select(limit, tau * b * d, L::load(m + (i + 1) * W)),
-             m + (i + 1) * W);
+    L::store(select(limit, tau * a * d, mi), m + i * W);
+    L::store(select(limit, tau * b * d, mj), m + (i + 1) * W);
   }
 }
 

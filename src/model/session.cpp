@@ -329,6 +329,8 @@ void Session::step() {
   }
   if (physics_ != nullptr) {
     // validate() keeps physics to one rank: it indexes global elements.
+    // Its span shares the track of that rank's dyn:step spans.
+    obs::ScopedSpan span(ranks_.front().dycore->track(), "phys:step");
     phys_stats_ = physics_->step(ranks_.front().state, dt());
   }
   ++step_count_;

@@ -23,6 +23,13 @@ struct RadiationConfig {
   double sw_abs_frac = 0.25;  ///< shortwave absorbed within the atmosphere
 };
 
+/// Blackbody emission kStefan * t^4, lane by lane, with the bits of
+/// kStefan * std::pow(t, 4). pow runs only in the lanes where t^4,
+/// computed to about 2^-100, lies 0.45 ulp or more from its nearest
+/// double (modules.cpp).
+template <class T>
+T blackbody_emission(T t);
+
 /// Gray two-stream longwave radiation plus crude shortwave absorption.
 /// Updates t; fills diag.olr and contributes to diag.net_heating.
 template <class T>

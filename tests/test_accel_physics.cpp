@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "accel/hypervis_acc.hpp"
+#include "accel/packed.hpp"
 #include "homme/state.hpp"
 #include "physics/driver.hpp"
 #include "scenario/experiments.hpp"
@@ -193,6 +195,25 @@ TEST(PhysicsAcc, WarmAthreadCallReusesOneColumn) {
   const std::size_t allocs = alloc_counter::disarm();
   EXPECT_EQ(img.ncols, 6144);
   EXPECT_LT(allocs, static_cast<std::size_t>(img.ncols));
+}
+
+TEST(HypervisAcc, WarmAthreadLaunchAllocatesLessThanOnePerElement) {
+  // A 384-element dp2 launch (the ne8 mesh's count) on a warm core group:
+  // the kernel names the fields it updates without building a list per
+  // element, so its allocations stay below one per element.
+  constexpr int nelem = 384;
+  homme::Dims d;
+  d.nlev = 8;
+  d.qsize = 1;
+  const accel::PackedGeometry g = accel::PackedGeometry::pack(
+      mesh::CubedSphere::build(2, mesh::kEarthRadius), nelem);
+  homme::State s = accel::synthetic_state(d, nelem);
+  sw::CoreGroup cg;
+  accel::hypervis_athread(cg, d, s, g, accel::HvKernel::kDp2, {});  // cold
+  alloc_counter::arm();
+  accel::hypervis_athread(cg, d, s, g, accel::HvKernel::kDp2, {});
+  const std::size_t allocs = alloc_counter::disarm();
+  EXPECT_LT(allocs, static_cast<std::size_t>(nelem));
 }
 
 TEST(PhysicsAcc, LdmHoldsOneColumnComfortably) {

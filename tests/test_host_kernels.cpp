@@ -387,6 +387,33 @@ TEST(HostKernels, RemapColumnMatchesReference) {
   }
 }
 
+/// Fields at the edges of the remap limiter's product test
+/// (monotone_slopes): layers alternating 1 and a, whose "1" intervals have
+/// s = (1 + a)^2 / 2 within 1e-3 of 9 on both sides; secants whose squares
+/// lie just inside and just outside (1e-290, 1e290); and +0 and -0
+/// layers, alone and among signed ones.
+std::vector<std::vector<double>> limiter_edge_fields(std::size_t n) {
+  const auto alternating = [n](double one, double other) {
+    std::vector<double> f(n);
+    for (std::size_t k = 0; k < n; ++k) f[k] = k % 2 == 0 ? one : other;
+    return f;
+  };
+  std::vector<std::vector<double>> out;
+  for (const double eps : {-1e-3, -1e-6, 1e-6, 1e-3}) {
+    out.push_back(alternating(1.0, std::sqrt(18.0 * (1.0 + eps)) - 1.0));
+  }
+  for (const double scale : {0.99e-145, 1.01e-145, 0.99e145, 1.01e145}) {
+    out.push_back(alternating(scale, 3.0 * scale));
+  }
+  out.push_back(alternating(0.0, -0.0));
+  std::vector<double> signed_zeros(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    signed_zeros[k] = k % 3 == 0 ? -0.0 : k % 3 == 1 ? 0.0 : 1.0 + k % 2;
+  }
+  out.push_back(signed_zeros);
+  return out;
+}
+
 TEST(HostKernels, RemapPlanBitIdenticalToReferenceAtItsEdges) {
   std::mt19937 rng(43u);
   std::uniform_real_distribution<double> thick(0.3, 2.5);
@@ -419,10 +446,11 @@ TEST(HostKernels, RemapPlanBitIdenticalToReferenceAtItsEdges) {
       patchy[k] = k % 3 == 1 ? 0.0 : val(rng);
     }
     // Two constant fields: a linear cumulative integral, and one whose
-    // every secant is 0.
-    const std::vector<std::vector<double>> fields = {
+    // every secant is 0; then the limiter's edges.
+    std::vector<std::vector<double>> fields = {
         smooth, step, patchy, std::vector<double>(n, 2.75),
         std::vector<double>(n, 0.0)};
+    for (auto& f : limiter_edge_fields(n)) fields.push_back(std::move(f));
 
     struct Grid {
       const char* name;
@@ -476,9 +504,10 @@ TEST(HostKernels, RemapLanesMatchColumnsBitForBit) {
       step[k] = k < n / 2 ? 1.0 : 100.0;
       patchy[k] = k % 3 == 1 ? 0.0 : val(rng);
     }
-    const std::vector<std::vector<double>> fields = {
+    std::vector<std::vector<double>> fields = {
         smooth, step, patchy, std::vector<double>(n, 2.75),
         std::vector<double>(n, 0.0)};
+    for (auto& f : limiter_edge_fields(n)) fields.push_back(std::move(f));
     const std::vector<std::pair<const std::vector<double>*,
                                 const std::vector<double>*>>
         grids = {{&src, &tgt}, {&src, &src}, {&unit, &above}};
@@ -514,8 +543,9 @@ TEST(HostKernels, RemapLanesMatchColumnsBitForBit) {
         std::vector<double> got(n);
         for (std::size_t l = 0; l < n; ++l) got[l] = q[l * kW + i];
         EXPECT_TRUE(same_bits(want[i], got))
-            << "nlev " << nlev << ", grid " << (first + i) % pairs / 5
-            << ", field " << (first + i) % pairs % 5;
+            << "nlev " << nlev << ", grid "
+            << (first + i) % pairs / fields.size() << ", field "
+            << (first + i) % pairs % fields.size();
       }
     }
   }

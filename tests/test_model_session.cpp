@@ -337,4 +337,24 @@ TEST(Session, DiagnosticsAndTracerWork) {
   EXPECT_GT(obs::phase_count(sum, "dyn:step"), 0u);
 }
 
+TEST(Session, TracesItsPhysicsStepBesideTheDycoreStep) {
+  Session s(scenario::get("aquaplanet").config()
+                .with_ne(2)
+                .with_trace(true, obs::ClockDomain::kVirtual));
+  s.run(3);
+  const obs::Summary sum = s.summary();
+  EXPECT_EQ(obs::phase_count(sum, "phys:step"), 3u);
+  EXPECT_EQ(obs::phase_count(sum, "dyn:step"), 3u);
+  // One top-level span each per step, in step order, on one track.
+  std::vector<std::string> top;
+  int depth = 0;
+  for (const obs::Event& e : s.tracer().track("dycore").events()) {
+    if (e.ph == obs::EventPhase::kBegin && depth++ == 0) top.push_back(e.name);
+    if (e.ph == obs::EventPhase::kEnd) --depth;
+  }
+  EXPECT_EQ(top, (std::vector<std::string>{"dyn:step", "phys:step",
+                                           "dyn:step", "phys:step",
+                                           "dyn:step", "phys:step"}));
+}
+
 }  // namespace

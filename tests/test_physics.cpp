@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "homme/init.hpp"
@@ -10,6 +13,7 @@
 #include "physics/driver.hpp"
 #include "physics/modules.hpp"
 #include "scenario/experiments.hpp"
+#include "alloc_counter.hpp"
 
 namespace {
 
@@ -332,6 +336,66 @@ void prerewrite_surface_and_pbl(const phys::SurfaceConfig& cfg, Column& c,
   diffuse(c.v);
 }
 
+// -- the two schemes as they were before their bounds ----------------------
+// Verbatim T = double bodies: every level's Exner function computed up
+// front, and every level's saturation mixing ratio through exp. The
+// bounded schemes must reproduce them bit for bit, whether a bound settles
+// a level or leaves it open.
+
+void prerewrite_dry_adjustment(Column& c, int max_iter = 10) {
+  using homme::kKappa;
+  using homme::kP0;
+  const int n = c.nlev;
+  std::vector<double> exner(static_cast<std::size_t>(n));
+  for (int k = 0; k < n; ++k) {
+    exner[static_cast<std::size_t>(k)] =
+        std::pow(c.p[static_cast<std::size_t>(k)] / kP0, kKappa);
+  }
+  for (int iter = 0; iter < max_iter; ++iter) {
+    bool adjusted = false;
+    for (int k = 0; k + 1 < n; ++k) {  // k above, k+1 below
+      const std::size_t a = static_cast<std::size_t>(k);
+      const std::size_t b = a + 1;
+      const double theta_a = c.t[a] / exner[a];
+      const double theta_b = c.t[b] / exner[b];
+      if (!(theta_b > theta_a * (1.0 + 1e-12))) continue;
+      const double denom = exner[a] * c.dp[a] + exner[b] * c.dp[b];
+      const double theta = (c.t[a] * c.dp[a] + c.t[b] * c.dp[b]) / denom;
+      c.t[a] = theta * exner[a];
+      c.t[b] = theta * exner[b];
+      const double qbar =
+          (c.q[a] * c.dp[a] + c.q[b] * c.dp[b]) / (c.dp[a] + c.dp[b]);
+      c.q[a] = qbar;
+      c.q[b] = qbar;
+      adjusted = true;
+    }
+    if (!adjusted) break;
+  }
+}
+
+void prerewrite_large_scale_condensation(Column& c, double dt,
+                                         ColumnDiag& diag) {
+  using homme::kCp;
+  using homme::kGravity;
+  using phys::kEps;
+  using phys::kLv;
+  using phys::kRv;
+  for (int k = 0; k < c.nlev; ++k) {
+    const std::size_t sk = static_cast<std::size_t>(k);
+    const double es_t =
+        611.2 * std::exp(17.67 * (c.t[sk] - 273.15) / (c.t[sk] - 29.65));
+    const double es = std::min(es_t, 0.5 * c.p[sk]);
+    const double qs = kEps * es / (c.p[sk] - (1.0 - kEps) * es);
+    if (c.q[sk] <= qs) continue;  // subsaturated; a NaN proceeds
+    const double dqs_dt = qs * kLv / (kRv * c.t[sk] * c.t[sk]);
+    const double gamma = (kLv / kCp) * dqs_dt;
+    const double dq = (c.q[sk] - qs) / (1.0 + gamma);
+    c.q[sk] -= dq;
+    c.t[sk] += (kLv / kCp) * dq;
+    diag.precip += dq * c.dp[sk] / (kGravity * dt);
+  }
+}
+
 TEST(PhysicsSchemes, RadiationAndPblMatchTheirPreRewriteForms) {
   phys::RadiationConfig rad;
   for (int trial = 0; trial < 40; ++trial) {
@@ -494,10 +558,14 @@ TEST(PhysicsDriver, StepIsBitIdenticalToStraightforwardOracle) {
 /// start, a layer spacing per lane so that the PBL depth crosses a
 /// different interface in each, an air layer moister than the cold ocean's
 /// saturation in lane 3 (the latent flux clamps at 0), and winds of -0.0
-/// and +0.0 in lanes 2 and 3.
+/// and +0.0 in lanes 2 and 3. Lane 4 sits at the bounds' edges: a dry
+/// adiabat from 305 K floored at 150 K aloft, its pairs within 1e-11 of
+/// neutral on alternating sides, and humidities that put condensation's
+/// levels within 1e-9 of saturation on both sides (set from the
+/// temperatures radiation and dry adjustment leave at the test's dt).
 std::vector<Column> lane_columns(int nlev) {
   std::vector<Column> cols;
-  for (int lane = 0; lane < 4; ++lane) {
+  for (int lane = 0; lane < 5; ++lane) {
     Column c(nlev);
     const double ps = homme::kP0 * (1.0 - 0.05 * lane);
     c.ps = ps;
@@ -522,6 +590,28 @@ std::vector<Column> lane_columns(int nlev) {
     }
     if (lane == 0) c.q[static_cast<std::size_t>(nlev - 4)] *= 5.0;
     if (lane == 1) c.t[static_cast<std::size_t>(nlev - 1)] += 40.0;
+    if (lane == 4) {
+      c.t[static_cast<std::size_t>(nlev - 1)] = 305.0;
+      for (int k = nlev - 2; k >= 0; --k) {
+        const std::size_t sk = static_cast<std::size_t>(k);
+        const double adiabat =
+            c.t[sk + 1] * std::pow(c.p[sk] / c.p[sk + 1], homme::kKappa);
+        c.t[sk] = std::max(150.0, adiabat * (k % 2 == 0 ? 1.0 + 1e-11
+                                                        : 1.0 - 1e-11));
+      }
+      Column before_condensation = c;
+      ColumnDiag d;
+      phys::gray_radiation(phys::RadiationConfig{}, before_condensation,
+                           1800.0, d);
+      phys::dry_adjustment(before_condensation);
+      const double offsets[] = {-5e-10, 5e-10, -2e-9, 1e-6, -1e-6};
+      for (int k = 0; k < nlev; ++k) {
+        const std::size_t sk = static_cast<std::size_t>(k);
+        c.q[sk] = phys::saturation_mixing_ratio(before_condensation.t[sk],
+                                                c.p[sk]) *
+                  (1.0 + offsets[k % 5]);
+      }
+    }
     cols.push_back(c);
   }
   return cols;
@@ -543,9 +633,10 @@ TEST(Physics, LanesMatchColumnsBitForBit) {
   // The columns one at a time, scheme by scheme, with each scheme's
   // input and output kept.
   enum { kRad, kConv, kCond, kPbl, kSchemes };
+  const int ncols = static_cast<int>(start.size());
   std::vector<std::vector<Column>> after(kSchemes);
-  std::vector<ColumnDiag> diag(4);
-  for (int i = 0; i < 4; ++i) {
+  std::vector<ColumnDiag> diag(start.size());
+  for (int i = 0; i < ncols; ++i) {
     Column c = start[static_cast<std::size_t>(i)];
     ColumnDiag& d = diag[static_cast<std::size_t>(i)];
     phys::gray_radiation(rad, c, dt, d);
@@ -582,15 +673,17 @@ TEST(Physics, LanesMatchColumnsBitForBit) {
     mixed.push_back(m);
   }
 
-  // kW columns per call, against each column alone.
-  for (int first = 0; first < 4; first += kW) {
+  // kW columns per call, against each column alone; the calls cycle
+  // through the columns, so every column runs in some call.
+  const auto col = [ncols](int i) {
+    return static_cast<std::size_t>(i % ncols);
+  };
+  for (int first = 0; first < ncols; first += kW) {
     phys::BasicColumn<vpack> c(nlev);
     phys::BasicColumnDiag<vpack> d;
     auto pack = [&](auto get) {
       double lanes[kW];
-      for (int i = 0; i < kW; ++i) {
-        lanes[i] = get(start[static_cast<std::size_t>(first + i)]);
-      }
+      for (int i = 0; i < kW; ++i) lanes[i] = get(start[col(first + i)]);
       return vpack::load(lanes);
     };
     c.ps = pack([](const Column& x) { return x.ps; });
@@ -609,8 +702,7 @@ TEST(Physics, LanesMatchColumnsBitForBit) {
     auto expect_columns = [&](int scheme) {
       for (int i = 0; i < kW; ++i) {
         const Column& want =
-            after[static_cast<std::size_t>(scheme)]
-                 [static_cast<std::size_t>(first + i)];
+            after[static_cast<std::size_t>(scheme)][col(first + i)];
         for (std::size_t l = 0; l < nlev; ++l) {
           EXPECT_TRUE(same_bits(c.t[l][i], want.t[l]) &&
                       same_bits(c.q[l][i], want.q[l]) &&
@@ -618,7 +710,7 @@ TEST(Physics, LanesMatchColumnsBitForBit) {
                       same_bits(c.v[l][i], want.v[l]) &&
                       same_bits(c.dp[l][i], want.dp[l]) &&
                       same_bits(c.p[l][i], want.p[l]))
-              << "scheme " << scheme << ", lane " << first + i
+              << "scheme " << scheme << ", column " << col(first + i)
               << ", level " << l;
         }
       }
@@ -632,15 +724,290 @@ TEST(Physics, LanesMatchColumnsBitForBit) {
     phys::surface_and_pbl(sfc, c, dt, d);
     expect_columns(kPbl);
     for (int i = 0; i < kW; ++i) {
-      const ColumnDiag& want = diag[static_cast<std::size_t>(first + i)];
+      const ColumnDiag& want = diag[col(first + i)];
       EXPECT_TRUE(same_bits(d.precip[i], want.precip) &&
                   same_bits(d.olr[i], want.olr) &&
                   same_bits(d.shf[i], want.shf) &&
                   same_bits(d.lhf[i], want.lhf) &&
                   same_bits(d.net_heating[i], want.net_heating))
-          << "lane " << first + i;
+          << "column " << col(first + i);
     }
   }
+}
+
+// -- the bounds against the straightforward forms ---------------------------
+
+/// Whether two columns hold the same bits in every prognostic.
+bool same_column(const Column& a, const Column& b) {
+  const auto same = [](const std::vector<double>& x,
+                       const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  return same(a.t, b.t) && same(a.q, b.q) && same(a.u, b.u) &&
+         same(a.v, b.v);
+}
+
+/// \p scheme on the columns \p cols, kW at a time in the lanes of one
+/// vpack column (cycling through the columns to fill the last call), and
+/// one at a time: every lane must equal its column, and both must equal
+/// \p oracle's bits (t, q and precip).
+template <class Scheme, class Oracle>
+void expect_scheme_matches_oracle(const std::vector<Column>& cols,
+                                  Scheme scheme, Oracle oracle) {
+  using homme::vpack;
+  constexpr int kW = vpack::width;
+  ASSERT_FALSE(cols.empty());
+  const int ncols = static_cast<int>(cols.size());
+  const int nlev = cols.front().nlev;
+  for (int i = 0; i < ncols; ++i) {
+    Column got = cols[static_cast<std::size_t>(i)];
+    Column want = got;
+    ColumnDiag dg, dw;
+    scheme(got, dg);
+    oracle(want, dw);
+    EXPECT_TRUE(same_column(got, want)) << "column " << i;
+    EXPECT_TRUE(same_bits(dg.precip, dw.precip)) << "column " << i;
+  }
+  for (int first = 0; first < ncols; first += kW) {
+    const auto col = [&](int lane) -> const Column& {
+      return cols[static_cast<std::size_t>((first + lane) % ncols)];
+    };
+    phys::BasicColumn<vpack> c(nlev);
+    phys::BasicColumnDiag<vpack> d;
+    for (std::size_t l = 0; l < static_cast<std::size_t>(nlev); ++l) {
+      double t[kW], q[kW], dp[kW], p[kW];
+      for (int i = 0; i < kW; ++i) {
+        t[i] = col(i).t[l];
+        q[i] = col(i).q[l];
+        dp[i] = col(i).dp[l];
+        p[i] = col(i).p[l];
+      }
+      c.t[l] = vpack::load(t);
+      c.q[l] = vpack::load(q);
+      c.dp[l] = vpack::load(dp);
+      c.p[l] = vpack::load(p);
+    }
+    scheme(c, d);
+    for (int i = 0; i < kW; ++i) {
+      Column want = col(i);
+      ColumnDiag dw;
+      oracle(want, dw);
+      for (std::size_t l = 0; l < static_cast<std::size_t>(nlev); ++l) {
+        EXPECT_TRUE(same_bits(c.t[l][i], want.t[l]) &&
+                    same_bits(c.q[l][i], want.q[l]))
+            << "column " << (first + i) % ncols << ", level " << l;
+      }
+      EXPECT_TRUE(same_bits(d.precip[i], dw.precip))
+          << "column " << (first + i) % ncols;
+    }
+  }
+}
+
+/// A seeded uniform draw in [0, 1).
+struct Draw {
+  std::mt19937_64 rng;
+  explicit Draw(unsigned seed) : rng(seed) {}
+  double operator()() { return static_cast<double>(rng() >> 11) * 0x1p-53; }
+};
+
+/// Inputs outside the bounds' range, which must leave a level open and
+/// behave as the straightforward form does.
+constexpr double kOutside[] = {0.0, -0.0, -5.0, 1e-31, 1e31,
+                               std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()};
+
+TEST(PhysicsSchemes, DryAdjustmentMatchesItsPreRewriteForm) {
+  using homme::kKappa;
+  // Each pair's potential temperatures differ by a relative f: within
+  // 1e-10 of neutral on both sides (open, some unstable beyond the mask's
+  // 1e-12), or at the bound's own edge (just settled, just open). Tops
+  // are floored near 150 K above a warm surface; some columns carry a t
+  // or p outside the bounds' range.
+  const double near_neutral[] = {-2e-10, -1e-10, -1e-11, -1e-12, -1e-13,
+                                 0.0,    1e-13,  9e-13,  1e-12,  1.1e-12,
+                                 1e-11,  1e-10,  2e-10};
+  const double at_edge[] = {-1e-13, -1e-15, 0.0, 1e-15, 1e-13};
+  Draw draw{7};
+  std::vector<Column> cols;
+  for (int trial = 0; trial < 48; ++trial) {
+    const int nlev = 8 + trial % 17;
+    Column c = make_column(nlev, 300.0, 1e-3,
+                           homme::kP0 * (0.9 + 0.004 * trial));
+    for (std::size_t k = 0; k < static_cast<std::size_t>(nlev); ++k) {
+      c.q[k] = 1e-3 * draw();
+    }
+    c.t[static_cast<std::size_t>(nlev - 1)] = 295.0 + 20.0 * draw();
+    for (int k = nlev - 2; k >= 0; --k) {
+      const std::size_t a = static_cast<std::size_t>(k), b = a + 1;
+      const double pa = c.p[a], pb = c.p[b], tb = c.t[b];
+      double ta;
+      if (trial % 3 == 2) {
+        // The bound's edge: t_b p_b = t_a (p_b + kappa (p_b - p_a))
+        // (1 - 1e-10), moved by a relative g.
+        const double g = at_edge[static_cast<std::size_t>(k) % 5];
+        ta = tb * pb / ((pb + kKappa * (pb - pa)) * (1.0 - 1e-10)) *
+             (1.0 + g);
+      } else {
+        const double f = near_neutral[static_cast<std::size_t>(k + trial) %
+                                      13];
+        ta = tb * std::pow(pa / pb, kKappa) / (1.0 + f);
+      }
+      c.t[a] = std::max(150.0 + 5.0 * draw(), ta);
+    }
+    if (trial % 4 == 3) {
+      const std::size_t k =
+          static_cast<std::size_t>(draw() * nlev) % c.t.size();
+      const double bad = kOutside[static_cast<std::size_t>(trial / 4) % 7];
+      if (trial % 8 == 3) {
+        c.t[k] = bad;
+      } else {
+        c.p[k] = bad;
+      }
+    }
+    cols.push_back(c);
+  }
+  // The straightforward form adjusts some of them and leaves the others.
+  int adjusted = 0;
+  for (const Column& c : cols) {
+    Column x = c;
+    prerewrite_dry_adjustment(x);
+    adjusted += !same_column(x, c);
+  }
+  EXPECT_GT(adjusted, 8);
+  EXPECT_LT(adjusted, static_cast<int>(cols.size()) - 8);
+  // Columns of one level count per call.
+  for (int nlev = 8; nlev < 25; ++nlev) {
+    std::vector<Column> same_nlev;
+    for (const Column& c : cols) {
+      if (c.nlev == nlev) same_nlev.push_back(c);
+    }
+    expect_scheme_matches_oracle(
+        same_nlev,
+        [](auto& c, auto&) { phys::dry_adjustment(c); },
+        [](Column& c, ColumnDiag&) { prerewrite_dry_adjustment(c); });
+  }
+}
+
+TEST(PhysicsSchemes, CondensationMatchesItsPreRewriteForm) {
+  constexpr double dt = 900.0;
+  // Levels are independent: one long column per lane holds levels from
+  // cold tops near 150 K to a warm surface, at pressures from 1 hPa to
+  // the surface, whose q sits at a ratio r of the qs exp gives:
+  // r = 1 - 10^(-j/8) and 1 + 10^(-j/8) reach every scale from far below
+  // saturation to the last bits around it, the bound's edges included,
+  // and some levels carry a t, p or q outside the bounds' range.
+  std::vector<double> ratios{1.0};
+  for (int j = 0; j <= 128; ++j) {
+    ratios.push_back(1.0 - std::pow(10.0, -j / 8.0));
+    if (j >= 8) ratios.push_back(1.0 + std::pow(10.0, -j / 8.0));
+  }
+  Draw draw{11};
+  const int nlev = 2048;
+  std::vector<Column> cols;
+  int supersaturated = 0;
+  for (int lane = 0; lane < 5; ++lane) {
+    Column c(nlev);
+    for (std::size_t k = 0; k < static_cast<std::size_t>(nlev); ++k) {
+      const double t = k % 7 == 0 ? 150.0 + 2.0 * draw()
+                                  : 150.0 + 170.0 * draw();
+      const double p = 100.0 + 1.05e5 * draw();
+      const double qs = phys::saturation_mixing_ratio(t, p);
+      const double r = ratios[(k * 5 + static_cast<std::size_t>(lane)) %
+                              ratios.size()];
+      c.t[k] = t;
+      c.p[k] = p;
+      c.dp[k] = 500.0 + 1000.0 * draw();
+      c.q[k] = k % 11 == 5 ? std::nextafter(qs, r < 1.0 ? 0.0 : 1.0)
+                           : qs * r;
+      supersaturated += c.q[k] > qs;
+    }
+    for (std::size_t i = 0; i < 3 * std::size(kOutside); ++i) {
+      const std::size_t k = 17 + 29 * i + static_cast<std::size_t>(lane);
+      const double bad = kOutside[i % std::size(kOutside)];
+      if (i / std::size(kOutside) == 0) c.t[k] = bad;
+      if (i / std::size(kOutside) == 1) c.p[k] = bad;
+      if (i / std::size(kOutside) == 2) c.q[k] = bad;
+    }
+    c.t[100 + static_cast<std::size_t>(lane)] = 29.65;  // Bolton's pole
+    cols.push_back(c);
+  }
+  EXPECT_GT(supersaturated, nlev);
+  expect_scheme_matches_oracle(
+      cols,
+      [](auto& c, auto& d) { phys::large_scale_condensation(c, dt, d); },
+      [](Column& c, ColumnDiag& d) {
+        prerewrite_large_scale_condensation(c, dt, d);
+      });
+}
+
+TEST(Physics, EmissionMatchesPow) {
+  using homme::vpack;
+  constexpr int kW = vpack::width;
+  const auto pow4 = [](double t) { return phys::kStefan * std::pow(t, 4); };
+  std::size_t mismatches = 0;
+  const auto check = [&](const double (&t)[kW]) {
+    const vpack lanes = phys::blackbody_emission(vpack::load(t));
+    for (int i = 0; i < kW; ++i) {
+      const double want = pow4(t[i]);
+      mismatches += !same_bits(phys::blackbody_emission(t[i]), want);
+      mismatches += !same_bits(lanes[i], want);
+    }
+  };
+  // 10^7 seeded temperatures in [100, 400] K.
+  Draw draw{2017};
+  double t[kW];
+  for (int n = 0; n < 10'000'000; n += kW) {
+    for (double& x : t) x = 100.0 + 300.0 * draw();
+    check(t);
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // Walks of 10^4 consecutive doubles around a few temperatures, two of
+  // them (128 and 256 K) where t^4 is a power of two. t^4's place between
+  // two doubles moves by several ulp a step, so about one step in ten
+  // lands where the bound leaves pow to decide.
+  std::size_t in_fallback_band = 0;
+  for (const double mid : {128.0, 150.0, 216.65, 256.0, 273.15, 300.0}) {
+    double x = mid;
+    for (int i = 0; i < 5000; ++i) x = std::nextafter(x, 0.0);
+    for (int i = 0; i < 10'000; i += kW) {
+      for (double& lane : t) {
+        lane = x;
+        x = std::nextafter(x, 1e3);
+      }
+      check(t);
+      if constexpr (std::numeric_limits<long double>::digits >= 64) {
+        for (const double lane : t) {
+          // t^4 to 2^-62 relative, against the double pow rounds it to.
+          const long double exact = static_cast<long double>(lane) * lane *
+                                    lane * lane;
+          const double r = std::pow(lane, 4);
+          const long double ulp = std::nextafter(r, 1e300) - r;
+          in_fallback_band +=
+              std::fabs(exact - static_cast<long double>(r)) > 0.46L * ulp;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  if constexpr (std::numeric_limits<long double>::digits >= 64) {
+    EXPECT_GT(in_fallback_band, 2000u);
+  }
+}
+
+TEST(PhysicsDriver, WarmStepAllocatesOnlyItsColumnAndOlrField) {
+  const auto m = mesh::CubedSphere::build(4, mesh::kEarthRadius);
+  homme::Dims d;
+  d.nlev = 16;
+  d.qsize = 2;
+  homme::State s = scenario::aquaplanet_init_spec().build(m, d);
+  phys::PhysicsDriver pd(m, d);
+  pd.step(s, 1800.0);  // cold: un-shares the fields it writes
+  alloc_counter::arm();
+  pd.step(s, 1800.0);
+  const std::size_t allocs = alloc_counter::disarm();
+  // The seven arrays of its one BasicColumn<vpack> and the olr_field.
+  EXPECT_LE(allocs, 8u);
 }
 
 }  // namespace
