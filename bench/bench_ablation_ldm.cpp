@@ -30,13 +30,11 @@ void print_sweep() {
   std::printf("%-14s %14s %14s %12s\n", "shared fields", "openacc MB",
               "athread MB", "ath/acc");
   for (int shared : {0, 2, 4, 8, 12, 16}) {
-    accel::EulerAccConfig cfg;
-    cfg.shared_extra = shared;
-    auto derived = accel::EulerDerived::make(d, 8, cfg.shared_extra);
+    auto derived = accel::EulerDerived::make(d, 8, shared);
     homme::State p1 = base;
-    auto acc = accel::euler_openacc(cg, d, p1, geo, derived, cfg);
+    auto acc = accel::euler_openacc(cg, d, p1, geo, derived);
     homme::State p2 = base;
-    auto ath = accel::euler_athread(cg, d, p2, geo, derived, cfg);
+    auto ath = accel::euler_athread(cg, d, p2, geo, derived);
     std::printf("%-14d %14.2f %14.2f %11.1f%%\n", 3 + shared,
                 acc.totals.total_dma_bytes() / 1e6,
                 ath.totals.total_dma_bytes() / 1e6,
@@ -54,14 +52,13 @@ void BM_EulerTraffic(benchmark::State& state) {
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
   const homme::State base = accel::synthetic_state(d, 8);
   const auto geo = accel::PackedGeometry::pack(m, 8);
-  accel::EulerAccConfig cfg;
-  auto derived = accel::EulerDerived::make(d, 8, cfg.shared_extra);
+  auto derived = accel::EulerDerived::make(d, 8);
   sw::CoreGroup cg;
   const bool athread = state.range(0) == 1;
   for (auto _ : state) {
     homme::State p = base;
-    auto stats = athread ? accel::euler_athread(cg, d, p, geo, derived, cfg)
-                         : accel::euler_openacc(cg, d, p, geo, derived, cfg);
+    auto stats = athread ? accel::euler_athread(cg, d, p, geo, derived)
+                         : accel::euler_openacc(cg, d, p, geo, derived);
     state.SetIterationTime(stats.seconds);
     state.counters["dma_MB"] =
         static_cast<double>(stats.totals.total_dma_bytes()) / 1e6;

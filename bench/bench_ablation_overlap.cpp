@@ -4,13 +4,9 @@
 // another ~30%. Functional copy counters come from the real distributed
 // implementation; machine-scale time deltas from the analytic model.
 //
-// One step's comm share (exchange wait + send over the step) moves by
-// more than the two modes differ from one step to the next on a shared
-// host, so the comm-share table steps a session of each mode many times,
-// alternating modes after a warm-up, and reports each mode's median with
-// its quartiles. It measures at ne4 x 16 levels: at ne2 nearly every
-// element of a rank is a boundary element, so most of a step's DSS work
-// is the boundary bodies that run before the messages fly.
+// No wall-clock comm share is reported: the mini-MPI delivers a message
+// at its send, so the share of a step spent waiting measures how the host
+// schedules the two rank threads, not the exchange mode.
 //
 // Flags: --trace <path> captures a Chrome trace of one full distributed
 // dycore step in each mode on 2 ranks — side by side in one file via the
@@ -18,12 +14,10 @@
 // bndry:inner_compute (the rank's accumulation running while the sends
 // posted in bndry:post_send are in flight); the original mode instead
 // serializes bndry:compute before bndry:send. --json <path> dumps the per-phase
-// attribution of those traced steps and the measured comm-share
-// distribution of each mode.
+// attribution of those traced steps.
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <mutex>
@@ -51,22 +45,18 @@ struct ModeAttribution {
   double send_us = 0.0;          ///< bndry:send or bndry:post_send
   double inner_us = 0.0;         ///< bndry:inner_compute (overlap only)
   std::uint64_t inner_count = 0; ///< 0 in the original mode by design
-  double comm_share = 0.0;       ///< (wait+send) / step
 };
 
-/// The traced steps' shape, and the comm-share measurement's.
+/// The traced steps' shape.
 constexpr int kTracedNe = 2, kTracedLevels = 8;
-constexpr int kMeasuredNe = 4, kMeasuredLevels = 16;
-constexpr int kWarmupSteps = 10, kMeasuredSteps = 100;
 
 /// A 2-rank session of exchange mode \p mode, 2 tracers, traced on the
 /// wall clock, remapping every step (so each step exercises dyn:remap).
-std::unique_ptr<model::Session> make_session(homme::BndryExchange::Mode mode,
-                                             int ne, int nlev) {
+std::unique_ptr<model::Session> make_session(homme::BndryExchange::Mode mode) {
   return std::make_unique<model::Session>(
       model::SessionConfig{}
-          .with_ne(ne)
-          .with_levels(nlev, 2)
+          .with_ne(kTracedNe)
+          .with_levels(kTracedLevels, 2)
           .with_ranks(2)
           .with_exchange(mode)
           .with_remap_freq(1)
@@ -83,7 +73,6 @@ ModeAttribution attribute(const char* label, const obs::Summary& sum) {
               obs::phase_total_us(sum, "bndry:post_send");
   a.inner_us = obs::phase_total_us(sum, "bndry:inner_compute");
   a.inner_count = obs::phase_count(sum, "bndry:inner_compute");
-  if (a.step_us > 0.0) a.comm_share = (a.wait_us + a.send_us) / a.step_us;
   return a;
 }
 
@@ -93,65 +82,17 @@ ModeAttribution attribute(const char* label, const obs::Summary& sum) {
 ModeAttribution run_traced_step(std::unique_ptr<model::Session>& slot,
                                 const char* label, int pid_offset,
                                 homme::BndryExchange::Mode mode) {
-  slot = make_session(mode, kTracedNe, kTracedLevels);
+  slot = make_session(mode);
   slot->tracer().set_label(label);
   slot->tracer().set_pid_offset(pid_offset);
   slot->step();
   return attribute(label, slot->summary());
 }
 
-/// The comm-share distribution of one mode over many steps.
-struct ShareStats {
-  int steps = 0;
-  double q1 = 0.0, median = 0.0, q3 = 0.0;
-};
-
-/// Quantile \p p of \p v (sorted in place), linear between ranks.
-double quantile(std::vector<double>& v, double p) {
-  std::sort(v.begin(), v.end());
-  const double at = p * static_cast<double>(v.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(at);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  return v[lo] + (at - static_cast<double>(lo)) * (v[hi] - v[lo]);
-}
-
-/// Step one measured-shape session per mode kWarmupSteps times, then
-/// kMeasuredSteps more times, alternating modes step by step, each on a
-/// freshly reset tracer, and take each measured step's comm share.
-void measure_comm_shares(ShareStats& original, ShareStats& overlap) {
-  struct Side {
-    std::unique_ptr<model::Session> sess;
-    std::vector<double> shares;
-  } sides[2] = {{make_session(homme::BndryExchange::Mode::kOriginal,
-                              kMeasuredNe, kMeasuredLevels),
-                 {}},
-                {make_session(homme::BndryExchange::Mode::kOverlap,
-                              kMeasuredNe, kMeasuredLevels),
-                 {}}};
-  for (int i = 0; i < kWarmupSteps + kMeasuredSteps; ++i) {
-    for (Side& side : sides) {
-      side.sess->tracer().reset();
-      side.sess->step();
-      if (i >= kWarmupSteps) {
-        side.shares.push_back(attribute("", side.sess->summary()).comm_share);
-      }
-    }
-  }
-  ShareStats* out[2] = {&original, &overlap};
-  for (int m = 0; m < 2; ++m) {
-    std::vector<double>& v = sides[m].shares;
-    out[m]->steps = static_cast<int>(v.size());
-    out[m]->q1 = quantile(v, 0.25);
-    out[m]->median = quantile(v, 0.5);
-    out[m]->q3 = quantile(v, 0.75);
-  }
-}
-
 void print_attribution(const ModeAttribution& a) {
-  std::printf("%-10s %12.0f %12.0f %12.0f %12.0f %6llu %9.1f%%\n", a.mode,
-              a.step_us, a.wait_us, a.send_us, a.inner_us,
-              static_cast<unsigned long long>(a.inner_count),
-              100.0 * a.comm_share);
+  std::printf("%-10s %12.0f %12.0f %12.0f %12.0f %6llu\n", a.mode, a.step_us,
+              a.wait_us, a.send_us, a.inner_us,
+              static_cast<unsigned long long>(a.inner_count));
 }
 
 void print_copy_ablation() {
@@ -254,28 +195,15 @@ int main(int argc, char** argv) {
   const ModeAttribution over = run_traced_step(
       g_sess_overlap, "overlap", 1000, homme::BndryExchange::Mode::kOverlap);
   std::printf("=== Traced step (2 ranks, ne%d, %d levels): section 7.6 "
-              "comm-share attribution ===\n",
+              "span attribution ===\n",
               kTracedNe, kTracedLevels);
-  std::printf("%-10s %12s %12s %12s %12s %6s %10s\n", "mode", "step us",
-              "wait us", "send us", "inner us", "#inner", "comm");
+  std::printf("%-10s %12s %12s %12s %12s %6s\n", "mode", "step us",
+              "wait us", "send us", "inner us", "#inner");
   print_attribution(orig);
   print_attribution(over);
   std::printf("(bndry:inner_compute exists only in the overlap redesign: it "
               "is the rank's accumulation running while sends are in "
-              "flight)\n");
-
-  ShareStats orig_share, over_share;
-  measure_comm_shares(orig_share, over_share);
-  std::printf("\ncomm share, 2 ranks, ne%d, %d levels: %d alternating steps "
-              "per mode after %d warm-up steps\n",
-              kMeasuredNe, kMeasuredLevels, kMeasuredSteps, kWarmupSteps);
-  std::printf("%-10s %9s %9s %9s\n", "mode", "q1", "median", "q3");
-  for (const auto& [label, st] : {std::pair{"original", &orig_share},
-                                  std::pair{"overlap", &over_share}}) {
-    std::printf("%-10s %8.1f%% %8.1f%% %8.1f%%\n", label, 100.0 * st->q1,
-                100.0 * st->median, 100.0 * st->q3);
-  }
-  std::printf("\n");
+              "flight)\n\n");
 
   if (!opts.json_path.empty()) {
     obs::Report rep("ablation_overlap");
@@ -283,27 +211,17 @@ int main(int argc, char** argv) {
         .set("ranks", 2)
         .set("mesh_ne", kTracedNe)
         .set("nlev", kTracedLevels)
-        .set("qsize", 2)
-        .set("measured_mesh_ne", kMeasuredNe)
-        .set("measured_nlev", kMeasuredLevels)
-        .set("warmup_steps", kWarmupSteps);
-    // Per mode: the traced step's attribution, then the measured
-    // comm-share distribution.
+        .set("qsize", 2);
+    // Per mode: the traced step's attribution.
     obs::Json& modes = rep.root().arr("modes");
-    for (const auto& [a, st] : {std::pair{&orig, &orig_share},
-                                std::pair{&over, &over_share}}) {
+    for (const ModeAttribution* a : {&orig, &over}) {
       modes.push()
           .set("mode", a->mode)
           .set("step_us", a->step_us)
           .set("wait_unpack_us", a->wait_us)
           .set("send_us", a->send_us)
           .set("inner_compute_us", a->inner_us)
-          .set("inner_compute_count", a->inner_count)
-          .set("comm_share", a->comm_share)
-          .set("comm_share_steps", st->steps)
-          .set("comm_share_q1", st->q1)
-          .set("comm_share_median", st->median)
-          .set("comm_share_q3", st->q3);
+          .set("inner_compute_count", a->inner_count);
     }
     if (!rep.write(opts.json_path)) return 1;
   }

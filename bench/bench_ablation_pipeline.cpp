@@ -36,9 +36,7 @@ struct ChainBench {
   homme::Dims d;
   homme::State base;
   accel::PackedGeometry geo;
-  accel::EulerAccConfig euler_cfg{};
   accel::EulerDerived derived;
-  accel::HypervisAccConfig hv_cfg{};
 
   ChainBench(int nelem, int nlev, int qsize) {
     d.nlev = nlev;
@@ -46,17 +44,16 @@ struct ChainBench {
     auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
     base = accel::synthetic_state(d, nelem);
     geo = accel::PackedGeometry::pack(m, nelem);
-    derived = accel::EulerDerived::make(d, nelem, euler_cfg.shared_extra);
+    derived = accel::EulerDerived::make(d, nelem);
   }
 
   ChainResult run(bool fused) const {
     ChainResult r{.stats = {}, .out = base};
     accel::StateBlocks blocks;
     blocks.refill(d, r.out, r.out);
-    accel::EulerKernel euler(blocks, geo, derived, euler_cfg);
-    accel::HypervisKernel dp2(blocks, geo, accel::HvKernel::kDp2, hv_cfg);
-    accel::HypervisKernel dp3d(blocks, geo, accel::HvKernel::kBiharmDp3d,
-                               hv_cfg);
+    accel::EulerKernel euler(blocks, geo, derived);
+    accel::HypervisKernel dp2(blocks, geo, accel::HvKernel::kDp2);
+    accel::HypervisKernel dp3d(blocks, geo, accel::HvKernel::kBiharmDp3d);
     accel::RemapKernel remap(blocks, 0, blocks.nelem());
     const std::vector<const accel::Kernel*> chain{&euler, &dp2, &dp3d,
                                                   &remap};

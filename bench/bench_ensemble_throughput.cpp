@@ -368,25 +368,7 @@ bool write_json(const std::string& path, const EnsembleSpec& spec,
       .set("checkpoint_bytes_per_step", ckpt.bytes_per_step);
   // A live engine's aggregate telemetry, so downstream tooling sees the
   // fields svc::Engine::summary_report also emits.
-  const svc::EngineStats est = probe.stats();
-  rep.root()
-      .obj("engine_summary")
-      .set("workers", est.workers)
-      .set("submitted", est.submitted)
-      .set("completed", est.completed)
-      .set("faulted", est.faulted)
-      .set("cancelled", est.cancelled)
-      .set("deadline", est.deadline)
-      .set("member_steps", est.member_steps)
-      .set("member_steps_per_s", est.member_steps_per_s())
-      .set("worker_utilization", est.utilization())
-      .set("queue_high_water",
-           static_cast<std::int64_t>(est.queue_high_water))
-      .set("mesh_bundles", static_cast<std::int64_t>(est.mesh_bundles))
-      .set("mesh_bundle_bytes",
-           static_cast<std::int64_t>(est.mesh_bundle_bytes))
-      .set("mesh_bytes_unshared",
-           static_cast<std::int64_t>(est.mesh_bytes_unshared));
+  probe.stats().write(rep.root().obj("engine_summary"));
   return rep.write(path);
 }
 

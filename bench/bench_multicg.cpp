@@ -98,12 +98,12 @@ SweepPoint run_sweep_point(int ne, int steps, int cgs,
 
 // -- engine placement phase --------------------------------------------------
 
+/// What placement leaves invariant: how many members it placed and their
+/// digests. The pools' high-waters and contended descriptors depend on
+/// how the host overlaps the two workers' members, so they are not kept.
 struct PlacementPoint {
   std::string policy;
   std::uint64_t placed_members = 0;
-  int cg_groups_busy_high_water = 0;
-  int cg_stream_high_water = 0;
-  std::uint64_t contended_ops = 0;
   std::vector<std::uint32_t> crcs;  ///< per member, submission order
 };
 
@@ -130,11 +130,7 @@ PlacementPoint run_placement(int ne, int steps,
       policy == svc::EngineConfig::Placement::kPack ? "pack" : "spread";
   for (auto& t : tickets) pt.crcs.push_back(t->wait().state_crc);
 
-  const svc::EngineStats st = engine.stats();
-  pt.placed_members = st.placed_members;
-  pt.cg_groups_busy_high_water = st.cg_groups_busy_high_water;
-  pt.cg_stream_high_water = st.cg_stream_high_water;
-  pt.contended_ops = st.cg_contended_ops;
+  pt.placed_members = engine.stats().placed_members;
   engine.shutdown();
   return pt;
 }
@@ -173,12 +169,9 @@ bool write_json(const std::string& path, int ne, int steps,
   }
   obs::Json& pl = rep.root().arr("placement");
   for (const auto& pt : placements) {
-    obs::Json& row = pl.push();
-    row.set("policy", pt.policy)
-        .set("placed_members", static_cast<std::int64_t>(pt.placed_members))
-        .set("cg_groups_busy_high_water", pt.cg_groups_busy_high_water)
-        .set("cg_stream_high_water", pt.cg_stream_high_water)
-        .set("contended_ops", static_cast<std::int64_t>(pt.contended_ops));
+    pl.push()
+        .set("policy", pt.policy)
+        .set("placed_members", static_cast<std::int64_t>(pt.placed_members));
   }
   const SweepPoint& widest = sweep.back();
   rep.root()
@@ -209,13 +202,10 @@ void print_table(int ne, int steps, const std::vector<SweepPoint>& sweep) {
 void print_placements(const std::vector<PlacementPoint>& placements,
                       int mismatches) {
   std::printf("=== Engine placement: 4 members on 2 pools x 2 CGs ===\n");
-  std::printf("%8s %8s %10s %10s %14s\n", "policy", "placed", "groups_hw",
-              "stream_hw", "contended_ops");
+  std::printf("%8s %8s\n", "policy", "placed");
   for (const auto& pt : placements)
-    std::printf("%8s %8llu %10d %10d %14llu\n", pt.policy.c_str(),
-                static_cast<unsigned long long>(pt.placed_members),
-                pt.cg_groups_busy_high_water, pt.cg_stream_high_water,
-                static_cast<unsigned long long>(pt.contended_ops));
+    std::printf("%8s %8llu\n", pt.policy.c_str(),
+                static_cast<unsigned long long>(pt.placed_members));
   std::printf("placement-independent digests: %s\n\n",
               mismatches == 0 ? "yes" : "NO");
 }

@@ -16,16 +16,16 @@ using homme::fidx;
 namespace {
 
 /// One (element, tracer, level) tile of every variant: homme's tracer
-/// body r = -div(u qdp), then qdp += dt * r. The divergence reads only
-/// the view's jac. All pointers are level-tile pointers (16 doubles).
+/// body r = -div(u qdp), then qdp += kPortDt * r. The divergence reads
+/// only the view's jac. All pointers are level-tile pointers (16 doubles).
 void euler_tile(const homme::MetricView& g, const double* u1,
-                const double* u2, double* qdp, double dt, sw::Cpe& cpe,
+                const double* u2, double* qdp, sw::Cpe& cpe,
                 bool vectorized) {
   double r[kNpp];
   homme::tracer_rhs_level(g, u1, u2, qdp, r);
   charge(cpe, vectorized, kNpp * 2);  // the flux u qdp
   charge(cpe, vectorized, kDivergenceFlops);
-  for (int k = 0; k < kNpp; ++k) qdp[k] += dt * r[k];
+  for (int k = 0; k < kNpp; ++k) qdp[k] += kPortDt * r[k];
   charge(cpe, vectorized, kNpp * 2);
 }
 
@@ -34,6 +34,7 @@ void euler_tile(const homme::MetricView& g, const double* u1,
 EulerDerived EulerDerived::make(const homme::Dims& d, int nelem,
                                 int shared_extra) {
   EulerDerived dv;
+  dv.shared_extra = shared_extra;
   const std::size_t total = static_cast<std::size_t>(nelem) * d.field_size();
   dv.extra.assign(total * static_cast<std::size_t>(shared_extra), 1.0);
   return dv;
@@ -41,13 +42,12 @@ EulerDerived EulerDerived::make(const homme::Dims& d, int nelem,
 
 sw::KernelStats euler_openacc(sw::CoreGroup& cg, const homme::Dims& d,
                               homme::State& s, const PackedGeometry& g,
-                              const EulerDerived& dv,
-                              const EulerAccConfig& cfg) {
+                              const EulerDerived& dv) {
   const StateBlocks b(d, s);
   const int nlev = d.nlev;
   const int qsize = d.qsize;
   const int iters = b.nelem() * qsize;
-  const int nshared = 3 + cfg.shared_extra;  // u1, u2, dp + dummies
+  const int nshared = 3 + dv.shared_extra;  // u1, u2, dp + dummies
   // Level chunk that fits the shared slices + qdp slice + jac in LDM —
   // what the paper's footprint-analysis tool decided per loop nest.
   const int chunk =
@@ -76,7 +76,7 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, const homme::Dims& d,
         cpe.get(u1, b.from(FieldId::kU1, e) + off);
         cpe.get(u2, b.from(FieldId::kU2, e) + off);
         cpe.get(dp, b.from(FieldId::kDp, e) + off);
-        for (int x = 0; x < cfg.shared_extra; ++x) {
+        for (int x = 0; x < dv.shared_extra; ++x) {
           auto dummy = cpe.ldm().alloc<double>(n);
           cpe.get(dummy, dv.extra.data() +
                              static_cast<std::size_t>(x * b.nelem() + e) *
@@ -89,8 +89,8 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, const homme::Dims& d,
         cpe.get(qdp, b.from(FieldId::kQdp, e) + qoff);
         for (int l = 0; l < levs; ++l) {
           const std::size_t t = static_cast<std::size_t>(l) * kNpp;
-          euler_tile(mv, u1.data() + t, u2.data() + t, qdp.data() + t,
-                     cfg.dt, cpe, /*vectorized=*/false);
+          euler_tile(mv, u1.data() + t, u2.data() + t, qdp.data() + t, cpe,
+                     /*vectorized=*/false);
         }
         cpe.put(b.to(FieldId::kQdp, e) + qoff, std::span<const double>(qdp));
       }
@@ -113,9 +113,9 @@ void EulerKernel::bind(Workset& ws) const {
   for (const FieldId id : {FieldId::kDp, FieldId::kU1, FieldId::kU2}) {
     ws.bind(b_.binding(id, /*writable=*/false, /*keep=*/true));
   }
-  if (cfg_.shared_extra > 0) {
+  if (dv_.shared_extra > 0) {
     ws.bind({FieldId::kExtra, const_cast<double*>(dv_.extra.data()), fs, fs,
-             cfg_.shared_extra, static_cast<std::size_t>(b_.nelem()) * fs,
+             dv_.shared_extra, static_cast<std::size_t>(b_.nelem()) * fs,
              false});
   }
   if (d.qsize > 0) {
@@ -153,17 +153,17 @@ void EulerKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
     FieldLease u1 = ctx.lease(FieldId::kU1, 0, off, n, Access::kRead);
     FieldLease u2 = ctx.lease(FieldId::kU2, 0, off, n, Access::kRead);
     FieldLease dp = ctx.lease(FieldId::kDp, 0, off, n, Access::kRead);
-    for (int x = 0; x < cfg_.shared_extra; ++x) {
+    for (int x = 0; x < dv_.shared_extra; ++x) {
       // dp and CAM's extra shared arrays are transferred but not combined
-      // into the arithmetic (see EulerAccConfig::shared_extra).
+      // into the arithmetic (see EulerDerived).
       FieldLease dummy = ctx.lease(FieldId::kExtra, x, off, n, Access::kRead);
     }
     for (int q = 0; q < b_.dims().qsize; ++q) {
       FieldLease qdp = ctx.lease(FieldId::kQdp, q, off, n, Access::kReadWrite);
       for (int l = 0; l < levs; ++l) {
         const std::size_t t = static_cast<std::size_t>(l) * kNpp;
-        euler_tile(g, u1.data() + t, u2.data() + t, qdp.data() + t,
-                   cfg_.dt, cpe, /*vectorized=*/true);
+        euler_tile(g, u1.data() + t, u2.data() + t, qdp.data() + t, cpe,
+                   /*vectorized=*/true);
       }
     }
   }
@@ -171,10 +171,9 @@ void EulerKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
 
 sw::KernelStats euler_athread(sw::CoreGroup& cg, const homme::Dims& d,
                               homme::State& s, const PackedGeometry& g,
-                              const EulerDerived& dv,
-                              const EulerAccConfig& cfg) {
+                              const EulerDerived& dv) {
   const StateBlocks b(d, s);
-  EulerKernel k(b, g, dv, cfg);
+  EulerKernel k(b, g, dv);
   KernelPipeline pipe({&k});
   return pipe.run(cg);
 }

@@ -10,9 +10,9 @@
 ///
 /// The kernel takes one forward-Euler stage of homme's tracer advection
 /// for every tracer, r = -div(u qdp) by homme::tracer_rhs_level, then
-/// qdp += dt * r: homme::element_tracer_rhs plus that update, bit for bit.
-/// The tracer loop shares the non-q arrays (u1, u2, dp, geometry, plus
-/// CAM's further derived fields, stood in for by `shared_extra` dummy
+/// qdp += kPortDt * r: homme::element_tracer_rhs plus that update, bit for
+/// bit. The tracer loop shares the non-q arrays (u1, u2, dp, geometry,
+/// plus CAM's further derived fields, stood in for by EulerDerived's dummy
 /// fields). dp is transferred as CAM's euler_step reads it (vstar =
 /// vn0 / dp) but, like the dummies, does not enter the arithmetic:
 ///
@@ -32,27 +32,22 @@
 
 namespace accel {
 
-struct EulerAccConfig {
-  double dt = 100.0;
-  /// Stand-ins for CAM's additional per-element derived fields that the
-  /// OpenACC code re-reads per tracer (dpdiss, Qtens_biharmonic inputs,
-  /// reciprocal metdet, ...). They are transferred but not combined into
-  /// the arithmetic, so variants stay bit-identical.
-  int shared_extra = 4;
-};
-
-/// The euler kernel's stand-in derived fields (shared_extra dummies).
+/// The euler kernel's stand-ins for CAM's additional per-element derived
+/// fields that the OpenACC code re-reads per tracer (dpdiss,
+/// Qtens_biharmonic inputs, reciprocal metdet, ...). They are transferred
+/// but not combined into the arithmetic, so variants stay bit-identical.
 struct EulerDerived {
+  int shared_extra = 0;       ///< stand-in fields
   std::vector<double> extra;  ///< [shared_extra][e][lev][16]
-  /// Stand-ins for \p nelem elements of shape \p d.
-  static EulerDerived make(const homme::Dims& d, int nelem, int shared_extra);
+  /// \p shared_extra stand-ins for \p nelem elements of shape \p d.
+  static EulerDerived make(const homme::Dims& d, int nelem,
+                           int shared_extra = 4);
 };
 
 /// OpenACC-style port on the simulated CPE cluster. Updates s's qdp.
 sw::KernelStats euler_openacc(sw::CoreGroup& cg, const homme::Dims& d,
                               homme::State& s, const PackedGeometry& g,
-                              const EulerDerived& dv,
-                              const EulerAccConfig& cfg);
+                              const EulerDerived& dv);
 
 /// euler_step behind the declared-binding pipeline interface: geometry,
 /// dp and the wind are keep-candidates shared across the tracer loop (and,
@@ -60,8 +55,8 @@ sw::KernelStats euler_openacc(sw::CoreGroup& cg, const homme::Dims& d,
 class EulerKernel final : public Kernel {
  public:
   EulerKernel(const StateBlocks& b, const PackedGeometry& g,
-              const EulerDerived& dv, const EulerAccConfig& cfg)
-      : b_(b), g_(g), dv_(dv), cfg_(cfg) {}
+              const EulerDerived& dv)
+      : b_(b), g_(g), dv_(dv) {}
 
   std::string_view name() const override { return "euler_step"; }
   void bind(Workset& ws) const override;
@@ -73,14 +68,12 @@ class EulerKernel final : public Kernel {
   const StateBlocks& b_;
   const PackedGeometry& g_;
   const EulerDerived& dv_;
-  EulerAccConfig cfg_;
 };
 
 /// Athread fine-grained port (Algorithm 2), a one-kernel pipeline.
 /// Updates s's qdp.
 sw::KernelStats euler_athread(sw::CoreGroup& cg, const homme::Dims& d,
                               homme::State& s, const PackedGeometry& g,
-                              const EulerDerived& dv,
-                              const EulerAccConfig& cfg);
+                              const EulerDerived& dv);
 
 }  // namespace accel

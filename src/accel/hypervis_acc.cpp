@@ -30,19 +30,20 @@ void laplace_tile(const homme::MetricView& g, const double* s, double* lap,
   charge(cpe, vec, kNpp * (4 * kNp + 3));
 }
 
-/// Apply the kernel's operator to one level tile in place.
+/// Apply the kernel's operator to one level tile in place, scaled by
+/// nu * dt = kPortNuDt.
 void hv_tile(HvKernel which, const homme::MetricView& g, double* field,
-             double nu_dt, sw::Cpe& cpe, bool vec) {
+             sw::Cpe& cpe, bool vec) {
   double lap[kNpp];
   laplace_tile(g, field, lap, cpe, vec);
   if (which == HvKernel::kDp1) {
-    for (int k = 0; k < kNpp; ++k) field[k] += nu_dt * lap[k];
+    for (int k = 0; k < kNpp; ++k) field[k] += kPortNuDt * lap[k];
     charge(cpe, vec, kNpp * 2);
     return;
   }
   double lap2[kNpp];
   laplace_tile(g, lap, lap2, cpe, vec);
-  for (int k = 0; k < kNpp; ++k) field[k] -= nu_dt * lap2[k];
+  for (int k = 0; k < kNpp; ++k) field[k] -= kPortNuDt * lap2[k];
   charge(cpe, vec, kNpp * 2);
 }
 
@@ -59,8 +60,7 @@ std::span<const FieldId> hv_fields(HvKernel which) {
 
 sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, const homme::Dims& d,
                                  homme::State& s, const PackedGeometry& g,
-                                 HvKernel which,
-                                 const HypervisAccConfig& cfg) {
+                                 HvKernel which) {
   const StateBlocks b(d, s);
   const std::span<const FieldId> fields = hv_fields(which);
   const int nlev = d.nlev;
@@ -83,7 +83,7 @@ sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, const homme::Dims& d,
         const std::size_t off = fidx(lev, 0);
         cpe.get(tile, b.from(f, e) + off);
         hv_tile(which, homme::MetricView(geom.data(), kLaplaceTiles),
-                tile.data(), cfg.nu_dt, cpe, /*vectorized=*/false);
+                tile.data(), cpe, /*vectorized=*/false);
         cpe.put(b.to(f, e) + off, std::span<const double>(tile));
         co_await cpe.yield();
       }
@@ -143,18 +143,16 @@ void HypervisKernel::element(sw::Cpe& cpe, ElemCtx& ctx) const {
   for (FieldId f : hv_fields(which_)) {
     FieldLease fld = ctx.lease(f, 0, 0, d.field_size(), Access::kReadWrite);
     for (int lev = 0; lev < d.nlev; ++lev) {
-      hv_tile(which_, g, fld.data() + fidx(lev, 0), cfg_.nu_dt, cpe,
-              /*vectorized=*/true);
+      hv_tile(which_, g, fld.data() + fidx(lev, 0), cpe, /*vectorized=*/true);
     }
   }
 }
 
 sw::KernelStats hypervis_athread(sw::CoreGroup& cg, const homme::Dims& d,
                                  homme::State& s, const PackedGeometry& g,
-                                 HvKernel which,
-                                 const HypervisAccConfig& cfg) {
+                                 HvKernel which) {
   const StateBlocks b(d, s);
-  HypervisKernel k(b, g, which, cfg);
+  HypervisKernel k(b, g, which);
   KernelPipeline pipe({&k});
   return pipe.run(cg);
 }

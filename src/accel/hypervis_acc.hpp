@@ -21,10 +21,6 @@
 
 namespace accel {
 
-struct HypervisAccConfig {
-  double nu_dt = 1.0e10;  ///< nu * dt, m^4 (m^2 for dp1)
-};
-
 enum class HvKernel {
   kDp1,        ///< single Laplacian on u1, u2, T
   kDp2,        ///< biharmonic on u1, u2, T
@@ -33,8 +29,7 @@ enum class HvKernel {
 
 sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, const homme::Dims& d,
                                  homme::State& s, const PackedGeometry& g,
-                                 HvKernel which,
-                                 const HypervisAccConfig& cfg);
+                                 HvKernel which);
 
 /// One dissipation kernel behind the declared-binding interface. The
 /// four metric tiles it reads (jac, ginv11/12/22) are the leading tiles
@@ -43,8 +38,8 @@ sw::KernelStats hypervis_openacc(sw::CoreGroup& cg, const homme::Dims& d,
 class HypervisKernel final : public Kernel {
  public:
   HypervisKernel(const StateBlocks& b, const PackedGeometry& g,
-                 HvKernel which, const HypervisAccConfig& cfg)
-      : b_(b), g_(g), which_(which), cfg_(cfg) {}
+                 HvKernel which)
+      : b_(b), g_(g), which_(which) {}
 
   std::string_view name() const override;
   void bind(Workset& ws) const override;
@@ -56,12 +51,10 @@ class HypervisKernel final : public Kernel {
   const StateBlocks& b_;
   const PackedGeometry& g_;
   HvKernel which_;
-  HypervisAccConfig cfg_;
 };
 
 sw::KernelStats hypervis_athread(sw::CoreGroup& cg, const homme::Dims& d,
                                  homme::State& s, const PackedGeometry& g,
-                                 HvKernel which,
-                                 const HypervisAccConfig& cfg);
+                                 HvKernel which);
 
 }  // namespace accel

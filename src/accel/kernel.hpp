@@ -51,6 +51,11 @@ inline constexpr std::uint64_t kDerivFlops = kNpp * 4 * kNp;
 inline constexpr std::uint64_t kDivergenceFlops = kNpp * (2 + 4 * kNp + 2);
 inline constexpr std::uint64_t kVorticityFlops = kNpp * (6 + 4 * kNp + 2);
 
+/// The time step the rhs and euler ports advance by, s.
+inline constexpr double kPortDt = 100.0;
+/// nu * dt of the hypervis ports, m^4 (m^2 for hypervis_dp1).
+inline constexpr double kPortNuDt = 1.0e10;
+
 /// Identity of one main-memory field a kernel can lease.
 enum class FieldId : std::uint16_t {
   kGeom = 0,  ///< packed geometry tiles of the element

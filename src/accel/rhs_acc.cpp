@@ -46,8 +46,7 @@ void rhs_level_tile(const double* geom, const double* u1, const double* u2,
 }  // namespace
 
 sw::KernelStats rhs_openacc(sw::CoreGroup& cg, const homme::Dims& d,
-                            homme::State& s, const PackedGeometry& g,
-                            const RhsAccConfig& cfg) {
+                            homme::State& s, const PackedGeometry& g) {
   const StateBlocks blocks(d, s);
   const int nelem = blocks.nelem();
   const int nlev = d.nlev;
@@ -209,10 +208,10 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, const homme::Dims& d,
               kKappa * T[static_cast<std::size_t>(k)] *
                   om[static_cast<std::size_t>(k)] /
                   pmt[static_cast<std::size_t>(k)];
-          u1[static_cast<std::size_t>(k)] += cfg.dt * a[static_cast<std::size_t>(k)];
-          u2[static_cast<std::size_t>(k)] += cfg.dt * b[static_cast<std::size_t>(k)];
-          T[static_cast<std::size_t>(k)] += cfg.dt * tTf;
-          dp[static_cast<std::size_t>(k)] -= cfg.dt * dd[static_cast<std::size_t>(k)];
+          u1[static_cast<std::size_t>(k)] += kPortDt * a[static_cast<std::size_t>(k)];
+          u2[static_cast<std::size_t>(k)] += kPortDt * b[static_cast<std::size_t>(k)];
+          T[static_cast<std::size_t>(k)] += kPortDt * tTf;
+          dp[static_cast<std::size_t>(k)] -= kPortDt * dd[static_cast<std::size_t>(k)];
         }
         cpe.scalar_flops(kNpp * 12);
         cpe.put(blocks.to(FieldId::kU1, e) + l, std::span<const double>(u1));
@@ -251,7 +250,6 @@ void RhsKernel::bind(Workset& ws) const {
 sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg,
                                   const Workset& ws) const {
   // The Figure 2 register-communication implementation.
-  const RhsAccConfig& cfg = cfg_;
   const int nelem = ws.nitems;
   const int levs = ws.nlev / sw::kCpeRows;
   const std::size_t n = static_cast<std::size_t>(levs) * kNpp;
@@ -328,10 +326,10 @@ sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg,
 
       for (std::size_t i = 0; i < n; ++i) {
         const double tTf = tT[i] + kKappa * T[i] * om[i] / pmv[i];
-        u1[i] += cfg.dt * tu1[i];
-        u2[i] += cfg.dt * tu2[i];
-        T[i] += cfg.dt * tTf;
-        dp[i] -= cfg.dt * divdp[i];
+        u1[i] += kPortDt * tu1[i];
+        u2[i] += kPortDt * tu2[i];
+        T[i] += kPortDt * tTf;
+        dp[i] -= kPortDt * divdp[i];
       }
       cpe.vector_flops(n * 12);
       cpe.put(ws.write_addr(FieldId::kU1, e, 0) + fidx(s, 0),
@@ -348,10 +346,9 @@ sw::KernelStats RhsKernel::launch(sw::CoreGroup& cg,
 }
 
 sw::KernelStats rhs_athread(sw::CoreGroup& cg, const homme::Dims& d,
-                            homme::State& s, const PackedGeometry& g,
-                            const RhsAccConfig& cfg) {
+                            homme::State& s, const PackedGeometry& g) {
   const StateBlocks b(d, s);
-  RhsKernel k(b, g, cfg);
+  RhsKernel k(b, g);
   KernelPipeline pipe({&k});
   return pipe.run(cg);
 }

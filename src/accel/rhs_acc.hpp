@@ -19,25 +19,20 @@
 ///   scans along the CPE column; all state lives in LDM; arithmetic is
 ///   4-wide.
 ///
-/// The kernel updates u, T, dp in place by dt * RHS (the DSS that follows
-/// in the full model is bndry_exchangev's job and measured there). Both
-/// variants run homme::rhs_level for each level on a dry workset (T is its
-/// own virtual temperature), so they compute homme::element_rhs plus
-/// x += dt * tend: the OpenACC variant bit for bit, the Athread variant
-/// within its register scans' reassociation of the column sums. Both
-/// update the state's own chunks through a StateBlocks; the Athread
-/// launch reads and writes them through its workset.
+/// The kernel updates u, T, dp in place by dt * RHS, dt = kPortDt (the DSS
+/// that follows in the full model is bndry_exchangev's job and measured
+/// there). Both variants run homme::rhs_level for each level on a dry
+/// workset (T is its own virtual temperature), so they compute
+/// homme::element_rhs plus x += dt * tend: the OpenACC variant bit for bit,
+/// the Athread variant within its register scans' reassociation of the
+/// column sums. Both update the state's own chunks through a StateBlocks;
+/// the Athread launch reads and writes them through its workset.
 
 namespace accel {
 
-struct RhsAccConfig {
-  double dt = 100.0;
-};
-
 /// OpenACC-style port. Updates s's u1, u2, T and dp.
 sw::KernelStats rhs_openacc(sw::CoreGroup& cg, const homme::Dims& d,
-                            homme::State& s, const PackedGeometry& g,
-                            const RhsAccConfig& cfg);
+                            homme::State& s, const PackedGeometry& g);
 
 /// compute_and_apply_rhs in the pipeline layer. The kernel is
 /// *non-fusible*: its vertical scans run as register communication along
@@ -46,9 +41,7 @@ sw::KernelStats rhs_openacc(sw::CoreGroup& cg, const homme::Dims& d,
 /// launch() between fused segments.
 class RhsKernel final : public Kernel {
  public:
-  RhsKernel(const StateBlocks& b, const PackedGeometry& g,
-            const RhsAccConfig& cfg)
-      : b_(b), g_(g), cfg_(cfg) {}
+  RhsKernel(const StateBlocks& b, const PackedGeometry& g) : b_(b), g_(g) {}
 
   std::string_view name() const override { return "compute_and_apply_rhs"; }
   bool fusible() const override { return false; }
@@ -59,13 +52,11 @@ class RhsKernel final : public Kernel {
  private:
   const StateBlocks& b_;
   const PackedGeometry& g_;
-  RhsAccConfig cfg_;
 };
 
 /// Athread fine-grained port with register-communication scans.
 /// Requires d.nlev to be a multiple of the CPE row count (8).
 sw::KernelStats rhs_athread(sw::CoreGroup& cg, const homme::Dims& d,
-                            homme::State& s, const PackedGeometry& g,
-                            const RhsAccConfig& cfg);
+                            homme::State& s, const PackedGeometry& g);
 
 }  // namespace accel

@@ -1,18 +1,14 @@
 #include "accel/table1.hpp"
 
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
-#include "accel/euler_acc.hpp"
-#include "accel/hypervis_acc.hpp"
 #include "accel/remap_acc.hpp"
 #include "accel/rhs_acc.hpp"
 #include "homme/euler.hpp"
 #include "homme/ops.hpp"
 #include "homme/remap.hpp"
 #include "homme/rhs.hpp"
-#include "sw/cost_model.hpp"
 
 namespace accel {
 
@@ -27,22 +23,28 @@ double max_rel_diff(std::span<const double> a, std::span<const double> b) {
   return worst;
 }
 
-struct KernelSpec {
-  std::string name;
-  double paper_intel, paper_mpe, paper_acc;
-  /// The largest deviation from the reference the Athread port may show
-  /// (the OpenACC ports must match it bit for bit).
-  double athread_tol;
-  sw::WorkEstimate work;  ///< compulsory traffic (flops: measured)
-  std::function<void(homme::State&)> ref;
-  std::function<sw::KernelStats(sw::CoreGroup&, homme::State&)> acc;
-  std::function<sw::KernelStats(sw::CoreGroup&, homme::State&)> athread;
-};
+/// Throw unless the launch spans between \p before and \p after carry
+/// exactly \p stats' counters.
+void check_counters(const std::string& kernel, const char* platform,
+                    const obs::Summary& before, const obs::Summary& after,
+                    const sw::KernelStats& stats) {
+  const sw::CounterAttachment want = sw::counter_attachment(stats.totals);
+  for (const obs::Counter& c : obs::CounterList(want)) {
+    const std::uint64_t got =
+        obs::phase_counter_delta(before, after, "launch", c.name);
+    if (got != c.value) {
+      throw std::logic_error(
+          "table1: obs counter path drifts from KernelStats for " + kernel +
+          " " + platform + " " + c.name + " (obs " + std::to_string(got) +
+          " vs stats " + std::to_string(c.value) + ")");
+    }
+  }
+}
 
 }  // namespace
 
 void rhs_host(const mesh::CubedSphere& m, const homme::Dims& d,
-              homme::State& s, double dt) {
+              homme::State& s) {
   const std::size_t fs = d.field_size();
   std::vector<double> t(4 * fs);
   const homme::TendView tend{t.data(), t.data() + fs, t.data() + 2 * fs,
@@ -55,16 +57,16 @@ void rhs_host(const mesh::CubedSphere& m, const homme::Dims& d,
     const auto T = es.T.mutable_span();
     const auto dp = es.dp.mutable_span();
     for (std::size_t f = 0; f < fs; ++f) {
-      u1[f] += dt * tend.u1[f];
-      u2[f] += dt * tend.u2[f];
-      T[f] += dt * tend.T[f];
-      dp[f] += dt * tend.dp[f];
+      u1[f] += kPortDt * tend.u1[f];
+      u2[f] += kPortDt * tend.u2[f];
+      T[f] += kPortDt * tend.T[f];
+      dp[f] += kPortDt * tend.dp[f];
     }
   }
 }
 
 void euler_host(const mesh::CubedSphere& m, const homme::Dims& d,
-                homme::State& s, double dt) {
+                homme::State& s) {
   std::vector<double> r(d.field_size());
   for (std::size_t e = 0; e < s.size(); ++e) {
     homme::ElementState& es = s[e];
@@ -72,13 +74,13 @@ void euler_host(const mesh::CubedSphere& m, const homme::Dims& d,
       homme::element_tracer_rhs(m.geom(static_cast<int>(e) % m.nelem()), d,
                                 es, es.q(q, d), r);
       const auto qdp = es.q_mut(q, d);
-      for (std::size_t f = 0; f < r.size(); ++f) qdp[f] += dt * r[f];
+      for (std::size_t f = 0; f < r.size(); ++f) qdp[f] += kPortDt * r[f];
     }
   }
 }
 
 void hypervis_host(const mesh::CubedSphere& m, const homme::Dims& d,
-                   homme::State& s, HvKernel which, double nu_dt) {
+                   homme::State& s, HvKernel which) {
   std::vector<homme::Chunk homme::ElementState::*> fields = {
       &homme::ElementState::u1, &homme::ElementState::u2,
       &homme::ElementState::T};
@@ -92,12 +94,12 @@ void hypervis_host(const mesh::CubedSphere& m, const homme::Dims& d,
         double lap[kNpp];
         homme::laplace_sphere_wk(g, x, lap);
         if (which == HvKernel::kDp1) {
-          for (int k = 0; k < kNpp; ++k) x[k] += nu_dt * lap[k];
+          for (int k = 0; k < kNpp; ++k) x[k] += kPortNuDt * lap[k];
           continue;
         }
         double lap2[kNpp];
         homme::laplace_sphere_wk(g, lap, lap2);
-        for (int k = 0; k < kNpp; ++k) x[k] -= nu_dt * lap2[k];
+        for (int k = 0; k < kNpp; ++k) x[k] -= kPortNuDt * lap2[k];
       }
     }
   }
@@ -113,6 +115,63 @@ double state_max_rel_diff(const homme::State& a, const homme::State& b) {
   return worst;
 }
 
+std::vector<Table1Kernel> table1_kernels(const mesh::CubedSphere& m,
+                                         const homme::Dims& d, int nelem,
+                                         const PackedGeometry& geo,
+                                         const EulerDerived& derived) {
+  // Paper Table 1 timings (seconds over 6,144-process ne256 runs). The
+  // Athread rhs's register scans reassociate the column sums: 1.2e-9 at
+  // the paper's 128 levels.
+  std::vector<Table1Kernel> ks;
+  ks.push_back({"compute_and_apply_rhs", 12.69, 92.13, 75.11, 1e-8,
+                rhs_work(d, nelem),
+                [&m, d](homme::State& s) { rhs_host(m, d, s); },
+                [&geo, d](sw::CoreGroup& cg, homme::State& s) {
+                  return rhs_openacc(cg, d, s, geo);
+                },
+                [&geo, d](sw::CoreGroup& cg, homme::State& s) {
+                  return rhs_athread(cg, d, s, geo);
+                }});
+  ks.push_back({"euler_step", 15.88, 175.73, 10.18, 0.0,
+                euler_step_work(d, nelem),
+                [&m, d](homme::State& s) { euler_host(m, d, s); },
+                [&geo, &derived, d](sw::CoreGroup& cg, homme::State& s) {
+                  return euler_openacc(cg, d, s, geo, derived);
+                },
+                [&geo, &derived, d](sw::CoreGroup& cg, homme::State& s) {
+                  return euler_athread(cg, d, s, geo, derived);
+                }});
+  ks.push_back({"vertical_remap", 11.38, 39.99, 16.17, 0.0,
+                remap_work(d, nelem),
+                [d](homme::State& s) { homme::vertical_remap_local(d, s); },
+                [d](sw::CoreGroup& cg, homme::State& s) {
+                  return remap_openacc(cg, d, s);
+                },
+                [d](sw::CoreGroup& cg, homme::State& s) {
+                  return remap_athread(cg, d, s);
+                }});
+  const auto add_hv = [&](const char* name, double pi, double pm, double pa,
+                          HvKernel which) {
+    sw::WorkEstimate w =
+        laplace_work(d, nelem, which == HvKernel::kDp1 ? 1 : 2);
+    if (which != HvKernel::kBiharmDp3d) w.bytes *= 3;  // u1, u2, T
+    ks.push_back({name, pi, pm, pa, 0.0, w,
+                  [&m, d, which](homme::State& s) {
+                    hypervis_host(m, d, s, which);
+                  },
+                  [&geo, d, which](sw::CoreGroup& cg, homme::State& s) {
+                    return hypervis_openacc(cg, d, s, geo, which);
+                  },
+                  [&geo, d, which](sw::CoreGroup& cg, homme::State& s) {
+                    return hypervis_athread(cg, d, s, geo, which);
+                  }});
+  };
+  add_hv("hypervis_dp1", 4.95, 12.71, 3.13, HvKernel::kDp1);
+  add_hv("hypervis_dp2", 3.81, 9.05, 1.32, HvKernel::kDp2);
+  add_hv("biharmonic_dp3d", 9.35, 36.18, 4.43, HvKernel::kBiharmDp3d);
+  return ks;
+}
+
 std::vector<Table1Row> run_table1(const Table1Config& cfg,
                                   obs::Tracer* tracer) {
   homme::Dims d;
@@ -121,66 +180,7 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
   auto mesh = mesh::CubedSphere::build(cfg.mesh_ne, mesh::kEarthRadius);
   const homme::State base = synthetic_state(d, cfg.nelem);
   const PackedGeometry geo = PackedGeometry::pack(mesh, cfg.nelem);
-
-  const EulerAccConfig euler_cfg{};
-  const EulerDerived derived =
-      EulerDerived::make(d, cfg.nelem, euler_cfg.shared_extra);
-  const RhsAccConfig rhs_cfg{};
-  const HypervisAccConfig hv_cfg{};
-
-  // Paper Table 1 timings (seconds over 6,144-process ne256 runs). The
-  // Athread rhs's register scans reassociate the column sums: 1.2e-9 at
-  // the paper's 128 levels.
-  std::vector<KernelSpec> specs;
-  specs.push_back(
-      {"compute_and_apply_rhs", 12.69, 92.13, 75.11, 1e-8,
-       rhs_work(d, cfg.nelem),
-       [&](homme::State& s) { rhs_host(mesh, d, s, rhs_cfg.dt); },
-       [&](sw::CoreGroup& cg, homme::State& s) {
-         return rhs_openacc(cg, d, s, geo, rhs_cfg);
-       },
-       [&](sw::CoreGroup& cg, homme::State& s) {
-         return rhs_athread(cg, d, s, geo, rhs_cfg);
-       }});
-  specs.push_back(
-      {"euler_step", 15.88, 175.73, 10.18, 0.0,
-       euler_step_work(d, cfg.nelem),
-       [&](homme::State& s) { euler_host(mesh, d, s, euler_cfg.dt); },
-       [&](sw::CoreGroup& cg, homme::State& s) {
-         return euler_openacc(cg, d, s, geo, derived, euler_cfg);
-       },
-       [&](sw::CoreGroup& cg, homme::State& s) {
-         return euler_athread(cg, d, s, geo, derived, euler_cfg);
-       }});
-  specs.push_back({"vertical_remap", 11.38, 39.99, 16.17, 0.0,
-                   remap_work(d, cfg.nelem),
-                   [&](homme::State& s) { homme::vertical_remap_local(d, s); },
-                   [&](sw::CoreGroup& cg, homme::State& s) {
-                     return remap_openacc(cg, d, s);
-                   },
-                   [&](sw::CoreGroup& cg, homme::State& s) {
-                     return remap_athread(cg, d, s);
-                   }});
-  auto add_hv = [&](const std::string& name, double pi, double pm, double pa,
-                    HvKernel which) {
-    sw::WorkEstimate w =
-        laplace_work(d, cfg.nelem, which == HvKernel::kDp1 ? 1 : 2);
-    if (which != HvKernel::kBiharmDp3d) w.bytes *= 3;  // u1, u2, T
-    specs.push_back(
-        {name, pi, pm, pa, 0.0, w,
-         [&, which](homme::State& s) {
-           hypervis_host(mesh, d, s, which, hv_cfg.nu_dt);
-         },
-         [&, which](sw::CoreGroup& cg, homme::State& s) {
-           return hypervis_openacc(cg, d, s, geo, which, hv_cfg);
-         },
-         [&, which](sw::CoreGroup& cg, homme::State& s) {
-           return hypervis_athread(cg, d, s, geo, which, hv_cfg);
-         }});
-  };
-  add_hv("hypervis_dp1", 4.95, 12.71, 3.13, HvKernel::kDp1);
-  add_hv("hypervis_dp2", 3.81, 9.05, 1.32, HvKernel::kDp2);
-  add_hv("biharmonic_dp3d", 9.35, 36.18, 4.43, HvKernel::kBiharmDp3d);
+  const EulerDerived derived = EulerDerived::make(d, cfg.nelem);
 
   // The counter columns flow through the obs:: summary: every launch span
   // carries its CpeCounters attachment, and per-platform values are
@@ -195,83 +195,46 @@ std::vector<Table1Row> run_table1(const Table1Config& cfg,
   sw::CoreGroup cg;
   cg.set_tracer(tr, sw::CoreGroup::kDefaultTracePid, "table1/cg");
   std::vector<Table1Row> rows;
-  for (std::size_t si = 0; si < specs.size(); ++si) {
-    auto& spec = specs[si];
+  for (const Table1Kernel& k :
+       table1_kernels(mesh, d, cfg.nelem, geo, derived)) {
     homme::State ref_s = base;
-    spec.ref(ref_s);
+    k.ref(ref_s);
 
     const obs::Summary sum0 = tr->summary();
     homme::State acc_s = base;
-    const auto acc_stats = spec.acc(cg, acc_s);
+    const auto acc_stats = k.acc(cg, acc_s);
     const obs::Summary sum_acc = tr->summary();
     homme::State ath_s = base;
-    const auto ath_stats = spec.athread(cg, ath_s);
+    const auto ath_stats = k.athread(cg, ath_s);
     const obs::Summary sum_ath = tr->summary();
 
     const double acc_err = state_max_rel_diff(ref_s, acc_s);
     const double ath_err = state_max_rel_diff(ref_s, ath_s);
-    if (acc_err > 0.0 || ath_err > spec.athread_tol) {
+    if (acc_err > 0.0 || ath_err > k.athread_tol) {
       throw std::runtime_error("table1: port diverges from reference for " +
-                               spec.name + " (acc " + std::to_string(acc_err) +
+                               k.name + " (acc " + std::to_string(acc_err) +
                                ", athread " + std::to_string(ath_err) + ")");
     }
-
-    // Counter columns via the obs:: attachment path ("launch"-prefixed
-    // phases), with an identity check against the KernelStats totals —
-    // any double counting or drift between the two paths is a logic
-    // error, not a tolerance.
-    const auto launch_ctr = [](const obs::Summary& before,
-                               const obs::Summary& after,
-                               std::string_view key) {
-      return obs::phase_counter_delta(before, after, "launch", key);
-    };
-    const auto check = [&spec](const char* what, std::uint64_t obs_v,
-                               std::uint64_t stats_v) {
-      if (obs_v != stats_v) {
-        throw std::logic_error(
-            "table1: obs counter path drifts from KernelStats for " +
-            spec.name + " " + what + " (obs " + std::to_string(obs_v) +
-            " vs stats " + std::to_string(stats_v) + ")");
-      }
-      return obs_v;
-    };
+    // Any double counting or drift between the summary and KernelStats is
+    // a logic error, not a tolerance.
+    check_counters(k.name, "openacc", sum0, sum_acc, acc_stats);
+    check_counters(k.name, "athread", sum_acc, sum_ath, ath_stats);
 
     Table1Row row;
-    row.name = spec.name;
-    row.paper_intel = spec.paper_intel;
-    row.paper_mpe = spec.paper_mpe;
-    row.paper_acc = spec.paper_acc;
-    row.flops =
-        check("flops",
-              launch_ctr(sum_acc, sum_ath, "scalar_flops") +
-                  launch_ctr(sum_acc, sum_ath, "vector_flops"),
-              ath_stats.totals.total_flops());
-    row.acc_dma_bytes =
-        check("acc_dma_bytes",
-              launch_ctr(sum0, sum_acc, "dma_get_bytes") +
-                  launch_ctr(sum0, sum_acc, "dma_put_bytes"),
-              acc_stats.totals.total_dma_bytes());
-    row.athread_dma_bytes =
-        check("athread_dma_bytes",
-              launch_ctr(sum_acc, sum_ath, "dma_get_bytes") +
-                  launch_ctr(sum_acc, sum_ath, "dma_put_bytes"),
-              ath_stats.totals.total_dma_bytes());
-    row.athread_dma_reused =
-        check("athread_dma_reused",
-              launch_ctr(sum_acc, sum_ath, "dma_reused_bytes"),
-              ath_stats.totals.dma_reused_bytes);
-    row.athread_dma_cold =
-        check("athread_dma_cold",
-              launch_ctr(sum_acc, sum_ath, "dma_cold_bytes"),
-              ath_stats.totals.dma_cold_bytes);
-    row.athread_fallbacks =
-        check("athread_fallbacks",
-              launch_ctr(sum_acc, sum_ath, "host_fallbacks"),
-              ath_stats.totals.host_fallbacks);
+    row.name = k.name;
+    row.paper_intel = k.paper_intel;
+    row.paper_mpe = k.paper_mpe;
+    row.paper_acc = k.paper_acc;
+    row.flops = ath_stats.totals.total_flops();
+    row.acc_dma_bytes = acc_stats.totals.total_dma_bytes();
+    row.athread_dma_bytes = ath_stats.totals.total_dma_bytes();
+    row.athread_dma_reused = ath_stats.totals.dma_reused_bytes;
+    row.athread_dma_cold = ath_stats.totals.dma_cold_bytes;
+    row.athread_fallbacks = ath_stats.totals.host_fallbacks;
     row.acc_s = acc_stats.seconds;
     row.athread_s = ath_stats.seconds;
 
-    sw::WorkEstimate w = spec.work;
+    sw::WorkEstimate w = k.work;
     w.flops = row.flops;
     row.intel_s = sw::roofline_seconds(w, sw::platforms::intel_core);
     row.mpe_s = sw::roofline_seconds(w, sw::platforms::sw_mpe);

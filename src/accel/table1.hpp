@@ -1,12 +1,15 @@
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "accel/euler_acc.hpp"
 #include "accel/hypervis_acc.hpp"
 #include "accel/packed.hpp"
 #include "mesh/cubed_sphere.hpp"
 #include "sw/core_group.hpp"
+#include "sw/cost_model.hpp"
 
 /// \file table1.hpp
 /// Reproduction harness for Table 1 / Figure 5 of the paper: the six key
@@ -60,23 +63,50 @@ struct Table1Row {
 /// The host references of the Table 1 ports: the model's own host code on
 /// the state \p s, of shape \p d, with element e's geometry from the donor
 /// mesh \p m (m.geom(e % m.nelem()), as PackedGeometry::pack packs it).
-/// Each updates \p s in place, as the ports do;
-/// homme::vertical_remap_local is the fourth.
+/// Each updates \p s in place, as the ports do, with the ports' constants
+/// (dt = kPortDt, nu * dt = kPortNuDt); homme::vertical_remap_local is the
+/// fourth.
 ///
 /// homme::element_rhs (dry, so T is its own virtual temperature), then
 /// x += dt * tend.
 void rhs_host(const mesh::CubedSphere& m, const homme::Dims& d,
-              homme::State& s, double dt);
+              homme::State& s);
 /// homme::element_tracer_rhs for every tracer, then q += dt * r.
 void euler_host(const mesh::CubedSphere& m, const homme::Dims& d,
-                homme::State& s, double dt);
+                homme::State& s);
 /// The row's composition of homme::laplace_sphere_wk on each level tile:
 /// x += nu_dt * L(x) for hypervis_dp1, x -= nu_dt * L(L(x)) for
 /// hypervis_dp2 and biharmonic_dp3d. No homme kernel is this
 /// element-local composition: the model's hyperviscosity DSSes between
 /// its applications.
 void hypervis_host(const mesh::CubedSphere& m, const homme::Dims& d,
-                   homme::State& s, HvKernel which, double nu_dt);
+                   homme::State& s, HvKernel which);
+
+/// One kernel of Table 1: what it computes (its host reference) and how
+/// each CPE port launches it. Table 1, the machine model's calibration
+/// and the port tests all iterate table1_kernels().
+struct Table1Kernel {
+  using Launch =
+      std::function<sw::KernelStats(sw::CoreGroup&, homme::State&)>;
+  std::string name;
+  /// Paper Table 1 values (seconds, 6144-process runs).
+  double paper_intel, paper_mpe, paper_acc;
+  /// The largest deviation from the reference the Athread port may show
+  /// (the OpenACC ports must match it bit for bit).
+  double athread_tol;
+  sw::WorkEstimate work;  ///< compulsory traffic (flops: measured)
+  std::function<void(homme::State&)> ref;  ///< updates a state in place
+  Launch acc, athread;                     ///< likewise, on a core group
+};
+
+/// The six Table 1 kernels, in the table's order, on states of shape \p d
+/// with \p nelem elements. The launches read the donor mesh \p m, the
+/// geometry \p geo and euler's stand-ins \p derived by reference: all
+/// three must outlive the list.
+std::vector<Table1Kernel> table1_kernels(const mesh::CubedSphere& m,
+                                         const homme::Dims& d, int nelem,
+                                         const PackedGeometry& geo,
+                                         const EulerDerived& derived);
 
 /// Run all six kernels on every platform, each platform on a
 /// copy-on-write copy of one synthetic_state; also verifies that the
@@ -85,10 +115,11 @@ void hypervis_host(const mesh::CubedSphere& m, const homme::Dims& d,
 /// except the Athread rhs, whose register scans reassociate the column
 /// sums (within 1e-8).
 ///
-/// The flop/DMA columns are consumed from the obs:: per-phase summary
-/// (launch-span counter attachments) rather than read off KernelStats
-/// directly; a built-in identity check throws std::logic_error if the two
-/// paths ever disagree (double counting or drift in either one).
+/// Every launch span carries the launch's counters into the obs:: per-phase
+/// summary. A built-in identity check compares each of the 13 counters of
+/// both launches with their KernelStats, and throws std::logic_error naming
+/// the kernel, the platform and the counter if the two paths ever disagree
+/// (double counting or drift in either one).
 ///
 /// Pass an enabled \p tracer to additionally capture the kernel timeline
 /// ("table1/cg" tracks); with nullptr (or a disabled tracer) an internal

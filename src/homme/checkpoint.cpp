@@ -604,10 +604,10 @@ std::optional<std::string> StateMonitor::check(const State& s) const {
         }
         ps += dp;
       }
-      if (ps < ps_min || ps > ps_max) {
+      if (ps < kPsMin || ps > kPsMax) {
         return "surface pressure " + std::to_string(ps) +
-               " Pa outside [" + std::to_string(ps_min) + ", " +
-               std::to_string(ps_max) + "] at element " + std::to_string(e) +
+               " Pa outside [" + std::to_string(kPsMin) + ", " +
+               std::to_string(kPsMax) + "] at element " + std::to_string(e) +
                ", gll " + std::to_string(k);
       }
     }

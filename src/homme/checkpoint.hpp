@@ -247,17 +247,19 @@ class AsyncCheckpointWriter {
 
 /// Invariant guard over a dycore state. A healthy state has finite
 /// fields, strictly positive layer thickness, and a surface pressure
-/// p_s = ptop + sum_k dp_k inside [ps_min, ps_max] in every column.
+/// p_s = ptop + sum_k dp_k inside [kPsMin, kPsMax] in every column.
 class StateMonitor {
  public:
+  /// Pa: ~100 hPa, below any terrestrial surface, and twice the
+  /// reference surface pressure.
+  static constexpr double kPsMin = 1.0e4;
+  static constexpr double kPsMax = 2.0e5;
+
   explicit StateMonitor(const Dims& d) : dims_(d) {}
 
   /// First violation found, or empty if the state is healthy. The
   /// message names the element, field, level and GLL point.
   std::optional<std::string> check(const State& s) const;
-
-  double ps_min = 1.0e4;  ///< Pa; ~100 hPa, below any terrestrial surface
-  double ps_max = 2.0e5;  ///< Pa; twice the reference surface pressure
 
  private:
   Dims dims_;

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
-#include "accel/euler_acc.hpp"
-#include "accel/hypervis_acc.hpp"
 #include "accel/remap_acc.hpp"
-#include "accel/rhs_acc.hpp"
 #include "accel/table1.hpp"
 #include "sw/cg_pool.hpp"
 #include "sw/cost_model.hpp"
@@ -48,10 +48,7 @@ MachineModel MachineModel::calibrate(int nlev, int qsize, int nelem,
   auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
   const homme::State base = accel::synthetic_state(d, nelem);
   const auto geo = accel::PackedGeometry::pack(mesh, nelem);
-  const accel::EulerAccConfig ecfg{};
-  const auto derived = accel::EulerDerived::make(d, nelem, ecfg.shared_extra);
-  const accel::RhsAccConfig rcfg{};
-  const accel::HypervisAccConfig hcfg{};
+  const auto derived = accel::EulerDerived::make(d, nelem);
 
   // All measurements run on group 0 of a real pool so DMA costs sample
   // the shared memory controller. First the contention curve: the most
@@ -85,67 +82,38 @@ MachineModel MachineModel::calibrate(int nlev, int qsize, int nelem,
   for (int i = 0; i < m.active_cgs; ++i) load.emplace_back(pool.contention());
 
   // One dynamics step = 3 RK stages + 3 tracer stages + hyperviscosity +
-  // biharmonic + 1/3 vertical remap (remap every 3rd step).
+  // biharmonic + 1/3 vertical remap (remap every 3rd step), priced on
+  // Table 1's kernels in this order.
+  const std::vector<accel::Table1Kernel> kernels =
+      accel::table1_kernels(mesh, d, nelem, geo, derived);
   struct Piece {
+    std::string_view name;
     double weight;
-    sw::KernelStats acc, ath;
-    sw::WorkEstimate work;
   };
-  std::vector<Piece> pieces;
-  {
-    Piece pc{3.0, {}, {}, accel::rhs_work(d, nelem)};
-    homme::State p1 = base;
-    pc.acc = accel::rhs_openacc(cg, d, p1, geo, rcfg);
-    homme::State p2 = base;
-    pc.ath = accel::rhs_athread(cg, d, p2, geo, rcfg);
-    pieces.push_back(pc);
-  }
-  {
-    Piece pc{3.0, {}, {}, accel::euler_step_work(d, nelem)};
-    homme::State p1 = base;
-    pc.acc = accel::euler_openacc(cg, d, p1, geo, derived, ecfg);
-    homme::State p2 = base;
-    pc.ath = accel::euler_athread(cg, d, p2, geo, derived, ecfg);
-    pieces.push_back(pc);
-  }
-  {
-    Piece pc{1.0, {}, {}, accel::laplace_work(d, nelem, 2)};
-    pc.work.bytes *= 3;
-    homme::State p1 = base;
-    pc.acc = accel::hypervis_openacc(cg, d, p1, geo, accel::HvKernel::kDp2,
-                                     hcfg);
-    homme::State p2 = base;
-    pc.ath = accel::hypervis_athread(cg, d, p2, geo, accel::HvKernel::kDp2,
-                                     hcfg);
-    pieces.push_back(pc);
-  }
-  {
-    Piece pc{1.0, {}, {}, accel::laplace_work(d, nelem, 2)};
-    homme::State p1 = base;
-    pc.acc = accel::hypervis_openacc(cg, d, p1, geo,
-                                     accel::HvKernel::kBiharmDp3d, hcfg);
-    homme::State p2 = base;
-    pc.ath = accel::hypervis_athread(cg, d, p2, geo,
-                                     accel::HvKernel::kBiharmDp3d, hcfg);
-    pieces.push_back(pc);
-  }
-  {
-    Piece pc{1.0 / 3.0, {}, {}, accel::remap_work(d, nelem)};
-    homme::State p1 = base;
-    pc.acc = accel::remap_openacc(cg, d, p1);
-    homme::State p2 = base;
-    pc.ath = accel::remap_athread(cg, d, p2);
-    pieces.push_back(pc);
-  }
-
+  constexpr Piece kStep[] = {{"compute_and_apply_rhs", 3.0},
+                             {"euler_step", 3.0},
+                             {"hypervis_dp2", 1.0},
+                             {"biharmonic_dp3d", 1.0},
+                             {"vertical_remap", 1.0 / 3.0}};
   double acc_s = 0.0, ath_s = 0.0, mpe_s = 0.0, flops = 0.0;
-  for (auto& pc : pieces) {
-    acc_s += pc.weight * pc.acc.seconds;
-    ath_s += pc.weight * pc.ath.seconds;
-    sw::WorkEstimate w = pc.work;
-    w.flops = pc.ath.totals.total_flops();
+  for (const Piece& pc : kStep) {
+    const auto k = std::find_if(
+        kernels.begin(), kernels.end(),
+        [&pc](const accel::Table1Kernel& x) { return x.name == pc.name; });
+    if (k == kernels.end()) {
+      throw std::logic_error("calibrate: Table 1 lists no " +
+                             std::string(pc.name));
+    }
+    homme::State p1 = base;
+    const sw::KernelStats acc = k->acc(cg, p1);
+    homme::State p2 = base;
+    const sw::KernelStats ath = k->athread(cg, p2);
+    acc_s += pc.weight * acc.seconds;
+    ath_s += pc.weight * ath.seconds;
+    sw::WorkEstimate w = k->work;
+    w.flops = ath.totals.total_flops();
     mpe_s += pc.weight * sw::roofline_seconds(w, sw::platforms::sw_mpe);
-    flops += pc.weight * static_cast<double>(pc.ath.totals.total_flops());
+    flops += pc.weight * static_cast<double>(ath.totals.total_flops());
   }
   // The MPE reaches memory through the same shared controller, so the
   // analytic roofline of the original port degrades by the measured

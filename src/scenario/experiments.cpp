@@ -43,7 +43,6 @@ KatrinaRun run_katrina_at(int ne, const KatrinaConfig& cfg) {
   scfg.ne = ne;
   scfg.nlev = cfg.nlev;
   scfg.init_spec = katrina_init_spec(cfg.vortex);
-  scfg.physics = cfg.physics_on;
   scfg.physics_cfg = katrina_physics_cfg(cfg.vortex);
   model::Session session(scfg);
 
@@ -147,7 +146,6 @@ std::vector<double> run_once(const ClimatologyConfig& cfg, int member) {
   Overrides ov;
   ov.ne = cfg.ne;
   ov.nlev = cfg.nlev;
-  ov.physics = cfg.physics_on;
   ov.perturb = cfg.perturbation;
   auto session = get("fig4-validation").session(ov, member);
   const mesh::CubedSphere& m = session->mesh();

@@ -33,7 +33,6 @@ struct KatrinaConfig {
   double hours = 12.0;    ///< simulated lifecycle segment
   int n_outputs = 6;      ///< track fixes recorded
   tc::TcParams vortex{};
-  bool physics_on = true; ///< surface fluxes + condensation feed the storm
 };
 
 struct KatrinaRun {
@@ -81,7 +80,6 @@ struct ClimatologyConfig {
   int steps = 120;           ///< "climatology" accumulation window
   int spinup = 20;
   double perturbation = 1e-9; ///< relative, the measured platform drift
-  bool physics_on = true;
 };
 
 struct ClimatologyStats {

@@ -437,6 +437,45 @@ EngineStats Engine::stats() const {
   return out;
 }
 
+void EngineStats::write(obs::Json& out) const {
+  const auto u64 = [](std::size_t v) { return static_cast<std::uint64_t>(v); };
+  out.set("submitted", submitted)
+      .set("completed", completed)
+      .set("faulted", faulted)
+      .set("cancelled", cancelled)
+      .set("deadline", deadline)
+      .set("rejected_full", rejected_full)
+      .set("cancelled_queued", cancelled_queued)
+      .set("resumed", resumed)
+      .set("member_steps", member_steps)
+      .set("wall_s", wall_s)
+      .set("busy_s", busy_s)
+      .set("queue_depth", u64(queue_depth))
+      .set("queue_high_water", u64(queue_high_water))
+      .set("workers", workers)
+      .set("mesh_bundles", u64(mesh_bundles))
+      .set("mesh_bundle_bytes", u64(mesh_bundle_bytes))
+      .set("mesh_bytes_unshared", u64(mesh_bytes_unshared))
+      .set("state_samples", state_samples)
+      .set("state_logical_bytes", state_logical_bytes)
+      .set("state_resident_bytes", state_resident_bytes)
+      .set("state_chunks", state_chunks)
+      .set("state_shared_chunks", state_shared_chunks)
+      .set("checkpoint_saves", checkpoint_saves)
+      .set("checkpoint_bytes", checkpoint_bytes)
+      .set("placed_members", placed_members)
+      .set("cg_pools", u64(cg_pools))
+      .set("cg_groups_busy_high_water", cg_groups_busy_high_water)
+      .set("cg_stream_high_water", cg_stream_high_water)
+      .set("cg_contended_ops", cg_contended_ops)
+      .set("cg_contended_bytes", cg_contended_bytes)
+      .set("member_steps_per_s", member_steps_per_s())
+      .set("worker_utilization", utilization())
+      .set("resident_bytes_per_member", resident_bytes_per_member())
+      .set("cow_shared_fraction", cow_shared_fraction())
+      .set("checkpoint_bytes_per_step", checkpoint_bytes_per_step());
+}
+
 obs::Report Engine::summary_report() const {
   const EngineStats s = stats();
   obs::Report rep("svc_engine");
@@ -449,43 +488,7 @@ obs::Report Engine::summary_report() const {
       .set("placement",
            cfg_.placement == EngineConfig::Placement::kPack ? "pack"
                                                             : "spread");
-  rep.root()
-      .set("submitted", s.submitted)
-      .set("completed", s.completed)
-      .set("faulted", s.faulted)
-      .set("cancelled", s.cancelled)
-      .set("deadline", s.deadline)
-      .set("rejected_full", s.rejected_full)
-      .set("cancelled_queued", s.cancelled_queued)
-      .set("resumed", s.resumed)
-      .set("member_steps", s.member_steps)
-      .set("wall_s", s.wall_s)
-      .set("busy_s", s.busy_s)
-      .set("member_steps_per_s", s.member_steps_per_s())
-      .set("worker_utilization", s.utilization())
-      .set("queue_depth", static_cast<std::uint64_t>(s.queue_depth))
-      .set("queue_high_water",
-           static_cast<std::uint64_t>(s.queue_high_water))
-      .set("mesh_bundles", static_cast<std::uint64_t>(s.mesh_bundles))
-      .set("mesh_bundle_bytes",
-           static_cast<std::uint64_t>(s.mesh_bundle_bytes))
-      .set("mesh_bytes_unshared",
-           static_cast<std::uint64_t>(s.mesh_bytes_unshared))
-      .set("state_samples", s.state_samples)
-      .set("state_logical_bytes", s.state_logical_bytes)
-      .set("state_resident_bytes", s.state_resident_bytes)
-      .set("state_chunks", s.state_chunks)
-      .set("state_shared_chunks", s.state_shared_chunks)
-      .set("checkpoint_saves", s.checkpoint_saves)
-      .set("checkpoint_bytes", s.checkpoint_bytes)
-      .set("resident_bytes_per_member", s.resident_bytes_per_member())
-      .set("cow_shared_fraction", s.cow_shared_fraction())
-      .set("checkpoint_bytes_per_step", s.checkpoint_bytes_per_step())
-      .set("placed_members", s.placed_members)
-      .set("cg_groups_busy_high_water", s.cg_groups_busy_high_water)
-      .set("cg_stream_high_water", s.cg_stream_high_water)
-      .set("cg_contended_ops", s.cg_contended_ops)
-      .set("cg_contended_bytes", s.cg_contended_bytes);
+  s.write(rep.root());
   return rep;
 }
 

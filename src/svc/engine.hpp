@@ -239,6 +239,11 @@ struct EngineStats {
                : 0.0;
   }
 
+  /// Write every field into \p out under its own name, then the five
+  /// ratios above (the engine's summary report, the server's metrics and
+  /// the ensemble bench all write through this).
+  void write(obs::Json& out) const;
+
   /// Fold a later engine's snapshot \p s into these totals (svc::Server
   /// across drain/restart cycles): counters sum, high-waters take the
   /// max, and gauges of the live engine (queue depth, workers, bundles,

@@ -263,23 +263,7 @@ obs::Report Server::metrics() const {
         .set("rejected", c.rejected);
   }
 
-  rep.root()
-      .obj("engine")
-      .set("submitted", es.submitted)
-      .set("completed", es.completed)
-      .set("faulted", es.faulted)
-      .set("cancelled", es.cancelled)
-      .set("deadline", es.deadline)
-      .set("rejected_full", es.rejected_full)
-      .set("cancelled_queued", es.cancelled_queued)
-      .set("resumed", es.resumed)
-      .set("member_steps", es.member_steps)
-      .set("busy_s", es.busy_s)
-      .set("queue_depth", static_cast<std::uint64_t>(es.queue_depth))
-      .set("queue_high_water",
-           static_cast<std::uint64_t>(es.queue_high_water))
-      .set("checkpoint_saves", es.checkpoint_saves)
-      .set("checkpoint_bytes", es.checkpoint_bytes);
+  es.write(rep.root().obj("engine"));
   return rep;
 }
 

@@ -283,7 +283,7 @@ KernelStats CoreGroup::run(const std::function<Task(Cpe&)>& make_kernel,
   assert(ncpes >= 1 && ncpes <= kCpesPerGroup);
 
   // Reset chip state for a fresh kernel launch.
-  active_faults_ = opts.faults != nullptr ? opts.faults : default_faults_;
+  active_faults_ = default_faults_;
   dropped_reg_.clear();
   mc_busy_total_ = 0.0;
   barrier_waiting_ = 0;

@@ -207,10 +207,6 @@ struct RunOptions {
   /// kernel launches. The LDM peak is re-based to the preserved mark so
   /// per-launch peaks remain meaningful.
   bool preserve_ldm = false;
-  /// Fault-injection schedule consulted on every DMA descriptor and
-  /// register-communication send of this launch (nullptr: use the plan
-  /// installed with CoreGroup::set_fault_plan, if any).
-  FaultPlan* faults = nullptr;
   /// Span name for this launch on the core group's trace track (interned
   /// or static storage).
   const char* trace_name = "launch";
@@ -236,8 +232,9 @@ class CoreGroup {
 
   Cpe& cpe(int id) { return cpes_[static_cast<std::size_t>(id)]; }
 
-  /// Install a default fault plan for subsequent launches (nullptr
-  /// detaches). RunOptions::faults overrides it per launch.
+  /// Install the fault-injection schedule consulted on every DMA
+  /// descriptor and register-communication send of subsequent launches
+  /// (nullptr detaches).
   void set_fault_plan(FaultPlan* plan) { default_faults_ = plan; }
   FaultPlan* fault_plan() const { return default_faults_; }
 

@@ -25,9 +25,9 @@
 /// operation index and the byte count, never as UB or a hang.
 ///
 /// One plan serves both layers: CoreGroup consults it (via
-/// RunOptions::faults or CoreGroup::set_fault_plan) on every DMA
-/// descriptor and register-communication send, and net::Cluster consults
-/// it (via Cluster::set_fault_plan) on every message send. The CPE-side
+/// CoreGroup::set_fault_plan) on every DMA descriptor and
+/// register-communication send, and net::Cluster consults it (via
+/// Cluster::set_fault_plan) on every message send. The CPE-side
 /// hooks run on the single-threaded cooperative scheduler; the message
 /// hooks run on real rank threads, so all counter state is mutex guarded.
 

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "accel/euler_acc.hpp"
 #include "accel/hypervis_acc.hpp"
@@ -34,22 +31,18 @@ struct AccelFixture {
 // The ports against the model's own tracer kernel (accel::euler_host):
 // on the state, homme::element_tracer_rhs plus q += dt * r.
 TEST(AccelEuler, PortsMatchHostTracerBody) {
-  const accel::EulerAccConfig cfg{};
   for (int nlev : {8, 16, 32}) {
     SCOPED_TRACE("nlev " + std::to_string(nlev));
     AccelFixture fx(nlev, 3);
     const auto base = fx.make(12);
     const auto geo = fx.geometry(12);
-    const auto derived =
-        accel::EulerDerived::make(fx.d, 12, cfg.shared_extra);
+    const auto derived = accel::EulerDerived::make(fx.d, 12);
     auto host = base;
-    accel::euler_host(fx.m, fx.d, host, cfg.dt);
+    accel::euler_host(fx.m, fx.d, host);
     auto acc = base;
-    auto acc_stats =
-        accel::euler_openacc(fx.cg, fx.d, acc, geo, derived, cfg);
+    auto acc_stats = accel::euler_openacc(fx.cg, fx.d, acc, geo, derived);
     auto ath = base;
-    auto ath_stats =
-        accel::euler_athread(fx.cg, fx.d, ath, geo, derived, cfg);
+    auto ath_stats = accel::euler_athread(fx.cg, fx.d, ath, geo, derived);
     EXPECT_EQ(accel::state_max_rel_diff(host, acc), 0.0);
     EXPECT_EQ(accel::state_max_rel_diff(host, ath), 0.0);
     EXPECT_GT(acc_stats.totals.total_flops(), 0u);
@@ -62,14 +55,13 @@ TEST(AccelEuler, AthreadMovesFarLessData) {
   // Section 7.3: LDM reuse cuts the OpenACC data transfers dramatically
   // (the paper reports ~10% with CAM's full shared-array set).
   AccelFixture fx(32, 25);
-  const accel::EulerAccConfig cfg{};
   auto base = fx.make(8);
   const auto geo = fx.geometry(8);
-  auto derived = accel::EulerDerived::make(fx.d, 8, cfg.shared_extra);
+  auto derived = accel::EulerDerived::make(fx.d, 8);
   auto acc = base;
-  auto acc_stats = accel::euler_openacc(fx.cg, fx.d, acc, geo, derived, cfg);
+  auto acc_stats = accel::euler_openacc(fx.cg, fx.d, acc, geo, derived);
   auto ath = base;
-  auto ath_stats = accel::euler_athread(fx.cg, fx.d, ath, geo, derived, cfg);
+  auto ath_stats = accel::euler_athread(fx.cg, fx.d, ath, geo, derived);
   const double ratio =
       static_cast<double>(ath_stats.totals.total_dma_bytes()) /
       static_cast<double>(acc_stats.totals.total_dma_bytes());
@@ -79,16 +71,15 @@ TEST(AccelEuler, AthreadMovesFarLessData) {
 
 TEST(AccelEuler, AthreadIsFasterInModeledTime) {
   AccelFixture fx(32, 8);
-  const accel::EulerAccConfig cfg{};
   auto base = fx.make(8);
   const auto geo = fx.geometry(8);
-  auto derived = accel::EulerDerived::make(fx.d, 8, cfg.shared_extra);
+  auto derived = accel::EulerDerived::make(fx.d, 8);
   auto acc = base;
   auto ath = base;
   const double t_acc =
-      accel::euler_openacc(fx.cg, fx.d, acc, geo, derived, cfg).seconds;
+      accel::euler_openacc(fx.cg, fx.d, acc, geo, derived).seconds;
   const double t_ath =
-      accel::euler_athread(fx.cg, fx.d, ath, geo, derived, cfg).seconds;
+      accel::euler_athread(fx.cg, fx.d, ath, geo, derived).seconds;
   EXPECT_LT(t_ath, t_acc);
 }
 
@@ -97,18 +88,17 @@ TEST(AccelEuler, AthreadIsFasterInModeledTime) {
 // as the in-place port updates) is what the rhs ports compute. Dry, so T
 // is not virtual.
 TEST(AccelRhs, PortsMatchHostElementBody) {
-  const accel::RhsAccConfig cfg{};
   for (int nlev : {8, 16, 64}) {
     SCOPED_TRACE("nlev " + std::to_string(nlev));
     AccelFixture fx(nlev, 0);
     const auto base = fx.make(10);
     const auto geo = fx.geometry(10);
     auto host = base;
-    accel::rhs_host(fx.m, fx.d, host, cfg.dt);
+    accel::rhs_host(fx.m, fx.d, host);
     auto acc = base;
-    accel::rhs_openacc(fx.cg, fx.d, acc, geo, cfg);
+    accel::rhs_openacc(fx.cg, fx.d, acc, geo);
     auto ath = base;
-    accel::rhs_athread(fx.cg, fx.d, ath, geo, cfg);
+    accel::rhs_athread(fx.cg, fx.d, ath, geo);
     // The OpenACC port performs the same sequential scans: bit identical.
     EXPECT_EQ(accel::state_max_rel_diff(host, acc), 0.0);
     // The register-communication scans (section 7.4) reassociate the
@@ -119,12 +109,11 @@ TEST(AccelRhs, PortsMatchHostElementBody) {
 
 TEST(AccelRhs, AthreadBeatsOpenAccHandily) {
   AccelFixture fx(64, 0);
-  const accel::RhsAccConfig cfg{};
   auto acc = fx.make(8);
   auto ath = acc;
   const auto geo = fx.geometry(8);
-  const double t_acc = accel::rhs_openacc(fx.cg, fx.d, acc, geo, cfg).seconds;
-  const double t_ath = accel::rhs_athread(fx.cg, fx.d, ath, geo, cfg).seconds;
+  const double t_acc = accel::rhs_openacc(fx.cg, fx.d, acc, geo).seconds;
+  const double t_ath = accel::rhs_athread(fx.cg, fx.d, ath, geo).seconds;
   // The paper's Table 1: OpenACC 75.11s vs Athread far below Intel's
   // 12.69s — at least several-fold here.
   EXPECT_GT(t_acc / t_ath, 4.0);
@@ -161,15 +150,14 @@ class AccelHypervis : public ::testing::TestWithParam<accel::HvKernel> {};
 // the donor mesh's geometry.
 TEST_P(AccelHypervis, PortsMatchHostWeakLaplacian) {
   AccelFixture fx(16, 0);
-  const accel::HypervisAccConfig cfg{};
   auto base = fx.make(9);
   const auto geo = fx.geometry(9);
   auto host = base;
-  accel::hypervis_host(fx.m, fx.d, host, GetParam(), cfg.nu_dt);
+  accel::hypervis_host(fx.m, fx.d, host, GetParam());
   auto acc = base;
-  accel::hypervis_openacc(fx.cg, fx.d, acc, geo, GetParam(), cfg);
+  accel::hypervis_openacc(fx.cg, fx.d, acc, geo, GetParam());
   auto ath = base;
-  accel::hypervis_athread(fx.cg, fx.d, ath, geo, GetParam(), cfg);
+  accel::hypervis_athread(fx.cg, fx.d, ath, geo, GetParam());
   EXPECT_EQ(accel::state_max_rel_diff(host, acc), 0.0);
   EXPECT_EQ(accel::state_max_rel_diff(host, ath), 0.0);
 }
@@ -188,64 +176,24 @@ TEST(AccelPorts, NeverWriteAChunkTheyShare) {
   const homme::State base = fx.make(nelem);
   const homme::State before = state_helpers::deep_copy(base);
   const auto geo = fx.geometry(nelem);
-  const accel::RhsAccConfig rcfg{};
-  const accel::EulerAccConfig ecfg{};
-  const auto derived =
-      accel::EulerDerived::make(fx.d, nelem, ecfg.shared_extra);
-  const accel::HypervisAccConfig hcfg{};
-  using Run = std::function<void(homme::State&)>;
-  struct Port {
-    std::string name;
-    Run ref, acc, ath;
-    double ath_tol;  // the Athread rhs reassociates its column sums
-  };
-  std::vector<Port> ports = {
-      {"rhs", [&](homme::State& s) { accel::rhs_host(fx.m, fx.d, s, rcfg.dt); },
-       [&](homme::State& s) { accel::rhs_openacc(fx.cg, fx.d, s, geo, rcfg); },
-       [&](homme::State& s) { accel::rhs_athread(fx.cg, fx.d, s, geo, rcfg); },
-       1e-11},
-      {"euler",
-       [&](homme::State& s) { accel::euler_host(fx.m, fx.d, s, ecfg.dt); },
-       [&](homme::State& s) {
-         accel::euler_openacc(fx.cg, fx.d, s, geo, derived, ecfg);
-       },
-       [&](homme::State& s) {
-         accel::euler_athread(fx.cg, fx.d, s, geo, derived, ecfg);
-       },
-       0.0},
-      {"remap", [&](homme::State& s) { homme::vertical_remap_local(fx.d, s); },
-       [&](homme::State& s) { accel::remap_openacc(fx.cg, fx.d, s); },
-       [&](homme::State& s) { accel::remap_athread(fx.cg, fx.d, s); }, 0.0}};
-  for (const auto& [name, which] :
-       {std::pair{"hypervis_dp1", accel::HvKernel::kDp1},
-        std::pair{"hypervis_dp2", accel::HvKernel::kDp2},
-        std::pair{"biharmonic_dp3d", accel::HvKernel::kBiharmDp3d}}) {
-    ports.push_back(
-        {name,
-         [&, which](homme::State& s) {
-           accel::hypervis_host(fx.m, fx.d, s, which, hcfg.nu_dt);
-         },
-         [&, which](homme::State& s) {
-           accel::hypervis_openacc(fx.cg, fx.d, s, geo, which, hcfg);
-         },
-         [&, which](homme::State& s) {
-           accel::hypervis_athread(fx.cg, fx.d, s, geo, which, hcfg);
-         },
-         0.0});
-  }
-  for (const Port& p : ports) {
+  const auto derived = accel::EulerDerived::make(fx.d, nelem);
+  const auto kernels = accel::table1_kernels(fx.m, fx.d, nelem, geo, derived);
+  ASSERT_EQ(kernels.size(), 6u);
+  for (const accel::Table1Kernel& k : kernels) {
+    // The Athread rhs reassociates its column sums.
+    const double ath_tol = k.name == "compute_and_apply_rhs" ? 1e-11 : 0.0;
     homme::State want = state_helpers::deep_copy(base);
-    p.ref(want);
+    k.ref(want);
     homme::State acc = base;
-    p.acc(acc);
+    k.acc(fx.cg, acc);
     EXPECT_TRUE(state_helpers::states_bitwise_equal(base, before))
-        << p.name << " openacc";
-    EXPECT_EQ(accel::state_max_rel_diff(want, acc), 0.0) << p.name;
+        << k.name << " openacc";
+    EXPECT_EQ(accel::state_max_rel_diff(want, acc), 0.0) << k.name;
     homme::State ath = base;
-    p.ath(ath);
+    k.athread(fx.cg, ath);
     EXPECT_TRUE(state_helpers::states_bitwise_equal(base, before))
-        << p.name << " athread";
-    EXPECT_LE(accel::state_max_rel_diff(want, ath), p.ath_tol) << p.name;
+        << k.name << " athread";
+    EXPECT_LE(accel::state_max_rel_diff(want, ath), ath_tol) << k.name;
   }
 }
 

@@ -209,9 +209,9 @@ TEST(HypervisAcc, WarmAthreadLaunchAllocatesLessThanOnePerElement) {
       mesh::CubedSphere::build(2, mesh::kEarthRadius), nelem);
   homme::State s = accel::synthetic_state(d, nelem);
   sw::CoreGroup cg;
-  accel::hypervis_athread(cg, d, s, g, accel::HvKernel::kDp2, {});  // cold
+  accel::hypervis_athread(cg, d, s, g, accel::HvKernel::kDp2);  // cold
   alloc_counter::arm();
-  accel::hypervis_athread(cg, d, s, g, accel::HvKernel::kDp2, {});
+  accel::hypervis_athread(cg, d, s, g, accel::HvKernel::kDp2);
   const std::size_t allocs = alloc_counter::disarm();
   EXPECT_LT(allocs, static_cast<std::size_t>(nelem));
 }

@@ -29,9 +29,7 @@ struct ChainSetup {
   homme::Dims d;
   homme::State base;
   accel::PackedGeometry geo;
-  accel::EulerAccConfig euler_cfg{};
   accel::EulerDerived derived;
-  accel::HypervisAccConfig hv_cfg{};
 
   ChainSetup(int nelem, int nlev, int qsize) {
     d.nlev = nlev;
@@ -39,7 +37,7 @@ struct ChainSetup {
     auto mesh = mesh::CubedSphere::build(2, mesh::kEarthRadius);
     base = accel::synthetic_state(d, nelem);
     geo = accel::PackedGeometry::pack(mesh, nelem);
-    derived = accel::EulerDerived::make(d, nelem, euler_cfg.shared_extra);
+    derived = accel::EulerDerived::make(d, nelem);
   }
 };
 
@@ -48,10 +46,9 @@ struct ChainSetup {
 sw::KernelStats run_chain(ChainSetup& s, homme::State& p, bool fused) {
   accel::StateBlocks blocks;
   blocks.refill(s.d, p, p);
-  accel::EulerKernel euler(blocks, s.geo, s.derived, s.euler_cfg);
-  accel::HypervisKernel dp2(blocks, s.geo, accel::HvKernel::kDp2, s.hv_cfg);
-  accel::HypervisKernel dp3d(blocks, s.geo, accel::HvKernel::kBiharmDp3d,
-                             s.hv_cfg);
+  accel::EulerKernel euler(blocks, s.geo, s.derived);
+  accel::HypervisKernel dp2(blocks, s.geo, accel::HvKernel::kDp2);
+  accel::HypervisKernel dp3d(blocks, s.geo, accel::HvKernel::kBiharmDp3d);
   accel::RemapKernel remap(blocks, 0, blocks.nelem());
   const std::vector<const accel::Kernel*> kernels{&euler, &dp2, &dp3d,
                                                   &remap};
@@ -133,7 +130,7 @@ TEST(KernelPipeline, FreshGroupStartsCold) {
   accel::StateBlocks blocks;
   blocks.refill(s.d, p, p);
   sw::CoreGroup cg;
-  accel::EulerKernel k(blocks, s.geo, s.derived, s.euler_cfg);
+  accel::EulerKernel k(blocks, s.geo, s.derived);
   const auto stats = accel::KernelPipeline({&k}).run(cg);
   EXPECT_EQ(stats.totals.dma_reused_bytes, 0u);
   EXPECT_GT(stats.totals.dma_cold_bytes, 0u);
@@ -145,7 +142,7 @@ TEST(KernelPipeline, PinnedDvvPersistsAcrossLaunches) {
   accel::StateBlocks blocks;
   blocks.refill(s.d, p, p);
   sw::CoreGroup cg;
-  accel::EulerKernel k(blocks, s.geo, s.derived, s.euler_cfg);
+  accel::EulerKernel k(blocks, s.geo, s.derived);
   (void)accel::KernelPipeline({&k}).run(cg);
   const auto second = accel::KernelPipeline({&k}).run(cg);
   // The GLL derivative matrix stays pinned in each CPE's LDM between

@@ -44,19 +44,17 @@ class AccelShapeSweep : public ::testing::TestWithParam<Shape> {
 };
 
 TEST_P(AccelShapeSweep, EulerPortsAgreeAndFitLdm) {
-  const accel::EulerAccConfig cfg{};
   const homme::Dims d = dims();
   auto base = make();
   const auto geo = geometry();
-  auto derived =
-      accel::EulerDerived::make(d, GetParam().nelem, cfg.shared_extra);
+  auto derived = accel::EulerDerived::make(d, GetParam().nelem);
   auto ref = base;
-  accel::euler_host(donor(), d, ref, cfg.dt);
+  accel::euler_host(donor(), d, ref);
   sw::CoreGroup cg;
   auto acc = base;
-  auto acc_stats = accel::euler_openacc(cg, d, acc, geo, derived, cfg);
+  auto acc_stats = accel::euler_openacc(cg, d, acc, geo, derived);
   auto ath = base;
-  auto ath_stats = accel::euler_athread(cg, d, ath, geo, derived, cfg);
+  auto ath_stats = accel::euler_athread(cg, d, ath, geo, derived);
   EXPECT_EQ(accel::state_max_rel_diff(ref, acc), 0.0);
   EXPECT_EQ(accel::state_max_rel_diff(ref, ath), 0.0);
   if (GetParam().qsize >= 2) {
@@ -86,14 +84,13 @@ TEST_P(AccelShapeSweep, RemapPortsAgree) {
 }
 
 TEST_P(AccelShapeSweep, HypervisDp2PortsAgree) {
-  const accel::HypervisAccConfig cfg{};
   const homme::Dims d = dims();
   auto base = make();
   auto ref = base;
-  accel::hypervis_host(donor(), d, ref, accel::HvKernel::kDp2, cfg.nu_dt);
+  accel::hypervis_host(donor(), d, ref, accel::HvKernel::kDp2);
   sw::CoreGroup cg;
   auto ath = base;
-  accel::hypervis_athread(cg, d, ath, geometry(), accel::HvKernel::kDp2, cfg);
+  accel::hypervis_athread(cg, d, ath, geometry(), accel::HvKernel::kDp2);
   EXPECT_EQ(accel::state_max_rel_diff(ref, ath), 0.0);
 }
 
@@ -108,7 +105,6 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{64, 16, 1})); // one element per CPE
 
 TEST(AccelRhsSweep, PortsAgreeOverLevelMultiplesOfEight) {
-  const accel::RhsAccConfig cfg{};
   sw::CoreGroup cg;
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
   for (int nlev : {8, 16, 64}) {
@@ -117,16 +113,15 @@ TEST(AccelRhsSweep, PortsAgreeOverLevelMultiplesOfEight) {
     d.qsize = 0;
     auto base = accel::synthetic_state(d, 10);
     auto ref = base;
-    accel::rhs_host(m, d, ref, cfg.dt);
+    accel::rhs_host(m, d, ref);
     auto ath = base;
-    accel::rhs_athread(cg, d, ath, accel::PackedGeometry::pack(m, 10), cfg);
+    accel::rhs_athread(cg, d, ath, accel::PackedGeometry::pack(m, 10));
     EXPECT_LT(accel::state_max_rel_diff(ref, ath), 1e-10)
         << "nlev " << nlev;
   }
 }
 
 TEST(AccelRhsSweep, RejectsUnsupportedLevelCounts) {
-  const accel::RhsAccConfig cfg{};
   sw::CoreGroup cg;
   auto m = mesh::CubedSphere::build(2, mesh::kEarthRadius);
   homme::Dims d;
@@ -134,7 +129,7 @@ TEST(AccelRhsSweep, RejectsUnsupportedLevelCounts) {
   d.qsize = 0;
   auto s = accel::synthetic_state(d, 4);
   EXPECT_THROW(
-      accel::rhs_athread(cg, d, s, accel::PackedGeometry::pack(m, 4), cfg),
+      accel::rhs_athread(cg, d, s, accel::PackedGeometry::pack(m, 4)),
       std::invalid_argument);
 }
 

@@ -259,6 +259,23 @@ TEST(ServerMetrics, SnapshotCarriesPhaseTenantAndEngineCounters) {
             std::string::npos);
 }
 
+// The server's engine block writes every EngineStats field, so the flat
+// metrics carry the mesh and COW-state accounting too.
+TEST(ServerMetrics, FlatMetricsCarryEveryEngineField) {
+  ServerConfig scfg;
+  scfg.engine.workers = 1;
+  scfg.checkpoint_dir.clear();
+  Server server(scfg);
+  server.add_tenant("ops", TenantQuota{});
+  server.submit("ops", "m", make_request(2));
+  server.wait_idle();
+  const std::string flat = server.metrics_flat();
+  EXPECT_NE(flat.find("swcam.engine.mesh_bundles 1\n"), std::string::npos)
+      << flat;
+  EXPECT_NE(flat.find("swcam.engine.state_samples 1\n"), std::string::npos)
+      << flat;
+}
+
 TEST(ServerMetrics, EngineStatsCarryPlacementTelemetry) {
   ServerConfig scfg;
   scfg.engine.workers = 1;

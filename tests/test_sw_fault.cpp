@@ -38,14 +38,9 @@ using state_helpers::states_bitwise_equal;
 constexpr int kWords = 16;  // doubles per DMA block in these kernels
 
 /// Every CPE streams `ops` blocks of kWords doubles out of `mem`.
-sw::RunOptions with_plan(FaultPlan& plan) {
-  sw::RunOptions opts;
-  opts.faults = &plan;
-  return opts;
-}
-
 void run_dma_kernel(CoreGroup& cg, FaultPlan& plan, std::vector<double>& mem,
                     int ops) {
+  cg.set_fault_plan(&plan);
   cg.run(
       [&](Cpe& cpe) -> Task {
         sw::LdmFrame frame(cpe.ldm());
@@ -57,8 +52,7 @@ void run_dma_kernel(CoreGroup& cg, FaultPlan& plan, std::vector<double>& mem,
           cpe.put(base + b * kWords, std::span<const double>(buf));
         }
         co_return;
-      },
-      with_plan(plan));
+      });
 }
 
 TEST(FaultPlan, DmaFailThrowsTypedFaultWithCpeOpAndBytes) {
@@ -136,15 +130,14 @@ TEST(FaultPlan, RegDropSurfacesAsTypedFaultNotAHang) {
   CoreGroup cg;
   FaultPlan plan;
   plan.inject({FaultKind::kRegDrop, /*target=*/9, /*op_index=*/0});
+  cg.set_fault_plan(&plan);
   try {
-    cg.run(
-        [&](Cpe& cpe) -> Task {
-          co_await cpe.send_row((cpe.col() + 1) % sw::kCpeCols,
-                                sw::v4d{1.0, 2.0, 3.0, 4.0});
-          (void)co_await cpe.recv_row();
-          co_return;
-        },
-        with_plan(plan));
+    cg.run([&](Cpe& cpe) -> Task {
+      co_await cpe.send_row((cpe.col() + 1) % sw::kCpeCols,
+                            sw::v4d{1.0, 2.0, 3.0, 4.0});
+      (void)co_await cpe.recv_row();
+      co_return;
+    });
     FAIL() << "expected KernelFault";
   } catch (const KernelFault& e) {
     EXPECT_EQ(e.kind(), FaultKind::kRegDrop);
