@@ -6,15 +6,14 @@
 #include <cstring>
 #include <string>
 
-#include "obs/report.hpp"
 #include "scenario/registry.hpp"
 
 /// \file bench_common.hpp
 /// The one bench CLI parser. Every bench used to hand-roll (or skip) the
 /// same flag extraction; BenchOptions::parse pulls the shared flags out
 /// of argc/argv — before google-benchmark sees the rest — in one place:
-///   --json <path>    machine-readable obs::Report
-///   --trace <path>   Chrome trace-event timeline
+///   --json <path>    machine-readable obs::Report (also --json=<path>)
+///   --trace <path>   Chrome trace-event timeline (also --trace=<path>)
 ///   --small          reduced problem size (CI smoke)
 ///   --steps <n>      override the bench's step count
 ///   --ne <n>         override the bench's mesh resolution
@@ -33,10 +32,13 @@
 /// Parsing is strict: every value is read with strtol and must be a
 /// complete decimal integer within [min, 1e9] — a missing, non-numeric,
 /// trailing-junk or below-minimum value aborts with a message on stderr
-/// (exit 2). String flags are validated the same way (--scenario must
-/// name a registered workload). The unset sentinel is -1 everywhere, and
-/// every _or accessor tests `>= 0`, so an explicit "--steps 0" really
-/// means zero steps rather than "use the default".
+/// (exit 2). String flags are validated the same way (a path must be
+/// present, --scenario must name a registered workload). Each flag is
+/// taken once; whatever is left that google-benchmark does not own (its
+/// flags start with --benchmark_) — a typo, a repeat, a stray value —
+/// exits 2 as well. The unset sentinel is -1 everywhere, and every _or
+/// accessor tests `>= 0`, so an explicit "--steps 0" really means zero
+/// steps rather than "use the default".
 
 namespace bench {
 
@@ -74,8 +76,8 @@ struct BenchOptions {
     return scenario.empty() ? fallback : scenario;
   }
 
-  /// The shared flags, one line each — printed on --list-scenarios
-  /// misuse and kept in sync with the doc comment above.
+  /// The shared flags, one line each — printed on every parse error and
+  /// kept in sync with the doc comment above.
   static const char* usage() {
     return
         "shared bench flags:\n"
@@ -92,7 +94,8 @@ struct BenchOptions {
         "                      every bench, only affects pipeline-backend\n"
         "                      runs (host-backend benches parse + ignore)\n"
         "  --scenario <name>   run the named scenario:: registry workload\n"
-        "  --list-scenarios    print the registered workloads and exit\n";
+        "  --list-scenarios    print the registered workloads and exit\n"
+        "  --benchmark_*       left to google-benchmark\n";
   }
 
   /// Print the registry as a table (what --list-scenarios shows).
@@ -109,11 +112,6 @@ struct BenchOptions {
   /// sees what it understands.
   static BenchOptions parse(int& argc, char** argv) {
     BenchOptions opts;
-    const obs::CliOptions cli = obs::extract_cli(argc, argv);
-    opts.json_path = cli.json_path;
-    opts.trace_path = cli.trace_path;
-    opts.small = cli.small;
-
     auto die = [](const char* flag, const char* what, const char* got) {
       std::fprintf(stderr, "bench: %s %s (got \"%s\")\n%s", flag, what, got,
                    usage());
@@ -123,6 +121,38 @@ struct BenchOptions {
       for (int j = i; j + n < argc; ++j) argv[j] = argv[j + n];
       argc -= n;
     };
+    // "--flag <path>" or "--flag=<path>"; the path may not be empty or
+    // another flag.
+    auto take_path = [&](const char* flag, std::string& out) {
+      const std::size_t n = std::strlen(flag);
+      for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], flag, n) != 0) continue;
+        const char* value = nullptr;
+        int used = 1;
+        if (argv[i][n] == '=') {
+          value = argv[i] + n + 1;
+        } else if (argv[i][n] == '\0') {
+          value = i + 1 < argc ? argv[i + 1] : "";
+          used = 2;
+        } else {
+          continue;  // a longer flag that shares the prefix
+        }
+        if (*value == '\0' || std::strncmp(value, "--", 2) == 0) {
+          die(flag, "requires a path", value);
+        }
+        out = value;
+        drop(i, used);
+        return;
+      }
+    };
+    take_path("--json", opts.json_path);
+    take_path("--trace", opts.trace_path);
+    for (int i = 1; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--small") != 0) continue;
+      opts.small = true;
+      drop(i, 1);
+      break;
+    }
     auto take_int = [&](const char* flag, int& out, long min_value) {
       for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], flag) != 0) continue;
@@ -172,6 +202,11 @@ struct BenchOptions {
       opts.scenario = name;
       drop(i, 2);
       break;
+    }
+    for (int i = 1; i < argc; ++i) {
+      if (std::strncmp(argv[i], "--benchmark_", 12) != 0) {
+        die("unexpected", "argument", argv[i]);
+      }
     }
     return opts;
   }

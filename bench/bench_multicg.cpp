@@ -6,14 +6,9 @@
 // work but contend for the controller, so the speedup must land strictly
 // between 1x and the ideal Nx.
 //
-// A second phase places four pipeline members through svc::Engine onto
-// two 2-group pools under both placement policies (pack vs spread) and
-// verifies placement never perturbs the members' state digests.
-//
 // Gates (exit 1 on violation):
 //   - every sweep digest equals the 1-CG digest
 //   - modeled speedup at the widest sweep point is > 1x and < ideal Nx
-//   - pack and spread engine runs agree with each other and the sweep
 //
 // Flags (bench_common.hpp): --json --trace --small --steps --ne
 //   --core-groups N   widest sweep point (default 4)
@@ -29,7 +24,6 @@
 #include "bench_common.hpp"
 #include "model/session.hpp"
 #include "obs/report.hpp"
-#include "svc/engine.hpp"
 #include "sw/cg_pool.hpp"
 #include "sw/contention.hpp"
 
@@ -96,45 +90,6 @@ SweepPoint run_sweep_point(int ne, int steps, int cgs,
   return pt;
 }
 
-// -- engine placement phase --------------------------------------------------
-
-/// What placement leaves invariant: how many members it placed and their
-/// digests. The pools' high-waters and contended descriptors depend on
-/// how the host overlaps the two workers' members, so they are not kept.
-struct PlacementPoint {
-  std::string policy;
-  std::uint64_t placed_members = 0;
-  std::vector<std::uint32_t> crcs;  ///< per member, submission order
-};
-
-PlacementPoint run_placement(int ne, int steps,
-                             svc::EngineConfig::Placement policy) {
-  svc::EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.queue_capacity = 8;
-  cfg.cg_pools = 2;
-  cfg.core_groups_per_pool = 2;
-  cfg.placement = policy;
-  svc::Engine engine(cfg);
-
-  std::vector<svc::RunTicket> tickets;
-  for (int i = 0; i < 4; ++i) {
-    svc::RunRequest req;
-    req.config = sweep_config(ne, 1);
-    req.config.core_groups = 1;  // engine placement overrides with a seat
-    req.steps = steps;
-    tickets.push_back(engine.submit(std::move(req)));
-  }
-  PlacementPoint pt;
-  pt.policy =
-      policy == svc::EngineConfig::Placement::kPack ? "pack" : "spread";
-  for (auto& t : tickets) pt.crcs.push_back(t->wait().state_crc);
-
-  pt.placed_members = engine.stats().placed_members;
-  engine.shutdown();
-  return pt;
-}
-
 // -- reporting ---------------------------------------------------------------
 
 int digest_mismatches(const std::vector<SweepPoint>& sweep) {
@@ -145,9 +100,7 @@ int digest_mismatches(const std::vector<SweepPoint>& sweep) {
 }
 
 bool write_json(const std::string& path, int ne, int steps,
-                const std::vector<SweepPoint>& sweep,
-                const std::vector<PlacementPoint>& placements,
-                int placement_mismatches) {
+                const std::vector<SweepPoint>& sweep) {
   obs::Report rep("multicg");
   rep.config().set("ne", ne).set("steps", steps).set("nlev", 8).set("qsize",
                                                                     2);
@@ -167,16 +120,9 @@ bool write_json(const std::string& path, int ne, int steps,
         .set("slowdown", pt.slowdown)
         .set("per_cg_gbytes_s", pt.per_cg_gbytes_s);
   }
-  obs::Json& pl = rep.root().arr("placement");
-  for (const auto& pt : placements) {
-    pl.push()
-        .set("policy", pt.policy)
-        .set("placed_members", static_cast<std::int64_t>(pt.placed_members));
-  }
   const SweepPoint& widest = sweep.back();
   rep.root()
       .set("digest_mismatches", digest_mismatches(sweep))
-      .set("placement_digest_mismatches", placement_mismatches)
       .set("max_core_groups", widest.core_groups)
       .set("speedup_max_cgs", widest.speedup)
       .set("contention_slowdown_max", widest.slowdown);
@@ -197,17 +143,6 @@ void print_table(int ne, int steps, const std::vector<SweepPoint>& sweep) {
                 static_cast<unsigned long long>(pt.contended_ops),
                 pt.per_cg_gbytes_s, pt.digest);
   std::printf("\n");
-}
-
-void print_placements(const std::vector<PlacementPoint>& placements,
-                      int mismatches) {
-  std::printf("=== Engine placement: 4 members on 2 pools x 2 CGs ===\n");
-  std::printf("%8s %8s\n", "policy", "placed");
-  for (const auto& pt : placements)
-    std::printf("%8s %8llu\n", pt.policy.c_str(),
-                static_cast<unsigned long long>(pt.placed_members));
-  std::printf("placement-independent digests: %s\n\n",
-              mismatches == 0 ? "yes" : "NO");
 }
 
 void register_benchmarks(const std::vector<SweepPoint>& sweep) {
@@ -249,17 +184,6 @@ int main(int argc, char** argv) {
   }
   print_table(ne, steps, sweep);
 
-  std::vector<PlacementPoint> placements;
-  placements.push_back(
-      run_placement(ne, steps, svc::EngineConfig::Placement::kPack));
-  placements.push_back(
-      run_placement(ne, steps, svc::EngineConfig::Placement::kSpread));
-  int placement_mismatches = 0;
-  for (const auto& pt : placements)
-    for (std::uint32_t crc : pt.crcs)
-      if (crc != sweep.front().digest) ++placement_mismatches;
-  print_placements(placements, placement_mismatches);
-
   bool ok = true;
   if (digest_mismatches(sweep) != 0) {
     std::fprintf(stderr,
@@ -279,16 +203,9 @@ int main(int argc, char** argv) {
                  widest.core_groups, widest.speedup, widest.core_groups);
     ok = false;
   }
-  if (placement_mismatches != 0) {
-    std::fprintf(stderr,
-                 "FAIL: engine placement perturbed %d member digests\n",
-                 placement_mismatches);
-    ok = false;
-  }
 
   if (!opts.json_path.empty() &&
-      !write_json(opts.json_path, ne, steps, sweep, placements,
-                  placement_mismatches)) {
+      !write_json(opts.json_path, ne, steps, sweep)) {
     return 1;
   }
   if (!ok) return 1;

@@ -92,8 +92,8 @@ void PipelineAccelerator::vertical_remap(homme::State& s) {
     // Declare every shard's DMA stream on the shared controller *before*
     // the first shard runs: each descriptor then samples the same active
     // count on every run, so modeled times are deterministic even though
-    // the host executes shards sequentially. (Unrelated tenants of a
-    // shared pool still contend dynamically on top.)
+    // the host executes shards sequentially. (The other ranks of a
+    // session sharing the pool still contend dynamically on top.)
     std::vector<sw::MemoryContention::StreamGuard> streams;
     streams.reserve(static_cast<std::size_t>(nshards));
     for (int si = 0; si < nshards; ++si) {

@@ -39,9 +39,9 @@ namespace accel {
 ///
 /// By default the accelerator owns a private 1-CG pool, exactly the
 /// historical single-core-group behavior. set_cg_pool() instead binds to
-/// an externally owned sw::CgPool (a model::Session's pool, or
-/// svc::Engine placement: one processor shared by several members) with
-/// an explicit CG-affinity list. Either way every remap
+/// an externally owned sw::CgPool (a model::Session's pool, whose groups
+/// the session's ranks divide among themselves) with an explicit
+/// CG-affinity list. Either way every remap
 /// shards its elements contiguously across the assigned groups — the
 /// remap arithmetic is per-element independent, so the sharded result is
 /// bit-identical to the 1-CG result.

@@ -1,7 +1,7 @@
 #include "model/session.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
 #include <span>
 #include <utility>
 
@@ -34,7 +34,11 @@ homme::Dims SessionConfig::dims() const {
 
 void SessionConfig::validate() const {
   if (ne < 1) throw ConfigError("SessionConfig: ne must be >= 1");
-  if (radius <= 0.0) throw ConfigError("SessionConfig: radius must be > 0");
+  // Finite too: the radius keys the engine's shared mesh bundles, and a
+  // NaN key breaks the map's ordering.
+  if (!std::isfinite(radius) || radius <= 0.0) {
+    throw ConfigError("SessionConfig: radius must be finite and > 0");
+  }
   if (nlev < 1) throw ConfigError("SessionConfig: nlev must be >= 1");
   if (qsize < 0) throw ConfigError("SessionConfig: qsize must be >= 0");
   if (dt < 0.0) throw ConfigError("SessionConfig: dt must be >= 0");
@@ -86,22 +90,6 @@ void SessionConfig::validate() const {
   if (core_groups < 1) {
     throw ConfigError("SessionConfig: core_groups must be >= 1");
   }
-  if (cg_pool == nullptr && !cg_affinity.empty()) {
-    throw ConfigError("SessionConfig: cg_affinity without a cg_pool");
-  }
-  if (cg_pool != nullptr) {
-    if (cg_affinity.empty()) {
-      throw ConfigError("SessionConfig: cg_pool needs a non-empty "
-                        "cg_affinity");
-    }
-    for (int i : cg_affinity) {
-      if (i < 0 || i >= cg_pool->size()) {
-        throw ConfigError("SessionConfig: cg_affinity index " +
-                          std::to_string(i) + " outside pool of " +
-                          std::to_string(cg_pool->size()) + " core groups");
-      }
-    }
-  }
 }
 
 // -- state digest ------------------------------------------------------------
@@ -135,6 +123,7 @@ std::shared_ptr<const MeshBundle> MeshBundle::build(int ne, int nranks,
   b->plan = mesh::CommPlan::build(b->mesh, b->partition);
   b->ne = ne;
   b->nranks = nranks;
+  b->radius = radius;
   return b;
 }
 
@@ -166,11 +155,14 @@ Session::Session(SessionConfig cfg, std::shared_ptr<const MeshBundle> bundle)
   if (bundle_ == nullptr) {
     bundle_ = MeshBundle::build(cfg_.ne, cfg_.nranks, cfg_.radius);
   } else if (!bundle_->compatible(cfg_)) {
-    throw ConfigError("Session: mesh bundle is ne" +
-                      std::to_string(bundle_->ne) + "/" +
-                      std::to_string(bundle_->nranks) +
-                      " ranks, config wants ne" + std::to_string(cfg_.ne) +
-                      "/" + std::to_string(cfg_.nranks));
+    const auto shape = [](int ne, int nranks, double radius) {
+      return "ne" + std::to_string(ne) + "/" + std::to_string(nranks) +
+             " ranks/radius " + std::to_string(radius) + " m";
+    };
+    throw ConfigError("Session: mesh bundle is " +
+                      shape(bundle_->ne, bundle_->nranks, bundle_->radius) +
+                      ", config wants " +
+                      shape(cfg_.ne, cfg_.nranks, cfg_.radius));
   }
   build(nullptr);
 }
@@ -227,17 +219,14 @@ void Session::build(const Session* parent) {
                       sw::CoreGroup::kDefaultTracePid});
   }
 
-  // The pipeline's core groups: an engine-provided pool, or one this
-  // session builds when it wants more than each accelerator's private
-  // single group. Rank r shards its remaps across the groups at
-  // positions i with i % nranks == r.
-  std::shared_ptr<sw::CgPool> pool = cfg_.cg_pool;
-  std::vector<int> affinity = cfg_.cg_affinity;
-  if (pool == nullptr && cfg_.core_groups > 1 &&
+  // The pipeline's core groups: one pool this session builds when it
+  // wants more than each accelerator's private single group. Rank r
+  // shards its remaps across the groups i % n for every i with
+  // i % nranks == r.
+  std::shared_ptr<sw::CgPool> pool;
+  if (cfg_.core_groups > 1 &&
       cfg_.backend == SessionConfig::Backend::kPipeline) {
     pool = std::make_shared<sw::CgPool>(cfg_.core_groups);
-    affinity.resize(static_cast<std::size_t>(cfg_.core_groups));
-    std::iota(affinity.begin(), affinity.end(), 0);
     pool->set_tracer(tracer_.get(), sw::CoreGroup::kDefaultTracePid,
                      "accel");
   }
@@ -258,10 +247,10 @@ void Session::build(const Session* parent) {
     rk.accel = std::make_unique<accel::PipelineAccelerator>(dims_);
     rk.accel->set_tracer(tracer_.get(), p.accel_track, p.accel_pid);
     if (pool != nullptr) {
-      const std::size_t n = affinity.size();
+      const auto n = static_cast<std::size_t>(pool->size());
       std::vector<int> groups;
       for (std::size_t i = r; i < std::max(n, nranks); i += nranks) {
-        groups.push_back(affinity[i % n]);
+        groups.push_back(static_cast<int>(i % n));
       }
       rk.accel->set_cg_pool(pool, std::move(groups));
     }

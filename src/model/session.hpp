@@ -37,9 +37,6 @@ class PipelineAccelerator;
 namespace homme {
 class StateMonitor;
 }
-namespace sw {
-class CgPool;
-}
 
 namespace model {
 
@@ -111,12 +108,6 @@ struct SessionConfig {
   /// feeding per-CG pipelines. Ignored on the host backend (analytic
   /// benches accept --core-groups uniformly).
   int core_groups = 1;
-  /// Externally owned pool (svc::Engine placement): the session's
-  /// accelerators run on groups \ref cg_affinity of this pool instead of
-  /// a private one, contending with the pool's other tenants. Overrides
-  /// core_groups when set.
-  std::shared_ptr<sw::CgPool> cg_pool;
-  std::vector<int> cg_affinity;
 
   // -- resilience -----------------------------------------------------------
   sw::FaultPlan* faults = nullptr;  ///< injected kernel/message faults
@@ -191,8 +182,9 @@ struct SessionConfig {
 /// contents entirely (every image of one shape would hash alike).
 std::uint32_t state_digest(const homme::State& state, int step_count);
 
-/// The immutable per-resolution data every simulation of a (ne, nranks)
-/// shape shares: mesh topology + metric terms, SFC partition, comm plan.
+/// The immutable per-resolution data every simulation of a (ne, nranks,
+/// radius) shape shares: mesh topology + metric terms, SFC partition,
+/// comm plan.
 /// Build once, share via shared_ptr into every Session — an N-member
 /// ensemble pays for one copy (see MeshBundle::bytes).
 struct MeshBundle {
@@ -201,6 +193,7 @@ struct MeshBundle {
   mesh::CommPlan plan;
   int ne = 0;
   int nranks = 1;
+  double radius = mesh::kEarthRadius;
 
   static std::shared_ptr<const MeshBundle> build(
       int ne, int nranks = 1, double radius = mesh::kEarthRadius);
@@ -210,7 +203,7 @@ struct MeshBundle {
 
   /// True when a config of this shape can share this bundle.
   bool compatible(const SessionConfig& cfg) const {
-    return cfg.ne == ne && cfg.nranks == nranks;
+    return cfg.ne == ne && cfg.nranks == nranks && cfg.radius == radius;
   }
 };
 

@@ -243,30 +243,4 @@ bool Report::write(const std::string& path) const {
   return ok;
 }
 
-CliOptions extract_cli(int& argc, char** argv) {
-  CliOptions opts;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if ((arg == "--json" || arg == "--trace") && i + 1 < argc) {
-      if (arg == "--json") {
-        opts.json_path = argv[i + 1];
-      } else {
-        opts.trace_path = argv[i + 1];
-      }
-      ++i;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      opts.json_path = arg.substr(7);
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      opts.trace_path = arg.substr(8);
-    } else if (arg == "--small") {
-      opts.small = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
-  return opts;
-}
-
 }  // namespace obs

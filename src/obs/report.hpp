@@ -13,8 +13,7 @@
 /// \file report.hpp
 /// Shared machine-readable bench reporting: a small insertion-ordered JSON
 /// document builder (obs::Report) that replaces the hand-rolled fprintf
-/// writers previously duplicated across benches, plus the common
-/// --json/--trace CLI flag extraction they also each reimplemented.
+/// writers previously duplicated across benches.
 
 namespace obs {
 
@@ -99,14 +98,5 @@ class Report {
  private:
   Json root_;
 };
-
-/// Common bench CLI flags, extracted (and removed) from argc/argv before
-/// benchmark::Initialize consumes the rest.
-struct CliOptions {
-  std::string json_path;   ///< --json <path>: machine-readable report
-  std::string trace_path;  ///< --trace <path>: Chrome trace-event timeline
-  bool small = false;      ///< --small: reduced problem size (CI smoke)
-};
-CliOptions extract_cli(int& argc, char** argv);
 
 }  // namespace obs

@@ -1,7 +1,6 @@
 #include "svc/engine.hpp"
 
 #include "homme/checkpoint.hpp"
-#include "sw/cg_pool.hpp"
 
 namespace svc {
 
@@ -76,20 +75,6 @@ Engine::Engine(EngineConfig cfg)
   if (cfg_.queue_capacity < 1) {
     throw model::ConfigError("EngineConfig: queue_capacity must be >= 1");
   }
-  if (cfg_.cg_pools < 0) {
-    throw model::ConfigError("EngineConfig: cg_pools must be >= 0");
-  }
-  if (cfg_.cg_pools > 0 && cfg_.core_groups_per_pool < 1) {
-    throw model::ConfigError(
-        "EngineConfig: core_groups_per_pool must be >= 1");
-  }
-  pools_.reserve(static_cast<std::size_t>(cfg_.cg_pools));
-  for (int p = 0; p < cfg_.cg_pools; ++p) {
-    pools_.push_back(std::make_shared<sw::CgPool>(cfg_.core_groups_per_pool));
-    occupancy_.emplace_back(
-        static_cast<std::size_t>(cfg_.core_groups_per_pool), 0);
-  }
-  counters_.cg_pools = pools_.size();
   counters_.workers = cfg_.workers;
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (int w = 0; w < cfg_.workers; ++w) {
@@ -99,8 +84,9 @@ Engine::Engine(EngineConfig cfg)
 
 Engine::~Engine() { shutdown(/*drain=*/true); }
 
-std::shared_ptr<const model::MeshBundle> Engine::bundle(int ne, int nranks) {
-  const auto key = std::make_pair(ne, nranks);
+std::shared_ptr<const model::MeshBundle> Engine::bundle(int ne, int nranks,
+                                                        double radius) {
+  const auto key = std::make_tuple(ne, nranks, radius);
   {
     std::lock_guard<std::mutex> lock(bundles_mu_);
     auto it = bundles_.find(key);
@@ -108,7 +94,7 @@ std::shared_ptr<const model::MeshBundle> Engine::bundle(int ne, int nranks) {
   }
   // Build outside the lock (construction is the expensive part), then
   // keep whichever copy won the race so every member shares one.
-  auto built = model::MeshBundle::build(ne, nranks);
+  auto built = model::MeshBundle::build(ne, nranks, radius);
   std::lock_guard<std::mutex> lock(bundles_mu_);
   auto [it, inserted] = bundles_.emplace(key, std::move(built));
   return it->second;
@@ -131,7 +117,7 @@ RunTicket Engine::submit(RunRequest req) {
   }
   job.handle = RunTicket(new RunHandle(
       next_id_.fetch_add(1, std::memory_order_relaxed)));
-  job.bundle = bundle(req.config.ne, req.config.nranks);
+  job.bundle = bundle(req.config.ne, req.config.nranks, req.config.radius);
   const std::size_t bundle_bytes = job.bundle->bytes();
   job.request = std::move(req);
   job.submitted = std::chrono::steady_clock::now();
@@ -208,80 +194,9 @@ void Engine::worker_loop(int worker) {
   }
 }
 
-Engine::CgSeat Engine::acquire_seat() {
-  CgSeat seat;
-  std::lock_guard<std::mutex> lock(placement_mu_);
-  if (pools_.empty()) return seat;
-  const bool pack = cfg_.placement == EngineConfig::Placement::kPack;
-  int best_pool = -1;
-  long best_load = 0;
-  for (int p = 0; p < static_cast<int>(pools_.size()); ++p) {
-    long load = 0;
-    for (int occ : occupancy_[static_cast<std::size_t>(p)]) load += occ;
-    // kPack: first pool with a free group, falling back to pool 0 when
-    // everything is busy (members then time-share a group behind the
-    // per-group lock). kSpread: globally least-loaded pool.
-    if (pack) {
-      bool has_free = false;
-      for (int occ : occupancy_[static_cast<std::size_t>(p)]) {
-        if (occ == 0) { has_free = true; break; }
-      }
-      if (has_free) { best_pool = p; break; }
-      if (best_pool < 0) best_pool = 0;
-    } else if (best_pool < 0 || load < best_load) {
-      best_pool = p;
-      best_load = load;
-    }
-  }
-  seat.pool = best_pool;
-  auto& occ = occupancy_[static_cast<std::size_t>(best_pool)];
-  seat.group = 0;
-  for (int g = 1; g < static_cast<int>(occ.size()); ++g) {
-    if (occ[static_cast<std::size_t>(g)] <
-        occ[static_cast<std::size_t>(seat.group)]) {
-      seat.group = g;
-    }
-  }
-  if (occ[static_cast<std::size_t>(seat.group)] == 0) {
-    ++groups_busy_;
-    groups_busy_high_water_ = std::max(groups_busy_high_water_, groups_busy_);
-  }
-  ++occ[static_cast<std::size_t>(seat.group)];
-  return seat;
-}
-
-void Engine::release_seat(const CgSeat& seat) {
-  if (!seat.valid()) return;
-  std::lock_guard<std::mutex> lock(placement_mu_);
-  int& occ = occupancy_[static_cast<std::size_t>(seat.pool)]
-                       [static_cast<std::size_t>(seat.group)];
-  --occ;
-  if (occ == 0) --groups_busy_;
-}
-
 void Engine::execute(Job& job, int worker) {
   RunHandle& h = *job.handle;
   const auto t0 = std::chrono::steady_clock::now();
-
-  // Core-group placement: a pipeline member that didn't bring its own
-  // pool gets one group of one engine pool for the duration of its run,
-  // DMA-contending with members co-located on the same processor.
-  CgSeat seat;
-  if (!pools_.empty() &&
-      job.request.config.backend == model::SessionConfig::Backend::kPipeline &&
-      job.request.config.cg_pool == nullptr) {
-    seat = acquire_seat();
-    job.request.config.cg_pool = pools_[static_cast<std::size_t>(seat.pool)];
-    job.request.config.cg_affinity = {seat.group};
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.placed_members;
-  }
-  struct SeatGuard {
-    Engine* eng;
-    const CgSeat& s;
-    ~SeatGuard() { eng->release_seat(s); }
-  } seat_guard{this, seat};
-
   const RunRequest& req = job.request;
 
   RunResult res;
@@ -418,17 +333,6 @@ EngineStats Engine::stats() const {
   out.queue_depth = queue_.depth();
   out.queue_high_water = queue_.high_water();
   {
-    std::lock_guard<std::mutex> lock(placement_mu_);
-    out.cg_groups_busy_high_water = groups_busy_high_water_;
-  }
-  for (const auto& pool : pools_) {
-    const sw::MemoryContention::Stats cs = pool->contention().stats();
-    out.cg_stream_high_water =
-        std::max(out.cg_stream_high_water, cs.stream_high_water);
-    out.cg_contended_ops += cs.contended_ops;
-    out.cg_contended_bytes += cs.contended_bytes;
-  }
-  {
     std::lock_guard<std::mutex> lock(bundles_mu_);
     out.mesh_bundles = bundles_.size();
     for (const auto& [key, b] : bundles_) out.mesh_bundle_bytes += b->bytes();
@@ -463,12 +367,6 @@ void EngineStats::write(obs::Json& out) const {
       .set("state_shared_chunks", state_shared_chunks)
       .set("checkpoint_saves", checkpoint_saves)
       .set("checkpoint_bytes", checkpoint_bytes)
-      .set("placed_members", placed_members)
-      .set("cg_pools", u64(cg_pools))
-      .set("cg_groups_busy_high_water", cg_groups_busy_high_water)
-      .set("cg_stream_high_water", cg_stream_high_water)
-      .set("cg_contended_ops", cg_contended_ops)
-      .set("cg_contended_bytes", cg_contended_bytes)
       .set("member_steps_per_s", member_steps_per_s())
       .set("worker_utilization", utilization())
       .set("resident_bytes_per_member", resident_bytes_per_member())
@@ -482,12 +380,7 @@ obs::Report Engine::summary_report() const {
   rep.config()
       .set("workers", cfg_.workers)
       .set("queue_capacity", static_cast<std::uint64_t>(cfg_.queue_capacity))
-      .set("reject_when_full", cfg_.reject_when_full)
-      .set("cg_pools", cfg_.cg_pools)
-      .set("core_groups_per_pool", cfg_.core_groups_per_pool)
-      .set("placement",
-           cfg_.placement == EngineConfig::Placement::kPack ? "pack"
-                                                            : "spread");
+      .set("reject_when_full", cfg_.reject_when_full);
   s.write(rep.root());
   return rep;
 }

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -20,11 +21,6 @@
 #include "obs/report.hpp"
 #include "scenario/registry.hpp"
 #include "svc/queue.hpp"
-#include "sw/config.hpp"
-
-namespace sw {
-class CgPool;
-}
 
 /// \file engine.hpp
 /// svc::Engine — batched concurrent model runs.
@@ -34,8 +30,8 @@ class CgPool;
 /// multiplexed over fixed compute. The engine is that shape in miniature:
 /// a fixed worker pool pulls RunRequests (a model::SessionConfig + step
 /// budget + priority) from a bounded submission queue with backpressure,
-/// shares one immutable model::MeshBundle per (ne, nranks) across every
-/// member, and resolves each request to a typed terminal state —
+/// shares one immutable model::MeshBundle per (ne, nranks, radius) across
+/// every member, and resolves each request to a typed terminal state —
 /// Completed, Faulted (the member threw; the worker survives), Cancelled,
 /// or Deadline. Each request yields a per-request obs::Report; the engine
 /// aggregates throughput (member-steps/s), queue high-water and worker
@@ -158,21 +154,6 @@ struct EngineConfig {
   /// Backpressure policy when the queue is full: block the submitter
   /// (false, default) or throw QueueFull (true).
   bool reject_when_full = false;
-
-  /// Where a member with a free core group choice goes: kPack fills the
-  /// lowest-index pool (maximizing shared-controller contention per
-  /// processor, leaving whole processors idle for power-down), kSpread
-  /// picks the least-loaded pool (minimizing contention).
-  enum class Placement { kPack, kSpread };
-
-  /// Simulated SW26010 processors the engine places pipeline-backend
-  /// members onto: each pool owns core_groups_per_pool groups behind one
-  /// shared memory controller, and every placed member runs on one group
-  /// of one pool, contending with co-located members. 0 (default) keeps
-  /// the historical behavior — each member's session owns a private pool.
-  int cg_pools = 0;
-  int core_groups_per_pool = sw::kGroupsPerProcessor;
-  Placement placement = Placement::kSpread;
 };
 
 /// A snapshot of the engine's aggregate telemetry.
@@ -204,14 +185,6 @@ struct EngineStats {
   std::uint64_t state_shared_chunks = 0;  ///< slots aliased by other owners
   std::uint64_t checkpoint_saves = 0;     ///< async delta-writer saves
   std::uint64_t checkpoint_bytes = 0;     ///< bytes those saves wrote
-
-  // Core-group placement telemetry (all zero when cg_pools == 0).
-  std::uint64_t placed_members = 0;     ///< members placed onto engine pools
-  std::size_t cg_pools = 0;             ///< pools the engine owns
-  int cg_groups_busy_high_water = 0;    ///< max concurrently occupied groups
-  int cg_stream_high_water = 0;         ///< max concurrent DMA streams, any pool
-  std::uint64_t cg_contended_ops = 0;   ///< DMA descriptors issued contended
-  std::uint64_t cg_contended_bytes = 0; ///< bytes those descriptors moved
 
   double member_steps_per_s() const {
     return wall_s > 0.0 ? static_cast<double>(member_steps) / wall_s : 0.0;
@@ -246,8 +219,8 @@ struct EngineStats {
 
   /// Fold a later engine's snapshot \p s into these totals (svc::Server
   /// across drain/restart cycles): counters sum, high-waters take the
-  /// max, and gauges of the live engine (queue depth, workers, bundles,
-  /// pools) take \p s's value.
+  /// max, and gauges of the live engine (queue depth, workers, bundles)
+  /// take \p s's value.
   EngineStats& operator+=(const EngineStats& s) {
     submitted += s.submitted;
     completed += s.completed;
@@ -273,14 +246,6 @@ struct EngineStats {
     state_shared_chunks += s.state_shared_chunks;
     checkpoint_saves += s.checkpoint_saves;
     checkpoint_bytes += s.checkpoint_bytes;
-    placed_members += s.placed_members;
-    cg_pools = s.cg_pools;
-    cg_groups_busy_high_water =
-        std::max(cg_groups_busy_high_water, s.cg_groups_busy_high_water);
-    cg_stream_high_water =
-        std::max(cg_stream_high_water, s.cg_stream_high_water);
-    cg_contended_ops += s.cg_contended_ops;
-    cg_contended_bytes += s.cg_contended_bytes;
     return *this;
   }
 };
@@ -313,7 +278,8 @@ class Engine {
   void set_member_hook(std::function<void(std::uint64_t, RunState)> hook);
 
   /// The shared immutable bundle for a shape (built on first use).
-  std::shared_ptr<const model::MeshBundle> bundle(int ne, int nranks = 1);
+  std::shared_ptr<const model::MeshBundle> bundle(
+      int ne, int nranks = 1, double radius = mesh::kEarthRadius);
 
   const EngineConfig& config() const { return cfg_; }
 
@@ -333,17 +299,6 @@ class Engine {
   void execute(Job& job, int worker);
   void notify_terminal(std::uint64_t id, RunState s);
 
-  /// One (pool, group) seat handed to a placed member.
-  struct CgSeat {
-    int pool = -1;
-    int group = -1;
-    bool valid() const { return pool >= 0; }
-  };
-  /// Pick a seat under the placement policy and bump its occupancy
-  /// (invalid seat when the engine owns no pools).
-  CgSeat acquire_seat();
-  void release_seat(const CgSeat& seat);
-
   EngineConfig cfg_;
   BoundedQueue<Job> queue_;
   std::vector<std::thread> workers_;
@@ -354,19 +309,12 @@ class Engine {
   mutable std::mutex stats_mu_;
   EngineStats counters_;  ///< mutable fields; wall/depth filled at snapshot
 
-  // Core-group placement (immutable pool vector after construction;
-  // occupancy guarded by placement_mu_).
-  std::vector<std::shared_ptr<sw::CgPool>> pools_;
-  mutable std::mutex placement_mu_;
-  std::vector<std::vector<int>> occupancy_;  ///< members per (pool, group)
-  int groups_busy_ = 0;
-  int groups_busy_high_water_ = 0;
-
   std::mutex hook_mu_;
   std::function<void(std::uint64_t, RunState)> member_hook_;
 
   mutable std::mutex bundles_mu_;
-  std::map<std::pair<int, int>, std::shared_ptr<const model::MeshBundle>>
+  std::map<std::tuple<int, int, double>,
+           std::shared_ptr<const model::MeshBundle>>
       bundles_;
   std::size_t bytes_unshared_ = 0;
 

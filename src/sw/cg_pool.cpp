@@ -29,11 +29,4 @@ void CgPool::set_tracer(obs::Tracer* t, int pid_base,
   }
 }
 
-void CgPool::purge_ldm() {
-  for (int i = 0; i < size(); ++i) {
-    auto guard = lock(i);
-    group(i).purge_ldm();
-  }
-}
-
 }  // namespace sw

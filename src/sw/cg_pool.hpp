@@ -17,9 +17,8 @@
 /// The pool owns the groups, one MemoryContention arbiter attached to all
 /// of them, and one mutex per group. A CoreGroup is *not* thread safe:
 /// any caller that runs or mutates group i must hold lock(i) for the
-/// duration (accel::PipelineAccelerator and svc::Engine do). The
-/// contention arbiter itself is lock free; DMA cost sampling never takes
-/// a pool lock.
+/// duration (accel::PipelineAccelerator does). The contention arbiter
+/// itself is lock free; DMA cost sampling never takes a pool lock.
 ///
 /// Concurrency is declared, not inferred: a caller about to stream DMA
 /// from group i opens a stream on the shared controller
@@ -66,10 +65,6 @@ class CgPool {
   /// Chrome trace.
   void set_tracer(obs::Tracer* t, int pid_base = CoreGroup::kDefaultTracePid,
                   const std::string& prefix = std::string());
-
-  /// purge_ldm() on every group (degradation path after a fault whose
-  /// shard assignment is unknown). Takes each group's lock.
-  void purge_ldm();
 
  private:
   MemoryContention mc_;

@@ -19,10 +19,10 @@
 ///
 /// Determinism: CgPool's sharded launches open every participating
 /// stream before the first shard runs, so each DMA samples the same n on
-/// every run regardless of host scheduling. When independent members
-/// contend dynamically (svc::Engine placement), the sampled n reflects
-/// real concurrency — modeled times then vary with load, but functional
-/// results never depend on n.
+/// every run regardless of host scheduling. When the ranks of one
+/// model::Session share its pool, their launches contend dynamically: the
+/// sampled n then reflects how the rank threads overlap — modeled times
+/// vary with load, but functional results never depend on n.
 
 namespace sw {
 
@@ -57,7 +57,7 @@ class MemoryContention {
   int active_streams() const {
     return active_.load(std::memory_order_relaxed);
   }
-  /// Most streams ever concurrently active (placement telemetry).
+  /// Most streams ever concurrently active.
   int high_water() const {
     return high_water_.load(std::memory_order_relaxed);
   }

@@ -78,6 +78,9 @@ TEST(SessionConfig, BuilderComposes) {
 TEST(SessionConfig, RejectsUnrealizableSettings) {
   EXPECT_THROW(SessionConfig{}.with_ne(0).validate(), ConfigError);
   EXPECT_THROW(SessionConfig{}.with_radius(-1.0).validate(), ConfigError);
+  EXPECT_THROW(SessionConfig{}.with_radius(std::nan("")).validate(),
+               ConfigError);
+  EXPECT_THROW(SessionConfig{}.with_radius(INFINITY).validate(), ConfigError);
   EXPECT_THROW(SessionConfig{}.with_levels(0, 2).validate(), ConfigError);
   EXPECT_THROW(SessionConfig{}.with_levels(8, -1).validate(), ConfigError);
   EXPECT_THROW(SessionConfig{}.with_dt(-10.0).validate(), ConfigError);
@@ -113,6 +116,12 @@ TEST(SessionConfig, RejectsIncompatibleBundle) {
   const auto bundle = MeshBundle::build(2, 1);
   EXPECT_TRUE(bundle->compatible(SessionConfig{}.with_ne(2)));
   EXPECT_FALSE(bundle->compatible(SessionConfig{}.with_ne(4)));
+  // A mesh of another radius has other metric terms and another dt.
+  const SessionConfig small = SessionConfig{}.with_ne(2).with_radius(
+      mesh::kEarthRadius / 8);
+  EXPECT_FALSE(bundle->compatible(small));
+  EXPECT_TRUE(MeshBundle::build(2, 1, small.radius)->compatible(small));
+  EXPECT_THROW(Session(small, bundle), ConfigError);
   EXPECT_THROW(Session(SessionConfig{}.with_ne(4), bundle), ConfigError);
   EXPECT_THROW(Session(SessionConfig{}.with_ne(2).with_ranks(2), bundle),
                ConfigError);

@@ -1,13 +1,10 @@
-// The unified bench reporting layer: the insertion-ordered Json writer,
-// the Report envelope every --json bench output shares, and the CLI
-// extraction that strips --json/--trace/--small before the benchmark
-// library sees argv.
+// The unified bench reporting layer: the insertion-ordered Json writer
+// and the Report envelope every --json bench output shares.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -119,51 +116,6 @@ TEST(Report, AddSummaryEmitsPhaseRecords) {
   EXPECT_NE(doc.find("\"self_us\""), std::string::npos);
   EXPECT_NE(doc.find("\"dma_get_bytes\": 640"), std::string::npos);
   EXPECT_NE(doc.find("\"name\": \"cg:fault\""), std::string::npos);
-}
-
-TEST(ExtractCli, StripsObsFlagsKeepsOthers) {
-  std::vector<std::string> store = {"bench",          "--benchmark_filter=x",
-                                    "--json",         "out.json",
-                                    "--trace",        "out.trace.json",
-                                    "--small",        "--other"};
-  std::vector<char*> argv;
-  for (auto& s : store) argv.push_back(s.data());
-  int argc = static_cast<int>(argv.size());
-
-  const obs::CliOptions opts = obs::extract_cli(argc, argv.data());
-  EXPECT_EQ(opts.json_path, "out.json");
-  EXPECT_EQ(opts.trace_path, "out.trace.json");
-  EXPECT_TRUE(opts.small);
-  ASSERT_EQ(argc, 3);
-  EXPECT_STREQ(argv[0], "bench");
-  EXPECT_STREQ(argv[1], "--benchmark_filter=x");
-  EXPECT_STREQ(argv[2], "--other");
-}
-
-TEST(ExtractCli, AcceptsEqualsForms) {
-  std::vector<std::string> store = {"bench", "--json=j.json",
-                                    "--trace=t.json"};
-  std::vector<char*> argv;
-  for (auto& s : store) argv.push_back(s.data());
-  int argc = static_cast<int>(argv.size());
-  const obs::CliOptions opts = obs::extract_cli(argc, argv.data());
-  EXPECT_EQ(opts.json_path, "j.json");
-  EXPECT_EQ(opts.trace_path, "t.json");
-  EXPECT_FALSE(opts.small);
-  EXPECT_EQ(argc, 1);
-}
-
-TEST(ExtractCli, DanglingValueFlagIsLeftAlone) {
-  // "--json" with no following path cannot be consumed; it stays in argv
-  // so the benchmark library can reject it visibly instead of silently
-  // eating the flag.
-  std::vector<std::string> store = {"bench", "--json"};
-  std::vector<char*> argv;
-  for (auto& s : store) argv.push_back(s.data());
-  int argc = static_cast<int>(argv.size());
-  const obs::CliOptions opts = obs::extract_cli(argc, argv.data());
-  EXPECT_TRUE(opts.json_path.empty());
-  EXPECT_EQ(argc, 2);
 }
 
 }  // namespace

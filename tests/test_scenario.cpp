@@ -327,9 +327,55 @@ TEST(BenchOptionsDeath, StrictParsingRejectsBadValues) {
               testing::ExitedWithCode(2), "out of range");
   EXPECT_EXIT(parse_argv({"--core-groups", "8junk"}),
               testing::ExitedWithCode(2), "expects an integer");
+  // A path flag needs its path; a dangling one used to be left in argv,
+  // where nothing read it and no report was written.
+  EXPECT_EXIT(parse_argv({"--json"}), testing::ExitedWithCode(2),
+              "--json requires a path");
+  EXPECT_EXIT(parse_argv({"--trace=", "--small"}),
+              testing::ExitedWithCode(2), "--trace requires a path");
+  EXPECT_EXIT(parse_argv({"--json", "--small"}), testing::ExitedWithCode(2),
+              "--json requires a path");
+  // Anything left that google-benchmark does not own is an error: a
+  // typo, an unknown flag, a repeat.
+  EXPECT_EXIT(parse_argv({"--jsno", "x.json"}), testing::ExitedWithCode(2),
+              "unexpected argument \\(got \"--jsno\"\\)");
+  EXPECT_EXIT(parse_argv({"--small", "--other"}), testing::ExitedWithCode(2),
+              "unexpected argument \\(got \"--other\"\\)");
+  EXPECT_EXIT(parse_argv({"--steps", "2", "--steps", "3"}),
+              testing::ExitedWithCode(2), "unexpected argument");
   // --list-scenarios prints the menu and exits 0.
   EXPECT_EXIT(parse_argv({"--list-scenarios"}), testing::ExitedWithCode(0),
               "");
+}
+
+TEST(BenchOptions, TakesSharedFlagsLeavesBenchmarkFlags) {
+  std::vector<const char*> raw = {
+      "bench",         "--benchmark_filter=x", "--json", "out.json",
+      "--trace",       "out.trace.json",       "--small"};
+  int argc = static_cast<int>(raw.size());
+  std::vector<char*> argv;
+  for (const char* a : raw) argv.push_back(const_cast<char*>(a));
+  argv.push_back(nullptr);
+  const auto opts = bench::BenchOptions::parse(argc, argv.data());
+  EXPECT_EQ(opts.json_path, "out.json");
+  EXPECT_EQ(opts.trace_path, "out.trace.json");
+  EXPECT_TRUE(opts.small);
+  ASSERT_EQ(argc, 2);
+  EXPECT_STREQ(argv[0], "bench");
+  EXPECT_STREQ(argv[1], "--benchmark_filter=x");
+}
+
+TEST(BenchOptions, AcceptsEqualsForms) {
+  std::vector<const char*> raw = {"bench", "--json=j.json", "--trace=t.json"};
+  int argc = static_cast<int>(raw.size());
+  std::vector<char*> argv;
+  for (const char* a : raw) argv.push_back(const_cast<char*>(a));
+  argv.push_back(nullptr);
+  const auto opts = bench::BenchOptions::parse(argc, argv.data());
+  EXPECT_EQ(opts.json_path, "j.json");
+  EXPECT_EQ(opts.trace_path, "t.json");
+  EXPECT_FALSE(opts.small);
+  EXPECT_EQ(argc, 1);
 }
 
 TEST(BenchOptions, ScenarioFlagAcceptsRegisteredNames) {

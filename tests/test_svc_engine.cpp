@@ -236,6 +236,58 @@ TEST(SvcEngine, SharedBundlePerShape) {
   engine.shutdown();
 }
 
+// A member runs on the sphere its config names: the engine's bundle for
+// it is built at the config's radius, not shared with an Earth mesh.
+TEST(SvcEngine, MemberRunsAtItsConfigRadius) {
+  const model::SessionConfig small =
+      tiny_config().with_radius(mesh::kEarthRadius / 8);
+  model::Session ref(small);
+  ref.run(3);
+
+  Engine engine({.workers = 1, .queue_capacity = 4});
+  RunRequest earth;
+  earth.config = tiny_config();
+  earth.steps = 3;
+  RunRequest req;
+  req.config = small;
+  req.steps = 3;
+  const RunTicket earth_ticket = engine.submit(earth);
+  const RunTicket ticket = engine.submit(req);
+  const svc::RunResult& res = ticket->wait();
+  ASSERT_EQ(res.state, RunState::kCompleted) << res.error;
+  EXPECT_EQ(res.state_crc, model::state_digest(ref.state(), 3));
+  EXPECT_NE(earth_ticket->wait().state_crc, res.state_crc);
+  EXPECT_EQ(engine.stats().mesh_bundles, 2u);
+  engine.shutdown();
+}
+
+// Pipeline-backend members run through the engine on their session's own
+// core groups and step to the host backend's bits.
+TEST(SvcEngine, PipelineMembersMatchTheHostBackend) {
+  const model::SessionConfig host = tiny_config();  // 3 steps: one remap
+  model::Session ref(host);
+  ref.run(3);
+  const std::uint32_t want = model::state_digest(ref.state(), 3);
+
+  Engine engine({.workers = 2, .queue_capacity = 4});
+  std::vector<RunTicket> tickets;
+  for (int cgs : {1, 4}) {
+    RunRequest req;
+    req.config = tiny_config()
+                     .with_backend(model::SessionConfig::Backend::kPipeline)
+                     .with_core_groups(cgs);
+    req.steps = 3;
+    tickets.push_back(engine.submit(req));
+  }
+  for (const RunTicket& t : tickets) {
+    const svc::RunResult& res = t->wait();
+    ASSERT_EQ(res.state, RunState::kCompleted) << res.error;
+    EXPECT_EQ(res.fallbacks, 0);
+    EXPECT_EQ(res.state_crc, want);
+  }
+  engine.shutdown();
+}
+
 /// Final-state digests per member at a given worker count.
 std::vector<std::uint32_t> run_ensemble(int workers, int members) {
   Engine engine({.workers = workers, .queue_capacity = 4});

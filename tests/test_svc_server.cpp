@@ -276,24 +276,4 @@ TEST(ServerMetrics, FlatMetricsCarryEveryEngineField) {
       << flat;
 }
 
-TEST(ServerMetrics, EngineStatsCarryPlacementTelemetry) {
-  ServerConfig scfg;
-  scfg.engine.workers = 1;
-  scfg.engine.cg_pools = 1;
-  scfg.checkpoint_dir.clear();
-  Server server(scfg);
-  server.add_tenant("ops", TenantQuota{});
-  server.submit("ops", "placed",
-                make_request(3, tiny_config().with_backend(
-                                    model::SessionConfig::Backend::kPipeline)));
-  server.wait_idle();
-  EXPECT_EQ(server.engine_stats().placed_members, 1u);
-  EXPECT_EQ(server.engine_stats().cg_pools, 1u);
-
-  // The retired totals keep the placement telemetry across a drain.
-  server.drain();
-  EXPECT_EQ(server.engine_stats().placed_members, 1u);
-  EXPECT_EQ(server.engine_stats().cg_pools, 1u);
-}
-
 }  // namespace

@@ -131,7 +131,6 @@ REQUIRED_ROOT_FIELDS = {
     ),
     "multicg": (
         "digest_mismatches",
-        "placement_digest_mismatches",
         "max_core_groups",
         "speedup_max_cgs",
         "contention_slowdown_max",
